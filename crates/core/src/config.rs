@@ -79,16 +79,7 @@ impl Config {
         let mut state = NetworkState::for_network(net);
         for t in &travels {
             t.check_invariants()?;
-            for pos in t.flit_positions() {
-                if let FlitPos::InNetwork(k) = pos {
-                    state.enter(t.route()[k], t.id())?;
-                }
-            }
-            if let Some((lo, hi)) = t.owned_route_range() {
-                for k in lo..=hi {
-                    state.claim(t.route()[k], t.id())?;
-                }
-            }
+            seat(&mut state, t)?;
         }
         let (arrived, travels) = travels.into_iter().partition(|t| t.is_arrived());
         Ok(Config {
@@ -96,6 +87,52 @@ impl Config {
             state,
             arrived,
         })
+    }
+
+    /// Moves every flit of every message to the position `key` gives it —
+    /// the inverse of [`position_key`](Config::position_key) — in place:
+    /// flit positions are overwritten, `ST` is emptied and rebuilt from them
+    /// with the checks of [`from_travels`](Config::from_travels), and `T`
+    /// and `A` are re-partitioned, each in [`MsgId`] order. An explorer
+    /// decodes one state after another into the same configuration this
+    /// way, allocating nothing.
+    ///
+    /// Routes are not looked at again: they are static, and whoever built
+    /// the configuration validated them.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] if `key` has the wrong length, names a position
+    /// outside a route, or breaks a worm shape or port ownership, and
+    /// [`Error::CapacityExceeded`] if it over-fills a port: a corrupted key,
+    /// never a legal state. The configuration is inconsistent then; re-seat
+    /// it with a valid key before using it.
+    pub fn reseat(&mut self, key: &[u16]) -> Result<()> {
+        self.travels.append(&mut self.arrived);
+        self.travels.sort_unstable_by_key(|t| t.id().index());
+        self.state.reset();
+        let mut rest = key;
+        for t in &mut self.travels {
+            let Some((block, tail)) = rest.split_at_checked(t.flit_count()) else {
+                return Err(Error::Invariant(format!(
+                    "position key of {} entries is too short for the workload",
+                    key.len()
+                )));
+            };
+            rest = tail;
+            t.reseat(block)?;
+            seat(&mut self.state, t)?;
+        }
+        if !rest.is_empty() {
+            return Err(Error::Invariant(format!(
+                "position key of {} entries is {} too long for the workload",
+                key.len(),
+                rest.len()
+            )));
+        }
+        self.arrived
+            .extend(self.travels.extract_if(.., |t| t.is_arrived()));
+        Ok(())
     }
 
     /// The in-flight travel list `T`.
@@ -125,16 +162,7 @@ impl Config {
                 travel.id()
             )));
         }
-        for pos in travel.flit_positions() {
-            if let FlitPos::InNetwork(k) = pos {
-                self.state.enter(travel.route()[k], travel.id())?;
-            }
-        }
-        if let Some((lo, hi)) = travel.owned_route_range() {
-            for k in lo..=hi {
-                self.state.claim(travel.route()[k], travel.id())?;
-            }
-        }
+        seat(&mut self.state, &travel)?;
         self.travels.push(travel);
         Ok(())
     }
@@ -478,16 +506,7 @@ impl Config {
         let mut expected = NetworkState::for_network(net);
         for t in self.travels.iter().chain(self.arrived.iter()) {
             t.check_invariants()?;
-            for pos in t.flit_positions() {
-                if let FlitPos::InNetwork(k) = pos {
-                    expected.enter(t.route()[k], t.id())?;
-                }
-            }
-            if let Some((lo, hi)) = t.owned_route_range() {
-                for k in lo..=hi {
-                    expected.claim(t.route()[k], t.id())?;
-                }
-            }
+            seat(&mut expected, t)?;
         }
         for p in net.ports() {
             let got = self.state.port(p);
@@ -508,6 +527,22 @@ impl Config {
         }
         Ok(())
     }
+}
+
+/// Registers a travel's flits with `state`: every in-network flit enters its
+/// port, and the worm claims every port between its tail and its head.
+fn seat(state: &mut NetworkState, t: &Travel) -> Result<()> {
+    for pos in t.flit_positions() {
+        if let FlitPos::InNetwork(k) = pos {
+            state.enter(t.route()[k], t.id())?;
+        }
+    }
+    if let Some((lo, hi)) = t.owned_route_range() {
+        for k in lo..=hi {
+            state.claim(t.route()[k], t.id())?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -664,6 +699,51 @@ mod tests {
         cfg.advance_flit(0, 0).unwrap();
         let rebuilt = Config::from_travels(&net, cfg.travels().to_vec()).unwrap();
         assert_eq!(rebuilt.state(), cfg.state());
+    }
+
+    #[test]
+    fn reseat_inverts_position_key_and_matches_from_travels() {
+        let specs = [spec(0, 2, 2), spec(2, 0, 1), spec(1, 2, 1)];
+        let (net, mut cfg) = setup(3, 2, &specs);
+        let blank = cfg.clone();
+        // Walk message 1 to delivery and message 0 into the network.
+        cfg.enter_flit(1, 0).unwrap();
+        while cfg.can_advance_flit(1, 0) {
+            cfg.advance_flit(1, 0).unwrap();
+        }
+        cfg.eject_flit(1, 0).unwrap();
+        cfg.enter_flit(0, 0).unwrap();
+        cfg.enter_flit(0, 1).unwrap();
+        cfg.advance_flit(0, 0).unwrap();
+        let key = cfg.position_key();
+        let mut travels = cfg.travels().to_vec();
+        travels.sort_by_key(|t| t.id().index());
+        let rebuilt = Config::from_travels(&net, travels).unwrap();
+        assert_eq!(rebuilt.arrived().len(), 1);
+
+        let mut reseated = blank.clone();
+        reseated.reseat(&key).unwrap();
+        assert_eq!(reseated, rebuilt);
+        reseated.validate(&net).unwrap();
+        // And back, over a configuration whose `A` is not empty.
+        reseated.reseat(&blank.position_key()).unwrap();
+        assert_eq!(reseated, blank);
+    }
+
+    #[test]
+    fn reseat_rejects_corrupted_keys() {
+        let (_, mut cfg) = setup(3, 1, &[spec(0, 2, 2), spec(0, 1, 1)]);
+        for key in [
+            &[9u16, 0, 0][..], // outside the route
+            &[1, 2, 0],        // body flit ahead of the head
+            &[1, 1, 0],        // over capacity
+            &[1, 0, 1],        // two owners
+            &[0, 0],           // too short
+            &[0, 0, 0, 0],     // too long
+        ] {
+            assert!(cfg.reseat(key).is_err(), "{key:?}");
+        }
+        cfg.reseat(&[2, 1, 0]).unwrap();
     }
 
     #[test]

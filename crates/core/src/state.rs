@@ -86,6 +86,16 @@ impl NetworkState {
         NetworkState { ports }
     }
 
+    /// Empties every port — no flits, no owners — keeping the capacities:
+    /// the state [`for_network`](NetworkState::for_network) built, without
+    /// building it again.
+    pub fn reset(&mut self) {
+        for ps in &mut self.ports {
+            ps.occupied = 0;
+            ps.owner = None;
+        }
+    }
+
     /// State of port `p`.
     ///
     /// # Panics

@@ -377,12 +377,59 @@ impl Travel {
         self.flits[i] = pos;
     }
 
-    /// Verifies the worm-shape invariant.
+    /// Re-seats every flit from `block`, this travel's slice of a
+    /// [`Config::position_key`](crate::config::Config::position_key): `0`
+    /// pending, `k + 1` in the network at route index `k`, [`u16::MAX`]
+    /// delivered. The caller slices `block` to the flit count.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Invariant`] naming the first out-of-order flit pair.
+    /// [`Error::Invariant`] if `block` names a route index outside the route
+    /// or breaks the worm-shape invariant. The flits hold part of `block`
+    /// then; re-seat again before reading them.
+    pub(crate) fn reseat(&mut self, block: &[u16]) -> Result<()> {
+        debug_assert_eq!(block.len(), self.flits.len(), "one position per flit");
+        for (flit, &v) in self.flits.iter_mut().zip(block) {
+            *flit = match v {
+                0 => FlitPos::Pending,
+                u16::MAX => FlitPos::Delivered,
+                k if usize::from(k) <= self.route.len() => FlitPos::InNetwork(usize::from(k) - 1),
+                k => {
+                    return Err(Error::Invariant(format!(
+                        "travel {}: position {k} lies outside its {}-port route",
+                        self.id,
+                        self.route.len()
+                    )))
+                }
+            };
+        }
+        self.check_worm_shape()
+    }
+
+    /// Verifies the worm-shape invariant and that the route visits no port
+    /// twice.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invariant`] naming the first out-of-order flit pair
+    /// or repeated port.
     pub fn check_invariants(&self) -> Result<()> {
+        self.check_worm_shape()?;
+        // Route must be duplicate-free for the ownership bookkeeping to hold.
+        for (i, p) in self.route.iter().enumerate() {
+            if self.route[..i].contains(p) {
+                return Err(Error::Invariant(format!(
+                    "travel {}: route visits {p} twice",
+                    self.id
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The dynamic half of [`check_invariants`](Travel::check_invariants):
+    /// flit positions are non-increasing from head to tail.
+    fn check_worm_shape(&self) -> Result<()> {
         let len = self.route.len();
         for w in 0..self.flits.len().saturating_sub(1) {
             let ahead = self.flits[w].rank(len);
@@ -395,15 +442,6 @@ impl Travel {
                     self.flits[w + 1],
                     w,
                     self.flits[w]
-                )));
-            }
-        }
-        // Route must be duplicate-free for the ownership bookkeeping to hold.
-        for (i, p) in self.route.iter().enumerate() {
-            if self.route[..i].contains(p) {
-                return Err(Error::Invariant(format!(
-                    "travel {}: route visits {p} twice",
-                    self.id
                 )));
             }
         }

@@ -15,6 +15,8 @@
 //! (SNIPPETS.md): exhaustive enumeration with witness traces, rather than
 //! schedule sampling.
 
+use std::ops::ControlFlow;
+
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
 use genoc_core::meta::InstanceMeta;
@@ -26,7 +28,7 @@ use genoc_core::step::{AlwaysAdmit, HeadAdmission};
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::MsgId;
 
-use crate::por::AmpleSelector;
+use crate::expand::Expander;
 use crate::state::{StateArena, Workload};
 use crate::symmetry::slot_perms;
 
@@ -277,12 +279,7 @@ fn explore_with_perms(
         );
     }
     let group_size = perms.len();
-    let enumerator = MoveEnumerator::new(admission);
-    // The ample selector's independence relation is only valid for the
-    // closed-world admission kinds; an opaque predicate falls back to the
-    // full enabled set (see `crate::por`).
-    let mut selector = (options.por && admission.kind().is_some())
-        .then(|| AmpleSelector::new(&workload, net.port_count()));
+    let mut expander = Expander::new(net, &workload, &perms, admission, options.por);
 
     let root_key = workload.initial_key();
     let mut table = StateArena::new(root_key.len());
@@ -298,67 +295,26 @@ fn explore_with_perms(
     let mut transitions = 0u64;
     let mut enabled_moves = 0u64;
     let mut depth = 0usize;
-    let mut moves = Vec::new();
-    let mut ample = Vec::new();
-    let mut ckey = Vec::new();
-    let mut scratch = Vec::new();
+    // The expanded state's key, out of the arena its children go into.
+    let mut key = Vec::with_capacity(root_key.len());
     let mut bounded = None;
+    let mut deadlock = None;
     let mut peak_bytes = 0usize;
 
     while let Some(id) = queue.pop_front() {
-        peak_bytes =
-            peak_bytes.max(table.bytes() + edges.len() * std::mem::size_of::<Option<Edge>>());
-        let cfg = workload.decode(net, table.key(id))?;
+        peak_bytes = peak_bytes.max(resident_bytes(&table, &edges));
         let at_depth = edges[id as usize].as_ref().map_or(0, |e| e.depth) as usize;
         depth = depth.max(at_depth);
-        moves.clear();
-        enumerator.push_moves(&cfg, &mut moves);
-        if moves.is_empty() {
-            // Decoding partitions fully-delivered travels into `A`, so an
-            // empty `T` is exactly the evacuated case.
-            let evacuated = cfg.is_evacuated();
-            if let Some(g) = graph.as_mut() {
-                g.status[id as usize] = if evacuated {
-                    StateStatus::Evacuated
-                } else {
-                    StateStatus::Deadlock
-                };
-            }
-            if !evacuated {
-                let cex = rebuild_counterexample(net, routing, specs, &edges, id, &workload)?;
-                return Ok(Exploration {
-                    verdict: Verdict::Deadlock(cex),
-                    states: table.len(),
-                    transitions,
-                    enabled_moves,
-                    depth: at_depth,
-                    group_size,
-                    peak_bytes,
-                    spilled_bytes: 0,
-                    bound: None,
-                    graph,
-                });
-            }
-            continue;
-        }
-        enabled_moves += moves.len() as u64;
-        let reduced = selector
-            .as_mut()
-            .is_some_and(|sel| sel.select(&cfg, &moves, &mut ample));
-        let expand: &[Move] = if reduced { &ample } else { &moves };
-        for &mv in expand {
-            let mut child = cfg.clone();
-            enumerator.apply(&mut child, mv)?;
+        key.clear();
+        key.extend_from_slice(table.key(id));
+        let status = expander.expand(&key, |mv, child, perm| {
             transitions += 1;
-            let key = child.position_key();
-            let perm = workload.canonicalize_into(&key, &perms, &mut ckey, &mut scratch);
-            let identity = perm.iter().enumerate().all(|(j, &s)| j == s);
-            let (child_id, fresh) = table.intern(&ckey);
+            let (child_id, fresh) = table.intern(child);
             if fresh {
                 edges.push(Some(Edge {
                     parent: id,
                     mv,
-                    perm: (!identity).then(|| perm.into_boxed_slice()),
+                    perm: perm.map(Box::from),
                     depth: at_depth as u32 + 1,
                 }));
                 if let Some(g) = graph.as_mut() {
@@ -371,20 +327,31 @@ fn explore_with_perms(
             }
             if table.len() >= options.max_states {
                 bounded = Some(BoundReason::States);
-                break;
-            }
-            if over_mem_limit(options, &table, edges.len()) {
+            } else if (options.mem_limit).is_some_and(|l| resident_bytes(&table, &edges) >= l) {
                 bounded = Some(BoundReason::Memory);
-                break;
             }
+            match bounded {
+                Some(_) => ControlFlow::Break(()),
+                None => ControlFlow::Continue(()),
+            }
+        })?;
+        enabled_moves += expander.enabled() as u64;
+        if let Some(g) = graph.as_mut() {
+            g.status[id as usize] = status;
         }
-        if bounded.is_some() {
+        // BFS pops in depth order, so at a deadlock `depth` is its depth.
+        deadlock = (status == StateStatus::Deadlock).then_some(id);
+        if deadlock.is_some() || bounded.is_some() {
             break;
         }
     }
 
-    peak_bytes = peak_bytes.max(table.bytes() + edges.len() * std::mem::size_of::<Option<Edge>>());
-    let verdict = if bounded.is_some() || !queue.is_empty() {
+    peak_bytes = peak_bytes.max(resident_bytes(&table, &edges));
+    let verdict = if let Some(id) = deadlock {
+        Verdict::Deadlock(rebuild_counterexample(
+            net, routing, specs, &edges, id, &workload,
+        )?)
+    } else if bounded.is_some() || !queue.is_empty() {
         Verdict::BoundExceeded
     } else {
         Verdict::NoReachableDeadlock
@@ -405,11 +372,10 @@ fn explore_with_perms(
     })
 }
 
-/// Whether the arena plus edge store exceed [`ExploreOptions::mem_limit`].
-pub(crate) fn over_mem_limit(options: &ExploreOptions, table: &StateArena, edges: usize) -> bool {
-    options
-        .mem_limit
-        .is_some_and(|limit| table.bytes() + edges * std::mem::size_of::<Option<Edge>>() >= limit)
+/// Resident bytes of the sequential search: the arena plus the edge store,
+/// what [`ExploreOptions::mem_limit`] bounds.
+fn resident_bytes(table: &StateArena, edges: &[Option<Edge>]) -> usize {
+    table.bytes() + std::mem::size_of_val(edges)
 }
 
 /// Explores under a switching policy's admission rule (wormhole admission

@@ -65,6 +65,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod expand;
 pub mod explorer;
 pub mod export;
 mod parallel;

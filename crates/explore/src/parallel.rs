@@ -49,20 +49,23 @@
 //! which keeps parent pointers `u32`-sized across shards.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
 use genoc_core::error::{Error, Result};
-use genoc_core::moves::{Move, MoveEnumerator, MoveKind};
+use genoc_core::moves::{Move, MoveKind};
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
 use genoc_core::spec::MessageSpec;
 use genoc_core::step::HeadAdmission;
 use genoc_core::MsgId;
 
-use crate::explorer::{concretize_trace, BoundReason, Edge, Exploration, ExploreOptions, Verdict};
-use crate::por::AmpleSelector;
+use crate::expand::Expander;
+use crate::explorer::{
+    concretize_trace, BoundReason, Edge, Exploration, ExploreOptions, StateStatus, Verdict,
+};
 use crate::spill::{SpillDir, SpillFile};
 use crate::state::{StateArena, Workload};
 
@@ -274,12 +277,7 @@ struct Pool<'a> {
 
 /// Per-worker scratch (reused across all levels of the run).
 struct WorkerScratch<'a> {
-    enumerator: MoveEnumerator<'a>,
-    selector: Option<AmpleSelector>,
-    moves: Vec<Move>,
-    ample: Vec<Move>,
-    ckey: Vec<u16>,
-    kscratch: Vec<u16>,
+    expander: Expander<'a>,
     batch: Vec<u32>,
     /// Merge target for the intern sweep's per-(block, shard) gather.
     merge: Bucket,
@@ -293,14 +291,13 @@ struct WorkerScratch<'a> {
 impl<'a> WorkerScratch<'a> {
     fn new(pool: &Pool<'a>) -> WorkerScratch<'a> {
         WorkerScratch {
-            enumerator: MoveEnumerator::new(pool.admission),
-            selector: pool
-                .por
-                .then(|| AmpleSelector::new(pool.workload, pool.net.port_count())),
-            moves: Vec::new(),
-            ample: Vec::new(),
-            ckey: Vec::new(),
-            kscratch: Vec::new(),
+            expander: Expander::new(
+                pool.net,
+                pool.workload,
+                pool.perms,
+                pool.admission,
+                pool.por,
+            ),
             batch: Vec::with_capacity(STEAL_BATCH),
             merge: Bucket::default(),
             order: Vec::new(),
@@ -351,7 +348,6 @@ pub(crate) fn explore_parallel(
     } else {
         options.shards
     };
-    let por = options.por && admission.kind().is_some();
     let root_key = workload.initial_key();
     let stride = root_key.len();
 
@@ -392,7 +388,7 @@ pub(crate) fn explore_parallel(
         workload,
         perms,
         admission,
-        por,
+        por: options.por,
         stride,
         shard_count,
         job: Mutex::new(JobState {
@@ -454,7 +450,7 @@ fn coordinate(
     let mut depth = 0usize;
     let mut peak_bytes = 0usize;
 
-    loop {
+    let (verdict, bound) = loop {
         // ---- Expand sweep: every block, whole level, nothing interned ----
         let mut outs: Vec<BlockOut> = Vec::with_capacity(level.len());
         let mut deadlocks: Vec<Terminal> = Vec::new();
@@ -497,18 +493,7 @@ fn coordinate(
             let chain_refs: Vec<(Move, Option<&[usize]>)> =
                 chain.iter().map(|(mv, p)| (*mv, p.as_deref())).collect();
             let cex = concretize_trace(pool.net, routing, specs, pool.workload, &chain_refs)?;
-            return Ok(Exploration {
-                verdict: Verdict::Deadlock(cex),
-                states: count_states(pool),
-                transitions,
-                enabled_moves,
-                depth,
-                group_size,
-                peak_bytes,
-                spilled_bytes: spilled_total(pool, spill),
-                bound: None,
-                graph: None,
-            });
+            break (Verdict::Deadlock(cex), None);
         }
 
         // ---- Intern sweep: shards claimed off the cursor, blocks in order.
@@ -530,37 +515,14 @@ fn coordinate(
                 keys: KeyStore::Ram(std::mem::take(&mut shard.fresh_keys)),
             });
         }
-        let states = count_states(pool);
         if next.is_empty() {
-            return Ok(Exploration {
-                verdict: Verdict::NoReachableDeadlock,
-                states,
-                transitions,
-                enabled_moves,
-                depth,
-                group_size,
-                peak_bytes,
-                spilled_bytes: spilled_total(pool, spill),
-                bound: None,
-                graph: None,
-            });
+            break (Verdict::NoReachableDeadlock, None);
         }
         depth += 1;
         let mut resident = resident_bytes(pool) + frontier_bytes(&next);
         peak_bytes = peak_bytes.max(resident);
-        if states >= options.max_states {
-            return Ok(Exploration {
-                verdict: Verdict::BoundExceeded,
-                states,
-                transitions,
-                enabled_moves,
-                depth,
-                group_size,
-                peak_bytes,
-                spilled_bytes: spilled_total(pool, spill),
-                bound: Some(BoundReason::States),
-                graph: None,
-            });
+        if count_states(pool) >= options.max_states {
+            break (Verdict::BoundExceeded, Some(BoundReason::States));
         }
         if let Some(limit) = options.mem_limit {
             if resident >= limit {
@@ -581,25 +543,24 @@ fn coordinate(
                             spill_frontier(&mut next, sp)?;
                         }
                     }
-                    None => {
-                        return Ok(Exploration {
-                            verdict: Verdict::BoundExceeded,
-                            states,
-                            transitions,
-                            enabled_moves,
-                            depth,
-                            group_size,
-                            peak_bytes,
-                            spilled_bytes: 0,
-                            bound: Some(BoundReason::Memory),
-                            graph: None,
-                        });
-                    }
+                    None => break (Verdict::BoundExceeded, Some(BoundReason::Memory)),
                 }
             }
         }
         level = next;
-    }
+    };
+    Ok(Exploration {
+        verdict,
+        states: count_states(pool),
+        transitions,
+        enabled_moves,
+        depth,
+        group_size,
+        peak_bytes,
+        spilled_bytes: spilled_total(pool, spill),
+        bound,
+        graph: None,
+    })
 }
 
 /// Runs one phase to completion: bump the epoch, work as worker 0, wait
@@ -702,7 +663,8 @@ fn expand_work(
         for &i in &batch {
             let i = i as usize;
             let key = &keys[i * pool.stride..(i + 1) * pool.stride];
-            if let Err(e) = expand_one(pool, gids[i], base + i as u32, key, scratch, &mut local) {
+            let expander = &mut scratch.expander;
+            if let Err(e) = expand_one(pool, gids[i], base + i as u32, key, expander, &mut local) {
                 fail(pool, e);
                 break;
             }
@@ -711,62 +673,40 @@ fn expand_work(
     scratch.batch = batch;
 }
 
-/// Expands one canonical state: enumerate, optionally ample-reduce, apply,
-/// canonicalize, hash, and bucket every successor by its owning shard.
+/// Expands one canonical state and buckets every successor — canonical key,
+/// hash, `(slot, child)` coordinates — by its owning shard.
 fn expand_one(
     pool: &Pool<'_>,
     gid: u32,
     slot: u32,
     key: &[u16],
-    scratch: &mut WorkerScratch<'_>,
+    expander: &mut Expander<'_>,
     local: &mut WorkerLocal,
 ) -> Result<()> {
-    let cfg = pool.workload.decode(pool.net, key)?;
-    scratch.moves.clear();
-    scratch.enumerator.push_moves(&cfg, &mut scratch.moves);
-    if scratch.moves.is_empty() {
-        if !cfg.is_evacuated() {
-            local.deadlocks.push(Terminal {
-                gid,
-                key: key.into(),
-            });
-        }
-        return Ok(());
-    }
-    local.enabled += scratch.moves.len() as u64;
-    let reduced = scratch
-        .selector
-        .as_mut()
-        .is_some_and(|sel| sel.select(&cfg, &scratch.moves, &mut scratch.ample));
-    let expand: &[Move] = if reduced {
-        &scratch.ample
-    } else {
-        &scratch.moves
-    };
-    local.transitions += expand.len() as u64;
-    for (child, &mv) in expand.iter().enumerate() {
-        let mut next = cfg.clone();
-        scratch.enumerator.apply(&mut next, mv)?;
-        let child_key = next.position_key();
-        let perm = pool.workload.canonicalize_into(
-            &child_key,
-            pool.perms,
-            &mut scratch.ckey,
-            &mut scratch.kscratch,
-        );
-        let identity = perm.iter().enumerate().all(|(j, &s)| j == s);
-        let hash = StateArena::hash_key(&scratch.ckey);
+    let mut child = 0u32;
+    let status = expander.expand(key, |mv, child_key, perm| {
+        let hash = StateArena::hash_key(child_key);
         let bucket = &mut local.buckets[(hash % pool.shard_count as u64) as usize];
         bucket.entries.push(SuccEntry {
             slot,
-            child: child as u32,
+            child,
             parent: gid,
             mv,
             hash,
-            perm: (!identity).then(|| perm.into_boxed_slice()),
+            perm: perm.map(Box::from),
         });
-        bucket.keys.extend_from_slice(&scratch.ckey);
+        bucket.keys.extend_from_slice(child_key);
+        child += 1;
+        ControlFlow::Continue(())
+    })?;
+    if status == StateStatus::Deadlock {
+        local.deadlocks.push(Terminal {
+            gid,
+            key: key.into(),
+        });
     }
+    local.enabled += expander.enabled() as u64;
+    local.transitions += u64::from(child);
     Ok(())
 }
 

@@ -4,8 +4,10 @@
 //! positions ([`Config::position_key`]): routes are static and the network
 //! state `ST` is a function of the positions. The explorer therefore stores
 //! each state as the flattened `u16` position key, hash-consed in a
-//! [`StateArena`], and decodes keys back into full [`Config`]s (via
-//! [`Config::from_travels`]) only when a state is expanded.
+//! [`StateArena`]. Expanding a state re-seats one reused [`Config`] at its
+//! key ([`Workload::decode_into`]) to enumerate its moves; a successor is
+//! the parent key with one entry rewritten ([`Workload::patch`]), never a
+//! second configuration.
 //!
 //! Keys of one workload all share a length (one `u16` per flit), so the
 //! arena packs them back to back in a single flat buffer addressed by dense
@@ -29,25 +31,38 @@ use std::collections::HashMap;
 use std::mem;
 
 use genoc_core::config::Config;
-use genoc_core::error::Result;
+use genoc_core::error::{Error, Result};
+use genoc_core::moves::{Move, MoveKind};
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
 use genoc_core::spec::MessageSpec;
-use genoc_core::travel::{FlitPos, Travel};
 use genoc_core::PortId;
 
 use crate::spill::SpillFile;
 
-/// Static per-workload data: the all-pending travel templates and the
-/// per-slot layout of the flattened key.
+/// Static per-workload data: the all-pending configuration and the per-slot
+/// layout of the flattened key.
 pub struct Workload {
-    templates: Vec<Travel>,
-    /// Byte offsets of each slot's block in the flattened key.
+    /// Every message pending at its source: routes, capacities, and the
+    /// blank that keys are decoded into. Slot `s` is the message with
+    /// `MsgId` index `s`.
+    initial: Config,
+    /// Offsets of each slot's block in the flattened key.
     offsets: Vec<usize>,
     /// Flit count per slot.
     lens: Vec<usize>,
     /// Slots with identical `(route, flits)`, grouped; only groups of ≥ 2.
     duplicate_groups: Vec<Vec<usize>>,
+}
+
+/// Reusable working space of [`Workload::canonicalize_with`]: the key under
+/// the permutation being tried, its total permutation, and the best total so
+/// far (the last two only used when identical-message groups are sorted).
+#[derive(Default)]
+pub(crate) struct CanonScratch {
+    key: Vec<u16>,
+    perm: Vec<usize>,
+    best_perm: Vec<usize>,
 }
 
 impl Workload {
@@ -56,19 +71,22 @@ impl Workload {
     /// # Errors
     ///
     /// Propagates route-computation and spec-validation errors from
-    /// [`Config::from_specs`].
+    /// [`Config::from_specs`], and [`Error::Invariant`] for a route that
+    /// visits a port twice — checked here once, so that decoding a state
+    /// only has to check what a state can change.
     pub fn new(
         net: &dyn Network,
         routing: &dyn RoutingFunction,
         specs: &[MessageSpec],
     ) -> Result<Workload> {
         let initial = Config::from_specs(net, routing, specs)?;
-        let mut templates = initial.travels().to_vec();
-        templates.sort_by_key(|t| t.id().index());
+        let templates = initial.travels();
         let mut offsets = Vec::with_capacity(templates.len());
         let mut lens = Vec::with_capacity(templates.len());
         let mut at = 0;
-        for t in &templates {
+        for (s, t) in templates.iter().enumerate() {
+            debug_assert_eq!(t.id().index(), s, "slots are message indices");
+            t.check_invariants()?;
             offsets.push(at);
             lens.push(t.flit_count());
             at += t.flit_count();
@@ -84,7 +102,7 @@ impl Workload {
             groups.into_values().filter(|g| g.len() >= 2).collect();
         duplicate_groups.sort();
         Ok(Workload {
-            templates,
+            initial,
             offsets,
             lens,
             duplicate_groups,
@@ -93,13 +111,14 @@ impl Workload {
 
     /// Number of message slots.
     pub fn slots(&self) -> usize {
-        self.templates.len()
+        self.offsets.len()
     }
 
     /// The per-slot `(route, flit count)` list, for
     /// [`slot_perms`](crate::symmetry::slot_perms).
     pub fn routes(&self) -> Vec<(Vec<PortId>, usize)> {
-        self.templates
+        self.initial
+            .travels()
             .iter()
             .map(|t| (t.route().to_vec(), t.flit_count()))
             .collect()
@@ -107,37 +126,56 @@ impl Workload {
 
     /// The initial (all-pending) key.
     pub fn initial_key(&self) -> Box<[u16]> {
-        vec![
-            0u16;
-            self.offsets
-                .last()
-                .map_or(0, |o| o + self.lens[self.lens.len() - 1])
-        ]
-        .into_boxed_slice()
+        vec![0u16; self.lens.iter().sum()].into_boxed_slice()
+    }
+
+    /// The all-pending configuration, for [`Workload::decode_into`].
+    pub fn blank(&self) -> Config {
+        self.initial.clone()
     }
 
     /// Decodes a key back into a full configuration.
     ///
     /// # Errors
     ///
-    /// Propagates invariant violations from [`Config::from_travels`] — a
-    /// decode failure indicates a corrupted key, never a legal state.
+    /// As [`decode_into`](Workload::decode_into), and [`Error::Invariant`]
+    /// if `net` is not the network the workload was built on.
     pub fn decode(&self, net: &dyn Network, key: &[u16]) -> Result<Config> {
-        let mut travels = self.templates.clone();
-        for (s, t) in travels.iter_mut().enumerate() {
-            let block = &key[self.offsets[s]..self.offsets[s] + self.lens[s]];
-            for (f, &v) in block.iter().enumerate() {
-                t.set_flit_pos(
-                    f,
-                    match v {
-                        0 => FlitPos::Pending,
-                        u16::MAX => FlitPos::Delivered,
-                        k => FlitPos::InNetwork(usize::from(k) - 1),
-                    },
-                );
-            }
+        if net.port_count() != self.initial.state().port_count() {
+            let msg = "workload decoded on another network than it was built on";
+            return Err(Error::Invariant(msg.into()));
         }
-        Config::from_travels(net, travels)
+        let mut cfg = self.blank();
+        self.decode_into(&mut cfg, key)?;
+        Ok(cfg)
+    }
+
+    /// Decodes a key into `cfg` — a [`blank`](Workload::blank) of this
+    /// workload, or whatever an earlier call left of one — in place and
+    /// without allocating ([`Config::reseat`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] or [`Error::CapacityExceeded`] for a key of the
+    /// wrong length, a position outside its route, a broken worm shape, or
+    /// an over-full or doubly owned port: a corrupted key, never a legal
+    /// state.
+    pub fn decode_into(&self, cfg: &mut Config, key: &[u16]) -> Result<()> {
+        cfg.reseat(key)
+    }
+
+    /// Applies `mv` to a key in place: a move changes exactly one flit
+    /// position. Returns the index written and the value it held, which
+    /// undo the patch.
+    pub fn patch(&self, key: &mut [u16], mv: Move) -> (usize, u16) {
+        let at = self.offsets[mv.msg.index()] + mv.flit;
+        let was = key[at];
+        key[at] = match mv.kind {
+            MoveKind::Enter => 1,
+            MoveKind::Advance => was + 1,
+            MoveKind::Eject => u16::MAX,
+        };
+        (at, was)
     }
 
     /// Applies a slot permutation (`perm[j]` = source slot of target `j`)
@@ -164,11 +202,8 @@ impl Workload {
         (best.into_boxed_slice(), perm)
     }
 
-    /// Allocation-free [`canonicalize`](Workload::canonicalize): the
-    /// canonical key lands in `best` (cleared first), `scratch` is reused
-    /// working space, and only the winning permutation is returned. The hot
-    /// loop of the explorer calls this once per generated child, so the two
-    /// buffers amortize to zero allocations per transition.
+    /// [`canonicalize`](Workload::canonicalize) into caller-owned buffers:
+    /// the canonical key lands in `best`, `scratch` is working space.
     pub fn canonicalize_into(
         &self,
         key: &[u16],
@@ -176,48 +211,70 @@ impl Workload {
         best: &mut Vec<u16>,
         scratch: &mut Vec<u16>,
     ) -> Vec<usize> {
-        let mut best_perm: Option<Vec<usize>> = None;
-        for perm in perms {
-            self.permute(key, perm, scratch);
-            let total = self.sort_duplicates(scratch, perm);
-            if best_perm.is_none() || *scratch < *best {
-                mem::swap(best, scratch);
-                best_perm = Some(total);
+        let mut canon = CanonScratch {
+            key: mem::take(scratch),
+            ..CanonScratch::default()
+        };
+        let perm = self
+            .canonicalize_with(key, perms, best, &mut canon)
+            .to_vec();
+        *scratch = canon.key;
+        perm
+    }
+
+    /// Allocation-free [`canonicalize`](Workload::canonicalize): the key
+    /// lands in `best`, the permutation is lent out of `perms` or `scratch`.
+    pub(crate) fn canonicalize_with<'a>(
+        &self,
+        key: &[u16],
+        perms: &'a [Vec<usize>],
+        best: &mut Vec<u16>,
+        scratch: &'a mut CanonScratch,
+    ) -> &'a [usize] {
+        // Without identical messages nothing is sorted, and the total
+        // permutation is the slot permutation itself.
+        let sorting = !self.duplicate_groups.is_empty();
+        let mut winner = None;
+        for (i, perm) in perms.iter().enumerate() {
+            self.permute(key, perm, &mut scratch.key);
+            if sorting {
+                scratch.perm.clear();
+                scratch.perm.extend_from_slice(perm);
+                self.sort_duplicates(&mut scratch.key, &mut scratch.perm);
+            }
+            if winner.is_none() || scratch.key < *best {
+                mem::swap(best, &mut scratch.key);
+                mem::swap(&mut scratch.best_perm, &mut scratch.perm);
+                winner = Some(i);
             }
         }
-        best_perm.expect("perms always contains the identity")
+        let winner = winner.expect("perms always contains the identity");
+        if sorting {
+            &scratch.best_perm
+        } else {
+            &perms[winner]
+        }
     }
 
     /// Sorts the blocks of each identical-message group in `key` into
-    /// ascending order, and returns the composition of `perm` with the sort
-    /// (still in `canonical[j] = original[p[j]]` form).
-    fn sort_duplicates(&self, key: &mut [u16], perm: &[usize]) -> Vec<usize> {
-        let mut total = perm.to_vec();
+    /// ascending order and composes `total` with the sort: a stable
+    /// insertion sort by block swaps, groups being a handful of slots.
+    fn sort_duplicates(&self, key: &mut [u16], total: &mut [usize]) {
         for group in &self.duplicate_groups {
-            // Argsort the group's blocks.
-            let mut order: Vec<usize> = group.clone();
-            order.sort_by(|&a, &b| {
-                let ba = &key[self.offsets[a]..self.offsets[a] + self.lens[a]];
-                let bb = &key[self.offsets[b]..self.offsets[b] + self.lens[b]];
-                ba.cmp(bb)
-            });
-            if order == *group {
-                continue;
-            }
-            // Rearrange blocks and compose the permutation.
-            let blocks: Vec<Vec<u16>> = group
-                .iter()
-                .map(|&s| key[self.offsets[s]..self.offsets[s] + self.lens[s]].to_vec())
-                .collect();
-            let sources: Vec<usize> = group.iter().map(|&s| total[s]).collect();
-            for (slot_idx, &from) in group.iter().zip(&order) {
-                let gi = group.iter().position(|&s| s == from).expect("member");
-                let s = *slot_idx;
-                key[self.offsets[s]..self.offsets[s] + self.lens[s]].copy_from_slice(&blocks[gi]);
-                total[s] = sources[gi];
+            let len = self.lens[group[0]];
+            for i in 1..group.len() {
+                for j in (1..=i).rev() {
+                    let (a, b) = (self.offsets[group[j - 1]], self.offsets[group[j]]);
+                    if key[a..a + len] <= key[b..b + len] {
+                        break;
+                    }
+                    for f in 0..len {
+                        key.swap(a + f, b + f);
+                    }
+                    total.swap(group[j - 1], group[j]);
+                }
             }
         }
-        total
     }
 }
 
@@ -379,7 +436,7 @@ impl StateArena {
     ///
     /// # Errors
     ///
-    /// [`Error::Spill`](genoc_core::error::Error::Spill) when reading a
+    /// [`Error::Spill`] when reading a
     /// spilled segment back fails.
     ///
     /// # Panics
@@ -491,7 +548,7 @@ impl StateArena {
     ///
     /// # Errors
     ///
-    /// [`Error::Spill`](genoc_core::error::Error::Spill) on write failure.
+    /// [`Error::Spill`] on write failure.
     pub fn spill_cold(&mut self, spill: &mut SpillFile) -> Result<usize> {
         let mut freed = self
             .cache
@@ -552,6 +609,42 @@ mod tests {
         assert_eq!(&*wl.initial_key(), key.as_slice());
         let decoded = wl.decode(&net, &key).unwrap();
         assert_eq!(decoded.position_key(), key);
+    }
+
+    #[test]
+    fn corrupted_keys_are_typed_errors_not_panics() {
+        use genoc_core::error::Error;
+        let net = LineNetwork::new(4, 1);
+        let routing = LineRouting::new(&net);
+        let specs = [spec(0, 3, 2), spec(0, 2, 1)];
+        let wl = Workload::new(&net, &routing, &specs).unwrap();
+        let good = [2u16, 1, 0];
+        let mut reused = wl.blank();
+        wl.decode_into(&mut reused, &good).unwrap();
+        let corrupted: [(&str, &[u16]); 6] = [
+            ("route index outside the route", &[200, 0, 0]),
+            ("body flit ahead of its head", &[1, 2, 0]),
+            ("two flits in a one-buffer port", &[1, 1, 0]),
+            ("two worms owning one port", &[1, 0, 1]),
+            ("too short", &[1, 0]),
+            ("too long", &[1, 0, 0, 0]),
+        ];
+        for (what, key) in corrupted {
+            let fresh = wl.decode(&net, key);
+            assert!(
+                matches!(
+                    fresh,
+                    Err(Error::Invariant(_) | Error::CapacityExceeded { .. })
+                ),
+                "{what}: decode gave {fresh:?}"
+            );
+            assert!(wl.decode_into(&mut reused, key).is_err(), "{what}");
+            // A failed decode leaves nothing behind that the next one sees.
+            wl.decode_into(&mut reused, &good).unwrap();
+            assert_eq!(reused, wl.decode(&net, &good).unwrap(), "{what}");
+        }
+        // A workload decodes only on the network it was built on.
+        assert!(wl.decode(&LineNetwork::new(5, 1), &good).is_err());
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!   on a warmed kernel performs zero heap allocations inside `step()`.
 //!
 //! The counting allocator only counts; it delegates all placement to the
-//! system allocator. Tests run single-threaded over the counter windows
-//! (each measurement brackets its own region), and the assertions are on
-//! *deltas*, so unrelated allocations outside a window don't interfere.
+//! system allocator. The counter is per thread: cargo runs the two tests on
+//! two threads of one process, and a process-wide counter let one test's
+//! allocations land in the other's window. Each measurement brackets its
+//! own region and the assertions are on *deltas*, so unrelated allocations
+//! outside a window don't interfere.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use genoc::core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc::core::trace::Trace;
@@ -23,11 +25,19 @@ use genoc::prelude::*;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor runs into a torn-down slot.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -36,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,9 +55,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let value = f();
-    (value, ALLOCS.load(Ordering::Relaxed) - before)
+    (value, ALLOCS.with(Cell::get) - before)
 }
 
 fn workload_arena(side: usize, messages: usize) -> (Mesh, Config, ArenaConfig) {
