@@ -3,7 +3,7 @@
 //! One Criterion group per paper row — `Rxy`, `(C-1)xy`, `(C-2)xy`,
 //! `(C-3)xy`, `(C-4)`, `(C-5)` — timed over mesh sizes. The paper's CPU
 //! column ordering (C-2 heaviest, C-1/C-3 heavy, Iid trivial) is the shape
-//! to compare against; EXPERIMENTS.md records the outcome.
+//! to compare against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genoc_core::routing::compute_route;

@@ -1,8 +1,10 @@
 //! # genoc-bench
 //!
-//! Shared fixtures for the Criterion benches that regenerate the paper's
-//! table and figures. Each bench file in `benches/` maps to one experiment
-//! of EXPERIMENTS.md:
+//! Shared fixtures for the Criterion benches in `benches/`. The first eight
+//! below regenerate the paper's table and figures (README, "Paper-to-code
+//! map"); the other six time the engines grown since. Medians land in
+//! `target/bench-results.json`, a CI artifact; the numbers a performance
+//! claim rests on come from the `ledger/` package (`ledger/README.md`).
 //!
 //! * `table1_obligations` — Table I (per-obligation discharge effort);
 //! * `fig3_depgraph` — Fig. 3 (dependency-graph construction);
@@ -15,7 +17,15 @@
 //! * `detect_overhead` — online-detection overhead on clean runs and
 //!   time-to-detect/recover on the mixed XY/YX negative instance;
 //! * `campaign_throughput` — per-scenario battery cost and work-stealing
-//!   executor scaling at 1/2/4 shards on the smoke matrix.
+//!   executor scaling at 1/2/4 shards on the smoke matrix;
+//! * `kernel_throughput` — active-set kernel vs legacy full-rescan stepper
+//!   on 16×16 and 32×32 meshes;
+//! * `arena_throughput` — arena vs kernel stepper on the same hotspot
+//!   cells, and a 64×64 cell with ~1M flits in flight;
+//! * `wal_overhead` — one run with observation disabled, metrics only, and
+//!   the full event WAL;
+//! * `explore_throughput` — full BFS vs partial-order reduction, and the
+//!   parallel frontier at 1/2/4 workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -652,7 +652,8 @@ pub enum MoveKind {
 /// list, which mirrors `Config::travels()` order), which flit, what kind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MoveRec {
-    /// Index into the flight list at the time of the move.
+    /// *Position*: index into the flight list at the time of the move
+    /// (neither a slot nor a kernel rank).
     pub travel: u32,
     /// Flit index within the message (0 is the header).
     pub flit: u32,
@@ -665,18 +666,34 @@ pub struct MoveRec {
 /// legacy sweep), with all per-step state arena-backed — intrusive wake
 /// lists, epoch-stamped bandwidth marks, reusable logs. After warm-up a
 /// step performs no heap allocation.
+///
+/// Three index spaces meet here. A *slot* addresses the [`ArenaConfig`]
+/// columns. A *position* is an index into `arena.flight` right now. A
+/// *rank* is a travel's position as of the last [`resync`](Self::resync):
+/// between resyncs `T` only shrinks, so ranks never shift, and rank order
+/// is flight order. The schedule is rank-indexed — a step visits the set
+/// bits of `run`, not every member of `T`.
 #[derive(Debug)]
 pub struct ArenaKernel {
     spec: ArenaSpec,
     step_count: u64,
-    /// Per-slot status lattice (`Pending → Active ⇄ Blocked(p)`).
+    /// Rank → slot: `arena.flight` as of the last resync.
+    order: Vec<u32>,
+    /// Per-rank status lattice (`Pending → Active ⇄ Blocked(p)`).
     status: Vec<TravelStatus>,
-    runnable: Vec<bool>,
-    /// Intrusive wake list: next slot in the same port's list, or `NONE`.
+    /// Bitset over ranks: neither parked nor complete — the run queue.
+    run: Vec<u64>,
+    /// Bitset over ranks: still a member of `arena.flight`. The position of
+    /// a rank is the number of `live` bits below it.
+    live: Vec<u64>,
+    /// Intrusive wake list: next rank in the same port's list, or `NONE`.
     wake_next: Vec<u32>,
-    /// Head of each port's wake list, or `NONE`. Push-front/pop-front is
-    /// the same LIFO discipline as the object kernel's `Vec` push/pop.
+    /// Head (a rank) of each port's wake list, or `NONE`. Push-front/
+    /// pop-front is the same LIFO discipline as the object kernel's `Vec`
+    /// push/pop.
     wake_head: Vec<u32>,
+    /// `(position, rank)` of every complete travel still in `arena.flight`.
+    done: Vec<(u32, u32)>,
     /// Per-port step stamp of the last flit entry (one entry per port per
     /// step); `mark != epoch` means the port still has entry bandwidth.
     entered_mark: Vec<u64>,
@@ -703,10 +720,13 @@ impl ArenaKernel {
         let mut k = ArenaKernel {
             spec,
             step_count: spec.first_step,
+            order: Vec::new(),
             status: Vec::new(),
-            runnable: Vec::new(),
+            run: Vec::new(),
+            live: Vec::new(),
             wake_next: Vec::new(),
             wake_head: Vec::new(),
+            done: Vec::new(),
             entered_mark: Vec::new(),
             ejected_mark: Vec::new(),
             epoch: 0,
@@ -762,14 +782,18 @@ impl ArenaKernel {
     /// Rebuilds all incremental state from the arena (required after any
     /// external mutation: injection, removal, reroute).
     pub fn resync(&mut self, arena: &ArenaConfig) {
-        let slots = arena.public.len();
+        let n = arena.flight.len();
         let ports = arena.port_cap.len();
+        self.order.clear();
+        self.order.extend_from_slice(&arena.flight);
         self.status.clear();
-        self.status.resize(slots, TravelStatus::Pending);
-        self.runnable.clear();
-        self.runnable.resize(slots, false);
+        self.status.resize(n, TravelStatus::Pending);
+        self.run.clear();
+        self.run.resize(n.div_ceil(64), 0);
+        self.live.clear();
+        self.live.resize(n.div_ceil(64), 0);
         self.wake_next.clear();
-        self.wake_next.resize(slots, NONE);
+        self.wake_next.resize(n, NONE);
         self.wake_head.clear();
         self.wake_head.resize(ports, NONE);
         self.entered_mark.resize(ports, 0);
@@ -779,26 +803,30 @@ impl ArenaKernel {
         self.freed_log.clear();
         self.moves.clear();
         self.newly.clear();
+        // Sized here so that neither a step nor a drain ever grows it.
+        self.done.clear();
+        self.done.reserve(n);
         self.saw_arrival = false;
-        for i in 0..arena.flight.len() {
-            let s = arena.flight[i] as usize;
+        for rank in 0..n {
+            let s = self.order[rank] as usize;
+            self.live[rank / 64] |= 1 << (rank % 64);
             let status = if let Some(p) = self.blocked_port(arena, s) {
-                self.wake_next[s] = self.wake_head[p.index()];
-                self.wake_head[p.index()] = s as u32;
+                self.wake_next[rank] = self.wake_head[p.index()];
+                self.wake_head[p.index()] = rank as u32;
                 TravelStatus::Blocked(p)
             } else if arena.slot_occupies_network(s) || arena.delivered[s] > 0 {
                 TravelStatus::Active
             } else {
                 TravelStatus::Pending
             };
-            self.runnable[s] = !matches!(status, TravelStatus::Blocked(_));
-            self.status[s] = status;
+            self.status[rank] = status;
             if arena.slot_is_arrived(s) {
+                // Already complete in `T`: the next drain moves it to `A`.
                 self.saw_arrival = true;
+                self.done.push((rank as u32, rank as u32));
+            } else if !matches!(status, TravelStatus::Blocked(_)) {
+                self.run[rank / 64] |= 1 << (rank % 64);
             }
-        }
-        for &sv in &arena.arrived {
-            self.status[sv as usize] = TravelStatus::Delivered;
         }
     }
 
@@ -852,8 +880,9 @@ impl ArenaKernel {
 }
 
 impl ArenaKernel {
-    /// One greedy sub-step of the travel at `flight_idx`, move-for-move
-    /// identical to `step_travel_with` on the materialised `Config`.
+    /// One greedy sub-step of the travel in slot `s` at flight position
+    /// `at`, move-for-move identical to `step_travel_with` on the
+    /// materialised `Config`.
     ///
     /// Two layout-enabled prunings, both semantics-preserving:
     /// the delivered prefix is skipped wholesale (delivered flits fail
@@ -863,10 +892,10 @@ impl ArenaKernel {
     fn step_travel(
         &mut self,
         arena: &mut ArenaConfig,
-        flight_idx: usize,
+        s: usize,
+        at: u32,
         trace: &mut Trace,
     ) -> Result<StepReport> {
-        let s = arena.flight[flight_idx] as usize;
         let sv = s as u32;
         let mut rep = StepReport::default();
         let ro = arena.route_off[s] as usize;
@@ -890,7 +919,7 @@ impl ArenaKernel {
                     trace.record(public, f, Zone::Source, Zone::Port(entry));
                     if self.log_moves {
                         self.moves.push(MoveRec {
-                            travel: flight_idx as u32,
+                            travel: at,
                             flit: f as u32,
                             kind: MoveKind::Enter,
                         });
@@ -916,7 +945,7 @@ impl ArenaKernel {
                         trace.record(public, f, Zone::Port(dest), Zone::Delivered);
                         if self.log_moves {
                             self.moves.push(MoveRec {
-                                travel: flight_idx as u32,
+                                travel: at,
                                 flit: f as u32,
                                 kind: MoveKind::Eject,
                             });
@@ -945,7 +974,7 @@ impl ArenaKernel {
                 trace.record(public, f, Zone::Port(from), Zone::Port(to));
                 if self.log_moves {
                     self.moves.push(MoveRec {
-                        travel: flight_idx as u32,
+                        travel: at,
                         flit: f as u32,
                         kind: MoveKind::Advance,
                     });
@@ -1018,28 +1047,37 @@ impl ArenaKernel {
         }
     }
 
-    /// The paper's deadlock predicate `Ω(σ)` over the active set: `T` is
+    /// The paper's deadlock predicate `Ω(σ)` over the run queue: `T` is
     /// non-empty and no runnable travel can move.
     pub fn is_deadlock(&self, arena: &ArenaConfig) -> bool {
-        !arena.is_evacuated()
-            && arena.flight.iter().all(|&sv| {
-                let s = sv as usize;
-                !self.runnable[s] || !self.travel_can_move(arena, s)
-            })
+        if arena.is_evacuated() {
+            return false;
+        }
+        for (w, &word) in self.run.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let rank = w * 64 + bits.trailing_zeros() as usize;
+                if self.travel_can_move(arena, self.order[rank] as usize) {
+                    return false;
+                }
+                bits &= bits - 1;
+            }
+        }
+        true
     }
 
-    fn park(&mut self, arena: &ArenaConfig, s: usize, p: PortId) {
-        self.status[s] = TravelStatus::Blocked(p);
-        self.runnable[s] = false;
-        self.wake_next[s] = self.wake_head[p.index()];
-        self.wake_head[p.index()] = s as u32;
+    fn park(&mut self, arena: &ArenaConfig, rank: usize, p: PortId) {
+        self.status[rank] = TravelStatus::Blocked(p);
+        self.run[rank / 64] &= !(1 << (rank % 64));
+        self.wake_next[rank] = self.wake_head[p.index()];
+        self.wake_head[p.index()] = rank as u32;
         self.transitions.push(Transition {
-            msg: arena.public[s],
+            msg: arena.public[self.order[rank] as usize],
             status: TravelStatus::Blocked(p),
         });
     }
 
-    /// One switching step over the active set, identical in moves, freed
+    /// One switching step over the run queue, identical in moves, freed
     /// ports, and status transitions to the object kernel's `step`.
     ///
     /// # Errors
@@ -1055,57 +1093,129 @@ impl ArenaKernel {
         let start = self.spec.arbitration.start(n, self.step_count);
         self.step_count += 1;
         let mut total = StepReport::default();
-        for idx in (start..n).chain(0..start) {
-            let s = arena.flight[idx] as usize;
-            if !self.runnable[s] {
-                continue;
+        // Service starts at the rank holding flight position `start` and
+        // wraps: the dense `(start..n).chain(0..start)` order.
+        let (first, base) = if start == 0 {
+            (0, 0)
+        } else {
+            self.select(start)
+        };
+        self.sweep(arena, trace, first..self.order.len(), base, &mut total)?;
+        self.sweep(arena, trace, 0..first, 0, &mut total)?;
+        Ok(total)
+    }
+
+    /// The rank at flight position `at` (the `at`-th set bit of `live`), and
+    /// how many `live` ranks lie below that rank's word.
+    fn select(&self, at: usize) -> (usize, u32) {
+        let mut base = 0u32;
+        for (w, &word) in self.live.iter().enumerate() {
+            let here = word.count_ones();
+            if at < (base + here) as usize {
+                let mut bits = word;
+                for _ in base as usize..at {
+                    bits &= bits - 1;
+                }
+                return (w * 64 + bits.trailing_zeros() as usize, base);
             }
-            let before = self.status[s];
-            let rep = self.step_travel(arena, idx, trace)?;
-            if rep.moves() > 0 {
-                total.entries += rep.entries;
-                total.advances += rep.advances;
-                total.ejections += rep.ejections;
-                if before == TravelStatus::Pending {
-                    self.status[s] = TravelStatus::Active;
+            base += here;
+        }
+        (self.order.len(), base)
+    }
+
+    /// Serves the set bits of `run` with a rank in `ranks`, ascending;
+    /// `base` counts the `live` ranks below the first word touched. The word
+    /// is read again after every serve, so a travel woken ahead of the
+    /// cursor is served in this sweep and one woken behind it waits for the
+    /// next step, as in a sweep that tests every member of `T`.
+    fn sweep(
+        &mut self,
+        arena: &mut ArenaConfig,
+        trace: &mut Trace,
+        ranks: std::ops::Range<usize>,
+        mut base: u32,
+        total: &mut StepReport,
+    ) -> Result<()> {
+        for w in ranks.start / 64..ranks.end.div_ceil(64) {
+            // The bits of word `w` that are inside `ranks` and not yet passed.
+            let mut ahead = !0u64;
+            if w == ranks.start / 64 {
+                ahead <<= ranks.start % 64;
+            }
+            if w == ranks.end / 64 {
+                ahead &= !(!0u64 << (ranks.end % 64));
+            }
+            while self.run[w] & ahead != 0 {
+                let bit = (self.run[w] & ahead).trailing_zeros();
+                ahead &= !1u64 << bit; // bit 63 leaves nothing: no shift by 64
+                let at = base + (self.live[w] & !(!0u64 << bit)).count_ones();
+                self.serve(arena, trace, w * 64 + bit as usize, at, total)?;
+            }
+            base += self.live[w].count_ones();
+        }
+        Ok(())
+    }
+
+    /// The sub-step of the travel of rank `rank` at flight position `at`,
+    /// with its wakes, its park, or its entry in the `done` log. `live` is
+    /// left alone: later positions in this sweep count the uncompacted `T`.
+    fn serve(
+        &mut self,
+        arena: &mut ArenaConfig,
+        trace: &mut Trace,
+        rank: usize,
+        at: u32,
+        total: &mut StepReport,
+    ) -> Result<()> {
+        let s = self.order[rank] as usize;
+        debug_assert_eq!(arena.flight[at as usize], self.order[rank]);
+        let before = self.status[rank];
+        let rep = self.step_travel(arena, s, at, trace)?;
+        if rep.moves() > 0 {
+            total.entries += rep.entries;
+            total.advances += rep.advances;
+            total.ejections += rep.ejections;
+            if before == TravelStatus::Pending {
+                self.status[rank] = TravelStatus::Active;
+                self.transitions.push(Transition {
+                    msg: arena.public[s],
+                    status: TravelStatus::Active,
+                });
+            }
+            // Mid-step wakes: every travel blocked on a port this
+            // sub-step freed becomes runnable before the sweep moves on.
+            for fi in 0..self.freed.len() {
+                let p = self.freed[fi];
+                self.freed_log.push(p);
+                let pi = p.index();
+                loop {
+                    let w = self.wake_head[pi];
+                    if w == NONE {
+                        break;
+                    }
+                    let wr = w as usize;
+                    self.wake_head[pi] = self.wake_next[wr];
+                    self.wake_next[wr] = NONE;
+                    self.status[wr] = TravelStatus::Active;
+                    self.run[wr / 64] |= 1 << (wr % 64);
                     self.transitions.push(Transition {
-                        msg: arena.public[s],
+                        msg: arena.public[self.order[wr] as usize],
                         status: TravelStatus::Active,
                     });
                 }
-                // Mid-step wakes: every travel blocked on a port this
-                // sub-step freed becomes runnable before the sweep moves on.
-                for fi in 0..self.freed.len() {
-                    let p = self.freed[fi];
-                    self.freed_log.push(p);
-                    let pi = p.index();
-                    loop {
-                        let w = self.wake_head[pi];
-                        if w == NONE {
-                            break;
-                        }
-                        let ws = w as usize;
-                        self.wake_head[pi] = self.wake_next[ws];
-                        self.wake_next[ws] = NONE;
-                        self.status[ws] = TravelStatus::Active;
-                        self.runnable[ws] = true;
-                        self.transitions.push(Transition {
-                            msg: arena.public[ws],
-                            status: TravelStatus::Active,
-                        });
-                    }
-                }
-                self.freed.clear();
-                if rep.ejections > 0 && arena.slot_is_arrived(s) {
-                    self.saw_arrival = true;
-                } else if let Some(p) = self.blocked_port(arena, s) {
-                    self.park(arena, s, p);
-                }
-            } else if let Some(p) = self.blocked_port(arena, s) {
-                self.park(arena, s, p);
             }
+            self.freed.clear();
+            if rep.ejections > 0 && arena.slot_is_arrived(s) {
+                self.saw_arrival = true;
+                self.run[rank / 64] &= !(1 << (rank % 64));
+                self.done.push((at, rank as u32));
+            } else if let Some(p) = self.blocked_port(arena, s) {
+                self.park(arena, rank, p);
+            }
+        } else if let Some(p) = self.blocked_port(arena, s) {
+            self.park(arena, rank, p);
         }
-        Ok(total)
+        Ok(())
     }
 
     /// Moves every fully-delivered travel from `T` to `A` (order
@@ -1113,25 +1223,24 @@ impl ArenaKernel {
     /// many arrived. The arrivals themselves are in
     /// [`newly_arrived`](Self::newly_arrived).
     pub fn drain_arrived(&mut self, arena: &mut ArenaConfig) -> usize {
-        let mut w = 0usize;
-        for r in 0..arena.flight.len() {
-            let sv = arena.flight[r];
-            let s = sv as usize;
-            if arena.slot_is_arrived(s) {
-                self.newly.push(arena.public[s]);
-                arena.arrived.push(sv);
-                self.status[s] = TravelStatus::Delivered;
-                self.runnable[s] = false;
-                self.transitions.push(Transition {
-                    msg: arena.public[s],
-                    status: TravelStatus::Delivered,
-                });
-            } else {
-                arena.flight[w] = sv;
-                w += 1;
-            }
+        self.done.sort_unstable();
+        for (i, &(at, rank)) in self.done.iter().enumerate() {
+            let (at, rank) = (at as usize, rank as usize);
+            let sv = self.order[rank];
+            self.newly.push(arena.public[sv as usize]);
+            arena.arrived.push(sv);
+            self.status[rank] = TravelStatus::Delivered;
+            self.live[rank / 64] &= !(1 << (rank % 64));
+            self.transitions.push(Transition {
+                msg: arena.public[sv as usize],
+                status: TravelStatus::Delivered,
+            });
+            // The survivors up to the next arrival close the `i + 1` gaps.
+            let next = (self.done.get(i + 1)).map_or(arena.flight.len(), |d| d.0 as usize);
+            arena.flight.copy_within(at + 1..next, at - i);
         }
-        arena.flight.truncate(w);
+        arena.flight.truncate(arena.flight.len() - self.done.len());
+        self.done.clear();
         self.newly.len()
     }
 }
@@ -1360,6 +1469,125 @@ mod tests {
         assert_eq!(arena.progress_measure(), cfg.progress_measure());
         assert_eq!(arena.route_length_measure(), cfg.route_length_measure());
         assert_eq!(arena.delivered_flits(), cfg.delivered_flits());
+    }
+
+    fn kernel_for(arena: &ArenaConfig, arbitration: Arbitration) -> ArenaKernel {
+        let spec = KernelSpec {
+            arbitration,
+            ..spec()
+        };
+        ArenaKernel::new(arena, ArenaSpec::from_kernel_spec(&spec).unwrap())
+    }
+
+    /// Steps until a travel completes and leaves it undrained in `T`.
+    fn step_to_an_arrival(arena: &mut ArenaConfig, kernel: &mut ArenaKernel) {
+        let mut trace = Trace::new(false);
+        while !kernel.take_saw_arrival() {
+            assert!(kernel.step(arena, &mut trace).unwrap().moves() > 0);
+        }
+    }
+
+    #[test]
+    fn step_on_an_evacuated_arena_is_a_no_op() {
+        let (net, cfg) = contended_line(4, 1, 2);
+        let empty = Config::from_travels(&net, Vec::new()).unwrap();
+        for arbitration in [Arbitration::FixedPriority, Arbitration::RoundRobin] {
+            // Never held a travel: the bitsets have no word at all.
+            let mut arena = ArenaConfig::from_config(&net, &empty).unwrap();
+            let mut kernel = kernel_for(&arena, arbitration);
+            let mut trace = Trace::new(true);
+            for _ in 0..3 {
+                let report = kernel.step(&mut arena, &mut trace).unwrap();
+                assert_eq!(report, StepReport::default());
+            }
+            assert!(!kernel.is_deadlock(&arena));
+
+            // Ran dry: ranks remain, none of them live.
+            let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+            let mut kernel = kernel_for(&arena, arbitration);
+            while !arena.is_evacuated() {
+                kernel.step(&mut arena, &mut trace).unwrap();
+                kernel.drain_arrived(&mut arena);
+            }
+            let moves = trace.events().len();
+            for _ in 0..3 {
+                let report = kernel.step(&mut arena, &mut trace).unwrap();
+                assert_eq!(report, StepReport::default());
+            }
+            assert_eq!(trace.events().len(), moves);
+            assert!(kernel.transitions().is_empty() && kernel.freed_ports().is_empty());
+        }
+    }
+
+    #[test]
+    fn resync_finds_a_travel_already_complete_in_flight() {
+        let (net, cfg) = contended_line(5, 2, 2);
+        let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+        let mut kernel = kernel_for(&arena, Arbitration::FixedPriority);
+        step_to_an_arrival(&mut arena, &mut kernel);
+        let flight = arena.flight.clone();
+        let complete: Vec<u32> = (flight.iter().copied())
+            .filter(|&sv| arena.slot_is_arrived(sv as usize))
+            .collect();
+        assert!(!complete.is_empty());
+
+        // A kernel built now has only `resync` to learn of them from.
+        let mut fresh = kernel_for(&arena, Arbitration::FixedPriority);
+        assert!(fresh.take_saw_arrival());
+        assert_eq!(fresh.drain_arrived(&mut arena), complete.len());
+        assert_eq!(arena.arrived, complete);
+        let survivors: Vec<u32> = (flight.iter().copied())
+            .filter(|sv| !complete.contains(sv))
+            .collect();
+        assert_eq!(arena.flight, survivors, "order-preserving compaction");
+        let ids: Vec<MsgId> = complete.iter().map(|&sv| arena.public_id(sv)).collect();
+        assert_eq!(fresh.newly_arrived(), ids);
+        assert_eq!(fresh.transitions().len(), complete.len());
+
+        // A second drain finds nothing left to do.
+        fresh.drain_arrived(&mut arena);
+        assert_eq!(arena.flight, survivors);
+        assert_eq!(arena.arrived, complete);
+        assert_eq!(fresh.transitions().len(), complete.len());
+        arena.to_config(&net).unwrap().validate(&net).unwrap();
+    }
+
+    #[test]
+    fn an_undrained_travel_neither_moves_nor_changes_omega() {
+        let (net, cfg) = contended_line(6, 1, 3);
+        let mut drained = ArenaConfig::from_config(&net, &cfg).unwrap();
+        let mut kernel_d = kernel_for(&drained, Arbitration::FixedPriority);
+        step_to_an_arrival(&mut drained, &mut kernel_d);
+        let mut skipped = drained.clone();
+        let mut kernel_s = kernel_for(&skipped, Arbitration::FixedPriority);
+        assert!(kernel_s.take_saw_arrival());
+        kernel_d.drain_arrived(&mut drained);
+        assert!(!drained.is_evacuated());
+
+        // One step with the complete travel still in `T`, against the same
+        // step with it drained: same Ω, same moves, same freed ports.
+        assert_eq!(
+            kernel_s.is_deadlock(&skipped),
+            kernel_d.is_deadlock(&drained)
+        );
+        let (mut trace_s, mut trace_d) = (Trace::new(true), Trace::new(true));
+        let report_s = kernel_s.step(&mut skipped, &mut trace_s).unwrap();
+        let report_d = kernel_d.step(&mut drained, &mut trace_d).unwrap();
+        assert!(report_d.moves() > 0);
+        assert_eq!(report_s, report_d);
+        assert_eq!(trace_s.events(), trace_d.events());
+        assert_eq!(kernel_s.freed_ports(), kernel_d.freed_ports());
+        assert_eq!(kernel_s.transitions(), kernel_d.transitions());
+
+        // The late drain then catches up with everything complete so far.
+        kernel_s.drain_arrived(&mut skipped);
+        kernel_d.drain_arrived(&mut drained);
+        assert_eq!(skipped.flight, drained.flight);
+        assert_eq!(
+            kernel_s.is_deadlock(&skipped),
+            kernel_d.is_deadlock(&drained)
+        );
+        skipped.to_config(&net).unwrap().validate(&net).unwrap();
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub trait TerminationMeasure {
 /// during steps in which the only progress is a worm draining into its
 /// destination. It is therefore weakly decreasing under wormhole switching;
 /// the strictly decreasing measure the interpreter enforces is
-/// [`ProgressMeasure`]. EXPERIMENTS.md discusses this subtlety.
+/// [`ProgressMeasure`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RouteLengthMeasure;
 

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A seeded standard RNG: the same seed always reproduces the same workload,
-/// so every experiment in EXPERIMENTS.md is replayable.
+/// so every simulated run is replayable from its seed.
 pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }

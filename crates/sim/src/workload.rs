@@ -1,10 +1,10 @@
 //! Workload generators: lists of [`MessageSpec`]s for the experiments.
 //!
 //! The paper leaves the number of messages and their sizes uninterpreted;
-//! these generators produce the concrete workloads the evaluation section of
-//! EXPERIMENTS.md runs: uniform random traffic, the classical permutation
-//! patterns (transpose, bit-complement), hotspot traffic, and adversarial
-//! patterns that drive deadlock-prone routers into their cycles.
+//! these generators produce the concrete workloads the benches, campaigns
+//! and the `ledger/` benchmark run: uniform random traffic, the classical
+//! permutation patterns (transpose, bit-complement), hotspot traffic, and
+//! adversarial patterns that drive deadlock-prone routers into their cycles.
 
 use genoc_core::spec::MessageSpec;
 use genoc_core::NodeId;

@@ -105,48 +105,57 @@ fn snapshot_clone_is_a_constant_allocation_count() {
 /// Warm the kernel with one full run, then replay the identical run on a
 /// fresh copy of the arena: every `step()` must perform zero allocations
 /// (wake lists, freed-port log, transition and move buffers are all at
-/// their high-water marks and reused). Only `drain_arrived` may allocate,
-/// amortised growth of the arrived list.
+/// their high-water marks and reused; the run-queue bitsets, the rank →
+/// slot column and the completed-travel log are sized by `resync` and never
+/// grow). Only `drain_arrived` may allocate, amortised growth of the
+/// arrived list. The second workload spans four 64-rank words and has
+/// travels complete while others are still in flight, so the drain's
+/// compaction and the word-crossing sweep are both inside the window.
 #[test]
 fn stepping_allocates_nothing_after_warmup() {
-    let (_, _, arena0) = workload_arena(4, 24);
-    let spec =
-        ArenaSpec::from_kernel_spec(&WormholePolicy::default().kernel_spec().unwrap()).unwrap();
+    for (side, messages) in [(4, 24), (8, 200)] {
+        let (_, _, arena0) = workload_arena(side, messages);
+        let spec =
+            ArenaSpec::from_kernel_spec(&WormholePolicy::default().kernel_spec().unwrap()).unwrap();
 
-    // Warm-up run: grows every reusable buffer to its high-water mark.
-    let mut arena = arena0.clone();
-    let mut kernel = ArenaKernel::new(&arena, spec);
-    let mut trace = Trace::new(false);
-    let mut steps = 0u64;
-    while !arena.is_evacuated() {
-        assert!(!kernel.is_deadlock(&arena), "XY mesh workloads evacuate");
-        kernel.step(&mut arena, &mut trace).unwrap();
-        if kernel.take_saw_arrival() {
-            kernel.drain_arrived(&mut arena);
+        // Warm-up run: grows every reusable buffer to its high-water mark.
+        let mut arena = arena0.clone();
+        let mut kernel = ArenaKernel::new(&arena, spec);
+        let mut trace = Trace::new(false);
+        let mut steps = 0u64;
+        while !arena.is_evacuated() {
+            assert!(!kernel.is_deadlock(&arena), "XY mesh workloads evacuate");
+            kernel.step(&mut arena, &mut trace).unwrap();
+            if kernel.take_saw_arrival() {
+                kernel.drain_arrived(&mut arena);
+            }
+            steps += 1;
+            assert!(steps < 10_000);
         }
-        steps += 1;
-        assert!(steps < 10_000);
-    }
 
-    // Identical re-run on the warmed kernel: zero allocations per step.
-    let mut arena = arena0.clone();
-    kernel.resync(&arena);
-    let mut drain_allocs = 0u64;
-    for step in 0..steps {
-        let (result, step_allocs) = allocations_during(|| kernel.step(&mut arena, &mut trace));
-        result.unwrap();
-        assert_eq!(
-            step_allocs, 0,
-            "step {step} of the warmed re-run allocated {step_allocs} times"
+        // Identical re-run on the warmed kernel: zero allocations per step.
+        let mut arena = arena0.clone();
+        kernel.resync(&arena);
+        let mut drain_allocs = 0u64;
+        let mut mid_run_drains = 0;
+        for step in 0..steps {
+            let (result, step_allocs) = allocations_during(|| kernel.step(&mut arena, &mut trace));
+            result.unwrap();
+            assert_eq!(
+                step_allocs, 0,
+                "step {step} of the warmed re-run allocated {step_allocs} times"
+            );
+            if kernel.take_saw_arrival() {
+                let (_, d) = allocations_during(|| kernel.drain_arrived(&mut arena));
+                drain_allocs += d;
+                mid_run_drains += usize::from(!arena.is_evacuated());
+            }
+        }
+        assert!(arena.is_evacuated(), "re-run reproduces the warm-up run");
+        assert!(mid_run_drains > 0, "some travel arrives before the last");
+        assert!(
+            drain_allocs <= 8,
+            "arrived-list growth is amortised, got {drain_allocs} allocations"
         );
-        if kernel.take_saw_arrival() {
-            let (_, d) = allocations_during(|| kernel.drain_arrived(&mut arena));
-            drain_allocs += d;
-        }
     }
-    assert!(arena.is_evacuated(), "re-run reproduces the warm-up run");
-    assert!(
-        drain_allocs <= 8,
-        "arrived-list growth is amortised, got {drain_allocs} allocations"
-    );
 }

@@ -312,3 +312,70 @@ proptest! {
         }
     }
 }
+
+/// The run queue is a bitset over ranks, 64 to a word; the proptests above
+/// stay inside one word. These workloads cross one, two and five word
+/// boundaries, with the service rotation (round-robin) starting mid-word,
+/// on both arbitrations, all three admissions, and a routing that
+/// deadlocks. In a debug build every served travel also asserts that its
+/// popcount position is its index in the flight list.
+#[test]
+fn multi_word_workloads_are_arena_invariant() {
+    let mesh = Mesh::new(6, 6, 3);
+    let nodes = mesh.node_count();
+    let xy = XyRouting::new(&mesh);
+    let mixed = MixedXyYxRouting::new(&mesh);
+    let routings: [(&dyn RoutingFunction, bool); 2] = [(&xy, false), (&mixed, true)];
+    let kinds = [
+        SwitchingKind::Wormhole,
+        SwitchingKind::VirtualCutThrough,
+        SwitchingKind::StoreForward,
+    ];
+    let options = RunOptions {
+        record_trace: true,
+        ..RunOptions::default()
+    };
+    let mut deadlocks = 0;
+    for seed in 0..20u64 {
+        for travels in [64, 65, 129, 200, 333] {
+            let workloads = [
+                genoc::sim::workload::uniform_random(nodes, travels, 1..=3, seed),
+                genoc::sim::workload::hotspot(nodes, travels, seed as usize % nodes, 40, 3, seed),
+            ];
+            for specs in &workloads {
+                for (routing, cyclic) in routings {
+                    let cfg = Config::from_specs(&mesh, routing, specs).unwrap();
+                    for kind in kinds {
+                        for arbitration in [Arbitration::FixedPriority, Arbitration::RoundRobin] {
+                            let spec = KernelSpec {
+                                arbitration,
+                                ..policy_for(kind).kernel_spec().unwrap()
+                            };
+                            let kern = run_kernelised(
+                                &mesh,
+                                &IdentityInjection,
+                                spec,
+                                cfg.clone(),
+                                &options,
+                            )
+                            .unwrap();
+                            let aren = run_arena(&mesh, spec, cfg.clone(), &options).unwrap();
+                            let cell = format!("{seed}/{travels}/{kind:?}/{arbitration:?}");
+                            assert_eq!(aren.outcome, kern.outcome, "outcome {cell}");
+                            assert_eq!(aren.steps, kern.steps, "steps {cell}");
+                            assert_eq!(aren.trace.events(), kern.trace.events(), "trace {cell}");
+                            assert_eq!(aren.arrival_order, kern.arrival_order, "arrivals {cell}");
+                            assert_eq!(aren.config, kern.config, "final config {cell}");
+                            assert!(cyclic || aren.outcome == Outcome::Evacuated, "{cell}");
+                            deadlocks += usize::from(aren.outcome == Outcome::Deadlock);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        deadlocks > 0,
+        "the mixed routing must drive some run into Ω"
+    );
+}

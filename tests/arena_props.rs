@@ -90,24 +90,7 @@ impl Harness {
                 if kernel.is_deadlock(&self.arena) {
                     return;
                 }
-                kernel.set_log_moves(true);
-                let mut trace = Trace::new(false);
-                kernel.step(&mut self.arena, &mut trace).unwrap();
-                // While a step is in progress the flight list mirrors
-                // `cfg.travels()` order, so move indices transfer directly.
-                for mv in kernel.moves() {
-                    let (i, f) = (mv.travel as usize, mv.flit as usize);
-                    match mv.kind {
-                        MoveKind::Enter => self.cfg.enter_flit(i, f).unwrap(),
-                        MoveKind::Advance => self.cfg.advance_flit(i, f).unwrap(),
-                        MoveKind::Eject => self.cfg.eject_flit(i, f).unwrap(),
-                    }
-                }
-                if kernel.take_saw_arrival() {
-                    kernel.drain_arrived(&mut self.arena);
-                    let newly = self.cfg.drain_arrived();
-                    assert_eq!(newly, kernel.newly_arrived());
-                }
+                self.step_with(&mut kernel);
             }
             Op::Remove(n) => {
                 if self.cfg.travels().is_empty() {
@@ -137,6 +120,28 @@ impl Harness {
                     "arena and shadow agree on reroute admissibility"
                 );
             }
+        }
+    }
+
+    /// One step of `kernel`, its moves replayed onto the shadow config.
+    fn step_with(&mut self, kernel: &mut ArenaKernel) {
+        kernel.set_log_moves(true);
+        let mut trace = Trace::new(false);
+        kernel.step(&mut self.arena, &mut trace).unwrap();
+        // While a step is in progress the flight list mirrors
+        // `cfg.travels()` order, so move indices transfer directly.
+        for mv in kernel.moves() {
+            let (i, f) = (mv.travel as usize, mv.flit as usize);
+            match mv.kind {
+                MoveKind::Enter => self.cfg.enter_flit(i, f).unwrap(),
+                MoveKind::Advance => self.cfg.advance_flit(i, f).unwrap(),
+                MoveKind::Eject => self.cfg.eject_flit(i, f).unwrap(),
+            }
+        }
+        if kernel.take_saw_arrival() {
+            kernel.drain_arrived(&mut self.arena);
+            let newly = self.cfg.drain_arrived();
+            assert_eq!(newly, kernel.newly_arrived());
         }
     }
 
@@ -240,4 +245,42 @@ fn recycled_slots_keep_public_ids_stable() {
             "survivor {id} moved slots during recycling"
         );
     }
+}
+
+/// After evictions and refills the flight order is no longer the slot
+/// order, so a travel's kernel rank, its slot and (once arrivals drain) its
+/// flight position are three different numbers. One kernel then steps the
+/// lot to evacuation with no resync in between, and every move it logs must
+/// still address the right travel of the shadow config.
+#[test]
+fn lockstep_holds_when_rank_slot_and_position_all_differ() {
+    let mut h = Harness::new();
+    for i in 0..9 {
+        h.apply(&Op::Inject(i, 8 - i.min(7), 3));
+    }
+    for n in [0, 2, 4, 1] {
+        h.apply(&Op::Remove(n));
+    }
+    for i in 0..6 {
+        h.apply(&Op::Inject(8 - i, i, 2)); // four recycled slots, two new
+    }
+    let slots: Vec<u32> = (h.cfg.travels().iter())
+        .map(|t| h.arena.slot_of(t.id()).unwrap())
+        .collect();
+    assert!(
+        slots.windows(2).any(|w| w[0] > w[1]),
+        "flight order must not be slot order: {slots:?}"
+    );
+    h.check();
+
+    let mut kernel = ArenaKernel::new(&h.arena, h.spec);
+    let mut steps = 0;
+    while h.arena.flight_count() > 0 {
+        assert!(!kernel.is_deadlock(&h.arena), "XY routing evacuates");
+        h.step_with(&mut kernel);
+        h.check();
+        steps += 1;
+        assert!(steps < 1_000);
+    }
+    assert_eq!(h.cfg.arrived().len(), 11);
 }
