@@ -14,10 +14,9 @@
 
 use criterion::{criterion_group, criterion_main, record_metric, Criterion};
 use genoc_bench::{uniform, xy_mesh};
-use genoc_core::blocking::block_event;
 use genoc_core::config::Config;
 use genoc_core::interpreter::Outcome;
-use genoc_core::kernel::{Transition, TravelStatus};
+use genoc_core::kernel::Kernel;
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::trace::Trace;
 use genoc_detect::{AbortAndEvacuate, DetectionEngine, EngineOptions, ExactDetector};
@@ -93,10 +92,11 @@ fn bench_clean_overhead(c: &mut Criterion) {
 }
 
 /// The kernel-transition feed in isolation: drive the deadlock-free 8×8
-/// run, hand the detector only the travels that actually parked each step,
+/// run on the kernel, hand the detector each step's transitions,
 /// and record how rarely the persistent id → travel-index map has to be
 /// rebuilt (a removal tax, not a per-call one — the win over re-deriving
-/// the map on every parking step).
+/// the map on every parking step) and that no call searched the whole
+/// configuration (the walk from the step's parks answers "no cycle").
 fn bench_kernel_feed(c: &mut Criterion) {
     let mut group = c.benchmark_group("detect_overhead/kernel-feed-xy-8x8");
     group.sample_size(10);
@@ -104,34 +104,30 @@ fn bench_kernel_feed(c: &mut Criterion) {
     let specs = uniform(64, 128, 4, 23);
     let feed = || {
         let mut cfg = Config::from_specs(&mesh, &routing, &specs).expect("workload is valid");
-        let mut policy = WormholePolicy::default();
+        let spec = WormholePolicy::default()
+            .kernel_spec()
+            .expect("wormhole runs on the kernel");
+        let mut kernel = Kernel::new(&mesh, &cfg, spec);
         let mut trace = Trace::new(false);
         let mut detector = ExactDetector::new();
         let mut calls = 0u64;
         while !cfg.is_evacuated() {
-            policy.step(&mesh, &mut cfg, &mut trace).expect("clean run");
-            cfg.drain_arrived();
-            let transitions: Vec<Transition> = (0..cfg.travels().len())
-                .filter_map(|i| {
-                    block_event(&cfg, i).map(|e| Transition {
-                        msg: cfg.travel(i).id(),
-                        status: TravelStatus::Blocked(e.wants),
-                    })
-                })
-                .collect();
+            kernel.step(&mut cfg, &mut trace).expect("clean run");
+            let newly = cfg.drain_arrived();
+            kernel.note_arrivals(&cfg, &newly);
             calls += 1;
             assert!(
                 detector
-                    .apply_kernel_transitions(&cfg, &transitions)
+                    .apply_kernel_transitions(&cfg, kernel.transitions())
                     .is_none(),
                 "XY never deadlocks"
             );
         }
-        (calls, detector.index_rebuilds())
+        (calls, detector.index_rebuilds(), detector.full_scans())
     };
     group.bench_function("incremental-map", |b| b.iter(|| black_box(feed())));
     group.finish();
-    let (calls, rebuilds) = feed();
+    let (calls, rebuilds, full_scans) = feed();
     record_metric(
         "detect_overhead/kernel-feed-xy-8x8/feed_calls",
         calls as f64,
@@ -140,14 +136,19 @@ fn bench_kernel_feed(c: &mut Criterion) {
         "detect_overhead/kernel-feed-xy-8x8/index_rebuilds",
         rebuilds as f64,
     );
+    record_metric(
+        "detect_overhead/kernel-feed-xy-8x8/full_scans",
+        full_scans as f64,
+    );
     println!(
-        "detect_overhead/kernel-feed-xy-8x8                    {rebuilds} map rebuilds over \
-         {calls} feed calls"
+        "detect_overhead/kernel-feed-xy-8x8                    {rebuilds} map rebuilds and \
+         {full_scans} full scans over {calls} feed calls"
     );
     assert!(
         rebuilds < calls,
         "the persistent map must not rebuild on every call"
     );
+    assert_eq!(full_scans, 0, "a run without a cycle needs no full scan");
 }
 
 fn bench_time_to_detect(c: &mut Criterion) {

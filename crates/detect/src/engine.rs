@@ -189,6 +189,9 @@ impl DetectionEngine {
         let mut acted = false;
         loop {
             if self.stats.recoveries >= self.options.max_recoveries {
+                if let Some(d) = self.exact.as_mut() {
+                    d.cycle_stands();
+                }
                 return Ok(acted);
             }
             self.stats.recoveries += 1;
@@ -219,7 +222,13 @@ impl DetectionEngine {
                     self.record_detection(step, next.clone());
                     cycle = next;
                 }
-                None => return Ok(true),
+                None => {
+                    // Repaired, and without transitions: the stored graph is void.
+                    if let Some(d) = self.exact.as_mut() {
+                        d.reset();
+                    }
+                    return Ok(true);
+                }
             }
         }
     }
@@ -263,10 +272,14 @@ impl DetectionEngine {
         Ok(mutated)
     }
 
+    /// The timeout comparator contributes its first alarm only: after that it is not run.
     fn observe_heuristic(&mut self, cfg: &Config, step: u64) {
+        if self.stats.first_heuristic_step.is_some() {
+            return;
+        }
         if let Some(heuristic) = self.heuristic.as_mut() {
             let suspects = heuristic.observe(cfg);
-            if !suspects.is_empty() && self.stats.first_heuristic_step.is_none() {
+            if !suspects.is_empty() {
                 self.stats.first_heuristic_step = Some(step);
                 if find_wait_cycle(cfg).is_none() {
                     self.stats.heuristic_false_alarms += 1;
@@ -330,8 +343,8 @@ mod tests {
     use crate::recovery::{AbortAndEvacuate, DrainAll};
     use genoc_core::interpreter::Outcome;
     use genoc_routing::mixed::MixedXyYxRouting;
-    use genoc_sim::workload::bit_complement;
-    use genoc_sim::{simulate, simulate_hooked, SimOptions};
+    use genoc_sim::workload::{bit_complement, uniform_random};
+    use genoc_sim::{simulate, simulate_hooked, SimOptions, Stepper};
     use genoc_switching::wormhole::WormholePolicy;
     use genoc_topology::mesh::Mesh;
 
@@ -418,5 +431,93 @@ mod tests {
             first <= result.run.steps,
             "online detection cannot be later than Ω"
         );
+    }
+
+    /// Seeded uniform traffic on a `width`² capacity-1 mixed XY/YX mesh
+    /// under abort recovery.
+    fn recovering_run(
+        width: usize,
+        messages: usize,
+        threshold: u64,
+        stepper: Stepper,
+    ) -> (DetectionEngine, SimResult) {
+        let mesh = Mesh::new(width, width, 1);
+        let routing = MixedXyYxRouting::new(&mesh);
+        let specs = uniform_random(width * width, messages, 2..=8, 7);
+        hooked(&mesh, &routing, &specs, threshold, true, stepper)
+    }
+
+    fn hooked(
+        mesh: &Mesh,
+        routing: &MixedXyYxRouting,
+        specs: &[genoc_core::spec::MessageSpec],
+        threshold: u64,
+        recover: bool,
+        stepper: Stepper,
+    ) -> (DetectionEngine, SimResult) {
+        let options = EngineOptions {
+            heuristic_threshold: Some(threshold),
+            ..EngineOptions::default()
+        };
+        let mut engine = if recover {
+            DetectionEngine::with_policy(options, Box::new(AbortAndEvacuate))
+        } else {
+            DetectionEngine::detector(options)
+        };
+        let sim = SimOptions {
+            stepper,
+            ..SimOptions::default()
+        };
+        let mut policy = WormholePolicy::default();
+        let result = simulate_hooked(mesh, routing, &mut policy, specs, &sim, &mut engine).unwrap();
+        (engine, result)
+    }
+
+    #[test]
+    fn the_comparator_goes_quiet_after_its_first_alarm_and_the_summary_does_not_notice() {
+        // (first_heuristic_step, heuristic_false_alarms, exact_detections,
+        // total_steps), pinned from the commit before `observe_heuristic`
+        // returned early once the comparator had spoken.
+        let (mesh, routing, specs) = storm();
+        for stepper in [Stepper::Legacy, Stepper::Kernel, Stepper::Arena] {
+            let figures = |(engine, result): (DetectionEngine, SimResult)| {
+                let s = engine.summary(&result);
+                let heuristic = (s.first_heuristic_step, s.heuristic_false_alarms);
+                (heuristic, s.exact_detections, s.total_steps)
+            };
+            let watched = figures(hooked(&mesh, &routing, &specs, 1, false, stepper));
+            assert_eq!(
+                watched,
+                ((None, 0), 1, 3),
+                "storm, detect-only, {stepper:?}"
+            );
+            let healed = figures(hooked(&mesh, &routing, &specs, 2, true, stepper));
+            assert_eq!(healed, ((Some(4), 1), 1, 15), "storm, {stepper:?}");
+            let mixed = figures(recovering_run(4, 256, 16, stepper));
+            assert_eq!(mixed, ((Some(16), 1), 13, 317), "4×4 mixed, {stepper:?}");
+        }
+    }
+
+    #[test]
+    fn a_recovering_run_scans_in_full_only_to_extract_a_witness() {
+        for stepper in [Stepper::Kernel, Stepper::Arena] {
+            let (engine, result) = recovering_run(8, 768, 32, stepper);
+            assert_eq!(result.run.outcome, Outcome::Evacuated);
+            let detections = engine.detections().len() as u64;
+            let scans = engine
+                .exact
+                .as_ref()
+                .expect("recovery runs it")
+                .full_scans();
+            assert!(
+                detections >= 20,
+                "{stepper:?}: only {detections} detections"
+            );
+            assert!(
+                scans <= detections && scans * 10 < result.run.steps,
+                "{stepper:?}: {scans} full scans for {detections} detections in {} steps",
+                result.run.steps
+            );
+        }
     }
 }

@@ -1,25 +1,56 @@
 //! The exact online detector: an incrementally maintained wait-for graph.
 //!
-//! After every switching step the detector re-derives the blocking event of
-//! each in-flight travel (`O(Σ flits)` with early exit — the same work the
-//! deadlock predicate `Ω` performs, but per travel instead of globally) and
-//! folds the *differences* into its wait-for graph: each blocked travel has
-//! at most one out-edge, toward the owner of the port it wants, so edge
-//! updates are `O(1)` and removals `O(degree)` trivially. The cycle check
-//! runs only when an edge was *added* (removals cannot create cycles) and
-//! delegates to [`find_wait_cycle`]'s stamped pointer chase over the
-//! functional graph — the degenerate, and optimal, form of incremental SCC
-//! maintenance for graphs of out-degree at most one: every vertex is visited
-//! once per check, and each blocked travel belongs to at most one cycle.
+//! Each blocked travel has at most one out-edge, toward the owner of the
+//! port its head wants: a functional graph, in which a deadlock is a cycle.
+//! Two feeds, one per way of being driven:
 //!
-//! Exactness (mirroring the exact side of Verbeek–Schmaltz's verified
+//! * [`observe`](ExactDetector::observe), for the full-rescan stepper,
+//!   re-derives every in-flight travel's blocking event after each step
+//!   (`O(Σ flits)` with early exit), diffs it against the stored edges and,
+//!   when an edge was *added* (removals cannot create cycles), searches the
+//!   configuration with [`find_wait_cycle`].
+//! * [`apply_kernel_transitions`](ExactDetector::apply_kernel_transitions),
+//!   for the two kernels, folds the step's status transitions into the
+//!   stored edges and decides "did a cycle close this step?" by walking them
+//!   from this step's parks, in `O(transitions + travels visited)` and
+//!   allocating nothing. [`find_wait_cycle`] only extracts the witness of a
+//!   cycle known to exist, so both feeds report the same cycle, in the same
+//!   rotation, at the same step.
+//!
+//! **Stored or derived.** A stored `Some(edge)` is true at the end of the
+//! step: it is written from [`block_event`] when the travel parks, cleared
+//! by its `Active`/`Delivered` transition, and while the travel stays parked
+//! the port it wants cannot change owner without being freed, which wakes
+//! it. A `None` slot means *unknown*, not *unblocked*: a travel the kernel
+//! still holds runnable (it moved and was free then, or was woken behind the
+//! cursor) can be blocked by the end of the step, a travel served later
+//! having claimed the port it wants. The walk derives that edge on arrival;
+//! reading `None` as "no edge" would report such a cycle one step late.
+//!
+//! **This step's parks are starts enough.** Both kernels re-test a served
+//! travel after its moves and park it in the same step. Take a cycle present
+//! at the end of step `k` and absent at the end of `k − 1`. Some member's
+//! edge is new: that member moved during `k`, or the port it wants changed
+//! owner and its successor did. Of the members that moved, let `m` be the
+//! one served last. Were `m` free after that service, it could be blocked
+//! now only because its successor claimed the wanted port later still — a
+//! member that moved, served after `m`. So `m` parked: its `Blocked`
+//! transition is in the step's log and the walk from `m` goes round the
+//! cycle. Debug builds check every verdict against the full search.
+//!
+//! **When the graph is void.** A recovery changes the configuration without
+//! transitions, so the engine calls [`reset`](ExactDetector::reset) once it
+//! finds the configuration repaired. While a reported cycle stands (no
+//! policy, or the recovery budget spent) nothing is walked: a step that adds
+//! an edge re-reports the standing cycle, as the full search always did.
+//!
+//! No false positives (the exact side of Verbeek–Schmaltz's verified
 //! detection algorithm): a reported cycle is a set of travels each blocked on
 //! the next, which under wormhole ownership can never dissolve (see
-//! `genoc_core::blocking`), so the detector has *no false positives* — every
-//! alarm is a genuine, permanent deadlock, reported the step it forms rather
-//! than when the whole network seizes.
+//! `genoc_core::blocking`) — a genuine, permanent deadlock, reported the
+//! step it forms rather than when the whole network seizes.
 
-use genoc_core::blocking::{block_event, find_wait_cycle, WaitCycle};
+use genoc_core::blocking::{block_event, find_wait_cycle, BlockEvent, WaitCycle};
 use genoc_core::config::Config;
 use genoc_core::kernel::{Transition, TravelStatus};
 use genoc_core::{MsgId, PortId};
@@ -34,12 +65,21 @@ struct Edge {
 /// The exact online deadlock detector.
 ///
 /// Feed it the configuration after every switching step via
-/// [`observe`](ExactDetector::observe); it returns a [`WaitCycle`] whenever
-/// the step completed a cycle in the wait-for graph.
+/// [`observe`](ExactDetector::observe), or the kernel's transitions via
+/// [`apply_kernel_transitions`](ExactDetector::apply_kernel_transitions); it
+/// returns a [`WaitCycle`] whenever the step completed a cycle in the
+/// wait-for graph. It must start on a configuration without one (every
+/// configuration built from specs is: pending travels own no port).
 #[derive(Clone, Debug, Default)]
 pub struct ExactDetector {
-    /// Out-edge per message id index (`None` = not blocked on an owner).
+    /// Out-edge per message id index (`None` = not known to be blocked).
     edges: Vec<Option<Edge>>,
+    /// Walk stamp per message id index, parallel to `edges`.
+    stamps: Vec<u64>,
+    /// The last stamp handed out: every walk takes a fresh one.
+    stamp: u64,
+    /// A reported cycle has not been repaired: every added edge re-reports it.
+    standing: bool,
     /// Persistent id → travel-index map for the kernel-transition feed.
     /// Entries are validated against the configuration on every use (an
     /// id hit is proof of correctness, ids being unique among live
@@ -51,6 +91,8 @@ pub struct ExactDetector {
     /// How many times the index map was rebuilt (a removal/reset tax, not
     /// a per-call one; exposed for the overhead benchmarks).
     rebuilds: u64,
+    /// How many times the kernel feed ran [`find_wait_cycle`].
+    full_scans: u64,
 }
 
 impl ExactDetector {
@@ -62,6 +104,7 @@ impl ExactDetector {
     fn ensure(&mut self, id: MsgId) {
         if id.index() >= self.edges.len() {
             self.edges.resize(id.index() + 1, None);
+            self.stamps.resize(id.index() + 1, 0);
         }
     }
 
@@ -74,12 +117,7 @@ impl ExactDetector {
         for i in 0..cfg.travels().len() {
             let id = cfg.travel(i).id();
             self.ensure(id);
-            let new = block_event(cfg, i).and_then(|e| {
-                e.on.map(|owner| Edge {
-                    wants: e.wants,
-                    on: owner,
-                })
-            });
+            let new = edge_at(cfg, i);
             let slot = &mut self.edges[id.index()];
             if *slot != new {
                 added |= new.is_some();
@@ -96,65 +134,86 @@ impl ExactDetector {
         }
     }
 
-    /// Folds a kernel step's status [`Transition`]s into the wait-for graph
-    /// and returns a cycle if one newly closed.
-    ///
-    /// This is the incremental feed the kernel's wake-list bookkeeping
-    /// provides for free: a travel transitions to
-    /// [`TravelStatus::Blocked`] exactly when its blocking event first
-    /// holds, stays parked while the event is unchanged (the owner of the
-    /// wanted port cannot change without a wake), and transitions to
-    /// `Active`/`Delivered` exactly when the event dissolves. So only the
-    /// transitioned travels need their edges re-derived — `O(transitions)`
-    /// instead of [`observe`](ExactDetector::observe)'s `O(travels)` rescan
-    /// — and the cycle chase still runs only when an edge was added,
-    /// reporting the same cycles at the same steps.
+    /// Folds a kernel step's status [`Transition`]s — all of them, in order —
+    /// into the wait-for graph and returns a cycle if one newly closed: the
+    /// same cycles at the same steps as [`observe`](ExactDetector::observe),
+    /// for `O(transitions + travels visited)` instead of a rescan of every
+    /// travel. The module docs say why the walk from this step's parks is
+    /// exact.
     pub fn apply_kernel_transitions(
         &mut self,
         cfg: &Config,
         transitions: &[Transition],
     ) -> Option<WaitCycle> {
-        // The id → travel-index map persists across calls; each lookup is
-        // validated in O(1) against the configuration, and the map is
-        // rebuilt (at most once per call) only when a removal shifted the
-        // indices under it. Steady-state cost is O(transitions), with no
-        // per-call O(travels) rebuild.
         let mut rebuilt = false;
         let mut added = false;
         for tr in transitions {
             self.ensure(tr.msg);
             let new = match tr.status {
-                TravelStatus::Blocked(_) => {
-                    let mut index = self.lookup_valid(cfg, tr.msg);
-                    if index.is_none() && !rebuilt {
-                        // A parking travel is live, so a miss means the
-                        // map went stale: rebuild once and retry.
-                        self.rebuild_index(cfg);
-                        rebuilt = true;
-                        index = self.lookup_valid(cfg, tr.msg);
-                    }
-                    index.and_then(|i| block_event(cfg, i)).and_then(|e| {
-                        e.on.map(|owner| Edge {
-                            wants: e.wants,
-                            on: owner,
-                        })
-                    })
-                }
+                TravelStatus::Blocked(_) => self.derive(cfg, tr.msg, &mut rebuilt),
                 TravelStatus::Pending | TravelStatus::Active | TravelStatus::Delivered => None,
             };
-            // A travel that parks may re-derive the same edge its *stale*
-            // slot still holds (e.g. after a recovery mutated the
-            // configuration without transitions), so the chase is gated on
-            // the transition itself, not on the slot changing — exactly
-            // when the legacy per-step rescan would have chased.
+            // Gated on the transition itself, not on the slot changing: a
+            // travel woken and parked again re-derives the edge it had.
             added |= new.is_some();
             self.edges[tr.msg.index()] = new;
         }
-        if added {
-            find_wait_cycle(cfg)
-        } else {
-            None
+        let closed = added && (self.standing || self.chase(cfg, transitions, &mut rebuilt));
+        debug_assert_eq!(
+            closed,
+            (added || !self.standing) && find_wait_cycle(cfg).is_some(),
+            "the walk from this step's parks and the full search disagree"
+        );
+        if !closed {
+            return None;
         }
+        self.full_scans += 1;
+        let cycle = find_wait_cycle(cfg);
+        self.standing = cycle.is_some();
+        cycle
+    }
+
+    /// Walks the wait-for graph from each travel that parked this step. One
+    /// stamped by the walk in progress closes a cycle; one stamped earlier
+    /// in this call leads where that walk already went.
+    fn chase(&mut self, cfg: &Config, transitions: &[Transition], rebuilt: &mut bool) -> bool {
+        let before = self.stamp;
+        for tr in transitions {
+            if !matches!(tr.status, TravelStatus::Blocked(_)) {
+                continue;
+            }
+            self.stamp += 1;
+            let mut cur = tr.msg;
+            loop {
+                self.ensure(cur);
+                let seen = std::mem::replace(&mut self.stamps[cur.index()], self.stamp);
+                if seen == self.stamp {
+                    return true;
+                }
+                if seen > before {
+                    break;
+                }
+                // `None` is "unknown": ask the configuration.
+                match self.edges[cur.index()].or_else(|| self.derive(cfg, cur, rebuilt)) {
+                    Some(edge) => cur = edge.on,
+                    None => break,
+                }
+            }
+        }
+        false
+    }
+
+    /// The wait-for edge of travel `id` as `cfg` has it now.
+    fn derive(&mut self, cfg: &Config, id: MsgId, rebuilt: &mut bool) -> Option<Edge> {
+        let mut index = self.lookup_valid(cfg, id);
+        if index.is_none() && !*rebuilt {
+            // A parked travel or a port's owner is live, so a miss means
+            // the map went stale: rebuild once and retry.
+            self.rebuild_index(cfg);
+            *rebuilt = true;
+            index = self.lookup_valid(cfg, id);
+        }
+        edge_at(cfg, index?)
     }
 
     /// A validated map lookup: a hit is authoritative (ids are unique
@@ -190,21 +249,42 @@ impl ExactDetector {
         self.rebuilds
     }
 
-    /// Clears the graph and invalidates the index map (used when recovery
-    /// rebuilt, rerouted, or resynced the configuration).
+    /// How many times the kernel feed ran [`find_wait_cycle`]: once per cycle
+    /// it reported, never to learn that there is none.
+    pub fn full_scans(&self) -> u64 {
+        self.full_scans
+    }
+
+    /// Clears the graph, invalidates the index map and forgets a standing
+    /// cycle: recovery repaired (or rebuilt) the configuration, without transitions.
     pub fn reset(&mut self) {
         self.edges.iter_mut().for_each(|e| *e = None);
         self.index_map.clear();
+        self.standing = false;
     }
+
+    /// Recovery gave up with a cycle still in the configuration.
+    pub(crate) fn cycle_stands(&mut self) {
+        self.standing = true;
+    }
+}
+
+/// The wait-for edge of the travel at index `i`, if it is blocked on an owner.
+fn edge_at(cfg: &Config, i: usize) -> Option<Edge> {
+    let BlockEvent { wants, on, .. } = block_event(cfg, i)?;
+    Some(Edge { wants, on: on? })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use genoc_core::interpreter::Outcome;
+    use genoc_core::kernel::Kernel;
+    use genoc_core::network::{Direction, Network};
     use genoc_core::spec::MessageSpec;
     use genoc_core::switching::SwitchingPolicy;
     use genoc_core::trace::Trace;
+    use genoc_core::travel::{FlitPos, Travel};
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::xy::XyRouting;
     use genoc_sim::workload::bit_complement;
@@ -271,32 +351,18 @@ mod tests {
         let routing = MixedXyYxRouting::new(&mesh);
         let specs = bit_complement(&mesh, 4);
         let mut cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
-        let mut policy = WormholePolicy::default();
+        let spec = WormholePolicy::default().kernel_spec().unwrap();
+        let mut kernel = Kernel::new(&mesh, &cfg, spec);
         let mut trace = Trace::new(false);
         let mut detector = ExactDetector::new();
         let mut steps = 0u64;
         let mut cycle = None;
-        for _ in 0..10_000 {
-            if policy.is_deadlock(&mesh, &cfg) {
-                break;
-            }
-            policy.step(&mesh, &mut cfg, &mut trace).unwrap();
-            cfg.drain_arrived();
+        while cycle.is_none() && !kernel.is_deadlock(&cfg) {
+            kernel.step(&mut cfg, &mut trace).unwrap();
+            let newly = cfg.drain_arrived();
+            kernel.note_arrivals(&cfg, &newly);
             steps += 1;
-            // Synthesize the kernel's park notifications from the blocking
-            // predicate: every currently blocked travel parks this step.
-            let transitions: Vec<Transition> = (0..cfg.travels().len())
-                .filter_map(|i| {
-                    block_event(&cfg, i).map(|e| Transition {
-                        msg: cfg.travel(i).id(),
-                        status: TravelStatus::Blocked(e.wants),
-                    })
-                })
-                .collect();
-            if let Some(c) = detector.apply_kernel_transitions(&cfg, &transitions) {
-                cycle = Some(c);
-                break;
-            }
+            cycle = detector.apply_kernel_transitions(&cfg, kernel.transitions());
         }
         assert!(cycle.is_some(), "the storm's cycle must be detected");
         let rebuilds = detector.index_rebuilds();
@@ -308,6 +374,252 @@ mod tests {
         // A reset invalidates the map: the next park rebuilds exactly once.
         detector.reset();
         assert!(detector.index_map.is_empty());
+    }
+
+    // The walk's hard cases, each built by hand on the 2×2 capacity-1 mesh
+    // and driven by the real kernel, so the transitions are the ones a run
+    // would produce. The eight link ports going round the mesh one way share
+    // nothing with the eight going the other way.
+
+    /// The link ports round the mesh from node (0,0): out-port, facing
+    /// in-port, out-port, … — east first when `clockwise`, south first
+    /// otherwise.
+    fn ring(mesh: &Mesh, clockwise: bool) -> Vec<PortId> {
+        use genoc_topology::mesh::Cardinal::{East, North, South, West};
+        let hops = if clockwise {
+            [(0, 0, East), (1, 0, South), (1, 1, West), (0, 1, North)]
+        } else {
+            [(0, 0, South), (0, 1, East), (1, 1, North), (1, 0, West)]
+        };
+        let mut ports = Vec::new();
+        for (x, y, card) in hops {
+            let out = mesh.port(x, y, card, Direction::Out).unwrap();
+            ports.extend([out, mesh.next_in(out).unwrap()]);
+        }
+        ports
+    }
+
+    /// A worm whose route is a local in-port, the `hops` ring ports from
+    /// offset `from`, and the local out-port there; flit `i` sits at route
+    /// index `at[i]`, or in the source core if that is `SOURCE`.
+    fn worm(
+        mesh: &Mesh,
+        ring: &[PortId],
+        id: usize,
+        from: usize,
+        hops: usize,
+        at: &[usize],
+    ) -> Travel {
+        let mut route: Vec<PortId> = (0..hops).map(|h| ring[(from + h) % 8]).collect();
+        route.insert(0, mesh.local_in(mesh.attrs(route[0]).node));
+        route.push(mesh.local_out(mesh.attrs(route[hops]).node));
+        let mut t = Travel::from_route(mesh, MsgId::from_index(id), route, at.len()).unwrap();
+        for (i, &k) in at.iter().enumerate() {
+            if k != SOURCE {
+                t.set_flit_pos(i, FlitPos::InNetwork(k));
+            }
+        }
+        t
+    }
+
+    const SOURCE: usize = usize::MAX;
+
+    /// A configuration under the real kernel with a detector on its feed.
+    struct Rig {
+        cfg: Config,
+        kernel: Kernel,
+        detector: ExactDetector,
+    }
+
+    impl Rig {
+        /// Seats `travels`, and feeds the detector the parks the kernel
+        /// made while classifying them: no cycle may stand yet.
+        fn new(mesh: &Mesh, travels: Vec<Travel>) -> Rig {
+            let cfg = Config::from_travels(mesh, travels).unwrap();
+            let spec = WormholePolicy::default().kernel_spec().unwrap();
+            let kernel = Kernel::new(mesh, &cfg, spec);
+            let parks: Vec<Transition> = cfg
+                .travels()
+                .iter()
+                .map(|t| Transition {
+                    msg: t.id(),
+                    status: kernel.status_of(t.id()),
+                })
+                .filter(|tr| matches!(tr.status, TravelStatus::Blocked(_)))
+                .collect();
+            let mut detector = ExactDetector::new();
+            assert_eq!(detector.apply_kernel_transitions(&cfg, &parks), None);
+            assert_eq!(find_wait_cycle(&cfg), None);
+            Rig {
+                cfg,
+                kernel,
+                detector,
+            }
+        }
+
+        /// One kernel step, fed to the detector.
+        fn step(&mut self) -> Option<WaitCycle> {
+            let mut trace = Trace::new(false);
+            self.kernel.step(&mut self.cfg, &mut trace).unwrap();
+            let newly = self.cfg.drain_arrived();
+            self.kernel.note_arrivals(&self.cfg, &newly);
+            self.detector
+                .apply_kernel_transitions(&self.cfg, self.kernel.transitions())
+        }
+
+        fn last_status(&self, id: usize) -> Option<TravelStatus> {
+            let of = |tr: &&Transition| tr.msg == MsgId::from_index(id);
+            self.kernel.transitions().iter().rfind(of).map(|t| t.status)
+        }
+    }
+
+    fn ids(msgs: &[MsgId]) -> Vec<usize> {
+        msgs.iter().map(|m| m.index()).collect()
+    }
+
+    /// Two four-flit worms, X (1) and Y (2), each about to want a port the
+    /// other holds: Y is blocked on X already, X has one more hop to make.
+    /// E (0) waits at the source for the local port X's tail sits in; Z (3)
+    /// waits behind X's body.
+    fn duel() -> Rig {
+        let mesh = Mesh::new(2, 2, 1);
+        let cw = ring(&mesh, true);
+        let travels = vec![
+            worm(&mesh, &cw, 0, 0, 2, &[SOURCE]),
+            worm(&mesh, &cw, 1, 0, 6, &[3, 2, 1, 0]),
+            worm(&mesh, &cw, 2, 4, 6, &[4, 3, 2, 1]),
+            worm(&mesh, &cw, 3, 2, 2, &[0]),
+        ];
+        Rig::new(&mesh, travels)
+    }
+
+    #[test]
+    fn a_travel_that_moves_and_parks_in_one_step_closes_the_cycle() {
+        let mut rig = duel();
+        let found = rig.step();
+        // X advanced one hop and was parked by the re-test after its moves.
+        assert!(matches!(rig.last_status(1), Some(TravelStatus::Blocked(_))));
+        assert_eq!(found, find_wait_cycle(&rig.cfg));
+        assert_eq!(ids(&found.unwrap().msgs), [1, 2]);
+        assert_eq!(rig.detector.full_scans(), 1);
+    }
+
+    #[test]
+    fn a_standing_cycle_is_re_reported_by_every_step_that_adds_an_edge() {
+        let mut rig = duel();
+        let first = rig.step().expect("the duel deadlocks in one step");
+        // X's tail left the local port, so E enters it now and parks behind
+        // X: an added edge, off the cycle, with nothing repaired.
+        let again = rig.step();
+        assert!(matches!(rig.last_status(0), Some(TravelStatus::Blocked(_))));
+        assert_eq!(again, find_wait_cycle(&rig.cfg));
+        assert_eq!(again, Some(first));
+        assert_eq!(rig.detector.full_scans(), 2);
+        // No added edge, no report: the cycle is old news.
+        assert!(rig.kernel.is_deadlock(&rig.cfg));
+        let woke = Transition {
+            msg: MsgId::from_index(0),
+            status: TravelStatus::Active,
+        };
+        assert_eq!(rig.detector.apply_kernel_transitions(&rig.cfg, &[]), None);
+        assert_eq!(
+            rig.detector.apply_kernel_transitions(&rig.cfg, &[woke]),
+            None
+        );
+        assert_eq!(rig.detector.full_scans(), 2);
+    }
+
+    #[test]
+    fn after_an_abort_no_walk_follows_an_edge_to_the_removed_travel() {
+        let mut rig = duel();
+        let cycle = rig.step().expect("the duel deadlocks in one step");
+        // What the engine does on `AbortAndEvacuate`: remove the youngest
+        // member, find the configuration repaired, void the stored graph.
+        let victim = *cycle.msgs.iter().max().unwrap();
+        rig.cfg.remove_travel(victim).unwrap();
+        assert_eq!(find_wait_cycle(&rig.cfg), None);
+        rig.detector.reset();
+        rig.kernel.resync(&rig.cfg);
+        // X runs on; a flit of it leaves the port Z wants and the next one
+        // enters, so Z is woken and parks behind X again. The walk from Z
+        // reaches X — whose edge toward the victim, and the victim's back,
+        // must be gone (kept, they would close a cycle that is not there).
+        let found = rig.step();
+        assert!(matches!(rig.last_status(3), Some(TravelStatus::Blocked(_))));
+        assert_eq!(found, None);
+        assert_eq!(find_wait_cycle(&rig.cfg), None);
+        assert_eq!(rig.detector.full_scans(), 1);
+    }
+
+    /// W (0) waits for the port the tail of the long worm L (2) sits in, S
+    /// (1) waits for W, and C (3) waits at the local port for the same port
+    /// as W. L is free to move, and once moved will want a port S holds.
+    fn squeeze() -> Rig {
+        let mesh = Mesh::new(2, 2, 1);
+        let cw = ring(&mesh, true);
+        let travels = vec![
+            worm(&mesh, &cw, 0, 6, 4, &[2, 1]),
+            worm(&mesh, &cw, 1, 4, 4, &[2]),
+            worm(&mesh, &cw, 2, 0, 6, &[4, 3, 2, 1]),
+            worm(&mesh, &cw, 3, 0, 2, &[0]),
+        ];
+        Rig::new(&mesh, travels)
+    }
+
+    #[test]
+    fn a_chain_that_ends_in_an_unblocked_travel_is_no_cycle() {
+        // `Rig::new` walked S → W → L and C → L: L can move, so no report.
+        let rig = squeeze();
+        let on = |id: usize| rig.detector.edges[id].map(|e| e.on.index());
+        assert_eq!(
+            [on(0), on(1), on(2), on(3)],
+            [Some(2), Some(0), None, Some(2)]
+        );
+        assert_eq!(rig.detector.full_scans(), 0);
+    }
+
+    #[test]
+    fn a_member_woken_behind_the_cursor_and_re_blocked_has_its_edge_derived() {
+        let mut rig = squeeze();
+        let found = rig.step();
+        // L's tail freed the port: W and C were woken, W behind the cursor,
+        // so its slot says nothing; C, ahead of it, took the port and parked
+        // behind L, which had parked behind S. W now waits for C.
+        assert_eq!(rig.last_status(0), Some(TravelStatus::Active));
+        assert_eq!(rig.detector.edges[0], None);
+        assert!(matches!(rig.last_status(2), Some(TravelStatus::Blocked(_))));
+        assert!(matches!(rig.last_status(3), Some(TravelStatus::Blocked(_))));
+        assert_eq!(found, find_wait_cycle(&rig.cfg));
+        assert_eq!(ids(&found.unwrap().msgs), [0, 3, 2, 1]);
+    }
+
+    #[test]
+    fn two_cycles_closing_in_one_step_report_the_full_scans_witness() {
+        let mesh = Mesh::new(2, 2, 1);
+        let (cw, acw) = (ring(&mesh, true), ring(&mesh, false));
+        // Clockwise, 1 and 2 both move and park this step (and 2's body,
+        // shifting through the port 1 wants, wakes 1 behind the cursor); the
+        // other way round 0 is parked already and 3 closes on it.
+        let travels = vec![
+            worm(&mesh, &acw, 0, 2, 6, &[4, 3, 2, 1]),
+            worm(&mesh, &cw, 1, 0, 6, &[3, 2, 1, 0]),
+            worm(&mesh, &cw, 2, 4, 6, &[3, 2, 1, 0]),
+            worm(&mesh, &acw, 3, 6, 6, &[3, 2, 1, 0]),
+        ];
+        let mut rig = Rig::new(&mesh, travels);
+        let found = rig.step();
+        assert_eq!(rig.last_status(1), Some(TravelStatus::Active));
+        for id in 2..4 {
+            assert!(matches!(
+                rig.last_status(id),
+                Some(TravelStatus::Blocked(_))
+            ));
+        }
+        // The first walk closes on 2 → 1 → 2; the witness is the cycle the
+        // full scan meets first, in its rotation.
+        assert_eq!(found, find_wait_cycle(&rig.cfg));
+        assert_eq!(ids(&found.unwrap().msgs), [0, 3]);
+        assert_eq!(rig.detector.full_scans(), 1);
     }
 
     #[test]

@@ -17,13 +17,12 @@ use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::trace::{Event, Zone};
-use genoc_core::travel::Travel;
 use genoc_core::{MsgId, PortId};
 use genoc_detect::engine::{DetectionEngine, EngineOptions};
 use genoc_sim::deadlock_hunt::Hunt;
 use genoc_sim::runner::{simulate_observed, DetectorHook, RunObserver, SimOptions};
 
-use crate::wal::{RecoveryAction, TravelImage, WalEvent, WalMeta, WalWriter, WAL_VERSION};
+use crate::wal::{RecoveryAction, WalEvent, WalMeta, WalWriter, WAL_VERSION};
 
 /// A WAL writer shared between a [`Recorder`] and an [`ObservedEngine`], so
 /// per-step evidence and detector firings interleave in one log.
@@ -171,14 +170,12 @@ impl Recorder {
     }
 
     fn snapshot(&self, cfg: &Config, step: u64) -> Result<()> {
-        if self.wal.is_none() {
-            return Ok(());
+        if let Some(wal) = &self.wal {
+            wal.borrow_mut()
+                .append_snapshot(step, cfg.travels(), cfg.arrived())
+                .map_err(|e| io_err("append", e))?;
         }
-        self.append(&WalEvent::Snapshot {
-            step,
-            inflight: cfg.travels().iter().map(image_of).collect(),
-            arrived: cfg.arrived().iter().map(image_of).collect(),
-        })
+        Ok(())
     }
 
     /// The counters accumulated so far (complete once the run ended).
@@ -209,15 +206,6 @@ impl Recorder {
             wal_bytes,
             wal_records,
         }
-    }
-}
-
-/// Snapshot image of one travel.
-fn image_of(t: &Travel) -> TravelImage {
-    TravelImage {
-        id: t.id(),
-        route: t.route().to_vec(),
-        flits: t.flit_positions().collect(),
     }
 }
 

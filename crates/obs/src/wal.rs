@@ -32,7 +32,7 @@ use genoc_core::interpreter::Outcome;
 use genoc_core::kernel::TravelStatus;
 use genoc_core::meta::{InstanceMeta, RoutingKind, SwitchingKind};
 use genoc_core::moves::MoveKind;
-use genoc_core::travel::FlitPos;
+use genoc_core::travel::{FlitPos, Travel};
 use genoc_core::{MsgId, PortId};
 
 /// Magic bytes opening every WAL file.
@@ -243,11 +243,18 @@ fn flit_pos_decode(code: u32) -> FlitPos {
     }
 }
 
-fn put_image(buf: &mut Vec<u8>, img: &TravelImage) {
-    put_u32(buf, img.id.index() as u32);
-    put_ports(buf, &img.route);
-    put_u32(buf, img.flits.len() as u32);
-    for &pos in &img.flits {
+/// One travel's image in a snapshot payload; `positions` yields `flits` items.
+fn put_image(
+    buf: &mut Vec<u8>,
+    id: MsgId,
+    route: &[PortId],
+    flits: usize,
+    positions: impl Iterator<Item = FlitPos>,
+) {
+    put_u32(buf, id.index() as u32);
+    put_ports(buf, route);
+    put_u32(buf, flits as u32);
+    for pos in positions {
         put_u32(buf, flit_pos_code(pos));
     }
 }
@@ -363,13 +370,12 @@ fn encode_into(ev: &WalEvent, p: &mut Vec<u8>) -> u8 {
             arrived,
         } => {
             put_u64(p, *step);
-            put_u32(p, inflight.len() as u32);
-            for img in inflight {
-                put_image(p, img);
-            }
-            put_u32(p, arrived.len() as u32);
-            for img in arrived {
-                put_image(p, img);
+            for images in [inflight, arrived] {
+                put_u32(p, images.len() as u32);
+                for img in images {
+                    let positions = img.flits.iter().copied();
+                    put_image(p, img.id, &img.route, img.flits.len(), positions);
+                }
             }
             KIND_SNAPSHOT
         }
@@ -660,6 +666,39 @@ impl WalWriter {
         // would dominate the encoding cost.
         let mut payload = std::mem::take(&mut self.payload);
         let kind = encode_into(ev, &mut payload);
+        self.write_record(kind, payload)
+    }
+
+    /// Appends the [`WalEvent::Snapshot`] record of the travels in flight
+    /// and arrived, encoded straight from them: byte for byte what
+    /// [`append`](WalWriter::append) writes for the event holding their
+    /// [`TravelImage`]s, without building those.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors.
+    pub fn append_snapshot(
+        &mut self,
+        step: u64,
+        inflight: &[Travel],
+        arrived: &[Travel],
+    ) -> io::Result<()> {
+        let mut payload = std::mem::take(&mut self.payload);
+        payload.clear();
+        put_u64(&mut payload, step);
+        for travels in [inflight, arrived] {
+            put_u32(&mut payload, travels.len() as u32);
+            for t in travels {
+                let positions = t.flit_positions();
+                put_image(&mut payload, t.id(), t.route(), t.flit_count(), positions);
+            }
+        }
+        self.write_record(KIND_SNAPSHOT, payload)
+    }
+
+    /// Frames, checksums and writes one encoded record, and takes `payload`
+    /// back as the scratch buffer of the next.
+    fn write_record(&mut self, kind: u8, payload: Vec<u8>) -> io::Result<()> {
         let checksum = fnv1a(kind, &payload);
         self.frame.clear();
         put_u32(&mut self.frame, payload.len() as u32);
@@ -883,6 +922,66 @@ mod tests {
         assert_eq!(log.version, WAL_VERSION);
         assert!(log.damage.is_none(), "{:?}", log.damage);
         assert_eq!(log.events, events);
+    }
+
+    #[test]
+    fn snapshot_from_travels_is_byte_identical_to_the_event() {
+        use genoc_core::config::Config;
+        use genoc_core::line::{LineNetwork, LineRouting};
+        use genoc_core::spec::MessageSpec;
+        use genoc_core::NodeId;
+
+        let node = NodeId::from_index;
+        let net = LineNetwork::new(4, 2);
+        let routing = LineRouting::new(&net);
+        let specs = [
+            MessageSpec::new(node(0), node(0), 1),
+            MessageSpec::new(node(0), node(3), 3),
+            MessageSpec::new(node(2), node(1), 2),
+        ];
+        let mut cfg = Config::from_specs(&net, &routing, &specs).unwrap();
+        // One travel arrived, one strung over two ports with a pending
+        // tail, one untouched: every `FlitPos` variant is on the page.
+        cfg.enter_flit(0, 0).unwrap();
+        while cfg.eject_flit(0, 0).is_err() {
+            cfg.advance_flit(0, 0).unwrap();
+        }
+        assert_eq!(cfg.drain_arrived().len(), 1);
+        cfg.enter_flit(0, 0).unwrap();
+        cfg.advance_flit(0, 0).unwrap();
+        cfg.enter_flit(0, 1).unwrap();
+        assert_eq!((cfg.travels().len(), cfg.arrived().len()), (2, 1));
+
+        let image = |t: &Travel| TravelImage {
+            id: t.id(),
+            route: t.route().to_vec(),
+            flits: t.flit_positions().collect(),
+        };
+        let event = WalEvent::Snapshot {
+            step: 5,
+            inflight: cfg.travels().iter().map(image).collect(),
+            arrived: cfg.arrived().iter().map(image).collect(),
+        };
+        // A record either side, so the shared scratch buffers are dirty.
+        let fence = WalEvent::StepBegin { step: 5 };
+        let mut by_event = WalWriter::in_memory();
+        let mut direct = WalWriter::in_memory();
+        for w in [&mut by_event, &mut direct] {
+            w.append(&fence).unwrap();
+        }
+        by_event.append(&event).unwrap();
+        direct
+            .append_snapshot(5, cfg.travels(), cfg.arrived())
+            .unwrap();
+        for w in [&mut by_event, &mut direct] {
+            w.append(&fence).unwrap();
+        }
+        assert_eq!(direct.records_written(), by_event.records_written());
+        let bytes = direct.finish().unwrap().unwrap();
+        assert_eq!(bytes, by_event.finish().unwrap().unwrap());
+        let log = read_wal_bytes(&bytes);
+        assert!(log.damage.is_none(), "{:?}", log.damage);
+        assert_eq!(log.events, [fence.clone(), event, fence]);
     }
 
     #[test]

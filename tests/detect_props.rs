@@ -118,3 +118,136 @@ proptest! {
         check_detection_properties(&Instance::torus_dor_dateline(4, 3, 1), &specs)?;
     }
 }
+
+/// What a hooked run reports, in the terms every stepper must agree on:
+/// outcome and steps, the `(step, msgs, ports)` of each detection in order,
+/// the aborted and rerouted sets, restarts and deliveries.
+#[derive(Debug, PartialEq)]
+struct Report {
+    outcome: Outcome,
+    steps: u64,
+    detections: Vec<(u64, Vec<MsgId>, Vec<PortId>)>,
+    aborted: Vec<MsgId>,
+    rerouted: Vec<MsgId>,
+    restarts: u64,
+    delivered: u64,
+}
+
+fn hooked_report(
+    net: &dyn Network,
+    routing: &dyn RoutingFunction,
+    specs: &[MessageSpec],
+    stepper: Stepper,
+    policy: Option<Box<dyn RecoveryPolicy>>,
+) -> Report {
+    let options = EngineOptions::default();
+    let mut engine = match policy {
+        Some(policy) => DetectionEngine::with_policy(options, policy),
+        None => DetectionEngine::detector(options),
+    };
+    let sim = SimOptions {
+        stepper,
+        ..SimOptions::default()
+    };
+    let mut switching = WormholePolicy::default();
+    let result = simulate_hooked(net, routing, &mut switching, specs, &sim, &mut engine)
+        .unwrap_or_else(|e| panic!("{stepper:?}: {e}"));
+    let summary = engine.summary(&result);
+    Report {
+        outcome: result.run.outcome,
+        steps: result.run.steps,
+        detections: engine
+            .detections()
+            .iter()
+            .map(|d| (d.step, d.cycle.msgs.clone(), d.cycle.ports.clone()))
+            .collect(),
+        aborted: summary.aborted,
+        rerouted: summary.rerouted,
+        restarts: summary.restarts,
+        delivered: summary.delivered,
+    }
+}
+
+/// Runs the workload on the three steppers and returns their common report.
+/// Legacy feeds `ExactDetector::observe`, a rescan of every travel after
+/// every step: the reference the two transition feeds are held to.
+///
+/// Without a policy the first cycle stands for the rest of the run and is
+/// reported again by every step that adds an edge. The feeds have always
+/// counted those steps differently — a travel woken and parked again on the
+/// same owner is a `Blocked` transition to the kernels and no change to the
+/// rescan's diff — so there Legacy is compared on the first report of each
+/// cycle, and the two kernels with each other on everything.
+fn stepper_invariant_report(
+    net: &dyn Network,
+    routing: &dyn RoutingFunction,
+    specs: &[MessageSpec],
+    policy: &dyn Fn() -> Option<Box<dyn RecoveryPolicy>>,
+    what: &str,
+) -> Report {
+    let first_reports = |mut report: Report| {
+        let mut seen: Vec<Vec<MsgId>> = Vec::new();
+        report.detections.retain(|(_, msgs, _)| {
+            let fresh = !seen.contains(msgs);
+            seen.push(msgs.clone());
+            fresh
+        });
+        report
+    };
+    let legacy = hooked_report(net, routing, specs, Stepper::Legacy, policy());
+    let kernel = hooked_report(net, routing, specs, Stepper::Kernel, policy());
+    let arena = hooked_report(net, routing, specs, Stepper::Arena, policy());
+    assert_eq!(arena, kernel, "{what}: Arena against Kernel");
+    if policy().is_some() {
+        assert_eq!(kernel, legacy, "{what}: Kernel against Legacy");
+    } else {
+        let (kernel, legacy) = (first_reports(kernel), first_reports(legacy));
+        assert_eq!(kernel, legacy, "{what}: Kernel against Legacy");
+    }
+    arena
+}
+
+/// The equivalence proptests stop at 24 messages and a handful of
+/// detections a run; these runs are congested enough for dozens, with
+/// recoveries between them, wakes behind the cursor and travels that are
+/// blocked at the end of a step without having parked in it.
+#[test]
+fn congested_runs_report_the_same_detections_on_every_stepper() {
+    let mut detections = 0;
+    for (width, messages, seed) in [(6, 256, 23u64), (6, 512, 7), (8, 512, 101), (8, 768, 23)] {
+        let mesh = Mesh::new(width, width, 1);
+        let routing = MixedXyYxRouting::new(&mesh);
+        let specs = genoc::sim::workload::uniform_random(width * width, messages, 2..=6, seed);
+        let what = |policy: &str| format!("{width}×{width}, {messages} messages, {policy}");
+
+        let watched = stepper_invariant_report(&mesh, &routing, &specs, &|| None, &what("none"));
+        assert_eq!(watched.outcome, Outcome::Deadlock, "{}", what("none"));
+        assert!(!watched.detections.is_empty());
+
+        let aborting = || Some(Box::new(AbortAndEvacuate) as Box<dyn RecoveryPolicy>);
+        let healed = stepper_invariant_report(&mesh, &routing, &specs, &aborting, &what("abort"));
+        assert_eq!(healed.outcome, Outcome::Evacuated, "{}", what("abort"));
+        assert_eq!(healed.delivered as usize + healed.aborted.len(), messages);
+        detections += healed.detections.len();
+
+        let draining = || Some(Box::new(DrainAll) as Box<dyn RecoveryPolicy>);
+        let drained = stepper_invariant_report(&mesh, &routing, &specs, &draining, &what("drain"));
+        assert_eq!(drained.outcome, Outcome::Evacuated, "{}", what("drain"));
+        assert_eq!(drained.delivered as usize, messages);
+        assert!(drained.restarts >= 1);
+    }
+    assert!(detections >= 100, "only {detections} detections in all");
+
+    // Reroutes instead of removals: the escape channel on a two-VC ring.
+    let ring = Ring::with_vcs(8, 2, 1);
+    let routing = RingShortestRouting::new(&ring);
+    let mut specs = genoc::sim::workload::ring_offset(8, 3, 5);
+    specs.extend(genoc::sim::workload::ring_offset(8, 2, 4));
+    let escaping = || {
+        let policy = EscapeChannel::new(Box::new(RingEscape::new(&ring)));
+        Some(Box::new(policy) as Box<dyn RecoveryPolicy>)
+    };
+    let escaped = stepper_invariant_report(&ring, &routing, &specs, &escaping, "ring, escape");
+    assert_eq!(escaped.outcome, Outcome::Evacuated);
+    assert!(!escaped.rerouted.is_empty() && !escaped.detections.is_empty());
+}
