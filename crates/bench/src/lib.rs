@@ -26,6 +26,15 @@
 //!   the full event WAL;
 //! * `explore_throughput` — full BFS vs partial-order reduction, and the
 //!   parallel frontier at 1/2/4 workers.
+//!
+//! Benches that take `SimOptions::default()`, `hunt_workload` or an
+//! `EffortProfile` preset — `detect_overhead`, `campaign_throughput` and
+//! the hunt in `theorem1_witness` — time whatever stepper is the default.
+//! Since PR 17 that is the arena, so their medians are not comparable with
+//! artifacts from before it. No CI ratio gate reads them: the gated ratios
+//! (`kernel_throughput`, `arena_throughput`, `explore_throughput`) name
+//! their steppers or never simulate, and `wal_overhead` names
+//! `Stepper::Kernel`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -55,10 +55,12 @@ pub struct EffortProfile {
     /// capacity-2 deadlock cells — previously cut off at the bound — reach
     /// their minimal counterexamples exhaustively.
     pub explore_pressure_states: usize,
-    /// Step engine for the simulated checks (evacuation selection runs and
-    /// the metrics probe). All steppers are move-for-move equivalent; the
-    /// arena stepper trades a closed-world admission requirement for flat
-    /// storage and zero per-step allocation on large cells.
+    /// Step engine for two of the simulated checks: Theorem 2's adaptive
+    /// selection runs and the metrics probe. The others (hunts, Theorem 1's
+    /// hunt, deterministic Theorem 2, the detection cross-check) run on
+    /// [`genoc_sim::Stepper::default`], the arena — which every preset
+    /// names here too, so all six agree. All steppers are move-for-move
+    /// equivalent.
     pub stepper: genoc_sim::Stepper,
 }
 
@@ -74,7 +76,7 @@ impl EffortProfile {
             detect_seeds: 2,
             explore_states: 0,
             explore_pressure_states: 0,
-            stepper: genoc_sim::Stepper::Kernel,
+            stepper: genoc_sim::Stepper::Arena,
         }
     }
 
@@ -90,12 +92,12 @@ impl EffortProfile {
             detect_seeds: 6,
             explore_states: 0,
             explore_pressure_states: 0,
-            stepper: genoc_sim::Stepper::Kernel,
+            stepper: genoc_sim::Stepper::Arena,
         }
     }
 
     /// Effort for the `large` matrix: thousands of messages per evacuation
-    /// run (the workloads the incremental kernel exists for), with the
+    /// run (the workloads the run-queue steppers exist for), with the
     /// randomized sweeps trimmed — on a 32×32 mesh one heavy run says more
     /// than sixteen light ones.
     pub fn large() -> EffortProfile {
@@ -108,7 +110,7 @@ impl EffortProfile {
             detect_seeds: 1,
             explore_states: 0,
             explore_pressure_states: 0,
-            stepper: genoc_sim::Stepper::Kernel,
+            stepper: genoc_sim::Stepper::Arena,
         }
     }
 
@@ -767,8 +769,9 @@ fn throughput_of(steps: u64, delivered_flits: u64, millis: f64) -> ScenarioThrou
 /// Theorem 2 under the scenario's policy. Deterministic instances run the
 /// verif checker directly; adaptive instances fix one admissible route per
 /// message (seeded) and simulate the selection, as the paper's future-work
-/// section suggests. Both paths execute on the incremental kernel and
-/// report the run's throughput alongside the verdict.
+/// section suggests. The first executes on the default stepper, the second
+/// on `effort.stepper` — the arena in every preset — and both report the
+/// run's throughput alongside the verdict.
 fn run_evacuation(
     instance: &Instance,
     spec: &ScenarioSpec,

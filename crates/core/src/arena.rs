@@ -230,6 +230,34 @@ impl ArenaConfig {
         Config::from_travels(net, travels)
     }
 
+    /// Writes the arena's state into `cfg`, the configuration it was
+    /// imported from (or one equal to it): afterwards `cfg` is what
+    /// [`to_config`](Self::to_config) would build, without building it. Flit
+    /// positions, `ST` and the `T`/`A` split are re-seated with every
+    /// dynamic check `Config::from_travels` applies; the static half — each
+    /// route visits no port twice and ends at its travel's nodes — is
+    /// carried over from the validation `cfg` went through when it was
+    /// built, by comparing each slot's route with the travel's own.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] or [`Error::CapacityExceeded`] when the arena
+    /// does not hold exactly `cfg`'s travels on their routes, or its flit
+    /// positions are no legal state (an arena bug); `cfg` is inconsistent
+    /// then.
+    pub fn write_back(&self, cfg: &mut Config) -> Result<()> {
+        cfg.reseat_in_order(self.flight.iter().chain(&self.arrived).map(|&sv| {
+            let s = sv as usize;
+            let ro = self.route_off[s] as usize;
+            let fo = self.flit_off[s] as usize;
+            (
+                self.public[s],
+                &self.route_pool[ro..ro + self.route_len[s] as usize],
+                (self.flit_pool[fo..fo + self.flit_len[s] as usize].iter()).map(|&v| decode(v)),
+            )
+        }))
+    }
+
     /// Rebuilds the slot's [`Travel`] from the columns.
     fn materialize(&self, net: &dyn Network, slot: u32) -> Result<Travel> {
         let s = slot as usize;
@@ -1263,6 +1291,10 @@ fn audit_arena_ledger(arena: &ArenaConfig, ledger: u64, step: u64) -> Result<()>
 /// Injection is identity-only (the paper's time-0 release); campaign and
 /// sim callers inject by building the starting configuration.
 ///
+/// The result's configuration is `cfg` itself, re-seated by
+/// [`ArenaConfig::write_back`]; debug builds also build
+/// [`ArenaConfig::to_config`] and assert the two equal.
+///
 /// # Errors
 ///
 /// Returns [`Error::Invariant`] when the policy's admission predicate has
@@ -1271,7 +1303,7 @@ fn audit_arena_ledger(arena: &ArenaConfig, ledger: u64, step: u64) -> Result<()>
 pub fn run_arena(
     net: &dyn Network,
     spec: KernelSpec,
-    cfg: Config,
+    mut cfg: Config,
     options: &RunOptions,
 ) -> Result<RunResult> {
     let Some(aspec) = ArenaSpec::from_kernel_spec(&spec) else {
@@ -1280,8 +1312,8 @@ pub fn run_arena(
                 .to_string(),
         ));
     };
+    // `cfg` sits untouched beside the arena until the write-back at the end.
     let mut arena = ArenaConfig::from_config(net, &cfg)?;
-    drop(cfg);
     let mut kernel = ArenaKernel::new(&arena, aspec);
     let mut trace = Trace::new(options.record_trace);
     let mut measures = Vec::new();
@@ -1324,10 +1356,12 @@ pub fn run_arena(
     if options.enforce_measure {
         audit_arena_ledger(&arena, ledger, steps)?;
     }
+    arena.write_back(&mut cfg)?;
+    debug_assert_eq!(cfg, arena.to_config(net)?, "write-back ≡ to_config");
     Ok(RunResult {
         outcome,
         steps,
-        config: arena.to_config(net)?,
+        config: cfg,
         trace,
         measures,
         arrival_order,
@@ -1588,6 +1622,114 @@ mod tests {
             kernel_d.is_deadlock(&drained)
         );
         skipped.to_config(&net).unwrap().validate(&net).unwrap();
+    }
+
+    /// Steps `arena` until `done` holds.
+    fn step_until(arena: &mut ArenaConfig, done: impl Fn(&ArenaConfig) -> bool) {
+        let mut kernel = kernel_for(arena, Arbitration::FixedPriority);
+        let mut trace = Trace::new(false);
+        while !done(arena) {
+            assert!(kernel.step(arena, &mut trace).unwrap().moves() > 0);
+            kernel.drain_arrived(arena);
+        }
+    }
+
+    #[test]
+    fn write_back_reproduces_to_config_in_the_given_config() {
+        let (net, cfg) = contended_line(5, 2, 3);
+        let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+        // Mid-flight, with arrivals: `A` in arrival order, `T` compacted.
+        step_until(&mut arena, |a| a.arrived_count() >= 2);
+        assert!(arena.flight_count() > 0);
+        let mut written = cfg.clone();
+        arena.write_back(&mut written).unwrap();
+        assert_eq!(written, arena.to_config(&net).unwrap());
+        written.validate(&net).unwrap();
+        // From there to the end, over a configuration whose `A` is not empty.
+        step_until(&mut arena, ArenaConfig::is_evacuated);
+        arena.write_back(&mut written).unwrap();
+        assert_eq!(written, arena.to_config(&net).unwrap());
+        assert!(written.is_evacuated());
+    }
+
+    #[test]
+    fn write_back_rejects_what_to_config_would_have_rejected() {
+        /// `arena.write_back(cfg)` fails with a typed error that says `what`.
+        fn rejects(arena: &ArenaConfig, cfg: &Config, what: &str) {
+            let err = arena.write_back(&mut cfg.clone()).unwrap_err();
+            assert!(
+                matches!(err, Error::Invariant(_) | Error::CapacityExceeded { .. }),
+                "{what}: {err:?}"
+            );
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
+        fn slot(arena: &ArenaConfig, id: usize) -> usize {
+            arena.slot_of(MsgId::from_index(id)).unwrap() as usize
+        }
+        let (net, cfg) = contended_line(5, 2, 2);
+        let fresh = || ArenaConfig::from_config(&net, &cfg).unwrap();
+
+        // A position beyond the route.
+        let mut a = fresh();
+        let s = slot(&a, 0);
+        a.flit_pool[a.flit_off[s] as usize] = a.route_len[s] + 1;
+        rejects(&a, &cfg, "lies outside its");
+
+        // A flit short.
+        let mut a = fresh();
+        let s = slot(&a, 0);
+        a.flit_len[s] -= 1;
+        rejects(&a, &cfg, "positions for");
+
+        // A broken worm shape: the body flit one port ahead of the head.
+        let mut a = fresh();
+        let fo = a.flit_off[slot(&a, 0)] as usize;
+        (a.flit_pool[fo], a.flit_pool[fo + 1]) = (1, 2);
+        rejects(&a, &cfg, "is ahead of flit");
+
+        // Two owners of one port: travels 0 (0 → 4) and 2 (1 → 4) share
+        // every port from node 1's out-port on; both heads sit in that one.
+        let mut a = fresh();
+        let (s0, s2) = (slot(&a, 0), slot(&a, 2));
+        let shared = a.route_pool[a.route_off[s2] as usize + 1];
+        let k0 = (0..a.route_len[s0])
+            .find(|&k| a.route_pool[(a.route_off[s0] + k) as usize] == shared)
+            .expect("the two routes share a port");
+        a.flit_pool[a.flit_off[s0] as usize] = k0 + 1;
+        a.flit_pool[a.flit_off[s2] as usize] = 2;
+        rejects(&a, &cfg, "owned by");
+
+        // An over-full port: two flits in a one-flit buffer.
+        let (shallow_net, shallow) = contended_line(5, 1, 2);
+        let mut a = ArenaConfig::from_config(&shallow_net, &shallow).unwrap();
+        let fo = a.flit_off[slot(&a, 0)] as usize;
+        (a.flit_pool[fo], a.flit_pool[fo + 1]) = (1, 1);
+        rejects(&a, &shallow, "over-subscribed");
+
+        // A travel written back twice.
+        let mut a = fresh();
+        a.flight[1] = a.flight[0];
+        rejects(&a, &cfg, "written back twice or into");
+
+        // A route that differs from the configuration's.
+        let mut a = fresh();
+        let ro = a.route_off[slot(&a, 0)] as usize;
+        a.route_pool.swap(ro + 1, ro + 2);
+        rejects(&a, &cfg, "route that differs");
+
+        // The arena and the configuration hold different travels: one
+        // fewer, one more, as many but not the same.
+        let mut a = fresh();
+        let (gone, other) = (a.public_id(0), a.public_id(1));
+        a.remove_travel(&net, gone).unwrap();
+        rejects(&a, &cfg, "written back into a configuration of");
+        let mut fewer = cfg.clone();
+        fewer.remove_travel(other).unwrap();
+        rejects(&fresh(), &fewer, "written back into a configuration of");
+        rejects(&a, &fewer, "does not hold it");
+
+        // None of them was the fixture's fault.
+        fresh().write_back(&mut cfg.clone()).unwrap();
     }
 
     #[test]

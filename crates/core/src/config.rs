@@ -135,6 +135,77 @@ impl Config {
         Ok(())
     }
 
+    /// [`reseat`](Config::reseat) for a stepper that evolved this
+    /// configuration in a layout of its own (the arena): `seats` lists every
+    /// travel — its id, the route it was stepped along, its flit positions
+    /// head first — in the order `T` followed by `A` is to have. The travels
+    /// are sorted into that order, their flits overwritten, `ST` emptied and
+    /// rebuilt with the checks of [`from_travels`](Config::from_travels), and
+    /// `T` and `A` re-partitioned by [`Travel::is_arrived`] as `from_travels`
+    /// does. No travel, route or flit vector is allocated.
+    ///
+    /// A route is compared with the one this configuration holds and not
+    /// validated again: whoever built the configuration checked that it
+    /// visits no port twice and ends where the travel does, and an equal
+    /// route inherits both.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] if `seats` does not list exactly the travels of
+    /// this configuration once each, if a route differs, or if the positions
+    /// name a port outside a route or break a worm shape or port ownership,
+    /// and [`Error::CapacityExceeded`] if they over-fill a port. The
+    /// configuration is inconsistent then.
+    pub(crate) fn reseat_in_order<'a, F>(
+        &mut self,
+        seats: impl Iterator<Item = (MsgId, &'a [PortId], F)> + Clone,
+    ) -> Result<()>
+    where
+        F: ExactSizeIterator<Item = FlitPos>,
+    {
+        self.travels.append(&mut self.arrived);
+        // Each travel's place in `seats`, by id; one `seats` leaves out
+        // sorts last.
+        let ids = self.travels.iter().map(|t| t.id().index() + 1).max();
+        let mut rank = vec![usize::MAX; ids.unwrap_or(0)];
+        let mut listed = 0;
+        for (id, ..) in seats.clone() {
+            if let Some(place) = rank.get_mut(id.index()) {
+                *place = listed;
+            }
+            listed += 1;
+        }
+        if listed != self.travels.len() {
+            return Err(Error::Invariant(format!(
+                "{listed} travels written back into a configuration of {}",
+                self.travels.len()
+            )));
+        }
+        self.travels.sort_unstable_by_key(|t| rank[t.id().index()]);
+        self.state.reset();
+        // A travel listed twice, or one this configuration does not hold,
+        // leaves some place with another travel's id in it.
+        for (t, (id, route, flits)) in self.travels.iter_mut().zip(seats) {
+            if t.id() != id {
+                return Err(Error::Invariant(format!(
+                    "travel {id} written back twice or into a configuration that does not \
+                     hold it: travel {} is in its place",
+                    t.id()
+                )));
+            }
+            if t.route() != route {
+                return Err(Error::Invariant(format!(
+                    "travel {id} written back along a route that differs from its own"
+                )));
+            }
+            t.reseat_with(flits)?;
+            seat(&mut self.state, t)?;
+        }
+        self.arrived
+            .extend(self.travels.extract_if(.., |t| t.is_arrived()));
+        Ok(())
+    }
+
     /// The in-flight travel list `T`.
     pub fn travels(&self) -> &[Travel] {
         &self.travels

@@ -103,10 +103,11 @@ pub fn check_correctness(
 ) -> CorrectnessReport {
     let mut violations = Vec::new();
     let mut checked = 0;
+    let index = result.trace.flit_index();
     for t in result.config.arrived() {
         checked += 1;
         let id = t.id();
-        let path = result.trace.flit_path(id, 0);
+        let path = index.path(id, 0);
         if path.is_empty() {
             violations.push(format!("{id}: no recorded trajectory"));
             continue;
@@ -138,15 +139,15 @@ pub fn check_correctness(
             ));
         }
         // Followed a valid route.
-        if !is_valid_route(net, routing, &path) {
+        if !is_valid_route(net, routing, path) {
             violations.push(format!("{id}: header path is not a valid route"));
         }
         // Every flit was delivered and followed the header's path.
         for f in 0..t.flit_count() {
-            if !result.trace.flit_delivered(id, f as u32) {
+            if !index.delivered(id, f as u32) {
                 violations.push(format!("{id}: flit {f} never delivered in trace"));
             }
-            if f > 0 && result.trace.flit_path(id, f as u32) != path {
+            if f > 0 && index.path(id, f as u32) != path {
                 violations.push(format!("{id}: flit {f} deviated from the header path"));
             }
         }
@@ -243,5 +244,15 @@ mod tests {
         let lied = [spec(0, 1, 1)];
         let report = check_correctness(&net, &routing, &lied, &result);
         assert!(!report.holds());
+        let id = MsgId::from_index(0);
+        let (went, claimed) = (NodeId::from_index(3), NodeId::from_index(1));
+        assert_eq!(
+            report.violations,
+            [format!(
+                "{id}: arrived at {} instead of {}",
+                net.port_label(net.local_out(went)),
+                net.port_label(net.local_out(claimed))
+            )]
+        );
     }
 }

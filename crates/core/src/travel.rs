@@ -384,24 +384,55 @@ impl Travel {
     ///
     /// # Errors
     ///
-    /// [`Error::Invariant`] if `block` names a route index outside the route
-    /// or breaks the worm-shape invariant. The flits hold part of `block`
-    /// then; re-seat again before reading them.
+    /// As [`reseat_with`](Travel::reseat_with).
+    #[inline]
     pub(crate) fn reseat(&mut self, block: &[u16]) -> Result<()> {
-        debug_assert_eq!(block.len(), self.flits.len(), "one position per flit");
-        for (flit, &v) in self.flits.iter_mut().zip(block) {
-            *flit = match v {
-                0 => FlitPos::Pending,
-                u16::MAX => FlitPos::Delivered,
-                k if usize::from(k) <= self.route.len() => FlitPos::InNetwork(usize::from(k) - 1),
-                k => {
+        self.reseat_with(block.iter().map(|&v| match v {
+            0 => FlitPos::Pending,
+            u16::MAX => FlitPos::Delivered,
+            k => FlitPos::InNetwork(usize::from(k) - 1),
+        }))
+    }
+
+    /// Re-seats every flit from `positions`, head first: the dynamic checks
+    /// of [`check_invariants`](Travel::check_invariants) without the route
+    /// scan. The route is not looked at beyond its length: it is static, and
+    /// whoever built the travel validated it.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] if `positions` is not one per flit, names a
+    /// route index outside the route, or breaks the worm-shape invariant.
+    /// The flits hold part of `positions` then; re-seat again before reading
+    /// them.
+    ///
+    /// The explorer decodes every state through this loop: it is inlined
+    /// into `Config::reseat`, and the out-of-route message names `k` by
+    /// value so that `pos` stays in registers.
+    #[inline]
+    pub(crate) fn reseat_with(
+        &mut self,
+        positions: impl ExactSizeIterator<Item = FlitPos>,
+    ) -> Result<()> {
+        if positions.len() != self.flits.len() {
+            return Err(Error::Invariant(format!(
+                "travel {}: {} positions for {} flits",
+                self.id,
+                positions.len(),
+                self.flits.len()
+            )));
+        }
+        for (flit, pos) in self.flits.iter_mut().zip(positions) {
+            match pos {
+                FlitPos::InNetwork(k) if k >= self.route.len() => {
                     return Err(Error::Invariant(format!(
-                        "travel {}: position {k} lies outside its {}-port route",
+                        "travel {}: route index {k} lies outside its {}-port route",
                         self.id,
                         self.route.len()
-                    )))
+                    )));
                 }
-            };
+                _ => *flit = pos,
+            }
         }
         self.check_worm_shape()
     }

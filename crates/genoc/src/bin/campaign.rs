@@ -11,7 +11,8 @@
 //!   --out <path>                    JSON path  [default: target/campaign.json]
 //!   --wal-dir <dir>                 record a per-scenario event WAL into this directory
 //!   --metrics-out <path>            write a Prometheus text metrics snapshot
-//!   --stepper <kernel|legacy|arena> step engine for simulated checks [default: kernel]
+//!   --stepper <kernel|legacy|arena> step engine for adaptive selection runs and the metrics
+//!                                   probe; the other checks step on the arena [default: arena]
 //!   --list                          print scenario names and exit
 //! ```
 //!

@@ -95,12 +95,12 @@ pub fn config_with_selected_routes(
 }
 
 /// Selects one admissible route per message (seeded by `route_seed`) and
-/// runs the resulting configuration to termination — on the incremental
-/// kernel whenever the policy supports it, like [`simulate`].
+/// runs the resulting configuration to termination — on `options.stepper`
+/// whenever the policy supports it, like [`simulate`].
 ///
-/// This is how adaptive routing functions ride the kernel: the selection
-/// fixes deterministic routes up front, and the stepper never needs to know
-/// the relation was adaptive.
+/// This is how adaptive routing functions ride the fast steppers: the
+/// selection fixes deterministic routes up front, and the stepper never
+/// needs to know the relation was adaptive.
 ///
 /// # Errors
 ///

@@ -8,13 +8,15 @@
 //! may re-inject staged travels when the travel list drains, all without the
 //! runner knowing any detector specifics.
 //!
-//! Both entry points execute on the incremental [`Kernel`] whenever the
-//! switching policy
-//! exposes a [`KernelSpec`](genoc_core::switching::KernelSpec) (all the
-//! concrete policies do), falling back to the legacy full-rescan
-//! [`interpreter`](genoc_core::interpreter::run) otherwise — or when
-//! [`SimOptions::stepper`] forces it, which the differential equivalence
-//! tests use to prove the two produce identical runs.
+//! Both entry points execute on the arena stepper ([`Stepper::Arena`], the
+//! default) whenever the switching policy exposes a
+//! [`KernelSpec`](genoc_core::switching::KernelSpec) whose admission
+//! predicate has a closed-world description (the three concrete policies
+//! do), on the object [`Kernel`] when only the `KernelSpec` is there, and on
+//! the legacy full-rescan [`interpreter`](genoc_core::interpreter::run)
+//! otherwise — or when [`SimOptions::stepper`] forces one of the other two,
+//! which the differential equivalence tests use to prove all three produce
+//! identical runs.
 
 use genoc_core::arena::{run_arena, ArenaConfig, ArenaKernel, ArenaSpec, MoveKind};
 use genoc_core::config::Config;
@@ -31,23 +33,26 @@ use genoc_core::{MsgId, PortId};
 
 use crate::stats::LatencySummary;
 
-/// Which step engine drives the run.
+/// Which step engine drives the run. All three produce the same run, move
+/// for move; they differ in what a step costs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Stepper {
-    /// The incremental kernel (wake-lists, `O(active)` steps) whenever the
-    /// policy exposes a `KernelSpec`; identical semantics, much faster on
-    /// large or contended workloads.
-    #[default]
+    /// The incremental object kernel (wake-lists, `O(active)` steps over
+    /// `Config`) whenever the policy exposes a `KernelSpec`. What the arena
+    /// falls back to. On campaign-sized cells it is the slowest of the three
+    /// (ROADMAP item 2 has the table); on large or contended workloads it is
+    /// far ahead of the legacy loop and about half the arena's speed.
     Kernel,
     /// The legacy full-rescan step loop, kept for differential testing and
     /// as the fallback for policies without a kernel description.
     Legacy,
-    /// The struct-of-arrays arena stepper
-    /// ([`genoc_core::arena`]): identical moves to the kernel, flat
-    /// `u32`-indexed storage, zero per-step allocation. Requires the
-    /// policy's admission predicate to expose a closed-world
-    /// [`AdmissionKind`](genoc_core::step::AdmissionKind); falls back to
-    /// the object kernel otherwise.
+    /// The struct-of-arrays arena stepper ([`genoc_core::arena`]), the
+    /// default: flat `u32`-indexed storage, a run queue, zero per-step
+    /// allocation. Requires the policy's admission predicate to expose a
+    /// closed-world [`AdmissionKind`](genoc_core::step::AdmissionKind);
+    /// falls back to the object kernel otherwise, and to the legacy loop
+    /// for a policy without a `KernelSpec`.
+    #[default]
     Arena,
 }
 
@@ -61,7 +66,7 @@ pub struct SimOptions {
     pub record_trace: bool,
     /// Re-validate configuration invariants each step (slow).
     pub check_invariants: bool,
-    /// The step engine (incremental kernel by default).
+    /// The step engine (the arena by default).
     pub stepper: Stepper,
 }
 
@@ -126,9 +131,10 @@ pub(crate) fn finish(run: RunResult, injected: Vec<MsgId>, options: &SimOptions)
     }
 }
 
-/// Runs `cfg` to termination under `policy`, on the kernel when the policy
-/// supports it and `stepper` allows, on the legacy interpreter otherwise.
-/// Outcomes are identical either way; only the stepping cost differs.
+/// Runs `cfg` to termination under `policy`: on the arena or the object
+/// kernel when the policy supports it and `stepper` allows, on the legacy
+/// interpreter otherwise. Outcomes are identical on all three; only the
+/// stepping cost differs.
 ///
 /// # Errors
 ///
@@ -947,6 +953,125 @@ mod tests {
             arena.run.config.position_key(),
             kernel.run.config.position_key()
         );
+    }
+
+    #[test]
+    fn the_default_stepper_is_the_arena() {
+        assert_eq!(Stepper::default(), Stepper::Arena);
+        assert_eq!(SimOptions::default().stepper, Stepper::Arena);
+    }
+
+    /// Wormhole switching that hides its `KernelSpec` (only the legacy
+    /// interpreter can run it) or, with `opaque`, exposes one whose
+    /// admission predicate has no closed-world description (the object
+    /// kernel can run it, the arena cannot). Counts the `step` calls the
+    /// legacy interpreter makes.
+    #[derive(Default)]
+    struct Reluctant {
+        inner: WormholePolicy,
+        opaque: bool,
+        stepped: u64,
+    }
+
+    struct OpaqueAdmission;
+
+    impl genoc_core::step::HeadAdmission for OpaqueAdmission {
+        fn admit(&self, _: &Config, _: usize, _: genoc_core::step::HeadMove) -> bool {
+            true
+        }
+    }
+
+    impl SwitchingPolicy for Reluctant {
+        fn name(&self) -> String {
+            "reluctant".into()
+        }
+
+        fn step(
+            &mut self,
+            net: &dyn Network,
+            cfg: &mut Config,
+            trace: &mut Trace,
+        ) -> Result<genoc_core::switching::StepReport> {
+            self.stepped += 1;
+            self.inner.step(net, cfg, trace)
+        }
+
+        fn is_deadlock(&self, net: &dyn Network, cfg: &Config) -> bool {
+            self.inner.is_deadlock(net, cfg)
+        }
+
+        fn kernel_spec(&self) -> Option<genoc_core::switching::KernelSpec> {
+            static OPAQUE: OpaqueAdmission = OpaqueAdmission;
+            let spec = self.inner.kernel_spec()?;
+            self.opaque.then_some(genoc_core::switching::KernelSpec {
+                admission: &OPAQUE,
+                ..spec
+            })
+        }
+    }
+
+    #[test]
+    fn the_default_falls_back_where_the_arena_cannot_run() {
+        let mesh = Mesh::new(4, 4, 1);
+        let routing = XyRouting::new(&mesh);
+        let specs = crate::workload::uniform_random(16, 48, 1..=5, 17);
+        let traced = |stepper| SimOptions {
+            record_trace: true,
+            stepper,
+            ..SimOptions::default()
+        };
+        let run = |policy: &mut dyn SwitchingPolicy, stepper| {
+            simulate(&mesh, &routing, policy, &specs, &traced(stepper)).unwrap()
+        };
+        let same = |a: &SimResult, b: &SimResult| {
+            assert_eq!(a.run.outcome, b.run.outcome);
+            assert_eq!(a.run.steps, b.run.steps);
+            assert_eq!(a.run.arrival_order, b.run.arrival_order);
+            assert_eq!(a.run.trace.events(), b.run.trace.events());
+            assert_eq!(a.run.config, b.run.config);
+            assert_eq!(a.latencies, b.latencies);
+        };
+
+        // No `KernelSpec`: the default is the legacy interpreter's run, and
+        // the interpreter is what stepped the policy.
+        let mut hidden = Reluctant::default();
+        let hidden_run = run(&mut hidden, Stepper::default());
+        assert_eq!(hidden.stepped, hidden_run.run.steps);
+        same(
+            &hidden_run,
+            &run(&mut WormholePolicy::default(), Stepper::Legacy),
+        );
+
+        // A `KernelSpec` the arena cannot interpret: `run_arena` rejects it
+        // (`non_closed_world_admission_is_rejected`), so a run at all is the
+        // object kernel's, and it never calls the policy's own `step`.
+        let opaque = || Reluctant {
+            opaque: true,
+            ..Reluctant::default()
+        };
+        let mut policy = opaque();
+        let opaque_run = run(&mut policy, Stepper::default());
+        assert_eq!(policy.stepped, 0);
+        same(
+            &opaque_run,
+            &run(&mut WormholePolicy::default(), Stepper::Kernel),
+        );
+        same(
+            &opaque_run,
+            &run(&mut WormholePolicy::default(), Stepper::Arena),
+        );
+
+        // The hooked entry point makes the same two choices.
+        let hooked = |policy: &mut Reluctant| {
+            let options = traced(Stepper::default());
+            simulate_hooked(&mesh, &routing, policy, &specs, &options, &mut NullHook).unwrap()
+        };
+        let mut policy = opaque();
+        same(&hooked(&mut policy), &opaque_run);
+        assert_eq!(policy.stepped, 0);
+        let mut policy = Reluctant::default();
+        same(&hooked(&mut policy), &hidden_run);
+        assert_eq!(policy.stepped, hidden_run.run.steps);
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //! Every policy also exposes a
 //! [`KernelSpec`](genoc_core::switching::KernelSpec) — its arbitration order
 //! plus admission predicate — turning it into an ordering strategy over the
-//! incremental [`Kernel`](genoc_core::kernel::Kernel)'s active set. Runners
-//! (`genoc-sim`) execute policies through the kernel by default, with
+//! active set of the incremental [`Kernel`](genoc_core::kernel::Kernel) and,
+//! since each admission predicate also names its closed-world
+//! [`AdmissionKind`](genoc_core::step::AdmissionKind), of the arena kernel.
+//! Runners (`genoc-sim`) execute policies on the arena by default, with
 //! move-for-move identical semantics to stepping them directly.
 
 #![forbid(unsafe_code)]

@@ -18,7 +18,6 @@
 
 use genoc_core::error::Result;
 use genoc_core::interpreter::Outcome;
-use genoc_depgraph::build::RoutingAnalysis;
 use genoc_depgraph::cycle::is_cycle_of;
 use genoc_detect::{DetectionEngine, EngineOptions, TimeoutDetector};
 use genoc_sim::runner::{simulate_hooked, SimOptions};
@@ -89,7 +88,7 @@ pub fn check_detection(
 ) -> Result<DetectionReport> {
     let net = instance.net.as_ref();
     let routing = instance.routing.as_ref();
-    let graph = RoutingAnalysis::new(net, routing).graph;
+    let graph = &instance.analysis().graph;
     let mut report = DetectionReport {
         instance: instance.name.clone(),
         runs: 0,
@@ -138,7 +137,7 @@ pub fn check_detection(
         }
         // (2) Every detected cycle lies in the static dependency graph.
         for d in engine.detections() {
-            if !is_cycle_of(&graph, &d.cycle.ports) {
+            if !is_cycle_of(graph, &d.cycle.ports) {
                 report.violations.push(format!(
                     "seed {seed}, step {}: detected cycle is not a dependency-graph cycle: {:?}",
                     d.step, d.cycle.ports

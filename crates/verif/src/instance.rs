@@ -12,7 +12,9 @@
 use genoc_core::meta::{InstanceMeta, RoutingKind};
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
-use genoc_depgraph::build::xy_mesh_dependency_graph;
+use std::sync::OnceLock;
+
+use genoc_depgraph::build::{xy_mesh_dependency_graph, RoutingAnalysis};
 use genoc_depgraph::graph::DiGraph;
 use genoc_depgraph::ranking::xy_mesh_ranking;
 use genoc_routing::{
@@ -42,6 +44,9 @@ pub struct Instance {
     pub closed_form: Option<DiGraph>,
     /// Closed-form ranking certificate, when available.
     pub ranking: Option<Vec<u64>>,
+    /// The dependency graph and `s R d` of `routing` on `net`, built by the
+    /// first call of [`Instance::analysis`].
+    analysis: OnceLock<RoutingAnalysis>,
 }
 
 impl std::fmt::Debug for Instance {
@@ -69,6 +74,7 @@ impl Instance {
             closed_form: Some(xy_mesh_dependency_graph(&mesh)),
             ranking: Some(xy_mesh_ranking(&mesh)),
             net: Box::new(mesh),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -84,6 +90,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(mesh),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -99,6 +106,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(mesh),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -124,6 +132,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(mesh),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -139,6 +148,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(mesh),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -157,6 +167,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(ring),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -172,6 +183,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(ring),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -190,6 +202,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(torus),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -206,6 +219,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(torus),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -223,6 +237,7 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(s),
+            analysis: OnceLock::new(),
         }
     }
 
@@ -238,7 +253,18 @@ impl Instance {
             closed_form: None,
             ranking: None,
             net: Box::new(s),
+            analysis: OnceLock::new(),
         }
+    }
+
+    /// The exhaustive dependency graph and reachability relation `s R d` of
+    /// this instance's routing function, built on first use and shared by
+    /// every checker that needs it: (C-1), (C-2), (C-3), Theorem 1 and the
+    /// detection cross-check read one build instead of making five. `net`
+    /// and `routing` must not be replaced once this has been called.
+    pub fn analysis(&self) -> &RoutingAnalysis {
+        self.analysis
+            .get_or_init(|| RoutingAnalysis::new(self.net.as_ref(), self.routing.as_ref()))
     }
 
     /// Builds the instance a metadata record describes.

@@ -15,7 +15,6 @@ use genoc_core::injection::{IdentityInjection, InjectionMethod};
 use genoc_core::obligations::{ObligationId, ObligationReport};
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::trace::Trace;
-use genoc_depgraph::build::RoutingAnalysis;
 use genoc_depgraph::cycle::find_cycle;
 use genoc_depgraph::ranking::verify_ranking;
 use genoc_depgraph::scc::is_cyclic_by_scc;
@@ -30,11 +29,8 @@ use crate::instance::Instance;
 pub fn check_c1(instance: &Instance) -> ObligationReport {
     let start = Instant::now();
     let net = instance.net.as_ref();
-    let analysis = RoutingAnalysis::new(net, instance.routing.as_ref());
-    let candidate = instance
-        .closed_form
-        .clone()
-        .unwrap_or_else(|| analysis.graph.clone());
+    let analysis = instance.analysis();
+    let candidate = instance.closed_form.as_ref().unwrap_or(&analysis.graph);
     let mut cases = 0u64;
     let mut violations = Vec::new();
     let mut hops = Vec::with_capacity(4);
@@ -73,11 +69,8 @@ pub fn check_c1(instance: &Instance) -> ObligationReport {
 pub fn check_c2(instance: &Instance) -> ObligationReport {
     let start = Instant::now();
     let net = instance.net.as_ref();
-    let analysis = RoutingAnalysis::new(net, instance.routing.as_ref());
-    let candidate = instance
-        .closed_form
-        .clone()
-        .unwrap_or_else(|| analysis.graph.clone());
+    let analysis = instance.analysis();
+    let candidate = instance.closed_form.as_ref().unwrap_or(&analysis.graph);
     let mut cases = 0u64;
     let mut violations = Vec::new();
     let mut hops = Vec::with_capacity(4);
@@ -115,7 +108,7 @@ pub fn check_c2(instance: &Instance) -> ObligationReport {
 pub fn check_c3(instance: &Instance) -> ObligationReport {
     let start = Instant::now();
     let net = instance.net.as_ref();
-    let analysis = RoutingAnalysis::new(net, instance.routing.as_ref());
+    let analysis = instance.analysis();
     let graph = &analysis.graph;
     let cases = graph.edge_count() as u64;
     let mut violations = Vec::new();

@@ -10,7 +10,6 @@
 
 use genoc_core::error::Result;
 use genoc_core::PortId;
-use genoc_depgraph::build::RoutingAnalysis;
 use genoc_depgraph::cycle::find_cycle;
 use genoc_depgraph::witness::{cycle_from_deadlock, deadlock_from_cycle_with};
 use genoc_sim::deadlock_hunt::{hunt_random, HuntOptions};
@@ -58,7 +57,7 @@ impl Theorem1Report {
 pub fn check_theorem1(instance: &Instance, hunt: &HuntOptions) -> Result<Theorem1Report> {
     let net = instance.net.as_ref();
     let routing = instance.routing.as_ref();
-    let analysis = RoutingAnalysis::new(net, routing);
+    let analysis = instance.analysis();
     let cycle = find_cycle(&analysis.graph);
     let cyclic = cycle.is_some();
     let mut notes = Vec::new();
@@ -69,7 +68,7 @@ pub fn check_theorem1(instance: &Instance, hunt: &HuntOptions) -> Result<Theorem
     if let Some(cycle) = &cycle {
         if instance.deterministic {
             // Sufficiency: compile the cycle into a deadlock configuration.
-            match deadlock_from_cycle_with(net, routing, &analysis, cycle) {
+            match deadlock_from_cycle_with(net, routing, analysis, cycle) {
                 Ok(witness) => {
                     let omega = !witness.config.any_move_possible();
                     witness_deadlock_verified = Some(omega);

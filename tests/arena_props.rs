@@ -127,6 +127,7 @@ impl Harness {
     fn step_with(&mut self, kernel: &mut ArenaKernel) {
         kernel.set_log_moves(true);
         let mut trace = Trace::new(false);
+        let mut before = self.cfg.clone();
         kernel.step(&mut self.arena, &mut trace).unwrap();
         // While a step is in progress the flight list mirrors
         // `cfg.travels()` order, so move indices transfer directly.
@@ -143,6 +144,10 @@ impl Harness {
             let newly = self.cfg.drain_arrived();
             assert_eq!(newly, kernel.newly_arrived());
         }
+        // The step written back into the configuration it started from —
+        // recycled slots, sparse ids, rerouted travels and all.
+        self.arena.write_back(&mut before).unwrap();
+        assert_eq!(before, self.cfg, "write-back ≡ replayed shadow");
     }
 
     /// The structural soundness checks run after every operation.
@@ -283,4 +288,112 @@ fn lockstep_holds_when_rank_slot_and_position_all_differ() {
         assert!(steps < 1_000);
     }
     assert_eq!(h.cfg.arrived().len(), 11);
+}
+
+fn arena_spec(kind: SwitchingKind) -> ArenaSpec {
+    let spec = match kind {
+        SwitchingKind::Wormhole => WormholePolicy::default().kernel_spec(),
+        SwitchingKind::VirtualCutThrough => VirtualCutThroughPolicy::new().kernel_spec(),
+        SwitchingKind::StoreForward => StoreForwardPolicy::new().kernel_spec(),
+    };
+    ArenaSpec::from_kernel_spec(&spec.unwrap()).unwrap()
+}
+
+/// How a stepped arena was left.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum End {
+    Evacuated,
+    Deadlocked,
+    /// Cut by the step limit with flits in the network and ports owned.
+    MidFlight,
+}
+
+/// Steps `cfg` on the arena until it evacuates, deadlocks or has taken
+/// `limit` steps, then writes the arena back into the untouched `cfg` and
+/// compares with the `Config` the arena materialises from nothing.
+fn write_back_matches_to_config(
+    net: &dyn Network,
+    kind: SwitchingKind,
+    cfg: &Config,
+    limit: u64,
+) -> End {
+    let mut arena = ArenaConfig::from_config(net, cfg).unwrap();
+    let mut kernel = ArenaKernel::new(&arena, arena_spec(kind));
+    let mut trace = Trace::new(false);
+    let mut steps = 0;
+    let end = loop {
+        if arena.is_evacuated() {
+            break End::Evacuated;
+        }
+        if kernel.is_deadlock(&arena) {
+            break End::Deadlocked;
+        }
+        if steps == limit {
+            break End::MidFlight;
+        }
+        kernel.step(&mut arena, &mut trace).unwrap();
+        if kernel.take_saw_arrival() {
+            kernel.drain_arrived(&mut arena);
+        }
+        steps += 1;
+    };
+    let expected = arena.to_config(net).unwrap();
+    let mut written = cfg.clone();
+    arena.write_back(&mut written).unwrap();
+    assert_eq!(written, expected, "{kind:?}, {end:?} after {steps} steps");
+    written.validate(net).unwrap();
+    // And once more over a configuration that is no longer the initial one:
+    // `T` and `A` both populated, in the arena's order.
+    arena.write_back(&mut written).unwrap();
+    assert_eq!(written, expected, "{kind:?}, written back twice over");
+    if end == End::MidFlight {
+        let owned = written.state().ports().filter(|p| p.owner().is_some());
+        assert!(owned.count() > 0, "cut mid-flight: ports are owned");
+        assert!(written.travels().iter().any(Travel::occupies_network));
+    }
+    end
+}
+
+/// The exit of `run_arena` against the one it replaced, on every kind of
+/// end a run can have: seeded uniform traffic × the three switching
+/// policies × XY (evacuates) and mixed XY/YX (deadlocks) × run to the end
+/// or cut after a few steps.
+#[test]
+fn write_back_equals_to_config_on_every_kind_of_end() {
+    use std::collections::HashMap;
+    let mut seen: HashMap<(SwitchingKind, End), u32> = HashMap::new();
+    for kind in [
+        SwitchingKind::Wormhole,
+        SwitchingKind::VirtualCutThrough,
+        SwitchingKind::StoreForward,
+    ] {
+        // On XY, packets every policy can move: the run evacuates. On mixed
+        // XY/YX, long worms at capacity 1 deadlock wormhole switching in the
+        // network; the whole-packet policies get some packets a flit longer
+        // than a buffer, which stay at their sources while the rest arrive.
+        let (capacity, fitting, pressing) = match kind {
+            SwitchingKind::Wormhole => (1, 4..=8, 4..=8),
+            _ => (2, 1..=2, 1..=3),
+        };
+        let mesh = Mesh::new(4, 4, capacity);
+        let xy = XyRouting::new(&mesh);
+        let mixed = MixedXyYxRouting::new(&mesh);
+        for seed in 0..24u64 {
+            let messages = 64 + 8 * (seed as usize % 9);
+            for (routing, flits) in [(&xy as &dyn RoutingFunction, &fitting), (&mixed, &pressing)] {
+                let specs = genoc::sim::workload::uniform_random(16, messages, flits.clone(), seed);
+                let cfg = Config::from_specs(&mesh, routing, &specs).unwrap();
+                for limit in [u64::MAX, 3 + seed % 7] {
+                    let end = write_back_matches_to_config(&mesh, kind, &cfg, limit);
+                    *seen.entry((kind, end)).or_default() += 1;
+                }
+            }
+        }
+        for end in [End::Evacuated, End::Deadlocked, End::MidFlight] {
+            assert!(
+                seen.get(&(kind, end)).is_some_and(|&n| n >= 3),
+                "{kind:?} never ended {end:?}: {seen:?}"
+            );
+        }
+    }
 }

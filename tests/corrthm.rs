@@ -96,3 +96,86 @@ fn corrthm_checks_every_flit_of_the_worm() {
     let report = check_correctness(&mesh, &routing, &specs, &r.run);
     assert!(report.holds(), "{:?}", report.violations);
 }
+
+/// Index ≡ scans for every flit of `run`, and for one flit and one message
+/// past the end.
+fn assert_index_matches_scans(specs: &[MessageSpec], run: &RunResult, what: &str) {
+    let index = run.trace.flit_index();
+    for (m, spec) in specs.iter().chain([&specs[0]]).enumerate() {
+        let id = MsgId::from_index(m);
+        for f in 0..=spec.flits as u32 {
+            assert_eq!(
+                index.path(id, f),
+                run.trace.flit_path(id, f),
+                "{what}: path of {id} flit {f}"
+            );
+            assert_eq!(
+                index.delivered(id, f),
+                run.trace.flit_delivered(id, f),
+                "{what}: delivery of {id} flit {f}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_flit_index_answers_what_the_trace_scans_answer() {
+    use genoc::campaign::{scenario_seed, ScenarioMatrix};
+    use genoc::verif::Instance;
+    let options = SimOptions {
+        record_trace: true,
+        ..SimOptions::default()
+    };
+    for spec in ScenarioMatrix::smoke().expand() {
+        let name = spec.name();
+        let seed = scenario_seed(23, &name);
+        let instance = Instance::from_meta(&spec.meta).unwrap();
+        let (net, routing) = (instance.net.as_ref(), instance.routing.as_ref());
+        let nodes = net.node_count();
+        let specs = genoc::sim::workload::uniform_random(
+            nodes.max(2),
+            nodes * 4,
+            1..=spec.workload_flits(6),
+            seed,
+        );
+        let mut policy: Box<dyn SwitchingPolicy> = match spec.switching {
+            SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
+            SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
+            SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
+        };
+        let sim = if instance.deterministic {
+            simulate(net, routing, policy.as_mut(), &specs, &options)
+        } else {
+            simulate_selected(net, routing, policy.as_mut(), &specs, seed, &options)
+        }
+        .unwrap();
+        assert!(!sim.run.trace.events().is_empty(), "{name}");
+        assert!(check_correctness(net, routing, &specs, &sim.run).holds());
+        assert_index_matches_scans(&specs, &sim.run, &name);
+    }
+
+    // A deadlocked run: the flits still in flight have partial paths and no
+    // delivery, and the arrived list is short of the workload.
+    let mesh = Mesh::new(3, 3, 1);
+    let routing = MixedXyYxRouting::new(&mesh);
+    let deadlocked = (0..64u64).find_map(|seed| {
+        let specs = genoc::sim::workload::uniform_random(9, 40, 8..=8, seed);
+        let sim = simulate(
+            &mesh,
+            &routing,
+            &mut WormholePolicy::default(),
+            &specs,
+            &options,
+        )
+        .unwrap();
+        (sim.run.outcome == Outcome::Deadlock).then_some((specs, sim))
+    });
+    let (specs, sim) = deadlocked.expect("heavy mixed traffic deadlocks");
+    assert!(sim
+        .run
+        .config
+        .travels()
+        .iter()
+        .any(Travel::occupies_network));
+    assert_index_matches_scans(&specs, &sim.run, "deadlocked 3x3");
+}

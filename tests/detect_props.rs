@@ -29,9 +29,21 @@ fn workload_strategy(
     })
 }
 
+/// The detector properties on the default stepper's feed (the arena's
+/// transition log) and on the object kernel's, which the arena falls back
+/// to: each is a feed of its own into `apply_kernel_transitions`.
 fn check_detection_properties(
     instance: &Instance,
     specs: &[MessageSpec],
+) -> Result<(), TestCaseError> {
+    check_detection_properties_on(instance, specs, Stepper::Arena)?;
+    check_detection_properties_on(instance, specs, Stepper::Kernel)
+}
+
+fn check_detection_properties_on(
+    instance: &Instance,
+    specs: &[MessageSpec],
+    stepper: Stepper,
 ) -> Result<(), TestCaseError> {
     let net = instance.net.as_ref();
     let routing = instance.routing.as_ref();
@@ -46,7 +58,10 @@ fn check_detection_properties(
         routing,
         &mut WormholePolicy::default(),
         specs,
-        &SimOptions::default(),
+        &SimOptions {
+            stepper,
+            ..SimOptions::default()
+        },
         &mut engine,
     )
     .map_err(|e| TestCaseError::fail(format!("simulate_hooked: {e}")))?;

@@ -50,6 +50,7 @@ fn record(
         cfg,
         &SimOptions {
             max_steps,
+            stepper: Stepper::Arena,
             ..SimOptions::default()
         },
         &mut NullHook,
@@ -64,8 +65,9 @@ fn record(
     (log.events, result.run.steps)
 }
 
-/// Runs the same configuration fresh, capped at `n` steps, on the same
-/// kernel path the recorder observed.
+/// Runs the same configuration fresh, capped at `n` steps, on the object
+/// kernel. The recorder observed the arena, so replay ≡ rerun crosses the
+/// two steppers as well.
 fn rerun_to(instance: &Instance, spec: &ScenarioSpec, cfg: Config, n: u64) -> Config {
     let mut policy = policy_for(spec.switching);
     let result = run_policy(
