@@ -14,9 +14,9 @@
 
 use criterion::{criterion_group, criterion_main, record_metric, Criterion};
 use genoc_bench::{uniform, xy_mesh};
+use genoc_core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc_core::config::Config;
 use genoc_core::interpreter::Outcome;
-use genoc_core::kernel::Kernel;
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::trace::Trace;
 use genoc_detect::{AbortAndEvacuate, DetectionEngine, EngineOptions, ExactDetector};
@@ -92,11 +92,12 @@ fn bench_clean_overhead(c: &mut Criterion) {
 }
 
 /// The kernel-transition feed in isolation: drive the deadlock-free 8×8
-/// run on the kernel, hand the detector each step's transitions,
-/// and record how rarely the persistent id → travel-index map has to be
-/// rebuilt (a removal tax, not a per-call one — the win over re-deriving
-/// the map on every parking step) and that no call searched the whole
-/// configuration (the walk from the step's parks answers "no cycle").
+/// run on the arena kernel (the `Config` the detector reads kept current by
+/// `write_back`), hand the detector each step's transitions, and record
+/// how rarely the persistent id → travel-index map has to be rebuilt (a
+/// removal tax, not a per-call one — the win over re-deriving the map on
+/// every parking step) and that no call searched the whole configuration
+/// (the walk from the step's parks answers "no cycle").
 fn bench_kernel_feed(c: &mut Criterion) {
     let mut group = c.benchmark_group("detect_overhead/kernel-feed-xy-8x8");
     group.sample_size(10);
@@ -106,15 +107,21 @@ fn bench_kernel_feed(c: &mut Criterion) {
         let mut cfg = Config::from_specs(&mesh, &routing, &specs).expect("workload is valid");
         let spec = WormholePolicy::default()
             .kernel_spec()
-            .expect("wormhole runs on the kernel");
-        let mut kernel = Kernel::new(&mesh, &cfg, spec);
+            .and_then(|spec| ArenaSpec::from_kernel_spec(&spec))
+            .expect("wormhole runs on the arena");
+        let mut arena = ArenaConfig::from_config(&mesh, &cfg).expect("workload is valid");
+        let mut kernel = ArenaKernel::new(&arena, spec);
         let mut trace = Trace::new(false);
         let mut detector = ExactDetector::new();
         let mut calls = 0u64;
-        while !cfg.is_evacuated() {
-            kernel.step(&mut cfg, &mut trace).expect("clean run");
-            let newly = cfg.drain_arrived();
-            kernel.note_arrivals(&cfg, &newly);
+        while !arena.is_evacuated() {
+            kernel.step(&mut arena, &mut trace).expect("clean run");
+            if kernel.take_saw_arrival() {
+                kernel.drain_arrived(&mut arena);
+            }
+            arena
+                .write_back(&mut cfg)
+                .expect("the arena holds cfg's travels");
             calls += 1;
             assert!(
                 detector

@@ -1,7 +1,7 @@
 //! Observation overhead: what recording costs a run.
 //!
 //! Three configurations of the same heavy 16×16 uniform workload, all on the
-//! kernel stepper and all through the observed runner (so the loop under
+//! arena stepper and all through the observed runner (so the loop under
 //! test is identical and only the observer varies):
 //!
 //! - `disabled` — [`NullObserver`]: the observation machinery is present but
@@ -22,9 +22,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use genoc_bench::xy_mesh;
+use genoc_core::config::Config;
 use genoc_core::spec::MessageSpec;
 use genoc_obs::{shared, ObsSummary, Recorder, WalWriter};
-use genoc_sim::{simulate_observed, NullHook, NullObserver, RunObserver, SimOptions, Stepper};
+use genoc_sim::{simulate_observed_config, NullHook, NullObserver, RunObserver, SimOptions};
 use genoc_switching::wormhole::WormholePolicy;
 use std::hint::black_box;
 use std::rc::Rc;
@@ -42,23 +43,15 @@ fn total_flits(specs: &[MessageSpec]) -> u64 {
     specs.iter().map(|s| s.flits as u64).sum()
 }
 
-fn options() -> SimOptions {
-    SimOptions {
-        stepper: Stepper::Kernel,
-        ..SimOptions::default()
-    }
-}
-
 /// One observed run; the observer is the only thing that varies between the
 /// bench's configurations.
 fn run_observed(specs: &[MessageSpec], observer: &mut dyn RunObserver) -> u64 {
     let (mesh, routing) = xy_mesh(MESH_SIDE, 2);
-    let r = simulate_observed(
+    let r = simulate_observed_config(
         &mesh,
-        &routing,
         &mut WormholePolicy::default(),
-        specs,
-        &options(),
+        Config::from_specs(&mesh, &routing, specs).unwrap(),
+        &SimOptions::default(),
         &mut NullHook,
         observer,
     )

@@ -2,7 +2,7 @@
 //!
 //! Shared fixtures for the Criterion benches in `benches/`. The first eight
 //! below regenerate the paper's table and figures (README, "Paper-to-code
-//! map"); the other six time the engines grown since. Medians land in
+//! map"); the other five time the engines grown since. Medians land in
 //! `target/bench-results.json`, a CI artifact; the numbers a performance
 //! claim rests on come from the `ledger/` package (`ledger/README.md`).
 //!
@@ -18,10 +18,9 @@
 //!   time-to-detect/recover on the mixed XY/YX negative instance;
 //! * `campaign_throughput` — per-scenario battery cost and work-stealing
 //!   executor scaling at 1/2/4 shards on the smoke matrix;
-//! * `kernel_throughput` — active-set kernel vs legacy full-rescan stepper
-//!   on 16×16 and 32×32 meshes;
-//! * `arena_throughput` — arena vs kernel stepper on the same hotspot
-//!   cells, and a 64×64 cell with ~1M flits in flight;
+//! * `arena_throughput` — arena vs legacy full-rescan stepper on the 32×32
+//!   hotspot cell, the arena alone on 16×16 uniform traffic and on a 64×64
+//!   cell with ~1M flits in flight;
 //! * `wal_overhead` — one run with observation disabled, metrics only, and
 //!   the full event WAL;
 //! * `explore_throughput` — full BFS vs partial-order reduction, and the
@@ -31,10 +30,13 @@
 //! `EffortProfile` preset — `detect_overhead`, `campaign_throughput` and
 //! the hunt in `theorem1_witness` — time whatever stepper is the default.
 //! Since PR 17 that is the arena, so their medians are not comparable with
-//! artifacts from before it. No CI ratio gate reads them: the gated ratios
-//! (`kernel_throughput`, `arena_throughput`, `explore_throughput`) name
-//! their steppers or never simulate, and `wal_overhead` names
-//! `Stepper::Kernel`.
+//! artifacts from before it. `wal_overhead` and
+//! `detect_overhead/kernel-feed-xy-8x8` ran on the `Config`-backed kernel
+//! until PR 19 deleted it and run on the arena since (the feed bench now
+//! also pays a `write_back` a step to keep the detector's `Config` current),
+//! so theirs are not comparable across that line either. No CI ratio gate
+//! reads any of them: the gated ratios (`arena_throughput`,
+//! `explore_throughput`) name their steppers or never simulate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -283,13 +283,13 @@ impl ScenarioMatrix {
     }
 
     /// The scale sweep: 16×16 through 64×64 meshes (plus a big torus and
-    /// ring) under wormhole switching, the workloads the incremental kernel
-    /// and the arena stepper were built for — thousands of messages per
-    /// evacuation run. Cyclicity comparators are deliberately absent: at
-    /// this scale the point is throughput on deadlock-free fabrics. The
-    /// 32×32 cells are capped at capacity 4 to keep the obligation sweeps
-    /// proportionate, and 64×64 is a single cell (XY at capacity 4, the
-    /// arena's million-flit smoke target — filter with `mesh-64x64`).
+    /// ring) under wormhole switching, the workloads the arena stepper was
+    /// built for — thousands of messages per evacuation run. Cyclicity
+    /// comparators are deliberately absent: at this scale the point is
+    /// throughput on deadlock-free fabrics. The 32×32 cells are capped at
+    /// capacity 4 to keep the obligation sweeps proportionate, and 64×64 is
+    /// a single cell (XY at capacity 4, the arena's million-flit smoke
+    /// target — filter with `mesh-64x64`).
     pub fn large() -> ScenarioMatrix {
         ScenarioMatrix::empty()
             .routings([

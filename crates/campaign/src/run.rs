@@ -55,13 +55,6 @@ pub struct EffortProfile {
     /// capacity-2 deadlock cells — previously cut off at the bound — reach
     /// their minimal counterexamples exhaustively.
     pub explore_pressure_states: usize,
-    /// Step engine for two of the simulated checks: Theorem 2's adaptive
-    /// selection runs and the metrics probe. The others (hunts, Theorem 1's
-    /// hunt, deterministic Theorem 2, the detection cross-check) run on
-    /// [`genoc_sim::Stepper::default`], the arena — which every preset
-    /// names here too, so all six agree. All steppers are move-for-move
-    /// equivalent.
-    pub stepper: genoc_sim::Stepper,
 }
 
 impl EffortProfile {
@@ -76,7 +69,6 @@ impl EffortProfile {
             detect_seeds: 2,
             explore_states: 0,
             explore_pressure_states: 0,
-            stepper: genoc_sim::Stepper::Arena,
         }
     }
 
@@ -92,12 +84,11 @@ impl EffortProfile {
             detect_seeds: 6,
             explore_states: 0,
             explore_pressure_states: 0,
-            stepper: genoc_sim::Stepper::Arena,
         }
     }
 
     /// Effort for the `large` matrix: thousands of messages per evacuation
-    /// run (the workloads the run-queue steppers exist for), with the
+    /// run (the workloads the run-queue stepper exists for), with the
     /// randomized sweeps trimmed — on a 32×32 mesh one heavy run says more
     /// than sixteen light ones.
     pub fn large() -> EffortProfile {
@@ -110,7 +101,6 @@ impl EffortProfile {
             detect_seeds: 1,
             explore_states: 0,
             explore_pressure_states: 0,
-            stepper: genoc_sim::Stepper::Arena,
         }
     }
 
@@ -707,7 +697,6 @@ fn metrics_probe(
     let mut policy = policy_for(spec.switching);
     let options = genoc_sim::SimOptions {
         max_steps: effort.max_steps,
-        stepper: effort.stepper,
         ..Default::default()
     };
     let (detector_first_step, detection_latency) = if spec.switching == SwitchingKind::Wormhole {
@@ -769,9 +758,8 @@ fn throughput_of(steps: u64, delivered_flits: u64, millis: f64) -> ScenarioThrou
 /// Theorem 2 under the scenario's policy. Deterministic instances run the
 /// verif checker directly; adaptive instances fix one admissible route per
 /// message (seeded) and simulate the selection, as the paper's future-work
-/// section suggests. The first executes on the default stepper, the second
-/// on `effort.stepper` — the arena in every preset — and both report the
-/// run's throughput alongside the verdict.
+/// section suggests. Both execute on the default stepper (the arena) and
+/// report the run's throughput alongside the verdict.
 fn run_evacuation(
     instance: &Instance,
     spec: &ScenarioSpec,
@@ -839,7 +827,6 @@ fn run_evacuation(
             &genoc_sim::SimOptions {
                 max_steps: effort.max_steps,
                 record_trace: true,
-                stepper: effort.stepper,
                 ..Default::default()
             },
         );

@@ -29,23 +29,50 @@
 //! (one per column) regardless of travel count, an arena snapshot is the
 //! cheap `Config` clone that campaign shards were missing.
 //!
-//! [`ArenaKernel`] is the active-set kernel re-derived over this layout:
-//! same travel lattice (`Pending → Active ⇄ Blocked(p)`, `Delivered`
-//! terminal), same per-port wake lists (intrusive, `u32`-linked — zero
-//! allocation), same freed-port log and bandwidth rules, and — the property
-//! every proof transfer rests on — **move-for-move identical scheduling**:
-//! `tests/arena_equivalence.rs` checks traces, latencies, and final
-//! configurations against both the legacy sweep and the [`Kernel`] stepper
-//! on every smoke cell.
+//! [`ArenaKernel`] is the incremental stepper over this layout. The
+//! reference step loop ([`step_all`](crate::step::step_all), driven by
+//! [`interpreter::run`](crate::interpreter::run)) re-examines every flit of
+//! every in-flight travel on every step, so a run costs
+//! `O(steps × travels × flits)` even when most worms are delivered or
+//! permanently blocked. The kernel replaces the full rescan with a run queue
+//! built on three observations:
 //!
-//! The only piece of a switching policy the object-based steppers consult
+//! 1. **Delivered travels never move again** — they are drained from the
+//!    loop for good (the reference loop already does this).
+//! 2. **A fully blocked travel is gated by exactly one port**: its head's
+//!    next hop (see [`blocked_port_with`](crate::step::blocked_port_with)).
+//!    Body flits only wait on ports the worm itself owns, which drain
+//!    exclusively through the worm's own moves, and a head at the
+//!    destination port can always eject.
+//! 3. **Only a `leave` or `release` on that port can unblock it**: flits
+//!    entering a port strictly reduce its availability, so the freed-port
+//!    log a step keeps is a *complete* wake condition.
+//!
+//! Each travel therefore carries a [`TravelStatus`]; blocked travels are
+//! parked on the wake-list of the port they wait for (intrusive,
+//! `u32`-linked — zero allocation) and skipped until a flit move frees that
+//! port. Wake-ups are processed *immediately* after the sub-step that freed
+//! the port, which is what makes the schedule move-for-move identical to the
+//! reference sweep: a travel whose gate opens mid-step is examined this step
+//! exactly when its turn in the arbitration order is still to come —
+//! precisely the situations in which the full sweep would have moved it.
+//!
+//! Because the performed moves are the reference's moves in the reference's
+//! order, the greedy-order semantics, the one-entry/one-ejection-per-port
+//! bandwidth rule, and therefore proof obligations (C-1)…(C-5) and Theorems
+//! 1–2 transfer unchanged: `tests/arena_equivalence.rs` checks traces,
+//! latencies, and final configurations against the reference interpreter on
+//! every smoke cell, and `tests/arena_props.rs` checks every park against
+//! `blocked_port_with`. The status transitions double as the wait-for events
+//! online deadlock detection consumes: a `Blocked(p)` transition *is* a
+//! wait-for edge toward the owner of `p` (see `genoc-detect`).
+//!
+//! The only piece of a switching policy the reference sweep consults
 //! dynamically is the head-admission predicate, which closes over `Config`.
 //! The arena stepper instead interprets the closed-world
 //! [`AdmissionKind`] description; policies whose predicate has no such
 //! description (`HeadAdmission::kind()` returns `None`) simply cannot run
-//! on the arena, and callers fall back to the object-based kernel.
-//!
-//! [`Kernel`]: crate::kernel::Kernel
+//! on the arena, and callers fall back to the reference interpreter.
 
 use crate::config::Config;
 use crate::error::{Error, Result};
@@ -689,11 +716,11 @@ pub struct MoveRec {
     pub kind: MoveKind,
 }
 
-/// The active-set kernel re-derived over [`ArenaConfig`]: move-for-move
-/// identical to [`Kernel`](crate::kernel::Kernel) (and therefore to the
-/// legacy sweep), with all per-step state arena-backed — intrusive wake
-/// lists, epoch-stamped bandwidth marks, reusable logs. After warm-up a
-/// step performs no heap allocation.
+/// The incremental stepper over [`ArenaConfig`] (the module documentation
+/// has the argument): move-for-move identical to the reference sweep, with
+/// all per-step state arena-backed — intrusive wake lists, epoch-stamped
+/// bandwidth marks, reusable logs. After warm-up a step performs no heap
+/// allocation.
 ///
 /// Three index spaces meet here. A *slot* addresses the [`ArenaConfig`]
 /// columns. A *position* is an index into `arena.flight` right now. A
@@ -717,8 +744,7 @@ pub struct ArenaKernel {
     /// Intrusive wake list: next rank in the same port's list, or `NONE`.
     wake_next: Vec<u32>,
     /// Head (a rank) of each port's wake list, or `NONE`. Push-front/
-    /// pop-front is the same LIFO discipline as the object kernel's `Vec`
-    /// push/pop.
+    /// pop-front: a LIFO per port.
     wake_head: Vec<u32>,
     /// `(position, rank)` of every complete travel still in `arena.flight`.
     done: Vec<(u32, u32)>,
@@ -1105,8 +1131,9 @@ impl ArenaKernel {
         });
     }
 
-    /// One switching step over the run queue, identical in moves, freed
-    /// ports, and status transitions to the object kernel's `step`.
+    /// One switching step over the run queue: the moves of one reference
+    /// sweep in the spec's arbitration order, plus the step's freed-port and
+    /// status-transition logs.
     ///
     /// # Errors
     ///
@@ -1238,6 +1265,10 @@ impl ArenaKernel {
                 self.run[rank / 64] &= !(1 << (rank % 64));
                 self.done.push((at, rank as u32));
             } else if let Some(p) = self.blocked_port(arena, s) {
+                // Park at once if the moves left the travel blocked (the
+                // worm just compacted against an owned port, say): it cannot
+                // move again before a wake, and the transition reaches
+                // detectors the same step the blocking event forms.
                 self.park(arena, rank, p);
             }
         } else if let Some(p) = self.blocked_port(arena, s) {
@@ -1284,9 +1315,15 @@ fn audit_arena_ledger(arena: &ArenaConfig, ledger: u64, step: u64) -> Result<()>
     Ok(())
 }
 
-/// Runs a closed workload to completion on the arena stepper: the exact
-/// loop of `run_kernelised` (same termination order, same measure ledger
-/// enforcing the paper's C-5 obligation), over [`ArenaConfig`] columns.
+/// Runs a closed workload to completion on the arena stepper: the loop of
+/// [`interpreter::run`](crate::interpreter::run) (same termination order)
+/// over [`ArenaConfig`] columns. The (C-5) contracts are enforced
+/// incrementally: a step that moves nothing on a non-deadlocked
+/// configuration is a [`Error::ProgressViolation`], and since every flit
+/// move decreases the progress measure by exactly one, the measure ledger is
+/// maintained by subtraction and audited against a full recomputation at
+/// termination (and per step when [`RunOptions::check_invariants`] is set)
+/// instead of being recomputed every step.
 ///
 /// Injection is identity-only (the paper's time-0 release); campaign and
 /// sim callers inject by building the starting configuration.
@@ -1298,8 +1335,9 @@ fn audit_arena_ledger(arena: &ArenaConfig, ledger: u64, step: u64) -> Result<()>
 /// # Errors
 ///
 /// Returns [`Error::Invariant`] when the policy's admission predicate has
-/// no closed-world [`AdmissionKind`] description, and the same progress /
-/// measure violations `run_kernelised` reports.
+/// no closed-world [`AdmissionKind`] description, and — when
+/// [`RunOptions::enforce_measure`] is set — contract violations as the
+/// interpreter does.
 pub fn run_arena(
     net: &dyn Network,
     spec: KernelSpec,
@@ -1374,7 +1412,6 @@ mod tests {
     use crate::ids::NodeId;
     use crate::injection::IdentityInjection;
     use crate::interpreter::run;
-    use crate::kernel::run_kernelised;
     use crate::line::{LineNetwork, LineRouting};
     use crate::spec::MessageSpec;
     use crate::step::AlwaysAdmit;
@@ -1421,7 +1458,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_run_matches_kernel_and_legacy_runs() {
+    fn arena_run_matches_legacy_runs() {
         for (nodes, cap, flits) in [(4, 1, 1), (5, 1, 3), (6, 2, 4), (7, 3, 2)] {
             let (net, cfg) = contended_line(nodes, cap, flits);
             let options = RunOptions {
@@ -1429,18 +1466,15 @@ mod tests {
                 check_invariants: true,
                 ..RunOptions::default()
             };
-            let kern =
-                run_kernelised(&net, &IdentityInjection, spec(), cfg.clone(), &options).unwrap();
             let aren = run_arena(&net, spec(), cfg.clone(), &options).unwrap();
             let mut policy = crate::line::LineSwitching::default();
             let lega = run(&net, &IdentityInjection, &mut policy, cfg, &options).unwrap();
-            assert_eq!(aren.outcome, kern.outcome);
-            assert_eq!(aren.steps, kern.steps);
-            assert_eq!(aren.arrival_order, kern.arrival_order);
-            assert_eq!(aren.trace.events(), kern.trace.events());
-            assert_eq!(aren.config.position_key(), kern.config.position_key());
-            assert_eq!(aren.config.state_hash(), lega.config.state_hash());
+            assert_eq!(aren.outcome, lega.outcome);
+            assert_eq!(aren.steps, lega.steps);
+            assert_eq!(aren.arrival_order, lega.arrival_order);
             assert_eq!(aren.trace.events(), lega.trace.events());
+            assert_eq!(aren.config.position_key(), lega.config.position_key());
+            assert_eq!(aren.config.state_hash(), lega.config.state_hash());
         }
     }
 

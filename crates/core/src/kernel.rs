@@ -1,56 +1,21 @@
-//! The incremental simulation kernel: greedy stepping with per-port
-//! wake-lists.
+//! The scheduling vocabulary every stepper-facing crate speaks:
+//! [`TravelStatus`] and the per-step [`Transition`] feed.
 //!
-//! The legacy step loop ([`step_all`](crate::step::step_all), driven by
-//! [`interpreter::run`](crate::interpreter::run)) re-examines every flit of
-//! every in-flight travel on every step, so a run costs
-//! `O(steps × travels × flits)` even when most worms are delivered or
-//! permanently blocked. The kernel replaces the full rescan with incremental
-//! scheduling built on three observations:
-//!
-//! 1. **Delivered travels never move again** — they are drained from the
-//!    loop for good (the legacy loop already does this).
-//! 2. **A fully blocked travel is gated by exactly one port**: its head's
-//!    next hop (see [`blocked_port_with`]). Body flits only wait on ports
-//!    the worm itself owns, which drain exclusively through the worm's own
-//!    moves, and a head at the destination port can always eject.
-//! 3. **Only a `leave` or `release` on that port can unblock it**: flits
-//!    entering a port strictly reduce its availability, so the freed-port
-//!    log of [`StepScratch`] is a *complete* wake condition.
-//!
-//! Each travel therefore carries a [`TravelStatus`]; blocked travels are
-//! parked on the wake-list of the port they wait for and skipped in `O(1)`
-//! per step until a flit move frees that port. Wake-ups are processed
-//! *immediately* after the sub-step that freed the port, which is what makes
-//! the schedule move-for-move identical to the legacy sweep: a travel whose
-//! gate opens mid-step is examined this step exactly when its turn in the
-//! arbitration order is still to come — precisely the situations in which
-//! the legacy sweep would have moved it.
-//!
-//! Because the performed moves are literally the same calls to
-//! [`step_travel_with`] in the same order, the greedy-order semantics, the
-//! one-entry/one-ejection-per-port bandwidth rule, and therefore proof
-//! obligations (C-1)…(C-5) and Theorems 1–2 transfer unchanged. The status
-//! transitions double as the wait-for events online deadlock detection
-//! consumes: a `Blocked(p)` transition *is* a wait-for edge toward the owner
-//! of `p` (see `genoc-detect`).
+//! The kernel itself is [`crate::arena::ArenaKernel`], whose module
+//! documentation carries the argument for why parking a blocked travel on
+//! one port's wake-list is sound. Here is what other crates are written
+//! against: the status lattice a travel moves through and the log of its
+//! changes, which is the incremental feed for online deadlock detection
+//! (`genoc-detect`) and for the write-ahead log (`genoc-obs`).
 
-use crate::config::Config;
-use crate::error::{Error, Result};
 use crate::ids::{MsgId, PortId};
-use crate::injection::InjectionMethod;
-use crate::interpreter::{Outcome, RunOptions, RunResult};
-use crate::network::Network;
-use crate::step::{blocked_port_with, step_travel_with, travel_can_move_with, StepScratch};
-use crate::switching::{KernelSpec, StepReport};
-use crate::trace::Trace;
-use crate::travel::{FlitPos, Travel};
 
-/// Scheduling state of one travel, as maintained by the [`Kernel`].
+/// Scheduling state of one travel, as maintained by the
+/// [`ArenaKernel`](crate::arena::ArenaKernel).
 ///
 /// The status lattice: `Pending → Active ⇄ Blocked(p)`, with `Delivered`
 /// terminal. `Pending` travels (no flit has moved yet) and `Active` travels
-/// are examined every step; `Blocked(p)` travels are parked on port `p`'s
+/// are on the run queue; `Blocked(p)` travels are parked on port `p`'s
 /// wake-list and skipped until a flit move frees `p`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TravelStatus {
@@ -77,611 +42,4 @@ pub struct Transition {
     pub msg: MsgId,
     /// The status it changed to.
     pub status: TravelStatus,
-}
-
-/// The incremental stepper. See the module docs for the invariants.
-///
-/// The kernel borrows no configuration; callers pass the same `Config` to
-/// every method. External mutations of that configuration (deadlock
-/// recovery, re-injection — anything other than the kernel's own stepping
-/// and [`Config::drain_arrived`]/[`Config::push_travel`] reported through
-/// [`Kernel::note_arrivals`]/[`Kernel::sync_new_travels`]) invalidate the
-/// parked-travel invariant and must be followed by [`Kernel::resync`].
-#[derive(Debug)]
-pub struct Kernel {
-    spec: KernelSpec,
-    port_count: usize,
-    /// Status per *travel index* (slot), parallel to `cfg.travels()`.
-    slot_status: Vec<TravelStatus>,
-    /// Whether the slot is worth examining (`Pending`/`Active`), as a dense
-    /// byte array: the sweep skips a parked travel on one sequential
-    /// one-byte load, without touching travel structs or the 16-byte
-    /// status entries.
-    slot_runnable: Vec<bool>,
-    /// Message id per slot, parallel to `slot_status`.
-    slot_ids: Vec<MsgId>,
-    /// Message-id index → current slot (`usize::MAX` once out of flight).
-    pos_of: Vec<usize>,
-    /// Parked travels per port index (identifiers stay valid across the
-    /// slot compaction arrivals cause).
-    wake: Vec<Vec<MsgId>>,
-    scratch: StepScratch,
-    transitions: Vec<Transition>,
-    /// Ports freed during the most recent step, in occurrence order (a port
-    /// may appear several times when successive sub-steps free it again).
-    freed_log: Vec<PortId>,
-    /// Switching steps performed so far (drives round-robin order).
-    step_count: u64,
-    /// Whether the last step delivered some travel completely, so the
-    /// caller can skip [`Config::drain_arrived`]'s scan on the (frequent)
-    /// steps that deliver nothing.
-    saw_arrival: bool,
-}
-
-impl Kernel {
-    /// Creates a kernel for `cfg` on `net` and classifies every travel.
-    pub fn new(net: &dyn Network, cfg: &Config, spec: KernelSpec) -> Self {
-        let port_count = net.port_count();
-        let mut kernel = Kernel {
-            spec,
-            port_count,
-            slot_status: Vec::new(),
-            slot_runnable: Vec::new(),
-            slot_ids: Vec::new(),
-            pos_of: Vec::new(),
-            wake: vec![Vec::new(); port_count],
-            scratch: StepScratch::new(port_count),
-            transitions: Vec::new(),
-            freed_log: Vec::new(),
-            step_count: spec.first_step,
-            saw_arrival: false,
-        };
-        kernel.resync(cfg);
-        kernel
-    }
-
-    /// Switching steps performed since construction.
-    pub fn steps_taken(&self) -> u64 {
-        self.step_count - self.spec.first_step
-    }
-
-    /// Current status of a travel (Delivered for identifiers no longer in
-    /// flight).
-    pub fn status_of(&self, id: MsgId) -> TravelStatus {
-        match self.pos_of.get(id.index()) {
-            Some(&slot) if slot != usize::MAX => self.slot_status[slot],
-            _ => TravelStatus::Delivered,
-        }
-    }
-
-    /// The status transitions of the most recent step, in occurrence order.
-    /// A travel may appear several times (blocked, then woken); the last
-    /// entry is its end-of-step status.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
-    }
-
-    /// The ports freed during the most recent step, in occurrence order.
-    /// Together with [`Kernel::transitions`] this is the full wake-condition
-    /// log observers need to reconstruct the step's scheduling decisions.
-    pub fn freed_ports(&self) -> &[PortId] {
-        &self.freed_log
-    }
-
-    fn ensure_id(&mut self, id: MsgId) {
-        if id.index() >= self.pos_of.len() {
-            self.pos_of.resize(id.index() + 1, usize::MAX);
-        }
-    }
-
-    /// Reclassifies every travel from scratch. Call after any external
-    /// mutation of the configuration (recovery aborts, reroutes, wholesale
-    /// rebuilds); the transition log is cleared.
-    pub fn resync(&mut self, cfg: &Config) {
-        for list in &mut self.wake {
-            list.clear();
-        }
-        self.slot_status.clear();
-        self.slot_runnable.clear();
-        self.slot_ids.clear();
-        self.pos_of.iter_mut().for_each(|p| *p = usize::MAX);
-        self.transitions.clear();
-        for (i, t) in cfg.travels().iter().enumerate() {
-            let id = t.id();
-            self.ensure_id(id);
-            self.pos_of[id.index()] = i;
-            let status = if let Some(p) = blocked_port_with(cfg, i, self.spec.admission) {
-                self.wake[p.index()].push(id);
-                TravelStatus::Blocked(p)
-            } else if t.occupies_network() || t.flit_positions().any(|f| f == FlitPos::Delivered) {
-                TravelStatus::Active
-            } else {
-                TravelStatus::Pending
-            };
-            self.slot_runnable
-                .push(!matches!(status, TravelStatus::Blocked(_)));
-            self.slot_status.push(status);
-            self.slot_ids.push(id);
-        }
-        // Defensive: a caller could resync a configuration holding
-        // fully-delivered travels that were not drained yet.
-        self.saw_arrival = cfg.travels().iter().any(Travel::is_arrived);
-    }
-
-    /// Registers travels appended to `cfg.travels()` since the last call
-    /// (injection methods only ever append). Returns the total progress
-    /// potential the newcomers added, so callers tracking the measure
-    /// incrementally can account for it.
-    pub fn sync_new_travels(&mut self, cfg: &Config) -> u64 {
-        let mut added = 0u64;
-        for i in self.slot_ids.len()..cfg.travels().len() {
-            let t = cfg.travel(i);
-            self.ensure_id(t.id());
-            self.pos_of[t.id().index()] = i;
-            self.slot_status.push(TravelStatus::Pending);
-            self.slot_runnable.push(true);
-            self.slot_ids.push(t.id());
-            added += t.progress_potential();
-        }
-        added
-    }
-
-    /// Whether the most recent step delivered at least one travel
-    /// completely, clearing the flag. When `false`,
-    /// [`Config::drain_arrived`] would scan the travel list and find
-    /// nothing — callers skip the call entirely.
-    pub fn take_saw_arrival(&mut self) -> bool {
-        std::mem::take(&mut self.saw_arrival)
-    }
-
-    /// Records that the travels in `newly` were drained from the in-flight
-    /// list after a step, compacting the slot arrays to mirror the drained
-    /// travel list. Appends their `Delivered` transitions to the current
-    /// step's log.
-    pub fn note_arrivals(&mut self, cfg: &Config, newly: &[MsgId]) {
-        if newly.is_empty() {
-            return;
-        }
-        for &id in newly {
-            self.ensure_id(id);
-            self.pos_of[id.index()] = usize::MAX;
-            self.transitions.push(Transition {
-                msg: id,
-                status: TravelStatus::Delivered,
-            });
-        }
-        // Stable compaction: surviving slots keep their relative order,
-        // exactly like `Config::drain_arrived` keeps the travels'.
-        let mut write = 0;
-        for read in 0..self.slot_ids.len() {
-            let id = self.slot_ids[read];
-            if self.pos_of[id.index()] == usize::MAX {
-                continue;
-            }
-            self.slot_ids[write] = id;
-            self.slot_status[write] = self.slot_status[read];
-            self.slot_runnable[write] = self.slot_runnable[read];
-            self.pos_of[id.index()] = write;
-            write += 1;
-        }
-        self.slot_ids.truncate(write);
-        self.slot_status.truncate(write);
-        self.slot_runnable.truncate(write);
-        debug_assert_eq!(write, cfg.travels().len());
-    }
-
-    /// The deadlock predicate `Ω(σ)` under the kernel's admission rules:
-    /// no in-flight travel can move. Parked travels are known-stuck (the
-    /// wake-list invariant), so only `Pending`/`Active` travels are
-    /// re-examined — in the near-deadlock endgame that set is tiny.
-    pub fn is_deadlock(&self, cfg: &Config) -> bool {
-        if cfg.is_evacuated() {
-            return false;
-        }
-        self.slot_runnable
-            .iter()
-            .enumerate()
-            .all(|(i, &runnable)| !runnable || !travel_can_move_with(cfg, i, self.spec.admission))
-    }
-
-    fn park(&mut self, slot: usize, p: PortId) {
-        let id = self.slot_ids[slot];
-        self.slot_status[slot] = TravelStatus::Blocked(p);
-        self.slot_runnable[slot] = false;
-        self.wake[p.index()].push(id);
-        self.transitions.push(Transition {
-            msg: id,
-            status: TravelStatus::Blocked(p),
-        });
-    }
-
-    /// One switching step: a greedy sweep in arbitration order over the
-    /// non-parked travels, with immediate wake-up of travels whose gate
-    /// port a move frees. Move-for-move identical to stepping the policy
-    /// the kernel's [`KernelSpec`] came from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invariant violations from the movement primitives.
-    pub fn step(&mut self, cfg: &mut Config, trace: &mut Trace) -> Result<StepReport> {
-        self.transitions.clear();
-        self.freed_log.clear();
-        self.scratch.reset(self.port_count);
-        let n = cfg.travels().len();
-        debug_assert_eq!(n, self.slot_status.len());
-        let start = self.spec.arbitration.start(n, self.step_count);
-        self.step_count += 1;
-        let mut total = StepReport::default();
-        // The rotation split into two modulo-free ranges: a division per
-        // skipped travel would dominate the sweep on large parked sets.
-        for idx in (start..n).chain(0..start) {
-            if !self.slot_runnable[idx] {
-                continue;
-            }
-            let before = self.slot_status[idx];
-            let r = step_travel_with(cfg, idx, &mut self.scratch, trace, self.spec.admission)?;
-            if r.moves() > 0 {
-                total.entries += r.entries;
-                total.advances += r.advances;
-                total.ejections += r.ejections;
-                if before == TravelStatus::Pending {
-                    self.slot_status[idx] = TravelStatus::Active;
-                    self.transitions.push(Transition {
-                        msg: self.slot_ids[idx],
-                        status: TravelStatus::Active,
-                    });
-                }
-                // Wake every travel parked on a port this sub-step freed —
-                // before the sweep moves on, so a travel whose turn is still
-                // to come is examined this very step (as the legacy sweep
-                // would have).
-                for fi in 0..self.scratch.freed().len() {
-                    let p = self.scratch.freed()[fi];
-                    self.freed_log.push(p);
-                    while let Some(woken) = self.wake[p.index()].pop() {
-                        let slot = self.pos_of[woken.index()];
-                        self.slot_status[slot] = TravelStatus::Active;
-                        self.slot_runnable[slot] = true;
-                        self.transitions.push(Transition {
-                            msg: woken,
-                            status: TravelStatus::Active,
-                        });
-                    }
-                }
-                self.scratch.clear_freed();
-                if r.ejections > 0 && cfg.travel(idx).is_arrived() {
-                    self.saw_arrival = true;
-                } else {
-                    // Park immediately if the moves left the travel blocked
-                    // (e.g. the worm just compacted against an owned port):
-                    // it cannot move again before a wake, and the transition
-                    // reaches detectors the same step the blocking event
-                    // forms — matching the legacy detector's end-of-step
-                    // diff.
-                    if let Some(p) = blocked_port_with(cfg, idx, self.spec.admission) {
-                        self.park(idx, p);
-                    }
-                }
-            } else if let Some(p) = blocked_port_with(cfg, idx, self.spec.admission) {
-                self.park(idx, p);
-            }
-        }
-        Ok(total)
-    }
-}
-
-/// Runs a configuration to termination on the [`Kernel`] — the incremental
-/// equivalent of [`interpreter::run`](crate::interpreter::run), with
-/// identical outcomes, step counts, traces, and arrival orders.
-///
-/// The (C-5) contracts are enforced incrementally: a step that moves nothing
-/// on a non-deadlocked configuration is a [`Error::ProgressViolation`], and
-/// since every flit move decreases the progress measure by exactly one, the
-/// measure ledger is maintained by subtraction and audited against a full
-/// recomputation at termination (and per step when
-/// [`RunOptions::check_invariants`] is set) instead of being recomputed
-/// every step.
-///
-/// # Errors
-///
-/// Propagates invariant violations, and — when
-/// [`RunOptions::enforce_measure`] is set — reports contract violations as
-/// the interpreter does.
-pub fn run_kernelised(
-    net: &dyn Network,
-    injection: &dyn InjectionMethod,
-    spec: KernelSpec,
-    mut cfg: Config,
-    options: &RunOptions,
-) -> Result<RunResult> {
-    let mut kernel = Kernel::new(net, &cfg, spec);
-    let mut trace = Trace::new(options.record_trace);
-    let mut measures = Vec::new();
-    let mut arrival_order = Vec::new();
-    let mut steps: u64 = 0;
-    let mut ledger = cfg.progress_measure();
-
-    let outcome = loop {
-        injection.inject(net, &mut cfg)?;
-        ledger += kernel.sync_new_travels(&cfg);
-        if cfg.is_evacuated() {
-            break Outcome::Evacuated;
-        }
-        if kernel.is_deadlock(&cfg) {
-            break Outcome::Deadlock;
-        }
-        if steps >= options.max_steps {
-            break Outcome::StepLimit;
-        }
-
-        trace.begin_step(steps);
-        let report = kernel.step(&mut cfg, &mut trace)?;
-        let newly = if kernel.take_saw_arrival() {
-            cfg.drain_arrived()
-        } else {
-            Vec::new()
-        };
-        kernel.note_arrivals(&cfg, &newly);
-        arrival_order.extend(newly);
-
-        if options.enforce_measure && report.moves() == 0 {
-            return Err(Error::ProgressViolation { step: steps });
-        }
-        ledger = ledger.saturating_sub(report.moves() as u64);
-        if options.record_measures {
-            measures.push((cfg.route_length_measure(), cfg.progress_measure()));
-        }
-        if options.check_invariants {
-            cfg.validate(net)?;
-            audit_ledger(&cfg, ledger, steps)?;
-        }
-        steps += 1;
-    };
-
-    if options.enforce_measure {
-        audit_ledger(&cfg, ledger, steps)?;
-    }
-    Ok(RunResult {
-        outcome,
-        steps,
-        config: cfg,
-        trace,
-        measures,
-        arrival_order,
-    })
-}
-
-fn audit_ledger(cfg: &Config, ledger: u64, step: u64) -> Result<()> {
-    let actual = cfg.progress_measure();
-    if actual != ledger {
-        return Err(Error::Invariant(format!(
-            "kernel measure ledger diverged at step {step}: tracked {ledger}, actual {actual} \
-             — some move did not decrease the progress measure by exactly one"
-        )));
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ids::NodeId;
-    use crate::injection::IdentityInjection;
-    use crate::interpreter::run;
-    use crate::line::{LineNetwork, LineRouting, LineSwitching};
-    use crate::spec::MessageSpec;
-    use crate::step::AlwaysAdmit;
-    use crate::switching::{Arbitration, SwitchingPolicy};
-
-    static ADMIT: AlwaysAdmit = AlwaysAdmit;
-
-    fn spec() -> KernelSpec {
-        KernelSpec {
-            arbitration: Arbitration::FixedPriority,
-            admission: &ADMIT,
-            first_step: 0,
-        }
-    }
-
-    fn msg(s: usize, d: usize, flits: usize) -> MessageSpec {
-        MessageSpec::new(NodeId::from_index(s), NodeId::from_index(d), flits)
-    }
-
-    fn line_cfg(nodes: usize, capacity: u32, specs: &[MessageSpec]) -> (LineNetwork, Config) {
-        let net = LineNetwork::new(nodes, capacity);
-        let routing = LineRouting::new(&net);
-        let cfg = Config::from_specs(&net, &routing, specs).unwrap();
-        (net, cfg)
-    }
-
-    #[test]
-    fn kernel_run_matches_the_interpreter_exactly() {
-        let workloads: Vec<Vec<MessageSpec>> = vec![
-            vec![msg(0, 3, 3)],
-            vec![msg(0, 3, 2), msg(3, 0, 2), msg(1, 2, 1)],
-            (0..6).map(|_| msg(0, 3, 2)).collect(),
-        ];
-        for specs in workloads {
-            let (net, cfg) = line_cfg(4, 1, &specs);
-            let options = RunOptions {
-                record_trace: true,
-                check_invariants: true,
-                ..RunOptions::default()
-            };
-            let legacy = run(
-                &net,
-                &IdentityInjection,
-                &mut LineSwitching::default(),
-                cfg.clone(),
-                &options,
-            )
-            .unwrap();
-            let kernel = run_kernelised(&net, &IdentityInjection, spec(), cfg, &options).unwrap();
-            assert_eq!(kernel.outcome, legacy.outcome);
-            assert_eq!(kernel.steps, legacy.steps);
-            assert_eq!(kernel.arrival_order, legacy.arrival_order);
-            assert_eq!(kernel.trace.events(), legacy.trace.events());
-            assert_eq!(kernel.config, legacy.config);
-        }
-    }
-
-    #[test]
-    fn blocked_travels_park_and_wake() {
-        // Two messages share node 0's local in-port; the second parks on it
-        // while the first worm drains, then wakes and delivers.
-        let (net, mut cfg) = line_cfg(4, 1, &[msg(0, 3, 2), msg(0, 1, 1)]);
-        let mut kernel = Kernel::new(&net, &cfg, spec());
-        let mut trace = Trace::new(false);
-        let mut saw_blocked = false;
-        let mut saw_wake = false;
-        for step in 0..64 {
-            if cfg.is_evacuated() {
-                break;
-            }
-            assert!(!kernel.is_deadlock(&cfg), "line traffic cannot deadlock");
-            trace.begin_step(step);
-            kernel.step(&mut cfg, &mut trace).unwrap();
-            let newly = cfg.drain_arrived();
-            kernel.note_arrivals(&cfg, &newly);
-            let one = MsgId::from_index(1);
-            for t in kernel.transitions() {
-                if t.msg == one {
-                    match t.status {
-                        TravelStatus::Blocked(_) => saw_blocked = true,
-                        TravelStatus::Active if saw_blocked => saw_wake = true,
-                        _ => {}
-                    }
-                }
-            }
-        }
-        assert!(cfg.is_evacuated());
-        assert!(saw_blocked, "message 1 must park behind message 0");
-        assert!(saw_wake, "and wake when the in-port is freed");
-        assert_eq!(
-            kernel.status_of(MsgId::from_index(0)),
-            TravelStatus::Delivered
-        );
-        assert_eq!(
-            kernel.status_of(MsgId::from_index(1)),
-            TravelStatus::Delivered
-        );
-    }
-
-    #[test]
-    fn round_robin_order_matches_legacy_starts() {
-        let spec = KernelSpec {
-            arbitration: Arbitration::RoundRobin,
-            admission: &ADMIT,
-            first_step: 0,
-        };
-        let (net, cfg) = line_cfg(4, 2, &[msg(0, 3, 2), msg(3, 0, 2), msg(1, 3, 1)]);
-        let options = RunOptions {
-            record_trace: true,
-            ..RunOptions::default()
-        };
-        let kernel = run_kernelised(&net, &IdentityInjection, spec, cfg.clone(), &options).unwrap();
-        // Reference: drive the legacy sweep in the same rotating order.
-        struct RoundRobinLine {
-            scratch: StepScratch,
-            step: u64,
-        }
-        impl SwitchingPolicy for RoundRobinLine {
-            fn name(&self) -> String {
-                "rr-line".into()
-            }
-            fn step(
-                &mut self,
-                net: &dyn Network,
-                cfg: &mut Config,
-                trace: &mut Trace,
-            ) -> Result<StepReport> {
-                self.scratch.reset(net.port_count());
-                let order = Arbitration::RoundRobin.order(cfg.travels().len(), self.step);
-                self.step += 1;
-                crate::step::step_all(cfg, &order, &mut self.scratch, trace)
-            }
-            fn is_deadlock(&self, _net: &dyn Network, cfg: &Config) -> bool {
-                !cfg.is_evacuated() && !cfg.any_move_possible()
-            }
-        }
-        let legacy = run(
-            &net,
-            &IdentityInjection,
-            &mut RoundRobinLine {
-                scratch: StepScratch::default(),
-                step: 0,
-            },
-            cfg,
-            &options,
-        )
-        .unwrap();
-        assert_eq!(kernel.trace.events(), legacy.trace.events());
-        assert_eq!(kernel.steps, legacy.steps);
-    }
-
-    #[test]
-    fn deadlock_is_reported_like_the_interpreter() {
-        // A line cannot deadlock under its routing, so hand-build the
-        // mutual block: two mid-flight single-flit worms, each resident in
-        // the capacity-1 port the other wants next.
-        use crate::travel::Travel;
-        let net = LineNetwork::new(2, 1);
-        let a = net.fwd_out(0).unwrap();
-        let b = net.bwd_out(1).unwrap();
-        let travels = vec![
-            Travel::mid_flight(&net, MsgId::from_index(0), vec![a, b], 1).unwrap(),
-            Travel::mid_flight(&net, MsgId::from_index(1), vec![b, a], 1).unwrap(),
-        ];
-        let cfg = Config::from_travels(&net, travels).unwrap();
-        let options = RunOptions::default();
-        let legacy = run(
-            &net,
-            &IdentityInjection,
-            &mut LineSwitching::default(),
-            cfg.clone(),
-            &options,
-        )
-        .unwrap();
-        let kernel = run_kernelised(&net, &IdentityInjection, spec(), cfg, &options).unwrap();
-        assert_eq!(legacy.outcome, Outcome::Deadlock);
-        assert_eq!(kernel.outcome, Outcome::Deadlock);
-        assert_eq!(kernel.steps, legacy.steps);
-    }
-
-    #[test]
-    fn resync_reclassifies_after_external_mutation() {
-        let (net, mut cfg) = line_cfg(3, 1, &[msg(0, 2, 2), msg(0, 1, 1)]);
-        let mut kernel = Kernel::new(&net, &cfg, spec());
-        let mut trace = Trace::new(false);
-        // Park message 1 behind message 0.
-        while !matches!(
-            kernel.status_of(MsgId::from_index(1)),
-            TravelStatus::Blocked(_)
-        ) {
-            kernel.step(&mut cfg, &mut trace).unwrap();
-            let newly = cfg.drain_arrived();
-            kernel.note_arrivals(&cfg, &newly);
-        }
-        // Externally abort message 0 (recovery-style) and resync.
-        cfg.remove_travel(MsgId::from_index(0)).unwrap();
-        kernel.resync(&cfg);
-        assert!(
-            !matches!(
-                kernel.status_of(MsgId::from_index(1)),
-                TravelStatus::Blocked(_)
-            ),
-            "the freed in-port unblocks message 1 on resync"
-        );
-        // The survivor drains.
-        for step in 0..32 {
-            if cfg.is_evacuated() {
-                break;
-            }
-            trace.begin_step(step);
-            kernel.step(&mut cfg, &mut trace).unwrap();
-            let newly = cfg.drain_arrived();
-            kernel.note_arrivals(&cfg, &newly);
-        }
-        assert!(cfg.is_evacuated());
-    }
 }

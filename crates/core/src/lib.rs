@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::ids::{MsgId, NodeId, PortId};
     pub use crate::injection::{IdentityInjection, InjectionMethod};
     pub use crate::interpreter::{run, Outcome, RunOptions, RunResult};
-    pub use crate::kernel::{run_kernelised, Kernel, Transition, TravelStatus};
+    pub use crate::kernel::{Transition, TravelStatus};
     pub use crate::measure::{ProgressMeasure, RouteLengthMeasure, TerminationMeasure};
     pub use crate::meta::{InstanceMeta, RoutingKind, SwitchingKind, TopologyKind};
     pub use crate::moves::{Move, MoveEnumerator, MoveKind};

@@ -241,8 +241,8 @@ impl SwitchingPolicy for LineSwitching {
         trace: &mut Trace,
     ) -> Result<StepReport> {
         self.scratch.reset(net.port_count());
-        let order: Vec<usize> = (0..cfg.travels().len()).collect();
-        step_all(cfg, &order, &mut self.scratch, trace)
+        let order = 0..cfg.travels().len();
+        step_all(cfg, order, &mut self.scratch, trace, &AlwaysAdmit)
     }
 
     fn is_deadlock(&self, _net: &dyn Network, cfg: &Config) -> bool {

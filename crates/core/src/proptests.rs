@@ -12,7 +12,7 @@ use crate::injection::IdentityInjection;
 use crate::interpreter::{run, Outcome, RunOptions};
 use crate::line::{LineNetwork, LineRouting, LineSwitching};
 use crate::spec::MessageSpec;
-use crate::step::{step_all, StepScratch};
+use crate::step::{step_all, AlwaysAdmit, StepScratch};
 use crate::trace::Trace;
 
 fn specs_strategy(nodes: usize) -> impl Strategy<Value = Vec<MessageSpec>> {
@@ -80,8 +80,8 @@ proptest! {
             }
             let before = cfg.progress_measure();
             scratch.reset(crate::network::Network::port_count(&net));
-            let order: Vec<usize> = (0..cfg.travels().len()).collect();
-            let report = step_all(&mut cfg, &order, &mut scratch, &mut trace).unwrap();
+            let order = 0..cfg.travels().len();
+            let report = step_all(&mut cfg, order, &mut scratch, &mut trace, &AlwaysAdmit).unwrap();
             cfg.drain_arrived();
             let after = cfg.progress_measure();
             prop_assert_eq!(before - after, report.moves() as u64);
@@ -114,8 +114,8 @@ proptest! {
             }
             prop_assert!(cfg.any_move_possible(), "line routing cannot deadlock");
             scratch.reset(crate::network::Network::port_count(&net));
-            let order: Vec<usize> = (0..cfg.travels().len()).collect();
-            let report = step_all(&mut cfg, &order, &mut scratch, &mut trace).unwrap();
+            let order = 0..cfg.travels().len();
+            let report = step_all(&mut cfg, order, &mut scratch, &mut trace, &AlwaysAdmit).unwrap();
             prop_assert!(report.moves() > 0);
             cfg.drain_arrived();
         }
@@ -146,8 +146,8 @@ proptest! {
                 break;
             }
             scratch.reset(crate::network::Network::port_count(&net));
-            let order: Vec<usize> = (0..cfg.travels().len()).collect();
-            step_all(&mut cfg, &order, &mut scratch, &mut trace).unwrap();
+            let order = 0..cfg.travels().len();
+            step_all(&mut cfg, order, &mut scratch, &mut trace, &AlwaysAdmit).unwrap();
             cfg.drain_arrived();
         }
         let all: Vec<_> =

@@ -13,10 +13,14 @@
 //! — body flits follow their predecessor under the ownership rules of this
 //! crate — and differ only in when a *header* flit may claim the next port.
 //! That policy-specific condition is the [`HeadAdmission`] predicate;
-//! [`AlwaysAdmit`] recovers plain wormhole switching. The incremental
-//! [`Kernel`](crate::kernel::Kernel) steps travels through the same
-//! [`step_travel_with`] function, so legacy and kernel execution are
-//! move-for-move identical by construction.
+//! [`AlwaysAdmit`] recovers plain wormhole switching.
+//!
+//! This is the reference semantics: [`step_all`] under
+//! [`interpreter::run`](crate::interpreter::run) re-examines every flit of
+//! every travel on every step, and the arena kernel
+//! ([`crate::arena::ArenaKernel`]) is held move-for-move equal to it by the
+//! differential suites. [`blocked_port_with`] states, over a `Config`, which
+//! port the arena parks a stuck travel on.
 
 use crate::config::Config;
 use crate::error::Result;
@@ -91,22 +95,14 @@ impl HeadAdmission for AlwaysAdmit {
     }
 }
 
-/// Per-step scratch state: which ports already accepted/ejected a flit, and
-/// which ports were *freed* during the step (a flit left, or — via a tail
-/// leaving — ownership was released).
-///
-/// The freed-port log is the signal the incremental
-/// [`Kernel`](crate::kernel::Kernel) turns into wake-ups for parked travels:
-/// a fully blocked travel can only become movable again through a
-/// `leave`/`release` on the single port its head waits for, so the log is a
-/// complete wake condition.
+/// Per-step scratch state: which ports already accepted/ejected a flit (the
+/// one-entry, one-ejection per port per step bandwidth rule).
 ///
 /// Reusable across steps to avoid reallocation; see [`StepScratch::reset`].
 #[derive(Clone, Debug, Default)]
 pub struct StepScratch {
     entered: Vec<bool>,
     ejected: Vec<bool>,
-    freed: Vec<PortId>,
 }
 
 impl StepScratch {
@@ -115,18 +111,15 @@ impl StepScratch {
         StepScratch {
             entered: vec![false; port_count],
             ejected: vec![false; port_count],
-            freed: Vec::new(),
         }
     }
 
-    /// Clears the per-step flags and the freed-port log, resizing if the
-    /// port count changed.
+    /// Clears the per-step flags, resizing if the port count changed.
     pub fn reset(&mut self, port_count: usize) {
         self.entered.clear();
         self.entered.resize(port_count, false);
         self.ejected.clear();
         self.ejected.resize(port_count, false);
-        self.freed.clear();
     }
 
     /// Whether no flit has entered `p` during the current step.
@@ -148,30 +141,12 @@ impl StepScratch {
     pub fn mark_ejected(&mut self, p: PortId) {
         self.ejected[p.index()] = true;
     }
-
-    /// Records that a flit left `p` (possibly releasing ownership).
-    pub fn mark_freed(&mut self, p: PortId) {
-        self.freed.push(p);
-    }
-
-    /// The ports freed since the last [`reset`](StepScratch::reset) or
-    /// [`clear_freed`](StepScratch::clear_freed), in move order (may contain
-    /// duplicates).
-    pub fn freed(&self) -> &[PortId] {
-        &self.freed
-    }
-
-    /// Empties the freed-port log.
-    pub fn clear_freed(&mut self) {
-        self.freed.clear();
-    }
 }
 
 /// Performs all admissible moves for travel `i`, head to tail, honouring the
 /// per-step bandwidth flags in `scratch` and the policy's head-admission
-/// predicate. Every port a flit leaves is logged via
-/// [`StepScratch::mark_freed`]. Returns the number of
-/// (entries, advances, ejections) performed.
+/// predicate. Returns the number of (entries, advances, ejections)
+/// performed.
 ///
 /// # Errors
 ///
@@ -193,7 +168,6 @@ pub fn step_travel_with(
             if scratch.may_eject(port) {
                 cfg.eject_flit(i, f)?;
                 scratch.mark_ejected(port);
-                scratch.mark_freed(port);
                 trace.record(id, f, Zone::Port(port), Zone::Delivered);
                 report.ejections += 1;
             }
@@ -214,7 +188,6 @@ pub fn step_travel_with(
             if scratch.may_enter(to) {
                 cfg.advance_flit(i, f)?;
                 scratch.mark_entered(to);
-                scratch.mark_freed(from);
                 trace.record(id, f, Zone::Port(from), Zone::Port(to));
                 report.advances += 1;
             }
@@ -237,23 +210,9 @@ pub fn step_travel_with(
     Ok(report)
 }
 
-/// Performs all admissible moves for travel `i` under plain wormhole
-/// admission (see [`step_travel_with`]).
-///
-/// # Errors
-///
-/// Propagates invariant violations from the movement primitives.
-pub fn step_travel(
-    cfg: &mut Config,
-    i: usize,
-    scratch: &mut StepScratch,
-    trace: &mut Trace,
-) -> Result<StepReport> {
-    step_travel_with(cfg, i, scratch, trace, &AlwaysAdmit)
-}
-
-/// One greedy wormhole step over every travel, in the order given by
-/// `order` (indices into `cfg.travels()`).
+/// One greedy step over every travel, in the order given by `order`
+/// (indices into `cfg.travels()`), under the policy's head-admission
+/// predicate: the sweep every shipped switching policy's `step` is.
 ///
 /// # Errors
 ///
@@ -264,13 +223,14 @@ pub fn step_travel(
 /// Panics if `order` contains an out-of-range travel index.
 pub fn step_all(
     cfg: &mut Config,
-    order: &[usize],
+    order: impl IntoIterator<Item = usize>,
     scratch: &mut StepScratch,
     trace: &mut Trace,
+    admission: &dyn HeadAdmission,
 ) -> Result<StepReport> {
     let mut total = StepReport::default();
-    for &i in order {
-        let r = step_travel(cfg, i, scratch, trace)?;
+    for i in order {
+        let r = step_travel_with(cfg, i, scratch, trace, admission)?;
         total.entries += r.entries;
         total.advances += r.advances;
         total.ejections += r.ejections;
@@ -318,7 +278,8 @@ pub fn any_move_possible_with(cfg: &Config, admission: &dyn HeadAdmission) -> bo
 /// through the worm's own moves, and a head at the destination port can
 /// always eject. A `leave` or `release` on the returned port is therefore
 /// the *only* event that can make the travel movable again — the invariant
-/// behind the kernel's per-port wake-lists.
+/// behind the arena kernel's per-port wake-lists, and `tests/arena_props.rs`
+/// checks every park the arena reports against this function.
 pub fn blocked_port_with(cfg: &Config, i: usize, admission: &dyn HeadAdmission) -> Option<PortId> {
     if travel_can_move_with(cfg, i, admission) {
         return None;
@@ -357,12 +318,12 @@ mod tests {
         let mut trace = Trace::new(false);
         // Step 1: only the head can enter (capacity-1 ports).
         scratch.reset(net.port_count());
-        let r = step_all(&mut cfg, &[0], &mut scratch, &mut trace).unwrap();
+        let r = step_all(&mut cfg, [0], &mut scratch, &mut trace, &AlwaysAdmit).unwrap();
         assert_eq!(r.entries, 1);
         assert_eq!(r.advances, 0);
         // Step 2: head advances, first body flit enters behind it.
         scratch.reset(net.port_count());
-        let r = step_all(&mut cfg, &[0], &mut scratch, &mut trace).unwrap();
+        let r = step_all(&mut cfg, [0], &mut scratch, &mut trace, &AlwaysAdmit).unwrap();
         assert_eq!((r.entries, r.advances), (1, 1));
         cfg.validate(&net).unwrap();
     }
@@ -382,7 +343,7 @@ mod tests {
         let mut scratch = StepScratch::new(net.port_count());
         let mut trace = Trace::new(false);
         scratch.reset(net.port_count());
-        let r = step_all(&mut cfg, &[0], &mut scratch, &mut trace).unwrap();
+        let r = step_all(&mut cfg, [0], &mut scratch, &mut trace, &AlwaysAdmit).unwrap();
         assert_eq!(r.entries, 1, "second flit must wait for the next step");
     }
 
@@ -390,36 +351,9 @@ mod tests {
     fn scratch_reset_resizes() {
         let mut s = StepScratch::new(2);
         s.mark_entered(PortId::from_index(1));
-        s.mark_freed(PortId::from_index(0));
         s.reset(4);
         assert!(s.may_enter(PortId::from_index(1)));
         assert!(s.may_enter(PortId::from_index(3)));
-        assert!(s.freed().is_empty());
-    }
-
-    #[test]
-    fn advances_and_ejections_log_freed_ports() {
-        let net = LineNetwork::new(2, 1);
-        let routing = LineRouting::new(&net);
-        let specs = [MessageSpec::new(
-            NodeId::from_index(0),
-            NodeId::from_index(1),
-            1,
-        )];
-        let mut cfg = Config::from_specs(&net, &routing, &specs).unwrap();
-        let mut scratch = StepScratch::new(net.port_count());
-        let mut trace = Trace::new(false);
-        scratch.reset(net.port_count());
-        step_all(&mut cfg, &[0], &mut scratch, &mut trace).unwrap();
-        assert!(scratch.freed().is_empty(), "entry frees nothing");
-        while cfg.drain_arrived().is_empty() {
-            let prev = cfg.travel(0).current();
-            scratch.reset(net.port_count());
-            let r = step_all(&mut cfg, &[0], &mut scratch, &mut trace).unwrap();
-            assert_eq!(r.moves(), 1);
-            assert_eq!(scratch.freed(), &[prev], "the vacated port is logged");
-        }
-        assert!(cfg.is_evacuated());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The [`SwitchingPolicy`] abstraction, service-order [`Arbitration`], and
-//! the [`KernelSpec`] bridge to the incremental kernel.
+//! the [`KernelSpec`] bridge to the arena kernel.
 //!
 //! The switching policy `S : Σ → Σ` computes the configuration after one
 //! switching step, "after each message that can make progression has advanced
@@ -11,9 +11,10 @@
 //! head-admission predicate* — all three concrete policies are — can
 //! additionally expose that structure through
 //! [`SwitchingPolicy::kernel_spec`], turning itself into an ordering
-//! strategy over the [`Kernel`](crate::kernel::Kernel)'s active set. Runners
-//! then execute the policy through the kernel's incremental scheduler with
-//! move-for-move identical semantics.
+//! strategy over the run queue of the
+//! [`ArenaKernel`](crate::arena::ArenaKernel). Runners then execute the
+//! policy through the kernel's incremental scheduler with move-for-move
+//! identical semantics.
 
 use crate::config::Config;
 use crate::error::Result;
@@ -83,13 +84,19 @@ impl Arbitration {
 
 /// The kernel-facing description of a switching policy: its service order,
 /// its head-admission predicate, and the step counter the order starts from.
+/// It feeds [`ArenaSpec::from_kernel_spec`](crate::arena::ArenaSpec::from_kernel_spec),
+/// which accepts it when `admission` names a closed-world
+/// [`AdmissionKind`](crate::step::AdmissionKind).
 ///
 /// A policy exposing a `KernelSpec` promises that its
 /// [`step`](SwitchingPolicy::step) is exactly one greedy sweep in
-/// `arbitration` order under `admission`, and that its
+/// `arbitration` order under `admission`
+/// ([`step_all`](crate::step::step_all)), and that its
 /// [`is_deadlock`](SwitchingPolicy::is_deadlock) is the negation of
 /// "some flit can move under `admission`" — which makes kernel execution
-/// observationally identical to stepping the policy itself.
+/// observationally identical to stepping the policy itself, and makes
+/// stepping the policy itself a sound fallback when the arena cannot
+/// interpret the admission.
 ///
 /// The admission predicate must additionally be *wake-complete*: for a
 /// travel none of whose flits can move, the verdict of `admission` on the
@@ -99,7 +106,7 @@ impl Arbitration {
 /// wake-list and will not re-examine it until the port is freed — an
 /// admission predicate reading any *other* mutable state (say, congestion
 /// on a distant port) would leave the travel asleep through the change and
-/// diverge from the legacy sweep. All in-tree predicates qualify: plain
+/// diverge from the reference sweep. All in-tree predicates qualify: plain
 /// wormhole and whole-packet-room admission read only the gate port's
 /// state, and store-and-forward's co-location clause depends only on the
 /// worm's own flits, which cannot move while the travel is blocked.
@@ -157,8 +164,9 @@ pub trait SwitchingPolicy {
 
     /// The policy's kernel description, if its step is a greedy
     /// arbitration-ordered sweep (see [`KernelSpec`]). Runners use it to
-    /// execute the policy through the incremental kernel; `None` (the
-    /// default) keeps the runner on the legacy full-rescan step.
+    /// execute the policy on the arena kernel when the spec's admission has a
+    /// closed-world description; `None` (the default), or an opaque
+    /// admission, keeps the runner on the reference full-rescan step.
     fn kernel_spec(&self) -> Option<KernelSpec> {
         None
     }

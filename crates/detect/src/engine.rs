@@ -479,7 +479,7 @@ mod tests {
         // total_steps), pinned from the commit before `observe_heuristic`
         // returned early once the comparator had spoken.
         let (mesh, routing, specs) = storm();
-        for stepper in [Stepper::Legacy, Stepper::Kernel, Stepper::Arena] {
+        for stepper in [Stepper::Legacy, Stepper::Arena] {
             let figures = |(engine, result): (DetectionEngine, SimResult)| {
                 let s = engine.summary(&result);
                 let heuristic = (s.first_heuristic_step, s.heuristic_false_alarms);
@@ -500,24 +500,19 @@ mod tests {
 
     #[test]
     fn a_recovering_run_scans_in_full_only_to_extract_a_witness() {
-        for stepper in [Stepper::Kernel, Stepper::Arena] {
-            let (engine, result) = recovering_run(8, 768, 32, stepper);
-            assert_eq!(result.run.outcome, Outcome::Evacuated);
-            let detections = engine.detections().len() as u64;
-            let scans = engine
-                .exact
-                .as_ref()
-                .expect("recovery runs it")
-                .full_scans();
-            assert!(
-                detections >= 20,
-                "{stepper:?}: only {detections} detections"
-            );
-            assert!(
-                scans <= detections && scans * 10 < result.run.steps,
-                "{stepper:?}: {scans} full scans for {detections} detections in {} steps",
-                result.run.steps
-            );
-        }
+        let (engine, result) = recovering_run(8, 768, 32, Stepper::Arena);
+        assert_eq!(result.run.outcome, Outcome::Evacuated);
+        let detections = engine.detections().len() as u64;
+        let scans = engine
+            .exact
+            .as_ref()
+            .expect("recovery runs it")
+            .full_scans();
+        assert!(detections >= 20, "only {detections} detections");
+        assert!(
+            scans <= detections && scans * 10 < result.run.steps,
+            "{scans} full scans for {detections} detections in {} steps",
+            result.run.steps
+        );
     }
 }

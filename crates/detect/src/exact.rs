@@ -278,10 +278,11 @@ fn edge_at(cfg: &Config, i: usize) -> Option<Edge> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genoc_core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
     use genoc_core::interpreter::Outcome;
-    use genoc_core::kernel::Kernel;
     use genoc_core::network::{Direction, Network};
     use genoc_core::spec::MessageSpec;
+    use genoc_core::step::blocked_port_with;
     use genoc_core::switching::SwitchingPolicy;
     use genoc_core::trace::Trace;
     use genoc_core::travel::{FlitPos, Travel};
@@ -350,21 +351,16 @@ mod tests {
         let mesh = Mesh::new(2, 2, 1);
         let routing = MixedXyYxRouting::new(&mesh);
         let specs = bit_complement(&mesh, 4);
-        let mut cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
-        let spec = WormholePolicy::default().kernel_spec().unwrap();
-        let mut kernel = Kernel::new(&mesh, &cfg, spec);
-        let mut trace = Trace::new(false);
-        let mut detector = ExactDetector::new();
+        let cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
+        let mut rig = Rig::new(&mesh, cfg.travels().to_vec());
         let mut steps = 0u64;
         let mut cycle = None;
-        while cycle.is_none() && !kernel.is_deadlock(&cfg) {
-            kernel.step(&mut cfg, &mut trace).unwrap();
-            let newly = cfg.drain_arrived();
-            kernel.note_arrivals(&cfg, &newly);
+        while cycle.is_none() && !rig.kernel.is_deadlock(&rig.arena) {
+            cycle = rig.step();
             steps += 1;
-            cycle = detector.apply_kernel_transitions(&cfg, kernel.transitions());
         }
         assert!(cycle.is_some(), "the storm's cycle must be detected");
+        let detector = &mut rig.detector;
         let rebuilds = detector.index_rebuilds();
         assert!(rebuilds >= 1, "the first park must build the map");
         assert!(
@@ -377,7 +373,7 @@ mod tests {
     }
 
     // The walk's hard cases, each built by hand on the 2×2 capacity-1 mesh
-    // and driven by the real kernel, so the transitions are the ones a run
+    // and driven by the arena kernel, so the transitions are the ones a run
     // would produce. The eight link ports going round the mesh one way share
     // nothing with the eight going the other way.
 
@@ -424,34 +420,42 @@ mod tests {
 
     const SOURCE: usize = usize::MAX;
 
-    /// A configuration under the real kernel with a detector on its feed.
+    /// A configuration under the arena kernel with a detector on its feed.
+    /// The arena steps; `cfg` is kept current by
+    /// [`ArenaConfig::write_back`] after every step.
     struct Rig {
+        mesh: Mesh,
         cfg: Config,
-        kernel: Kernel,
+        arena: ArenaConfig,
+        kernel: ArenaKernel,
         detector: ExactDetector,
     }
 
     impl Rig {
         /// Seats `travels`, and feeds the detector the parks the kernel
-        /// made while classifying them: no cycle may stand yet.
+        /// makes while classifying them (`blocked_port_with` names the port
+        /// of each): no cycle may stand yet.
         fn new(mesh: &Mesh, travels: Vec<Travel>) -> Rig {
             let cfg = Config::from_travels(mesh, travels).unwrap();
             let spec = WormholePolicy::default().kernel_spec().unwrap();
-            let kernel = Kernel::new(mesh, &cfg, spec);
-            let parks: Vec<Transition> = cfg
-                .travels()
-                .iter()
-                .map(|t| Transition {
-                    msg: t.id(),
-                    status: kernel.status_of(t.id()),
+            let arena = ArenaConfig::from_config(mesh, &cfg).unwrap();
+            let kernel = ArenaKernel::new(&arena, ArenaSpec::from_kernel_spec(&spec).unwrap());
+            let parks: Vec<Transition> = (0..cfg.travels().len())
+                .filter_map(|i| {
+                    let p = blocked_port_with(&cfg, i, spec.admission)?;
+                    Some(Transition {
+                        msg: cfg.travel(i).id(),
+                        status: TravelStatus::Blocked(p),
+                    })
                 })
-                .filter(|tr| matches!(tr.status, TravelStatus::Blocked(_)))
                 .collect();
             let mut detector = ExactDetector::new();
             assert_eq!(detector.apply_kernel_transitions(&cfg, &parks), None);
             assert_eq!(find_wait_cycle(&cfg), None);
             Rig {
+                mesh: mesh.clone(),
                 cfg,
+                arena,
                 kernel,
                 detector,
             }
@@ -460,11 +464,20 @@ mod tests {
         /// One kernel step, fed to the detector.
         fn step(&mut self) -> Option<WaitCycle> {
             let mut trace = Trace::new(false);
-            self.kernel.step(&mut self.cfg, &mut trace).unwrap();
-            let newly = self.cfg.drain_arrived();
-            self.kernel.note_arrivals(&self.cfg, &newly);
+            self.kernel.step(&mut self.arena, &mut trace).unwrap();
+            if self.kernel.take_saw_arrival() {
+                self.kernel.drain_arrived(&mut self.arena);
+            }
+            self.arena.write_back(&mut self.cfg).unwrap();
             self.detector
                 .apply_kernel_transitions(&self.cfg, self.kernel.transitions())
+        }
+
+        /// After an outside mutation of `cfg`: the arena rebuilt from it,
+        /// the kernel reclassified, as the hooked runner does.
+        fn resync(&mut self) {
+            self.arena = ArenaConfig::from_config(&self.mesh, &self.cfg).unwrap();
+            self.kernel.resync(&self.arena);
         }
 
         fn last_status(&self, id: usize) -> Option<TravelStatus> {
@@ -516,7 +529,7 @@ mod tests {
         assert_eq!(again, Some(first));
         assert_eq!(rig.detector.full_scans(), 2);
         // No added edge, no report: the cycle is old news.
-        assert!(rig.kernel.is_deadlock(&rig.cfg));
+        assert!(rig.kernel.is_deadlock(&rig.arena));
         let woke = Transition {
             msg: MsgId::from_index(0),
             status: TravelStatus::Active,
@@ -539,7 +552,7 @@ mod tests {
         rig.cfg.remove_travel(victim).unwrap();
         assert_eq!(find_wait_cycle(&rig.cfg), None);
         rig.detector.reset();
-        rig.kernel.resync(&rig.cfg);
+        rig.resync();
         // X runs on; a flit of it leaves the port Z wants and the next one
         // enters, so Z is woken and parks behind X again. The walk from Z
         // reaches X — whose edge toward the victim, and the victim's back,

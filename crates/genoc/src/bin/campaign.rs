@@ -11,8 +11,6 @@
 //!   --out <path>                    JSON path  [default: target/campaign.json]
 //!   --wal-dir <dir>                 record a per-scenario event WAL into this directory
 //!   --metrics-out <path>            write a Prometheus text metrics snapshot
-//!   --stepper <kernel|legacy|arena> step engine for adaptive selection runs and the metrics
-//!                                   probe; the other checks step on the arena [default: arena]
 //!   --list                          print scenario names and exit
 //! ```
 //!
@@ -31,7 +29,6 @@ struct Args {
     out: PathBuf,
     wal_dir: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
-    stepper: Option<Stepper>,
     list: bool,
 }
 
@@ -44,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         out: PathBuf::from("target/campaign.json"),
         wal_dir: None,
         metrics_out: None,
-        stepper: None,
         list: false,
     };
     let mut it = std::env::args().skip(1);
@@ -66,24 +62,12 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--wal-dir" => args.wal_dir = Some(PathBuf::from(value("--wal-dir")?)),
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--stepper" => {
-                args.stepper = Some(match value("--stepper")?.as_str() {
-                    "kernel" => Stepper::Kernel,
-                    "legacy" => Stepper::Legacy,
-                    "arena" => Stepper::Arena,
-                    other => {
-                        return Err(format!(
-                        "--stepper: unknown engine {other:?} (expected kernel, legacy, or arena)"
-                    ))
-                    }
-                });
-            }
             "--list" => args.list = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: campaign [--matrix smoke|default|full|large|oracle] [--jobs N] \
                             [--seed N] [--filter SUBSTRING] [--out PATH] [--wal-dir DIR] \
-                            [--metrics-out PATH] [--stepper kernel|legacy|arena] [--list]"
+                            [--metrics-out PATH] [--list]"
                         .into(),
                 );
             }
@@ -234,17 +218,11 @@ fn main() -> ExitCode {
     let options = CampaignOptions {
         jobs: args.jobs,
         seed: args.seed,
-        effort: {
-            let mut effort = match args.matrix.as_str() {
-                "smoke" => EffortProfile::quick(),
-                "large" => EffortProfile::large(),
-                "oracle" => EffortProfile::oracle(),
-                _ => EffortProfile::standard(),
-            };
-            if let Some(stepper) = args.stepper {
-                effort.stepper = stepper;
-            }
-            effort
+        effort: match args.matrix.as_str() {
+            "smoke" => EffortProfile::quick(),
+            "large" => EffortProfile::large(),
+            "oracle" => EffortProfile::oracle(),
+            _ => EffortProfile::standard(),
         },
         matrix: args.matrix.clone(),
         wal_dir: args.wal_dir.clone(),

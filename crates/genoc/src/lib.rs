@@ -88,7 +88,7 @@ pub mod prelude {
     pub use genoc_core::ids::{MsgId, NodeId, PortId};
     pub use genoc_core::injection::{IdentityInjection, InjectionMethod, ScheduledInjection};
     pub use genoc_core::interpreter::{run, Outcome, RunOptions, RunResult};
-    pub use genoc_core::kernel::{run_kernelised, Kernel, Transition, TravelStatus};
+    pub use genoc_core::kernel::{Transition, TravelStatus};
     pub use genoc_core::measure::{ProgressMeasure, RouteLengthMeasure, TerminationMeasure};
     pub use genoc_core::meta::{InstanceMeta, RoutingKind, SwitchingKind, TopologyKind};
     pub use genoc_core::network::{Direction, Network, PortAttrs};
@@ -123,7 +123,7 @@ pub mod prelude {
     };
     pub use genoc_sim::adaptive::{config_with_selected_routes, select_routes, simulate_selected};
     pub use genoc_sim::{
-        hunt_random, hunt_workload, run_policy, simulate, simulate_hooked, simulate_observed,
+        hunt_random, hunt_workload, run_policy, simulate, simulate_hooked,
         simulate_observed_config, DetectorHook, Hunt, HuntOptions, LatencySummary, NullHook,
         NullObserver, RecoverySummary, RunObserver, SimOptions, SimResult, Stepper,
     };

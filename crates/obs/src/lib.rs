@@ -31,7 +31,8 @@
 //! ```
 //! use genoc_obs::{read_wal_bytes, replay_to, shared, Recorder, WalWriter};
 //! use genoc_routing::xy::XyRouting;
-//! use genoc_sim::{simulate_observed, NullHook, SimOptions};
+//! use genoc_core::config::Config;
+//! use genoc_sim::{simulate_observed_config, NullHook, SimOptions};
 //! use genoc_switching::wormhole::WormholePolicy;
 //! use genoc_topology::mesh::Mesh;
 //!
@@ -40,11 +41,10 @@
 //! let specs = genoc_sim::workload::transpose(&mesh, 2);
 //! let wal = shared(WalWriter::in_memory());
 //! let mut recorder = Recorder::with_wal(wal.clone(), 7, None);
-//! let result = simulate_observed(
+//! let result = simulate_observed_config(
 //!     &mesh,
-//!     &routing,
 //!     &mut WormholePolicy::default(),
-//!     &specs,
+//!     Config::from_specs(&mesh, &routing, &specs).unwrap(),
 //!     &SimOptions::default(),
 //!     &mut NullHook,
 //!     &mut recorder,

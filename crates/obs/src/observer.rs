@@ -20,7 +20,7 @@ use genoc_core::trace::{Event, Zone};
 use genoc_core::{MsgId, PortId};
 use genoc_detect::engine::{DetectionEngine, EngineOptions};
 use genoc_sim::deadlock_hunt::Hunt;
-use genoc_sim::runner::{simulate_observed, DetectorHook, RunObserver, SimOptions};
+use genoc_sim::runner::{simulate_observed_config, DetectorHook, RunObserver, SimOptions};
 
 use crate::wal::{RecoveryAction, WalEvent, WalMeta, WalWriter, WAL_VERSION};
 
@@ -506,11 +506,10 @@ pub fn record_hunt(
         max_steps: hunt.steps + 16,
         ..SimOptions::default()
     };
-    let result = simulate_observed(
+    let result = simulate_observed_config(
         net,
-        routing,
         policy,
-        &hunt.specs,
+        Config::from_specs(net, routing, &hunt.specs)?,
         &options,
         &mut hook,
         &mut recorder,

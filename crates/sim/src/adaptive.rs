@@ -98,7 +98,7 @@ pub fn config_with_selected_routes(
 /// runs the resulting configuration to termination — on `options.stepper`
 /// whenever the policy supports it, like [`simulate`].
 ///
-/// This is how adaptive routing functions ride the fast steppers: the
+/// This is how adaptive routing functions ride the arena stepper: the
 /// selection fixes deterministic routes up front, and the stepper never
 /// needs to know the relation was adaptive.
 ///

@@ -11,19 +11,19 @@
 //! Both entry points execute on the arena stepper ([`Stepper::Arena`], the
 //! default) whenever the switching policy exposes a
 //! [`KernelSpec`](genoc_core::switching::KernelSpec) whose admission
-//! predicate has a closed-world description (the three concrete policies
-//! do), on the object [`Kernel`] when only the `KernelSpec` is there, and on
-//! the legacy full-rescan [`interpreter`](genoc_core::interpreter::run)
-//! otherwise — or when [`SimOptions::stepper`] forces one of the other two,
-//! which the differential equivalence tests use to prove all three produce
-//! identical runs.
+//! predicate has a closed-world description (every shipped policy does), and
+//! on the reference full-rescan [`interpreter`](genoc_core::interpreter::run)
+//! otherwise — or when [`SimOptions::stepper`] asks for it, which the
+//! differential equivalence tests use to prove the two produce identical
+//! runs. Observed runs ([`simulate_observed_config`]) exist only on the
+//! arena: the observer contract is its transition log.
 
 use genoc_core::arena::{run_arena, ArenaConfig, ArenaKernel, ArenaSpec, MoveKind};
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
 use genoc_core::injection::{IdentityInjection, InjectionMethod};
 use genoc_core::interpreter::{run, Outcome, RunOptions, RunResult};
-use genoc_core::kernel::{run_kernelised, Kernel, Transition};
+use genoc_core::kernel::Transition;
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
 use genoc_core::spec::MessageSpec;
@@ -33,27 +33,25 @@ use genoc_core::{MsgId, PortId};
 
 use crate::stats::LatencySummary;
 
-/// Which step engine drives the run. All three produce the same run, move
-/// for move; they differ in what a step costs.
+/// Which step engine drives the run. Both produce the same run, move for
+/// move; they differ in what a step costs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Stepper {
-    /// The incremental object kernel (wake-lists, `O(active)` steps over
-    /// `Config`) whenever the policy exposes a `KernelSpec`. What the arena
-    /// falls back to. On campaign-sized cells it is the slowest of the three
-    /// (ROADMAP item 2 has the table); on large or contended workloads it is
-    /// far ahead of the legacy loop and about half the arena's speed.
-    Kernel,
-    /// The legacy full-rescan step loop, kept for differential testing and
-    /// as the fallback for policies without a kernel description.
-    Legacy,
     /// The struct-of-arrays arena stepper ([`genoc_core::arena`]), the
     /// default: flat `u32`-indexed storage, a run queue, zero per-step
-    /// allocation. Requires the policy's admission predicate to expose a
-    /// closed-world [`AdmissionKind`](genoc_core::step::AdmissionKind);
-    /// falls back to the object kernel otherwise, and to the legacy loop
-    /// for a policy without a `KernelSpec`.
+    /// allocation. Requires the policy to expose a `KernelSpec` whose
+    /// admission predicate has a closed-world
+    /// [`AdmissionKind`](genoc_core::step::AdmissionKind); a plain or hooked
+    /// run falls back to the legacy loop otherwise, an observed run is
+    /// refused.
     #[default]
     Arena,
+    /// The reference full-rescan step loop — the policy's own `step` under
+    /// [`interpreter::run`](genoc_core::interpreter::run), the executable
+    /// form of the paper's `GeNoC` definition. What the differential suites
+    /// compare the arena against, and the fallback for policies the arena
+    /// cannot run.
+    Legacy,
 }
 
 /// Knobs for a simulation run.
@@ -131,10 +129,10 @@ pub(crate) fn finish(run: RunResult, injected: Vec<MsgId>, options: &SimOptions)
     }
 }
 
-/// Runs `cfg` to termination under `policy`: on the arena or the object
-/// kernel when the policy supports it and `stepper` allows, on the legacy
-/// interpreter otherwise. Outcomes are identical on all three; only the
-/// stepping cost differs.
+/// Runs `cfg` to termination under `policy`: on the arena when `stepper`
+/// asks for it and the policy's `KernelSpec` has a closed-world admission,
+/// on the legacy interpreter otherwise. Outcomes are identical on both; only
+/// the stepping cost differs.
 ///
 /// # Errors
 ///
@@ -146,19 +144,25 @@ pub fn run_policy(
     options: &RunOptions,
     stepper: Stepper,
 ) -> Result<RunResult> {
-    if stepper != Stepper::Legacy {
-        if let Some(spec) = policy.kernel_spec() {
-            let result =
-                if stepper == Stepper::Arena && ArenaSpec::from_kernel_spec(&spec).is_some() {
-                    run_arena(net, spec, cfg, options)?
-                } else {
-                    run_kernelised(net, &IdentityInjection, spec, cfg, options)?
-                };
+    match policy.kernel_spec() {
+        Some(spec) if stepper == Stepper::Arena && ArenaSpec::from_kernel_spec(&spec).is_some() => {
+            let result = run_arena(net, spec, cfg, options)?;
             policy.note_kernel_steps(result.steps);
-            return Ok(result);
+            Ok(result)
         }
+        // A policy that exposes a `KernelSpec` promises its own `step` is
+        // that sweep, so the reference loop is sound for an opaque admission.
+        _ => run(net, &IdentityInjection, policy, cfg, options),
     }
-    run(net, &IdentityInjection, policy, cfg, options)
+}
+
+/// The arena's reading of `policy`, when `stepper` asks for the arena and the
+/// policy's `KernelSpec` has a closed-world admission; `None` otherwise.
+fn arena_spec(policy: &dyn SwitchingPolicy, stepper: Stepper) -> Option<ArenaSpec> {
+    match stepper {
+        Stepper::Arena => ArenaSpec::from_kernel_spec(&policy.kernel_spec()?),
+        Stepper::Legacy => None,
+    }
 }
 
 /// Builds the initial configuration for `specs` and runs it to termination
@@ -184,7 +188,7 @@ pub fn simulate(
 ///
 /// All methods have no-op defaults, so pure observers implement only
 /// [`after_step`](DetectorHook::after_step). The runner guarantees the
-/// following call discipline: `after_step` (or, on kernel-driven runs,
+/// following call discipline: `after_step` (or, on arena runs,
 /// `after_kernel_step`) after every switching step (with newly arrived
 /// travels already drained), `on_deadlock` whenever the policy's `Ω` holds
 /// (return `true` after mutating the configuration to continue the run,
@@ -204,12 +208,12 @@ pub trait DetectorHook {
         Ok(())
     }
 
-    /// Kernel-driven variant of [`after_step`](DetectorHook::after_step):
+    /// The arena runs' variant of [`after_step`](DetectorHook::after_step):
     /// additionally receives the step's status [`Transition`]s — a
     /// `Blocked(p)` transition *is* a wait-for edge, so incremental
     /// detectors need not rescan the configuration. Returns whether the
-    /// hook mutated the configuration (the runner then resynchronises the
-    /// kernel).
+    /// hook mutated the configuration (the runner then rebuilds the arena
+    /// from it and resynchronises the kernel).
     ///
     /// The default delegates to `after_step` and conservatively reports a
     /// mutation, so hooks unaware of the kernel stay correct.
@@ -263,7 +267,7 @@ pub trait DetectorHook {
 /// All methods have no-op defaults, so the disabled case
 /// ([`NullObserver`]) costs one virtual call per step and nothing else.
 ///
-/// Call discipline on the kernel path: `on_run_start` once before the first
+/// Call discipline: `on_run_start` once before the first
 /// step; `on_step` after every switching step (after arrivals are drained
 /// and the (C-5) audit passed, *before* the [`DetectorHook`] may mutate, so
 /// observers see the pre-recovery state); `on_mutation` after every hook
@@ -360,37 +364,21 @@ impl DetectorHook for NullHook {
     }
 }
 
-/// Like [`simulate_hooked`], but additionally reports every step into
-/// `observer` (see [`RunObserver`]). Requires a kernel-capable switching
-/// policy: the observer contract is defined in terms of the kernel's
+/// Like [`simulate_hooked`] on a pre-built configuration (adaptive
+/// instances choose their routes up front, see
+/// [`config_with_selected_routes`](crate::adaptive::config_with_selected_routes);
+/// everyone else calls [`Config::from_specs`]), additionally reporting every
+/// step into `observer` (see [`RunObserver`]). Runs on the arena or not at
+/// all: the observer contract is defined in terms of the arena kernel's
 /// transition and freed-port logs, which the legacy interpreter does not
 /// produce.
 ///
 /// # Errors
 ///
-/// Propagates configuration, kernel, hook, and observer errors; reports
-/// [`Error::Invariant`] if the policy exposes no
-/// [`KernelSpec`](genoc_core::switching::KernelSpec).
-pub fn simulate_observed(
-    net: &dyn Network,
-    routing: &dyn RoutingFunction,
-    policy: &mut dyn SwitchingPolicy,
-    specs: &[MessageSpec],
-    options: &SimOptions,
-    hook: &mut dyn DetectorHook,
-    observer: &mut dyn RunObserver,
-) -> Result<SimResult> {
-    let cfg = Config::from_specs(net, routing, specs)?;
-    simulate_observed_config(net, policy, cfg, options, hook, observer)
-}
-
-/// [`simulate_observed`] on a pre-built configuration — the entry point for
-/// adaptive instances, whose routes are chosen up front (see
-/// [`config_with_selected_routes`](crate::adaptive::config_with_selected_routes)).
-///
-/// # Errors
-///
-/// As for [`simulate_observed`].
+/// Propagates kernel, hook, and observer errors; reports [`Error::Invariant`]
+/// under [`Stepper::Legacy`], and for a policy that exposes no
+/// [`KernelSpec`](genoc_core::switching::KernelSpec) or one whose admission
+/// predicate has no closed-world description.
 pub fn simulate_observed_config(
     net: &dyn Network,
     policy: &mut dyn SwitchingPolicy,
@@ -399,32 +387,17 @@ pub fn simulate_observed_config(
     hook: &mut dyn DetectorHook,
     observer: &mut dyn RunObserver,
 ) -> Result<SimResult> {
-    let Some(spec) = policy.kernel_spec() else {
+    let Some(aspec) = arena_spec(policy, options.stepper) else {
         return Err(Error::Invariant(
-            "observed runs require a kernel-capable switching policy".into(),
+            "observed runs need the arena's transition log: Stepper::Arena and a switching \
+             policy whose KernelSpec has a closed-world admission"
+                .into(),
         ));
     };
     let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
-    let run = match arena_spec_for(options, &spec) {
-        Some(aspec) => hooked_arena_loop(net, aspec, cfg, options, hook, observer)?,
-        None => hooked_kernel_loop(net, spec, cfg, options, hook, observer)?,
-    };
+    let run = hooked_arena_loop(net, aspec, cfg, options, hook, observer)?;
     policy.note_kernel_steps(run.steps);
     Ok(finish(run, injected, options))
-}
-
-/// The arena spec to use for a hooked/observed run, when the options ask
-/// for the arena stepper *and* the policy's admission predicate has a
-/// closed-world description. `None` means "use the object kernel".
-fn arena_spec_for(
-    options: &SimOptions,
-    spec: &genoc_core::switching::KernelSpec,
-) -> Option<ArenaSpec> {
-    if options.stepper == Stepper::Arena {
-        ArenaSpec::from_kernel_spec(spec)
-    } else {
-        None
-    }
 }
 
 /// Like [`simulate`], but reports into `hook` (see [`DetectorHook`] for the
@@ -433,9 +406,9 @@ fn arena_spec_for(
 /// between steps and are exempt (recovery may legitimately raise the
 /// measure, e.g. when a drain-and-restart resets flits to their sources).
 ///
-/// On the kernel path every hook mutation is followed by a kernel resync,
-/// so the wake-list invariant survives recovery aborts, reroutes, and
-/// re-injection.
+/// On the arena every hook mutation is followed by a rebuild of the arena
+/// and a kernel resync, so the wake-list invariant survives recovery aborts,
+/// reroutes, and re-injection.
 ///
 /// # Errors
 ///
@@ -453,144 +426,20 @@ pub fn simulate_hooked(
     let cfg = Config::from_specs(net, routing, specs)?;
     let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
 
-    if options.stepper != Stepper::Legacy {
-        if let Some(spec) = policy.kernel_spec() {
-            let run = match arena_spec_for(options, &spec) {
-                Some(aspec) => {
-                    hooked_arena_loop(net, aspec, cfg, options, hook, &mut NullObserver)?
-                }
-                None => hooked_kernel_loop(net, spec, cfg, options, hook, &mut NullObserver)?,
-            };
+    let run = match arena_spec(policy, options.stepper) {
+        Some(aspec) => {
+            let run = hooked_arena_loop(net, aspec, cfg, options, hook, &mut NullObserver)?;
             policy.note_kernel_steps(run.steps);
-            return Ok(finish(run, injected, options));
+            run
         }
-    }
-    let run = hooked_legacy_loop(net, policy, cfg, options, hook)?;
+        None => hooked_legacy_loop(net, policy, cfg, options, hook)?,
+    };
     Ok(finish(run, injected, options))
 }
 
 // Guard against hooks that answer "continue" forever without enabling a
 // switching step (a recovery that never actually recovers).
 const MAX_IDLE_CONTINUES: u32 = 10_000;
-
-fn hooked_kernel_loop(
-    net: &dyn Network,
-    spec: genoc_core::switching::KernelSpec,
-    mut cfg: Config,
-    options: &SimOptions,
-    hook: &mut dyn DetectorHook,
-    observer: &mut dyn RunObserver,
-) -> Result<RunResult> {
-    let mut kernel = Kernel::new(net, &cfg, spec);
-    let mut trace = Trace::new(options.record_trace || observer.wants_moves());
-    let mut arrival_order = Vec::new();
-    let mut steps: u64 = 0;
-    let mut idle_continues: u32 = 0;
-    let mut ledger = cfg.progress_measure();
-    // Index into the trace marking the start of the current step's moves,
-    // so the observer sees exactly this step's slice.
-    let mut moves_seen: usize = 0;
-    observer.on_run_start(net, &cfg)?;
-
-    let outcome = loop {
-        IdentityInjection.inject(net, &mut cfg)?;
-        ledger += kernel.sync_new_travels(&cfg);
-        if cfg.is_evacuated() {
-            if !hook.on_drained(net, &mut cfg, steps)? {
-                break Outcome::Evacuated;
-            }
-            kernel.resync(&cfg);
-            ledger = cfg.progress_measure();
-            observer.on_mutation(&cfg, steps)?;
-            idle_continues += 1;
-        } else if kernel.is_deadlock(&cfg) {
-            if !hook.on_deadlock(net, &mut cfg, steps)? {
-                break Outcome::Deadlock;
-            }
-            kernel.resync(&cfg);
-            ledger = cfg.progress_measure();
-            observer.on_mutation(&cfg, steps)?;
-            idle_continues += 1;
-        } else {
-            if steps >= options.max_steps {
-                break Outcome::StepLimit;
-            }
-            trace.begin_step(steps);
-            let report = kernel.step(&mut cfg, &mut trace)?;
-            let newly = if kernel.take_saw_arrival() {
-                cfg.drain_arrived()
-            } else {
-                Vec::new()
-            };
-            kernel.note_arrivals(&cfg, &newly);
-            if report.moves() == 0 {
-                return Err(Error::ProgressViolation { step: steps });
-            }
-            ledger = ledger.saturating_sub(report.moves() as u64);
-            if options.check_invariants {
-                cfg.validate(net)?;
-            }
-            // Audit the (C-5) measure ledger before the hook gets a chance
-            // to mutate: the legacy hooked loop checks the measure every
-            // step, and deferring the audit past a hook mutation would let
-            // the post-recovery rebase absorb an earlier violation.
-            let actual = cfg.progress_measure();
-            if actual != ledger {
-                return Err(Error::MeasureViolation {
-                    step: steps,
-                    before: ledger,
-                    after: actual,
-                });
-            }
-            // The observer sees the step before the hook may mutate, so a
-            // log records the state the detector acted on, not its repair.
-            observer.on_step(
-                &cfg,
-                steps,
-                kernel.transitions(),
-                kernel.freed_ports(),
-                &trace.events()[moves_seen..],
-                &newly,
-            )?;
-            moves_seen = trace.events().len();
-            arrival_order.extend(newly);
-            if hook.after_kernel_step(net, &mut cfg, kernel.transitions(), steps)? {
-                kernel.resync(&cfg);
-                ledger = cfg.progress_measure();
-                observer.on_mutation(&cfg, steps + 1)?;
-            }
-            steps += 1;
-            idle_continues = 0;
-        }
-        if idle_continues > MAX_IDLE_CONTINUES {
-            return Err(Error::Invariant(
-                "detector hook keeps continuing without the run progressing".into(),
-            ));
-        }
-    };
-
-    // Terminal audit of the (C-5) measure ledger: every flit move must have
-    // decreased the progress measure by exactly one (the legacy loop checks
-    // this per step; the ledger is recomputed after every hook mutation, so
-    // any divergence here is a genuine contract violation).
-    let actual = cfg.progress_measure();
-    if actual != ledger {
-        return Err(Error::MeasureViolation {
-            step: steps,
-            before: ledger,
-            after: actual,
-        });
-    }
-    observer.on_run_end(outcome, steps, &cfg)?;
-    Ok(RunResult {
-        outcome,
-        steps,
-        config: cfg,
-        trace,
-        measures: Vec::new(),
-        arrival_order,
-    })
-}
 
 /// The hooked/observed loop on the arena stepper. The arena drives every
 /// move; a *shadow* [`Config`] is kept in lock step by replaying the
@@ -617,6 +466,8 @@ fn hooked_arena_loop(
     let mut steps: u64 = 0;
     let mut idle_continues: u32 = 0;
     let mut ledger = cfg.progress_measure();
+    // Index into the trace marking the start of the current step's moves,
+    // so the observer sees exactly this step's slice.
     let mut moves_seen: usize = 0;
     observer.on_run_start(net, &cfg)?;
 
@@ -668,7 +519,10 @@ fn hooked_arena_loop(
             if options.check_invariants {
                 cfg.validate(net)?;
             }
-            // (C-5) audit before the hook can mutate, as in the kernel loop.
+            // Audit the (C-5) measure ledger before the hook gets a chance
+            // to mutate: the legacy hooked loop checks the measure every
+            // step, and deferring the audit past a hook mutation would let
+            // the post-recovery rebase absorb an earlier violation.
             // `ledger` tracks arena moves, `actual` is the shadow's measure,
             // so this doubles as a per-step arena ≡ shadow cross-check.
             let actual = cfg.progress_measure();
@@ -679,6 +533,8 @@ fn hooked_arena_loop(
                     after: actual,
                 });
             }
+            // The observer sees the step before the hook may mutate, so a
+            // log records the state the detector acted on, not its repair.
             observer.on_step(
                 &cfg,
                 steps,
@@ -705,6 +561,10 @@ fn hooked_arena_loop(
         }
     };
 
+    // Terminal audit of the (C-5) measure ledger: every flit move must have
+    // decreased the progress measure by exactly one (the ledger is
+    // recomputed after every hook mutation, so any divergence here is a
+    // genuine contract violation).
     let actual = cfg.progress_measure();
     if actual != ledger {
         return Err(Error::MeasureViolation {
@@ -888,12 +748,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_legacy_steppers_agree_on_a_mesh_workload() {
+    fn arena_stepper_agrees_with_legacy_on_a_mesh_workload() {
         let mesh = Mesh::new(4, 4, 1);
         let routing = XyRouting::new(&mesh);
         let specs = crate::workload::uniform_random(16, 48, 1..=5, 17);
         let mut results = Vec::new();
-        for stepper in [Stepper::Kernel, Stepper::Legacy] {
+        for stepper in [Stepper::Arena, Stepper::Legacy] {
             let options = SimOptions {
                 record_trace: true,
                 check_invariants: true,
@@ -911,47 +771,15 @@ mod tests {
                 .unwrap(),
             );
         }
-        let (kernel, legacy) = (&results[0], &results[1]);
-        assert_eq!(kernel.run.outcome, legacy.run.outcome);
-        assert_eq!(kernel.run.steps, legacy.run.steps);
-        assert_eq!(kernel.run.arrival_order, legacy.run.arrival_order);
-        assert_eq!(kernel.run.trace.events(), legacy.run.trace.events());
-        assert_eq!(kernel.latencies, legacy.latencies);
-    }
-
-    #[test]
-    fn arena_stepper_agrees_with_kernel_on_a_mesh_workload() {
-        let mesh = Mesh::new(4, 4, 1);
-        let routing = XyRouting::new(&mesh);
-        let specs = crate::workload::uniform_random(16, 48, 1..=5, 17);
-        let mut results = Vec::new();
-        for stepper in [Stepper::Arena, Stepper::Kernel] {
-            let options = SimOptions {
-                record_trace: true,
-                check_invariants: true,
-                stepper,
-                ..SimOptions::default()
-            };
-            results.push(
-                simulate(
-                    &mesh,
-                    &routing,
-                    &mut WormholePolicy::default(),
-                    &specs,
-                    &options,
-                )
-                .unwrap(),
-            );
-        }
-        let (arena, kernel) = (&results[0], &results[1]);
-        assert_eq!(arena.run.outcome, kernel.run.outcome);
-        assert_eq!(arena.run.steps, kernel.run.steps);
-        assert_eq!(arena.run.arrival_order, kernel.run.arrival_order);
-        assert_eq!(arena.run.trace.events(), kernel.run.trace.events());
-        assert_eq!(arena.latencies, kernel.latencies);
+        let (arena, legacy) = (&results[0], &results[1]);
+        assert_eq!(arena.run.outcome, legacy.run.outcome);
+        assert_eq!(arena.run.steps, legacy.run.steps);
+        assert_eq!(arena.run.arrival_order, legacy.run.arrival_order);
+        assert_eq!(arena.run.trace.events(), legacy.run.trace.events());
+        assert_eq!(arena.latencies, legacy.latencies);
         assert_eq!(
             arena.run.config.position_key(),
-            kernel.run.config.position_key()
+            legacy.run.config.position_key()
         );
     }
 
@@ -961,11 +789,10 @@ mod tests {
         assert_eq!(SimOptions::default().stepper, Stepper::Arena);
     }
 
-    /// Wormhole switching that hides its `KernelSpec` (only the legacy
-    /// interpreter can run it) or, with `opaque`, exposes one whose
-    /// admission predicate has no closed-world description (the object
-    /// kernel can run it, the arena cannot). Counts the `step` calls the
-    /// legacy interpreter makes.
+    /// Wormhole switching that hides its `KernelSpec` or, with `opaque`,
+    /// exposes one whose admission predicate has no closed-world
+    /// description. The arena can run neither, so both belong to the legacy
+    /// interpreter. Counts the `step` calls the interpreter makes.
     #[derive(Default)]
     struct Reluctant {
         inner: WormholePolicy,
@@ -1031,47 +858,77 @@ mod tests {
             assert_eq!(a.run.config, b.run.config);
             assert_eq!(a.latencies, b.latencies);
         };
+        let legacy = run(&mut WormholePolicy::default(), Stepper::Legacy);
+        let arena = run(&mut WormholePolicy::default(), Stepper::Arena);
+        same(&legacy, &arena);
 
-        // No `KernelSpec`: the default is the legacy interpreter's run, and
-        // the interpreter is what stepped the policy.
-        let mut hidden = Reluctant::default();
-        let hidden_run = run(&mut hidden, Stepper::default());
-        assert_eq!(hidden.stepped, hidden_run.run.steps);
-        same(
-            &hidden_run,
-            &run(&mut WormholePolicy::default(), Stepper::Legacy),
-        );
+        for opaque in [false, true] {
+            let reluctant = || Reluctant {
+                opaque,
+                ..Reluctant::default()
+            };
+            // No `KernelSpec`, or one `run_arena` rejects
+            // (`non_closed_world_admission_is_rejected`): the default is the
+            // legacy interpreter's run, and the interpreter is what stepped
+            // the policy.
+            let mut policy = reluctant();
+            let plain = run(&mut policy, Stepper::default());
+            assert_eq!(policy.stepped, plain.run.steps);
+            same(&plain, &legacy);
 
-        // A `KernelSpec` the arena cannot interpret: `run_arena` rejects it
-        // (`non_closed_world_admission_is_rejected`), so a run at all is the
-        // object kernel's, and it never calls the policy's own `step`.
-        let opaque = || Reluctant {
-            opaque: true,
-            ..Reluctant::default()
-        };
-        let mut policy = opaque();
-        let opaque_run = run(&mut policy, Stepper::default());
-        assert_eq!(policy.stepped, 0);
-        same(
-            &opaque_run,
-            &run(&mut WormholePolicy::default(), Stepper::Kernel),
-        );
-        same(
-            &opaque_run,
-            &run(&mut WormholePolicy::default(), Stepper::Arena),
-        );
-
-        // The hooked entry point makes the same two choices.
-        let hooked = |policy: &mut Reluctant| {
+            // The hooked entry point makes the same choice.
             let options = traced(Stepper::default());
-            simulate_hooked(&mesh, &routing, policy, &specs, &options, &mut NullHook).unwrap()
+            let mut policy = reluctant();
+            let hooked = simulate_hooked(
+                &mesh,
+                &routing,
+                &mut policy,
+                &specs,
+                &options,
+                &mut NullHook,
+            )
+            .unwrap();
+            assert_eq!(policy.stepped, hooked.run.steps);
+            same(&hooked, &legacy);
+
+            // An observed run has no legacy form: refused, typed.
+            let cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
+            let refused = simulate_observed_config(
+                &mesh,
+                &mut reluctant(),
+                cfg,
+                &options,
+                &mut NullHook,
+                &mut NullObserver,
+            );
+            assert!(matches!(refused, Err(Error::Invariant(_))), "{refused:?}");
+        }
+    }
+
+    #[test]
+    fn observed_runs_refuse_the_legacy_stepper() {
+        // The legacy loop keeps no transition log, and an option that cannot
+        // be honoured is an error, not a silent change of stepper.
+        let mesh = Mesh::new(3, 3, 1);
+        let routing = XyRouting::new(&mesh);
+        let specs = crate::workload::transpose(&mesh, 2);
+        let observed = |stepper| {
+            let options = SimOptions {
+                stepper,
+                ..SimOptions::default()
+            };
+            simulate_observed_config(
+                &mesh,
+                &mut WormholePolicy::default(),
+                Config::from_specs(&mesh, &routing, &specs).unwrap(),
+                &options,
+                &mut NullHook,
+                &mut NullObserver,
+            )
         };
-        let mut policy = opaque();
-        same(&hooked(&mut policy), &opaque_run);
-        assert_eq!(policy.stepped, 0);
-        let mut policy = Reluctant::default();
-        same(&hooked(&mut policy), &hidden_run);
-        assert_eq!(policy.stepped, hidden_run.run.steps);
+        assert!(observed(Stepper::Arena).unwrap().evacuated());
+        let refused = observed(Stepper::Legacy);
+        assert!(matches!(refused, Err(Error::Invariant(_))), "{refused:?}");
     }
 
     #[test]
@@ -1103,9 +960,9 @@ mod tests {
 
     #[test]
     fn large_mesh_16x16_with_a_thousand_messages_evacuates() {
-        // The kernel's reason to exist: a 16x16 mesh under a thousand
+        // The run queue's reason to exist: a 16x16 mesh under a thousand
         // messages of uniform traffic finishes promptly because blocked and
-        // entry-queued worms cost O(1) per step instead of a flit rescan.
+        // entry-queued worms cost nothing per step instead of a flit rescan.
         let mesh = Mesh::new(16, 16, 2);
         let routing = XyRouting::new(&mesh);
         let specs = crate::workload::uniform_random(256, 1024, 1..=6, 5);

@@ -17,14 +17,16 @@
 //! non-deadlocked configuration moves at least one flit and strictly
 //! decreases the progress measure.
 //!
-//! Every policy also exposes a
+//! Every policy's `step` is one [`step_all`](genoc_core::step::step_all)
+//! sweep, and every policy exposes that as a
 //! [`KernelSpec`](genoc_core::switching::KernelSpec) — its arbitration order
 //! plus admission predicate — turning it into an ordering strategy over the
-//! active set of the incremental [`Kernel`](genoc_core::kernel::Kernel) and,
-//! since each admission predicate also names its closed-world
-//! [`AdmissionKind`](genoc_core::step::AdmissionKind), of the arena kernel.
-//! Runners (`genoc-sim`) execute policies on the arena by default, with
-//! move-for-move identical semantics to stepping them directly.
+//! run queue of the arena kernel
+//! ([`ArenaKernel`](genoc_core::arena::ArenaKernel)), since each admission
+//! predicate also names its closed-world
+//! [`AdmissionKind`](genoc_core::step::AdmissionKind). Runners (`genoc-sim`)
+//! execute policies on the arena by default, with move-for-move identical
+//! semantics to stepping them directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,15 +11,14 @@
 //! * store-and-forward: additionally, only when the whole packet has been
 //!   received in the header's current port ([`StoreAndForwardAdmission`]).
 //!
-//! The motion machinery itself ([`step_travel_with`],
+//! The motion machinery itself ([`step_all`],
 //! [`any_move_possible_with`], the [`HeadAdmission`] trait) lives in
-//! [`genoc_core::step`] so that the incremental
-//! [`Kernel`](genoc_core::kernel::Kernel) can drive the exact same moves;
+//! [`genoc_core::step`], beside the reference interpreter that drives it;
 //! this module re-exports it and contributes the two non-trivial admission
 //! predicates.
 
 pub use genoc_core::step::{
-    any_move_possible_with, step_travel_with, AdmissionKind, AlwaysAdmit, HeadAdmission, HeadMove,
+    any_move_possible_with, step_all, AdmissionKind, AlwaysAdmit, HeadAdmission, HeadMove,
 };
 
 use genoc_core::config::Config;

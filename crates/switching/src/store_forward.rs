@@ -13,7 +13,7 @@ use genoc_core::step::StepScratch;
 use genoc_core::switching::{Arbitration, KernelSpec, StepReport, SwitchingPolicy};
 use genoc_core::trace::Trace;
 
-use crate::motion::{any_move_possible_with, step_travel_with, StoreAndForwardAdmission};
+use crate::motion::{any_move_possible_with, step_all, StoreAndForwardAdmission};
 
 static ADMISSION: StoreAndForwardAdmission = StoreAndForwardAdmission;
 
@@ -56,14 +56,14 @@ impl SwitchingPolicy for StoreForwardPolicy {
         trace: &mut Trace,
     ) -> Result<StepReport> {
         self.scratch.reset(net.port_count());
-        let mut total = StepReport::default();
-        for i in 0..cfg.travels().len() {
-            let r = step_travel_with(cfg, i, &mut self.scratch, trace, &StoreAndForwardAdmission)?;
-            total.entries += r.entries;
-            total.advances += r.advances;
-            total.ejections += r.ejections;
-        }
-        Ok(total)
+        let order = 0..cfg.travels().len();
+        step_all(
+            cfg,
+            order,
+            &mut self.scratch,
+            trace,
+            &StoreAndForwardAdmission,
+        )
     }
 
     fn is_deadlock(&self, _net: &dyn Network, cfg: &Config) -> bool {

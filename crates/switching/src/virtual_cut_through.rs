@@ -13,7 +13,7 @@ use genoc_core::step::StepScratch;
 use genoc_core::switching::{Arbitration, KernelSpec, StepReport, SwitchingPolicy};
 use genoc_core::trace::Trace;
 
-use crate::motion::{any_move_possible_with, step_travel_with, WholePacketRoom};
+use crate::motion::{any_move_possible_with, step_all, WholePacketRoom};
 
 static ADMISSION: WholePacketRoom = WholePacketRoom;
 
@@ -54,14 +54,8 @@ impl SwitchingPolicy for VirtualCutThroughPolicy {
         trace: &mut Trace,
     ) -> Result<StepReport> {
         self.scratch.reset(net.port_count());
-        let mut total = StepReport::default();
-        for i in 0..cfg.travels().len() {
-            let r = step_travel_with(cfg, i, &mut self.scratch, trace, &WholePacketRoom)?;
-            total.entries += r.entries;
-            total.advances += r.advances;
-            total.ejections += r.ejections;
-        }
-        Ok(total)
+        let order = 0..cfg.travels().len();
+        step_all(cfg, order, &mut self.scratch, trace, &WholePacketRoom)
     }
 
     fn is_deadlock(&self, _net: &dyn Network, cfg: &Config) -> bool {

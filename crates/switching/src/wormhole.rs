@@ -15,7 +15,7 @@ use genoc_core::switching::{KernelSpec, StepReport, SwitchingPolicy};
 use genoc_core::trace::Trace;
 
 use crate::arbitration::Arbitration;
-use crate::motion::{any_move_possible_with, step_travel_with, AlwaysAdmit};
+use crate::motion::{any_move_possible_with, step_all, AlwaysAdmit};
 
 static ADMISSION: AlwaysAdmit = AlwaysAdmit;
 
@@ -80,14 +80,7 @@ impl SwitchingPolicy for WormholePolicy {
         self.scratch.reset(net.port_count());
         let order = self.arbitration.order(cfg.travels().len(), self.step_count);
         self.step_count += 1;
-        let mut total = StepReport::default();
-        for i in order {
-            let r = step_travel_with(cfg, i, &mut self.scratch, trace, &AlwaysAdmit)?;
-            total.entries += r.entries;
-            total.advances += r.advances;
-            total.ejections += r.ejections;
-        }
-        Ok(total)
+        step_all(cfg, order, &mut self.scratch, trace, &AlwaysAdmit)
     }
 
     fn is_deadlock(&self, _net: &dyn Network, cfg: &Config) -> bool {

@@ -9,7 +9,6 @@
 
 use genoc::core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc::core::interpreter::RunOptions;
-use genoc::core::kernel::run_kernelised;
 use genoc::prelude::*;
 
 fn travels_for(
@@ -89,7 +88,7 @@ fn mid_run_batches_agree_under_wormhole_switching() {
     assert_batch_equivalent(&mesh, &arena, &cohort);
 
     // And the continuations stay in lockstep: batch-inject vs sequential
-    // inject, then run both to completion on the kernel stepper.
+    // inject, then run both to completion on the reference interpreter.
     let mut finals = Vec::new();
     for batch in [true, false] {
         let mut a = arena.clone();
@@ -101,10 +100,10 @@ fn mid_run_batches_agree_under_wormhole_switching() {
             }
         }
         let resumed = a.to_config(&mesh).unwrap();
-        let result = run_kernelised(
+        let result = run(
             &mesh,
             &IdentityInjection,
-            spec,
+            &mut WormholePolicy::default(),
             resumed,
             &RunOptions::default(),
         )

@@ -1,17 +1,21 @@
 //! Differential equivalence of the struct-of-arrays arena stepper against
-//! the incremental kernel and the legacy full-rescan loop.
+//! the reference full-rescan loop, the executable form of the paper's
+//! `GeNoC` definition.
 //!
-//! Every prior proof transfer rests on "move-for-move identical"
-//! scheduling, so the arena must be indistinguishable from both existing
-//! steppers on *everything observable*: outcome, step count, arrival
-//! order, the full movement trace, per-message latencies, detector
-//! firings, recovery actions, and the final configuration. This suite
-//! checks that three ways:
+//! The arena's contract is *move-for-move identity*: same greedy order
+//! among runnable travels, same one-entry/one-ejection-per-port bandwidth
+//! rule, same deadlock verdicts at the same steps — so obligations
+//! (C-1)…(C-5) and Theorems 1–2 transfer to arena runs unchanged. The arena
+//! must therefore be indistinguishable from the reference on *everything
+//! observable*: outcome, step count, arrival order, the full movement
+//! trace, per-message latencies, detector firings, recovery actions, and
+//! the final configuration. This suite checks that three ways:
 //!
 //! * every scenario of the `smoke` campaign matrix, deterministic and
 //!   adaptive, under its own switching policy and workload;
 //! * detector-hooked runs (detections and recovery summaries must agree
-//!   between the kernel and the arena's shadow-config loop);
+//!   between the legacy loop's per-step blocking-event diffs and the status
+//!   transitions of the arena's shadow-config loop);
 //! * property tests over random workloads on the paper's XY mesh and the
 //!   deadlock-prone mixed comparator, both arbitrations, all three
 //!   switching policies.
@@ -23,6 +27,7 @@
 //! same way.
 
 use genoc::core::arena::ArenaConfig;
+use genoc::core::step::{any_move_possible_with, step_all, StepScratch};
 use genoc::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -35,9 +40,9 @@ fn policy_for(kind: SwitchingKind) -> Box<dyn SwitchingPolicy> {
     }
 }
 
-const STEPPERS: [Stepper; 3] = [Stepper::Arena, Stepper::Kernel, Stepper::Legacy];
+const STEPPERS: [Stepper; 2] = [Stepper::Arena, Stepper::Legacy];
 
-/// Runs the same workload on all three steppers and asserts the runs are
+/// Runs the same workload on both steppers and asserts the runs are
 /// indistinguishable: outcome, step count, arrival order, the full
 /// movement trace, per-message latencies, and the final configuration.
 fn assert_equivalent(
@@ -57,22 +62,16 @@ fn assert_equivalent(
         let mut policy = policy_for(kind);
         results.push(simulate(net, routing, policy.as_mut(), specs, &options).unwrap());
     }
-    let arena = &results[0];
-    for (other, name) in results[1..].iter().zip(["kernel", "legacy"]) {
-        assert_eq!(arena.run.outcome, other.run.outcome, "outcome vs {name}");
-        assert_eq!(arena.run.steps, other.run.steps, "steps vs {name}");
-        assert_eq!(
-            arena.run.arrival_order, other.run.arrival_order,
-            "arrival order vs {name}"
-        );
-        assert_eq!(
-            arena.run.trace.events(),
-            other.run.trace.events(),
-            "trace vs {name}"
-        );
-        assert_eq!(arena.latencies, other.latencies, "latencies vs {name}");
-        assert_eq!(arena.run.config, other.run.config, "final config vs {name}");
-    }
+    let (arena, legacy) = (&results[0], &results[1]);
+    assert_eq!(arena.run.outcome, legacy.run.outcome, "outcome");
+    assert_eq!(arena.run.steps, legacy.run.steps, "steps");
+    assert_eq!(
+        arena.run.arrival_order, legacy.run.arrival_order,
+        "arrival order"
+    );
+    assert_eq!(arena.run.trace.events(), legacy.run.trace.events(), "trace");
+    assert_eq!(arena.latencies, legacy.latencies, "latencies");
+    assert_eq!(arena.run.config, legacy.run.config, "final config");
 }
 
 #[test]
@@ -87,8 +86,8 @@ fn every_smoke_scenario_is_arena_invariant() {
         if instance.deterministic {
             assert_equivalent(net, instance.routing.as_ref(), spec.switching, &specs);
         } else {
-            // Adaptive instances fix one admissible route per message; all
-            // three steppers must agree on the selection's run.
+            // Adaptive instances fix one admissible route per message; both
+            // steppers must agree on the selection's run.
             let mut results = Vec::new();
             for stepper in STEPPERS {
                 let options = SimOptions {
@@ -110,19 +109,45 @@ fn every_smoke_scenario_is_arena_invariant() {
                     .unwrap(),
                 );
             }
-            for other in &results[1..] {
-                assert_eq!(results[0].run.outcome, other.run.outcome, "{}", spec.name());
-                assert_eq!(results[0].run.steps, other.run.steps, "{}", spec.name());
-                assert_eq!(
-                    results[0].run.trace.events(),
-                    other.run.trace.events(),
-                    "{}",
-                    spec.name()
-                );
-                assert_eq!(results[0].run.config, other.run.config, "{}", spec.name());
-            }
+            let (arena, legacy) = (&results[0], &results[1]);
+            assert_eq!(arena.run.outcome, legacy.run.outcome, "{}", spec.name());
+            assert_eq!(arena.run.steps, legacy.run.steps, "{}", spec.name());
+            assert_eq!(
+                arena.run.trace.events(),
+                legacy.run.trace.events(),
+                "{}",
+                spec.name()
+            );
+            assert_eq!(arena.run.config, legacy.run.config, "{}", spec.name());
         }
     }
+}
+
+#[test]
+fn deadlock_verdicts_and_witnesses_agree_on_the_corner_storm() {
+    let mesh = Mesh::new(2, 2, 1);
+    let routing = MixedXyYxRouting::new(&mesh);
+    let specs = genoc::sim::workload::bit_complement(&mesh, 4);
+    let mut outcomes = Vec::new();
+    for stepper in STEPPERS {
+        let options = SimOptions {
+            stepper,
+            ..SimOptions::default()
+        };
+        let result = simulate(
+            &mesh,
+            &routing,
+            &mut WormholePolicy::default(),
+            &specs,
+            &options,
+        )
+        .unwrap();
+        assert_eq!(result.run.outcome, Outcome::Deadlock);
+        let cycle = find_wait_cycle(&result.run.config).expect("wormhole deadlocks carry a cycle");
+        outcomes.push((result.run.steps, cycle));
+    }
+    assert_eq!(outcomes[0].0, outcomes[1].0, "Ω at the same step");
+    assert_eq!(outcomes[0].1, outcomes[1].1, "same wait-for cycle");
 }
 
 #[test]
@@ -131,7 +156,7 @@ fn hooked_detection_sees_the_same_cycles_on_the_arena() {
     let routing = MixedXyYxRouting::new(&mesh);
     let specs = genoc::sim::workload::bit_complement(&mesh, 4);
     let mut observed = Vec::new();
-    for stepper in [Stepper::Arena, Stepper::Kernel] {
+    for stepper in STEPPERS {
         let mut engine = DetectionEngine::detector(EngineOptions::default());
         let options = SimOptions {
             stepper,
@@ -157,7 +182,7 @@ fn hooked_detection_sees_the_same_cycles_on_the_arena() {
     }
     assert_eq!(
         observed[0], observed[1],
-        "arena shadow-config transitions must report identical detections"
+        "arena transitions and per-step diffs must report identical detections"
     );
 }
 
@@ -167,7 +192,7 @@ fn hooked_recovery_round_trips_identically_on_the_arena() {
     let routing = MixedXyYxRouting::new(&mesh);
     let specs = genoc::sim::workload::bit_complement(&mesh, 4);
     let mut outcomes = Vec::new();
-    for stepper in [Stepper::Arena, Stepper::Kernel] {
+    for stepper in STEPPERS {
         let mut engine =
             DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
         let options = SimOptions {
@@ -304,12 +329,43 @@ proptest! {
             let mut policy = WormholePolicy::new(Arbitration::RoundRobin);
             results.push(simulate(&mesh, &routing, &mut policy, &specs, &options).unwrap());
         }
-        for other in &results[1..] {
-            prop_assert_eq!(results[0].run.trace.events(), other.run.trace.events());
-            prop_assert_eq!(results[0].run.steps, other.run.steps);
-            prop_assert_eq!(&results[0].run.arrival_order, &other.run.arrival_order);
-            prop_assert_eq!(&results[0].run.config, &other.run.config);
-        }
+        let (arena, legacy) = (&results[0], &results[1]);
+        prop_assert_eq!(arena.run.trace.events(), legacy.run.trace.events());
+        prop_assert_eq!(arena.run.steps, legacy.run.steps);
+        prop_assert_eq!(&arena.run.arrival_order, &legacy.run.arrival_order);
+        prop_assert_eq!(&arena.run.config, &legacy.run.config);
+    }
+}
+
+/// The reference semantics of an arbitrary [`KernelSpec`]: one full greedy
+/// sweep a step, in the spec's arbitration order under its admission. No
+/// shipped policy type runs virtual cut-through or store-and-forward
+/// round-robin; the arena can, so its reference must.
+struct Sweep {
+    spec: KernelSpec,
+    scratch: StepScratch,
+    steps: u64,
+}
+
+impl SwitchingPolicy for Sweep {
+    fn name(&self) -> String {
+        "sweep".into()
+    }
+
+    fn step(
+        &mut self,
+        net: &dyn Network,
+        cfg: &mut Config,
+        trace: &mut genoc::core::trace::Trace,
+    ) -> genoc::core::Result<StepReport> {
+        self.scratch.reset(net.port_count());
+        let order = (self.spec.arbitration).order(cfg.travels().len(), self.steps);
+        self.steps += 1;
+        step_all(cfg, order, &mut self.scratch, trace, self.spec.admission)
+    }
+
+    fn is_deadlock(&self, _net: &dyn Network, cfg: &Config) -> bool {
+        !cfg.is_evacuated() && !any_move_possible_with(cfg, self.spec.admission)
     }
 }
 
@@ -351,21 +407,21 @@ fn multi_word_workloads_are_arena_invariant() {
                                 arbitration,
                                 ..policy_for(kind).kernel_spec().unwrap()
                             };
-                            let kern = run_kernelised(
-                                &mesh,
-                                &IdentityInjection,
+                            let mut sweep = Sweep {
                                 spec,
-                                cfg.clone(),
-                                &options,
-                            )
-                            .unwrap();
+                                scratch: StepScratch::default(),
+                                steps: spec.first_step,
+                            };
+                            let refr =
+                                run(&mesh, &IdentityInjection, &mut sweep, cfg.clone(), &options)
+                                    .unwrap();
                             let aren = run_arena(&mesh, spec, cfg.clone(), &options).unwrap();
                             let cell = format!("{seed}/{travels}/{kind:?}/{arbitration:?}");
-                            assert_eq!(aren.outcome, kern.outcome, "outcome {cell}");
-                            assert_eq!(aren.steps, kern.steps, "steps {cell}");
-                            assert_eq!(aren.trace.events(), kern.trace.events(), "trace {cell}");
-                            assert_eq!(aren.arrival_order, kern.arrival_order, "arrivals {cell}");
-                            assert_eq!(aren.config, kern.config, "final config {cell}");
+                            assert_eq!(aren.outcome, refr.outcome, "outcome {cell}");
+                            assert_eq!(aren.steps, refr.steps, "steps {cell}");
+                            assert_eq!(aren.trace.events(), refr.trace.events(), "trace {cell}");
+                            assert_eq!(aren.arrival_order, refr.arrival_order, "arrivals {cell}");
+                            assert_eq!(aren.config, refr.config, "final config {cell}");
                             assert!(cyclic || aren.outcome == Outcome::Evacuated, "{cell}");
                             deadlocks += usize::from(aren.outcome == Outcome::Deadlock);
                         }

@@ -6,10 +6,13 @@
 //! stable across recycling (a live message keeps resolving to its own
 //! state no matter how many other slots were freed and reused around it);
 //! and the arena stays observationally equal to a shadow `Config` driven
-//! through the same operations.
+//! through the same operations. Beside them: the arena's exit
+//! (`write_back`) against the `Config` it materialises from nothing, and
+//! every park its transition feed reports against `blocked_port_with`.
 
 use genoc::core::arena::{ArenaConfig, ArenaKernel, ArenaSpec, MoveKind};
-use genoc::core::trace::Trace;
+use genoc::core::step::{blocked_port_with, HeadAdmission};
+use genoc::core::trace::{Event, Trace};
 use genoc::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -396,4 +399,117 @@ fn write_back_equals_to_config_on_every_kind_of_end() {
             );
         }
     }
+}
+
+/// Folds the arena's transition feed into "last seen `Blocked(p)`" per
+/// travel and, after every step, holds each such park against the reference
+/// over the shadow `Config`: the travel cannot move, and `p` is the port
+/// that gates it.
+struct ParkAudit {
+    admission: &'static dyn HeadAdmission,
+    /// By message index: the port of the travel's last transition, if that
+    /// was a park.
+    parked: Vec<Option<PortId>>,
+    checks: u64,
+}
+
+impl RunObserver for ParkAudit {
+    fn on_step(
+        &mut self,
+        cfg: &Config,
+        step: u64,
+        transitions: &[Transition],
+        _freed: &[PortId],
+        _moves: &[Event],
+        _arrived: &[MsgId],
+    ) -> genoc::core::Result<()> {
+        for tr in transitions {
+            let i = tr.msg.index();
+            if self.parked.len() <= i {
+                self.parked.resize(i + 1, None);
+            }
+            self.parked[i] = match tr.status {
+                TravelStatus::Blocked(p) => Some(p),
+                _ => None,
+            };
+        }
+        for (i, t) in cfg.travels().iter().enumerate() {
+            if let Some(&Some(p)) = self.parked.get(t.id().index()) {
+                let gate = blocked_port_with(cfg, i, self.admission);
+                assert_eq!(gate, Some(p), "step {step}: {} parked on {p}", t.id());
+                self.checks += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// A hook mutation resyncs the kernel, which reclassifies every travel
+    /// without a transition: what the feed said before is void.
+    fn on_mutation(&mut self, _cfg: &Config, _steps_done: u64) -> genoc::core::Result<()> {
+        self.parked.clear();
+        Ok(())
+    }
+}
+
+/// A parked travel really is blocked, and on that port: the arena's feed
+/// against `blocked_port_with`, on observed hotspot runs across the three
+/// admissions, both arbitrations, XY and the mixed routing that deadlocks —
+/// wormhole at capacity 1 under detect-and-abort recovery there, so the
+/// audit crosses resyncs too.
+#[test]
+fn every_park_the_arena_reports_is_a_blocked_port_of_the_reference() {
+    // Buffer depth beside each policy: the whole-packet admissions need room
+    // for a 3-flit packet, wormhole needs to be short of it to deadlock.
+    type MakePolicy = fn() -> Box<dyn SwitchingPolicy>;
+    let policies: [(u32, MakePolicy); 4] = [
+        (1, || Box::new(WormholePolicy::default())),
+        (1, || Box::new(WormholePolicy::new(Arbitration::RoundRobin))),
+        (3, || Box::new(VirtualCutThroughPolicy::new())),
+        (3, || Box::new(StoreForwardPolicy::new())),
+    ];
+    let (mut checks, mut recoveries) = (0, 0);
+    for seed in 0..6u64 {
+        let specs = genoc::sim::workload::hotspot(36, 200, seed as usize % 36, 40, 3, seed);
+        for (capacity, make) in policies {
+            let mesh = Mesh::new(6, 6, capacity);
+            let xy = XyRouting::new(&mesh);
+            let mixed = MixedXyYxRouting::new(&mesh);
+            for routing in [&xy as &dyn RoutingFunction, &mixed] {
+                let mut policy = make();
+                let mut audit = ParkAudit {
+                    admission: policy.kernel_spec().unwrap().admission,
+                    parked: Vec::new(),
+                    checks: 0,
+                };
+                // Wait-for cycles are a wormhole notion; the whole-packet
+                // policies run unwatched and may end in Ω.
+                let mut engine = DetectionEngine::with_policy(
+                    EngineOptions::default(),
+                    Box::new(AbortAndEvacuate),
+                );
+                let hook: &mut dyn DetectorHook = if policy.name().starts_with("wormhole") {
+                    &mut engine
+                } else {
+                    &mut NullHook
+                };
+                let cfg = Config::from_specs(&mesh, routing, &specs).unwrap();
+                let options = SimOptions::default();
+                let result = simulate_observed_config(
+                    &mesh,
+                    policy.as_mut(),
+                    cfg,
+                    &options,
+                    hook,
+                    &mut audit,
+                )
+                .unwrap();
+                assert_ne!(result.run.outcome, Outcome::StepLimit);
+                assert!(audit.checks > 0, "{}: nothing ever parked", policy.name());
+                checks += audit.checks;
+                recoveries += engine.detections().len();
+            }
+        }
+    }
+    assert!(checks > 100_000, "only {checks} parks audited");
+    assert!(recoveries > 0, "no run crossed a resync");
 }

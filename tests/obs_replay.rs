@@ -65,9 +65,9 @@ fn record(
     (log.events, result.run.steps)
 }
 
-/// Runs the same configuration fresh, capped at `n` steps, on the object
-/// kernel. The recorder observed the arena, so replay ≡ rerun crosses the
-/// two steppers as well.
+/// Runs the same configuration fresh, capped at `n` steps, on the legacy
+/// interpreter. The recorder observed the arena, so replay ≡ rerun crosses
+/// the two steppers as well.
 fn rerun_to(instance: &Instance, spec: &ScenarioSpec, cfg: Config, n: u64) -> Config {
     let mut policy = policy_for(spec.switching);
     let result = run_policy(
@@ -78,7 +78,7 @@ fn rerun_to(instance: &Instance, spec: &ScenarioSpec, cfg: Config, n: u64) -> Co
             max_steps: n,
             ..RunOptions::default()
         },
-        Stepper::Kernel,
+        Stepper::Legacy,
     )
     .expect("rerun");
     result.config
