@@ -22,7 +22,7 @@
 //!   hotspot cell, the arena alone on 16×16 uniform traffic and on a 64×64
 //!   cell with ~1M flits in flight;
 //! * `wal_overhead` — one run with observation disabled, metrics only, and
-//!   the full event WAL;
+//!   the full event WAL, and that log read back;
 //! * `explore_throughput` — full BFS vs partial-order reduction, and the
 //!   parallel frontier at 1/2/4 workers.
 //!
@@ -34,7 +34,10 @@
 //! `detect_overhead/kernel-feed-xy-8x8` ran on the `Config`-backed kernel
 //! until PR 19 deleted it and run on the arena since (the feed bench now
 //! also pays a `write_back` a step to keep the detector's `Config` current),
-//! so theirs are not comparable across that line either. No CI ratio gate
+//! so theirs are not comparable across that line either. `wal_overhead`'s
+//! `wal` median moved once more with WAL format version 2 (PR 20: the record
+//! checksum folds 8-byte words, not bytes), which is also where `read-back`
+//! starts. No CI ratio gate
 //! reads any of them: the gated ratios (`arena_throughput`,
 //! `explore_throughput`) name their steppers or never simulate.
 

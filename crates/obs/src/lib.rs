@@ -76,6 +76,6 @@ pub use crate::replay::{
     describe, final_steps, initial_config, recorded_outcome, replay_to, run_start, tail_lines,
 };
 pub use crate::wal::{
-    read_wal, read_wal_bytes, RecoveryAction, TravelImage, WalEvent, WalLog, WalMeta, WalWriter,
-    WAL_MAGIC, WAL_VERSION,
+    read_wal, read_wal_bytes, RecoveryAction, SnapshotImages, TravelImage, WalEvent, WalLog,
+    WalMeta, WalWriter, WAL_MAGIC, WAL_VERSION,
 };

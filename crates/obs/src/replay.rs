@@ -14,8 +14,8 @@ use genoc_core::error::{Error, Result};
 use genoc_core::interpreter::Outcome;
 use genoc_core::moves::MoveKind;
 use genoc_core::network::Network;
-use genoc_core::travel::Travel;
-use genoc_core::MsgId;
+use genoc_core::travel::{FlitPos, Travel};
+use genoc_core::{MsgId, PortId};
 
 use crate::wal::{TravelImage, WalEvent, WalMeta};
 
@@ -51,8 +51,41 @@ pub fn final_steps(events: &[WalEvent]) -> u64 {
         .unwrap_or(0)
 }
 
-fn travel_of(net: &dyn Network, img: &TravelImage) -> Result<Travel> {
-    let mut t = Travel::from_route(net, img.id, img.route.clone(), img.flits.len())?;
+/// The error for a record that passed its checksum and still cannot be
+/// replayed: a log of another instance, or one written by hand.
+fn ill_formed(index: usize, e: &WalEvent, what: String) -> Error {
+    Error::Invariant(format!(
+        "WAL record {index} ({}) is ill-formed: {what}",
+        describe(e)
+    ))
+}
+
+/// Refuses a route through a port `net` does not have, which
+/// [`Travel::from_route`] would look up unchecked.
+fn check_route(net: &dyn Network, msg: MsgId, route: &[PortId]) -> std::result::Result<(), String> {
+    let ports = net.port_count();
+    match route.iter().find(|p| p.index() >= ports) {
+        Some(p) => Err(format!(
+            "{msg} routes through {p} and the network has {ports} ports"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The travel `img` pictures, after checking what the `Travel` mutators
+/// assert: `bad` turns a complaint into the error naming the record.
+fn travel_of(net: &dyn Network, img: TravelImage, bad: impl Fn(String) -> Error) -> Result<Travel> {
+    check_route(net, img.id, &img.route).map_err(&bad)?;
+    for (i, &pos) in img.flits.iter().enumerate() {
+        if matches!(pos, FlitPos::InNetwork(k) if k >= img.route.len()) {
+            return Err(bad(format!(
+                "flit {i} of {} is at {pos:?} on a route of {} ports",
+                img.id,
+                img.route.len()
+            )));
+        }
+    }
+    let mut t = Travel::from_route(net, img.id, img.route, img.flits.len())?;
     for (i, &pos) in img.flits.iter().enumerate() {
         t.set_flit_pos(i, pos);
     }
@@ -64,12 +97,14 @@ fn travel_of(net: &dyn Network, img: &TravelImage) -> Result<Travel> {
 /// # Errors
 ///
 /// Reports [`Error::Invariant`] when the log has no injections or a route
-/// does not fit `net`.
+/// names a port `net` does not have, and [`Error::InvalidSpec`] when a
+/// route does not run from a local in-port to a local out-port.
 pub fn initial_config(net: &dyn Network, events: &[WalEvent]) -> Result<Config> {
     let mut travels = Vec::new();
-    for e in events {
+    for (i, e) in events.iter().enumerate() {
         match e {
             WalEvent::Inject { msg, flits, route } => {
+                check_route(net, *msg, route).map_err(|what| ill_formed(i, e, what))?;
                 travels.push(Travel::from_route(
                     net,
                     *msg,
@@ -97,38 +132,32 @@ pub fn initial_config(net: &dyn Network, events: &[WalEvent]) -> Result<Config> 
 /// # Errors
 ///
 /// Reports [`Error::Invariant`] on logs without injections/snapshots
-/// covering the range, or whose moves are inconsistent with the
-/// configuration (a damaged or cross-wired log).
+/// covering the range, whose moves are inconsistent with the configuration
+/// (a damaged or cross-wired log), or with a record naming a port, route
+/// index or flit that does not exist — checked before anything is built or
+/// moved, so no log panics the replayer.
 pub fn replay_to(net: &dyn Network, events: &[WalEvent], steps: u64) -> Result<Config> {
     // Seek: the latest snapshot not past the target. A snapshot written
     // after a recovery mutation supersedes earlier records entirely — the
     // intervening moves were already applied to the snapshotted state.
-    let mut base: Option<(usize, &WalEvent)> = None;
-    for (i, e) in events.iter().enumerate() {
-        if let WalEvent::Snapshot { step, .. } = e {
-            if *step <= steps {
-                base = Some((i, e));
-            }
-        }
-    }
+    // Only the snapshot picked here is decoded.
+    let base = events.iter().enumerate().rev().find_map(|(i, e)| match e {
+        WalEvent::Snapshot { step, images } if *step <= steps => Some((i, e, images)),
+        _ => None,
+    });
     let (start, mut cfg) = match base {
-        Some((
-            i,
-            WalEvent::Snapshot {
-                inflight, arrived, ..
-            },
-        )) => {
-            let mut travels = Vec::with_capacity(inflight.len() + arrived.len());
-            for img in inflight.iter().chain(arrived.iter()) {
-                travels.push(travel_of(net, img)?);
+        Some((i, e, images)) => {
+            let mut travels = Vec::with_capacity(images.inflight_len() + images.arrived_len());
+            for img in images.inflight().chain(images.arrived()) {
+                travels.push(travel_of(net, img, |what| ill_formed(i, e, what))?);
             }
             (i + 1, Config::from_travels(net, travels)?)
         }
-        _ => (0, initial_config(net, events)?),
+        None => (0, initial_config(net, events)?),
     };
 
     let mut in_step = false;
-    for e in &events[start..] {
+    for (at, e) in events.iter().enumerate().skip(start) {
         match e {
             WalEvent::StepBegin { step } => {
                 if in_step {
@@ -151,6 +180,13 @@ pub fn replay_to(net: &dyn Network, events: &[WalEvent], steps: u64) -> Result<C
                         Error::Invariant(format!("WAL moves unknown travel {msg} during replay"))
                     })?;
                 let flit = *flit as usize;
+                if flit >= cfg.travels()[i].flit_count() {
+                    return Err(ill_formed(
+                        at,
+                        e,
+                        format!("{msg} has {} flits", cfg.travels()[i].flit_count()),
+                    ));
+                }
                 match kind {
                     MoveKind::Enter => cfg.enter_flit(i, flit)?,
                     MoveKind::Advance => cfg.advance_flit(i, flit)?,
@@ -211,14 +247,10 @@ pub fn describe(e: &WalEvent) -> String {
             }
             crate::wal::RecoveryAction::Restart => "recovery: drain and restart".into(),
         },
-        WalEvent::Snapshot {
-            step,
-            inflight,
-            arrived,
-        } => format!(
+        WalEvent::Snapshot { step, images } => format!(
             "snapshot at step {step}: {} in flight, {} arrived",
-            inflight.len(),
-            arrived.len()
+            images.inflight_len(),
+            images.arrived_len()
         ),
         WalEvent::RunEnd { outcome, steps } => format!("run end: {outcome:?} after {steps} steps"),
     }

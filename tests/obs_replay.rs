@@ -9,11 +9,23 @@
 //! recorded under an [`ObservedEngine`]; the log must carry the detector's
 //! firing, and the replayed final state must contain a wait-for cycle
 //! re-derivable from the reconstructed configuration alone.
+//!
+//! Plus the seek: a recovering run with a short snapshot period is replayed
+//! to *every* step, so each snapshot — periodic or mutation barrier — is the
+//! base of some replay and is skipped, still encoded, by the others.
+//!
+//! Plus the refusals: a log whose records pass their checksums and name a
+//! port, a route index or a flit that does not exist is an
+//! `Error::Invariant` naming the record, never a panic.
 
 use std::rc::Rc;
 
 use genoc::campaign::{scenario_seed, ScenarioMatrix, ScenarioSpec};
-use genoc::obs::{read_wal_bytes, ObservedEngine, Recorder, WalEvent, WalMeta};
+use genoc::core::error::Error;
+use genoc::core::moves::MoveKind;
+use genoc::obs::{
+    read_wal_bytes, ObservedEngine, Recorder, SnapshotImages, TravelImage, WalEvent, WalMeta,
+};
 use genoc::prelude::*;
 use genoc::verif::Instance;
 
@@ -201,4 +213,222 @@ fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
         );
     }
     assert_eq!(replayed, result.run.config, "final state replays exactly");
+}
+
+#[test]
+fn a_recovering_run_replays_identically_at_every_step() {
+    const SNAPSHOT_EVERY: u64 = 4;
+    let mesh = Mesh::new(4, 4, 1);
+    let routing = MixedXyYxRouting::new(&mesh);
+    // Long worms turning both ways at once: several cycles close, more than
+    // one of them in the same step.
+    let specs = genoc::sim::workload::bit_complement(&mesh, 8);
+    let cfg = Config::from_specs(&mesh, &routing, &specs).expect("routable workload");
+    let recovering =
+        || DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
+
+    let wal = genoc::obs::shared(WalWriter::in_memory());
+    let mut recorder = Recorder::build(
+        Some(Rc::clone(&wal)),
+        0,
+        None,
+        RecorderOptions {
+            snapshot_every: SNAPSHOT_EVERY,
+        },
+    );
+    let mut hook = ObservedEngine::new(recovering(), Some(Rc::clone(&wal)));
+    let result = simulate_observed_config(
+        &mesh,
+        &mut WormholePolicy::default(),
+        cfg,
+        &SimOptions::default(),
+        &mut hook,
+        &mut recorder,
+    )
+    .expect("recorded run");
+    assert_eq!(result.run.outcome, Outcome::Evacuated, "recovery evacuates");
+    let steps = result.run.steps;
+    drop(recorder);
+    drop(hook);
+    let writer = Rc::try_unwrap(wal).ok().expect("sole owner").into_inner();
+    let bytes = writer.finish().expect("flush").expect("in-memory bytes");
+    let log = read_wal_bytes(&bytes);
+    assert!(log.damage.is_none(), "fresh log damaged: {:?}", log.damage);
+
+    // Periodic snapshots land on multiples of the period; the barriers a
+    // recovery writes land wherever a cycle closed.
+    let snapshot_steps: Vec<u64> = log
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            WalEvent::Snapshot { step, .. } => Some(*step),
+            _ => None,
+        })
+        .collect();
+    let periodic = steps / SNAPSHOT_EVERY;
+    assert!(periodic >= 3, "only {periodic} periodic snapshots");
+    assert!(
+        snapshot_steps.len() as u64 > periodic,
+        "no mutation barrier among {snapshot_steps:?}"
+    );
+    assert!(
+        snapshot_steps.iter().any(|s| s % SNAPSHOT_EVERY != 0),
+        "every barrier fell on a period boundary: {snapshot_steps:?}"
+    );
+
+    for n in 0..=steps {
+        let replayed = genoc::obs::replay_to(&mesh, &log.events, n)
+            .unwrap_or_else(|e| panic!("replay to {n} failed: {e}"));
+        let mut engine = recovering();
+        let rerun = simulate_hooked(
+            &mesh,
+            &routing,
+            &mut WormholePolicy::default(),
+            &specs,
+            &SimOptions {
+                max_steps: n,
+                stepper: Stepper::Legacy,
+                ..SimOptions::default()
+            },
+            &mut engine,
+        )
+        .expect("rerun");
+        assert_replay_matches(
+            &replayed,
+            &rerun.run.config,
+            &format!("recovering 4x4 @ step {n}/{steps}"),
+        );
+    }
+}
+
+/// A 2×2 mesh and a hand-built log on it — one message from node 0 to node
+/// 3, a snapshot of it mid-route at step 1, a move in step 1 — with `edit`
+/// applied, written and read back so every checksum is valid.
+fn hand_built_log(edit: impl Fn(&mut WalEvent)) -> (Mesh, Vec<WalEvent>) {
+    let mesh = Mesh::new(2, 2, 1);
+    let routing = XyRouting::new(&mesh);
+    let spec = MessageSpec::new(NodeId::from_index(0), NodeId::from_index(3), 2);
+    let cfg = Config::from_specs(&mesh, &routing, &[spec]).expect("routable");
+    let t = &cfg.travels()[0];
+    let mut events = vec![
+        WalEvent::Inject {
+            msg: t.id(),
+            flits: 2,
+            route: t.route().to_vec(),
+        },
+        WalEvent::StepBegin { step: 0 },
+        WalEvent::Move {
+            msg: t.id(),
+            flit: 0,
+            kind: MoveKind::Enter,
+            port: t.route()[0],
+        },
+        WalEvent::Snapshot {
+            step: 1,
+            images: SnapshotImages::from_images(
+                &[TravelImage {
+                    id: t.id(),
+                    route: t.route().to_vec(),
+                    flits: vec![FlitPos::InNetwork(0), FlitPos::Pending],
+                }],
+                &[],
+            ),
+        },
+        WalEvent::StepBegin { step: 1 },
+        WalEvent::Move {
+            msg: t.id(),
+            flit: 0,
+            kind: MoveKind::Advance,
+            port: t.route()[1],
+        },
+    ];
+    events.iter_mut().for_each(edit);
+    let mut w = WalWriter::in_memory();
+    for e in &events {
+        w.append(e).expect("in-memory append");
+    }
+    let log = read_wal_bytes(&w.finish().expect("flush").expect("in-memory bytes"));
+    assert!(log.damage.is_none(), "{:?}", log.damage);
+    assert_eq!(log.events, events);
+    (mesh, log.events)
+}
+
+/// The images of the hand-built log's snapshot, with `edit` applied.
+fn edited_snapshot(images: &SnapshotImages, edit: impl Fn(&mut TravelImage)) -> SnapshotImages {
+    let mut inflight: Vec<TravelImage> = images.inflight().collect();
+    inflight.iter_mut().for_each(edit);
+    SnapshotImages::from_images(&inflight, &[])
+}
+
+fn assert_refused(result: Result<Config, Error>, record: &str, what: &str) {
+    match result {
+        Err(Error::Invariant(msg)) => {
+            assert!(
+                msg.contains(record),
+                "{what}: {msg:?} does not name {record}"
+            );
+        }
+        other => panic!("{what}: expected Error::Invariant, got {other:?}"),
+    }
+}
+
+#[test]
+fn ill_formed_logs_are_refused_not_panicked_on() {
+    // The log as built replays: the checks below refuse nothing valid.
+    let (mesh, events) = hand_built_log(|_| {});
+    for n in 0..=2 {
+        genoc::obs::replay_to(&mesh, &events, n).expect("the unedited log replays");
+    }
+    let beyond = PortId::from_index(mesh.port_count());
+
+    let (mesh, events) = hand_built_log(|e| {
+        if let WalEvent::Snapshot { images, .. } = e {
+            *images = edited_snapshot(images, |img| {
+                img.flits[0] = FlitPos::InNetwork(img.route.len());
+            });
+        }
+    });
+    assert_refused(
+        genoc::obs::replay_to(&mesh, &events, 1),
+        "WAL record 3 (snapshot at step 1",
+        "snapshot flit position past its route",
+    );
+
+    let (mesh, events) = hand_built_log(|e| {
+        if let WalEvent::Snapshot { images, .. } = e {
+            *images = edited_snapshot(images, |img| img.route[1] = beyond);
+        }
+    });
+    assert_refused(
+        genoc::obs::replay_to(&mesh, &events, 1),
+        "WAL record 3 (snapshot at step 1",
+        "snapshot route port outside the network",
+    );
+
+    let (mesh, events) = hand_built_log(|e| {
+        if let WalEvent::Inject { route, .. } = e {
+            route[0] = beyond;
+        }
+    });
+    for result in [
+        genoc::obs::initial_config(&mesh, &events),
+        genoc::obs::replay_to(&mesh, &events, 0),
+    ] {
+        assert_refused(
+            result,
+            "WAL record 0 (inject",
+            "inject route port outside the network",
+        );
+    }
+
+    let (mesh, events) = hand_built_log(|e| {
+        if let WalEvent::Move { flit, .. } = e {
+            *flit = 2;
+        }
+    });
+    assert_refused(
+        genoc::obs::replay_to(&mesh, &events, 2),
+        "WAL record 5 (",
+        "move of a flit the travel does not have",
+    );
 }

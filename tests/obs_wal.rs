@@ -2,10 +2,14 @@
 //! event sequences round-trip bit-exactly, truncation at *any* byte offset
 //! is either a clean record-boundary prefix or reported damage (never a
 //! panic, never silent corruption), and any single flipped byte is caught
-//! by the per-record checksum.
+//! by the per-record checksum — as is any rewrite of one 8-byte word of a
+//! payload, the unit format version 2 folds, and any zero padding of one.
 
 use genoc::core::moves::MoveKind;
-use genoc::obs::{read_wal_bytes, RecoveryAction, TravelImage, WalEvent, WalMeta, WalWriter};
+use genoc::obs::{
+    read_wal_bytes, RecoveryAction, SnapshotImages, TravelImage, WalEvent, WalMeta, WalWriter,
+    WAL_VERSION,
+};
 use genoc::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -81,17 +85,19 @@ fn event_from_seed(seed: u64) -> WalEvent {
             ][small(36, 3)],
             msgs: (0..small(40, 4)).map(MsgId::from_index).collect(),
         },
-        10 => WalEvent::Snapshot {
-            step,
-            inflight: (0..small(36, 3))
+        10 => {
+            let inflight: Vec<TravelImage> = (0..small(36, 3))
                 .map(|i| TravelImage {
                     id: MsgId::from_index(i),
                     route: (0..2 + i).map(PortId::from_index).collect(),
                     flits: vec![FlitPos::Delivered, FlitPos::InNetwork(i), FlitPos::Pending],
                 })
-                .collect(),
-            arrived: Vec::new(),
-        },
+                .collect();
+            WalEvent::Snapshot {
+                step,
+                images: SnapshotImages::from_images(&inflight, &[]),
+            }
+        }
         _ => WalEvent::RunEnd {
             outcome: [Outcome::Evacuated, Outcome::Deadlock, Outcome::StepLimit][small(36, 3)],
             steps: step,
@@ -153,9 +159,10 @@ proptest! {
         let mut bytes = encode(&events);
         let pos = pos_raw % bytes.len();
         bytes[pos] ^= flip as u8;
-        // FNV-1a folds every byte through an invertible update, so a single
-        // flip in a record body always changes the checksum; flips in the
-        // header or framing derail decoding. Either way: damage, no panic.
+        // The checksum folds every payload word through an invertible
+        // update, so a single flip in a record body always changes it; flips
+        // in the header or framing derail decoding. Either way: damage, no
+        // panic.
         let log = read_wal_bytes(&bytes);
         prop_assert!(
             log.damage.is_some(),
@@ -164,6 +171,62 @@ proptest! {
             bytes.len()
         );
     }
+
+    #[test]
+    fn any_rewritten_payload_word_changes_the_checksum(
+        seed in 0u64..=u64::MAX,
+        word_raw in 0usize..1_000_000,
+        flip in 1u64..=u64::MAX,
+    ) {
+        // One record after the 12-byte header: `len | kind | payload | sum`.
+        let mut bytes = encode(&[event_from_seed(seed)]);
+        let payload = RECORD_AT + 5..bytes.len() - 8;
+        // The words the checksum folds: aligned to the payload's start, the
+        // last one as short as the payload leaves it.
+        let at = payload.start + 8 * (word_raw % payload.len().div_ceil(8));
+        let word = at..payload.end.min(at + 8);
+        // Rotate `flip`'s lowest non-zero byte to the front, so that even a
+        // one-byte tail word changes.
+        let mask = flip.rotate_right(flip.trailing_zeros() & !7).to_le_bytes();
+        for (b, m) in bytes[word].iter_mut().zip(mask) {
+            *b ^= m;
+        }
+        let log = read_wal_bytes(&bytes);
+        prop_assert!(log.events.is_empty());
+        prop_assert_eq!(log.damage.as_deref(), Some("checksum mismatch at byte 12"));
+    }
+
+    #[test]
+    fn zero_padding_a_payload_changes_the_checksum(
+        seed in 0u64..=u64::MAX,
+        zeros in 1usize..=24,
+    ) {
+        // The tail word is zero-padded before it is folded, so only the
+        // folded length tells `payload` from `payload ++ 0…0`.
+        let mut bytes = encode(&[event_from_seed(seed)]);
+        let len = bytes.len() - RECORD_AT - 5 - 8;
+        let sum_at = bytes.len() - 8;
+        bytes.splice(sum_at..sum_at, std::iter::repeat_n(0u8, zeros));
+        bytes[RECORD_AT..RECORD_AT + 4].copy_from_slice(&((len + zeros) as u32).to_le_bytes());
+        let log = read_wal_bytes(&bytes);
+        prop_assert!(log.events.is_empty());
+        prop_assert_eq!(log.damage.as_deref(), Some("checksum mismatch at byte 12"));
+    }
+}
+
+/// Byte offset of the first record: past the magic and the version.
+const RECORD_AT: usize = 12;
+
+#[test]
+fn a_version_1_log_is_refused_by_its_header() {
+    let mut bytes = encode(&(0..12).map(event_from_seed).collect::<Vec<_>>());
+    assert_eq!(bytes[8..RECORD_AT], WAL_VERSION.to_le_bytes());
+    bytes[8..RECORD_AT].copy_from_slice(&1u32.to_le_bytes());
+    let log = read_wal_bytes(&bytes);
+    assert_eq!(log.version, 1);
+    assert!(log.events.is_empty(), "no v1 record is read as a v2 one");
+    let damage = log.damage.expect("typed damage");
+    assert!(damage.starts_with("unsupported WAL version 1 "), "{damage}");
 }
 
 #[test]
