@@ -16,7 +16,10 @@
 //!    move was enumerated on this very configuration a line earlier, so it
 //!    is not applied to a clone and re-validated; debug builds assert that
 //!    the two agree.
-//! 4. **Canonicalize** the child key under the symmetry group.
+//! 4. **Canonicalize** the child key under the symmetry group: an image is
+//!    read through its permutation against the least so far and abandoned
+//!    at its first greater block, never built
+//!    ([`Workload::canonicalize_with`]).
 //!
 //! Every buffer lives in the expander, so a state allocates nothing here.
 
@@ -36,6 +39,8 @@ use crate::state::{CanonScratch, Workload};
 pub(crate) struct Expander<'a> {
     workload: &'a Workload,
     perms: &'a [Vec<usize>],
+    /// Where the identity sits in `perms`.
+    identity: Option<usize>,
     enumerator: MoveEnumerator<'a>,
     selector: Option<AmpleSelector>,
     /// The configuration every key is decoded into.
@@ -62,6 +67,7 @@ impl<'a> Expander<'a> {
         Expander {
             workload,
             perms,
+            identity: perms.iter().position(|p| is_identity(p)),
             enumerator: MoveEnumerator::new(admission),
             selector: (por && admission.kind().is_some())
                 .then(|| AmpleSelector::new(workload, net.port_count())),
@@ -114,14 +120,18 @@ impl<'a> Expander<'a> {
                 applied_key(&self.enumerator, &self.cfg, mv),
                 "patching {mv} into the key must equal applying it"
             );
-            let perm = self.workload.canonicalize_with(
+            let (winner, sorted) = self.workload.canonicalize_with(
                 &self.child,
                 self.perms,
                 &mut self.canonical,
                 &mut self.canon,
             );
-            let identity = perm.iter().enumerate().all(|(j, &s)| j == s);
-            let flow = emit(mv, &self.canonical, (!identity).then_some(perm));
+            // An unsorted total is known by its index; a sorted one is read.
+            let perm = match sorted {
+                Some(total) => (!is_identity(total)).then_some(total),
+                None => (Some(winner) != self.identity).then(|| &self.perms[winner][..]),
+            };
+            let flow = emit(mv, &self.canonical, perm);
             self.child[at] = was;
             if flow.is_break() {
                 break;
@@ -134,6 +144,10 @@ impl<'a> Expander<'a> {
     pub(crate) fn enabled(&self) -> usize {
         self.moves.len()
     }
+}
+
+fn is_identity(perm: &[usize]) -> bool {
+    perm.iter().enumerate().all(|(j, &s)| j == s)
 }
 
 /// The successor key the long way round — clone, apply under full

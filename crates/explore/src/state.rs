@@ -23,10 +23,15 @@
 //! representative of the state's orbit: the lexicographic minimum, over
 //! every workload-preserving slot permutation (see
 //! [`slot_perms`](crate::symmetry::slot_perms)) composed with the sort of
-//! any identical-message groups, of the permuted key. The permutation that
-//! achieved the minimum is reported alongside, so counterexample traces can
-//! be folded back into the concrete frame.
+//! any identical-message groups, of the permuted key. No permuted key is
+//! built to find it: an image is read out of the key through its
+//! permutation, block by block, against the best so far, dropped at its
+//! first greater block, and copied from its first smaller one on. The first
+//! permutation to achieve the minimum is reported alongside, so
+//! counterexample traces can be folded back into the concrete frame; debug
+//! builds hold both to a loop that builds and compares every image.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::mem;
 
@@ -55,14 +60,12 @@ pub struct Workload {
     duplicate_groups: Vec<Vec<usize>>,
 }
 
-/// Reusable working space of [`Workload::canonicalize_with`]: the key under
-/// the permutation being tried, its total permutation, and the best total so
-/// far (the last two only used when identical-message groups are sorted).
+/// Working space of [`Workload::canonicalize_with`] where identical-message
+/// groups are sorted: the total permutation under trial, and the best so far.
 #[derive(Default)]
 pub(crate) struct CanonScratch {
-    key: Vec<u16>,
-    perm: Vec<usize>,
-    best_perm: Vec<usize>,
+    total: Vec<usize>,
+    best: Vec<usize>,
 }
 
 impl Workload {
@@ -178,103 +181,131 @@ impl Workload {
         (at, was)
     }
 
-    /// Applies a slot permutation (`perm[j]` = source slot of target `j`)
-    /// to a key.
-    fn permute(&self, key: &[u16], perm: &[usize], out: &mut Vec<u16>) {
-        out.clear();
-        for (j, &s) in perm.iter().enumerate() {
-            debug_assert_eq!(
-                self.lens[j], self.lens[s],
-                "matched slots share flit counts"
-            );
-            out.extend_from_slice(&key[self.offsets[s]..self.offsets[s] + self.lens[s]]);
-        }
+    /// Slot `s`'s block of a key.
+    fn block<'k>(&self, key: &'k [u16], s: usize) -> &'k [u16] {
+        &key[self.offsets[s]..][..self.lens[s]]
     }
 
     /// Canonicalizes a key: the lexicographic minimum over every slot
     /// permutation in `perms` (composed with sorting of identical-message
-    /// groups). Returns the canonical key and the total permutation `p`
+    /// groups; none at all is the identity alone), the first to attain it
+    /// winning. Returns the canonical key and the total permutation `p`
     /// that produced it (`canonical[j] = key[p[j]]`, block-wise).
     pub fn canonicalize(&self, key: &[u16], perms: &[Vec<usize>]) -> (Box<[u16]>, Vec<usize>) {
         let mut best = Vec::with_capacity(key.len());
-        let mut scratch = Vec::with_capacity(key.len());
-        let perm = self.canonicalize_into(key, perms, &mut best, &mut scratch);
+        let perm = self.canonicalize_into(key, perms, &mut best, &mut Vec::new());
         (best.into_boxed_slice(), perm)
     }
 
-    /// [`canonicalize`](Workload::canonicalize) into caller-owned buffers:
-    /// the canonical key lands in `best`, `scratch` is working space.
+    /// [`canonicalize`](Workload::canonicalize) into a caller-owned buffer:
+    /// the canonical key replaces whatever `best` held. `_scratch` is left
+    /// alone, there being no permuted image to put in it.
     pub fn canonicalize_into(
         &self,
         key: &[u16],
         perms: &[Vec<usize>],
         best: &mut Vec<u16>,
-        scratch: &mut Vec<u16>,
+        _scratch: &mut Vec<u16>,
     ) -> Vec<usize> {
-        let mut canon = CanonScratch {
-            key: mem::take(scratch),
-            ..CanonScratch::default()
-        };
-        let perm = self
-            .canonicalize_with(key, perms, best, &mut canon)
-            .to_vec();
-        *scratch = canon.key;
-        perm
+        if perms.is_empty() {
+            return self.canonicalize_into(key, &[(0..self.slots()).collect()], best, _scratch);
+        }
+        let mut canon = CanonScratch::default();
+        let (winner, sorted) = self.canonicalize_with(key, perms, best, &mut canon);
+        sorted.unwrap_or(&perms[winner]).to_vec()
     }
 
-    /// Allocation-free [`canonicalize`](Workload::canonicalize): the key
-    /// lands in `best`, the permutation is lent out of `perms` or `scratch`.
+    /// The canonicalizer itself, allocation-free. An element's image is read
+    /// through its total permutation, compared with `best` block by block,
+    /// dropped at its first greater block, and copied into `best` from its
+    /// first smaller block on. Returns the winner's index in `perms` (never
+    /// empty) and, where identical messages were sorted, its total —
+    /// elsewhere that is `perms[winner]`.
     pub(crate) fn canonicalize_with<'a>(
         &self,
         key: &[u16],
-        perms: &'a [Vec<usize>],
+        perms: &[Vec<usize>],
         best: &mut Vec<u16>,
         scratch: &'a mut CanonScratch,
-    ) -> &'a [usize] {
-        // Without identical messages nothing is sorted, and the total
-        // permutation is the slot permutation itself.
+    ) -> (usize, Option<&'a [usize]>) {
         let sorting = !self.duplicate_groups.is_empty();
+        best.resize(key.len(), 0);
         let mut winner = None;
-        for (i, perm) in perms.iter().enumerate() {
-            self.permute(key, perm, &mut scratch.key);
+        'elements: for (i, perm) in perms.iter().enumerate() {
+            let mut total = &perm[..];
             if sorting {
-                scratch.perm.clear();
-                scratch.perm.extend_from_slice(perm);
-                self.sort_duplicates(&mut scratch.key, &mut scratch.perm);
+                scratch.total.clear();
+                scratch.total.extend_from_slice(perm);
+                self.sort_duplicates(key, &mut scratch.total);
+                total = &scratch.total;
             }
-            if winner.is_none() || scratch.key < *best {
-                mem::swap(best, &mut scratch.key);
-                mem::swap(&mut scratch.best_perm, &mut scratch.perm);
-                winner = Some(i);
+            // Against a best so far, skip the blocks the image shares with it.
+            let mut from = 0;
+            while winner.is_some() {
+                let Some(&s) = total.get(from) else {
+                    continue 'elements; // equal throughout: the earlier one stays
+                };
+                match self.block(key, s).cmp(self.block(best, from)) {
+                    Ordering::Less => break,
+                    Ordering::Equal => from += 1,
+                    Ordering::Greater => continue 'elements,
+                }
             }
+            for (j, &s) in total.iter().enumerate().skip(from) {
+                debug_assert_eq!(self.lens[j], self.lens[s], "matched slots share lengths");
+                best[self.offsets[j]..][..self.lens[j]].copy_from_slice(self.block(key, s));
+            }
+            mem::swap(&mut scratch.best, &mut scratch.total); // empty unless sorting
+            winner = Some(i);
         }
-        let winner = winner.expect("perms always contains the identity");
-        if sorting {
-            &scratch.best_perm
-        } else {
-            &perms[winner]
-        }
+        let winner = winner.expect("callers pass at least the identity");
+        let sorted = sorting.then_some(&scratch.best[..]);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            (best.clone(), sorted.unwrap_or(&perms[winner]).to_vec()),
+            self.canonicalize_by_copy(key, perms),
+            "comparing through indices must equal comparing built images"
+        );
+        (winner, sorted)
     }
 
-    /// Sorts the blocks of each identical-message group in `key` into
-    /// ascending order and composes `total` with the sort: a stable
-    /// insertion sort by block swaps, groups being a handful of slots.
-    fn sort_duplicates(&self, key: &mut [u16], total: &mut [usize]) {
+    /// Stably sorts each identical-message group of `total` by the blocks of
+    /// the *unpermuted* `key` its entries point at: an insertion sort,
+    /// groups being a handful of slots.
+    fn sort_duplicates(&self, key: &[u16], total: &mut [usize]) {
         for group in &self.duplicate_groups {
-            let len = self.lens[group[0]];
             for i in 1..group.len() {
                 for j in (1..=i).rev() {
-                    let (a, b) = (self.offsets[group[j - 1]], self.offsets[group[j]]);
-                    if key[a..a + len] <= key[b..b + len] {
+                    let (a, b) = (group[j - 1], group[j]);
+                    if self.block(key, total[a]) <= self.block(key, total[b]) {
                         break;
                     }
-                    for f in 0..len {
-                        key.swap(a + f, b + f);
-                    }
-                    total.swap(group[j - 1], group[j]);
+                    total.swap(a, b);
                 }
             }
         }
+    }
+
+    /// The canonicalizer the long way round, the debug-build oracle of
+    /// [`canonicalize_with`](Workload::canonicalize_with): build every
+    /// permuted image, stably sort its identical-message groups by block,
+    /// keep the first minimum.
+    #[cfg(debug_assertions)]
+    fn canonicalize_by_copy(&self, key: &[u16], perms: &[Vec<usize>]) -> (Vec<u16>, Vec<usize>) {
+        let images = perms.iter().map(|perm| {
+            let mut blocks: Vec<_> = perm.iter().map(|&s| (self.block(key, s), s)).collect();
+            for group in &self.duplicate_groups {
+                let mut sorted: Vec<_> = group.iter().map(|&j| blocks[j]).collect();
+                sorted.sort_by_key(|&(block, _)| block);
+                group.iter().zip(sorted).for_each(|(&j, b)| blocks[j] = b);
+            }
+            let (image, total): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+            (image.concat(), total)
+        });
+        // `min_by` returns the first of several equal minima.
+        images
+            .min_by(|a, b| a.0.cmp(&b.0))
+            .expect("callers pass at least the identity")
     }
 }
 
@@ -667,6 +698,8 @@ mod tests {
         // `a` was already sorted, `b`'s blocks swapped.
         assert_eq!(pa, vec![0, 1]);
         assert_eq!(pb, vec![1, 0]);
+        // No permutations at all is the identity alone: twins still sort.
+        assert_eq!(wl.canonicalize(&b, &[]), (cb, pb));
     }
 
     #[test]

@@ -28,12 +28,13 @@
 //! `0` is an exhaustive deadlock-freedom proof, `1` a reachable deadlock
 //! (with its minimal trace printed), `2` a bound or memory-limit stop —
 //! explicitly *not* a proof, and the INCONCLUSIVE line on stderr says
-//! which of the two limits stopped the search — and `3` a usage or
-//! harness error. The summary line reports throughput (states/second)
-//! and the peak resident frontier bytes; a spilling run also reports how
-//! many bytes went to disk. The `--aut`/`--dot` exports work on partial
-//! spaces too: a graph cut short by the bound is still a valid
-//! (under-approximate) LTS.
+//! which of the two limits stopped the search and how far it had got
+//! (`the search stopped at N states, depth D, after T transitions`) — and
+//! `3` a usage or harness error. The summary line reports throughput
+//! (states/second) and the peak resident frontier bytes; a spilling run
+//! also reports how many bytes went to disk. The `--aut`/`--dot` exports
+//! work on partial spaces too: a graph cut short by the bound is still a
+//! valid (under-approximate) LTS.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -328,9 +329,9 @@ fn main() -> ExitCode {
                 )
             };
             eprintln!(
-                "verdict: INCONCLUSIVE ({what}) — the search stopped at {} states; \
-                 this is NOT a deadlock-freedom proof, {fix}",
-                result.states,
+                "verdict: INCONCLUSIVE ({what}) — the search stopped at {} states, \
+                 depth {}, after {} transitions; this is NOT a deadlock-freedom proof, {fix}",
+                result.states, result.depth, result.transitions,
             );
         }
     }

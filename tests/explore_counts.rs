@@ -7,8 +7,8 @@
 //! `lps2lts` state counts for exactly this reason — the count is the
 //! cheapest fingerprint of the whole LTS.)
 //!
-//! All workloads are the standard pressure patterns at 2 flits per message,
-//! capacity 1, under wormhole admission.
+//! All workloads are the standard pressure patterns, every message sent
+//! `copies` times over, at capacity 1 under wormhole admission.
 
 use genoc::prelude::*;
 use genoc_core::step::AlwaysAdmit;
@@ -17,6 +17,10 @@ struct Pin {
     instance: Instance,
     /// Keep only the first N pressure messages (0 = all).
     messages: usize,
+    /// Flits per message.
+    flits: usize,
+    /// How many times each message is sent: 2 makes every slot a twin.
+    copies: usize,
     /// (states, transitions, depth, group) with symmetry reduction on.
     with_symmetry: (usize, u64, usize, usize),
     /// (states, transitions, depth) of the raw, unquotiented space.
@@ -25,10 +29,14 @@ struct Pin {
 }
 
 fn explore_pin(pin: &Pin, symmetry: bool) -> Exploration {
-    let mut specs = pressure_specs(&pin.instance.meta, 2);
+    let mut specs = pressure_specs(&pin.instance.meta, pin.flits);
     if pin.messages > 0 {
         specs.truncate(pin.messages);
     }
+    let specs: Vec<MessageSpec> = specs
+        .into_iter()
+        .flat_map(|s| std::iter::repeat_n(s, pin.copies))
+        .collect();
     let options = ExploreOptions {
         max_states: 150_000,
         symmetry,
@@ -55,6 +63,8 @@ fn reachable_state_counts_are_pinned() {
         Pin {
             instance: Instance::mesh_xy(2, 2, 1),
             messages: 3,
+            flits: 2,
+            copies: 1,
             with_symmetry: (27_000, 118_800, 42, 1),
             raw: (27_000, 118_800, 42),
             deadlock: false,
@@ -64,6 +74,8 @@ fn reachable_state_counts_are_pinned() {
         Pin {
             instance: Instance::ring_shortest(3, 1),
             messages: 0,
+            flits: 2,
+            copies: 1,
             with_symmetry: (1_649, 6_402, 30, 3),
             raw: (4_913, 19_074, 30),
             deadlock: false,
@@ -74,6 +86,8 @@ fn reachable_state_counts_are_pinned() {
         Pin {
             instance: Instance::ring_dateline(3, 1),
             messages: 0,
+            flits: 2,
+            copies: 1,
             with_symmetry: (4_913, 19_074, 30, 1),
             raw: (4_913, 19_074, 30),
             deadlock: false,
@@ -84,8 +98,24 @@ fn reachable_state_counts_are_pinned() {
         Pin {
             instance: Instance::ring_shortest(4, 1),
             messages: 0,
+            flits: 2,
+            copies: 1,
             with_symmetry: (4_846, 19_183, 20, 4),
             raw: (20_170, 79_662, 20),
+            deadlock: true,
+        },
+        // The same comparator with every one-flit message sent twice: twin
+        // sorting composes with the four rotations, on every edge and in the
+        // counterexample folded back through them. Without symmetry the
+        // twins are still sorted, which is all that keeps the raw space
+        // under the bound.
+        Pin {
+            instance: Instance::ring_shortest(4, 1),
+            messages: 0,
+            flits: 1,
+            copies: 2,
+            with_symmetry: (19_403, 91_515, 20, 4),
+            raw: (80_782, 379_907, 20),
             deadlock: true,
         },
     ];

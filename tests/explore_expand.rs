@@ -15,10 +15,12 @@
 //!   configuration, jumping between unrelated keys, equals a fresh
 //!   [`Workload::decode`] and a `Config::from_travels` rebuild under full
 //!   `Config` equality (`T` and `A` order, `ST`);
-//! * **scratch canonicalizer ≡ reference**: [`Workload::canonicalize`] and
-//!   [`Workload::canonicalize_into`] return the key and permutation of a
-//!   straightforward allocate-as-you-go minimization, on workloads with
-//!   identical-message groups.
+//! * **canonicalizer ≡ reference**: [`Workload::canonicalize`] and
+//!   [`Workload::canonicalize_into`], which compare the permuted images
+//!   without building them, return the key and permutation of a
+//!   straightforward build-every-image minimization — on workloads with
+//!   identical-message groups, and on the twin-free symmetric cells the
+//!   benchmark explores.
 
 use genoc::core::moves::{Move, MoveEnumerator};
 use genoc::core::step::HeadAdmission;
@@ -187,62 +189,94 @@ fn reference_canonicalize(
     best.expect("perms contains the identity")
 }
 
+/// Holds [`Workload::canonicalize`] and [`Workload::canonicalize_into`] to
+/// the reference, key and permutation, on every key of eight random walks
+/// over the pressure workload of `instance` with each message sent `copies`
+/// times. The reused buffers start out dirty and longer than any key, as a
+/// previous, larger workload would leave them. Returns how many keys a
+/// non-identity permutation canonicalized.
+fn held_to_the_reference(instance: &Instance, copies: usize, flits: usize) -> usize {
+    let net = instance.net.as_ref();
+    let specs: Vec<MessageSpec> = pressure_specs(&instance.meta, flits)
+        .into_iter()
+        .flat_map(|s| std::iter::repeat_n(s, copies))
+        .collect();
+    let workload = Workload::new(net, instance.routing.as_ref(), &specs).unwrap();
+    let routes = workload.routes();
+    let perms = slot_perms(net, &instance.meta, &routes);
+    assert!(perms.len() > 1, "{}: symmetric workload", instance.name);
+    let mut keys = Vec::new();
+    for w in 0..8 {
+        keys.extend(walk(
+            instance,
+            &workload,
+            &genoc::core::step::AlwaysAdmit,
+            w,
+        ));
+    }
+    let identity: Vec<usize> = (0..workload.slots()).collect();
+    // Every element fixes the all-pending key; the first one, the identity,
+    // is the one reported.
+    assert_eq!(workload.canonicalize(&keys[0], &perms).1, identity);
+    let mut best = vec![0xabcd; 3 * keys[0].len()];
+    let mut scratch = best.clone();
+    let mut non_identity = 0;
+    for key in &keys {
+        let (want_key, want_perm) = reference_canonicalize(&routes, key, &perms);
+        let (got_key, got_perm) = workload.canonicalize(key, &perms);
+        assert_eq!(
+            (&*got_key, &got_perm),
+            (&*want_key, &want_perm),
+            "{}",
+            instance.name
+        );
+        // Reused buffers, dirty from the previous key.
+        let into_perm = workload.canonicalize_into(key, &perms, &mut best, &mut scratch);
+        assert_eq!((&best, &into_perm), (&want_key, &want_perm));
+        // No permutations at all is the identity alone, not a panic.
+        assert_eq!(
+            workload.canonicalize(key, &[]),
+            workload.canonicalize(key, std::slice::from_ref(&identity))
+        );
+        // The permutation is the one that produced the key.
+        let mut at = 0;
+        for (j, &s) in got_perm.iter().enumerate() {
+            let from: usize = routes[..s].iter().map(|(_, flits)| flits).sum();
+            let len = routes[j].1;
+            assert_eq!(got_key[at..at + len], key[from..from + len]);
+            at += len;
+        }
+        non_identity += usize::from(want_perm != identity);
+    }
+    non_identity
+}
+
 #[test]
 fn scratch_canonicalizer_matches_the_reference_on_duplicate_groups() {
+    // Every pressure message `copies` times over: each slot has twins, and
+    // the topology's symmetries survive.
     let cells = [
         (Instance::ring_shortest(4, 2), 2usize, 2usize),
         (Instance::mesh_xy(2, 2, 2), 3, 1),
         (Instance::torus_dor(3, 3, 1), 2, 2),
     ];
     for (instance, copies, flits) in cells {
-        let net = instance.net.as_ref();
-        // Every pressure message `copies` times over: each slot has twins,
-        // and the topology's symmetries survive.
-        let specs: Vec<MessageSpec> = pressure_specs(&instance.meta, flits)
-            .into_iter()
-            .flat_map(|s| std::iter::repeat_n(s, copies))
-            .collect();
-        let workload = Workload::new(net, instance.routing.as_ref(), &specs).unwrap();
-        let routes = workload.routes();
-        let perms = slot_perms(net, &instance.meta, &routes);
-        assert!(perms.len() > 1, "{}: symmetric workload", instance.name);
-        let mut keys = Vec::new();
-        for w in 0..8 {
-            keys.extend(walk(
-                &instance,
-                &workload,
-                &genoc::core::step::AlwaysAdmit,
-                w,
-            ));
-        }
-        let (mut best, mut scratch) = (Vec::new(), Vec::new());
-        let mut non_identity = 0;
-        for key in &keys {
-            let (want_key, want_perm) = reference_canonicalize(&routes, key, &perms);
-            let (got_key, got_perm) = workload.canonicalize(key, &perms);
-            assert_eq!(
-                (&*got_key, &got_perm),
-                (&*want_key, &want_perm),
-                "{}",
-                instance.name
-            );
-            // Reused buffers, dirty from the previous key.
-            let into_perm = workload.canonicalize_into(key, &perms, &mut best, &mut scratch);
-            assert_eq!((&best, &into_perm), (&want_key, &want_perm));
-            // The permutation is the one that produced the key.
-            let mut at = 0;
-            for (j, &s) in got_perm.iter().enumerate() {
-                let from: usize = routes[..s].iter().map(|(_, flits)| flits).sum();
-                let len = routes[j].1;
-                assert_eq!(got_key[at..at + len], key[from..from + len]);
-                at += len;
-            }
-            non_identity += usize::from(want_perm.iter().enumerate().any(|(j, &s)| j != s));
-        }
-        assert!(
-            non_identity > 0,
-            "{}: some key must need sorting",
-            instance.name
-        );
+        let sorted = held_to_the_reference(&instance, copies, flits);
+        assert!(sorted > 0, "{}: some key must need sorting", instance.name);
+    }
+}
+
+#[test]
+fn canonicalizer_matches_the_reference_on_symmetry_only_cells() {
+    // No twins, as in both benchmark cells (the first is theirs): the total
+    // permutation is a group element as `slot_perms` gave it.
+    let cells = [
+        (Instance::ring_shortest(4, 2), 3usize),
+        (Instance::mesh_xy(2, 2, 2), 2),
+        (Instance::torus_dor(3, 3, 1), 2),
+    ];
+    for (instance, flits) in cells {
+        let moved = held_to_the_reference(&instance, 1, flits);
+        assert!(moved > 0, "{}: some key must be moved", instance.name);
     }
 }
