@@ -1,6 +1,6 @@
 //! The sharded campaign executor: scenario specs dealt across per-worker
-//! deques, run on scoped threads, with idle workers stealing from the
-//! busiest shard.
+//! deques ([`genoc_core::steal`]), run on scoped threads, with idle workers
+//! stealing from the busiest shard.
 //!
 //! Scenario costs vary by two orders of magnitude (a 2×2 mesh obligation
 //! sweep vs an 8-attempt deadlock hunt on a 6×6 mesh), so static chunking
@@ -10,10 +10,11 @@
 //! `--jobs 1` and `--jobs 32` produce identical outcomes, in identical
 //! report order (results are written back by scenario index).
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
+
+use genoc_core::steal::StealQueues;
 
 use crate::matrix::ScenarioSpec;
 use crate::report::CampaignReport;
@@ -62,61 +63,6 @@ impl CampaignOptions {
     }
 }
 
-/// Per-worker deques with stealing: a worker pops the *front* of its own
-/// shard (cache-friendly sequential order) and steals from the *back* of
-/// the longest other shard. Indices are only ever removed, so an empty
-/// sweep means the campaign is drained.
-struct StealQueues {
-    shards: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Deals `items` indices round-robin across `workers` shards.
-    fn deal(workers: usize, items: usize) -> StealQueues {
-        let mut shards: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for index in 0..items {
-            shards[index % workers].push_back(index);
-        }
-        StealQueues {
-            shards: shards.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// The next index for worker `me`: own shard first, then steal.
-    /// `None` only when every shard is empty.
-    fn next(&self, me: usize) -> Option<usize> {
-        if let Some(index) = self.shards[me].lock().expect("queue poisoned").pop_front() {
-            return Some(index);
-        }
-        loop {
-            let mut victim: Option<(usize, usize)> = None;
-            for (worker, shard) in self.shards.iter().enumerate() {
-                if worker == me {
-                    continue;
-                }
-                let len = shard.lock().expect("queue poisoned").len();
-                if len > 0 && victim.is_none_or(|(_, best)| len > best) {
-                    victim = Some((worker, len));
-                }
-            }
-            match victim {
-                None => return None,
-                Some((worker, _)) => {
-                    // The victim may have drained between the scan and the
-                    // steal; rescan rather than give up.
-                    if let Some(index) = self.shards[worker]
-                        .lock()
-                        .expect("queue poisoned")
-                        .pop_back()
-                    {
-                        return Some(index);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Runs every scenario and aggregates the results into a
 /// [`CampaignReport`].
 ///
@@ -127,7 +73,8 @@ pub fn run_campaign(scenarios: &[ScenarioSpec], options: &CampaignOptions) -> Ca
     // More workers than scenarios would only spawn idle threads (and a
     // pathological --jobs could exhaust thread creation), so clamp.
     let jobs = options.effective_jobs().clamp(1, scenarios.len().max(1));
-    let queues = StealQueues::deal(jobs, scenarios.len());
+    let queues = StealQueues::new(jobs);
+    queues.fill(u32::try_from(scenarios.len()).expect("a campaign has fewer than 2^32 scenarios"));
     let results: Vec<Mutex<Option<ScenarioOutcome>>> =
         scenarios.iter().map(|_| Mutex::new(None)).collect();
     let executed: Vec<Mutex<usize>> = (0..jobs).map(|_| Mutex::new(0)).collect();
@@ -138,7 +85,11 @@ pub fn run_campaign(scenarios: &[ScenarioSpec], options: &CampaignOptions) -> Ca
             let results = &results;
             let executed = &executed;
             scope.spawn(move || {
-                while let Some(index) = queues.next(me) {
+                // Scenario costs differ a hundredfold, so one at a time:
+                // a batch would hold cheap cells hostage behind a hunt.
+                let mut next = Vec::with_capacity(1);
+                while queues.pop_batch(me, 1, &mut next) {
+                    let index = next[0] as usize;
                     let outcome = run_scenario_with(
                         &scenarios[index],
                         options.seed,
@@ -189,23 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn queues_deal_and_drain_exactly_once() {
-        let q = StealQueues::deal(3, 10);
-        let mut seen = vec![false; 10];
-        // Worker 2 drains everything: its own shard plus steals.
-        while let Some(i) = q.next(2) {
-            assert!(!seen[i], "index {i} handed out twice");
-            seen[i] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "{seen:?}");
-        assert!(q.next(0).is_none());
-    }
-
-    #[test]
     fn campaign_runs_every_scenario_and_preserves_order() {
         let scenarios = ScenarioMatrix::smoke().expand();
         let report = run_campaign(&scenarios, &smoke_options(2));
         assert_eq!(report.outcomes.len(), scenarios.len());
+        assert!(report.all_passed(), "{}", report.render_markdown());
         for (spec, outcome) in scenarios.iter().zip(&report.outcomes) {
             assert_eq!(spec.name(), outcome.name, "report preserves matrix order");
         }

@@ -78,6 +78,7 @@ mod proptests;
 pub mod routing;
 pub mod spec;
 pub mod state;
+pub mod steal;
 pub mod step;
 pub mod switching;
 pub mod theorems;

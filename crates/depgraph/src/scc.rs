@@ -3,9 +3,9 @@
 //! Taktak, Desbarbieux & Encrenaz (TODAES 2008, cited in the paper's related
 //! work) discharge the acyclicity condition by extracting strongly connected
 //! components first; a graph is cyclic iff it has a non-trivial SCC or a
-//! self-loop. This module implements that alternative discharge strategy so
-//! the benches can compare it against plain DFS and against the ranking
-//! certificate.
+//! self-loop. This module implements that alternative discharge strategy,
+//! which `genoc-verif` cross-checks against plain DFS and against the
+//! ranking certificate when it discharges (C-3).
 
 use genoc_core::PortId;
 

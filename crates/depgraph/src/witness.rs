@@ -60,8 +60,8 @@ pub fn deadlock_from_cycle(
 }
 
 /// [`deadlock_from_cycle`] with a pre-computed [`RoutingAnalysis`], so
-/// repeated witness compilation (benches, hunts) amortises the reachability
-/// traversal.
+/// repeated witness compilation (`genoc-verif`'s Theorem 1 check, with
+/// the instance's cached analysis) amortises the reachability traversal.
 ///
 /// # Errors
 ///

@@ -342,7 +342,9 @@ mod tests {
     use super::*;
     use crate::recovery::{AbortAndEvacuate, DrainAll};
     use genoc_core::interpreter::Outcome;
+    use genoc_core::routing::RoutingFunction;
     use genoc_routing::mixed::MixedXyYxRouting;
+    use genoc_routing::xy::XyRouting;
     use genoc_sim::workload::{bit_complement, uniform_random};
     use genoc_sim::{simulate, simulate_hooked, SimOptions, Stepper};
     use genoc_switching::wormhole::WormholePolicy;
@@ -449,7 +451,7 @@ mod tests {
 
     fn hooked(
         mesh: &Mesh,
-        routing: &MixedXyYxRouting,
+        routing: &dyn RoutingFunction,
         specs: &[genoc_core::spec::MessageSpec],
         threshold: u64,
         recover: bool,
@@ -512,6 +514,31 @@ mod tests {
         assert!(
             scans <= detections && scans * 10 < result.run.steps,
             "{scans} full scans for {detections} detections in {} steps",
+            result.run.steps
+        );
+
+        // Where no cycle ever closes, no call scans: the walk from the
+        // step's parks answers each one. The id → index map is rebuilt
+        // when a travel leaves, not on every call that parks one.
+        let mesh = Mesh::new(8, 8, 2);
+        let specs = uniform_random(64, 128, 1..=4, 23);
+        let xy = XyRouting::new(&mesh);
+        let (engine, result) = hooked(
+            &mesh,
+            &xy,
+            &specs,
+            crate::DEFAULT_THRESHOLD,
+            false,
+            Stepper::Arena,
+        );
+        assert_eq!(result.run.outcome, Outcome::Evacuated);
+        assert!(!engine.fired(), "a clean run raises no alarm");
+        let exact = engine.exact.as_ref().expect("detect-only runs it");
+        assert_eq!(exact.full_scans(), 0);
+        assert!(
+            exact.index_rebuilds() < result.run.steps,
+            "{} map rebuilds in {} steps",
+            exact.index_rebuilds(),
             result.run.steps
         );
     }

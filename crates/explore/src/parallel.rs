@@ -48,7 +48,6 @@
 //! Global state handles pack `(local, shard)` as `local * shards + shard`,
 //! which keeps parent pointers `u32`-sized across shards.
 
-use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -59,6 +58,7 @@ use genoc_core::moves::{Move, MoveKind};
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
 use genoc_core::spec::MessageSpec;
+use genoc_core::steal::StealQueues;
 use genoc_core::step::HeadAdmission;
 use genoc_core::MsgId;
 
@@ -174,80 +174,6 @@ struct JobState {
     /// Helpers still working on the current epoch.
     active: usize,
     shutdown: bool,
-}
-
-/// Per-worker deques with batched work-stealing handoff, after the
-/// campaign executor: a worker drains up to [`STEAL_BATCH`] slots from its
-/// own queue front per lock, and when empty steals half the longest other
-/// queue's back (again capped at one batch).
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<u32>>>,
-}
-
-impl StealQueues {
-    fn new(workers: usize) -> StealQueues {
-        StealQueues {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        }
-    }
-
-    /// Deals slots `0..items` round-robin across the queues.
-    fn fill(&self, items: u32) {
-        let n = self.queues.len() as u32;
-        for (w, queue) in self.queues.iter().enumerate() {
-            let mut queue = queue.lock().expect("steal queue poisoned");
-            queue.clear();
-            let mut i = w as u32;
-            while i < items {
-                queue.push_back(i);
-                i += n;
-            }
-        }
-    }
-
-    /// Refills `out` with the next batch of slots; `false` when the level
-    /// is drained.
-    fn pop_batch(&self, w: usize, out: &mut Vec<u32>) -> bool {
-        out.clear();
-        {
-            let mut queue = self.queues[w].lock().expect("steal queue poisoned");
-            if !queue.is_empty() {
-                for _ in 0..STEAL_BATCH {
-                    match queue.pop_front() {
-                        Some(i) => out.push(i),
-                        None => break,
-                    }
-                }
-                return true;
-            }
-        }
-        loop {
-            let mut best: Option<(usize, usize)> = None;
-            for (v, queue) in self.queues.iter().enumerate() {
-                if v == w {
-                    continue;
-                }
-                let len = queue.lock().expect("steal queue poisoned").len();
-                if len > 0 && best.is_none_or(|(l, _)| len > l) {
-                    best = Some((len, v));
-                }
-            }
-            let Some((_, v)) = best else {
-                return false;
-            };
-            let mut queue = self.queues[v].lock().expect("steal queue poisoned");
-            let take = queue.len().div_ceil(2).min(STEAL_BATCH);
-            for _ in 0..take {
-                match queue.pop_back() {
-                    Some(i) => out.push(i),
-                    None => break,
-                }
-            }
-            if !out.is_empty() {
-                return true;
-            }
-        }
-    }
 }
 
 /// Everything the pool shares: problem data, the phase handshake, shards,
@@ -656,7 +582,7 @@ fn expand_work(
 ) {
     let mut local = pool.workers[w].lock().expect("worker state poisoned");
     let mut batch = std::mem::take(&mut scratch.batch);
-    while pool.queues.pop_batch(w, &mut batch) {
+    while pool.queues.pop_batch(w, STEAL_BATCH, &mut batch) {
         if pool.abort.load(Ordering::Relaxed) {
             break;
         }

@@ -723,7 +723,7 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// A writer appending to an in-memory buffer (tests, benches).
+    /// A writer appending to an in-memory buffer (tests, doc examples).
     pub fn in_memory() -> WalWriter {
         let mut w = WalWriter {
             sink: Sink::Mem(Vec::new()),

@@ -1,15 +1,20 @@
 //! Driving a workload to termination and collecting statistics.
 //!
-//! Two entry points: [`simulate`] runs a plain workload, and
-//! [`simulate_hooked`] runs an equivalent loop that reports into a
-//! [`DetectorHook`] — the integration point for online deadlock detection
-//! and recovery (`genoc-detect`). The hook observes every step, may mutate
-//! the configuration when the deadlock predicate `Ω` holds (recovery), and
-//! may re-inject staged travels when the travel list drains, all without the
-//! runner knowing any detector specifics.
+//! Five entry points, four of them here. [`simulate`] runs a plain workload
+//! and [`run_policy`] a configuration already built;
+//! [`simulate_selected`](crate::adaptive::simulate_selected) fixes one
+//! admissible route per message for an adaptive routing and hands over to
+//! the plain loop. [`simulate_hooked`] runs an equivalent loop that reports
+//! into a [`DetectorHook`] — the integration point for online deadlock
+//! detection and recovery (`genoc-detect`). The hook observes every step,
+//! may mutate the configuration when the deadlock predicate `Ω` holds
+//! (recovery), and may re-inject staged travels when the travel list drains,
+//! all without the runner knowing any detector specifics.
+//! [`simulate_observed_config`] is the hooked loop on a configuration
+//! already built, reporting every step into a [`RunObserver`] as well.
 //!
-//! Both entry points execute on the arena stepper ([`Stepper::Arena`], the
-//! default) whenever the switching policy exposes a
+//! Plain and hooked runs execute on the arena stepper ([`Stepper::Arena`],
+//! the default) whenever the switching policy exposes a
 //! [`KernelSpec`](genoc_core::switching::KernelSpec) whose admission
 //! predicate has a closed-world description (every shipped policy does), and
 //! on the reference full-rescan [`interpreter`](genoc_core::interpreter::run)

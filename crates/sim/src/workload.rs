@@ -1,7 +1,7 @@
 //! Workload generators: lists of [`MessageSpec`]s for the experiments.
 //!
 //! The paper leaves the number of messages and their sizes uninterpreted;
-//! these generators produce the concrete workloads the benches, campaigns
+//! these generators produce the concrete workloads the tests, campaigns
 //! and the `ledger/` benchmark run: uniform random traffic, the classical
 //! permutation patterns (transpose, bit-complement), hotspot traffic, and
 //! adversarial patterns that drive deadlock-prone routers into their cycles.

@@ -123,6 +123,24 @@ fn every_smoke_scenario_is_arena_invariant() {
     }
 }
 
+/// Hotspot traffic at a scale the smoke matrix does not reach: four
+/// messages a node, 40% of them converging on one sink whose ejection port
+/// serialises deliveries, so nearly every travel spends nearly the whole
+/// run parked in a tree of wait-for chains. That is the regime the arena's
+/// per-port wake lists exist for and the legacy sweep rescans in full.
+#[test]
+fn hotspot_traffic_is_arena_invariant() {
+    let mesh = Mesh::new(8, 8, 2);
+    let nodes = mesh.node_count();
+    let specs = genoc::sim::workload::hotspot(nodes, 4 * nodes, nodes / 2, 40, 6, 23);
+    assert_equivalent(
+        &mesh,
+        &XyRouting::new(&mesh),
+        SwitchingKind::Wormhole,
+        &specs,
+    );
+}
+
 #[test]
 fn deadlock_verdicts_and_witnesses_agree_on_the_corner_storm() {
     let mesh = Mesh::new(2, 2, 1);

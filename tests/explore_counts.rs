@@ -9,6 +9,13 @@
 //!
 //! All workloads are the standard pressure patterns, every message sent
 //! `copies` times over, at capacity 1 under wormhole admission.
+//!
+//! Each cell is pinned a third time under partial-order reduction, which
+//! must keep its depth and verdict and, wherever the whole space is
+//! enumerated, store at most a fifth of it. The cell that bound is usually
+//! quoted on is all four corner-exchange messages (203,175 states in full,
+//! 2,183 under ample sets, depth 56 both ways), whose full run takes 7.6 s
+//! in a debug build; the three-message cell below is the largest that fits.
 
 use genoc::prelude::*;
 use genoc_core::step::AlwaysAdmit;
@@ -25,10 +32,12 @@ struct Pin {
     with_symmetry: (usize, u64, usize, usize),
     /// (states, transitions, depth) of the raw, unquotiented space.
     raw: (usize, u64, usize),
+    /// (states, transitions) the ample sets keep of `with_symmetry`'s space.
+    por: (usize, u64),
     deadlock: bool,
 }
 
-fn explore_pin(pin: &Pin, symmetry: bool) -> Exploration {
+fn explore_pin(pin: &Pin, symmetry: bool, por: bool) -> Exploration {
     let mut specs = pressure_specs(&pin.instance.meta, pin.flits);
     if pin.messages > 0 {
         specs.truncate(pin.messages);
@@ -40,6 +49,7 @@ fn explore_pin(pin: &Pin, symmetry: bool) -> Exploration {
     let options = ExploreOptions {
         max_states: 150_000,
         symmetry,
+        por,
         ..ExploreOptions::default()
     };
     explore(
@@ -67,6 +77,7 @@ fn reachable_state_counts_are_pinned() {
             copies: 1,
             with_symmetry: (27_000, 118_800, 42, 1),
             raw: (27_000, 118_800, 42),
+            por: (88, 132),
             deadlock: false,
         },
         // All three clockwise messages on the 3-ring; the rotation group of
@@ -78,6 +89,7 @@ fn reachable_state_counts_are_pinned() {
             copies: 1,
             with_symmetry: (1_649, 6_402, 30, 3),
             raw: (4_913, 19_074, 30),
+            por: (139, 185),
             deadlock: false,
         },
         // The dateline splits the ring into inequivalent positions — no
@@ -90,6 +102,7 @@ fn reachable_state_counts_are_pinned() {
             copies: 1,
             with_symmetry: (4_913, 19_074, 30, 1),
             raw: (4_913, 19_074, 30),
+            por: (49, 66),
             deadlock: false,
         },
         // The deadlocking comparator: 4 messages, 2 hops each, clockwise.
@@ -102,6 +115,7 @@ fn reachable_state_counts_are_pinned() {
             copies: 1,
             with_symmetry: (4_846, 19_183, 20, 4),
             raw: (20_170, 79_662, 20),
+            por: (1_580, 4_424),
             deadlock: true,
         },
         // The same comparator with every one-flit message sent twice: twin
@@ -116,18 +130,19 @@ fn reachable_state_counts_are_pinned() {
             copies: 2,
             with_symmetry: (19_403, 91_515, 20, 4),
             raw: (80_782, 379_907, 20),
+            por: (8_259, 24_996),
             deadlock: true,
         },
     ];
     for pin in &pins {
-        let sym = explore_pin(pin, true);
+        let sym = explore_pin(pin, true, false);
         assert_eq!(
             (sym.states, sym.transitions, sym.depth, sym.group_size),
             pin.with_symmetry,
             "{}: symmetry-reduced counts moved",
             pin.instance.name
         );
-        let raw = explore_pin(pin, false);
+        let raw = explore_pin(pin, false, false);
         assert_eq!(
             (raw.states, raw.transitions, raw.depth),
             pin.raw,
@@ -135,7 +150,14 @@ fn reachable_state_counts_are_pinned() {
             pin.instance.name
         );
         assert_eq!(raw.group_size, 1);
-        for result in [&sym, &raw] {
+        let por = explore_pin(pin, true, true);
+        assert_eq!(
+            (por.states, por.transitions, por.depth),
+            (pin.por.0, pin.por.1, sym.depth),
+            "{}: ample-set counts moved, or the reduction changed the depth",
+            pin.instance.name
+        );
+        for result in [&sym, &raw, &por] {
             assert_eq!(
                 result.counterexample().is_some(),
                 pin.deadlock,
@@ -148,6 +170,19 @@ fn reachable_state_counts_are_pinned() {
         assert!(sym.states <= raw.states);
         if let (Some(a), Some(b)) = (sym.counterexample(), raw.counterexample()) {
             assert_eq!(a.trace.len(), b.trace.len());
+        }
+        // Where no deadlock stops the search early both runs enumerate
+        // their whole space, and the reduction must be worth having: at
+        // most a fifth of the states stored.
+        if !pin.deadlock {
+            assert!(matches!(por.verdict, Verdict::NoReachableDeadlock));
+            assert!(
+                sym.states >= 5 * por.states,
+                "{}: ample sets keep {} of {} states",
+                pin.instance.name,
+                por.states,
+                sym.states
+            );
         }
     }
 }
