@@ -148,9 +148,12 @@ impl ArenaSpec {
 /// Each resident travel occupies a *slot* (`u32`). Slots of removed
 /// travels go on a free list and are recycled by later injections; the
 /// public [`MsgId`] is never recycled and `slot_of` maps it back to the
-/// current slot. Pool ranges of removed travels are orphaned until the
-/// arena is rebuilt (removal is a rare recovery action; orphaned ranges
-/// are bounded by the number of removals).
+/// current slot. Pool ranges of removed travels are orphaned for the rest
+/// of the run, and a recycled slot takes a fresh range: the pools never
+/// hold more than what the arena was built from plus every route and flit
+/// vector pushed or rerouted into it since (removal is a rare recovery
+/// action; `tests/arena_alloc.rs` holds a drain-and-restart run to that
+/// bound).
 ///
 /// # Snapshot semantics
 ///
@@ -275,27 +278,17 @@ impl ArenaConfig {
     pub fn write_back(&self, cfg: &mut Config) -> Result<()> {
         cfg.reseat_in_order(self.flight.iter().chain(&self.arrived).map(|&sv| {
             let s = sv as usize;
-            let ro = self.route_off[s] as usize;
-            let fo = self.flit_off[s] as usize;
-            (
-                self.public[s],
-                &self.route_pool[ro..ro + self.route_len[s] as usize],
-                (self.flit_pool[fo..fo + self.flit_len[s] as usize].iter()).map(|&v| decode(v)),
-            )
+            (self.public[s], self.route(s), self.flits(s))
         }))
     }
 
     /// Rebuilds the slot's [`Travel`] from the columns.
     fn materialize(&self, net: &dyn Network, slot: u32) -> Result<Travel> {
         let s = slot as usize;
-        let ro = self.route_off[s] as usize;
-        let rl = self.route_len[s] as usize;
-        let fo = self.flit_off[s] as usize;
-        let fl = self.flit_len[s] as usize;
-        let route = self.route_pool[ro..ro + rl].to_vec();
-        let mut t = Travel::mid_flight(net, self.public[s], route, fl)?;
-        for f in 0..fl {
-            t.set_flit_pos(f, decode(self.flit_pool[fo + f]));
+        let (route, flits) = (self.route(s).to_vec(), self.flit_len[s] as usize);
+        let mut t = Travel::mid_flight(net, self.public[s], route, flits)?;
+        for (f, pos) in self.flits(s).enumerate() {
+            t.set_flit_pos(f, pos);
         }
         Ok(t)
     }
@@ -426,13 +419,19 @@ impl ArenaConfig {
         let Some(slot) = self.slot_of(id) else {
             return Err(Error::UnknownTravel(id));
         };
-        let Some(i) = self.flight.iter().position(|&sv| sv == slot) else {
+        let Some(at) = self.flight.iter().position(|&sv| sv == slot) else {
             return Err(Error::UnknownTravel(id)); // arrived travels are not removable
         };
+        self.remove_at(net, at)
+    }
+
+    /// [`remove_travel`](Self::remove_travel) of the travel at flight
+    /// position `at`.
+    fn remove_at(&mut self, net: &dyn Network, at: usize) -> Result<Travel> {
+        let slot = self.flight[at];
         let travel = self.materialize(net, slot)?;
-        self.flight.remove(i);
-        for (f, pos) in travel.flit_positions().enumerate() {
-            debug_assert!(f < travel.flit_count());
+        self.flight.remove(at);
+        for pos in travel.flit_positions() {
             if let FlitPos::InNetwork(k) = pos {
                 self.port_leave(travel.route()[k], slot, false)?;
             }
@@ -442,7 +441,7 @@ impl ArenaConfig {
                 self.port_release(travel.route()[k], slot)?;
             }
         }
-        self.slot_of[id.index()] = NONE;
+        self.slot_of[travel.id().index()] = NONE;
         self.delivered[slot as usize] = 0;
         self.free.push(slot);
         Ok(travel)
@@ -469,6 +468,12 @@ impl ArenaConfig {
         if !self.flight.contains(&slot) {
             return Err(Error::UnknownTravel(id));
         }
+        self.reroute_slot(net, slot, new_route)
+    }
+
+    /// [`reroute_travel`](Self::reroute_travel) of the in-flight travel in
+    /// `slot`.
+    fn reroute_slot(&mut self, net: &dyn Network, slot: u32, new_route: Vec<PortId>) -> Result<()> {
         let mut t = self.materialize(net, slot)?;
         t.reroute(net, new_route)?;
         let s = slot as usize;
@@ -489,6 +494,63 @@ impl ArenaConfig {
         }
         self.route_len[s] = rl;
         Ok(())
+    }
+
+    /// Brings the arena up to `shadow`, a configuration that was equal to it
+    /// until a recovery hook changed `T` through
+    /// `Config::{push_travel, remove_travel, reroute_travel}` — the only
+    /// ways a hook has of changing one. Those leave `T` as the survivors in
+    /// their old order followed by the pushes, so one ordered pass of
+    /// `shadow.travels()` against the flight list names every change: a
+    /// flight member that is not the shadow's travel at its position (by
+    /// public id, then by flit positions) was removed, a survivor whose route
+    /// column differs was rerouted, and what the shadow holds past the last
+    /// survivor was pushed. Each is applied in place by the method of the
+    /// same name, with all of its validation. A travel that only changed
+    /// place in `T` is taken for removed and comes back as a push, so the
+    /// flight list ends in `shadow.travels()` order whatever was done to `T`.
+    ///
+    /// Returns the change of [`progress_measure`](Self::progress_measure),
+    /// summed over the travels touched from the arena's own columns, never
+    /// from `shadow`: a (C-5) ledger adjusted by it and then compared with
+    /// the shadow's measure still tells an arena that had drifted from its
+    /// shadow before the hook ran.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the three methods' rejections; the arena then holds part
+    /// of the change.
+    pub fn follow(&mut self, net: &dyn Network, shadow: &Config) -> Result<i64> {
+        let travels = shadow.travels();
+        let mut delta = 0i64;
+        let mut at = 0;
+        while let Some(&slot) = self.flight.get(at) {
+            let s = slot as usize;
+            match travels.get(at) {
+                Some(t) if self.public[s] == t.id() && self.flits(s).eq(t.flit_positions()) => {
+                    if self.route(s) != t.route() {
+                        let before = self.slot_potential(s);
+                        self.reroute_slot(net, slot, t.route().to_vec())?;
+                        delta = delta.wrapping_add_unsigned(self.slot_potential(s));
+                        delta = delta.wrapping_sub_unsigned(before);
+                    }
+                    at += 1;
+                }
+                _ => {
+                    let gone = self.remove_at(net, at)?;
+                    delta = delta.wrapping_sub_unsigned(gone.progress_potential());
+                }
+            }
+        }
+        for t in &travels[at..] {
+            let slot = self.push_travel(net, t)?;
+            delta = delta.wrapping_add_unsigned(self.slot_potential(slot as usize));
+        }
+        // The rebuild this replaced, as the oracle. Equality covers the
+        // order of `T`, which move replay relies on: it addresses the
+        // shadow's travels by flight position.
+        debug_assert_eq!(self.to_config(net)?, *shadow, "in place ≡ rebuilt");
+        Ok(delta)
     }
 
     // ------------------------------------------------------------------
@@ -600,22 +662,34 @@ impl ArenaConfig {
         self.flight.is_empty()
     }
 
+    /// The route column of slot `s`.
+    fn route(&self, s: usize) -> &[PortId] {
+        let ro = self.route_off[s] as usize;
+        &self.route_pool[ro..ro + self.route_len[s] as usize]
+    }
+
+    /// The flit positions of slot `s`, head first.
+    fn flits(&self, s: usize) -> impl ExactSizeIterator<Item = FlitPos> + '_ {
+        let fo = self.flit_off[s] as usize;
+        (self.flit_pool[fo..fo + self.flit_len[s] as usize].iter()).map(|&v| decode(v))
+    }
+
+    /// [`Travel::progress_potential`] of slot `s`, from the columns.
+    fn slot_potential(&self, s: usize) -> u64 {
+        let len = self.route_len[s] as u64;
+        let fo = self.flit_off[s] as usize;
+        (self.flit_pool[fo..fo + self.flit_len[s] as usize].iter())
+            .filter(|&&p| p != FLIT_DELIVERED)
+            .map(|&p| len + 1 - p as u64)
+            .sum()
+    }
+
     /// The strictly-decreasing progress measure of the paper's Theorem 2:
     /// every flit move decreases this by exactly one.
     pub fn progress_measure(&self) -> u64 {
-        let mut sum = 0u64;
-        for &sv in &self.flight {
-            let s = sv as usize;
-            let len = self.route_len[s] as u64;
-            let fo = self.flit_off[s] as usize;
-            let fl = self.flit_len[s] as usize;
-            for &p in &self.flit_pool[fo..fo + fl] {
-                if p != FLIT_DELIVERED {
-                    sum += len + 1 - p as u64;
-                }
-            }
-        }
-        sum
+        (self.flight.iter())
+            .map(|&sv| self.slot_potential(sv as usize))
+            .sum()
     }
 
     /// Sum over `T` of the header's remaining route length.
@@ -823,6 +897,27 @@ impl ArenaKernel {
         self.log_moves = on;
     }
 
+    /// Replays the last step's logged moves onto `shadow`, a configuration
+    /// whose `T` was in flight-list order when the step began, through the
+    /// validated `Config` movement methods — each rejects what the reference
+    /// semantics would not do and lowers the shadow's progress measure by
+    /// exactly one. Returns how many moves were replayed.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] for the first move `shadow` does not admit.
+    pub fn replay_moves(&self, shadow: &mut Config) -> Result<usize> {
+        for mv in &self.moves {
+            let (i, f) = (mv.travel as usize, mv.flit as usize);
+            match mv.kind {
+                MoveKind::Enter => shadow.enter_flit(i, f)?,
+                MoveKind::Advance => shadow.advance_flit(i, f)?,
+                MoveKind::Eject => shadow.eject_flit(i, f)?,
+            }
+        }
+        Ok(self.moves.len())
+    }
+
     /// Arrivals drained after the last step, in flight order.
     pub fn newly_arrived(&self) -> &[MsgId] {
         &self.newly
@@ -882,6 +977,27 @@ impl ArenaKernel {
                 self.run[rank / 64] |= 1 << (rank % 64);
             }
         }
+    }
+
+    /// [`ArenaConfig::follow`] for an arena under this kernel: `arena`
+    /// takes the changes a hook made to `shadow` in place, then every travel
+    /// is reclassified ([`resync`](Self::resync)) — without a [`Transition`],
+    /// wake lists in rank order, as after a rebuild of the arena from
+    /// `shadow`. Returns `follow`'s change of the progress measure.
+    ///
+    /// # Errors
+    ///
+    /// As [`ArenaConfig::follow`]; the kernel is out of step with the arena
+    /// then.
+    pub fn follow(
+        &mut self,
+        net: &dyn Network,
+        arena: &mut ArenaConfig,
+        shadow: &Config,
+    ) -> Result<i64> {
+        let delta = arena.follow(net, shadow)?;
+        self.resync(arena);
+        Ok(delta)
     }
 
     // ------------------------------------------------------------------

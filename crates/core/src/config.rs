@@ -461,25 +461,16 @@ impl Config {
     /// Moves every fully-delivered travel from `T` to `A`, preserving order.
     /// Returns the identifiers of the newly arrived travels.
     ///
-    /// One order-preserving pass; the cheap pre-scan keeps arrival-free
-    /// steps allocation-free (a per-removal `Vec::remove` here was
-    /// quadratic and dominated large-workload runs).
+    /// One order-preserving pass over `T` in place: a travel that stays is
+    /// moved at most once, to close the gaps the arrivals leave, and an
+    /// arrival-free call moves and allocates nothing (a per-removal
+    /// `Vec::remove` here was quadratic, and rebuilding `T` in a fresh
+    /// vector moved every travel on every step that delivered one).
     pub fn drain_arrived(&mut self) -> Vec<MsgId> {
-        if !self.travels.iter().any(Travel::is_arrived) {
-            return Vec::new();
-        }
-        let mut newly = Vec::new();
-        let drained = std::mem::take(&mut self.travels);
-        self.travels = Vec::with_capacity(drained.len());
-        for t in drained {
-            if t.is_arrived() {
-                newly.push(t.id());
-                self.arrived.push(t);
-            } else {
-                self.travels.push(t);
-            }
-        }
-        newly
+        let had = self.arrived.len();
+        self.arrived
+            .extend(self.travels.extract_if(.., |t| t.is_arrived()));
+        self.arrived[had..].iter().map(Travel::id).collect()
     }
 
     // ------------------------------------------------------------------

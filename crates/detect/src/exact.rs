@@ -473,11 +473,11 @@ mod tests {
                 .apply_kernel_transitions(&self.cfg, self.kernel.transitions())
         }
 
-        /// After an outside mutation of `cfg`: the arena rebuilt from it,
-        /// the kernel reclassified, as the hooked runner does.
+        /// After an outside mutation of `cfg`: the arena brought up to it
+        /// in place, the kernel reclassified, as the hooked runner does.
         fn resync(&mut self) {
-            self.arena = ArenaConfig::from_config(&self.mesh, &self.cfg).unwrap();
-            self.kernel.resync(&self.arena);
+            let (mesh, arena) = (&self.mesh, &mut self.arena);
+            self.kernel.follow(mesh, arena, &self.cfg).unwrap();
         }
 
         fn last_status(&self, id: usize) -> Option<TravelStatus> {

@@ -400,8 +400,8 @@ fn switching_index(kind: SwitchingKind) -> u8 {
         .expect("SwitchingKind::ALL is exhaustive") as u8
 }
 
+/// Appends `ev`'s payload to `p` and returns its record kind.
 fn encode_into(ev: &WalEvent, p: &mut Vec<u8>) -> u8 {
-    p.clear();
     match ev {
         WalEvent::RunStart {
             version,
@@ -718,9 +718,15 @@ pub struct WalWriter {
     sink: Sink,
     bytes: u64,
     records: u64,
+    /// The one scratch buffer, reused across appends (a recording logs
+    /// hundreds of thousands of small records): a record is encoded into it
+    /// behind [`FRAME_HEADER`] reserved bytes, framed there, and written
+    /// from it.
     frame: Vec<u8>,
-    payload: Vec<u8>,
 }
+
+/// Bytes of a frame in front of its payload: `len: u32 | kind: u8`.
+const FRAME_HEADER: usize = 5;
 
 impl WalWriter {
     /// A writer appending to an in-memory buffer (tests, doc examples).
@@ -730,7 +736,6 @@ impl WalWriter {
             bytes: 0,
             records: 0,
             frame: Vec::new(),
-            payload: Vec::new(),
         };
         w.write_header().expect("in-memory writes cannot fail");
         w
@@ -752,7 +757,6 @@ impl WalWriter {
             bytes: 0,
             records: 0,
             frame: Vec::new(),
-            payload: Vec::new(),
         };
         w.write_header()?;
         Ok(w)
@@ -774,18 +778,23 @@ impl WalWriter {
         Ok(())
     }
 
+    /// The scratch buffer, emptied down to a frame header to be filled in.
+    fn open_frame(&mut self) -> Vec<u8> {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        frame.resize(FRAME_HEADER, 0);
+        frame
+    }
+
     /// Appends one framed, checksummed record.
     ///
     /// # Errors
     ///
     /// Propagates write errors.
     pub fn append(&mut self, ev: &WalEvent) -> io::Result<()> {
-        // Both scratch buffers are reused across appends: recording logs
-        // hundreds of thousands of small records, so per-record allocation
-        // would dominate the encoding cost.
-        let mut payload = std::mem::take(&mut self.payload);
-        let kind = encode_into(ev, &mut payload);
-        self.write_record(kind, payload)
+        let mut frame = self.open_frame();
+        let kind = encode_into(ev, &mut frame);
+        self.write_frame(kind, frame)
     }
 
     /// Appends the [`WalEvent::Snapshot`] record of the travels in flight
@@ -802,30 +811,28 @@ impl WalWriter {
         inflight: &[Travel],
         arrived: &[Travel],
     ) -> io::Result<()> {
-        let mut payload = std::mem::take(&mut self.payload);
-        payload.clear();
-        put_u64(&mut payload, step);
+        let mut frame = self.open_frame();
+        put_u64(&mut frame, step);
         for travels in [inflight, arrived] {
-            put_u32(&mut payload, travels.len() as u32);
+            put_u32(&mut frame, travels.len() as u32);
             for t in travels {
                 let positions = t.flit_positions();
-                put_image(&mut payload, t.id(), t.route(), t.flit_count(), positions);
+                put_image(&mut frame, t.id(), t.route(), t.flit_count(), positions);
             }
         }
-        self.write_record(KIND_SNAPSHOT, payload)
+        self.write_frame(KIND_SNAPSHOT, frame)
     }
 
-    /// Frames, checksums and writes one encoded record, and takes `payload`
-    /// back as the scratch buffer of the next.
-    fn write_record(&mut self, kind: u8, payload: Vec<u8>) -> io::Result<()> {
-        let checksum = checksum(kind, &payload);
-        self.frame.clear();
-        put_u32(&mut self.frame, payload.len() as u32);
-        self.frame.push(kind);
-        self.frame.extend_from_slice(&payload);
-        put_u64(&mut self.frame, checksum);
-        self.payload = payload;
-        let frame = std::mem::take(&mut self.frame);
+    /// Completes the record whose payload sits in `frame` behind the
+    /// reserved header — length and kind in front, checksum of the payload
+    /// slice behind — writes it, and takes `frame` back as the scratch
+    /// buffer of the next.
+    fn write_frame(&mut self, kind: u8, mut frame: Vec<u8>) -> io::Result<()> {
+        let len = (frame.len() - FRAME_HEADER) as u32;
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4] = kind;
+        let checksum = checksum(kind, &frame[FRAME_HEADER..]);
+        put_u64(&mut frame, checksum);
         let result = self.write_all(&frame);
         self.frame = frame;
         if result.is_ok() {
@@ -1146,7 +1153,9 @@ mod tests {
             let mut w = WalWriter::in_memory();
             w.append(&fence).unwrap();
             let at = w.bytes_written();
-            w.write_record(KIND_SNAPSHOT, bad).unwrap();
+            let mut frame = w.open_frame();
+            frame.extend_from_slice(&bad);
+            w.write_frame(KIND_SNAPSHOT, frame).unwrap();
             w.append(&fence).unwrap();
             let log = read_wal_bytes(&w.finish().unwrap().unwrap());
             assert_eq!(

@@ -23,7 +23,7 @@
 //! runs. Observed runs ([`simulate_observed_config`]) exist only on the
 //! arena: the observer contract is its transition log.
 
-use genoc_core::arena::{run_arena, ArenaConfig, ArenaKernel, ArenaSpec, MoveKind};
+use genoc_core::arena::{run_arena, ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
 use genoc_core::injection::{IdentityInjection, InjectionMethod};
@@ -217,8 +217,8 @@ pub trait DetectorHook {
     /// additionally receives the step's status [`Transition`]s — a
     /// `Blocked(p)` transition *is* a wait-for edge, so incremental
     /// detectors need not rescan the configuration. Returns whether the
-    /// hook mutated the configuration (the runner then rebuilds the arena
-    /// from it and resynchronises the kernel).
+    /// hook mutated the configuration (the runner then applies the mutation
+    /// to the arena in place and has the kernel reclassify every travel).
     ///
     /// The default delegates to `after_step` and conservatively reports a
     /// mutation, so hooks unaware of the kernel stay correct.
@@ -411,9 +411,15 @@ pub fn simulate_observed_config(
 /// between steps and are exempt (recovery may legitimately raise the
 /// measure, e.g. when a drain-and-restart resets flits to their sources).
 ///
-/// On the arena every hook mutation is followed by a rebuild of the arena
-/// and a kernel resync, so the wake-list invariant survives recovery aborts,
-/// reroutes, and re-injection.
+/// On the arena a hook mutates a shadow `Config` (through
+/// [`Config::push_travel`], [`Config::remove_travel`] and
+/// [`Config::reroute_travel`]); the arena then takes the same changes in
+/// place and the kernel reclassifies every travel, so the wake-list invariant
+/// survives aborts, reroutes and re-injection at the cost of what they
+/// touched. There the measure is carried from move counts and audited in
+/// full at every mutation and at termination (per step under
+/// [`SimOptions::check_invariants`]): a violation is reported at the step
+/// that miscounts or, at the latest, at the next mutation or the end.
 ///
 /// # Errors
 ///
@@ -429,16 +435,11 @@ pub fn simulate_hooked(
     hook: &mut dyn DetectorHook,
 ) -> Result<SimResult> {
     let cfg = Config::from_specs(net, routing, specs)?;
+    if arena_spec(policy, options.stepper).is_some() {
+        return simulate_observed_config(net, policy, cfg, options, hook, &mut NullObserver);
+    }
     let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
-
-    let run = match arena_spec(policy, options.stepper) {
-        Some(aspec) => {
-            let run = hooked_arena_loop(net, aspec, cfg, options, hook, &mut NullObserver)?;
-            policy.note_kernel_steps(run.steps);
-            run
-        }
-        None => hooked_legacy_loop(net, policy, cfg, options, hook)?,
-    };
+    let run = hooked_legacy_loop(net, policy, cfg, options, hook)?;
     Ok(finish(run, injected, options))
 }
 
@@ -446,15 +447,34 @@ pub fn simulate_hooked(
 // switching step (a recovery that never actually recovers).
 const MAX_IDLE_CONTINUES: u32 = 10_000;
 
+/// The full (C-5) audit of the hooked arena loop: the ledger it carries
+/// against the shadow's measure, recomputed.
+fn audit_ledger(cfg: &Config, ledger: u64, step: u64) -> Result<()> {
+    let after = cfg.progress_measure();
+    if after == ledger {
+        return Ok(());
+    }
+    let before = ledger;
+    Err(Error::MeasureViolation {
+        step,
+        before,
+        after,
+    })
+}
+
 /// The hooked/observed loop on the arena stepper. The arena drives every
 /// move; a *shadow* [`Config`] is kept in lock step by replaying the
 /// kernel's move log, so hooks and observers keep their `Config`-based
 /// interface (and stable public ids) unchanged. Replay is self-validating:
 /// every replayed move goes through the `Config` movement methods, which
-/// reject anything the legacy semantics would not do, and the per-step
-/// (C-5) ledger audit compares moves counted on the arena against the
-/// measure of the shadow. A hook mutation rebuilds the arena from the
-/// mutated shadow.
+/// reject anything the legacy semantics would not do and lower the shadow's
+/// measure by one each. The (C-5) ledger is therefore carried, not
+/// recomputed: a step checks that it replayed as many moves as the arena
+/// counted, a hook mutation — applied to the arena in place, whichever
+/// callback made it ([`ArenaKernel::follow`]) — adjusts the ledger by the
+/// arena's own figures, and the full audit runs at every mutation and at
+/// termination, per step only under [`SimOptions::check_invariants`] and in
+/// debug builds. A step costs its moves, a recovery what it touched.
 fn hooked_arena_loop(
     net: &dyn Network,
     aspec: ArenaSpec,
@@ -477,41 +497,27 @@ fn hooked_arena_loop(
     observer.on_run_start(net, &cfg)?;
 
     let outcome = loop {
-        if cfg.is_evacuated() {
+        let mutated = if cfg.is_evacuated() {
             if !hook.on_drained(net, &mut cfg, steps)? {
                 break Outcome::Evacuated;
             }
-            arena = ArenaConfig::from_config(net, &cfg)?;
-            kernel.resync(&arena);
-            ledger = cfg.progress_measure();
-            observer.on_mutation(&cfg, steps)?;
             idle_continues += 1;
+            true
         } else if kernel.is_deadlock(&arena) {
             if !hook.on_deadlock(net, &mut cfg, steps)? {
                 break Outcome::Deadlock;
             }
-            arena = ArenaConfig::from_config(net, &cfg)?;
-            kernel.resync(&arena);
-            ledger = cfg.progress_measure();
-            observer.on_mutation(&cfg, steps)?;
             idle_continues += 1;
+            true
         } else {
             if steps >= options.max_steps {
                 break Outcome::StepLimit;
             }
             trace.begin_step(steps);
             let report = kernel.step(&mut arena, &mut trace)?;
-            // Replay this step's moves onto the shadow config. While a step
-            // is in progress the flight list mirrors `cfg.travels()` order,
-            // so move indices address the same travels.
-            for mv in kernel.moves() {
-                let (i, f) = (mv.travel as usize, mv.flit as usize);
-                match mv.kind {
-                    MoveKind::Enter => cfg.enter_flit(i, f)?,
-                    MoveKind::Advance => cfg.advance_flit(i, f)?,
-                    MoveKind::Eject => cfg.eject_flit(i, f)?,
-                }
-            }
+            // The flight list mirrors `cfg.travels()` order, across mutations
+            // too, so the log's positions address the shadow's travels.
+            let replayed = kernel.replay_moves(&mut cfg)? as u64;
             if kernel.take_saw_arrival() {
                 kernel.drain_arrived(&mut arena);
                 let shadow_newly = cfg.drain_arrived();
@@ -520,23 +526,23 @@ fn hooked_arena_loop(
             if report.moves() == 0 {
                 return Err(Error::ProgressViolation { step: steps });
             }
+            // (C-5) before the hook may mutate, as the legacy hooked loop
+            // checks it every step: the shadow agrees with the ledger exactly
+            // when it was handed every move the arena counted.
+            let shadow = ledger.saturating_sub(replayed);
             ledger = ledger.saturating_sub(report.moves() as u64);
-            if options.check_invariants {
-                cfg.validate(net)?;
-            }
-            // Audit the (C-5) measure ledger before the hook gets a chance
-            // to mutate: the legacy hooked loop checks the measure every
-            // step, and deferring the audit past a hook mutation would let
-            // the post-recovery rebase absorb an earlier violation.
-            // `ledger` tracks arena moves, `actual` is the shadow's measure,
-            // so this doubles as a per-step arena ≡ shadow cross-check.
-            let actual = cfg.progress_measure();
-            if actual != ledger {
+            if shadow != ledger {
                 return Err(Error::MeasureViolation {
                     step: steps,
                     before: ledger,
-                    after: actual,
+                    after: shadow,
                 });
+            }
+            if options.check_invariants {
+                cfg.validate(net)?;
+            }
+            if options.check_invariants || cfg!(debug_assertions) {
+                audit_ledger(&cfg, ledger, steps)?;
             }
             // The observer sees the step before the hook may mutate, so a
             // log records the state the detector acted on, not its repair.
@@ -550,14 +556,17 @@ fn hooked_arena_loop(
             )?;
             moves_seen = trace.events().len();
             arrival_order.extend_from_slice(kernel.newly_arrived());
-            if hook.after_kernel_step(net, &mut cfg, kernel.transitions(), steps)? {
-                arena = ArenaConfig::from_config(net, &cfg)?;
-                kernel.resync(&arena);
-                ledger = cfg.progress_measure();
-                observer.on_mutation(&cfg, steps + 1)?;
-            }
+            let mutated = hook.after_kernel_step(net, &mut cfg, kernel.transitions(), steps)?;
             steps += 1;
             idle_continues = 0;
+            mutated
+        };
+        if mutated {
+            // Audited in full before the observer hears of it, so that no
+            // recovery absorbs a violation that came before it.
+            ledger = ledger.wrapping_add_signed(kernel.follow(net, &mut arena, &cfg)?);
+            audit_ledger(&cfg, ledger, steps)?;
+            observer.on_mutation(&cfg, steps)?;
         }
         if idle_continues > MAX_IDLE_CONTINUES {
             return Err(Error::Invariant(
@@ -566,18 +575,7 @@ fn hooked_arena_loop(
         }
     };
 
-    // Terminal audit of the (C-5) measure ledger: every flit move must have
-    // decreased the progress measure by exactly one (the ledger is
-    // recomputed after every hook mutation, so any divergence here is a
-    // genuine contract violation).
-    let actual = cfg.progress_measure();
-    if actual != ledger {
-        return Err(Error::MeasureViolation {
-            step: steps,
-            before: ledger,
-            after: actual,
-        });
-    }
+    audit_ledger(&cfg, ledger, steps)?;
     observer.on_run_end(outcome, steps, &cfg)?;
     Ok(RunResult {
         outcome,

@@ -7,11 +7,15 @@
 //!   column), independent of how many messages the configuration holds —
 //!   this is what makes campaign shards cheap;
 //! * after warm-up, stepping allocates nothing: a full identical re-run
-//!   on a warmed kernel performs zero heap allocations inside `step()`.
+//!   on a warmed kernel performs zero heap allocations inside `step()`,
+//!   across a recovery applied to the arena in place.
+//!
+//! A third anchor is about growth: with no rebuild to compact them, the
+//! route and flit pools are bounded by what was pushed into the arena.
 //!
 //! The counting allocator only counts; it delegates all placement to the
-//! system allocator. The counter is per thread: cargo runs the two tests on
-//! two threads of one process, and a process-wide counter let one test's
+//! system allocator. The counter is per thread: cargo runs the tests on
+//! threads of one process, and a process-wide counter let one test's
 //! allocations land in the other's window. Each measurement brackets its
 //! own region and the assertions are on *deltas*, so unrelated allocations
 //! outside a window don't interfere.
@@ -102,60 +106,139 @@ fn snapshot_clone_is_a_constant_allocation_count() {
     drop(large_clone);
 }
 
+/// One run to evacuation in which the youngest travel still in flight after
+/// step `EVICT_AFTER` is removed from the arena in place and the kernel
+/// reclassifies (`resync`), as the hooked loop answers an abort. Returns the
+/// steps taken, the allocations inside `step()` before and after the
+/// eviction, those inside `drain_arrived`, and how many drains left travels
+/// in flight.
+fn evicting_run(
+    mesh: &Mesh,
+    ids: &[MsgId],
+    arena: &mut ArenaConfig,
+    kernel: &mut ArenaKernel,
+) -> (u64, [u64; 2], u64, usize) {
+    const EVICT_AFTER: u64 = 5;
+    let mut trace = Trace::new(false);
+    let (mut steps, mut step_allocs, mut drain_allocs, mut mid_run_drains) = (0, [0; 2], 0, 0);
+    while !arena.is_evacuated() {
+        assert!(!kernel.is_deadlock(arena), "XY mesh workloads evacuate");
+        let (result, allocs) = allocations_during(|| kernel.step(arena, &mut trace));
+        result.unwrap();
+        step_allocs[usize::from(steps > EVICT_AFTER)] += allocs;
+        if kernel.take_saw_arrival() {
+            let (_, d) = allocations_during(|| kernel.drain_arrived(arena));
+            drain_allocs += d;
+            mid_run_drains += usize::from(!arena.is_evacuated());
+        }
+        if steps == EVICT_AFTER {
+            // The removal may allocate: it returns the `Travel` it evicted.
+            let evicted = (ids.iter().rev()).find_map(|&id| arena.remove_travel(mesh, id).ok());
+            assert!(evicted.is_some(), "some travel is still in flight");
+            kernel.resync(arena);
+        }
+        steps += 1;
+        assert!(steps < 10_000);
+    }
+    assert!(steps > 2 * EVICT_AFTER, "the run outlasts the eviction");
+    (steps, step_allocs, drain_allocs, mid_run_drains)
+}
+
 /// Warm the kernel with one full run, then replay the identical run on a
 /// fresh copy of the arena: every `step()` must perform zero allocations
 /// (wake lists, freed-port log, transition and move buffers are all at
 /// their high-water marks and reused; the run-queue bitsets, the rank →
 /// slot column and the completed-travel log are sized by `resync` and never
-/// grow). Only `drain_arrived` may allocate, amortised growth of the
-/// arrived list. The second workload spans four 64-rank words and has
-/// travels complete while others are still in flight, so the drain's
-/// compaction and the word-crossing sweep are both inside the window.
+/// grow) — before an in-place `remove_travel` and after it, where the
+/// survivors run on from the arena they were in, orphaned pool ranges and a
+/// freed slot included, with no rebuild in between. Only `drain_arrived`
+/// may allocate, amortised growth of the arrived list. The second workload
+/// spans four 64-rank words and has travels complete while others are still
+/// in flight, so the drain's compaction and the word-crossing sweep are both
+/// inside the window.
 #[test]
 fn stepping_allocates_nothing_after_warmup() {
     for (side, messages) in [(4, 24), (8, 200)] {
-        let (_, _, arena0) = workload_arena(side, messages);
+        let (mesh, cfg, arena0) = workload_arena(side, messages);
+        let ids: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
         let spec =
             ArenaSpec::from_kernel_spec(&WormholePolicy::default().kernel_spec().unwrap()).unwrap();
 
         // Warm-up run: grows every reusable buffer to its high-water mark.
         let mut arena = arena0.clone();
         let mut kernel = ArenaKernel::new(&arena, spec);
-        let mut trace = Trace::new(false);
-        let mut steps = 0u64;
-        while !arena.is_evacuated() {
-            assert!(!kernel.is_deadlock(&arena), "XY mesh workloads evacuate");
-            kernel.step(&mut arena, &mut trace).unwrap();
-            if kernel.take_saw_arrival() {
-                kernel.drain_arrived(&mut arena);
-            }
-            steps += 1;
-            assert!(steps < 10_000);
-        }
+        let (steps, ..) = evicting_run(&mesh, &ids, &mut arena, &mut kernel);
 
         // Identical re-run on the warmed kernel: zero allocations per step.
         let mut arena = arena0.clone();
         kernel.resync(&arena);
-        let mut drain_allocs = 0u64;
-        let mut mid_run_drains = 0;
-        for step in 0..steps {
-            let (result, step_allocs) = allocations_during(|| kernel.step(&mut arena, &mut trace));
-            result.unwrap();
-            assert_eq!(
-                step_allocs, 0,
-                "step {step} of the warmed re-run allocated {step_allocs} times"
-            );
-            if kernel.take_saw_arrival() {
-                let (_, d) = allocations_during(|| kernel.drain_arrived(&mut arena));
-                drain_allocs += d;
-                mid_run_drains += usize::from(!arena.is_evacuated());
-            }
-        }
-        assert!(arena.is_evacuated(), "re-run reproduces the warm-up run");
+        let (again, step_allocs, drain_allocs, mid_run_drains) =
+            evicting_run(&mesh, &ids, &mut arena, &mut kernel);
+        assert_eq!(again, steps, "re-run reproduces the warm-up run");
+        assert_eq!(
+            step_allocs,
+            [0, 0],
+            "`step()` allocated on the warmed re-run, [before, after] the eviction"
+        );
         assert!(mid_run_drains > 0, "some travel arrives before the last");
         assert!(
             drain_allocs <= 8,
             "arrived-list growth is amortised, got {drain_allocs} allocations"
         );
     }
+}
+
+/// No rebuild compacts the pools any more, so what bounds them is what went
+/// in: on a drain-and-restart run — `DrainAll` evicts every travel at the
+/// first deadlock and `on_drained` pushes them back one at a time — the
+/// route and flit pools never exceed the arena the run started from plus the
+/// routes and flits of the travels actually pushed. The loop is the hooked
+/// arena loop's, cut down to what moves the arena.
+#[test]
+fn pools_grow_by_what_was_pushed_and_no_more() {
+    let mesh = Mesh::new(4, 4, 1);
+    let routing = MixedXyYxRouting::new(&mesh);
+    let specs = genoc::sim::workload::uniform_random(mesh.node_count(), 96, 2..=6, 7);
+    let mut cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
+    let mut arena = ArenaConfig::from_config(&mesh, &cfg).unwrap();
+    let spec =
+        ArenaSpec::from_kernel_spec(&WormholePolicy::default().kernel_spec().unwrap()).unwrap();
+    let mut kernel = ArenaKernel::new(&arena, spec);
+    kernel.set_log_moves(true);
+    let mut engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(DrainAll));
+    let mut trace = Trace::new(false);
+    let (mut routes, mut flits) = (arena.route_pool_len(), arena.flit_pool_len());
+    let (mut steps, mut pushes) = (0u64, 0usize);
+    loop {
+        if cfg.is_evacuated() {
+            if !engine.on_drained(&mesh, &mut cfg, steps).unwrap() {
+                break;
+            }
+            let pushed = cfg.travels().last().expect("on_drained pushed one");
+            routes += pushed.route().len();
+            flits += pushed.flit_count();
+            pushes += 1;
+        } else if kernel.is_deadlock(&arena) {
+            assert!(engine.on_deadlock(&mesh, &mut cfg, steps).unwrap());
+        } else {
+            kernel.step(&mut arena, &mut trace).unwrap();
+            kernel.replay_moves(&mut cfg).unwrap();
+            if kernel.take_saw_arrival() {
+                kernel.drain_arrived(&mut arena);
+                cfg.drain_arrived();
+            }
+            steps += 1;
+            continue;
+        }
+        kernel.follow(&mesh, &mut arena, &cfg).unwrap();
+        assert!(
+            arena.route_pool_len() <= routes && arena.flit_pool_len() <= flits,
+            "pools {}/{} past {routes}/{flits} after {pushes} pushes",
+            arena.route_pool_len(),
+            arena.flit_pool_len()
+        );
+    }
+    assert!(pushes > 0, "the run deadlocked and was restarted");
+    assert_eq!(cfg.arrived().len(), specs.len(), "nothing is lost");
+    assert_eq!(arena.to_config(&mesh).unwrap(), cfg);
 }

@@ -204,38 +204,85 @@ fn hooked_detection_sees_the_same_cycles_on_the_arena() {
     );
 }
 
-#[test]
-fn hooked_recovery_round_trips_identically_on_the_arena() {
-    let mesh = Mesh::new(2, 2, 1);
-    let routing = MixedXyYxRouting::new(&mesh);
-    let specs = genoc::sim::workload::bit_complement(&mesh, 4);
-    let mut outcomes = Vec::new();
-    for stepper in STEPPERS {
-        let mut engine =
-            DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
+/// One workload under one recovery policy on both steppers: outcome, the
+/// whole `RecoverySummary` (steps, detections, delivered, aborted, rerouted,
+/// restarts) and the final configuration — `T`, `ST` and `A` in order — must
+/// be the legacy loop's, and `ran` says the policy took the path it is here
+/// to exercise.
+fn assert_recovery_equivalent(
+    cell: &str,
+    net: &dyn Network,
+    routing: &dyn RoutingFunction,
+    specs: &[MessageSpec],
+    policy: &dyn Fn() -> Box<dyn RecoveryPolicy>,
+    ran: fn(&RecoverySummary) -> bool,
+) {
+    let run = |stepper| {
+        let mut engine = DetectionEngine::with_policy(EngineOptions::default(), policy());
         let options = SimOptions {
             stepper,
             ..SimOptions::default()
         };
-        let result = simulate_hooked(
+        let mut switching = WormholePolicy::default();
+        let result = simulate_hooked(net, routing, &mut switching, specs, &options, &mut engine)
+            .unwrap_or_else(|e| panic!("{cell}, {stepper:?}: {e}"));
+        assert_eq!(result.run.outcome, Outcome::Evacuated, "{cell}: saved");
+        (engine.summary(&result), result.run.config)
+    };
+    let (arena, legacy) = (run(Stepper::Arena), run(Stepper::Legacy));
+    assert_eq!(arena, legacy, "{cell}");
+    assert!(ran(&arena.0), "{cell}: {:?}", arena.0);
+}
+
+/// Every recovery policy: the arena applies a hook's removals
+/// (`AbortAndEvacuate`), reroutes (`EscapeChannel` on a two-VC ring) and
+/// pushes (`DrainAll`, which stages every travel and has `on_drained` push
+/// them back one by one) to itself in place. An arena that skipped a reroute
+/// would step the diverted travel along its old route and deadlock where
+/// the shadow does not; a debug build trips the `to_config` oracle first.
+#[test]
+fn hooked_recovery_round_trips_identically_on_the_arena() {
+    let abort = || Box::new(AbortAndEvacuate) as Box<dyn RecoveryPolicy>;
+    let drain = || Box::new(DrainAll) as Box<dyn RecoveryPolicy>;
+    let removed = |s: &RecoverySummary| !s.aborted.is_empty() && s.restarts == 0;
+    let pushed = |s: &RecoverySummary| s.restarts >= 1 && s.aborted.is_empty();
+    for (side, specs) in [
+        (
+            2,
+            genoc::sim::workload::bit_complement(&Mesh::new(2, 2, 1), 4),
+        ),
+        (8, genoc::sim::workload::uniform_random(64, 768, 2..=8, 7)),
+    ] {
+        let mesh = Mesh::new(side, side, 1);
+        let mixed = MixedXyYxRouting::new(&mesh);
+        let cell = format!("{side}×{side} mixed");
+        assert_recovery_equivalent(
+            &format!("{cell}, abort"),
             &mesh,
-            &routing,
-            &mut WormholePolicy::default(),
+            &mixed,
             &specs,
-            &options,
-            &mut engine,
-        )
-        .unwrap();
-        assert_eq!(result.run.outcome, Outcome::Evacuated, "recovery saves it");
-        let summary = engine.summary(&result);
-        outcomes.push((
-            result.run.steps,
-            summary.delivered,
-            summary.aborted.clone(),
-            summary.rerouted.clone(),
-        ));
+            &abort,
+            removed,
+        );
+        assert_recovery_equivalent(
+            &format!("{cell}, drain"),
+            &mesh,
+            &mixed,
+            &specs,
+            &drain,
+            pushed,
+        );
     }
-    assert_eq!(outcomes[0], outcomes[1]);
+    let ring = Ring::with_vcs(8, 2, 1);
+    let shortest = RingShortestRouting::new(&ring);
+    let mut specs = genoc::sim::workload::ring_offset(8, 3, 5);
+    specs.extend(genoc::sim::workload::ring_offset(8, 2, 4));
+    let escape = || {
+        let policy = EscapeChannel::new(Box::new(RingEscape::new(&ring)));
+        Box::new(policy) as Box<dyn RecoveryPolicy>
+    };
+    let rerouted = |s: &RecoverySummary| !s.rerouted.is_empty();
+    assert_recovery_equivalent("ring, escape", &ring, &shortest, &specs, &escape, rerouted);
 }
 
 /// Regression anchors for one reference cell (3×3 XY mesh, wormhole,

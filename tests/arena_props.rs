@@ -6,11 +6,14 @@
 //! stable across recycling (a live message keeps resolving to its own
 //! state no matter how many other slots were freed and reused around it);
 //! and the arena stays observationally equal to a shadow `Config` driven
-//! through the same operations. Beside them: the arena's exit
-//! (`write_back`) against the `Config` it materialises from nothing, and
-//! every park its transition feed reports against `blocked_port_with`.
+//! through the same operations — applied to both sides one by one, or to
+//! the shadow alone in batches the arena then catches up with
+//! (`ArenaConfig::follow`, what the hooked loop does after a recovery).
+//! Beside them: the arena's exit (`write_back`) against the `Config` it
+//! materialises from nothing, and every park its transition feed reports
+//! against `blocked_port_with`.
 
-use genoc::core::arena::{ArenaConfig, ArenaKernel, ArenaSpec, MoveKind};
+use genoc::core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc::core::step::{blocked_port_with, HeadAdmission};
 use genoc::core::trace::{Event, Trace};
 use genoc::prelude::*;
@@ -52,6 +55,9 @@ struct Harness {
     arena: ArenaConfig,
     next_id: usize,
     spec: ArenaSpec,
+    /// Injections, removals and reroutes go to the shadow alone, as a
+    /// recovery hook's do; the arena follows before the next step.
+    lazy: bool,
 }
 
 impl Harness {
@@ -71,7 +77,21 @@ impl Harness {
             arena,
             next_id: 0,
             spec,
+            lazy: false,
         }
+    }
+
+    /// The arena brought up to the shadow in place, and the change of the
+    /// progress measure it reports against the shadow's own.
+    fn follow(&mut self) {
+        let before = self.arena.progress_measure();
+        let delta = self.arena.follow(&self.mesh, &self.cfg).unwrap();
+        assert_eq!(
+            before.wrapping_add_signed(delta),
+            self.cfg.progress_measure(),
+            "the arena's account of what the mutations were worth"
+        );
+        self.check();
     }
 
     fn apply(&mut self, op: &Op) {
@@ -82,10 +102,15 @@ impl Harness {
                     Travel::from_spec(&self.mesh, &self.xy, MsgId::from_index(self.next_id), &spec)
                         .unwrap();
                 self.next_id += 1;
-                self.arena.push_travel(&self.mesh, &t).unwrap();
+                if !self.lazy {
+                    self.arena.push_travel(&self.mesh, &t).unwrap();
+                }
                 self.cfg.push_travel(t).unwrap();
             }
             Op::Step => {
+                if self.lazy {
+                    self.follow();
+                }
                 if self.arena.flight_count() == 0 {
                     return;
                 }
@@ -101,8 +126,10 @@ impl Harness {
                 }
                 let id = self.cfg.travels()[n % self.cfg.travels().len()].id();
                 let from_cfg = self.cfg.remove_travel(id).unwrap();
-                let from_arena = self.arena.remove_travel(&self.mesh, id).unwrap();
-                assert_eq!(from_cfg, from_arena, "both sides evict the same travel");
+                if !self.lazy {
+                    let from_arena = self.arena.remove_travel(&self.mesh, id).unwrap();
+                    assert_eq!(from_cfg, from_arena, "both sides evict the same travel");
+                }
             }
             Op::Reroute(n) => {
                 if self.cfg.travels().is_empty() {
@@ -115,13 +142,15 @@ impl Harness {
                 let Ok(route) = compute_route(&self.mesh, &self.yx, source, dest) else {
                     return;
                 };
-                let a = self.arena.reroute_travel(&self.mesh, id, route.clone());
-                let c = self.cfg.reroute_travel(&self.mesh, id, route);
-                assert_eq!(
-                    a.is_ok(),
-                    c.is_ok(),
-                    "arena and shadow agree on reroute admissibility"
-                );
+                let c = self.cfg.reroute_travel(&self.mesh, id, route.clone());
+                if !self.lazy {
+                    let a = self.arena.reroute_travel(&self.mesh, id, route);
+                    assert_eq!(
+                        a.is_ok(),
+                        c.is_ok(),
+                        "arena and shadow agree on reroute admissibility"
+                    );
+                }
             }
         }
     }
@@ -134,14 +163,7 @@ impl Harness {
         kernel.step(&mut self.arena, &mut trace).unwrap();
         // While a step is in progress the flight list mirrors
         // `cfg.travels()` order, so move indices transfer directly.
-        for mv in kernel.moves() {
-            let (i, f) = (mv.travel as usize, mv.flit as usize);
-            match mv.kind {
-                MoveKind::Enter => self.cfg.enter_flit(i, f).unwrap(),
-                MoveKind::Advance => self.cfg.advance_flit(i, f).unwrap(),
-                MoveKind::Eject => self.cfg.eject_flit(i, f).unwrap(),
-            }
-        }
+        kernel.replay_moves(&mut self.cfg).unwrap();
         if kernel.take_saw_arrival() {
             kernel.drain_arrived(&mut self.arena);
             let newly = self.cfg.drain_arrived();
@@ -214,6 +236,44 @@ proptest! {
             h.apply(op);
             h.check();
         }
+    }
+
+    /// The same interleavings with every injection, removal and reroute
+    /// between two steps made on the shadow alone: `follow` finds the batch
+    /// by comparing `T` with the flight list, applies it in place, and
+    /// reports what it was worth — over recycled slots, a travel pushed and
+    /// removed in one batch, reroutes of travels that have not moved yet.
+    #[test]
+    fn follow_catches_up_with_any_batch_of_mutations(ops in vec(op_strategy(9), 1..80)) {
+        let mut h = Harness::new();
+        h.lazy = true;
+        for op in &ops {
+            h.apply(op);
+        }
+        h.follow();
+    }
+}
+
+/// A hook that takes a travel out of `T` and puts it back has moved it to
+/// the end: `follow` sees the removal, and the travel returns as a push, so
+/// that flight positions keep addressing the shadow's travels.
+#[test]
+fn follow_keeps_flight_order_when_a_travel_is_removed_and_pushed_again() {
+    let mut h = Harness::new();
+    for i in 0..4 {
+        h.apply(&Op::Inject(i, 8 - i, 2));
+    }
+    h.apply(&Op::Step);
+    h.lazy = true;
+    let moved = h.cfg.travels()[1].id();
+    let travel = h.cfg.remove_travel(moved).unwrap();
+    h.cfg.push_travel(travel).unwrap();
+    h.follow();
+    assert_eq!(h.cfg.travels().last().map(Travel::id), Some(moved));
+    let mut kernel = ArenaKernel::new(&h.arena, h.spec);
+    while h.arena.flight_count() > 0 {
+        h.step_with(&mut kernel);
+        h.check();
     }
 }
 

@@ -239,3 +239,53 @@ fn damaged_logs_still_yield_their_intact_prefix() {
     assert!(log.damage.is_some());
     assert_eq!(&log.events[..], &events[..events.len() - 1]);
 }
+
+/// The log of one seeded recovering run, byte for byte: 8×8 mixed XY/YX at
+/// capacity 1 under `AbortAndEvacuate`, recorded in memory. Length, record
+/// count and an FNV-1a fold of the bytes were taken on the commit before the
+/// hooked loop applied recoveries to the arena in place, so they hold the
+/// order of every move, transition and freed port, the `EdgeAdd`/`EdgeRemove`
+/// records derived from them, and every snapshot. A reclassification that
+/// speaks (a `Transition` for a post-recovery wake), a wake list built in
+/// another order, or a survivor out of place in `T` moves all three.
+#[test]
+fn a_recovering_run_is_pinned_byte_for_byte() {
+    let mesh = Mesh::new(8, 8, 1);
+    let routing = MixedXyYxRouting::new(&mesh);
+    let specs = genoc::sim::workload::uniform_random(mesh.node_count(), 768, 2..=8, 7);
+    let wal = shared(WalWriter::in_memory());
+    let engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
+    let mut hook = ObservedEngine::new(engine, Some(wal.clone()));
+    let mut recorder = Recorder::with_wal(wal.clone(), 7, None);
+    let result = simulate_observed_config(
+        &mesh,
+        &mut WormholePolicy::default(),
+        Config::from_specs(&mesh, &routing, &specs).unwrap(),
+        &SimOptions::default(),
+        &mut hook,
+        &mut recorder,
+    )
+    .unwrap();
+    drop(recorder);
+    assert_eq!(result.run.outcome, Outcome::Evacuated);
+    let detections = hook.engine().detections().len();
+    assert!(detections >= 20, "only {detections} detections");
+    drop(hook);
+    let writer = std::rc::Rc::try_unwrap(wal)
+        .ok()
+        .expect("sole owner")
+        .into_inner();
+    let records = writer.records_written();
+    let bytes = writer.finish().unwrap().unwrap();
+    let fold = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (result.run.steps, detections, bytes.len(), records, fold),
+        PINNED_RECOVERING_LOG
+    );
+}
+
+/// `(steps, detections, bytes, records, fold)` of the run above.
+const PINNED_RECOVERING_LOG: (u64, usize, usize, u64, u64) =
+    (1058, 87, 10_421_935, 225_742, 13_705_820_959_004_857_160);
