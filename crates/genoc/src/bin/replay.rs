@@ -106,11 +106,7 @@ fn log_metrics(log: &WalLog, replayed: &Config, steps: u64) -> String {
         MetricKind::Gauge,
         "Flits delivered at the reconstructed step",
     );
-    let detections = log
-        .events
-        .iter()
-        .filter(|e| matches!(e, WalEvent::Detection { .. }))
-        .count();
+    let detections = genoc::obs::detections(&log.events).count();
     reg.set("genoc_replay_records_total", &[], log.events.len() as f64);
     reg.set("genoc_replay_steps", &[], steps as f64);
     reg.set("genoc_replay_detections_total", &[], detections as f64);

@@ -11,7 +11,9 @@
 //!   checksummed records for injections, flit moves, status transitions,
 //!   freed ports, wait-for edge add/remove, detector firings, recovery
 //!   actions, and periodic full-state snapshots. Damaged or truncated tails
-//!   are detected, never fatal.
+//!   are detected, never fatal. A log is verified whole when it is read and
+//!   kept as its bytes ([`WalRecords`]); records are decoded where a reader
+//!   looks at them.
 //! * **Replay** ([`replay`]) — [`replay_to`] reconstructs the full
 //!   [`Config`](genoc_core::config::Config) after any number of steps from
 //!   the nearest snapshot plus the move tail, provably identical to a fresh
@@ -29,7 +31,7 @@
 //! `DetectionEngine` so detections land in the same log:
 //!
 //! ```
-//! use genoc_obs::{read_wal_bytes, replay_to, shared, Recorder, WalWriter};
+//! use genoc_obs::{read_wal_bytes, recorded_outcome, replay_to, shared, Recorder, WalWriter};
 //! use genoc_routing::xy::XyRouting;
 //! use genoc_core::config::Config;
 //! use genoc_sim::{simulate_observed_config, NullHook, SimOptions};
@@ -52,12 +54,21 @@
 //! .unwrap();
 //! drop(recorder);
 //! let writer = std::rc::Rc::try_unwrap(wal).ok().expect("sole owner").into_inner();
+//! let writer_records = writer.records_written();
 //! let bytes = writer.finish().unwrap().unwrap();
+//! // Every record is verified here, and none is decoded yet:
 //! let log = read_wal_bytes(&bytes);
 //! assert!(log.damage.is_none());
-//! // Any step of the run is now reconstructible without a rerun:
-//! let mid = replay_to(&mesh, &log.events, result.run.steps / 2).unwrap();
+//! assert_eq!(log.events.len() as u64, writer_records);
+//! // The footer comes from the log's index,
+//! let (_, steps) = recorded_outcome(&log.events).unwrap();
+//! assert_eq!(steps, result.run.steps);
+//! // and any step of the run is reconstructible without a rerun, from the
+//! // nearest snapshot and the records after it:
+//! let mid = replay_to(&mesh, &log.events, steps / 2).unwrap();
 //! assert!(!mid.travels().is_empty() || !mid.arrived().is_empty());
+//! // Records decode one by one, on demand:
+//! assert_eq!(log.events.iter().count(), log.events.len());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,9 +84,10 @@ pub use crate::observer::{
     record_hunt, shared, ObsSummary, ObservedEngine, Recorder, RecorderOptions, SharedWal,
 };
 pub use crate::replay::{
-    describe, final_steps, initial_config, recorded_outcome, replay_to, run_start, tail_lines,
+    describe, detections, final_steps, initial_config, recorded_outcome, replay_to, run_start,
+    tail_lines,
 };
 pub use crate::wal::{
     read_wal, read_wal_bytes, RecoveryAction, SnapshotImages, TravelImage, WalEvent, WalLog,
-    WalMeta, WalWriter, WAL_MAGIC, WAL_VERSION,
+    WalMeta, WalRecords, WalWriter, WAL_MAGIC, WAL_VERSION,
 };

@@ -8,6 +8,11 @@
 //! fresh rerun of the recorded workload capped at `n` steps — same travel
 //! positions and routes, hence the same kernel status classification and
 //! the same wait-for graph (both are pure functions of the configuration).
+//!
+//! Everything here reads a [`WalRecords`] where it lies and decodes only the
+//! records it looks at (`wal`'s module doc, "Reading").
+
+use std::collections::VecDeque;
 
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
@@ -17,38 +22,38 @@ use genoc_core::network::Network;
 use genoc_core::travel::{FlitPos, Travel};
 use genoc_core::{MsgId, PortId};
 
-use crate::wal::{TravelImage, WalEvent, WalMeta};
+use crate::wal::{
+    Frame, TravelImage, WalEvent, WalMeta, WalRecords, KIND_DETECTION, KIND_EDGE_ADD,
+    KIND_EDGE_REMOVE, KIND_FREED_PORT, KIND_MOVE, KIND_RECOVERY, KIND_RUN_END, KIND_STEP_BEGIN,
+    KIND_TRANSITION,
+};
 
 /// The run header's `(seed, meta)`, when the log has one.
-pub fn run_start(events: &[WalEvent]) -> Option<(u64, Option<WalMeta>)> {
-    events.iter().find_map(|e| match e {
-        WalEvent::RunStart { seed, meta, .. } => Some((*seed, *meta)),
-        _ => None,
-    })
+pub fn run_start(events: &WalRecords) -> Option<(u64, Option<WalMeta>)> {
+    events.run_start
 }
 
 /// The recorded `(outcome, steps)` footer, when the run ended cleanly.
-pub fn recorded_outcome(events: &[WalEvent]) -> Option<(Outcome, u64)> {
-    events.iter().rev().find_map(|e| match e {
-        WalEvent::RunEnd { outcome, steps } => Some((*outcome, *steps)),
-        _ => None,
-    })
+pub fn recorded_outcome(events: &WalRecords) -> Option<(Outcome, u64)> {
+    events.run_end
 }
 
 /// Total switching steps the log covers: the footer's count when present,
 /// otherwise one past the last step marker.
-pub fn final_steps(events: &[WalEvent]) -> u64 {
-    if let Some((_, steps)) = recorded_outcome(events) {
-        return steps;
+pub fn final_steps(events: &WalRecords) -> u64 {
+    match (events.run_end, events.last_step) {
+        (Some((_, steps)), _) => steps,
+        (None, Some(step)) => step + 1,
+        (None, None) => 0,
     }
+}
+
+/// The detector firings the log records, decoded as they are yielded.
+pub fn detections(events: &WalRecords) -> impl Iterator<Item = WalEvent> + '_ {
     events
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            WalEvent::StepBegin { step } => Some(step + 1),
-            _ => None,
-        })
-        .unwrap_or(0)
+        .frames()
+        .filter(|f| f.kind == KIND_DETECTION)
+        .map(|f| f.decode())
 }
 
 /// The error for a record that passed its checksum and still cannot be
@@ -99,18 +104,15 @@ fn travel_of(net: &dyn Network, img: TravelImage, bad: impl Fn(String) -> Error)
 /// Reports [`Error::Invariant`] when the log has no injections or a route
 /// names a port `net` does not have, and [`Error::InvalidSpec`] when a
 /// route does not run from a local in-port to a local out-port.
-pub fn initial_config(net: &dyn Network, events: &[WalEvent]) -> Result<Config> {
+pub fn initial_config(net: &dyn Network, events: &WalRecords) -> Result<Config> {
     let mut travels = Vec::new();
     for (i, e) in events.iter().enumerate() {
+        if let WalEvent::Inject { msg, route, .. } = &e {
+            check_route(net, *msg, route).map_err(|what| ill_formed(i, &e, what))?;
+        }
         match e {
             WalEvent::Inject { msg, flits, route } => {
-                check_route(net, *msg, route).map_err(|what| ill_formed(i, e, what))?;
-                travels.push(Travel::from_route(
-                    net,
-                    *msg,
-                    route.clone(),
-                    *flits as usize,
-                )?);
+                travels.push(Travel::from_route(net, msg, route, flits as usize)?);
             }
             WalEvent::StepBegin { .. } => break,
             _ => {}
@@ -136,34 +138,43 @@ pub fn initial_config(net: &dyn Network, events: &[WalEvent]) -> Result<Config> 
 /// (a damaged or cross-wired log), or with a record naming a port, route
 /// index or flit that does not exist — checked before anything is built or
 /// moved, so no log panics the replayer.
-pub fn replay_to(net: &dyn Network, events: &[WalEvent], steps: u64) -> Result<Config> {
+pub fn replay_to(net: &dyn Network, events: &WalRecords, steps: u64) -> Result<Config> {
     // Seek: the latest snapshot not past the target. A snapshot written
     // after a recovery mutation supersedes earlier records entirely — the
     // intervening moves were already applied to the snapshotted state.
     // Only the snapshot picked here is decoded.
-    let base = events.iter().enumerate().rev().find_map(|(i, e)| match e {
-        WalEvent::Snapshot { step, images } if *step <= steps => Some((i, e, images)),
-        _ => None,
-    });
-    let (start, mut cfg) = match base {
-        Some((i, e, images)) => {
+    let base = events.snapshots.iter().rev().find(|m| m.step <= steps);
+    let (tail, mut cfg) = match base {
+        Some(mark) => {
+            let mut frames = events.frames_at(mark);
+            let e = frames
+                .next()
+                .expect("a snapshot mark frames a record")
+                .decode();
+            let WalEvent::Snapshot { images, .. } = &e else {
+                unreachable!("a snapshot mark frames a snapshot");
+            };
             let mut travels = Vec::with_capacity(images.inflight_len() + images.arrived_len());
             for img in images.inflight().chain(images.arrived()) {
-                travels.push(travel_of(net, img, |what| ill_formed(i, e, what))?);
+                travels.push(travel_of(net, img, |what| {
+                    ill_formed(mark.record, &e, what)
+                })?);
             }
-            (i + 1, Config::from_travels(net, travels)?)
+            (frames, Config::from_travels(net, travels)?)
         }
-        None => (0, initial_config(net, events)?),
+        None => (events.frames(), initial_config(net, events)?),
     };
 
     let mut in_step = false;
-    for (at, e) in events.iter().enumerate().skip(start) {
+    // Step markers and moves are all a replay reads; the rest stay encoded.
+    for frame in tail.filter(|f| matches!(f.kind, KIND_STEP_BEGIN | KIND_MOVE)) {
+        let e = frame.decode();
         match e {
             WalEvent::StepBegin { step } => {
                 if in_step {
                     cfg.drain_arrived();
                 }
-                if *step >= steps {
+                if step >= steps {
                     in_step = false;
                     break;
                 }
@@ -175,15 +186,15 @@ pub fn replay_to(net: &dyn Network, events: &[WalEvent], steps: u64) -> Result<C
                 let i = cfg
                     .travels()
                     .iter()
-                    .position(|t| t.id() == *msg)
+                    .position(|t| t.id() == msg)
                     .ok_or_else(|| {
                         Error::Invariant(format!("WAL moves unknown travel {msg} during replay"))
                     })?;
-                let flit = *flit as usize;
+                let flit = flit as usize;
                 if flit >= cfg.travels()[i].flit_count() {
                     return Err(ill_formed(
-                        at,
-                        e,
+                        frame.record,
+                        &e,
                         format!("{msg} has {} flits", cfg.travels()[i].flit_count()),
                     ));
                 }
@@ -260,32 +271,37 @@ pub fn describe(e: &WalEvent) -> String {
 /// edges, freed ports, step markers) leading up to the first detector
 /// firing — or to the end of the log when nothing fired — followed by the
 /// detection/footer lines themselves.
-pub fn tail_lines(events: &[WalEvent], k: usize) -> Vec<String> {
-    let cut = events
-        .iter()
-        .position(|e| matches!(e, WalEvent::Detection { .. }))
-        .unwrap_or(events.len());
-    let evidence: Vec<&WalEvent> = events[..cut]
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                WalEvent::StepBegin { .. }
-                    | WalEvent::Move { .. }
-                    | WalEvent::Transition { .. }
-                    | WalEvent::FreedPort { .. }
-                    | WalEvent::EdgeAdd { .. }
-                    | WalEvent::EdgeRemove { .. }
-                    | WalEvent::Recovery { .. }
-            )
-        })
-        .collect();
-    let start = evidence.len().saturating_sub(k);
-    let mut lines: Vec<String> = evidence[start..].iter().map(|e| describe(e)).collect();
-    for e in &events[cut..] {
-        if matches!(e, WalEvent::Detection { .. } | WalEvent::RunEnd { .. }) {
-            lines.push(describe(e));
+///
+/// One forward pass: the last `k` evidence records are kept in a ring, in
+/// place, and only they and the lines after the cut are decoded.
+pub fn tail_lines(events: &WalRecords, k: usize) -> Vec<String> {
+    let line = |f: Frame<'_>| describe(&f.decode());
+    let mut frames = events.frames();
+    let mut ring = VecDeque::with_capacity(k);
+    let cut = frames.find(|f| {
+        let evidence = matches!(
+            f.kind,
+            KIND_STEP_BEGIN
+                | KIND_MOVE
+                | KIND_TRANSITION
+                | KIND_FREED_PORT
+                | KIND_EDGE_ADD
+                | KIND_EDGE_REMOVE
+                | KIND_RECOVERY
+        );
+        if evidence && k > 0 {
+            if ring.len() == k {
+                ring.pop_front();
+            }
+            ring.push_back(*f);
         }
+        f.kind == KIND_DETECTION
+    });
+    let mut lines: Vec<String> = ring.into_iter().map(line).collect();
+    if let Some(detection) = cut {
+        lines.push(line(detection));
+        let verdicts = frames.filter(|f| matches!(f.kind, KIND_DETECTION | KIND_RUN_END));
+        lines.extend(verdicts.map(line));
     }
     lines
 }

@@ -46,13 +46,36 @@
 //! wait-for edge), freed ports, derived wait-for edge add/remove, detector
 //! firings and recovery actions — plus periodic [`WalEvent::Snapshot`]
 //! records holding the full travel state so [`replay_to`](crate::replay_to)
-//! can seek without scanning from the start. A snapshot is by far the
-//! largest record and a replay reads one of them, so the reader checks a
-//! snapshot's structure and keeps it encoded ([`SnapshotImages`]); its
-//! [`TravelImage`]s are built when a replay has picked it as its base.
+//! can seek without scanning from the start.
+//!
+//! ## Reading
+//!
+//! A recorded log is hundreds of thousands of records and a replay reads a
+//! few thousand of them, so the reader verifies every record and decodes
+//! none. [`read_wal`] walks the bytes once: every frame, every checksum, and
+//! every payload's structure — field widths, enum tags, list lengths, a
+//! snapshot's image block walked image by image, and consumption of each
+//! payload to its last byte. The first record that fails any of these ends
+//! the intact prefix and is named in [`WalLog::damage`]. The log then keeps
+//! those bytes, moved in from the file read, and an index: the snapshots'
+//! record numbers, byte offsets and steps, the first `RunStart`'s seed and
+//! instance, the last `RunEnd`, the last step marker, and the record count
+//! ([`WalRecords`]). The check and the decoder are one parser, so a record
+//! that passed the read always decodes.
+//!
+//! Decoding happens where a reader looks:
+//! [`recorded_outcome`](crate::recorded_outcome),
+//! [`final_steps`](crate::final_steps) and [`run_start`](crate::run_start)
+//! answer from the index; [`replay_to`](crate::replay_to) seeks through the
+//! index and decodes one snapshot — into [`TravelImage`]s, then travels — and
+//! the step markers and moves after it;
+//! [`tail_lines`](crate::tail_lines) decodes its `k` lines and the
+//! detections; [`WalRecords::iter`] decodes each record as it yields it. A
+//! [`WalEvent::Snapshot`] keeps its image block encoded
+//! ([`SnapshotImages`]) until its images are asked for.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use genoc_core::interpreter::Outcome;
@@ -97,10 +120,10 @@ pub struct TravelImage {
 ///
 /// A value of this type is always well formed: the only ways to build one
 /// are [`from_images`](SnapshotImages::from_images), which encodes, and the
-/// reader, which walks the block once (counts, per-image route and flit
-/// lengths, exact consumption) and reports a block that fails as a malformed
-/// record. Equality is equality of the blocks, which the encoding makes
-/// equality of the images.
+/// decoder, which takes a block the reader walked (counts, per-image route
+/// and flit lengths, exact consumption) when it read the log, and which it
+/// reported as a malformed record had it failed. Equality is equality of the
+/// blocks, which the encoding makes equality of the images.
 #[derive(Clone, PartialEq, Eq)]
 pub struct SnapshotImages {
     block: Vec<u8>,
@@ -121,13 +144,21 @@ impl SnapshotImages {
                 put_image(&mut block, img.id, &img.route, img.flits.len(), positions);
             }
         }
-        SnapshotImages::parse(block).expect("an encoded block is well formed")
+        let (inflight, arrived, arrived_at) =
+            SnapshotImages::layout(&block).expect("an encoded block is well formed");
+        SnapshotImages {
+            block,
+            inflight,
+            arrived,
+            arrived_at,
+        }
     }
 
-    /// Takes a snapshot payload's image block after checking its structure;
-    /// `None` for a block that does not decode to its last byte.
-    fn parse(block: Vec<u8>) -> Option<SnapshotImages> {
-        let mut c = Cursor::new(&block);
+    /// Walks a snapshot payload's image block and returns its
+    /// `(inflight, arrived, arrived_at)`; `None` for a block that does not
+    /// decode to its last byte.
+    fn layout(block: &[u8]) -> Option<(u32, u32, usize)> {
+        let mut c = Cursor::new(block, true);
         let mut counts = [0u32; 2];
         let mut arrived_at = 0;
         for count in &mut counts {
@@ -140,12 +171,19 @@ impl SnapshotImages {
                 c.skip_image()?;
             }
         }
-        c.done().then_some(SnapshotImages {
-            block,
-            inflight: counts[0],
-            arrived: counts[1],
-            arrived_at,
-        })
+        c.done().then_some((counts[0], counts[1], arrived_at))
+    }
+
+    /// What a check (`parse` without building) returns in place of a
+    /// snapshot's images: it reads their layout and copies nothing. Never
+    /// leaves `parse`'s caller.
+    fn unread() -> SnapshotImages {
+        SnapshotImages {
+            block: Vec::new(),
+            inflight: 0,
+            arrived: 0,
+            arrived_at: 0,
+        }
     }
 
     /// Number of travels in flight at snapshot time.
@@ -172,6 +210,7 @@ impl SnapshotImages {
         let mut c = Cursor {
             data: &self.block,
             pos,
+            build: true,
         };
         (0..count).map(move |_| c.take_image().expect("block validated when it was taken"))
     }
@@ -298,18 +337,20 @@ pub enum WalEvent {
     },
 }
 
-const KIND_RUN_START: u8 = 1;
-const KIND_INJECT: u8 = 2;
-const KIND_STEP_BEGIN: u8 = 3;
-const KIND_MOVE: u8 = 4;
-const KIND_TRANSITION: u8 = 5;
-const KIND_FREED_PORT: u8 = 6;
-const KIND_EDGE_ADD: u8 = 7;
-const KIND_EDGE_REMOVE: u8 = 8;
-const KIND_DETECTION: u8 = 9;
-const KIND_RECOVERY: u8 = 10;
-const KIND_SNAPSHOT: u8 = 11;
-const KIND_RUN_END: u8 = 12;
+// Record kinds; `pub(crate)` so that a reader of a verified log can pass
+// over the records it does not look at without decoding them.
+pub(crate) const KIND_RUN_START: u8 = 1;
+pub(crate) const KIND_INJECT: u8 = 2;
+pub(crate) const KIND_STEP_BEGIN: u8 = 3;
+pub(crate) const KIND_MOVE: u8 = 4;
+pub(crate) const KIND_TRANSITION: u8 = 5;
+pub(crate) const KIND_FREED_PORT: u8 = 6;
+pub(crate) const KIND_EDGE_ADD: u8 = 7;
+pub(crate) const KIND_EDGE_REMOVE: u8 = 8;
+pub(crate) const KIND_DETECTION: u8 = 9;
+pub(crate) const KIND_RECOVERY: u8 = 10;
+pub(crate) const KIND_SNAPSHOT: u8 = 11;
+pub(crate) const KIND_RUN_END: u8 = 12;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -513,11 +554,18 @@ fn encode_into(ev: &WalEvent, p: &mut Vec<u8>) -> u8 {
 struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
+    /// Whether lists are built; unset, a list is checked and stepped over
+    /// and comes back empty, which allocates nothing.
+    build: bool,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Cursor { data, pos: 0 }
+    fn new(data: &'a [u8], build: bool) -> Self {
+        Cursor {
+            data,
+            pos: 0,
+            build,
+        }
     }
 
     fn take_u8(&mut self) -> Option<u8> {
@@ -538,24 +586,35 @@ impl<'a> Cursor<'a> {
         Some(u64::from_le_bytes(bytes.try_into().unwrap()))
     }
 
-    fn take_ports(&mut self) -> Option<Vec<PortId>> {
+    /// A `u32` count and that many `u32` ids.
+    fn take_ids<T>(&mut self, id: fn(usize) -> T) -> Option<Vec<T>> {
         let n = self.take_u32()? as usize;
         if n > self.remaining() / 4 {
             return None;
         }
-        (0..n)
-            .map(|_| self.take_u32().map(|v| PortId::from_index(v as usize)))
+        if !self.build {
+            self.pos += 4 * n;
+            return Some(Vec::new());
+        }
+        Some(self.take_words(n, |v| id(v as usize)))
+    }
+
+    /// `n` `u32`s, which the caller has checked are there, into one
+    /// allocation.
+    fn take_words<T>(&mut self, n: usize, f: impl Fn(u32) -> T) -> Vec<T> {
+        let words = self.data[self.pos..self.pos + 4 * n].chunks_exact(4);
+        self.pos += 4 * n;
+        words
+            .map(|w| f(u32::from_le_bytes(w.try_into().expect("4 bytes"))))
             .collect()
     }
 
+    fn take_ports(&mut self) -> Option<Vec<PortId>> {
+        self.take_ids(PortId::from_index)
+    }
+
     fn take_msgs(&mut self) -> Option<Vec<MsgId>> {
-        let n = self.take_u32()? as usize;
-        if n > self.remaining() / 4 {
-            return None;
-        }
-        (0..n)
-            .map(|_| self.take_u32().map(|v| MsgId::from_index(v as usize)))
-            .collect()
+        self.take_ids(MsgId::from_index)
     }
 
     fn take_image(&mut self) -> Option<TravelImage> {
@@ -565,9 +624,7 @@ impl<'a> Cursor<'a> {
         if n > self.remaining() / 4 {
             return None;
         }
-        let flits = (0..n)
-            .map(|_| self.take_u32().map(flit_pos_decode))
-            .collect::<Option<Vec<_>>>()?;
+        let flits = self.take_words(n, flit_pos_decode);
         Some(TravelImage { id, route, flits })
     }
 
@@ -594,8 +651,19 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode(kind: u8, payload: &[u8]) -> Option<WalEvent> {
-    let mut c = Cursor::new(payload);
+/// The one definition of a well-formed record, and its decoder. With
+/// `build` unset it is the reader's check: the same walk over the same
+/// fields, allocating nothing — lists come back empty and a snapshot's
+/// images [unread](SnapshotImages::unread) — so the event it returns is good
+/// for its verdict and its fixed-size fields only.
+///
+/// Inlined into both callers, so that in the reader's copy, where `build`
+/// is `false`, nothing is built and no drop glue runs (checking a
+/// 725 k-record log took ≈ 38 ms without it and ≈ 25 ms with it, on one
+/// core of a 2-core Xeon container).
+#[inline(always)]
+fn parse(kind: u8, payload: &[u8], build: bool) -> Option<WalEvent> {
+    let mut c = Cursor::new(payload, build);
     let ev = match kind {
         KIND_RUN_START => {
             let version = c.take_u32()?;
@@ -685,8 +753,19 @@ fn decode(kind: u8, payload: &[u8]) -> Option<WalEvent> {
         },
         KIND_SNAPSHOT => {
             let step = c.take_u64()?;
-            // `parse` consumes the rest of the payload or refuses it.
-            let images = SnapshotImages::parse(payload[c.pos..].to_vec())?;
+            // The image block is the rest of the payload, walked to its end.
+            let block = &payload[c.pos..];
+            let (inflight, arrived, arrived_at) = SnapshotImages::layout(block)?;
+            let images = if build {
+                SnapshotImages {
+                    block: block.to_vec(),
+                    inflight,
+                    arrived,
+                    arrived_at,
+                }
+            } else {
+                SnapshotImages::unread()
+            };
             return Some(WalEvent::Snapshot { step, images });
         }
         KIND_RUN_END => WalEvent::RunEnd {
@@ -878,93 +957,257 @@ impl WalWriter {
     }
 }
 
-/// A decoded log: every intact record, plus a description of trailing
-/// damage when the input did not end cleanly at a record boundary.
+/// A read log: its intact records, plus a description of trailing damage
+/// when the input did not end cleanly at a record boundary.
 #[derive(Clone, Debug)]
 pub struct WalLog {
     /// Format version from the header.
     pub version: u32,
     /// All intact records, in append order.
-    pub events: Vec<WalEvent>,
+    pub events: WalRecords,
     /// `Some(description)` when the tail was truncated or corrupt; the
     /// events up to that point are still valid.
     pub damage: Option<String>,
 }
 
-/// Decodes a WAL from bytes. Never panics: damaged input yields the intact
-/// prefix plus a [`WalLog::damage`] description.
-pub fn read_wal_bytes(data: &[u8]) -> WalLog {
+/// Byte offset of the first record: past the magic and the version.
+const RECORDS_AT: usize = 12;
+
+/// Where a snapshot sits in a [`WalRecords`], and the step it was taken
+/// after.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SnapshotMark {
+    /// Its record number.
+    pub(crate) record: usize,
+    /// Byte offset of its frame.
+    pub(crate) offset: usize,
+    /// Completed switching steps at snapshot time.
+    pub(crate) step: u64,
+}
+
+/// The intact records of a log, verified when they were read and kept as
+/// their bytes (module doc, "Reading"), with the index a replay seeks by.
+/// [`iter`](WalRecords::iter) decodes them in append order.
+#[derive(Clone)]
+pub struct WalRecords {
+    /// The header and the intact records, and nothing after them.
+    bytes: Vec<u8>,
+    /// Records in `bytes`.
+    len: usize,
+    /// Every snapshot, in append order.
+    pub(crate) snapshots: Vec<SnapshotMark>,
+    /// The first `RunStart`'s `(seed, meta)`.
+    pub(crate) run_start: Option<(u64, Option<WalMeta>)>,
+    /// The last `RunEnd`'s `(outcome, steps)`.
+    pub(crate) run_end: Option<(Outcome, u64)>,
+    /// The last `StepBegin`'s step.
+    pub(crate) last_step: Option<u64>,
+}
+
+impl WalRecords {
+    fn empty() -> WalRecords {
+        WalRecords {
+            bytes: Vec::new(),
+            len: 0,
+            snapshots: Vec::new(),
+            run_start: None,
+            run_end: None,
+            last_step: None,
+        }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the log holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Decodes the records, in append order, as it yields them.
+    pub fn iter(&self) -> impl Iterator<Item = WalEvent> + '_ {
+        self.frames().map(|f| f.decode())
+    }
+
+    /// The records in place, from the first.
+    pub(crate) fn frames(&self) -> Frames<'_> {
+        Frames {
+            bytes: &self.bytes,
+            pos: RECORDS_AT,
+            record: 0,
+        }
+    }
+
+    /// The records in place, from the snapshot `mark` on.
+    pub(crate) fn frames_at(&self, mark: &SnapshotMark) -> Frames<'_> {
+        Frames {
+            bytes: &self.bytes,
+            pos: mark.offset,
+            record: mark.record,
+        }
+    }
+
+    /// Counts the checked record `ev`, framed at `offset`, and indexes it.
+    fn note(&mut self, offset: usize, ev: &WalEvent) {
+        match *ev {
+            WalEvent::RunStart { seed, meta, .. } if self.run_start.is_none() => {
+                self.run_start = Some((seed, meta));
+            }
+            WalEvent::StepBegin { step } => self.last_step = Some(step),
+            WalEvent::Snapshot { step, .. } => self.snapshots.push(SnapshotMark {
+                record: self.len,
+                offset,
+                step,
+            }),
+            WalEvent::RunEnd { outcome, steps } => self.run_end = Some((outcome, steps)),
+            _ => {}
+        }
+        self.len += 1;
+    }
+}
+
+impl std::fmt::Debug for WalRecords {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WalRecords")
+            .field("len", &self.len)
+            .field("bytes", &self.bytes.len())
+            .field("snapshots", &self.snapshots.len())
+            .field("run_start", &self.run_start)
+            .field("run_end", &self.run_end)
+            .finish()
+    }
+}
+
+/// One record of a verified log, in place.
+#[derive(Clone, Copy)]
+pub(crate) struct Frame<'a> {
+    /// Its record number.
+    pub(crate) record: usize,
+    /// Its kind (`KIND_*`).
+    pub(crate) kind: u8,
+    payload: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// The record as a [`WalEvent`].
+    pub(crate) fn decode(&self) -> WalEvent {
+        parse(self.kind, self.payload, true)
+            .expect("every record was verified when the log was read")
+    }
+}
+
+/// The frames of a verified log from some record on.
+pub(crate) struct Frames<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    record: usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Frame<'a>;
+
+    fn next(&mut self) -> Option<Frame<'a>> {
+        let header = self.bytes.get(self.pos..self.pos + FRAME_HEADER)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("a 4-byte length")) as usize;
+        let start = self.pos + FRAME_HEADER;
+        let frame = Frame {
+            record: self.record,
+            kind: header[4],
+            payload: &self.bytes[start..start + len],
+        };
+        self.pos = start + len + 8;
+        self.record += 1;
+        Some(frame)
+    }
+}
+
+/// The kind and payload of the record framed at byte `at`, after checking
+/// the frame and the checksum; the damage description when either fails.
+fn frame_at(data: &[u8], at: usize) -> Result<(u8, &[u8]), String> {
+    let Some(len_bytes) = data.get(at..at + 4) else {
+        return Err(format!("truncated frame length at byte {at}"));
+    };
+    let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+    let Some(&kind) = data.get(at + 4) else {
+        return Err(format!("truncated record kind at byte {at}"));
+    };
+    let start = at + FRAME_HEADER;
+    let Some(payload) = data.get(start..start + len) else {
+        return Err(format!("truncated payload at byte {at} (want {len} bytes)"));
+    };
+    let Some(sum_bytes) = data.get(start + len..start + len + 8) else {
+        return Err(format!("truncated checksum at byte {at}"));
+    };
+    if u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes")) != checksum(kind, payload) {
+        return Err(format!("checksum mismatch at byte {at}"));
+    }
+    Ok((kind, payload))
+}
+
+/// Verifies `data` record by record (module doc, "Reading"): the log, its
+/// index filled in and its bytes not yet moved in, and the length of the
+/// intact prefix they are.
+fn verify(data: &[u8]) -> (WalLog, usize) {
     let mut log = WalLog {
         version: 0,
-        events: Vec::new(),
+        events: WalRecords::empty(),
         damage: None,
     };
-    if data.len() < 12 || data[..8] != WAL_MAGIC {
+    if data.len() < RECORDS_AT || data[..8] != WAL_MAGIC {
         log.damage = Some("missing GENOCWAL header".into());
-        return log;
+        return (log, 0);
     }
-    log.version = u32::from_le_bytes(data[8..12].try_into().unwrap());
+    log.version = u32::from_le_bytes(data[8..RECORDS_AT].try_into().expect("4 bytes"));
     if log.version != WAL_VERSION {
         log.damage = Some(format!(
             "unsupported WAL version {} (reader speaks {})",
             log.version, WAL_VERSION
         ));
-        return log;
+        return (log, 0);
     }
-    let mut pos = 12;
+    let mut pos = RECORDS_AT;
     while pos < data.len() {
-        let record_start = pos;
-        let Some(len_bytes) = data.get(pos..pos + 4) else {
-            log.damage = Some(format!("truncated frame length at byte {record_start}"));
-            return log;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-        pos += 4;
-        let Some(&kind) = data.get(pos) else {
-            log.damage = Some(format!("truncated record kind at byte {record_start}"));
-            return log;
-        };
-        pos += 1;
-        let Some(payload) = data.get(pos..pos + len) else {
-            log.damage = Some(format!(
-                "truncated payload at byte {record_start} (want {len} bytes)"
-            ));
-            return log;
-        };
-        pos += len;
-        let Some(sum_bytes) = data.get(pos..pos + 8) else {
-            log.damage = Some(format!("truncated checksum at byte {record_start}"));
-            return log;
-        };
-        let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        pos += 8;
-        if stored != checksum(kind, payload) {
-            log.damage = Some(format!("checksum mismatch at byte {record_start}"));
-            return log;
-        }
-        match decode(kind, payload) {
-            Some(ev) => log.events.push(ev),
-            None => {
-                log.damage = Some(format!(
-                    "malformed record (kind {kind}) at byte {record_start}"
-                ));
-                return log;
+        let (kind, payload) = match frame_at(data, pos) {
+            Ok(frame) => frame,
+            Err(damage) => {
+                log.damage = Some(damage);
+                break;
             }
-        }
+        };
+        let Some(ev) = parse(kind, payload, false) else {
+            log.damage = Some(format!("malformed record (kind {kind}) at byte {pos}"));
+            break;
+        };
+        log.events.note(pos, &ev);
+
+        pos += FRAME_HEADER + payload.len() + 8;
     }
+    (log, pos)
+}
+
+/// Reads a WAL from bytes, copying its intact prefix. Never panics: damaged
+/// input yields the intact prefix plus a [`WalLog::damage`] description.
+pub fn read_wal_bytes(data: &[u8]) -> WalLog {
+    let (mut log, intact) = verify(data);
+    log.events.bytes = data[..intact].to_vec();
     log
 }
 
-/// Reads and decodes a WAL file (see [`read_wal_bytes`]).
+/// Reads a WAL file (see [`read_wal_bytes`]) into a buffer the log then
+/// keeps.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; decode damage is reported in [`WalLog::damage`],
-/// not as an error.
+/// Propagates I/O errors; damage is reported in [`WalLog::damage`], not as
+/// an error.
 pub fn read_wal(path: &Path) -> io::Result<WalLog> {
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
-    Ok(read_wal_bytes(&data))
+    let mut data = std::fs::read(path)?;
+    let (mut log, intact) = verify(&data);
+    data.truncate(intact);
+    log.events.bytes = data;
+    Ok(log)
 }
 
 #[cfg(test)]
@@ -1051,7 +1294,7 @@ mod tests {
         let log = read_wal_bytes(&bytes);
         assert_eq!(log.version, WAL_VERSION);
         assert!(log.damage.is_none(), "{:?}", log.damage);
-        assert_eq!(log.events, events);
+        assert_eq!(log.events.iter().collect::<Vec<_>>(), events);
     }
 
     #[test]
@@ -1115,12 +1358,13 @@ mod tests {
         let log = read_wal_bytes(&bytes);
         assert!(log.damage.is_none(), "{:?}", log.damage);
         // The block read back decodes to the travels it was written from.
-        let WalEvent::Snapshot { images, .. } = &log.events[1] else {
+        let read: Vec<WalEvent> = log.events.iter().collect();
+        let WalEvent::Snapshot { images, .. } = &read[1] else {
             panic!("second record is the snapshot");
         };
         assert_eq!(images.inflight().collect::<Vec<_>>(), inflight);
         assert_eq!(images.arrived().collect::<Vec<_>>(), arrived);
-        assert_eq!(log.events, [fence.clone(), event, fence]);
+        assert_eq!(read, [fence.clone(), event, fence]);
     }
 
     #[test]
@@ -1159,7 +1403,7 @@ mod tests {
             w.append(&fence).unwrap();
             let log = read_wal_bytes(&w.finish().unwrap().unwrap());
             assert_eq!(
-                log.events,
+                log.events.iter().collect::<Vec<_>>(),
                 std::slice::from_ref(&fence),
                 "{what}: intact prefix"
             );
@@ -1206,17 +1450,71 @@ mod tests {
         let bytes = w.finish().unwrap().unwrap();
         for cut in 0..bytes.len() {
             let log = read_wal_bytes(&bytes[..cut]);
-            assert!(log.events.len() <= events.len());
-            assert_eq!(log.events, events[..log.events.len()]);
+            let read: Vec<WalEvent> = log.events.iter().collect();
+            assert_eq!(read.len(), log.events.len());
+            assert_eq!(read, events[..read.len()]);
             if log.damage.is_none() {
                 // A cut is silent only when it lands exactly on a record
                 // boundary (a shorter-but-clean log): re-encoding the
                 // decoded prefix must reproduce every byte we kept.
                 let mut w = WalWriter::in_memory();
-                for ev in &log.events {
+                for ev in &read {
                     w.append(ev).unwrap();
                 }
                 assert_eq!(w.bytes_written(), cut as u64, "silent cut at {cut}");
+            }
+        }
+    }
+
+    /// The index the reader fills without decoding says what decoding the
+    /// records says: the first `RunStart`, the last `RunEnd` and step
+    /// marker, and every snapshot, whose mark frames it — on every prefix of
+    /// a log holding two of each.
+    #[test]
+    fn the_index_agrees_with_the_records() {
+        let mut events = sample_events();
+        let mut second = sample_events();
+        if let WalEvent::RunStart { seed, .. } = &mut second[0] {
+            *seed += 1;
+        }
+        events.append(&mut second);
+        let mut w = WalWriter::in_memory();
+        for ev in &events {
+            w.append(ev).unwrap();
+        }
+        let bytes = w.finish().unwrap().unwrap();
+        for cut in 0..=bytes.len() {
+            let records = read_wal_bytes(&bytes[..cut]).events;
+            let read: Vec<WalEvent> = records.iter().collect();
+            let run_start = read.iter().find_map(|e| match e {
+                WalEvent::RunStart { seed, meta, .. } => Some((*seed, *meta)),
+                _ => None,
+            });
+            let run_end = read.iter().rev().find_map(|e| match e {
+                WalEvent::RunEnd { outcome, steps } => Some((*outcome, *steps)),
+                _ => None,
+            });
+            let last_step = read.iter().rev().find_map(|e| match e {
+                WalEvent::StepBegin { step } => Some(*step),
+                _ => None,
+            });
+            let snapshots: Vec<(usize, u64)> = (read.iter().enumerate())
+                .filter_map(|(i, e)| match e {
+                    WalEvent::Snapshot { step, .. } => Some((i, *step)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(records.run_start, run_start, "cut {cut}");
+            assert_eq!(records.run_end, run_end, "cut {cut}");
+            assert_eq!(records.last_step, last_step, "cut {cut}");
+            let marks: Vec<(usize, u64)> = (records.snapshots.iter())
+                .map(|m| (m.record, m.step))
+                .collect();
+            assert_eq!(marks, snapshots, "cut {cut}");
+            for m in &records.snapshots {
+                let frame = records.frames_at(m).next().expect("a mark frames a record");
+                assert_eq!(frame.record, m.record);
+                assert_eq!(frame.decode(), read[m.record]);
             }
         }
     }

@@ -1,0 +1,167 @@
+//! Allocation-count regression anchors for the WAL reader.
+//!
+//! Two claims the reader makes are about the allocator, not about
+//! semantics, so they need an allocator to witness them:
+//!
+//! * reading a log verifies every record and builds none of them: the
+//!   allocations are the buffer and the snapshot index, so their number is
+//!   bounded by the log's snapshots, not by its records;
+//! * `replay_to` builds the travels of the one snapshot it seeks to, and
+//!   allocates nothing per record it reads after it.
+//!
+//! The counting allocator is the one of `tests/arena_alloc.rs`: it only
+//! counts, per thread, and each measurement brackets its own region.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use genoc::obs::{read_wal, read_wal_bytes, recorded_outcome, replay_to, WalEvent, WalLog};
+use genoc::prelude::*;
+
+struct CountingAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor runs into a torn-down slot.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let value = f();
+    (value, ALLOCS.with(Cell::get) - before)
+}
+
+/// A recovering run on the 4×4 mixed mesh — long worms, several cycles
+/// closed and aborted — recorded in memory with a snapshot every
+/// `snapshot_every` steps and at every recovery.
+fn recorded_log(snapshot_every: u64) -> (Mesh, Vec<u8>) {
+    let mesh = Mesh::new(4, 4, 1);
+    let routing = MixedXyYxRouting::new(&mesh);
+    let specs = genoc::sim::workload::bit_complement(&mesh, 8);
+    let cfg = Config::from_specs(&mesh, &routing, &specs).expect("routable workload");
+    let wal = genoc::obs::shared(WalWriter::in_memory());
+    let mut recorder = Recorder::build(
+        Some(Rc::clone(&wal)),
+        0,
+        None,
+        RecorderOptions { snapshot_every },
+    );
+    let engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
+    let mut hook = ObservedEngine::new(engine, Some(Rc::clone(&wal)));
+    let result = simulate_observed_config(
+        &mesh,
+        &mut WormholePolicy::default(),
+        cfg,
+        &SimOptions::default(),
+        &mut hook,
+        &mut recorder,
+    )
+    .expect("recorded run");
+    assert_eq!(result.run.outcome, Outcome::Evacuated, "recovery evacuates");
+    drop(recorder);
+    drop(hook);
+    let writer = Rc::try_unwrap(wal).ok().expect("sole owner").into_inner();
+    (
+        mesh,
+        writer.finish().expect("flush").expect("in-memory bytes"),
+    )
+}
+
+/// `(records, snapshots)` of a log, counted by decoding it.
+fn census(log: &WalLog) -> (usize, usize) {
+    let snapshots = (log.events.iter())
+        .filter(|e| matches!(e, WalEvent::Snapshot { .. }))
+        .count();
+    (log.events.len(), snapshots)
+}
+
+/// Reading a log — from bytes, or from a file — allocates its buffer and
+/// grows its snapshot index: at most one allocation a snapshot plus a
+/// couple, whatever the number of records (the injections, detections and
+/// recoveries among them included, each of which carries a list).
+#[test]
+fn reading_allocates_by_snapshots_not_by_records() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_alloc.wal");
+    for snapshot_every in [4, 64] {
+        let (_, bytes) = recorded_log(snapshot_every);
+        std::fs::write(&file, &bytes).expect("write the log out");
+        let (log, from_bytes) = allocations_during(|| read_wal_bytes(&bytes));
+        let (from_file, from_path) = allocations_during(|| read_wal(&file).expect("read back"));
+        assert!(log.damage.is_none() && from_file.damage.is_none());
+        let (records, snapshots) = census(&log);
+        assert_eq!(census(&from_file), (records, snapshots));
+        assert!(
+            records > 50 * snapshots.max(1),
+            "{records} records are not many per snapshot ({snapshots})"
+        );
+        for (how, allocs) in [("bytes", from_bytes), ("file", from_path)] {
+            assert!(
+                allocs <= snapshots as u64 + 4,
+                "reading from {how} allocated {allocs} times for {records} records \
+                 and {snapshots} snapshots"
+            );
+        }
+    }
+    std::fs::remove_file(&file).expect("remove the log");
+}
+
+/// A replay to the end builds the travels of the last snapshot — a route
+/// and a flit vector an image, a flit vector a `Travel` — and the
+/// configuration around them, and nothing for the records it reads after
+/// it: replaying to the end costs what replaying to that snapshot costs, up
+/// to the arrived list's growth.
+#[test]
+fn a_replay_builds_one_snapshot() {
+    let (mesh, bytes) = recorded_log(4);
+    let log = read_wal_bytes(&bytes);
+    let (_, steps) = recorded_outcome(&log.events).expect("clean footer");
+    let (at, travels) = (log.events.iter())
+        .filter_map(|e| match e {
+            WalEvent::Snapshot { step, images } => {
+                Some((step, images.inflight_len() + images.arrived_len()))
+            }
+            _ => None,
+        })
+        .last()
+        .expect("snapshots");
+    assert!(at < steps, "records follow the last snapshot");
+    let (replayed, to_end) = allocations_during(|| replay_to(&mesh, &log.events, steps));
+    assert!(replayed.expect("replay to the end").is_evacuated());
+    let (_, to_snapshot) = allocations_during(|| replay_to(&mesh, &log.events, at));
+    // Beside the travels: the block, the travel list, the configuration's
+    // port state and its two lists.
+    assert!(
+        to_end <= 3 * travels as u64 + 8,
+        "replay allocated {to_end} times for a snapshot of {travels} travels"
+    );
+    assert!(
+        to_end <= to_snapshot + 2,
+        "the records after the snapshot allocated {} times",
+        to_end - to_snapshot
+    );
+}

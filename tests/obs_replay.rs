@@ -25,6 +25,7 @@ use genoc::core::error::Error;
 use genoc::core::moves::MoveKind;
 use genoc::obs::{
     read_wal_bytes, ObservedEngine, Recorder, SnapshotImages, TravelImage, WalEvent, WalMeta,
+    WalRecords,
 };
 use genoc::prelude::*;
 use genoc::verif::Instance;
@@ -37,15 +38,15 @@ fn policy_for(kind: SwitchingKind) -> Box<dyn SwitchingPolicy> {
     }
 }
 
-/// Records one run of `cfg` into an in-memory WAL, returning the decoded
-/// events and the recorded step count.
+/// Records one run of `cfg` into an in-memory WAL, returning the records
+/// read back and the recorded step count.
 fn record(
     instance: &Instance,
     spec: &ScenarioSpec,
     cfg: Config,
     seed: u64,
     max_steps: u64,
-) -> (Vec<WalEvent>, u64) {
+) -> (WalRecords, u64) {
     let wal = genoc::obs::shared(WalWriter::in_memory());
     let mut recorder = Recorder::with_wal(
         Rc::clone(&wal),
@@ -189,11 +190,9 @@ fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
     assert!(log.damage.is_none());
 
     // The log carries the firing, at the step the engine reported.
-    let logged = log
-        .events
-        .iter()
+    let logged = genoc::obs::detections(&log.events)
         .find_map(|e| match e {
-            WalEvent::Detection { step, msgs, .. } => Some((*step, msgs.clone())),
+            WalEvent::Detection { step, msgs, .. } => Some((step, msgs)),
             _ => None,
         })
         .expect("Detection record in the WAL");
@@ -261,7 +260,7 @@ fn a_recovering_run_replays_identically_at_every_step() {
         .events
         .iter()
         .filter_map(|e| match e {
-            WalEvent::Snapshot { step, .. } => Some(*step),
+            WalEvent::Snapshot { step, .. } => Some(step),
             _ => None,
         })
         .collect();
@@ -304,7 +303,7 @@ fn a_recovering_run_replays_identically_at_every_step() {
 /// A 2×2 mesh and a hand-built log on it — one message from node 0 to node
 /// 3, a snapshot of it mid-route at step 1, a move in step 1 — with `edit`
 /// applied, written and read back so every checksum is valid.
-fn hand_built_log(edit: impl Fn(&mut WalEvent)) -> (Mesh, Vec<WalEvent>) {
+fn hand_built_log(edit: impl Fn(&mut WalEvent)) -> (Mesh, WalRecords) {
     let mesh = Mesh::new(2, 2, 1);
     let routing = XyRouting::new(&mesh);
     let spec = MessageSpec::new(NodeId::from_index(0), NodeId::from_index(3), 2);
@@ -349,7 +348,7 @@ fn hand_built_log(edit: impl Fn(&mut WalEvent)) -> (Mesh, Vec<WalEvent>) {
     }
     let log = read_wal_bytes(&w.finish().expect("flush").expect("in-memory bytes"));
     assert!(log.damage.is_none(), "{:?}", log.damage);
-    assert_eq!(log.events, events);
+    assert!(log.events.iter().eq(events));
     (mesh, log.events)
 }
 

@@ -122,7 +122,8 @@ proptest! {
         let bytes = encode(&events);
         let log = read_wal_bytes(&bytes);
         prop_assert!(log.damage.is_none(), "fresh log damaged: {:?}", log.damage);
-        prop_assert_eq!(log.events, events);
+        prop_assert_eq!(log.events.len(), events.len());
+        prop_assert_eq!(log.events.iter().collect::<Vec<_>>(), events);
     }
 
     #[test]
@@ -134,19 +135,21 @@ proptest! {
         let bytes = encode(&events);
         let cut = cut_raw % (bytes.len() + 1);
         let log = read_wal_bytes(&bytes[..cut]);
+        let read: Vec<WalEvent> = log.events.iter().collect();
+        prop_assert_eq!(read.len(), log.events.len());
         // A mid-record cut must be reported; a record-boundary cut is a
         // legitimately shorter log, verified by re-encoding the prefix to
         // exactly `cut` bytes.
         if log.damage.is_none() {
             prop_assert_eq!(
-                encode(&log.events).len(),
+                encode(&read).len(),
                 cut,
                 "silent truncation accepted off a record boundary"
             );
         }
         // Decoded records are always a prefix of what was written.
-        prop_assert!(log.events.len() <= events.len());
-        prop_assert_eq!(&log.events[..], &events[..log.events.len()]);
+        prop_assert!(read.len() <= events.len());
+        prop_assert_eq!(&read[..], &events[..read.len()]);
     }
 
     #[test]
@@ -229,6 +232,77 @@ fn a_version_1_log_is_refused_by_its_header() {
     assert!(damage.starts_with("unsupported WAL version 1 "), "{damage}");
 }
 
+/// The record checksum of format version 2 as `genoc_obs::wal`'s module doc
+/// states it, so that a test can frame a payload the reader must refuse for
+/// its structure alone.
+fn checksum(kind: u8, payload: &[u8]) -> u64 {
+    let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = fold(0xcbf2_9ce4_8422_2325, u64::from(kind));
+    for word in payload.chunks(8) {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        h = fold(h, u64::from_le_bytes(w));
+    }
+    h = fold(h, payload.len() as u64);
+    h ^ (h >> 32)
+}
+
+/// Every kind of damage the reader names, on one log holding each record
+/// kind once (record 10 is a snapshot of two travels): the description and
+/// the number of intact records in front of it, as the reader that decoded
+/// every record into a `Vec<WalEvent>` reported them.
+#[test]
+fn every_kind_of_damage_is_named_at_its_byte() {
+    let events: Vec<WalEvent> = (0..12)
+        .map(|kind| event_from_seed(12 * 0x0009_e377_9b97_f4a7 + kind))
+        .collect();
+    let bytes = encode(&events);
+    let at = |record: usize| encode(&events[..record]).len();
+    let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = bytes.clone();
+        edit(&mut b);
+        b
+    };
+    // The snapshot's inflight count overruns its block, under a valid sum.
+    let snapshot = at(10) + 5..at(11) - 8;
+    let malformed_snapshot = edited(&|b| {
+        b[snapshot.start + 8..snapshot.start + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = checksum(11, &b[snapshot.clone()]);
+        b[snapshot.end..snapshot.end + 8].copy_from_slice(&sum.to_le_bytes());
+    });
+    let cases: [(&str, Vec<u8>); 8] = [
+        ("header", edited(&|b| b[0] ^= 1)),
+        ("version", edited(&|b| b[8] = 3)),
+        ("frame length", bytes[..at(5) + 2].to_vec()),
+        ("record kind", bytes[..at(5) + 4].to_vec()),
+        ("payload", bytes[..at(5) + 6].to_vec()),
+        ("checksum", bytes[..at(6) - 3].to_vec()),
+        ("checksum mismatch", edited(&|b| b[at(7) + 5] ^= 0x10)),
+        ("malformed snapshot", malformed_snapshot),
+    ];
+    for ((what, damaged), (damage, intact)) in cases.iter().zip(PINNED_DAMAGE) {
+        let log = read_wal_bytes(damaged);
+        assert_eq!(log.damage.as_deref(), Some(damage), "{what}");
+        assert_eq!(log.events.len(), intact, "{what}: intact prefix");
+        assert!(
+            log.events.iter().eq(events[..intact].iter().cloned()),
+            "{what}"
+        );
+    }
+}
+
+/// `(damage, intact records)` of each case above.
+const PINNED_DAMAGE: [(&str, usize); 8] = [
+    ("missing GENOCWAL header", 0),
+    ("unsupported WAL version 3 (reader speaks 2)", 0),
+    ("truncated frame length at byte 154", 5),
+    ("truncated record kind at byte 154", 5),
+    ("truncated payload at byte 154 (want 4 bytes)", 5),
+    ("truncated checksum at byte 154", 5),
+    ("checksum mismatch at byte 196", 7),
+    ("malformed record (kind 11) at byte 276", 10),
+];
+
 #[test]
 fn damaged_logs_still_yield_their_intact_prefix() {
     let events: Vec<WalEvent> = (0..12).map(event_from_seed).collect();
@@ -237,7 +311,10 @@ fn damaged_logs_still_yield_their_intact_prefix() {
     bytes[len - 3] ^= 0x40;
     let log = read_wal_bytes(&bytes);
     assert!(log.damage.is_some());
-    assert_eq!(&log.events[..], &events[..events.len() - 1]);
+    assert!(log
+        .events
+        .iter()
+        .eq(events[..events.len() - 1].iter().cloned()));
 }
 
 /// The log of one seeded recovering run, byte for byte: 8×8 mixed XY/YX at
@@ -250,6 +327,41 @@ fn damaged_logs_still_yield_their_intact_prefix() {
 /// another order, or a survivor out of place in `T` moves all three.
 #[test]
 fn a_recovering_run_is_pinned_byte_for_byte() {
+    let (steps, detections, records, bytes) = recovering_run();
+    let fold = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (steps, detections, bytes.len(), records, fold),
+        PINNED_RECOVERING_LOG
+    );
+}
+
+/// `(steps, detections, bytes, records, fold)` of the run above.
+const PINNED_RECOVERING_LOG: (u64, usize, usize, u64, u64) =
+    (1058, 87, 10_421_935, 225_742, 13_705_820_959_004_857_160);
+
+/// The byte-pinned run read back and written again: the reader keeps every
+/// record the recorder counted, each decodes on demand, and appending the
+/// decoded records gives back the log the recorder wrote, byte for byte.
+#[test]
+fn a_recovering_run_reads_back_and_reencodes_byte_for_byte() {
+    let (_, _, records, bytes) = recovering_run();
+    let log = read_wal_bytes(&bytes);
+    assert!(log.damage.is_none(), "{:?}", log.damage);
+    assert_eq!(log.events.len() as u64, records);
+    let mut w = WalWriter::in_memory();
+    for e in log.events.iter() {
+        w.append(&e).expect("in-memory append cannot fail");
+    }
+    assert_eq!(w.records_written(), records);
+    let again = w.finish().expect("flush").expect("in-memory bytes");
+    assert_eq!(again.len(), bytes.len());
+    assert!(again == bytes, "re-encoding the records changed the log");
+}
+
+/// The run both tests above record: `(steps, detections, records, bytes)`.
+fn recovering_run() -> (u64, usize, u64, Vec<u8>) {
     let mesh = Mesh::new(8, 8, 1);
     let routing = MixedXyYxRouting::new(&mesh);
     let specs = genoc::sim::workload::uniform_random(mesh.node_count(), 768, 2..=8, 7);
@@ -277,15 +389,5 @@ fn a_recovering_run_is_pinned_byte_for_byte() {
         .into_inner();
     let records = writer.records_written();
     let bytes = writer.finish().unwrap().unwrap();
-    let fold = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    assert_eq!(
-        (result.run.steps, detections, bytes.len(), records, fold),
-        PINNED_RECOVERING_LOG
-    );
+    (result.run.steps, detections, records, bytes)
 }
-
-/// `(steps, detections, bytes, records, fold)` of the run above.
-const PINNED_RECOVERING_LOG: (u64, usize, usize, u64, u64) =
-    (1058, 87, 10_421_935, 225_742, 13_705_820_959_004_857_160);
