@@ -51,7 +51,22 @@
 //! Each travel therefore carries a [`TravelStatus`]; blocked travels are
 //! parked on the wake-list of the port they wait for (intrusive,
 //! `u32`-linked — zero allocation) and skipped until a flit move frees that
-//! port. Wake-ups are processed *immediately* after the sub-step that freed
+//! port.
+//!
+//! A corollary of 2: while a travel is parked, none of its flits moves and
+//! none of the ports its body waits on changes, so **a parked travel can
+//! move exactly when its head may pass its gate** — one port test plus the
+//! head's admission. The kernel keeps the gate of each park, and the first
+//! serve after a wake tests it alone. A freed port is often shut again by
+//! the time that serve comes: a body flit leaving a port its worm still
+//! owns frees it, and the worm's next flit fills it in the same sub-step.
+//! Such a travel parks again in O(1), with the same `Blocked(p)` transition
+//! and wake-list push, and its worm is not walked at all. A serve that does
+//! walk the worm walks it once: the pass that moves the flits also judges,
+//! flit by flit, whether the travel can still move afterwards, which is the
+//! question its park depends on.
+//!
+//! Wake-ups are processed *immediately* after the sub-step that freed
 //! the port, which is what makes the schedule move-for-move identical to the
 //! reference sweep: a travel whose gate opens mid-step is examined this step
 //! exactly when its turn in the arbitration order is still to come —
@@ -175,11 +190,7 @@ pub struct ArenaConfig {
     delivered: Vec<u32>,
     route_pool: Vec<PortId>,
     flit_pool: Vec<u32>,
-    port_cap: Vec<u32>,
-    port_occ: Vec<u32>,
-    /// Owning slot of each port, or `NONE`. Always released before a slot
-    /// is freed, so recycled slot ids never alias stale ownership.
-    port_owner: Vec<u32>,
+    ports: Ports,
     /// In-flight slots, mirroring the order of `Config::travels()`.
     flight: Vec<u32>,
     /// Arrived slots, mirroring the order of `Config::arrived()`.
@@ -188,6 +199,76 @@ pub struct ArenaConfig {
     free: Vec<u32>,
     /// `MsgId::index() → slot` (or `NONE`), the stable public-id mapping.
     slot_of: Vec<u32>,
+}
+
+/// Port capacity, occupancy and ownership: flat columns indexed by
+/// [`PortId`], replacing the `PortState` array of structs. A field of its
+/// own, so that a sub-step can hold its worm's route and flits as slices of
+/// the pools while it moves them through ports.
+#[derive(Clone, Debug, Default)]
+struct Ports {
+    cap: Vec<u32>,
+    occ: Vec<u32>,
+    /// Owning slot of each port, or `NONE`. Always released before a slot
+    /// is freed, so recycled slot ids never alias stale ownership.
+    owner: Vec<u32>,
+}
+
+impl Ports {
+    #[inline]
+    fn free(&self, p: PortId) -> u32 {
+        self.cap[p.index()] - self.occ[p.index()]
+    }
+
+    /// Whether a flit of `slot` may enter `p`: a free buffer, and `p` owned
+    /// by `slot` — or by no one, when the flit is a head.
+    #[inline]
+    fn can_enter(&self, p: PortId, slot: u32, is_head: bool) -> bool {
+        let pi = p.index();
+        if self.occ[pi] >= self.cap[pi] {
+            return false;
+        }
+        let o = self.owner[pi];
+        if o == NONE {
+            is_head
+        } else {
+            o == slot
+        }
+    }
+
+    /// [`can_enter`](Self::can_enter), and the entry when it holds: one
+    /// check-and-enter.
+    #[inline]
+    fn try_enter(&mut self, p: PortId, slot: u32, is_head: bool) -> bool {
+        if !self.can_enter(p, slot, is_head) {
+            return false;
+        }
+        let pi = p.index();
+        self.owner[pi] = slot;
+        self.occ[pi] += 1;
+        true
+    }
+
+    /// A flit of `slot` leaves `p`; the tail releases it. `public` names
+    /// the travel in the error.
+    #[inline]
+    fn leave(&mut self, p: PortId, slot: u32, is_tail: bool, public: &[MsgId]) -> Result<()> {
+        let pi = p.index();
+        if self.occ[pi] == 0 {
+            return Err(Error::Invariant(format!("flit leaves empty port {p}")));
+        }
+        if self.owner[pi] != slot {
+            return Err(Error::Invariant(format!(
+                "travel {} leaves port {p} it does not own",
+                public[slot as usize]
+            )));
+        }
+        self.occ[pi] -= 1;
+        if is_tail {
+            self.owner[pi] = NONE;
+        }
+        Ok(())
+    }
 }
 
 impl ArenaConfig {
@@ -228,9 +309,9 @@ impl ArenaConfig {
             a.arrived.push(s);
         }
         for (i, ps) in cfg.state().ports().enumerate() {
-            a.port_cap.push(ps.capacity());
-            a.port_occ.push(ps.occupied());
-            a.port_owner.push(match ps.owner() {
+            a.ports.cap.push(ps.capacity());
+            a.ports.occ.push(ps.occupied());
+            a.ports.owner.push(match ps.owner() {
                 None => NONE,
                 Some(m) => a.slot_of(m).ok_or_else(|| {
                     Error::Invariant(format!(
@@ -557,69 +638,34 @@ impl ArenaConfig {
     // Port-state columns (mirrors `NetworkState` exactly)
     // ------------------------------------------------------------------
 
-    #[inline]
-    fn port_free(&self, p: PortId) -> u32 {
-        self.port_cap[p.index()] - self.port_occ[p.index()]
-    }
-
-    #[inline]
-    fn port_can_enter(&self, p: PortId, slot: u32, is_head: bool) -> bool {
-        let pi = p.index();
-        if self.port_occ[pi] >= self.port_cap[pi] {
-            return false;
-        }
-        let o = self.port_owner[pi];
-        if o == NONE {
-            is_head
-        } else {
-            o == slot
-        }
-    }
-
+    /// The injection path's entry: [`Ports::try_enter`] with the refusal
+    /// typed.
     fn port_enter(&mut self, p: PortId, slot: u32) -> Result<()> {
+        if self.ports.try_enter(p, slot, true) {
+            return Ok(());
+        }
         let pi = p.index();
-        if self.port_occ[pi] >= self.port_cap[pi] {
+        if self.ports.free(p) == 0 {
             return Err(Error::CapacityExceeded {
                 port: p,
-                capacity: self.port_cap[pi],
+                capacity: self.ports.cap[pi],
             });
         }
-        let o = self.port_owner[pi];
-        if o == NONE {
-            self.port_owner[pi] = slot;
-        } else if o != slot {
-            return Err(Error::Invariant(format!(
-                "port {p} owned by travel {} cannot admit travel {}",
-                self.public[o as usize], self.public[slot as usize]
-            )));
-        }
-        self.port_occ[pi] += 1;
-        Ok(())
+        Err(Error::Invariant(format!(
+            "port {p} owned by travel {} cannot admit travel {}",
+            self.public[self.ports.owner[pi] as usize], self.public[slot as usize]
+        )))
     }
 
     fn port_leave(&mut self, p: PortId, slot: u32, is_tail: bool) -> Result<()> {
-        let pi = p.index();
-        if self.port_occ[pi] == 0 {
-            return Err(Error::Invariant(format!("flit leaves empty port {p}")));
-        }
-        if self.port_owner[pi] != slot {
-            return Err(Error::Invariant(format!(
-                "travel {} leaves port {p} it does not own",
-                self.public[slot as usize]
-            )));
-        }
-        self.port_occ[pi] -= 1;
-        if is_tail {
-            self.port_owner[pi] = NONE;
-        }
-        Ok(())
+        self.ports.leave(p, slot, is_tail, &self.public)
     }
 
     fn port_claim(&mut self, p: PortId, slot: u32) -> Result<()> {
         let pi = p.index();
-        let o = self.port_owner[pi];
+        let o = self.ports.owner[pi];
         if o == NONE {
-            self.port_owner[pi] = slot;
+            self.ports.owner[pi] = slot;
         } else if o != slot {
             return Err(Error::Invariant(format!(
                 "port {p} owned by travel {} cannot be claimed by travel {}",
@@ -631,8 +677,8 @@ impl ArenaConfig {
 
     fn port_release(&mut self, p: PortId, slot: u32) -> Result<()> {
         let pi = p.index();
-        if self.port_owner[pi] == slot && self.port_occ[pi] == 0 {
-            self.port_owner[pi] = NONE;
+        if self.ports.owner[pi] == slot && self.ports.occ[pi] == 0 {
+            self.ports.owner[pi] = NONE;
             Ok(())
         } else {
             Err(Error::Invariant(format!(
@@ -668,17 +714,32 @@ impl ArenaConfig {
         &self.route_pool[ro..ro + self.route_len[s] as usize]
     }
 
+    /// The encoded flit positions of slot `s`, head first.
+    fn flit_codes(&self, s: usize) -> &[u32] {
+        let fo = self.flit_off[s] as usize;
+        &self.flit_pool[fo..fo + self.flit_len[s] as usize]
+    }
+
+    /// The port the head of slot `s` enters next: its entry port while it
+    /// is pending, none once it has reached its destination port.
+    fn next_hop(&self, s: usize) -> Option<PortId> {
+        let route = self.route(s);
+        match self.flit_codes(s)[0] {
+            FLIT_PENDING => Some(route[0]),
+            FLIT_DELIVERED => None,
+            p => route.get(p as usize).copied(),
+        }
+    }
+
     /// The flit positions of slot `s`, head first.
     fn flits(&self, s: usize) -> impl ExactSizeIterator<Item = FlitPos> + '_ {
-        let fo = self.flit_off[s] as usize;
-        (self.flit_pool[fo..fo + self.flit_len[s] as usize].iter()).map(|&v| decode(v))
+        self.flit_codes(s).iter().map(|&v| decode(v))
     }
 
     /// [`Travel::progress_potential`] of slot `s`, from the columns.
     fn slot_potential(&self, s: usize) -> u64 {
         let len = self.route_len[s] as u64;
-        let fo = self.flit_off[s] as usize;
-        (self.flit_pool[fo..fo + self.flit_len[s] as usize].iter())
+        (self.flit_codes(s).iter())
             .filter(|&&p| p != FLIT_DELIVERED)
             .map(|&p| len + 1 - p as u64)
             .sum()
@@ -751,7 +812,7 @@ impl ArenaConfig {
 
     /// Number of ports.
     pub fn port_count(&self) -> usize {
-        self.port_cap.len()
+        self.ports.cap.len()
     }
 
     /// Length of the shared route pool (orphaned ranges included).
@@ -810,6 +871,9 @@ pub struct ArenaKernel {
     order: Vec<u32>,
     /// Per-rank status lattice (`Pending → Active ⇄ Blocked(p)`).
     status: Vec<TravelStatus>,
+    /// Per rank: the port its last park waited on. A wake leaves it in
+    /// place; the rank's next serve consumes it.
+    gate: Vec<Option<PortId>>,
     /// Bitset over ranks: neither parked nor complete — the run queue.
     run: Vec<u64>,
     /// Bitset over ranks: still a member of `arena.flight`. The position of
@@ -850,6 +914,7 @@ impl ArenaKernel {
             step_count: spec.first_step,
             order: Vec::new(),
             status: Vec::new(),
+            gate: Vec::new(),
             run: Vec::new(),
             live: Vec::new(),
             wake_next: Vec::new(),
@@ -932,11 +997,13 @@ impl ArenaKernel {
     /// external mutation: injection, removal, reroute).
     pub fn resync(&mut self, arena: &ArenaConfig) {
         let n = arena.flight.len();
-        let ports = arena.port_cap.len();
+        let ports = arena.port_count();
         self.order.clear();
         self.order.extend_from_slice(&arena.flight);
         self.status.clear();
         self.status.resize(n, TravelStatus::Pending);
+        self.gate.clear();
+        self.gate.resize(n, None);
         self.run.clear();
         self.run.resize(n.div_ceil(64), 0);
         self.live.clear();
@@ -960,6 +1027,7 @@ impl ArenaKernel {
             let s = self.order[rank] as usize;
             self.live[rank / 64] |= 1 << (rank % 64);
             let status = if let Some(p) = self.blocked_port(arena, s) {
+                self.gate[rank] = Some(p);
                 self.wake_next[rank] = self.wake_head[p.index()];
                 self.wake_head[p.index()] = rank as u32;
                 TravelStatus::Blocked(p)
@@ -1004,32 +1072,17 @@ impl ArenaKernel {
     // Admission over columns (the closed-world predicates)
     // ------------------------------------------------------------------
 
-    fn admit_entry(&self, arena: &ArenaConfig, s: usize) -> bool {
+    /// Whether the policy admits the head of the worm whose flits are
+    /// `flits` into `to`: its next hop, or its entry port while it is
+    /// pending.
+    #[inline]
+    fn admit_head(&self, ports: &Ports, to: PortId, flits: &[u32]) -> bool {
         match self.spec.admission {
             AdmissionKind::Always => true,
-            AdmissionKind::WholePacketRoom | AdmissionKind::StoreAndForward => {
-                // SAF entry needs no co-location: all flits are at the source.
-                arena.port_free(arena.route_pool[arena.route_off[s] as usize]) >= arena.flit_len[s]
-            }
-        }
-    }
-
-    fn admit_advance(&self, arena: &ArenaConfig, s: usize, from: usize) -> bool {
-        match self.spec.admission {
-            AdmissionKind::Always => true,
-            AdmissionKind::WholePacketRoom => {
-                let to = arena.route_pool[arena.route_off[s] as usize + from + 1];
-                arena.port_free(to) >= arena.flit_len[s]
-            }
+            AdmissionKind::WholePacketRoom => ports.free(to) as usize >= flits.len(),
+            // Every flit with the head — at entry they all are, pending.
             AdmissionKind::StoreAndForward => {
-                let to = arena.route_pool[arena.route_off[s] as usize + from + 1];
-                if arena.port_free(to) < arena.flit_len[s] {
-                    return false;
-                }
-                let fo = arena.flit_off[s] as usize;
-                let fl = arena.flit_len[s] as usize;
-                let here = from as u32 + 1;
-                arena.flit_pool[fo..fo + fl].iter().all(|&p| p == here)
+                ports.free(to) as usize >= flits.len() && flits.iter().all(|&p| p == flits[0])
             }
         }
     }
@@ -1059,140 +1112,182 @@ impl ArenaKernel {
     /// every movement predicate), and the scan ends at the first pending
     /// flit (all later flits are pending behind it, and a pending flit
     /// with a pending predecessor cannot enter).
+    ///
+    /// The route and flit ranges are taken as slices once, beside the port
+    /// columns, and a flit passes a port's check and enters it in one call.
+    /// In-network codes compare like route indices, and a delivered flit's
+    /// code exceeds every one of them, so "the flit ahead has moved past
+    /// this one" is a single comparison of codes.
+    ///
+    /// Also returns whether the travel can move in the state the pass
+    /// leaves ([`travel_can_move`](Self::travel_can_move) of it), judged in
+    /// the same pass: a flit's movability depends on the flit ahead, its
+    /// next port and the delivered prefix, and once the pass is past the
+    /// flit, the flits behind it change none of them.
     fn step_travel(
         &mut self,
         arena: &mut ArenaConfig,
         s: usize,
         at: u32,
         trace: &mut Trace,
-    ) -> Result<StepReport> {
-        let sv = s as u32;
+    ) -> Result<(StepReport, bool)> {
+        let ArenaConfig {
+            public,
+            route_off,
+            route_len,
+            flit_off,
+            flit_len,
+            delivered,
+            route_pool,
+            flit_pool,
+            ports,
+            ..
+        } = arena;
+        let ro = route_off[s] as usize;
+        let route = &route_pool[ro..ro + route_len[s] as usize];
+        let fo = flit_off[s] as usize;
+        let flits = &mut flit_pool[fo..fo + flit_len[s] as usize];
+        let (sv, id, tail) = (s as u32, public[s], flits.len() - 1);
         let mut rep = StepReport::default();
-        let ro = arena.route_off[s] as usize;
-        let rl = arena.route_len[s] as usize;
-        let fo = arena.flit_off[s] as usize;
-        let fl = arena.flit_len[s] as usize;
-        let public = arena.public[s];
-        for f in arena.delivered[s] as usize..fl {
-            let pos = arena.flit_pool[fo + f];
+        let mut movable = false;
+        for f in delivered[s] as usize..flits.len() {
+            let pos = flits[f];
             if pos == FLIT_PENDING {
-                let pred_in = f == 0 || arena.flit_pool[fo + f - 1] != FLIT_PENDING;
-                let entry = arena.route_pool[ro];
-                if pred_in
-                    && arena.port_can_enter(entry, sv, f == 0)
-                    && (f != 0 || self.admit_entry(arena, s))
+                let entry = route[0];
+                let entered = (f == 0 || flits[f - 1] != FLIT_PENDING)
                     && self.may_enter(entry)
-                {
-                    arena.port_enter(entry, sv)?;
-                    arena.flit_pool[fo + f] = 1;
+                    && (f != 0 || self.admit_head(ports, entry, flits))
+                    && ports.try_enter(entry, sv, f == 0);
+                if entered {
+                    flits[f] = 1;
                     self.entered_mark[entry.index()] = self.epoch;
-                    trace.record(public, f, Zone::Source, Zone::Port(entry));
-                    if self.log_moves {
-                        self.moves.push(MoveRec {
-                            travel: at,
-                            flit: f as u32,
-                            kind: MoveKind::Enter,
-                        });
-                    }
+                    trace.record(id, f, Zone::Source, Zone::Port(entry));
+                    self.log_move(at, f, MoveKind::Enter);
                     rep.entries += 1;
                 }
+                // Nothing behind this flit moves: judge it, and the flit
+                // behind it if that one is now first in the queue.
+                let done = delivered[s] as usize;
+                movable = movable
+                    || self.flit_can_move(ports, route, flits, f, done, sv)
+                    || (entered
+                        && f < tail
+                        && self.flit_can_move(ports, route, flits, f + 1, done, sv));
                 break;
             }
             debug_assert_ne!(pos, FLIT_DELIVERED, "delivered prefix was skipped");
-            let k = (pos - 1) as usize;
-            if k + 1 == rl {
+            let here = route[pos as usize - 1];
+            match route.get(pos as usize) {
                 // At the destination port: ejection is the only move left,
                 // admissible once every flit ahead has been delivered
                 // (i.e. this flit heads the undelivered suffix).
-                if f == arena.delivered[s] as usize {
-                    let dest = arena.route_pool[ro + k];
-                    if self.may_eject(dest) {
-                        arena.port_leave(dest, sv, f + 1 == fl)?;
-                        arena.flit_pool[fo + f] = FLIT_DELIVERED;
-                        arena.delivered[s] += 1;
-                        self.ejected_mark[dest.index()] = self.epoch;
-                        self.freed.push(dest);
-                        trace.record(public, f, Zone::Port(dest), Zone::Delivered);
-                        if self.log_moves {
-                            self.moves.push(MoveRec {
-                                travel: at,
-                                flit: f as u32,
-                                kind: MoveKind::Eject,
-                            });
-                        }
+                None => {
+                    if f == delivered[s] as usize && self.may_eject(here) {
+                        ports.leave(here, sv, f == tail, public)?;
+                        flits[f] = FLIT_DELIVERED;
+                        delivered[s] += 1;
+                        self.ejected_mark[here.index()] = self.epoch;
+                        self.freed.push(here);
+                        trace.record(id, f, Zone::Port(here), Zone::Delivered);
+                        self.log_move(at, f, MoveKind::Eject);
                         rep.ejections += 1;
                     }
                 }
-                continue;
-            }
-            let pred_ok = f == 0 || {
-                let ppos = arena.flit_pool[fo + f - 1];
-                ppos == FLIT_DELIVERED || (ppos != FLIT_PENDING && (ppos - 1) as usize > k)
-            };
-            let to = arena.route_pool[ro + k + 1];
-            if pred_ok
-                && arena.port_can_enter(to, sv, f == 0)
-                && (f != 0 || self.admit_advance(arena, s, k))
-                && self.may_enter(to)
-            {
-                let from = arena.route_pool[ro + k];
-                arena.port_enter(to, sv)?;
-                arena.port_leave(from, sv, f + 1 == fl)?;
-                arena.flit_pool[fo + f] = pos + 1;
-                self.entered_mark[to.index()] = self.epoch;
-                self.freed.push(from);
-                trace.record(public, f, Zone::Port(from), Zone::Port(to));
-                if self.log_moves {
-                    self.moves.push(MoveRec {
-                        travel: at,
-                        flit: f as u32,
-                        kind: MoveKind::Advance,
-                    });
+                Some(&to) => {
+                    if (f == 0 || flits[f - 1] > pos)
+                        && self.may_enter(to)
+                        && (f != 0 || self.admit_head(ports, to, flits))
+                        && ports.try_enter(to, sv, f == 0)
+                    {
+                        ports.leave(here, sv, f == tail, public)?;
+                        flits[f] = pos + 1;
+                        self.entered_mark[to.index()] = self.epoch;
+                        self.freed.push(here);
+                        trace.record(id, f, Zone::Port(here), Zone::Port(to));
+                        self.log_move(at, f, MoveKind::Advance);
+                        rep.advances += 1;
+                    }
                 }
-                rep.advances += 1;
             }
+            // The head is judged after the pass: store-and-forward admission
+            // reads the flits behind it.
+            movable = movable
+                || (f > 0 && self.flit_can_move(ports, route, flits, f, delivered[s] as usize, sv));
         }
-        Ok(rep)
+        movable = movable || self.flit_can_move(ports, route, flits, 0, delivered[s] as usize, sv);
+        Ok((rep, movable))
+    }
+
+    #[inline]
+    fn log_move(&mut self, at: u32, flit: usize, kind: MoveKind) {
+        if self.log_moves {
+            self.moves.push(MoveRec {
+                travel: at,
+                flit: flit as u32,
+                kind,
+            });
+        }
+    }
+
+    /// Whether flit `f` of the worm of slot `sv` (`route`, `flits`, `done`
+    /// flits delivered) could move right now, admission included and
+    /// bandwidth aside: one flit's term of `travel_can_move_with`.
+    #[inline]
+    fn flit_can_move(
+        &self,
+        ports: &Ports,
+        route: &[PortId],
+        flits: &[u32],
+        f: usize,
+        done: usize,
+        sv: u32,
+    ) -> bool {
+        let pos = flits[f];
+        let to = match pos {
+            FLIT_DELIVERED => return false,
+            FLIT_PENDING if f > 0 && flits[f - 1] == FLIT_PENDING => return false,
+            FLIT_PENDING => route[0],
+            _ => match route.get(pos as usize) {
+                // At the destination port: it ejects once it heads the
+                // undelivered suffix.
+                None => return f == done,
+                Some(_) if f > 0 && flits[f - 1] <= pos => return false,
+                Some(&to) => to,
+            },
+        };
+        ports.can_enter(to, sv, f == 0) && (f > 0 || self.admit_head(ports, to, flits))
     }
 
     /// Whether any flit of slot `s` could move right now, admission
-    /// included — the arena mirror of `travel_can_move_with`.
+    /// included — the arena mirror of `travel_can_move_with`. The scan ends
+    /// at the first pending flit: the flits behind it cannot enter.
     fn travel_can_move(&self, arena: &ArenaConfig, s: usize) -> bool {
-        let sv = s as u32;
-        let ro = arena.route_off[s] as usize;
-        let rl = arena.route_len[s] as usize;
-        let fo = arena.flit_off[s] as usize;
-        let fl = arena.flit_len[s] as usize;
-        let start = arena.delivered[s] as usize;
-        for f in start..fl {
-            let pos = arena.flit_pool[fo + f];
-            if pos == FLIT_PENDING {
-                // The first pending flit decides: later flits are pending
-                // behind a pending predecessor and cannot enter.
-                let pred_in = f == 0 || arena.flit_pool[fo + f - 1] != FLIT_PENDING;
-                return pred_in
-                    && arena.port_can_enter(arena.route_pool[ro], sv, f == 0)
-                    && (f != 0 || self.admit_entry(arena, s));
-            }
-            let k = (pos - 1) as usize;
-            if k + 1 == rl {
-                if f == start {
-                    return true; // heads the undelivered suffix: can eject
-                }
-                continue;
-            }
-            let pred_ok = f == 0 || {
-                let ppos = arena.flit_pool[fo + f - 1];
-                ppos == FLIT_DELIVERED || (ppos != FLIT_PENDING && (ppos - 1) as usize > k)
-            };
-            if pred_ok
-                && arena.port_can_enter(arena.route_pool[ro + k + 1], sv, f == 0)
-                && (f != 0 || self.admit_advance(arena, s, k))
-            {
+        let (sv, route, flits) = (s as u32, arena.route(s), arena.flit_codes(s));
+        let done = arena.delivered[s] as usize;
+        for f in done..flits.len() {
+            if self.flit_can_move(&arena.ports, route, flits, f, done, sv) {
                 return true;
+            }
+            if flits[f] == FLIT_PENDING {
+                return false;
             }
         }
         false
+    }
+
+    /// Whether the travel of slot `s`, parked on `gate` and not served
+    /// since, can move now. Its body waits on ports the worm owns, which
+    /// only its own moves drain, so the head's test at `gate` decides
+    /// (observation 2). Debug builds hold it to the full scan.
+    fn gate_open(&self, arena: &ArenaConfig, s: usize, gate: PortId) -> bool {
+        let open = arena.ports.can_enter(gate, s as u32, true)
+            && self.admit_head(&arena.ports, gate, arena.flit_codes(s));
+        debug_assert_eq!(
+            open,
+            self.travel_can_move(arena, s),
+            "a parked travel can move exactly when its gate is open"
+        );
+        open
     }
 
     /// The port the head flit is waiting for, or `None` when the travel
@@ -1201,24 +1296,12 @@ impl ArenaKernel {
         if self.travel_can_move(arena, s) {
             return None;
         }
-        let ro = arena.route_off[s] as usize;
-        let rl = arena.route_len[s] as usize;
-        match arena.flit_pool[arena.flit_off[s] as usize] {
-            FLIT_PENDING => Some(arena.route_pool[ro]),
-            FLIT_DELIVERED => None,
-            p => {
-                let k = (p - 1) as usize;
-                if k + 1 < rl {
-                    Some(arena.route_pool[ro + k + 1])
-                } else {
-                    None
-                }
-            }
-        }
+        arena.next_hop(s)
     }
 
     /// The paper's deadlock predicate `Ω(σ)` over the run queue: `T` is
-    /// non-empty and no runnable travel can move.
+    /// non-empty and no runnable travel can move. A travel woken but not yet
+    /// served is judged by its gate.
     pub fn is_deadlock(&self, arena: &ArenaConfig) -> bool {
         if arena.is_evacuated() {
             return false;
@@ -1227,7 +1310,12 @@ impl ArenaKernel {
             let mut bits = word;
             while bits != 0 {
                 let rank = w * 64 + bits.trailing_zeros() as usize;
-                if self.travel_can_move(arena, self.order[rank] as usize) {
+                let s = self.order[rank] as usize;
+                let movable = match self.gate[rank] {
+                    Some(gate) => self.gate_open(arena, s, gate),
+                    None => self.travel_can_move(arena, s),
+                };
+                if movable {
                     return false;
                 }
                 bits &= bits - 1;
@@ -1238,6 +1326,7 @@ impl ArenaKernel {
 
     fn park(&mut self, arena: &ArenaConfig, rank: usize, p: PortId) {
         self.status[rank] = TravelStatus::Blocked(p);
+        self.gate[rank] = Some(p);
         self.run[rank / 64] &= !(1 << (rank % 64));
         self.wake_next[rank] = self.wake_head[p.index()];
         self.wake_head[p.index()] = rank as u32;
@@ -1340,8 +1429,23 @@ impl ArenaKernel {
     ) -> Result<()> {
         let s = self.order[rank] as usize;
         debug_assert_eq!(arena.flight[at as usize], self.order[rank]);
+        if let Some(gate) = self.gate[rank].take() {
+            if !self.gate_open(arena, s, gate) {
+                // Woken, but the gate is shut again — still owned by the
+                // worm a flit left it from, or taken before this turn came:
+                // nothing can move, so the travel parks where it was, with
+                // the transition and wake-list push the full serve makes.
+                self.park(arena, rank, gate);
+                return Ok(());
+            }
+        }
         let before = self.status[rank];
-        let rep = self.step_travel(arena, s, at, trace)?;
+        let (rep, movable) = self.step_travel(arena, s, at, trace)?;
+        debug_assert_eq!(
+            movable,
+            self.travel_can_move(arena, s),
+            "the pass judges movability as the full scan does"
+        );
         if rep.moves() > 0 {
             total.entries += rep.entries;
             total.advances += rep.advances;
@@ -1380,14 +1484,17 @@ impl ArenaKernel {
                 self.saw_arrival = true;
                 self.run[rank / 64] &= !(1 << (rank % 64));
                 self.done.push((at, rank as u32));
-            } else if let Some(p) = self.blocked_port(arena, s) {
-                // Park at once if the moves left the travel blocked (the
-                // worm just compacted against an owned port, say): it cannot
-                // move again before a wake, and the transition reaches
-                // detectors the same step the blocking event forms.
-                self.park(arena, rank, p);
+                return Ok(());
             }
-        } else if let Some(p) = self.blocked_port(arena, s) {
+        }
+        if movable {
+            return Ok(());
+        }
+        // Park at once, also when the moves left the travel blocked (the
+        // worm just compacted against an owned port, say): it cannot move
+        // again before a wake, and the transition reaches detectors the same
+        // step the blocking event forms.
+        if let Some(p) = arena.next_hop(s) {
             self.park(arena, rank, p);
         }
         Ok(())
@@ -1669,6 +1776,90 @@ mod tests {
         while !kernel.take_saw_arrival() {
             assert!(kernel.step(arena, &mut trace).unwrap().moves() > 0);
         }
+    }
+
+    /// On a capacity-1 line, worm A (4 flits, node 1 → 2) streams through
+    /// node 1's forward out-port ahead of B (1 flit, node 0 → 2), which
+    /// parks on that port. A body flit of A leaving the port wakes B, but
+    /// A's next flit fills it in the same sub-step: B's serve parks it
+    /// again, with no move. A's tail leaving the port releases it, and B's
+    /// serve in that step moves B through it.
+    #[test]
+    fn a_woken_travel_parks_again_until_its_gates_owner_lets_go() {
+        let net = LineNetwork::new(3, 1);
+        let routing = LineRouting::new(&net);
+        let node = NodeId::from_index;
+        let specs = [
+            MessageSpec::new(node(1), node(2), 4),
+            MessageSpec::new(node(0), node(2), 1),
+        ];
+        let cfg = Config::from_specs(&net, &routing, &specs).unwrap();
+        let (a, b) = (cfg.travels()[0].id(), cfg.travels()[1].id());
+        let (before_gate, gate) = (cfg.travels()[1].route()[2], cfg.travels()[1].route()[3]);
+        assert_eq!(Some(gate), net.fwd_out(1));
+        let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+        let slot_a = arena.slot_of(a).unwrap();
+        let mut kernel = kernel_for(&arena, Arbitration::FixedPriority);
+        let mut trace = Trace::new(true);
+        // One step: B's transitions, and the moves of flits through `gate`
+        // as `(travel, flit, from, to)`.
+        let mut step = |arena: &mut ArenaConfig, n: u64| {
+            trace.begin_step(n);
+            let seen = trace.events().len();
+            kernel.step(arena, &mut trace).unwrap();
+            kernel.drain_arrived(arena);
+            let of_b: Vec<TravelStatus> = (kernel.transitions().iter())
+                .filter(|t| t.msg == b)
+                .map(|t| t.status)
+                .collect();
+            let through: Vec<(MsgId, u32, Zone, Zone)> = (trace.events()[seen..].iter())
+                .filter(|e| e.from == Zone::Port(gate) || e.to == Zone::Port(gate))
+                .map(|e| (e.msg, e.flit, e.from, e.to))
+                .collect();
+            (of_b, through)
+        };
+        let (at_gate, short_of_it) = (Zone::Port(gate), Zone::Port(before_gate));
+        for n in 0..2 {
+            let (of_b, _) = step(&mut arena, n);
+            assert!(
+                of_b.len() <= 1 && of_b[..] != [TravelStatus::Blocked(gate)],
+                "step {n}"
+            );
+        }
+        // Step 2: B moves up to the port before the gate, which A's second
+        // flit has just taken, and parks at once.
+        let (of_b, _) = step(&mut arena, 2);
+        assert_eq!(of_b, [TravelStatus::Blocked(gate)]);
+
+        // Steps 3 and 4: a body flit of A leaves the gate, so A keeps it,
+        // and A's next flit fills it. B is woken and parks again, unmoved.
+        for (n, body) in [(3, 1), (4, 2)] {
+            let (of_b, through) = step(&mut arena, n);
+            assert_eq!(
+                through.iter().map(|m| (m.0, m.1)).collect::<Vec<_>>(),
+                [(a, body), (a, body + 1)],
+                "step {n}: A's flit {body} leaves the gate, the next one fills it, B stays"
+            );
+            assert_eq!((through[0].2, through[1].3), (at_gate, at_gate));
+            assert_eq!(arena.ports.owner[gate.index()], slot_a);
+            assert_eq!(
+                of_b,
+                [TravelStatus::Active, TravelStatus::Blocked(gate)],
+                "step {n}: woken and parked again"
+            );
+        }
+
+        // Step 5: A's tail leaves the gate and releases it; B's serve comes
+        // after A's in the same step and moves B into it — right behind A's
+        // tail, so B parks at once on its next port.
+        let (of_b, through) = step(&mut arena, 5);
+        let next = TravelStatus::Blocked(cfg.travels()[1].route()[4]);
+        assert_eq!(of_b, [TravelStatus::Active, next]);
+        assert_eq!(
+            through,
+            [(a, 3, at_gate, through[0].3), (b, 0, short_of_it, at_gate)],
+            "the tail leaves the gate, then B's head enters it"
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 
 use genoc::core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc::core::trace::Trace;
@@ -66,9 +67,21 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 fn workload_arena(side: usize, messages: usize) -> (Mesh, Config, ArenaConfig) {
     let mesh = Mesh::new(side, side, 1);
-    let routing = XyRouting::new(&mesh);
     let specs = genoc::sim::workload::uniform_random(mesh.node_count(), messages, 2..=5, 19);
-    let cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
+    arena_of(mesh, &specs)
+}
+
+/// An 8×8 mesh where two messages in five go to one node: the queue for
+/// it is woken by every flit that leaves a port on the way and parked again
+/// when the worm's next flit takes the port back.
+fn hotspot_arena() -> (Mesh, Config, ArenaConfig) {
+    let mesh = Mesh::new(8, 8, 1);
+    let specs = genoc::sim::workload::hotspot(mesh.node_count(), 160, 27, 40, 4, 19);
+    arena_of(mesh, &specs)
+}
+
+fn arena_of(mesh: Mesh, specs: &[MessageSpec]) -> (Mesh, Config, ArenaConfig) {
+    let cfg = Config::from_specs(&mesh, &XyRouting::new(&mesh), specs).unwrap();
     let arena = ArenaConfig::from_config(&mesh, &cfg).unwrap();
     (mesh, cfg, arena)
 }
@@ -106,42 +119,73 @@ fn snapshot_clone_is_a_constant_allocation_count() {
     drop(large_clone);
 }
 
+/// What [`evicting_run`] saw.
+struct EvictingRun {
+    steps: u64,
+    /// Allocations inside `step()` before and after the eviction.
+    step_allocs: [u64; 2],
+    /// Allocations inside `drain_arrived`.
+    drain_allocs: u64,
+    /// Drains that left travels in flight.
+    mid_run_drains: usize,
+    /// Travels woken and parked again on the same port in one step.
+    reparks: u64,
+}
+
 /// One run to evacuation in which the youngest travel still in flight after
 /// step `EVICT_AFTER` is removed from the arena in place and the kernel
-/// reclassifies (`resync`), as the hooked loop answers an abort. Returns the
-/// steps taken, the allocations inside `step()` before and after the
-/// eviction, those inside `drain_arrived`, and how many drains left travels
-/// in flight.
+/// reclassifies (`resync`), as the hooked loop answers an abort.
 fn evicting_run(
     mesh: &Mesh,
     ids: &[MsgId],
     arena: &mut ArenaConfig,
     kernel: &mut ArenaKernel,
-) -> (u64, [u64; 2], u64, usize) {
+) -> EvictingRun {
     const EVICT_AFTER: u64 = 5;
     let mut trace = Trace::new(false);
-    let (mut steps, mut step_allocs, mut drain_allocs, mut mid_run_drains) = (0, [0; 2], 0, 0);
+    let mut run = EvictingRun {
+        steps: 0,
+        step_allocs: [0; 2],
+        drain_allocs: 0,
+        mid_run_drains: 0,
+        reparks: 0,
+    };
+    // Outside the windows: each travel's last park, and who woke this step.
+    let mut parked_on: HashMap<MsgId, PortId> = HashMap::new();
+    let mut woken = HashSet::new();
     while !arena.is_evacuated() {
         assert!(!kernel.is_deadlock(arena), "XY mesh workloads evacuate");
         let (result, allocs) = allocations_during(|| kernel.step(arena, &mut trace));
         result.unwrap();
-        step_allocs[usize::from(steps > EVICT_AFTER)] += allocs;
+        run.step_allocs[usize::from(run.steps > EVICT_AFTER)] += allocs;
+        woken.clear();
+        for t in kernel.transitions() {
+            match t.status {
+                TravelStatus::Active => _ = woken.insert(t.msg),
+                TravelStatus::Blocked(p) => {
+                    let again = parked_on.insert(t.msg, p) == Some(p);
+                    run.reparks += u64::from(again && woken.contains(&t.msg));
+                }
+                _ => {}
+            }
+        }
         if kernel.take_saw_arrival() {
             let (_, d) = allocations_during(|| kernel.drain_arrived(arena));
-            drain_allocs += d;
-            mid_run_drains += usize::from(!arena.is_evacuated());
+            run.drain_allocs += d;
+            run.mid_run_drains += usize::from(!arena.is_evacuated());
         }
-        if steps == EVICT_AFTER {
+        if run.steps == EVICT_AFTER {
             // The removal may allocate: it returns the `Travel` it evicted.
             let evicted = (ids.iter().rev()).find_map(|&id| arena.remove_travel(mesh, id).ok());
             assert!(evicted.is_some(), "some travel is still in flight");
             kernel.resync(arena);
+            parked_on.clear();
         }
-        steps += 1;
-        assert!(steps < 10_000);
+        run.steps += 1;
+        assert!(run.steps < 10_000);
     }
-    assert!(steps > 2 * EVICT_AFTER, "the run outlasts the eviction");
-    (steps, step_allocs, drain_allocs, mid_run_drains)
+    assert!(run.steps > 2 * EVICT_AFTER, "the run outlasts the eviction");
+    run
 }
 
 /// Warm the kernel with one full run, then replay the identical run on a
@@ -155,11 +199,17 @@ fn evicting_run(
 /// may allocate, amortised growth of the arrived list. The second workload
 /// spans four 64-rank words and has travels complete while others are still
 /// in flight, so the drain's compaction and the word-crossing sweep are both
-/// inside the window.
+/// inside the window. Every workload has travels woken and parked again on
+/// their gate in one step, a serve that never reaches the worm; the third,
+/// hotspot traffic, has ≈ 1,800 of them.
 #[test]
 fn stepping_allocates_nothing_after_warmup() {
-    for (side, messages) in [(4, 24), (8, 200)] {
-        let (mesh, cfg, arena0) = workload_arena(side, messages);
+    let workloads = [
+        workload_arena(4, 24),
+        workload_arena(8, 200),
+        hotspot_arena(),
+    ];
+    for (i, (mesh, cfg, arena0)) in workloads.into_iter().enumerate() {
         let ids: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
         let spec =
             ArenaSpec::from_kernel_spec(&WormholePolicy::default().kernel_spec().unwrap()).unwrap();
@@ -167,24 +217,29 @@ fn stepping_allocates_nothing_after_warmup() {
         // Warm-up run: grows every reusable buffer to its high-water mark.
         let mut arena = arena0.clone();
         let mut kernel = ArenaKernel::new(&arena, spec);
-        let (steps, ..) = evicting_run(&mesh, &ids, &mut arena, &mut kernel);
+        let warm = evicting_run(&mesh, &ids, &mut arena, &mut kernel);
 
         // Identical re-run on the warmed kernel: zero allocations per step.
         let mut arena = arena0.clone();
         kernel.resync(&arena);
-        let (again, step_allocs, drain_allocs, mid_run_drains) =
-            evicting_run(&mesh, &ids, &mut arena, &mut kernel);
-        assert_eq!(again, steps, "re-run reproduces the warm-up run");
+        let run = evicting_run(&mesh, &ids, &mut arena, &mut kernel);
+        assert_eq!(run.steps, warm.steps, "re-run reproduces the warm-up run");
+        assert_eq!(run.reparks, warm.reparks);
         assert_eq!(
-            step_allocs,
+            run.step_allocs,
             [0, 0],
-            "`step()` allocated on the warmed re-run, [before, after] the eviction"
+            "workload {i}: `step()` allocated on the warmed re-run, [before, after] the eviction"
         );
-        assert!(mid_run_drains > 0, "some travel arrives before the last");
         assert!(
-            drain_allocs <= 8,
-            "arrived-list growth is amortised, got {drain_allocs} allocations"
+            run.mid_run_drains > 0,
+            "some travel arrives before the last"
         );
+        assert!(
+            run.drain_allocs <= 8,
+            "arrived-list growth is amortised, got {} allocations",
+            run.drain_allocs
+        );
+        assert!(run.reparks > 0, "workload {i}: no travel parked again");
     }
 }
 

@@ -573,3 +573,150 @@ fn every_park_the_arena_reports_is_a_blocked_port_of_the_reference() {
     assert!(checks > 100_000, "only {checks} parks audited");
     assert!(recoveries > 0, "no run crossed a resync");
 }
+
+/// One more 64-bit word into an FNV-1a hash, a byte at a time.
+fn fnv(hash: u64, word: u64) -> u64 {
+    (word.to_le_bytes().iter()).fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Folds an observed run's whole feed into one FNV-1a value: per step its
+/// number, its `(msg, status)` transitions and its freed ports, both in
+/// order; a marker per hook mutation; the outcome and the step count.
+struct StreamFold {
+    hash: u64,
+    mutations: u64,
+}
+
+impl RunObserver for StreamFold {
+    fn on_step(
+        &mut self,
+        _cfg: &Config,
+        step: u64,
+        transitions: &[Transition],
+        freed: &[PortId],
+        _moves: &[Event],
+        _arrived: &[MsgId],
+    ) -> genoc::core::Result<()> {
+        let mut h = fnv(fnv(self.hash, step), transitions.len() as u64);
+        for tr in transitions {
+            let status = match tr.status {
+                TravelStatus::Pending => 0,
+                TravelStatus::Active => 1,
+                TravelStatus::Delivered => 2,
+                TravelStatus::Blocked(p) => 3 + p.index() as u64,
+            };
+            h = fnv(fnv(h, tr.msg.index() as u64), status);
+        }
+        h = fnv(h, freed.len() as u64);
+        self.hash = (freed.iter()).fold(h, |h, p| fnv(h, p.index() as u64));
+        Ok(())
+    }
+
+    fn on_mutation(&mut self, _cfg: &Config, steps_done: u64) -> genoc::core::Result<()> {
+        self.hash = fnv(fnv(self.hash, u64::MAX), steps_done);
+        self.mutations += 1;
+        Ok(())
+    }
+
+    fn on_run_end(
+        &mut self,
+        outcome: Outcome,
+        steps: u64,
+        _cfg: &Config,
+    ) -> genoc::core::Result<()> {
+        self.hash = fnv(fnv(self.hash, outcome as u64), steps);
+        Ok(())
+    }
+}
+
+/// `(cell, steps, fold)` of every cell below, taken by running the test on
+/// the kernel that still re-scanned a woken travel's worm at every serve, so
+/// they hold that kernel's transition and freed-port feed, step by step.
+const PINNED_STREAMS: [(&str, u64, u64); 5] = [
+    (
+        "8x8 xy hotspot, wormhole, fixed priority",
+        460,
+        4_757_481_770_082_563_186,
+    ),
+    (
+        "8x8 xy hotspot, wormhole, round robin",
+        472,
+        11_836_395_391_268_965_239,
+    ),
+    (
+        "6x6 xy cap 3, virtual cut-through",
+        244,
+        3_547_028_029_866_108_354,
+    ),
+    (
+        "6x6 xy cap 3, store-and-forward",
+        362,
+        13_791_919_061_931_308_801,
+    ),
+    (
+        "6x6 mixed xy/yx cap 1, wormhole, abort-and-evacuate",
+        225,
+        7_341_390_879_115_749_926,
+    ),
+];
+
+/// The kernel's transition and freed-port logs, order included, pinned per
+/// cell: hotspot traffic parks and wakes most travels over and over, the
+/// whole-packet admissions gate the head on room for the packet, and the
+/// mixed-routing cell deadlocks and recovers, so its feed crosses resyncs.
+#[test]
+fn the_transition_stream_is_pinned_per_cell() {
+    type MakePolicy = fn() -> Box<dyn SwitchingPolicy>;
+    let cells: [(usize, u32, bool, MakePolicy); 5] = [
+        (8, 2, false, || Box::new(WormholePolicy::default())),
+        (8, 2, false, || {
+            Box::new(WormholePolicy::new(Arbitration::RoundRobin))
+        }),
+        (6, 3, false, || Box::new(VirtualCutThroughPolicy::new())),
+        (6, 3, false, || Box::new(StoreForwardPolicy::new())),
+        (6, 1, true, || Box::new(WormholePolicy::default())),
+    ];
+    let mut streams = Vec::new();
+    for ((side, capacity, mixed, make), (name, ..)) in cells.into_iter().zip(PINNED_STREAMS) {
+        let nodes = side * side;
+        let mesh = Mesh::new(side, side, capacity);
+        let (specs, cfg) = if mixed {
+            let specs = genoc::sim::workload::uniform_random(nodes, 240, 2..=6, 23);
+            let cfg = Config::from_specs(&mesh, &MixedXyYxRouting::new(&mesh), &specs);
+            (specs, cfg)
+        } else {
+            let specs = genoc::sim::workload::hotspot(nodes, 6 * nodes, nodes / 2 + 3, 40, 3, 23);
+            let cfg = Config::from_specs(&mesh, &XyRouting::new(&mesh), &specs);
+            (specs, cfg)
+        };
+        let mut engine =
+            DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
+        let hook: &mut dyn DetectorHook = if mixed { &mut engine } else { &mut NullHook };
+        let mut fold = StreamFold {
+            hash: 0xcbf2_9ce4_8422_2325,
+            mutations: 0,
+        };
+        let result = simulate_observed_config(
+            &mesh,
+            make().as_mut(),
+            cfg.unwrap(),
+            &SimOptions::default(),
+            hook,
+            &mut fold,
+        )
+        .unwrap();
+        assert_eq!(result.run.outcome, Outcome::Evacuated, "{name}");
+        // Each recovery aborts one travel; every other travel arrives.
+        let aborted = if mixed { engine.detections().len() } else { 0 };
+        assert_eq!(fold.mutations > 0, mixed, "{name}: recoveries");
+        assert_eq!(
+            result.run.arrival_order.len() + aborted,
+            specs.len(),
+            "{name}"
+        );
+        streams.push((name, result.run.steps, fold.hash));
+    }
+    assert_eq!(streams, PINNED_STREAMS);
+}
