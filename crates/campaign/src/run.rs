@@ -699,36 +699,25 @@ fn metrics_probe(
         max_steps: effort.max_steps,
         ..Default::default()
     };
-    let (detector_first_step, detection_latency) = if spec.switching == SwitchingKind::Wormhole {
-        let mut hook = ObservedEngine::new(
+    let mut hook = (spec.switching == SwitchingKind::Wormhole).then(|| {
+        ObservedEngine::new(
             DetectionEngine::detector(EngineOptions::default()),
             wal.clone(),
-        );
-        genoc_sim::simulate_observed_config(
-            instance.net.as_ref(),
-            policy.as_mut(),
-            cfg,
-            &options,
-            &mut hook,
-            &mut recorder,
         )
-        .ok()?;
-        (
-            hook.first_detection_step(),
-            hook.engine().stats().detection_latency(),
-        )
-    } else {
-        genoc_sim::simulate_observed_config(
-            instance.net.as_ref(),
-            policy.as_mut(),
-            cfg,
-            &options,
-            &mut genoc_sim::NullHook,
-            &mut recorder,
-        )
-        .ok()?;
-        (None, None)
-    };
+    });
+    genoc_sim::simulate_config(
+        instance.net.as_ref(),
+        policy.as_mut(),
+        cfg,
+        &options,
+        hook.as_mut().map(|h| h as &mut dyn genoc_sim::DetectorHook),
+        Some(&mut recorder),
+    )
+    .ok()?;
+    let detector_first_step = hook.as_ref().and_then(ObservedEngine::first_detection_step);
+    let detection_latency = hook
+        .as_ref()
+        .and_then(|h| h.engine().stats().detection_latency());
 
     let summary = recorder.summary();
     Some(ScenarioMetrics {
@@ -818,18 +807,17 @@ fn run_evacuation(
     } else {
         let mut policy = policy_for(spec.switching);
         let check_start = Instant::now();
-        let result = genoc_sim::simulate_selected(
-            instance.net.as_ref(),
-            instance.routing.as_ref(),
-            policy.as_mut(),
-            &specs,
-            seed,
-            &genoc_sim::SimOptions {
-                max_steps: effort.max_steps,
-                record_trace: true,
-                ..Default::default()
-            },
-        );
+        let net = instance.net.as_ref();
+        let result =
+            genoc_sim::config_with_selected_routes(net, instance.routing.as_ref(), &specs, seed)
+                .and_then(|cfg| {
+                    let options = genoc_sim::SimOptions {
+                        max_steps: effort.max_steps,
+                        record_trace: true,
+                        ..Default::default()
+                    };
+                    genoc_sim::simulate_config(net, policy.as_mut(), cfg, &options, None, None)
+                });
         // Route selection + run; the trace checks below are kept out of the
         // throughput figure but inside the check's own wall clock.
         let sim_ms = check_start.elapsed().as_secs_f64() * 1e3;

@@ -1558,9 +1558,8 @@ fn audit_arena_ledger(arena: &ArenaConfig, ledger: u64, step: u64) -> Result<()>
 /// # Errors
 ///
 /// Returns [`Error::Invariant`] when the policy's admission predicate has
-/// no closed-world [`AdmissionKind`] description, and — when
-/// [`RunOptions::enforce_measure`] is set — contract violations as the
-/// interpreter does.
+/// no closed-world [`AdmissionKind`] description, and contract violations as
+/// the interpreter does.
 pub fn run_arena(
     net: &dyn Network,
     spec: KernelSpec,
@@ -1600,7 +1599,7 @@ pub fn run_arena(
         }
         arrival_order.extend_from_slice(kernel.newly_arrived());
 
-        if options.enforce_measure && report.moves() == 0 {
+        if report.moves() == 0 {
             return Err(Error::ProgressViolation { step: steps });
         }
         ledger = ledger.saturating_sub(report.moves() as u64);
@@ -1614,9 +1613,7 @@ pub fn run_arena(
         steps += 1;
     };
 
-    if options.enforce_measure {
-        audit_arena_ledger(&arena, ledger, steps)?;
-    }
+    audit_arena_ledger(&arena, ledger, steps)?;
     arena.write_back(&mut cfg)?;
     debug_assert_eq!(cfg, arena.to_config(net)?, "write-back ≡ to_config");
     Ok(RunResult {

@@ -11,11 +11,22 @@
 //! when the configuration is built (the `GeNoC2D` specialisation: with
 //! deterministic routing and identity injection, `R` and `I` can be hoisted
 //! out of the recursion).
+//!
+//! Online deadlock detection and recovery, in the style of arXiv:1110.4677,
+//! add a callback at each of the two exits and one after every step:
+//! [`run_hooked`] asks a [`DetectorHook`] at `σ.T = ∅`
+//! ([`on_drained`](DetectorHook::on_drained), which may inject more work)
+//! and at `Ω` ([`on_deadlock`](DetectorHook::on_deadlock), which may
+//! recover) whether to leave or to recurse on the mutated `σ`, and shows it
+//! every `S(σ)` ([`after_step`](DetectorHook::after_step)). [`run`] is
+//! `run_hooked` with [`NullHook`], which always leaves: the definition
+//! above.
 
 use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::ids::MsgId;
 use crate::injection::InjectionMethod;
+use crate::kernel::Transition;
 use crate::network::Network;
 use crate::switching::SwitchingPolicy;
 use crate::trace::Trace;
@@ -32,9 +43,6 @@ pub struct RunOptions {
     /// Re-validate the configuration invariants after every step (slow;
     /// meant for tests).
     pub check_invariants: bool,
-    /// Enforce the (C-5) contract: error out if a non-deadlocked step moves
-    /// nothing or fails to decrease the progress measure.
-    pub enforce_measure: bool,
 }
 
 impl Default for RunOptions {
@@ -44,7 +52,6 @@ impl Default for RunOptions {
             record_trace: false,
             record_measures: false,
             check_invariants: false,
-            enforce_measure: true,
         }
     }
 }
@@ -87,12 +94,120 @@ impl RunResult {
     }
 }
 
-/// Runs the GeNoC interpreter to termination.
+/// Observer/actor interface for detector-instrumented runs.
+///
+/// All methods have no-op defaults, so pure observers implement only
+/// [`after_step`](DetectorHook::after_step). Every hooked loop guarantees
+/// the following call discipline: `after_step` (or, on arena runs,
+/// `after_kernel_step`) after every switching step (with newly arrived
+/// travels already drained), `on_deadlock` whenever the policy's `Ω` holds
+/// (return `true` after mutating the configuration to continue the run,
+/// `false` to end it with [`Outcome::Deadlock`]), and `on_drained` whenever
+/// `T` is empty (return `true` after injecting more work, `false` to end
+/// with [`Outcome::Evacuated`]).
+pub trait DetectorHook {
+    /// Called after each switching step; `step` is the index of the step
+    /// just executed. May mutate the configuration (e.g. break a wait-for
+    /// cycle the moment it is detected).
+    ///
+    /// # Errors
+    ///
+    /// Errors abort the run.
+    fn after_step(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<()> {
+        let _ = (net, cfg, step);
+        Ok(())
+    }
+
+    /// The arena runs' variant of [`after_step`](DetectorHook::after_step):
+    /// additionally receives the step's status [`Transition`]s — a
+    /// `Blocked(p)` transition *is* a wait-for edge, so incremental
+    /// detectors need not rescan the configuration. Returns whether the
+    /// hook mutated the configuration (the runner then applies the mutation
+    /// to the arena in place and has the kernel reclassify every travel).
+    ///
+    /// The default delegates to `after_step` and conservatively reports a
+    /// mutation, so hooks unaware of the kernel stay correct.
+    ///
+    /// # Errors
+    ///
+    /// Errors abort the run.
+    fn after_kernel_step(
+        &mut self,
+        net: &dyn Network,
+        cfg: &mut Config,
+        transitions: &[Transition],
+        step: u64,
+    ) -> Result<bool> {
+        let _ = transitions;
+        self.after_step(net, cfg, step)?;
+        Ok(true)
+    }
+
+    /// Called when the deadlock predicate holds. Return `true` iff the hook
+    /// recovered (mutated `cfg` so that progress is possible again).
+    ///
+    /// # Errors
+    ///
+    /// Errors abort the run.
+    fn on_deadlock(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<bool> {
+        let _ = (net, cfg, step);
+        Ok(false)
+    }
+
+    /// Called when the in-flight travel list drained. Return `true` iff the
+    /// hook injected more work (e.g. staged travels from a drain-and-restart
+    /// recovery).
+    ///
+    /// # Errors
+    ///
+    /// Errors abort the run.
+    fn on_drained(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<bool> {
+        let _ = (net, cfg, step);
+        Ok(false)
+    }
+}
+
+/// A hook that never acts: unlike the [`DetectorHook`] defaults (which
+/// conservatively report a mutation from `after_kernel_step`), this one
+/// reports "no mutation", so observed-but-undetected arena runs skip the
+/// per-step kernel resync entirely.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NullHook;
+
+impl DetectorHook for NullHook {
+    fn after_kernel_step(
+        &mut self,
+        _net: &dyn Network,
+        _cfg: &mut Config,
+        _transitions: &[Transition],
+        _step: u64,
+    ) -> Result<bool> {
+        Ok(false)
+    }
+}
+
+/// The guard every hooked loop runs once per iteration against a hook that
+/// answers "continue" forever without enabling a step (a recovery that never
+/// recovers). `idle_continues` counts its `true` answers since the last step.
 ///
 /// # Errors
 ///
-/// Propagates invariant violations from the switching policy, and — when
-/// [`RunOptions::enforce_measure`] is set — reports
+/// Reports [`Error::Invariant`] once `idle_continues` exceeds 10,000.
+pub fn check_idle_continues(idle_continues: u32) -> Result<()> {
+    if idle_continues > 10_000 {
+        return Err(Error::Invariant(
+            "detector hook keeps continuing without the run progressing".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Runs the GeNoC interpreter to termination: [`run_hooked`] with a
+/// [`NullHook`].
+///
+/// # Errors
+///
+/// Propagates invariant violations from the switching policy, and reports
 /// [`Error::ProgressViolation`] / [`Error::MeasureViolation`] if the policy
 /// breaks the (C-5) contract.
 ///
@@ -125,13 +240,33 @@ pub fn run(
     net: &dyn Network,
     injection: &dyn InjectionMethod,
     switching: &mut dyn SwitchingPolicy,
+    cfg: Config,
+    options: &RunOptions,
+) -> Result<RunResult> {
+    run_hooked(net, injection, switching, cfg, options, &mut NullHook)
+}
+
+/// Runs the GeNoC interpreter to termination, reporting into `hook` (see
+/// [`DetectorHook`] for the call discipline). Hook mutations happen between
+/// steps and are exempt from (C-5): recovery may raise the measure, e.g.
+/// when a drain-and-restart resets flits to their sources.
+///
+/// # Errors
+///
+/// As [`run`], plus hook errors and [`check_idle_continues`]'s.
+pub fn run_hooked(
+    net: &dyn Network,
+    injection: &dyn InjectionMethod,
+    switching: &mut dyn SwitchingPolicy,
     mut cfg: Config,
     options: &RunOptions,
+    hook: &mut dyn DetectorHook,
 ) -> Result<RunResult> {
     let mut trace = Trace::new(options.record_trace);
     let mut measures = Vec::new();
     let mut arrival_order = Vec::new();
     let mut steps: u64 = 0;
+    let mut idle_continues: u32 = 0;
 
     let outcome = loop {
         // Injection runs before the termination test so that non-identity
@@ -140,22 +275,26 @@ pub fn run(
         // of the paper the order is immaterial.
         injection.inject(net, &mut cfg)?;
         if cfg.is_evacuated() {
-            break Outcome::Evacuated;
-        }
-        if switching.is_deadlock(net, &cfg) {
-            break Outcome::Deadlock;
-        }
-        if steps >= options.max_steps {
-            break Outcome::StepLimit;
-        }
+            if !hook.on_drained(net, &mut cfg, steps)? {
+                break Outcome::Evacuated;
+            }
+            idle_continues += 1;
+        } else if switching.is_deadlock(net, &cfg) {
+            if !hook.on_deadlock(net, &mut cfg, steps)? {
+                break Outcome::Deadlock;
+            }
+            idle_continues += 1;
+        } else {
+            if steps >= options.max_steps {
+                break Outcome::StepLimit;
+            }
 
-        let before = cfg.progress_measure();
-        trace.begin_step(steps);
-        let report = switching.step(net, &mut cfg, &mut trace)?;
-        arrival_order.extend(cfg.drain_arrived());
-        let after = cfg.progress_measure();
+            let before = cfg.progress_measure();
+            trace.begin_step(steps);
+            let report = switching.step(net, &mut cfg, &mut trace)?;
+            arrival_order.extend(cfg.drain_arrived());
+            let after = cfg.progress_measure();
 
-        if options.enforce_measure {
             if report.moves() == 0 {
                 return Err(Error::ProgressViolation { step: steps });
             }
@@ -166,14 +305,17 @@ pub fn run(
                     after,
                 });
             }
+            if options.record_measures {
+                measures.push((cfg.route_length_measure(), after));
+            }
+            if options.check_invariants {
+                cfg.validate(net)?;
+            }
+            hook.after_step(net, &mut cfg, steps)?;
+            steps += 1;
+            idle_continues = 0;
         }
-        if options.record_measures {
-            measures.push((cfg.route_length_measure(), after));
-        }
-        if options.check_invariants {
-            cfg.validate(net)?;
-        }
-        steps += 1;
+        check_idle_continues(idle_continues)?;
     };
 
     Ok(RunResult {

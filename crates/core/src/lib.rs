@@ -96,7 +96,9 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::ids::{MsgId, NodeId, PortId};
     pub use crate::injection::{IdentityInjection, InjectionMethod};
-    pub use crate::interpreter::{run, Outcome, RunOptions, RunResult};
+    pub use crate::interpreter::{
+        run, run_hooked, DetectorHook, NullHook, Outcome, RunOptions, RunResult,
+    };
     pub use crate::kernel::{Transition, TravelStatus};
     pub use crate::measure::{ProgressMeasure, RouteLengthMeasure, TerminationMeasure};
     pub use crate::meta::{InstanceMeta, RoutingKind, SwitchingKind, TopologyKind};

@@ -1,12 +1,13 @@
 //! The detection engine: detectors + recovery policy behind the runner hook.
 //!
-//! [`DetectionEngine`] implements [`genoc_sim::DetectorHook`], so plugging
+//! [`DetectionEngine`] implements [`DetectorHook`], so plugging
 //! online detection (and optionally recovery) into a simulation is one call:
 //!
 //! ```
 //! use genoc_detect::{DetectionEngine, EngineOptions, AbortAndEvacuate};
 //! use genoc_routing::mixed::MixedXyYxRouting;
-//! use genoc_sim::{simulate_hooked, workload, SimOptions};
+//! use genoc_core::config::Config;
+//! use genoc_sim::{simulate_config, workload, SimOptions};
 //! use genoc_switching::wormhole::WormholePolicy;
 //! use genoc_topology::mesh::Mesh;
 //!
@@ -16,13 +17,13 @@
 //! let specs = workload::bit_complement(&mesh, 4); // deadlocks undetected
 //! let mut engine =
 //!     DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
-//! let result = simulate_hooked(
+//! let result = simulate_config(
 //!     &mesh,
-//!     &routing,
 //!     &mut WormholePolicy::default(),
-//!     &specs,
+//!     Config::from_specs(&mesh, &routing, &specs)?,
 //!     &SimOptions::default(),
-//!     &mut engine,
+//!     Some(&mut engine),
+//!     None,
 //! )?;
 //! assert!(result.evacuated(), "recovery saves the run");
 //! let summary = engine.summary(&result);
@@ -36,10 +37,10 @@ use std::collections::VecDeque;
 use genoc_core::blocking::{find_wait_cycle, WaitCycle};
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
+use genoc_core::interpreter::DetectorHook;
 use genoc_core::kernel::Transition;
 use genoc_core::network::Network;
 use genoc_core::travel::Travel;
-use genoc_sim::runner::DetectorHook;
 use genoc_sim::stats::RecoverySummary;
 use genoc_sim::SimResult;
 
@@ -346,7 +347,7 @@ mod tests {
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::xy::XyRouting;
     use genoc_sim::workload::{bit_complement, uniform_random};
-    use genoc_sim::{simulate, simulate_hooked, SimOptions, Stepper};
+    use genoc_sim::{simulate, simulate_config, SimOptions, Stepper};
     use genoc_switching::wormhole::WormholePolicy;
     use genoc_topology::mesh::Mesh;
 
@@ -372,13 +373,13 @@ mod tests {
 
         let mut engine =
             DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
-        let recovered = simulate_hooked(
+        let recovered = simulate_config(
             &mesh,
-            &routing,
             &mut WormholePolicy::default(),
-            &specs,
+            Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &SimOptions::default(),
-            &mut engine,
+            Some(&mut engine),
+            None,
         )
         .unwrap();
         assert_eq!(recovered.run.outcome, Outcome::Evacuated);
@@ -397,13 +398,13 @@ mod tests {
     fn drain_all_delivers_every_message() {
         let (mesh, routing, specs) = storm();
         let mut engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(DrainAll));
-        let result = simulate_hooked(
+        let result = simulate_config(
             &mesh,
-            &routing,
             &mut WormholePolicy::default(),
-            &specs,
+            Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &SimOptions::default(),
-            &mut engine,
+            Some(&mut engine),
+            None,
         )
         .unwrap();
         assert_eq!(result.run.outcome, Outcome::Evacuated);
@@ -417,13 +418,13 @@ mod tests {
     fn detect_only_engine_observes_without_intervening() {
         let (mesh, routing, specs) = storm();
         let mut engine = DetectionEngine::detector(EngineOptions::default());
-        let result = simulate_hooked(
+        let result = simulate_config(
             &mesh,
-            &routing,
             &mut WormholePolicy::default(),
-            &specs,
+            Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &SimOptions::default(),
-            &mut engine,
+            Some(&mut engine),
+            None,
         )
         .unwrap();
         assert_eq!(result.run.outcome, Outcome::Deadlock);
@@ -471,7 +472,9 @@ mod tests {
             ..SimOptions::default()
         };
         let mut policy = WormholePolicy::default();
-        let result = simulate_hooked(mesh, routing, &mut policy, specs, &sim, &mut engine).unwrap();
+        let cfg = Config::from_specs(mesh, routing, specs).unwrap();
+        let result =
+            simulate_config(mesh, &mut policy, cfg, &sim, Some(&mut engine), None).unwrap();
         (engine, result)
     }
 

@@ -22,8 +22,9 @@
 //!   [`EscapeRoute`] provider such as [`RingEscape`]), and [`DrainAll`]
 //!   (evict everything and re-inject serially — guaranteed delivery).
 //! * **Integration** — [`DetectionEngine`] implements
-//!   [`genoc_sim::DetectorHook`], so any simulation becomes self-healing by
-//!   swapping `simulate` for `simulate_hooked`. The engine assembles
+//!   [`DetectorHook`](genoc_core::interpreter::DetectorHook), so any
+//!   simulation becomes self-healing by handing the engine to
+//!   [`genoc_sim::simulate_config`] as its hook. The engine assembles
 //!   [`genoc_sim::RecoverySummary`] statistics (detection latency, recovery
 //!   cost, throughput under recovery), and `genoc-verif`'s `detect_check`
 //!   cross-validates every runtime-detected cycle against the static
@@ -34,9 +35,10 @@
 //! Watch a deadlock-prone run and catch the cycle the step it forms:
 //!
 //! ```
+//! use genoc_core::config::Config;
 //! use genoc_detect::{DetectionEngine, EngineOptions};
 //! use genoc_routing::mixed::MixedXyYxRouting;
-//! use genoc_sim::{simulate_hooked, workload, SimOptions};
+//! use genoc_sim::{simulate_config, workload, SimOptions};
 //! use genoc_switching::wormhole::WormholePolicy;
 //! use genoc_topology::mesh::Mesh;
 //!
@@ -44,13 +46,13 @@
 //! let mesh = Mesh::new(2, 2, 1);
 //! let routing = MixedXyYxRouting::new(&mesh); // deliberately deadlock-prone
 //! let mut engine = DetectionEngine::detector(EngineOptions::default());
-//! let result = simulate_hooked(
+//! let result = simulate_config(
 //!     &mesh,
-//!     &routing,
 //!     &mut WormholePolicy::default(),
-//!     &workload::bit_complement(&mesh, 4),
+//!     Config::from_specs(&mesh, &routing, &workload::bit_complement(&mesh, 4))?,
 //!     &SimOptions::default(),
-//!     &mut engine,
+//!     Some(&mut engine),
+//!     None,
 //! )?;
 //! assert!(!result.evacuated(), "no recovery policy installed — the run deadlocks");
 //! assert!(engine.fired(), "…but the detector caught the wait-for cycle");

@@ -53,9 +53,10 @@ impl RecoveryOutcome {
 /// everything at the price of serialized re-injection:
 ///
 /// ```
+/// use genoc_core::config::Config;
 /// use genoc_detect::{AbortAndEvacuate, DetectionEngine, DrainAll, EngineOptions, RecoveryPolicy};
 /// use genoc_routing::mixed::MixedXyYxRouting;
-/// use genoc_sim::{simulate_hooked, workload, SimOptions};
+/// use genoc_sim::{simulate_config, workload, SimOptions};
 /// use genoc_switching::wormhole::WormholePolicy;
 /// use genoc_topology::mesh::Mesh;
 ///
@@ -70,13 +71,13 @@ impl RecoveryOutcome {
 /// ] {
 ///     let name = policy.name();
 ///     let mut engine = DetectionEngine::with_policy(EngineOptions::default(), policy);
-///     let result = simulate_hooked(
+///     let result = simulate_config(
 ///         &mesh,
-///         &routing,
 ///         &mut WormholePolicy::default(),
-///         &storm,
+///         Config::from_specs(&mesh, &routing, &storm)?,
 ///         &SimOptions::default(),
-///         &mut engine,
+///         Some(&mut engine),
+///         None,
 ///     )?;
 ///     assert!(result.evacuated(), "{name} saves the run");
 ///     assert_eq!(result.run.config.arrived().len(), delivered, "{name}");

@@ -87,7 +87,7 @@ pub mod prelude {
     pub use genoc_core::config::Config;
     pub use genoc_core::ids::{MsgId, NodeId, PortId};
     pub use genoc_core::injection::{IdentityInjection, InjectionMethod, ScheduledInjection};
-    pub use genoc_core::interpreter::{run, Outcome, RunOptions, RunResult};
+    pub use genoc_core::interpreter::{run, run_hooked, Outcome, RunOptions, RunResult};
     pub use genoc_core::kernel::{Transition, TravelStatus};
     pub use genoc_core::measure::{ProgressMeasure, RouteLengthMeasure, TerminationMeasure};
     pub use genoc_core::meta::{InstanceMeta, RoutingKind, SwitchingKind, TopologyKind};
@@ -121,11 +121,11 @@ pub mod prelude {
         RingDatelineRouting, RingShortestRouting, TorusDorDatelineRouting, TorusDorRouting,
         TurnModel, TurnModelRouting, XyRouting, YxRouting,
     };
-    pub use genoc_sim::adaptive::{config_with_selected_routes, select_routes, simulate_selected};
+    pub use genoc_sim::adaptive::{config_with_selected_routes, select_routes};
     pub use genoc_sim::{
-        hunt_random, hunt_workload, run_policy, simulate, simulate_hooked,
-        simulate_observed_config, DetectorHook, Hunt, HuntOptions, LatencySummary, NullHook,
-        NullObserver, RecoverySummary, RunObserver, SimOptions, SimResult, Stepper,
+        hunt_random, hunt_workload, simulate, simulate_config, simulate_observed_config,
+        DetectorHook, Hunt, HuntOptions, LatencySummary, NullHook, NullObserver, RecoverySummary,
+        RunObserver, SimOptions, SimResult, Stepper,
     };
     pub use genoc_switching::{
         Arbitration, StoreForwardPolicy, VirtualCutThroughPolicy, WormholePolicy,

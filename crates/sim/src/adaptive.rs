@@ -14,13 +14,11 @@ use genoc_core::error::{Error, Result};
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
 use genoc_core::spec::MessageSpec;
-use genoc_core::switching::SwitchingPolicy;
 use genoc_core::travel::Travel;
 use genoc_core::{MsgId, PortId};
 use rand::RngExt;
 
 use crate::rng::seeded;
-use crate::runner::{run_policy, SimOptions, SimResult};
 
 /// Selects one admissible route per message by walking the adaptive relation
 /// and picking uniformly among the offered hops.
@@ -80,7 +78,11 @@ pub fn select_routes(
     Ok(travels)
 }
 
-/// Builds an initial configuration with adaptively selected routes.
+/// Builds an initial configuration with adaptively selected routes. This is
+/// how adaptive routing functions ride the arena stepper: hand the result to
+/// [`simulate_config`](crate::runner::simulate_config); the selection fixes
+/// deterministic routes up front, and the stepper never needs to know the
+/// relation was adaptive.
 ///
 /// # Errors
 ///
@@ -92,39 +94,6 @@ pub fn config_with_selected_routes(
     seed: u64,
 ) -> Result<Config> {
     Config::from_travels(net, select_routes(net, routing, specs, seed)?)
-}
-
-/// Selects one admissible route per message (seeded by `route_seed`) and
-/// runs the resulting configuration to termination — on `options.stepper`
-/// whenever the policy supports it, like [`simulate`].
-///
-/// This is how adaptive routing functions ride the arena stepper: the
-/// selection fixes deterministic routes up front, and the stepper never
-/// needs to know the relation was adaptive.
-///
-/// # Errors
-///
-/// As for [`select_routes`], plus interpreter/kernel errors.
-///
-/// [`simulate`]: crate::runner::simulate
-pub fn simulate_selected(
-    net: &dyn Network,
-    routing: &dyn RoutingFunction,
-    policy: &mut dyn SwitchingPolicy,
-    specs: &[MessageSpec],
-    route_seed: u64,
-    options: &SimOptions,
-) -> Result<SimResult> {
-    let cfg = config_with_selected_routes(net, routing, specs, route_seed)?;
-    let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
-    let run = run_policy(
-        net,
-        policy,
-        cfg,
-        &crate::runner::run_options(options),
-        options.stepper,
-    )?;
-    Ok(crate::runner::finish(run, injected, options))
 }
 
 #[cfg(test)]

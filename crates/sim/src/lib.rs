@@ -15,10 +15,10 @@ pub mod runner;
 pub mod stats;
 pub mod workload;
 
-pub use crate::adaptive::{config_with_selected_routes, select_routes, simulate_selected};
+pub use crate::adaptive::{config_with_selected_routes, select_routes};
 pub use crate::deadlock_hunt::{hunt_random, hunt_workload, shrink_witness, Hunt, HuntOptions};
 pub use crate::runner::{
-    run_policy, simulate, simulate_hooked, simulate_observed_config, DetectorHook, NullHook,
-    NullObserver, RunObserver, SimOptions, SimResult, Stepper,
+    simulate, simulate_config, simulate_observed_config, DetectorHook, NullHook, NullObserver,
+    RunObserver, SimOptions, SimResult, Stepper,
 };
 pub use crate::stats::{try_percentile, LatencySummary, RecoverySummary};

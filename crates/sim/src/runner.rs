@@ -1,33 +1,38 @@
 //! Driving a workload to termination and collecting statistics.
 //!
-//! Five entry points, four of them here. [`simulate`] runs a plain workload
-//! and [`run_policy`] a configuration already built;
-//! [`simulate_selected`](crate::adaptive::simulate_selected) fixes one
-//! admissible route per message for an adaptive routing and hands over to
-//! the plain loop. [`simulate_hooked`] runs an equivalent loop that reports
-//! into a [`DetectorHook`] — the integration point for online deadlock
-//! detection and recovery (`genoc-detect`). The hook observes every step,
-//! may mutate the configuration when the deadlock predicate `Ω` holds
-//! (recovery), and may re-inject staged travels when the travel list drains,
-//! all without the runner knowing any detector specifics.
-//! [`simulate_observed_config`] is the hooked loop on a configuration
-//! already built, reporting every step into a [`RunObserver`] as well.
+//! One entry, [`simulate_config`], runs a configuration already built under
+//! a switching policy, with an optional [`DetectorHook`] and an optional
+//! [`RunObserver`], and is the only place that picks the loop:
 //!
-//! Plain and hooked runs execute on the arena stepper ([`Stepper::Arena`],
-//! the default) whenever the switching policy exposes a
-//! [`KernelSpec`](genoc_core::switching::KernelSpec) whose admission
-//! predicate has a closed-world description (every shipped policy does), and
-//! on the reference full-rescan [`interpreter`](genoc_core::interpreter::run)
-//! otherwise — or when [`SimOptions::stepper`] asks for it, which the
-//! differential equivalence tests use to prove the two produce identical
-//! runs. Observed runs ([`simulate_observed_config`]) exist only on the
-//! arena: the observer contract is its transition log.
+//! | arena | hook | observer | loop |
+//! |-------|------|----------|------|
+//! | yes   | —    | —        | [`run_arena`] |
+//! | yes   | any  | any      | the hooked arena loop ([`NullHook`] / [`NullObserver`] for the one missing) |
+//! | no    | any  | yes      | none: [`Error::Invariant`] |
+//! | no    | any  | —        | [`run_hooked`], the reference loop ([`NullHook`] when none is given) |
+//!
+//! "Arena" means [`Stepper::Arena`] (the default) and a policy whose
+//! [`KernelSpec`](genoc_core::switching::KernelSpec) has a closed-world
+//! admission predicate (every shipped policy has one); the differential
+//! suites ask for [`Stepper::Legacy`] to prove both produce identical runs.
+//! Observed runs exist only on the arena: the observer contract is its
+//! transition log. [`simulate`] (from message specs, neither hook nor
+//! observer) and [`simulate_observed_config`] (both) wrap the entry.
+//!
+//! The hook is the integration point for online deadlock detection and
+//! recovery (`genoc-detect`): it observes every step, may mutate the
+//! configuration when `Ω` holds (recovery), and may re-inject staged
+//! travels when the travel list drains.
+//!
+//! The arena has two loops because hooks and observers read and mutate `σ`
+//! as a [`Config`]: the hooked arena loop keeps a shadow `Config` in lock
+//! step for them, and [`run_arena`], with no one to show `σ` to, keeps none.
 
 use genoc_core::arena::{run_arena, ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
-use genoc_core::injection::{IdentityInjection, InjectionMethod};
-use genoc_core::interpreter::{run, Outcome, RunOptions, RunResult};
+use genoc_core::injection::IdentityInjection;
+use genoc_core::interpreter::{check_idle_continues, run_hooked, Outcome, RunOptions, RunResult};
 use genoc_core::kernel::Transition;
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
@@ -35,6 +40,8 @@ use genoc_core::spec::MessageSpec;
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::trace::{Event, Trace, Zone};
 use genoc_core::{MsgId, PortId};
+
+pub use genoc_core::interpreter::{DetectorHook, NullHook};
 
 use crate::stats::LatencySummary;
 
@@ -109,69 +116,86 @@ impl SimResult {
     }
 }
 
-/// The interpreter/kernel options a [`SimOptions`] translates to.
-pub(crate) fn run_options(options: &SimOptions) -> RunOptions {
-    RunOptions {
+/// Runs `cfg` to termination under `policy`, reporting into `hook` and
+/// `observer` when given, on the loop the module documentation's table
+/// picks; every loop produces the same run. On the arena a hook mutates a
+/// shadow `Config` (through [`Config::push_travel`],
+/// [`Config::remove_travel`] and [`Config::reroute_travel`]) and the arena
+/// takes the same changes in place. There the (C-5) measure is carried from
+/// move counts and audited in full at every mutation and at termination
+/// (per step under [`SimOptions::check_invariants`]).
+///
+/// # Errors
+///
+/// Propagates kernel, interpreter, hook and observer errors; reports
+/// [`Error::Invariant`] for an observer off the arena, and if a hook keeps
+/// answering "continue" without the run making progress.
+pub fn simulate_config(
+    net: &dyn Network,
+    policy: &mut dyn SwitchingPolicy,
+    cfg: Config,
+    options: &SimOptions,
+    hook: Option<&mut dyn DetectorHook>,
+    observer: Option<&mut dyn RunObserver>,
+) -> Result<SimResult> {
+    let arena = match options.stepper {
+        Stepper::Arena => policy
+            .kernel_spec()
+            .and_then(|spec| Some((spec, ArenaSpec::from_kernel_spec(&spec)?))),
+        Stepper::Legacy => None,
+    };
+    let run_options = RunOptions {
         max_steps: options.max_steps,
         record_trace: options.record_trace,
         record_measures: false,
         check_invariants: options.check_invariants,
-        enforce_measure: true,
+    };
+    let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
+    let run = match (arena, hook, observer) {
+        (Some((spec, _)), None, None) => run_arena(net, spec, cfg, &run_options)?,
+        (Some((_, aspec)), hook, observer) => hooked_arena_loop(
+            net,
+            aspec,
+            cfg,
+            options,
+            hook.unwrap_or(&mut NullHook),
+            observer.unwrap_or(&mut NullObserver),
+        )?,
+        (None, _, Some(_)) => {
+            return Err(Error::Invariant(
+                "observed runs need the arena's transition log: Stepper::Arena and a \
+                 switching policy whose KernelSpec has a closed-world admission"
+                    .into(),
+            ))
+        }
+        // A policy that exposes a `KernelSpec` promises its own `step` is
+        // that sweep, so the reference loop is sound for an opaque admission.
+        (None, hook, None) => run_hooked(
+            net,
+            &IdentityInjection,
+            policy,
+            cfg,
+            &run_options,
+            hook.unwrap_or(&mut NullHook),
+        )?,
+    };
+    if arena.is_some() {
+        policy.note_kernel_steps(run.steps);
     }
-}
-
-/// Assembles a [`SimResult`], deriving latencies when a trace was recorded.
-pub(crate) fn finish(run: RunResult, injected: Vec<MsgId>, options: &SimOptions) -> SimResult {
     let latencies = if options.record_trace {
         per_message_latencies(&run, &injected)
     } else {
         Vec::new()
     };
-    SimResult {
+    Ok(SimResult {
         run,
         injected,
         latencies,
-    }
-}
-
-/// Runs `cfg` to termination under `policy`: on the arena when `stepper`
-/// asks for it and the policy's `KernelSpec` has a closed-world admission,
-/// on the legacy interpreter otherwise. Outcomes are identical on both; only
-/// the stepping cost differs.
-///
-/// # Errors
-///
-/// Propagates interpreter/kernel errors.
-pub fn run_policy(
-    net: &dyn Network,
-    policy: &mut dyn SwitchingPolicy,
-    cfg: Config,
-    options: &RunOptions,
-    stepper: Stepper,
-) -> Result<RunResult> {
-    match policy.kernel_spec() {
-        Some(spec) if stepper == Stepper::Arena && ArenaSpec::from_kernel_spec(&spec).is_some() => {
-            let result = run_arena(net, spec, cfg, options)?;
-            policy.note_kernel_steps(result.steps);
-            Ok(result)
-        }
-        // A policy that exposes a `KernelSpec` promises its own `step` is
-        // that sweep, so the reference loop is sound for an opaque admission.
-        _ => run(net, &IdentityInjection, policy, cfg, options),
-    }
-}
-
-/// The arena's reading of `policy`, when `stepper` asks for the arena and the
-/// policy's `KernelSpec` has a closed-world admission; `None` otherwise.
-fn arena_spec(policy: &dyn SwitchingPolicy, stepper: Stepper) -> Option<ArenaSpec> {
-    match stepper {
-        Stepper::Arena => ArenaSpec::from_kernel_spec(&policy.kernel_spec()?),
-        Stepper::Legacy => None,
-    }
+    })
 }
 
 /// Builds the initial configuration for `specs` and runs it to termination
-/// under the identity injection.
+/// under the identity injection, with neither hook nor observer.
 ///
 /// # Errors
 ///
@@ -184,82 +208,7 @@ pub fn simulate(
     options: &SimOptions,
 ) -> Result<SimResult> {
     let cfg = Config::from_specs(net, routing, specs)?;
-    let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
-    let run = run_policy(net, policy, cfg, &run_options(options), options.stepper)?;
-    Ok(finish(run, injected, options))
-}
-
-/// Observer/actor interface for detector-instrumented runs.
-///
-/// All methods have no-op defaults, so pure observers implement only
-/// [`after_step`](DetectorHook::after_step). The runner guarantees the
-/// following call discipline: `after_step` (or, on arena runs,
-/// `after_kernel_step`) after every switching step (with newly arrived
-/// travels already drained), `on_deadlock` whenever the policy's `Ω` holds
-/// (return `true` after mutating the configuration to continue the run,
-/// `false` to end it with [`Outcome::Deadlock`]), and `on_drained` whenever
-/// `T` is empty (return `true` after injecting more work, `false` to end
-/// with [`Outcome::Evacuated`]).
-pub trait DetectorHook {
-    /// Called after each switching step; `step` is the index of the step
-    /// just executed. May mutate the configuration (e.g. break a wait-for
-    /// cycle the moment it is detected).
-    ///
-    /// # Errors
-    ///
-    /// Errors abort the run.
-    fn after_step(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<()> {
-        let _ = (net, cfg, step);
-        Ok(())
-    }
-
-    /// The arena runs' variant of [`after_step`](DetectorHook::after_step):
-    /// additionally receives the step's status [`Transition`]s — a
-    /// `Blocked(p)` transition *is* a wait-for edge, so incremental
-    /// detectors need not rescan the configuration. Returns whether the
-    /// hook mutated the configuration (the runner then applies the mutation
-    /// to the arena in place and has the kernel reclassify every travel).
-    ///
-    /// The default delegates to `after_step` and conservatively reports a
-    /// mutation, so hooks unaware of the kernel stay correct.
-    ///
-    /// # Errors
-    ///
-    /// Errors abort the run.
-    fn after_kernel_step(
-        &mut self,
-        net: &dyn Network,
-        cfg: &mut Config,
-        transitions: &[Transition],
-        step: u64,
-    ) -> Result<bool> {
-        let _ = transitions;
-        self.after_step(net, cfg, step)?;
-        Ok(true)
-    }
-
-    /// Called when the deadlock predicate holds. Return `true` iff the hook
-    /// recovered (mutated `cfg` so that progress is possible again).
-    ///
-    /// # Errors
-    ///
-    /// Errors abort the run.
-    fn on_deadlock(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<bool> {
-        let _ = (net, cfg, step);
-        Ok(false)
-    }
-
-    /// Called when the in-flight travel list drained. Return `true` iff the
-    /// hook injected more work (e.g. staged travels from a drain-and-restart
-    /// recovery).
-    ///
-    /// # Errors
-    ///
-    /// Errors abort the run.
-    fn on_drained(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<bool> {
-        let _ = (net, cfg, step);
-        Ok(false)
-    }
+    simulate_config(net, policy, cfg, options, None, None)
 }
 
 /// Passive per-step observer for instrumented runs — the sibling of
@@ -350,38 +299,16 @@ pub struct NullObserver;
 
 impl RunObserver for NullObserver {}
 
-/// A hook that never acts: unlike the [`DetectorHook`] defaults (which
-/// conservatively report a mutation from `after_kernel_step`), this one
-/// reports "no mutation", so observed-but-undetected runs skip the per-step
-/// kernel resync entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullHook;
-
-impl DetectorHook for NullHook {
-    fn after_kernel_step(
-        &mut self,
-        _net: &dyn Network,
-        _cfg: &mut Config,
-        _transitions: &[Transition],
-        _step: u64,
-    ) -> Result<bool> {
-        Ok(false)
-    }
-}
-
-/// Like [`simulate_hooked`] on a pre-built configuration (adaptive
-/// instances choose their routes up front, see
+/// [`simulate_config`] with both a hook and an observer, on a configuration
+/// already built (adaptive instances choose their routes up front, see
 /// [`config_with_selected_routes`](crate::adaptive::config_with_selected_routes);
-/// everyone else calls [`Config::from_specs`]), additionally reporting every
-/// step into `observer` (see [`RunObserver`]). Runs on the arena or not at
-/// all: the observer contract is defined in terms of the arena kernel's
-/// transition and freed-port logs, which the legacy interpreter does not
-/// produce.
+/// everyone else calls [`Config::from_specs`]). Runs on the arena or not at
+/// all.
 ///
 /// # Errors
 ///
-/// Propagates kernel, hook, and observer errors; reports [`Error::Invariant`]
-/// under [`Stepper::Legacy`], and for a policy that exposes no
+/// As for [`simulate_config`]: in particular [`Error::Invariant`] under
+/// [`Stepper::Legacy`], and for a policy that exposes no
 /// [`KernelSpec`](genoc_core::switching::KernelSpec) or one whose admission
 /// predicate has no closed-world description.
 pub fn simulate_observed_config(
@@ -392,60 +319,8 @@ pub fn simulate_observed_config(
     hook: &mut dyn DetectorHook,
     observer: &mut dyn RunObserver,
 ) -> Result<SimResult> {
-    let Some(aspec) = arena_spec(policy, options.stepper) else {
-        return Err(Error::Invariant(
-            "observed runs need the arena's transition log: Stepper::Arena and a switching \
-             policy whose KernelSpec has a closed-world admission"
-                .into(),
-        ));
-    };
-    let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
-    let run = hooked_arena_loop(net, aspec, cfg, options, hook, observer)?;
-    policy.note_kernel_steps(run.steps);
-    Ok(finish(run, injected, options))
+    simulate_config(net, policy, cfg, options, Some(hook), Some(observer))
 }
-
-/// Like [`simulate`], but reports into `hook` (see [`DetectorHook`] for the
-/// call discipline). The loop mirrors the GeNoC interpreter, including its
-/// run-time (C-5) enforcement on every switching step; hook mutations happen
-/// between steps and are exempt (recovery may legitimately raise the
-/// measure, e.g. when a drain-and-restart resets flits to their sources).
-///
-/// On the arena a hook mutates a shadow `Config` (through
-/// [`Config::push_travel`], [`Config::remove_travel`] and
-/// [`Config::reroute_travel`]); the arena then takes the same changes in
-/// place and the kernel reclassifies every travel, so the wake-list invariant
-/// survives aborts, reroutes and re-injection at the cost of what they
-/// touched. There the measure is carried from move counts and audited in
-/// full at every mutation and at termination (per step under
-/// [`SimOptions::check_invariants`]): a violation is reported at the step
-/// that miscounts or, at the latest, at the next mutation or the end.
-///
-/// # Errors
-///
-/// Propagates configuration, interpreter, and hook errors, and reports
-/// [`Error::Invariant`] if a hook keeps answering "continue" without the run
-/// making progress.
-pub fn simulate_hooked(
-    net: &dyn Network,
-    routing: &dyn RoutingFunction,
-    policy: &mut dyn SwitchingPolicy,
-    specs: &[MessageSpec],
-    options: &SimOptions,
-    hook: &mut dyn DetectorHook,
-) -> Result<SimResult> {
-    let cfg = Config::from_specs(net, routing, specs)?;
-    if arena_spec(policy, options.stepper).is_some() {
-        return simulate_observed_config(net, policy, cfg, options, hook, &mut NullObserver);
-    }
-    let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
-    let run = hooked_legacy_loop(net, policy, cfg, options, hook)?;
-    Ok(finish(run, injected, options))
-}
-
-// Guard against hooks that answer "continue" forever without enabling a
-// switching step (a recovery that never actually recovers).
-const MAX_IDLE_CONTINUES: u32 = 10_000;
 
 /// The full (C-5) audit of the hooked arena loop: the ledger it carries
 /// against the shadow's measure, recomputed.
@@ -526,7 +401,7 @@ fn hooked_arena_loop(
             if report.moves() == 0 {
                 return Err(Error::ProgressViolation { step: steps });
             }
-            // (C-5) before the hook may mutate, as the legacy hooked loop
+            // (C-5) before the hook may mutate, as the reference loop
             // checks it every step: the shadow agrees with the ledger exactly
             // when it was handed every move the arena counted.
             let shadow = ledger.saturating_sub(replayed);
@@ -568,82 +443,11 @@ fn hooked_arena_loop(
             audit_ledger(&cfg, ledger, steps)?;
             observer.on_mutation(&cfg, steps)?;
         }
-        if idle_continues > MAX_IDLE_CONTINUES {
-            return Err(Error::Invariant(
-                "detector hook keeps continuing without the run progressing".into(),
-            ));
-        }
+        check_idle_continues(idle_continues)?;
     };
 
     audit_ledger(&cfg, ledger, steps)?;
     observer.on_run_end(outcome, steps, &cfg)?;
-    Ok(RunResult {
-        outcome,
-        steps,
-        config: cfg,
-        trace,
-        measures: Vec::new(),
-        arrival_order,
-    })
-}
-
-fn hooked_legacy_loop(
-    net: &dyn Network,
-    policy: &mut dyn SwitchingPolicy,
-    mut cfg: Config,
-    options: &SimOptions,
-    hook: &mut dyn DetectorHook,
-) -> Result<RunResult> {
-    let mut trace = Trace::new(options.record_trace);
-    let mut arrival_order = Vec::new();
-    let mut steps: u64 = 0;
-    let mut idle_continues: u32 = 0;
-
-    let outcome = loop {
-        IdentityInjection.inject(net, &mut cfg)?;
-        if cfg.is_evacuated() {
-            if !hook.on_drained(net, &mut cfg, steps)? {
-                break Outcome::Evacuated;
-            }
-            idle_continues += 1;
-        } else if policy.is_deadlock(net, &cfg) {
-            if !hook.on_deadlock(net, &mut cfg, steps)? {
-                break Outcome::Deadlock;
-            }
-            idle_continues += 1;
-        } else {
-            if steps >= options.max_steps {
-                break Outcome::StepLimit;
-            }
-            let before = cfg.progress_measure();
-            trace.begin_step(steps);
-            let report = policy.step(net, &mut cfg, &mut trace)?;
-            arrival_order.extend(cfg.drain_arrived());
-            let after = cfg.progress_measure();
-            if report.moves() == 0 {
-                return Err(Error::ProgressViolation { step: steps });
-            }
-            if after >= before {
-                return Err(Error::MeasureViolation {
-                    step: steps,
-                    before,
-                    after,
-                });
-            }
-            if options.check_invariants {
-                cfg.validate(net)?;
-            }
-            hook.after_step(net, &mut cfg, steps)?;
-            steps += 1;
-            idle_continues = 0;
-        }
-        if idle_continues > MAX_IDLE_CONTINUES {
-            return Err(Error::Invariant(
-                "detector hook keeps continuing without the run progressing".into(),
-            ));
-        }
-    };
-
     Ok(RunResult {
         outcome,
         steps,
@@ -792,14 +596,26 @@ mod tests {
         assert_eq!(SimOptions::default().stepper, Stepper::Arena);
     }
 
-    /// Wormhole switching that hides its `KernelSpec` or, with `opaque`,
-    /// exposes one whose admission predicate has no closed-world
-    /// description. The arena can run neither, so both belong to the legacy
-    /// interpreter. Counts the `step` calls the interpreter makes.
+    /// How [`Reluctant`] shows its `KernelSpec`.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+    enum Shown {
+        /// As wormhole switching has it: the arena can run it.
+        #[default]
+        AsIs,
+        /// Not at all.
+        Hidden,
+        /// With an admission predicate that has no closed-world description.
+        Opaque,
+    }
+
+    /// Wormhole switching that shows its `KernelSpec` as `shown` says, and
+    /// counts the `step` calls the reference loop makes (the arena never
+    /// calls `step`). The arena can run only [`Shown::AsIs`], so the others
+    /// belong to the reference loop.
     #[derive(Default)]
     struct Reluctant {
         inner: WormholePolicy,
-        opaque: bool,
+        shown: Shown,
         stepped: u64,
     }
 
@@ -833,10 +649,44 @@ mod tests {
         fn kernel_spec(&self) -> Option<genoc_core::switching::KernelSpec> {
             static OPAQUE: OpaqueAdmission = OpaqueAdmission;
             let spec = self.inner.kernel_spec()?;
-            self.opaque.then_some(genoc_core::switching::KernelSpec {
-                admission: &OPAQUE,
-                ..spec
-            })
+            match self.shown {
+                Shown::AsIs => Some(spec),
+                Shown::Hidden => None,
+                Shown::Opaque => Some(genoc_core::switching::KernelSpec {
+                    admission: &OPAQUE,
+                    ..spec
+                }),
+            }
+        }
+    }
+
+    /// A hook and an observer that only count their per-step calls. As a
+    /// hook it keeps the trait's conservative `after_kernel_step`, so the
+    /// hooked arena loop resyncs the arena after every step.
+    #[derive(Default)]
+    struct Tally {
+        calls: u64,
+    }
+
+    impl DetectorHook for Tally {
+        fn after_step(&mut self, _: &dyn Network, _: &mut Config, _: u64) -> Result<()> {
+            self.calls += 1;
+            Ok(())
+        }
+    }
+
+    impl RunObserver for Tally {
+        fn on_step(
+            &mut self,
+            _: &Config,
+            _: u64,
+            _: &[Transition],
+            _: &[PortId],
+            _: &[Event],
+            _: &[MsgId],
+        ) -> Result<()> {
+            self.calls += 1;
+            Ok(())
         }
     }
 
@@ -845,66 +695,131 @@ mod tests {
         let mesh = Mesh::new(4, 4, 1);
         let routing = XyRouting::new(&mesh);
         let specs = crate::workload::uniform_random(16, 48, 1..=5, 17);
+        let cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
         let traced = |stepper| SimOptions {
             record_trace: true,
             stepper,
             ..SimOptions::default()
         };
-        let run = |policy: &mut dyn SwitchingPolicy, stepper| {
-            simulate(&mesh, &routing, policy, &specs, &traced(stepper)).unwrap()
-        };
-        let same = |a: &SimResult, b: &SimResult| {
-            assert_eq!(a.run.outcome, b.run.outcome);
-            assert_eq!(a.run.steps, b.run.steps);
-            assert_eq!(a.run.arrival_order, b.run.arrival_order);
-            assert_eq!(a.run.trace.events(), b.run.trace.events());
-            assert_eq!(a.run.config, b.run.config);
-            assert_eq!(a.latencies, b.latencies);
-        };
-        let legacy = run(&mut WormholePolicy::default(), Stepper::Legacy);
-        let arena = run(&mut WormholePolicy::default(), Stepper::Arena);
-        same(&legacy, &arena);
+        let legacy = simulate(
+            &mesh,
+            &routing,
+            &mut WormholePolicy::default(),
+            &specs,
+            &traced(Stepper::Legacy),
+        )
+        .unwrap();
+        assert_eq!(legacy.run.outcome, Outcome::Evacuated);
 
-        for opaque in [false, true] {
-            let reluctant = || Reluctant {
-                opaque,
-                ..Reluctant::default()
-            };
-            // No `KernelSpec`, or one `run_arena` rejects
-            // (`non_closed_world_admission_is_rejected`): the default is the
-            // legacy interpreter's run, and the interpreter is what stepped
-            // the policy.
-            let mut policy = reluctant();
-            let plain = run(&mut policy, Stepper::default());
-            assert_eq!(policy.stepped, plain.run.steps);
-            same(&plain, &legacy);
+        // Every cell of the dispatch table: which loop stepped the run, and
+        // that it is the legacy plain run, move for move.
+        for shown in [Shown::AsIs, Shown::Hidden, Shown::Opaque] {
+            for stepper in [Stepper::Arena, Stepper::Legacy] {
+                let on_arena = stepper == Stepper::Arena && shown == Shown::AsIs;
+                for (hooked, observed) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let cell =
+                        format!("{shown:?}, {stepper:?}, hook {hooked}, observer {observed}");
+                    let mut policy = Reluctant {
+                        shown,
+                        ..Reluctant::default()
+                    };
+                    let (mut hook, mut observer) = (Tally::default(), Tally::default());
+                    let result = simulate_config(
+                        &mesh,
+                        &mut policy,
+                        cfg.clone(),
+                        &traced(stepper),
+                        hooked.then_some(&mut hook as &mut dyn DetectorHook),
+                        observed.then_some(&mut observer as &mut dyn RunObserver),
+                    );
+                    if observed && !on_arena {
+                        // An observed run has no legacy form: refused, typed.
+                        assert!(
+                            matches!(result, Err(Error::Invariant(_))),
+                            "{cell}: {result:?}"
+                        );
+                        assert_eq!(policy.stepped, 0, "{cell}");
+                        continue;
+                    }
+                    let run = result.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let steps = run.run.steps;
+                    // The reference loop steps the policy; the arena never does.
+                    assert_eq!(policy.stepped, if on_arena { 0 } else { steps }, "{cell}");
+                    // A hook or observer puts an arena run on the hooked loop.
+                    assert_eq!(hook.calls, if hooked { steps } else { 0 }, "{cell}");
+                    assert_eq!(observer.calls, if observed { steps } else { 0 }, "{cell}");
+                    assert_eq!(run.run.outcome, legacy.run.outcome, "{cell}");
+                    assert_eq!(steps, legacy.run.steps, "{cell}");
+                    assert_eq!(run.run.arrival_order, legacy.run.arrival_order, "{cell}");
+                    assert_eq!(run.run.trace.events(), legacy.run.trace.events(), "{cell}");
+                    assert_eq!(run.run.config, legacy.run.config, "{cell}");
+                    assert_eq!(run.latencies, legacy.latencies, "{cell}");
+                }
+            }
+        }
+    }
 
-            // The hooked entry point makes the same choice.
-            let options = traced(Stepper::default());
-            let mut policy = reluctant();
-            let hooked = simulate_hooked(
-                &mesh,
-                &routing,
-                &mut policy,
-                &specs,
-                &options,
-                &mut NullHook,
-            )
-            .unwrap();
-            assert_eq!(policy.stepped, hooked.run.steps);
-            same(&hooked, &legacy);
+    /// Answers "continue" at both exits of the loop and does nothing else.
+    struct Stubborn;
 
-            // An observed run has no legacy form: refused, typed.
-            let cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
-            let refused = simulate_observed_config(
-                &mesh,
-                &mut reluctant(),
-                cfg,
-                &options,
-                &mut NullHook,
-                &mut NullObserver,
-            );
-            assert!(matches!(refused, Err(Error::Invariant(_))), "{refused:?}");
+    impl DetectorHook for Stubborn {
+        fn on_deadlock(&mut self, _: &dyn Network, _: &mut Config, _: u64) -> Result<bool> {
+            Ok(true)
+        }
+
+        fn on_drained(&mut self, _: &dyn Network, _: &mut Config, _: u64) -> Result<bool> {
+            Ok(true)
+        }
+    }
+
+    #[test]
+    fn a_hook_that_keeps_continuing_without_progress_is_refused() {
+        // The 2×2 mixed XY/YX storm deadlocks and `on_deadlock` recovers
+        // nothing; the 3×3 XY transpose evacuates and `on_drained` injects
+        // nothing. Either way the run must end in a typed error, not spin.
+        let storm = Mesh::new(2, 2, 1);
+        let storm_cfg = Config::from_specs(
+            &storm,
+            &genoc_routing::mixed::MixedXyYxRouting::new(&storm),
+            &crate::workload::bit_complement(&storm, 4),
+        )
+        .unwrap();
+        let grid = Mesh::new(3, 3, 1);
+        let grid_cfg = Config::from_specs(
+            &grid,
+            &XyRouting::new(&grid),
+            &crate::workload::transpose(&grid, 2),
+        )
+        .unwrap();
+        for (net, cfg, exit) in [
+            (&storm, storm_cfg, "deadlock"),
+            (&grid, grid_cfg, "drained"),
+        ] {
+            for stepper in [Stepper::Arena, Stepper::Legacy] {
+                let options = SimOptions {
+                    stepper,
+                    ..SimOptions::default()
+                };
+                let result = simulate_config(
+                    net,
+                    &mut WormholePolicy::default(),
+                    cfg.clone(),
+                    &options,
+                    Some(&mut Stubborn),
+                    None,
+                );
+                match result {
+                    Err(Error::Invariant(text)) => {
+                        assert!(
+                            text.contains("detector hook keeps continuing"),
+                            "{exit}, {stepper:?}: {text}"
+                        )
+                    }
+                    other => panic!("{exit}, {stepper:?}: {other:?}"),
+                }
+            }
         }
     }
 

@@ -16,11 +16,12 @@
 //!    timeout heuristic also fires within its threshold (no false
 //!    negatives), deadlocked messages being permanently stalled.
 
+use genoc_core::config::Config;
 use genoc_core::error::Result;
 use genoc_core::interpreter::Outcome;
 use genoc_depgraph::cycle::is_cycle_of;
 use genoc_detect::{DetectionEngine, EngineOptions, TimeoutDetector};
-use genoc_sim::runner::{simulate_hooked, SimOptions};
+use genoc_sim::runner::{simulate_config, SimOptions};
 use genoc_sim::workload::uniform_random;
 use genoc_switching::wormhole::WormholePolicy;
 
@@ -112,13 +113,13 @@ pub fn check_detection(
             heuristic_threshold: Some(options.heuristic_threshold),
             ..EngineOptions::default()
         });
-        let result = simulate_hooked(
+        let result = simulate_config(
             net,
-            routing,
             &mut WormholePolicy::default(),
-            &specs,
+            Config::from_specs(net, routing, &specs)?,
             &sim_options,
-            &mut engine,
+            Some(&mut engine),
+            None,
         )?;
         report.runs += 1;
         let deadlocked = result.run.outcome == Outcome::Deadlock;

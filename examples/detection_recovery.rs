@@ -41,13 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (2) Detect-only: the cycle is caught as it forms.
     let mut watcher = DetectionEngine::detector(EngineOptions::default());
-    let watched = simulate_hooked(
+    let watched = simulate_config(
         &mesh,
-        &routing,
         &mut WormholePolicy::default(),
-        &specs,
+        Config::from_specs(&mesh, &routing, &specs)?,
         &SimOptions::default(),
-        &mut watcher,
+        Some(&mut watcher),
+        None,
     )?;
     let detection = &watcher.detections()[0];
     println!(
@@ -63,13 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (3) Recovered: abort the youngest cycle member, evacuate the rest.
     let mut engine =
         DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
-    let recovered = simulate_hooked(
+    let recovered = simulate_config(
         &mesh,
-        &routing,
         &mut WormholePolicy::default(),
-        &specs,
+        Config::from_specs(&mesh, &routing, &specs)?,
         &SimOptions::default(),
-        &mut engine,
+        Some(&mut engine),
+        None,
     )?;
     assert_eq!(recovered.run.outcome, Outcome::Evacuated);
     let summary = engine.summary(&recovered);

@@ -97,16 +97,10 @@ fn every_smoke_scenario_is_arena_invariant() {
                     ..SimOptions::default()
                 };
                 let mut policy = policy_for(spec.switching);
+                let cfg = config_with_selected_routes(net, instance.routing.as_ref(), &specs, seed)
+                    .unwrap();
                 results.push(
-                    simulate_selected(
-                        net,
-                        instance.routing.as_ref(),
-                        policy.as_mut(),
-                        &specs,
-                        seed,
-                        &options,
-                    )
-                    .unwrap(),
+                    simulate_config(net, policy.as_mut(), cfg, &options, None, None).unwrap(),
                 );
             }
             let (arena, legacy) = (&results[0], &results[1]);
@@ -180,13 +174,13 @@ fn hooked_detection_sees_the_same_cycles_on_the_arena() {
             stepper,
             ..SimOptions::default()
         };
-        let result = simulate_hooked(
+        let result = simulate_config(
             &mesh,
-            &routing,
             &mut WormholePolicy::default(),
-            &specs,
+            Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &options,
-            &mut engine,
+            Some(&mut engine),
+            None,
         )
         .unwrap();
         assert_eq!(result.run.outcome, Outcome::Deadlock);
@@ -224,7 +218,8 @@ fn assert_recovery_equivalent(
             ..SimOptions::default()
         };
         let mut switching = WormholePolicy::default();
-        let result = simulate_hooked(net, routing, &mut switching, specs, &options, &mut engine)
+        let cfg = Config::from_specs(net, routing, specs).unwrap();
+        let result = simulate_config(net, &mut switching, cfg, &options, Some(&mut engine), None)
             .unwrap_or_else(|e| panic!("{cell}, {stepper:?}: {e}"));
         assert_eq!(result.run.outcome, Outcome::Evacuated, "{cell}: saved");
         (engine.summary(&result), result.run.config)

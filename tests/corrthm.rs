@@ -146,7 +146,8 @@ fn the_flit_index_answers_what_the_trace_scans_answer() {
         let sim = if instance.deterministic {
             simulate(net, routing, policy.as_mut(), &specs, &options)
         } else {
-            simulate_selected(net, routing, policy.as_mut(), &specs, seed, &options)
+            let cfg = config_with_selected_routes(net, routing, &specs, seed).unwrap();
+            simulate_config(net, policy.as_mut(), cfg, &options, None, None)
         }
         .unwrap();
         assert!(!sim.run.trace.events().is_empty(), "{name}");

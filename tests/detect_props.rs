@@ -43,15 +43,15 @@ fn check_detection_properties(
         heuristic_threshold: Some(HEURISTIC_THRESHOLD),
         ..EngineOptions::default()
     });
-    let result = simulate_hooked(
+    let result = simulate_config(
         net,
-        routing,
         &mut WormholePolicy::default(),
-        specs,
+        Config::from_specs(net, routing, specs).unwrap(),
         &SimOptions::default(),
-        &mut engine,
+        Some(&mut engine),
+        None,
     )
-    .map_err(|e| TestCaseError::fail(format!("simulate_hooked: {e}")))?;
+    .map_err(|e| TestCaseError::fail(format!("simulate_config: {e}")))?;
 
     // The exact detector fires iff the run ends in Ω.
     let deadlocked = result.run.outcome == Outcome::Deadlock;
@@ -152,7 +152,8 @@ fn hooked_report(
         ..SimOptions::default()
     };
     let mut switching = WormholePolicy::default();
-    let result = simulate_hooked(net, routing, &mut switching, specs, &sim, &mut engine)
+    let cfg = Config::from_specs(net, routing, specs).unwrap();
+    let result = simulate_config(net, &mut switching, cfg, &sim, Some(&mut engine), None)
         .unwrap_or_else(|e| panic!("{stepper:?}: {e}"));
     let summary = engine.summary(&result);
     Report {

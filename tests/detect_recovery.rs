@@ -35,13 +35,13 @@ fn undetected_deadlock_becomes_survivable_with_abort() {
     // surviving messages are delivered.
     let mut engine =
         DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
-    let recovered = simulate_hooked(
+    let recovered = simulate_config(
         &mesh,
-        &routing,
         &mut WormholePolicy::default(),
-        &specs,
+        Config::from_specs(&mesh, &routing, &specs).unwrap(),
         &SimOptions::default(),
-        &mut engine,
+        Some(&mut engine),
+        None,
     )
     .unwrap();
     assert_eq!(recovered.run.outcome, Outcome::Evacuated);
@@ -82,13 +82,13 @@ fn escape_channel_recovers_the_ring_without_losses() {
 
     let policy = EscapeChannel::new(Box::new(RingEscape::new(&ring)));
     let mut engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(policy));
-    let recovered = simulate_hooked(
+    let recovered = simulate_config(
         &ring,
-        &routing,
         &mut WormholePolicy::default(),
-        &specs,
+        Config::from_specs(&ring, &routing, &specs).unwrap(),
         &SimOptions::default(),
-        &mut engine,
+        Some(&mut engine),
+        None,
     )
     .unwrap();
     assert_eq!(recovered.run.outcome, Outcome::Evacuated);
@@ -104,13 +104,13 @@ fn escape_channel_recovers_the_ring_without_losses() {
 fn drain_all_restart_delivers_everything() {
     let (mesh, routing, specs) = storm();
     let mut engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(DrainAll));
-    let result = simulate_hooked(
+    let result = simulate_config(
         &mesh,
-        &routing,
         &mut WormholePolicy::default(),
-        &specs,
+        Config::from_specs(&mesh, &routing, &specs).unwrap(),
         &SimOptions::default(),
-        &mut engine,
+        Some(&mut engine),
+        None,
     )
     .unwrap();
     assert_eq!(result.run.outcome, Outcome::Evacuated);

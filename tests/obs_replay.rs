@@ -83,15 +83,15 @@ fn record(
 /// the two steppers as well.
 fn rerun_to(instance: &Instance, spec: &ScenarioSpec, cfg: Config, n: u64) -> Config {
     let mut policy = policy_for(spec.switching);
-    let result = run_policy(
+    let result = run(
         instance.net.as_ref(),
+        &IdentityInjection,
         policy.as_mut(),
         cfg,
         &RunOptions {
             max_steps: n,
             ..RunOptions::default()
         },
-        Stepper::Legacy,
     )
     .expect("rerun");
     result.config
@@ -279,17 +279,17 @@ fn a_recovering_run_replays_identically_at_every_step() {
         let replayed = genoc::obs::replay_to(&mesh, &log.events, n)
             .unwrap_or_else(|e| panic!("replay to {n} failed: {e}"));
         let mut engine = recovering();
-        let rerun = simulate_hooked(
+        let rerun = simulate_config(
             &mesh,
-            &routing,
             &mut WormholePolicy::default(),
-            &specs,
+            Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &SimOptions {
                 max_steps: n,
                 stepper: Stepper::Legacy,
                 ..SimOptions::default()
             },
-            &mut engine,
+            Some(&mut engine),
+            None,
         )
         .expect("rerun");
         assert_replay_matches(
