@@ -244,10 +244,10 @@ fn outcome_json(o: &ScenarioOutcome) -> Json {
         ),
         (
             "metrics",
-            match &o.metrics {
-                Some(m) => Json::obj([
-                    ("steps", Json::U64(m.steps)),
-                    ("flits_per_sec", Json::F64(m.flits_per_sec)),
+            match (&o.throughput, &o.metrics) {
+                (Some(t), Some(m)) => Json::obj([
+                    ("steps", Json::U64(t.steps)),
+                    ("flits_per_sec", Json::F64(t.flits_per_sec)),
                     ("blocked_peak", Json::U64(m.blocked_peak)),
                     (
                         "detector_first_step",
@@ -260,7 +260,7 @@ fn outcome_json(o: &ScenarioOutcome) -> Json {
                     ("wal_bytes", Json::U64(m.wal_bytes)),
                     ("wal_records", Json::U64(m.wal_records)),
                 ]),
-                None => Json::Null,
+                _ => Json::Null,
             },
         ),
         (

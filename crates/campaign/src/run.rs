@@ -5,26 +5,31 @@
 //! (wormhole scenarios — the deadlock theorem is stated for `Swh`),
 //! checks Theorem 2 / evacuation under the scenario's own switching policy,
 //! runs a bounded deadlock hunt, and cross-checks the online detectors
-//! against the static theory. Every randomised ingredient derives its seed
-//! from the campaign seed and the scenario name (FNV-1a), so a campaign is
-//! reproducible at any shard count: scheduling changes *where* a scenario
-//! runs, never *what* it computes.
+//! against the static theory. The evacuation workload runs once: that one
+//! observed run is judged for Theorem 2 and supplies the scenario's
+//! throughput, metrics and (optionally) WAL. Every randomised ingredient
+//! derives its seed from the campaign seed and the scenario name (FNV-1a),
+//! so a campaign is reproducible at any shard count: scheduling changes
+//! *where* a scenario runs, never *what* it computes.
 
 use std::path::Path;
 use std::time::Instant;
 
+use genoc_core::config::Config;
+use genoc_core::error::{Error, Result};
 use genoc_core::interpreter::Outcome;
 use genoc_core::meta::SwitchingKind;
+use genoc_core::spec::MessageSpec;
 use genoc_core::switching::SwitchingPolicy;
-use genoc_core::theorems::{check_correctness, check_evacuation};
 use genoc_detect::engine::{DetectionEngine, EngineOptions};
 use genoc_obs::{shared, ObservedEngine, Recorder, RecorderOptions, WalMeta, WalWriter};
 use genoc_sim::deadlock_hunt::{hunt_random, HuntOptions};
+use genoc_sim::{DetectorHook, SimOptions, SimResult};
 use genoc_switching::{StoreForwardPolicy, VirtualCutThroughPolicy, WormholePolicy};
-use genoc_verif::Instance;
 use genoc_verif::{check_c1, check_c2, check_c3, check_c4, check_c5_with};
-use genoc_verif::{check_detection, check_theorem1, check_theorem2_with, DetectionCheckOptions};
+use genoc_verif::{check_detection, check_theorem1, DetectionCheckOptions};
 use genoc_verif::{explore_check, ExploreCheckOptions};
+use genoc_verif::{Instance, Theorem2Report};
 
 use crate::matrix::ScenarioSpec;
 
@@ -133,20 +138,16 @@ pub struct ScenarioThroughput {
     pub flits_per_sec: f64,
 }
 
-/// Per-scenario observability sample: counters from an instrumented probe
-/// run of the evacuation workload (see `genoc-obs`), surfaced in
-/// campaign.json and the Prometheus snapshot. Observability, not
-/// verification — a failed probe leaves the scenario's verdict untouched.
+/// Per-scenario observability sample: counters the observers of the
+/// Theorem 2 run collected (see `genoc-obs`), surfaced in campaign.json and
+/// the Prometheus snapshot beside that run's [`ScenarioThroughput`], which
+/// supplies their steps and flits per second.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioMetrics {
-    /// Switching steps of the probe run.
-    pub steps: u64,
-    /// Delivered flits per wall-clock second of the probe run.
-    pub flits_per_sec: f64,
     /// Peak number of simultaneously blocked travels (wait-for edges alive
     /// at once).
     pub blocked_peak: u64,
-    /// Step of the first exact-detector firing (wormhole probes only;
+    /// Step of the first exact-detector firing (wormhole runs only;
     /// `None` when no deadlock formed).
     pub detector_first_step: Option<u64>,
     /// Heuristic-vs-exact detection latency in steps, when both fired.
@@ -228,8 +229,8 @@ pub struct ScenarioOutcome {
     /// Throughput of the Theorem 2 evacuation run (`None` only when the
     /// scenario failed before running it).
     pub throughput: Option<ScenarioThroughput>,
-    /// Observability counters from the instrumented probe run (`None` when
-    /// the scenario failed to construct or the probe errored).
+    /// Observability counters from the Theorem 2 run (`None` exactly when
+    /// [`throughput`](Self::throughput) is).
     pub metrics: Option<ScenarioMetrics>,
     /// Wall-clock milliseconds for the whole scenario.
     pub elapsed_ms: f64,
@@ -287,9 +288,10 @@ pub fn run_scenario(
     run_scenario_with(spec, campaign_seed, effort, None)
 }
 
-/// Runs the full battery on one scenario, plus an instrumented probe run
-/// collecting [`ScenarioMetrics`]; with `wal_dir`, the probe also streams
-/// its full event log to `<wal_dir>/<scenario>.wal` for offline replay.
+/// Runs the full battery on one scenario. The Theorem 2 run is observed and
+/// fills [`ScenarioMetrics`]; with `wal_dir` it also streams its full event
+/// log to `<wal_dir>/<scenario>.wal` for offline replay, and a log that
+/// cannot be written fails the `theorem2` check.
 pub fn run_scenario_with(
     spec: &ScenarioSpec,
     campaign_seed: u64,
@@ -399,39 +401,21 @@ pub fn run_scenario_with(
             max_steps: effort.max_steps,
         };
         let (result, millis) = timed(|| check_theorem1(&instance, &hunt));
-        match result {
-            Ok(report) => {
-                if report.live_deadlock_found == Some(true) {
-                    deadlocks_seen += 1;
-                }
-                let consistent = report.cyclic != expect_acyclic;
-                let mut notes = report.notes.clone();
-                if !consistent {
-                    notes.push(format!(
-                        "graph cyclicity {} contradicts expectation",
-                        report.cyclic
-                    ));
-                }
-                checks.push(CheckOutcome {
-                    check: "theorem1",
-                    status: if report.holds() && consistent {
-                        CheckStatus::Pass
-                    } else {
-                        CheckStatus::Fail
-                    },
-                    cases: hunt.attempts,
-                    millis,
-                    notes,
-                });
+        let judged = result.map(|report| {
+            if report.live_deadlock_found == Some(true) {
+                deadlocks_seen += 1;
             }
-            Err(e) => checks.push(CheckOutcome {
-                check: "theorem1",
-                status: CheckStatus::Fail,
-                cases: 0,
-                millis,
-                notes: vec![format!("harness error: {e}")],
-            }),
-        }
+            let consistent = report.cyclic != expect_acyclic;
+            let mut notes = report.notes.clone();
+            if !consistent {
+                notes.push(format!(
+                    "graph cyclicity {} contradicts expectation",
+                    report.cyclic
+                ));
+            }
+            (report.holds() && consistent, hunt.attempts, notes)
+        });
+        checks.push(recorded("theorem1", millis, judged));
     } else {
         checks.push(CheckOutcome::skip(
             "theorem1",
@@ -439,16 +423,20 @@ pub fn run_scenario_with(
         ));
     }
 
-    // Theorem 2 / evacuation under the scenario's switching policy.
-    let (evacuation, throughput) =
-        run_evacuation(&instance, spec, seed, effort, flits, &mut deadlocks_seen);
+    // Theorem 2 / evacuation under the scenario's switching policy, on the
+    // cell's one observed run of its evacuation workload.
+    let wal = wal_dir.map(|dir| dir.join(wal_file_name(&name)));
+    let (evacuation, run) = theorem2(
+        &instance,
+        spec,
+        seed,
+        effort,
+        flits,
+        wal.as_deref(),
+        &mut deadlocks_seen,
+    );
     checks.push(evacuation);
-
-    // Observability probe: one instrumented rerun of the evacuation
-    // workload, feeding campaign.json/Prometheus metrics and, with a WAL
-    // directory, a replayable event log. Purely informational — a probe
-    // failure leaves the verdict (and `deadlocks_seen`) untouched.
-    let metrics = metrics_probe(&instance, spec, &name, seed, effort, flits, wal_dir);
+    let (throughput, metrics) = run.unzip();
 
     // Bounded deadlock hunt under the scenario's switching policy.
     if deterministic {
@@ -468,46 +456,28 @@ pub fn run_scenario_with(
                 &hunt,
             )
         });
-        match found {
-            Ok(found) => {
-                let mut notes = Vec::new();
-                if let Some(h) = &found {
-                    deadlocks_seen += 1;
-                    notes.push(format!(
-                        "deadlock at seed {} after {} steps ({} blocked ports in witness)",
-                        h.seed,
-                        h.steps,
-                        h.witness.as_ref().map_or(0, |w| w.ports.len())
-                    ));
-                }
-                // A deadlock under wormhole switching on an acyclic graph
-                // refutes Theorem 1; stricter admission policies may block
-                // earlier, so off-wormhole finds are recorded, not judged.
-                let refuted =
-                    expect_acyclic && spec.switching == SwitchingKind::Wormhole && found.is_some();
-                if refuted {
-                    notes.push("live deadlock on an acyclic wormhole instance".into());
-                }
-                checks.push(CheckOutcome {
-                    check: "hunt",
-                    status: if refuted {
-                        CheckStatus::Fail
-                    } else {
-                        CheckStatus::Pass
-                    },
-                    cases: hunt.attempts,
-                    millis,
-                    notes,
-                });
+        let judged = found.map(|found| {
+            let mut notes = Vec::new();
+            if let Some(h) = &found {
+                deadlocks_seen += 1;
+                notes.push(format!(
+                    "deadlock at seed {} after {} steps ({} blocked ports in witness)",
+                    h.seed,
+                    h.steps,
+                    h.witness.as_ref().map_or(0, |w| w.ports.len())
+                ));
             }
-            Err(e) => checks.push(CheckOutcome {
-                check: "hunt",
-                status: CheckStatus::Fail,
-                cases: 0,
-                millis,
-                notes: vec![format!("harness error: {e}")],
-            }),
-        }
+            // A deadlock under wormhole switching on an acyclic graph
+            // refutes Theorem 1; stricter admission policies may block
+            // earlier, so off-wormhole finds are recorded, not judged.
+            let refuted =
+                expect_acyclic && spec.switching == SwitchingKind::Wormhole && found.is_some();
+            if refuted {
+                notes.push("live deadlock on an acyclic wormhole instance".into());
+            }
+            (!refuted, hunt.attempts, notes)
+        });
+        checks.push(recorded("hunt", millis, judged));
     } else {
         checks.push(CheckOutcome::skip(
             "hunt",
@@ -526,34 +496,16 @@ pub fn run_scenario_with(
             ..DetectionCheckOptions::default()
         };
         let (result, millis) = timed(|| check_detection(&instance, &options));
-        match result {
-            Ok(report) => {
-                deadlocks_seen += report.deadlocked_runs;
-                let mut notes = report.violations.clone();
-                notes.push(format!(
-                    "{} runs, {} deadlocked, {} detections",
-                    report.runs, report.deadlocked_runs, report.detections
-                ));
-                checks.push(CheckOutcome {
-                    check: "detect",
-                    status: if report.holds() {
-                        CheckStatus::Pass
-                    } else {
-                        CheckStatus::Fail
-                    },
-                    cases: report.runs,
-                    millis,
-                    notes,
-                });
-            }
-            Err(e) => checks.push(CheckOutcome {
-                check: "detect",
-                status: CheckStatus::Fail,
-                cases: 0,
-                millis,
-                notes: vec![format!("harness error: {e}")],
-            }),
-        }
+        let judged = result.map(|report| {
+            deadlocks_seen += report.deadlocked_runs;
+            let mut notes = report.violations.clone();
+            notes.push(format!(
+                "{} runs, {} deadlocked, {} detections",
+                report.runs, report.deadlocked_runs, report.detections
+            ));
+            (report.holds(), report.runs, notes)
+        });
+        checks.push(recorded("detect", millis, judged));
     } else {
         checks.push(CheckOutcome::skip(
             "detect",
@@ -575,32 +527,13 @@ pub fn run_scenario_with(
             options.pressure_states = effort.explore_pressure_states;
         }
         let (result, millis) = timed(|| explore_check(&instance, spec.switching, &options));
-        match result {
-            Ok(report) => {
-                deadlocks_seen += u64::from(report.counterexample_found);
-                let mut notes: Vec<String> =
-                    report.tiers.iter().map(|tier| tier.summary()).collect();
-                notes.extend(report.violations.iter().cloned());
-                checks.push(CheckOutcome {
-                    check: "oracle",
-                    status: if report.holds() {
-                        CheckStatus::Pass
-                    } else {
-                        CheckStatus::Fail
-                    },
-                    cases: report.states_explored(),
-                    millis,
-                    notes,
-                });
-            }
-            Err(e) => checks.push(CheckOutcome {
-                check: "oracle",
-                status: CheckStatus::Fail,
-                cases: 0,
-                millis,
-                notes: vec![format!("harness error: {e}")],
-            }),
-        }
+        let judged = result.map(|report| {
+            deadlocks_seen += u64::from(report.counterexample_found);
+            let mut notes: Vec<String> = report.tiers.iter().map(|tier| tier.summary()).collect();
+            notes.extend(report.violations.iter().cloned());
+            (report.holds(), report.states_explored(), notes)
+        });
+        checks.push(recorded("oracle", millis, judged));
     } else if effort.explore_states > 0 {
         checks.push(CheckOutcome::skip(
             "oracle",
@@ -643,46 +576,78 @@ fn wal_file_name(name: &str) -> String {
     s
 }
 
-/// Instrumented rerun of the evacuation workload behind [`ScenarioMetrics`].
-/// Deterministic scenarios probe the routed configuration directly; adaptive
-/// ones probe the same seeded route selection the theorem2 check used.
-/// Wormhole probes run under an [`ObservedEngine`] so detector firings and
-/// recovery actions land in the WAL; other policies run detector-free (the
-/// exact detector's semantics are wormhole-only). Any error — construction,
-/// I/O, simulation — yields `None` rather than a check failure.
-fn metrics_probe(
+/// Theorem 2 under the scenario's policy, judged on the cell's one run of
+/// its evacuation workload. Deterministic instances run the routed
+/// configuration; adaptive ones fix one admissible route per message
+/// (seeded) and run that selection, as the paper's future-work section
+/// suggests. The run is observed: a [`Recorder`] (streaming to `wal` when
+/// given) fills [`ScenarioMetrics`], and on wormhole cells a detect-only
+/// [`ObservedEngine`] reports the exact detector — its semantics are
+/// wormhole-only, so other policies run detector-free. The throughput and
+/// the metrics come from this run, or neither does.
+fn theorem2(
     instance: &Instance,
     spec: &ScenarioSpec,
-    name: &str,
     seed: u64,
     effort: &EffortProfile,
     flits: usize,
-    wal_dir: Option<&Path>,
-) -> Option<ScenarioMetrics> {
+    wal: Option<&Path>,
+    deadlocks_seen: &mut u64,
+) -> (CheckOutcome, Option<(ScenarioThroughput, ScenarioMetrics)>) {
+    let start = Instant::now();
     let nodes = instance.net.node_count();
     let messages = (nodes * effort.messages_per_node).max(4);
     let specs = genoc_sim::workload::uniform_random(nodes.max(2), messages, 1..=flits, seed);
-    let cfg = if instance.deterministic {
-        genoc_core::config::Config::from_specs(
-            instance.net.as_ref(),
-            instance.routing.as_ref(),
-            &specs,
-        )
-        .ok()?
-    } else {
-        genoc_sim::config_with_selected_routes(
-            instance.net.as_ref(),
-            instance.routing.as_ref(),
-            &specs,
-            seed,
-        )
-        .ok()?
-    };
+    // Evacuation is guaranteed only where the obligations discharge: on an
+    // acyclic instance under wormhole (the policy the theorems are proved
+    // for). Stricter whole-packet admission and cyclic comparators may
+    // legitimately deadlock; those runs are recorded, not judged.
+    let must_evacuate = instance.expect_acyclic && spec.switching == SwitchingKind::Wormhole;
+    let mut run = None;
+    let judged = observed_run(instance, spec, seed, effort, &specs, wal).map(|(sim, sim_ms, m)| {
+        let report = Theorem2Report::judge(instance, &specs, &sim, sim_ms);
+        // A step-limit stop is not a deadlock seen.
+        *deadlocks_seen += u64::from(sim.run.outcome == Outcome::Deadlock);
+        let throughput = ScenarioThroughput {
+            steps: report.steps,
+            delivered_flits: report.delivered_flits,
+            run_ms: sim_ms,
+            flits_per_sec: if sim_ms > 0.0 {
+                report.delivered_flits as f64 / (sim_ms / 1e3)
+            } else {
+                0.0
+            },
+        };
+        run = Some((throughput, m));
+        let failed = !report.correct || (must_evacuate && !report.evacuated);
+        (!failed, report.messages as u64, report.notes)
+    });
+    let millis = start.elapsed().as_secs_f64() * 1e3;
+    (recorded("theorem2", millis, judged), run)
+}
 
-    let wal = match wal_dir {
-        Some(dir) => Some(shared(
-            WalWriter::create(&dir.join(wal_file_name(name))).ok()?,
-        )),
+/// The observed, traced run behind [`theorem2`], with its wall clock (the
+/// `simulate_config` call alone) and its [`ScenarioMetrics`]. A WAL that
+/// cannot be created or written is an error naming the file.
+fn observed_run(
+    instance: &Instance,
+    spec: &ScenarioSpec,
+    seed: u64,
+    effort: &EffortProfile,
+    specs: &[MessageSpec],
+    wal_path: Option<&Path>,
+) -> Result<(SimResult, f64, ScenarioMetrics)> {
+    let net = instance.net.as_ref();
+    let routing = instance.routing.as_ref();
+    let cfg = if instance.deterministic {
+        Config::from_specs(net, routing, specs)?
+    } else {
+        genoc_sim::config_with_selected_routes(net, routing, specs, seed)?
+    };
+    let wal = match wal_path {
+        Some(path) => Some(shared(WalWriter::create(path).map_err(|e| {
+            Error::Invariant(format!("cannot create WAL {}: {e}", path.display()))
+        })?)),
         None => None,
     };
     let mut recorder = Recorder::build(
@@ -694,181 +659,59 @@ fn metrics_probe(
         }),
         RecorderOptions::default(),
     );
+    let mut hook = (spec.switching == SwitchingKind::Wormhole)
+        .then(|| ObservedEngine::new(DetectionEngine::detector(EngineOptions::default()), wal));
     let mut policy = policy_for(spec.switching);
-    let options = genoc_sim::SimOptions {
+    let options = SimOptions {
         max_steps: effort.max_steps,
-        ..Default::default()
+        record_trace: true,
+        ..SimOptions::default()
     };
-    let mut hook = (spec.switching == SwitchingKind::Wormhole).then(|| {
-        ObservedEngine::new(
-            DetectionEngine::detector(EngineOptions::default()),
-            wal.clone(),
+    let (sim, sim_ms) = timed(|| {
+        genoc_sim::simulate_config(
+            net,
+            policy.as_mut(),
+            cfg,
+            &options,
+            hook.as_mut().map(|h| h as &mut dyn DetectorHook),
+            Some(&mut recorder),
         )
     });
-    genoc_sim::simulate_config(
-        instance.net.as_ref(),
-        policy.as_mut(),
-        cfg,
-        &options,
-        hook.as_mut().map(|h| h as &mut dyn genoc_sim::DetectorHook),
-        Some(&mut recorder),
-    )
-    .ok()?;
-    let detector_first_step = hook.as_ref().and_then(ObservedEngine::first_detection_step);
-    let detection_latency = hook
-        .as_ref()
-        .and_then(|h| h.engine().stats().detection_latency());
-
+    let sim = sim.map_err(|e| match wal_path {
+        Some(path) => Error::Invariant(format!("{e} (recording {})", path.display())),
+        None => e,
+    })?;
     let summary = recorder.summary();
-    Some(ScenarioMetrics {
-        steps: summary.steps,
-        flits_per_sec: summary.flits_per_sec,
+    let metrics = ScenarioMetrics {
         blocked_peak: summary.blocked_peak,
-        detector_first_step,
-        detection_latency,
+        detector_first_step: hook.as_ref().and_then(ObservedEngine::first_detection_step),
+        detection_latency: hook
+            .as_ref()
+            .and_then(|h| h.engine().stats().detection_latency()),
         wal_bytes: summary.wal_bytes,
         wal_records: summary.wal_records,
-    })
+    };
+    Ok((sim, sim_ms, metrics))
 }
 
-fn throughput_of(steps: u64, delivered_flits: u64, millis: f64) -> ScenarioThroughput {
-    ScenarioThroughput {
-        steps,
-        delivered_flits,
-        run_ms: millis,
-        flits_per_sec: if millis > 0.0 {
-            delivered_flits as f64 / (millis / 1e3)
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Theorem 2 under the scenario's policy. Deterministic instances run the
-/// verif checker directly; adaptive instances fix one admissible route per
-/// message (seeded) and simulate the selection, as the paper's future-work
-/// section suggests. Both execute on the default stepper (the arena) and
-/// report the run's throughput alongside the verdict.
-fn run_evacuation(
-    instance: &Instance,
-    spec: &ScenarioSpec,
-    seed: u64,
-    effort: &EffortProfile,
-    flits: usize,
-    deadlocks_seen: &mut u64,
-) -> (CheckOutcome, Option<ScenarioThroughput>) {
-    let nodes = instance.net.node_count();
-    let messages = (nodes * effort.messages_per_node).max(4);
-    let specs = genoc_sim::workload::uniform_random(nodes.max(2), messages, 1..=flits, seed);
-    // Evacuation is guaranteed only where the obligations discharge: on an
-    // acyclic instance under wormhole (the policy the theorems are proved
-    // for). Stricter whole-packet admission and cyclic comparators may
-    // legitimately deadlock; those runs are recorded, not judged.
-    let must_evacuate = instance.expect_acyclic && spec.switching == SwitchingKind::Wormhole;
-
-    if instance.deterministic {
-        let mut policy = policy_for(spec.switching);
-        let (result, millis) = timed(|| check_theorem2_with(instance, &specs, policy.as_mut()));
-        match result {
-            Ok(report) => {
-                let mut notes = report.notes.clone();
-                if !report.evacuated {
-                    *deadlocks_seen += 1;
-                    notes.push(format!("run ended after {} steps", report.steps));
-                }
-                let failed = !report.correct || (must_evacuate && !report.evacuated);
-                let throughput = throughput_of(report.steps, report.delivered_flits, report.sim_ms);
-                (
-                    CheckOutcome {
-                        check: "theorem2",
-                        status: if failed {
-                            CheckStatus::Fail
-                        } else {
-                            CheckStatus::Pass
-                        },
-                        cases: report.messages as u64,
-                        millis,
-                        notes,
-                    },
-                    Some(throughput),
-                )
-            }
-            Err(e) => (
-                CheckOutcome {
-                    check: "theorem2",
-                    status: CheckStatus::Fail,
-                    cases: 0,
-                    millis,
-                    notes: vec![format!("harness error: {e}")],
-                },
-                None,
-            ),
-        }
-    } else {
-        let mut policy = policy_for(spec.switching);
-        let check_start = Instant::now();
-        let net = instance.net.as_ref();
-        let result =
-            genoc_sim::config_with_selected_routes(net, instance.routing.as_ref(), &specs, seed)
-                .and_then(|cfg| {
-                    let options = genoc_sim::SimOptions {
-                        max_steps: effort.max_steps,
-                        record_trace: true,
-                        ..Default::default()
-                    };
-                    genoc_sim::simulate_config(net, policy.as_mut(), cfg, &options, None, None)
-                });
-        // Route selection + run; the trace checks below are kept out of the
-        // throughput figure but inside the check's own wall clock.
-        let sim_ms = check_start.elapsed().as_secs_f64() * 1e3;
-        match result {
-            Ok(sim) => {
-                let evac = check_evacuation(&sim.injected, &sim.run);
-                let corr = check_correctness(
-                    instance.net.as_ref(),
-                    instance.routing.as_ref(),
-                    &specs,
-                    &sim.run,
-                );
-                let mut notes: Vec<String> = corr.violations.clone();
-                if !evac.holds {
-                    *deadlocks_seen += u64::from(sim.run.outcome == Outcome::Deadlock);
-                    notes.push(format!(
-                        "selection did not evacuate: outcome {:?} after {} steps",
-                        sim.run.outcome, sim.run.steps
-                    ));
-                }
-                // Any selection from an acyclic adaptive relation is itself
-                // acyclic, so turn-model instances must evacuate (wormhole).
-                let failed = !corr.holds() || (must_evacuate && !evac.holds);
-                let throughput =
-                    throughput_of(sim.run.steps, sim.run.config.delivered_flits(), sim_ms);
-                (
-                    CheckOutcome {
-                        check: "theorem2",
-                        status: if failed {
-                            CheckStatus::Fail
-                        } else {
-                            CheckStatus::Pass
-                        },
-                        cases: sim.injected.len() as u64,
-                        millis: check_start.elapsed().as_secs_f64() * 1e3,
-                        notes,
-                    },
-                    Some(throughput),
-                )
-            }
-            Err(e) => (
-                CheckOutcome {
-                    check: "theorem2",
-                    status: CheckStatus::Fail,
-                    cases: 0,
-                    millis: sim_ms,
-                    notes: vec![format!("harness error: {e}")],
-                },
-                None,
-            ),
-        }
+/// Records one check: a `(passed, cases, notes)` verdict, or a harness error
+/// that fails the check with no cases.
+fn recorded(
+    check: &'static str,
+    millis: f64,
+    verdict: Result<(bool, u64, Vec<String>)>,
+) -> CheckOutcome {
+    let (status, cases, notes) = match verdict {
+        Ok((true, cases, notes)) => (CheckStatus::Pass, cases, notes),
+        Ok((false, cases, notes)) => (CheckStatus::Fail, cases, notes),
+        Err(e) => (CheckStatus::Fail, 0, vec![format!("harness error: {e}")]),
+    };
+    CheckOutcome {
+        check,
+        status,
+        cases,
+        millis,
+        notes,
     }
 }
 
@@ -1009,5 +852,59 @@ mod tests {
         assert!(saf.passed(), "{:?}", saf.failures().collect::<Vec<_>>());
         let t1 = saf.checks.iter().find(|c| c.check == "theorem1").unwrap();
         assert_eq!(t1.status, CheckStatus::Skip);
+    }
+
+    #[test]
+    fn the_wal_is_the_theorem2_run() {
+        use genoc_obs::{read_wal, recorded_outcome, replay_to};
+
+        let dir = std::env::temp_dir().join(format!("genoc-campaign-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let xy = spec(RoutingKind::Xy, 3, 3, 1, SwitchingKind::Wormhole);
+        // At campaign seed 23 the mixed corner cell's evacuation run
+        // deadlocks (as in the `default` preset).
+        let mixed = spec(RoutingKind::MixedXyYx, 2, 2, 1, SwitchingKind::Wormhole);
+        for (s, effort, outcome) in [
+            (xy, EffortProfile::quick(), Outcome::Evacuated),
+            (mixed, EffortProfile::standard(), Outcome::Deadlock),
+        ] {
+            let cell = run_scenario_with(&s, 23, &effort, Some(&dir));
+            assert!(cell.passed(), "{:?}", cell.failures().collect::<Vec<_>>());
+            let run = cell.throughput.expect("the evacuation workload ran");
+            let metrics = cell.metrics.expect("the run was observed");
+            let theorem2 = cell.checks.iter().find(|c| c.check == "theorem2").unwrap();
+            let evacuated = outcome == Outcome::Evacuated;
+            assert_eq!(theorem2.notes.is_empty(), evacuated, "{:?}", theorem2.notes);
+
+            let log = read_wal(&dir.join(wal_file_name(&cell.name))).unwrap();
+            assert_eq!(log.damage, None, "{}", cell.name);
+            assert_eq!(recorded_outcome(&log.events), Some((outcome, run.steps)));
+            assert_eq!(metrics.wal_records, log.events.len() as u64);
+            let instance = Instance::from_meta(&s.meta).unwrap();
+            let end = replay_to(instance.net.as_ref(), &log.events, run.steps).unwrap();
+            assert_eq!(end.delivered_flits(), run.delivered_flits, "{}", cell.name);
+            assert_eq!(end.travels().is_empty(), evacuated, "{}", cell.name);
+            assert!(!end.any_move_possible(), "{}", cell.name);
+        }
+
+        // A WAL directory below a regular file cannot hold the log: the
+        // check that owns the run fails and names the file.
+        let file = dir.join("not-a-directory");
+        std::fs::write(&file, b"").unwrap();
+        let cell = run_scenario_with(&xy, 23, &EffortProfile::quick(), Some(&file.join("wal")));
+        let theorem2 = cell.checks.iter().find(|c| c.check == "theorem2").unwrap();
+        assert_eq!(theorem2.status, CheckStatus::Fail);
+        let path = file.join("wal").join(wal_file_name(&cell.name));
+        assert!(
+            theorem2
+                .notes
+                .iter()
+                .any(|n| n.contains(&path.display().to_string())),
+            "{:?}",
+            theorem2.notes
+        );
+        assert!(cell.throughput.is_none() && cell.metrics.is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

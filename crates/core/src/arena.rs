@@ -935,11 +935,6 @@ impl ArenaKernel {
         k
     }
 
-    /// Steps performed so far (including `first_step` carried in).
-    pub fn steps_taken(&self) -> u64 {
-        self.step_count
-    }
-
     /// Status transitions of the last step, in occurrence order, keyed by
     /// stable public ids (detector and WAL consumers never see slots).
     pub fn transitions(&self) -> &[Transition] {

@@ -12,6 +12,7 @@ use crate::network::Network;
 use crate::routing::RoutingFunction;
 use crate::spec::MessageSpec;
 use crate::state::NetworkState;
+use crate::step::{self, AlwaysAdmit};
 use crate::travel::{FlitPos, Travel};
 
 /// A network configuration `σ = ⟨T, ST, A⟩`.
@@ -488,9 +489,7 @@ impl Config {
     /// advance, or eject.
     pub fn travel_can_progress(&self, i: usize) -> bool {
         let flits = self.travels[i].flit_count();
-        (0..flits).any(|f| {
-            self.can_enter_flit(i, f) || self.can_advance_flit(i, f) || self.can_eject_flit(i, f)
-        })
+        (0..flits).any(|f| step::flit_move(self, i, f, &AlwaysAdmit).is_some())
     }
 
     /// The paper's termination measure `μxy(σ) = Σ |m.r|` over the in-flight

@@ -16,14 +16,13 @@
 //! The enumeration is complete and sound with respect to the kernel's Ω:
 //! [`MoveEnumerator::moves`] is non-empty if and only if
 //! [`any_move_possible_with`](crate::step::any_move_possible_with) holds,
-//! because both walk the identical eject → advance → enter precondition
-//! chain per flit.
+//! because both ask [`step::flit_move`] — the one eject → advance → enter
+//! precondition chain — of every flit.
 
 use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::ids::MsgId;
-use crate::step::{HeadAdmission, HeadMove};
-use crate::travel::FlitPos;
+use crate::step::{self, HeadAdmission};
 
 /// The kind of a single-flit move.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -79,34 +78,10 @@ impl<'a> MoveEnumerator<'a> {
         MoveEnumerator { admission }
     }
 
-    /// The admissible move of flit `flit` of travel `i`, if any.
-    ///
-    /// At most one move kind applies to a given flit: the preconditions of
-    /// eject, advance, and enter are mutually exclusive (they inspect the
-    /// flit's own position), so trying them in the kernel's order loses
-    /// nothing.
+    /// The admissible move of flit `flit` of travel `i`, if any
+    /// ([`step::flit_move`] under this enumerator's admission).
     pub fn flit_move(&self, cfg: &Config, i: usize, flit: usize) -> Option<MoveKind> {
-        if cfg.can_eject_flit(i, flit) {
-            return Some(MoveKind::Eject);
-        }
-        if cfg.can_advance_flit(i, flit) {
-            if flit > 0 {
-                return Some(MoveKind::Advance);
-            }
-            let k = match cfg.travel(i).flit_pos(flit) {
-                FlitPos::InNetwork(k) => k,
-                _ => unreachable!("can_advance_flit implies an in-network flit"),
-            };
-            return self
-                .admission
-                .admit(cfg, i, HeadMove::Advance { from: k })
-                .then_some(MoveKind::Advance);
-        }
-        if cfg.can_enter_flit(i, flit) {
-            return (flit > 0 || self.admission.admit(cfg, i, HeadMove::Entry))
-                .then_some(MoveKind::Enter);
-        }
-        None
+        step::flit_move(cfg, i, flit, self.admission)
     }
 
     /// Appends every admissible move of the configuration to `out`.

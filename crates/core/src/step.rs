@@ -25,6 +25,7 @@
 use crate::config::Config;
 use crate::error::Result;
 use crate::ids::PortId;
+use crate::moves::MoveKind;
 use crate::switching::StepReport;
 use crate::trace::{Trace, Zone};
 use crate::travel::FlitPos;
@@ -143,6 +144,42 @@ impl StepScratch {
     }
 }
 
+/// The admissible move of flit `flit` of travel `i` under the policy's
+/// head-admission predicate, if any, ignoring the per-step bandwidth flags:
+/// the per-flit move rule every stepper, the move enumerator and the
+/// deadlock predicate share.
+///
+/// At most one move kind applies to a given flit: the preconditions of
+/// eject, advance, and enter are mutually exclusive (they inspect the flit's
+/// own position), so trying them in this order loses nothing.
+#[inline]
+pub fn flit_move<A: HeadAdmission + ?Sized>(
+    cfg: &Config,
+    i: usize,
+    flit: usize,
+    admission: &A,
+) -> Option<MoveKind> {
+    if cfg.can_eject_flit(i, flit) {
+        return Some(MoveKind::Eject);
+    }
+    if cfg.can_advance_flit(i, flit) {
+        if flit > 0 {
+            return Some(MoveKind::Advance);
+        }
+        let k = match cfg.travel(i).flit_pos(flit) {
+            FlitPos::InNetwork(k) => k,
+            _ => unreachable!("can_advance_flit implies an in-network flit"),
+        };
+        return admission
+            .admit(cfg, i, HeadMove::Advance { from: k })
+            .then_some(MoveKind::Advance);
+    }
+    if cfg.can_enter_flit(i, flit) {
+        return (flit > 0 || admission.admit(cfg, i, HeadMove::Entry)).then_some(MoveKind::Enter);
+    }
+    None
+}
+
 /// Performs all admissible moves for travel `i`, head to tail, honouring the
 /// per-step bandwidth flags in `scratch` and the policy's head-admission
 /// predicate. Returns the number of (entries, advances, ejections)
@@ -163,48 +200,39 @@ pub fn step_travel_with(
     let flit_count = cfg.travel(i).flit_count();
     let id = cfg.travel(i).id();
     for f in 0..flit_count {
-        if cfg.can_eject_flit(i, f) {
-            let port = cfg.travel(i).dest();
-            if scratch.may_eject(port) {
-                cfg.eject_flit(i, f)?;
-                scratch.mark_ejected(port);
-                trace.record(id, f, Zone::Port(port), Zone::Delivered);
-                report.ejections += 1;
+        let t = cfg.travel(i);
+        match flit_move(cfg, i, f, admission) {
+            Some(MoveKind::Eject) => {
+                let port = t.dest();
+                if scratch.may_eject(port) {
+                    cfg.eject_flit(i, f)?;
+                    scratch.mark_ejected(port);
+                    trace.record(id, f, Zone::Port(port), Zone::Delivered);
+                    report.ejections += 1;
+                }
             }
-            continue;
-        }
-        if cfg.can_advance_flit(i, f) {
-            let t = cfg.travel(i);
-            let k = match t.flit_pos(f) {
-                FlitPos::InNetwork(k) => k,
-                _ => unreachable!("can_advance_flit implies in-network"),
-            };
-            if f == 0 && !admission.admit(cfg, i, HeadMove::Advance { from: k }) {
-                continue;
+            Some(MoveKind::Advance) => {
+                let FlitPos::InNetwork(k) = t.flit_pos(f) else {
+                    unreachable!("an advance moves an in-network flit")
+                };
+                let (from, to) = (t.route()[k], t.route()[k + 1]);
+                if scratch.may_enter(to) {
+                    cfg.advance_flit(i, f)?;
+                    scratch.mark_entered(to);
+                    trace.record(id, f, Zone::Port(from), Zone::Port(to));
+                    report.advances += 1;
+                }
             }
-            let t = cfg.travel(i);
-            let from = t.route()[k];
-            let to = t.route()[k + 1];
-            if scratch.may_enter(to) {
-                cfg.advance_flit(i, f)?;
-                scratch.mark_entered(to);
-                trace.record(id, f, Zone::Port(from), Zone::Port(to));
-                report.advances += 1;
+            Some(MoveKind::Enter) => {
+                let port = t.route()[0];
+                if scratch.may_enter(port) {
+                    cfg.enter_flit(i, f)?;
+                    scratch.mark_entered(port);
+                    trace.record(id, f, Zone::Source, Zone::Port(port));
+                    report.entries += 1;
+                }
             }
-            continue;
-        }
-        if cfg.can_enter_flit(i, f) {
-            if f == 0 && !admission.admit(cfg, i, HeadMove::Entry) {
-                continue;
-            }
-            let port = cfg.travel(i).route()[0];
-            if scratch.may_enter(port) {
-                cfg.enter_flit(i, f)?;
-                scratch.mark_entered(port);
-                trace.record(id, f, Zone::Source, Zone::Port(port));
-                report.entries += 1;
-            }
-            continue;
+            None => {}
         }
     }
     Ok(report)
@@ -241,26 +269,7 @@ pub fn step_all(
 /// Whether some flit of travel `i` can move under the policy's admission
 /// rules (ignoring the per-step bandwidth flags).
 pub fn travel_can_move_with(cfg: &Config, i: usize, admission: &dyn HeadAdmission) -> bool {
-    let flit_count = cfg.travel(i).flit_count();
-    (0..flit_count).any(|f| {
-        if cfg.can_eject_flit(i, f) {
-            return true;
-        }
-        if cfg.can_advance_flit(i, f) {
-            if f > 0 {
-                return true;
-            }
-            let k = match cfg.travel(i).flit_pos(f) {
-                FlitPos::InNetwork(k) => k,
-                _ => unreachable!(),
-            };
-            return admission.admit(cfg, i, HeadMove::Advance { from: k });
-        }
-        if cfg.can_enter_flit(i, f) {
-            return f > 0 || admission.admit(cfg, i, HeadMove::Entry);
-        }
-        false
-    })
+    (0..cfg.travel(i).flit_count()).any(|f| flit_move(cfg, i, f, admission).is_some())
 }
 
 /// Whether any flit of any travel can move under the policy's admission

@@ -54,11 +54,6 @@ impl Trace {
         }
     }
 
-    /// Whether events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Sets the step number stamped on subsequent events.
     pub fn begin_step(&mut self, step: u64) {
         self.step = step;

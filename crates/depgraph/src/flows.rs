@@ -36,11 +36,6 @@ impl Flow {
     pub fn is_vertical(self) -> bool {
         matches!(self, Flow::Northern | Flow::Southern)
     }
-
-    /// Whether this is one of the two horizontal flows.
-    pub fn is_horizontal(self) -> bool {
-        matches!(self, Flow::Eastern | Flow::Western)
-    }
 }
 
 /// Classifies a mesh port into its flow.

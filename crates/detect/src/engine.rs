@@ -48,29 +48,28 @@ use crate::exact::ExactDetector;
 use crate::recovery::RecoveryPolicy;
 use crate::timeout::{TimeoutDetector, DEFAULT_THRESHOLD};
 
-/// Which detectors the engine runs and how hard it may try to recover.
+/// Which comparator the engine runs beside its exact wait-for detector (the
+/// exact detector always runs: it drives recovery when a policy is
+/// installed).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
-    /// Run the exact wait-for detector (drives recovery when a policy is
-    /// installed).
-    pub exact: bool,
     /// Run the timeout heuristic with this stall threshold as a comparator
     /// (`None` disables it).
     pub heuristic_threshold: Option<u64>,
-    /// Give up (and let the run end as a deadlock) after this many recovery
-    /// invocations — the safety valve against recovery that never converges.
-    pub max_recoveries: u64,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            exact: true,
             heuristic_threshold: Some(DEFAULT_THRESHOLD),
-            max_recoveries: 1024,
         }
     }
 }
+
+/// Recovery invocations after which the engine gives up and lets the run
+/// end as a deadlock — the safety valve against recovery that never
+/// converges.
+const MAX_RECOVERIES: u64 = 1024;
 
 /// One detection: when it happened and the cycle that was caught.
 #[derive(Clone, Debug)]
@@ -83,8 +82,7 @@ pub struct Detection {
 
 /// Online deadlock detection (and optional recovery) as a runner hook.
 pub struct DetectionEngine {
-    options: EngineOptions,
-    exact: Option<ExactDetector>,
+    exact: ExactDetector,
     heuristic: Option<TimeoutDetector>,
     policy: Option<Box<dyn RecoveryPolicy>>,
     staged: VecDeque<Travel>,
@@ -95,7 +93,7 @@ pub struct DetectionEngine {
 impl std::fmt::Debug for DetectionEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DetectionEngine")
-            .field("options", &self.options)
+            .field("heuristic", &self.heuristic.is_some())
             .field("policy", &self.policy.as_ref().map(|p| p.name()))
             .field("detections", &self.detections.len())
             .finish_non_exhaustive()
@@ -106,9 +104,8 @@ impl DetectionEngine {
     /// A detect-only engine: observes and records, never intervenes.
     pub fn detector(options: EngineOptions) -> Self {
         DetectionEngine {
-            exact: options.exact.then(ExactDetector::new),
+            exact: ExactDetector::new(),
             heuristic: options.heuristic_threshold.map(TimeoutDetector::new),
-            options,
             policy: None,
             staged: VecDeque::new(),
             detections: Vec::new(),
@@ -119,11 +116,7 @@ impl DetectionEngine {
     /// An engine that recovers through `policy` whenever the exact detector
     /// reports a cycle.
     pub fn with_policy(options: EngineOptions, policy: Box<dyn RecoveryPolicy>) -> Self {
-        let mut engine = DetectionEngine::detector(EngineOptions {
-            // Recovery needs the exact detector's cycles.
-            exact: true,
-            ..options
-        });
+        let mut engine = DetectionEngine::detector(options);
         engine.policy = Some(policy);
         engine
     }
@@ -189,10 +182,8 @@ impl DetectionEngine {
     ) -> Result<bool> {
         let mut acted = false;
         loop {
-            if self.stats.recoveries >= self.options.max_recoveries {
-                if let Some(d) = self.exact.as_mut() {
-                    d.cycle_stands();
-                }
+            if self.stats.recoveries >= MAX_RECOVERIES {
+                self.exact.cycle_stands();
                 return Ok(acted);
             }
             self.stats.recoveries += 1;
@@ -211,9 +202,7 @@ impl DetectionEngine {
                 self.staged.extend(outcome.staged);
                 // The configuration was rebuilt wholesale; stale detector
                 // state would mis-diff against it.
-                if let Some(d) = self.exact.as_mut() {
-                    d.reset();
-                }
+                self.exact.reset();
                 if let Some(h) = self.heuristic.as_mut() {
                     h.reset();
                 }
@@ -225,9 +214,7 @@ impl DetectionEngine {
                 }
                 None => {
                     // Repaired, and without transitions: the stored graph is void.
-                    if let Some(d) = self.exact.as_mut() {
-                        d.reset();
-                    }
+                    self.exact.reset();
                     return Ok(true);
                 }
             }
@@ -241,11 +228,9 @@ impl DetectionEngine {
     /// to repair still counts as genuine.
     fn handle(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<()> {
         self.observe_heuristic(cfg, step);
-        if let Some(detector) = self.exact.as_mut() {
-            if let Some(cycle) = detector.observe(cfg) {
-                self.record_detection(step, cycle.clone());
-                self.recover(net, cfg, step, cycle)?;
-            }
+        if let Some(cycle) = self.exact.observe(cfg) {
+            self.record_detection(step, cycle.clone());
+            self.recover(net, cfg, step, cycle)?;
         }
         Ok(())
     }
@@ -263,14 +248,13 @@ impl DetectionEngine {
         step: u64,
     ) -> Result<bool> {
         self.observe_heuristic(cfg, step);
-        let mut mutated = false;
-        if let Some(detector) = self.exact.as_mut() {
-            if let Some(cycle) = detector.apply_kernel_transitions(cfg, transitions) {
+        match self.exact.apply_kernel_transitions(cfg, transitions) {
+            Some(cycle) => {
                 self.record_detection(step, cycle.clone());
-                mutated = self.recover(net, cfg, step, cycle)?;
+                self.recover(net, cfg, step, cycle)
             }
+            None => Ok(false),
         }
-        Ok(mutated)
     }
 
     /// The timeout comparator contributes its first alarm only: after that it is not run.
@@ -460,7 +444,6 @@ mod tests {
     ) -> (DetectionEngine, SimResult) {
         let options = EngineOptions {
             heuristic_threshold: Some(threshold),
-            ..EngineOptions::default()
         };
         let mut engine = if recover {
             DetectionEngine::with_policy(options, Box::new(AbortAndEvacuate))
@@ -508,11 +491,7 @@ mod tests {
         let (engine, result) = recovering_run(8, 768, 32, Stepper::Arena);
         assert_eq!(result.run.outcome, Outcome::Evacuated);
         let detections = engine.detections().len() as u64;
-        let scans = engine
-            .exact
-            .as_ref()
-            .expect("recovery runs it")
-            .full_scans();
+        let scans = engine.exact.full_scans();
         assert!(detections >= 20, "only {detections} detections");
         assert!(
             scans <= detections && scans * 10 < result.run.steps,
@@ -536,7 +515,7 @@ mod tests {
         );
         assert_eq!(result.run.outcome, Outcome::Evacuated);
         assert!(!engine.fired(), "a clean run raises no alarm");
-        let exact = engine.exact.as_ref().expect("detect-only runs it");
+        let exact = &engine.exact;
         assert_eq!(exact.full_scans(), 0);
         assert!(
             exact.index_rebuilds() < result.run.steps,

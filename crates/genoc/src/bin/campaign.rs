@@ -115,12 +115,12 @@ fn metrics_snapshot(report: &CampaignReport) -> MetricsRegistry {
     reg.declare(
         "genoc_scenario_steps",
         MetricKind::Gauge,
-        "Switching steps of the scenario's instrumented probe run",
+        "Switching steps of the scenario's Theorem 2 run",
     );
     reg.declare(
         "genoc_scenario_flits_per_sec",
         MetricKind::Gauge,
-        "Delivered flits per wall-clock second of the probe run",
+        "Delivered flits per wall-clock second of the Theorem 2 run",
     );
     reg.declare(
         "genoc_scenario_blocked_peak",
@@ -148,10 +148,12 @@ fn metrics_snapshot(report: &CampaignReport) -> MetricsRegistry {
         "Records written to the scenario's event WAL",
     );
     for o in &report.outcomes {
-        let Some(m) = &o.metrics else { continue };
+        let (Some(t), Some(m)) = (&o.throughput, &o.metrics) else {
+            continue;
+        };
         let labels = [("scenario", o.name.as_str())];
-        reg.set("genoc_scenario_steps", &labels, m.steps as f64);
-        reg.set("genoc_scenario_flits_per_sec", &labels, m.flits_per_sec);
+        reg.set("genoc_scenario_steps", &labels, t.steps as f64);
+        reg.set("genoc_scenario_flits_per_sec", &labels, t.flits_per_sec);
         reg.set(
             "genoc_scenario_blocked_peak",
             &labels,

@@ -498,7 +498,6 @@ pub fn record_hunt(
     let mut hook = ObservedEngine::new(
         DetectionEngine::detector(EngineOptions {
             heuristic_threshold: None,
-            ..EngineOptions::default()
         }),
         Some(Rc::clone(&wal)),
     );

@@ -109,9 +109,7 @@ pub fn check_detection(
             seed,
         );
         let mut engine = DetectionEngine::detector(EngineOptions {
-            exact: true,
             heuristic_threshold: Some(options.heuristic_threshold),
-            ..EngineOptions::default()
         });
         let result = simulate_config(
             net,

@@ -9,7 +9,7 @@ use genoc_core::error::Result;
 use genoc_core::spec::MessageSpec;
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::theorems::{check_correctness, check_evacuation};
-use genoc_sim::runner::{simulate, SimOptions};
+use genoc_sim::runner::{simulate, SimOptions, SimResult};
 use genoc_switching::wormhole::WormholePolicy;
 
 use crate::instance::Instance;
@@ -43,6 +43,52 @@ impl Theorem2Report {
     pub fn holds(&self) -> bool {
         self.evacuated && self.correct
     }
+
+    /// Judges one finished run of `specs` on `instance` — evacuation and,
+    /// over the run's trace, correctness — with `sim_ms` the run's own wall
+    /// clock. The run must have recorded its trace
+    /// ([`SimOptions::record_trace`]). An adaptive instance's run follows
+    /// one selected route per message, and its notes say so.
+    pub fn judge(
+        instance: &Instance,
+        specs: &[MessageSpec],
+        sim: &SimResult,
+        sim_ms: f64,
+    ) -> Theorem2Report {
+        let run = &sim.run;
+        let evac = check_evacuation(&sim.injected, run);
+        let corr = check_correctness(instance.net.as_ref(), instance.routing.as_ref(), specs, run);
+        let mut notes = Vec::new();
+        if !evac.holds && instance.deterministic {
+            notes.push(format!(
+                "evacuation failed: outcome {:?}, {} missing, {} unexpected",
+                evac.outcome,
+                evac.missing.len(),
+                evac.unexpected.len()
+            ));
+        }
+        notes.extend(corr.violations.iter().cloned());
+        if !evac.holds {
+            notes.push(if instance.deterministic {
+                format!("run ended after {} steps", run.steps)
+            } else {
+                format!(
+                    "selection did not evacuate: outcome {:?} after {} steps",
+                    run.outcome, run.steps
+                )
+            });
+        }
+        Theorem2Report {
+            instance: instance.name.clone(),
+            messages: specs.len(),
+            steps: run.steps,
+            delivered_flits: run.config.delivered_flits(),
+            sim_ms,
+            evacuated: evac.holds,
+            correct: corr.holds(),
+            notes,
+        }
+    }
 }
 
 /// Runs `specs` on the instance under wormhole switching and checks
@@ -55,9 +101,8 @@ pub fn check_theorem2(instance: &Instance, specs: &[MessageSpec]) -> Result<Theo
     check_theorem2_with(instance, specs, &mut WormholePolicy::default())
 }
 
-/// Like [`check_theorem2`], but under an arbitrary switching policy — the
-/// entry point campaign scenarios use to exercise Theorem 2 under virtual
-/// cut-through and store-and-forward as well.
+/// Like [`check_theorem2`], but under an arbitrary switching policy: one
+/// traced run of `specs`, then [`Theorem2Report::judge`].
 ///
 /// # Errors
 ///
@@ -67,41 +112,20 @@ pub fn check_theorem2_with(
     specs: &[MessageSpec],
     policy: &mut dyn SwitchingPolicy,
 ) -> Result<Theorem2Report> {
-    let net = instance.net.as_ref();
-    let routing = instance.routing.as_ref();
     let options = SimOptions {
         record_trace: true,
         ..SimOptions::default()
     };
     let sim_start = std::time::Instant::now();
-    let result = simulate(net, routing, policy, specs, &options)?;
+    let sim = simulate(
+        instance.net.as_ref(),
+        instance.routing.as_ref(),
+        policy,
+        specs,
+        &options,
+    )?;
     let sim_ms = sim_start.elapsed().as_secs_f64() * 1e3;
-    let mut notes = Vec::new();
-
-    let evac = check_evacuation(&result.injected, &result.run);
-    if !evac.holds {
-        notes.push(format!(
-            "evacuation failed: outcome {:?}, {} missing, {} unexpected",
-            evac.outcome,
-            evac.missing.len(),
-            evac.unexpected.len()
-        ));
-    }
-    let corr = check_correctness(net, routing, specs, &result.run);
-    if !corr.holds() {
-        notes.extend(corr.violations.iter().cloned());
-    }
-    let delivered_flits = result.run.config.delivered_flits();
-    Ok(Theorem2Report {
-        instance: instance.name.clone(),
-        messages: specs.len(),
-        steps: result.run.steps,
-        delivered_flits,
-        sim_ms,
-        evacuated: evac.holds,
-        correct: corr.holds(),
-        notes,
-    })
+    Ok(Theorem2Report::judge(instance, specs, &sim, sim_ms))
 }
 
 #[cfg(test)]

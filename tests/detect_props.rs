@@ -39,9 +39,7 @@ fn check_detection_properties(
     let routing = instance.routing.as_ref();
     let graph = port_dependency_graph(net, routing);
     let mut engine = DetectionEngine::detector(EngineOptions {
-        exact: true,
         heuristic_threshold: Some(HEURISTIC_THRESHOLD),
-        ..EngineOptions::default()
     });
     let result = simulate_config(
         net,

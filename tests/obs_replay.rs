@@ -166,7 +166,6 @@ fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
     let mut hook = ObservedEngine::new(
         DetectionEngine::detector(EngineOptions {
             heuristic_threshold: None,
-            ..EngineOptions::default()
         }),
         Some(Rc::clone(&wal)),
     );
