@@ -111,13 +111,16 @@ impl WaitCycle {
 /// detection, which fires as the deadlock forms rather than when the whole
 /// network has seized.
 ///
+/// The search chases the blocked-on edges travel by travel, in travel
+/// order, and computes a travel's [`block_event`] when the chase first
+/// reaches it: a search that finds a cycle has evaluated the travels up to
+/// it and no further, and one that finds none has evaluated every travel
+/// once. Evaluating every event up front instead, as the search once did,
+/// gives the same witness in the same rotation.
+///
 /// [`cycle extraction from a full deadlock`]: crate::config::Config::any_move_possible
 pub fn find_wait_cycle(cfg: &Config) -> Option<WaitCycle> {
     let n = cfg.travels().len();
-    let mut events: Vec<Option<BlockEvent>> = Vec::with_capacity(n);
-    for i in 0..n {
-        events.push(block_event(cfg, i));
-    }
     // Dense index from message id to travel position, for following edges.
     let max_id = cfg
         .travels()
@@ -131,7 +134,7 @@ pub fn find_wait_cycle(cfg: &Config) -> Option<WaitCycle> {
     }
     // Functional-graph cycle chase: each blocked travel has at most one
     // out-edge (toward the owner of its wanted port), so a stamped walk
-    // visits every travel once.
+    // visits every travel once, and its event is computed on that visit.
     const WHITE: u8 = 0;
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
@@ -151,7 +154,9 @@ pub fn find_wait_cycle(cfg: &Config) -> Option<WaitCycle> {
             }
             color[cur] = GRAY;
             path.push(cur);
-            let next = events[cur].and_then(|e| e.on).map(|m| pos_of[m.index()]);
+            let next = block_event(cfg, cur)
+                .and_then(|e| e.on)
+                .map(|m| pos_of[m.index()]);
             match next {
                 Some(p) if p != usize::MAX => cur = p,
                 _ => break None,

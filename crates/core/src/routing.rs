@@ -100,6 +100,8 @@ pub fn compute_route(
 ) -> Result<Vec<PortId>> {
     let limit = 4 * net.port_count().max(4);
     let mut path = Vec::with_capacity(8);
+    // One hop buffer for the whole route, not one per hop.
+    let mut hops = Vec::with_capacity(4);
     path.push(source);
     let mut current = source;
     while current != dest {
@@ -110,7 +112,9 @@ pub fn compute_route(
                 limit,
             });
         }
-        let next = routing.next_hop(current, dest).ok_or(Error::NoRoute {
+        hops.clear();
+        routing.next_hops(current, dest, &mut hops);
+        let next = *hops.first().ok_or(Error::NoRoute {
             from: current,
             dest,
         })?;

@@ -8,7 +8,7 @@ use std::path::Path;
 use std::rc::Rc;
 use std::time::Instant;
 
-use genoc_core::blocking::block_events;
+use genoc_core::blocking::block_event;
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
 use genoc_core::interpreter::Outcome;
@@ -209,6 +209,13 @@ impl Recorder {
     }
 }
 
+/// Appends `ev` to `w`. Inlined where the record is built, so that the
+/// writer's dispatch on the kind folds away.
+#[inline(always)]
+fn put(w: &mut WalWriter, ev: &WalEvent) -> Result<()> {
+    w.append(ev).map_err(|e| io_err("append", e))
+}
+
 /// Maps a trace movement event to its WAL record.
 fn move_record(e: &Event) -> WalEvent {
     use genoc_core::moves::MoveKind;
@@ -270,9 +277,6 @@ impl RunObserver for Recorder {
             Some(wal) => {
                 // One borrow for the whole step's record burst.
                 let mut w = wal.borrow_mut();
-                let put = |w: &mut WalWriter, ev: &WalEvent| {
-                    w.append(ev).map_err(|e| io_err("append", e))
-                };
                 put(&mut w, &WalEvent::StepBegin { step })?;
                 for e in moves {
                     put(&mut w, &move_record(e))?;
@@ -343,8 +347,10 @@ impl RunObserver for Recorder {
         // snapshot barrier (replay resumes from here).
         self.blocked.iter_mut().for_each(|b| *b = false);
         self.blocked_count = 0;
-        for ev in block_events(cfg) {
-            self.block(ev.msg);
+        for i in 0..cfg.travels().len() {
+            if let Some(ev) = block_event(cfg, i) {
+                self.block(ev.msg);
+            }
         }
         self.blocked_peak = self.blocked_peak.max(self.blocked_count);
         self.snapshot(cfg, steps_done)

@@ -48,6 +48,31 @@
 //! records holding the full travel state so [`replay_to`](crate::replay_to)
 //! can seek without scanning from the start.
 //!
+//! ## Writing
+//!
+//! A recovering run writes hundreds of thousands of records, nearly all of
+//! them of the seven fixed-size kinds: `StepBegin` (8-byte payload), `Move`
+//! (13), `Transition` (9), `EdgeAdd` (12), `EdgeRemove` and `FreedPort` (4),
+//! and `RunEnd` (9). [`WalWriter::append`] frames one of those —
+//! `len | kind | payload | checksum` — in an array on the stack and hands it
+//! to the sink in one write; the other kinds are encoded into a scratch
+//! buffer the writer reuses. Both go through one encoder per kind, so a
+//! record's bytes do not depend on the path that wrote it. A file sink
+//! buffers 64 KiB between system calls.
+//!
+//! A snapshot holds every travel, and the arrived ones — most of a run's
+//! travels by its end — never change once they are in `A`. The writer keeps
+//! the encoded images of the arrived prefix it last wrote, with each one's
+//! id, flit count and route length, and
+//! [`append_snapshot`](WalWriter::append_snapshot) encodes only the travels
+//! that arrived since. The prefix is checked against `arrived` on every
+//! snapshot: a travel whose id, flit count or route length differs from the
+//! one kept in its place (an `A` reordered, shortened or replaced) has the
+//! whole arrived block encoded again from the travels, and a `RunStart`
+//! record empties the cache, since a second run reuses the first one's ids.
+//! Debug builds assert that the block equals a fresh encoding on every
+//! snapshot.
+//!
 //! ## Reading
 //!
 //! A recorded log is hundreds of thousands of records and a replay reads a
@@ -356,6 +381,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The record checksum of format version 2 (module doc, "Checksum").
+#[inline]
 fn checksum(kind: u8, payload: &[u8]) -> u64 {
     let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
     let mut h = fold(FNV_OFFSET, u64::from(kind));
@@ -381,18 +407,27 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_ports(buf: &mut Vec<u8>, ports: &[PortId]) {
-    put_u32(buf, ports.len() as u32);
-    for p in ports {
-        put_u32(buf, p.index() as u32);
+/// A `u32` count `n` and the `n` words `words` yields, written into one
+/// resize of `buf` rather than pushed one by one: a snapshot is some
+/// twenty thousand of them.
+fn put_counted(buf: &mut Vec<u8>, n: usize, words: impl Iterator<Item = u32>) {
+    put_u32(buf, n as u32);
+    let at = buf.len();
+    buf.resize(at + 4 * n, 0);
+    let mut written = 0;
+    for (slot, w) in buf[at..].chunks_exact_mut(4).zip(words) {
+        slot.copy_from_slice(&w.to_le_bytes());
+        written += 1;
     }
+    debug_assert_eq!(written, n, "the words fill their count");
+}
+
+fn put_ports(buf: &mut Vec<u8>, ports: &[PortId]) {
+    put_counted(buf, ports.len(), ports.iter().map(|p| p.index() as u32));
 }
 
 fn put_msgs(buf: &mut Vec<u8>, msgs: &[MsgId]) {
-    put_u32(buf, msgs.len() as u32);
-    for m in msgs {
-        put_u32(buf, m.index() as u32);
-    }
+    put_counted(buf, msgs.len(), msgs.iter().map(|m| m.index() as u32));
 }
 
 fn flit_pos_code(pos: FlitPos) -> u32 {
@@ -411,6 +446,19 @@ fn flit_pos_decode(code: u32) -> FlitPos {
     }
 }
 
+/// The image of travel `t` in a snapshot payload.
+fn put_travel(buf: &mut Vec<u8>, t: &Travel) {
+    let at = buf.len();
+    put_image(buf, t.id(), t.route(), t.flit_count(), t.flit_positions());
+    debug_assert_eq!(buf.len() - at, image_len(t));
+}
+
+/// Bytes of travel `t`'s image: id, route length, flit count, then one word
+/// per port and per flit.
+fn image_len(t: &Travel) -> usize {
+    12 + 4 * (t.route().len() + t.flit_count())
+}
+
 /// One travel's image in a snapshot payload; `positions` yields `flits` items.
 fn put_image(
     buf: &mut Vec<u8>,
@@ -421,10 +469,7 @@ fn put_image(
 ) {
     put_u32(buf, id.index() as u32);
     put_ports(buf, route);
-    put_u32(buf, flits as u32);
-    for pos in positions {
-        put_u32(buf, flit_pos_code(pos));
-    }
+    put_counted(buf, flits, positions.map(flit_pos_code));
 }
 
 fn routing_index(kind: RoutingKind) -> u8 {
@@ -441,8 +486,110 @@ fn switching_index(kind: SwitchingKind) -> u8 {
         .expect("SwitchingKind::ALL is exhaustive") as u8
 }
 
+/// Bytes of a frame in front of its payload: `len: u32 | kind: u8`.
+const FRAME_HEADER: usize = 5;
+/// Bytes of a frame behind its payload: the checksum.
+const FRAME_TRAILER: usize = 8;
+/// The longest frame of a fixed-size kind (`Move`'s 13-byte payload).
+const FIXED_FRAME_MAX: usize = FRAME_HEADER + 13 + FRAME_TRAILER;
+
+/// Where the payload of a fixed-size record goes: an array of its kind's
+/// length, so that framing and checksumming it compile to straight-line
+/// code.
+trait FixedPayload {
+    /// What taking the payload yields.
+    type Out;
+    /// Takes the `N`-byte payload of a record of `kind`.
+    fn take<const N: usize>(self, kind: u8, payload: [u8; N]) -> Self::Out;
+}
+
+/// `parts` back to back in an array of their total length `N`.
+#[inline(always)]
+fn concat<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
+    let mut out = [0; N];
+    let mut at = 0;
+    for part in parts {
+        out[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    debug_assert_eq!(at, N, "the parts fill the payload");
+    out
+}
+
+/// The one encoder of the fixed-size kinds (module doc, "Writing"): hands
+/// `ev`'s payload to `out`; `None` for the other kinds.
+#[inline(always)]
+fn encode_fixed<O: FixedPayload>(ev: &WalEvent, out: O) -> Option<O::Out> {
+    let id = |i: usize| (i as u32).to_le_bytes();
+    Some(match *ev {
+        WalEvent::StepBegin { step } => out.take(KIND_STEP_BEGIN, step.to_le_bytes()),
+        WalEvent::Move {
+            msg,
+            flit,
+            kind,
+            port,
+        } => {
+            let code = match kind {
+                MoveKind::Enter => 0,
+                MoveKind::Advance => 1,
+                MoveKind::Eject => 2,
+            };
+            let parts = [
+                &id(msg.index())[..],
+                &flit.to_le_bytes(),
+                &[code],
+                &id(port.index()),
+            ];
+            out.take::<13>(KIND_MOVE, concat(&parts))
+        }
+        WalEvent::Transition { msg, status } => {
+            let (code, port) = match status {
+                TravelStatus::Pending => (0u8, NONE_SENTINEL),
+                TravelStatus::Active => (1, NONE_SENTINEL),
+                TravelStatus::Blocked(q) => (2, q.index() as u32),
+                TravelStatus::Delivered => (3, NONE_SENTINEL),
+            };
+            let parts = [&id(msg.index())[..], &[code], &port.to_le_bytes()];
+            out.take::<9>(KIND_TRANSITION, concat(&parts))
+        }
+        WalEvent::FreedPort { port } => out.take(KIND_FREED_PORT, id(port.index())),
+        WalEvent::EdgeAdd { msg, wants, on } => {
+            let on = on.map_or(NONE_SENTINEL, |m| m.index() as u32);
+            let parts = [&id(msg.index())[..], &id(wants.index()), &on.to_le_bytes()];
+            out.take::<12>(KIND_EDGE_ADD, concat(&parts))
+        }
+        WalEvent::EdgeRemove { msg } => out.take(KIND_EDGE_REMOVE, id(msg.index())),
+        WalEvent::RunEnd { outcome, steps } => {
+            let code = match outcome {
+                Outcome::Evacuated => 0,
+                Outcome::Deadlock => 1,
+                Outcome::StepLimit => 2,
+            };
+            out.take::<9>(KIND_RUN_END, concat(&[&[code], &steps.to_le_bytes()]))
+        }
+        WalEvent::RunStart { .. }
+        | WalEvent::Inject { .. }
+        | WalEvent::Detection { .. }
+        | WalEvent::Recovery { .. }
+        | WalEvent::Snapshot { .. } => return None,
+    })
+}
+
+/// A payload appended to a buffer, yielding its kind.
+impl FixedPayload for &mut Vec<u8> {
+    type Out = u8;
+
+    fn take<const N: usize>(self, kind: u8, payload: [u8; N]) -> u8 {
+        self.extend_from_slice(&payload);
+        kind
+    }
+}
+
 /// Appends `ev`'s payload to `p` and returns its record kind.
 fn encode_into(ev: &WalEvent, p: &mut Vec<u8>) -> u8 {
+    if let Some(kind) = encode_fixed(ev, &mut *p) {
+        return kind;
+    }
     match ev {
         WalEvent::RunStart {
             version,
@@ -471,52 +618,6 @@ fn encode_into(ev: &WalEvent, p: &mut Vec<u8>) -> u8 {
             put_ports(p, route);
             KIND_INJECT
         }
-        WalEvent::StepBegin { step } => {
-            put_u64(p, *step);
-            KIND_STEP_BEGIN
-        }
-        WalEvent::Move {
-            msg,
-            flit,
-            kind,
-            port,
-        } => {
-            put_u32(p, msg.index() as u32);
-            put_u32(p, *flit);
-            p.push(match kind {
-                MoveKind::Enter => 0,
-                MoveKind::Advance => 1,
-                MoveKind::Eject => 2,
-            });
-            put_u32(p, port.index() as u32);
-            KIND_MOVE
-        }
-        WalEvent::Transition { msg, status } => {
-            put_u32(p, msg.index() as u32);
-            let (code, port) = match status {
-                TravelStatus::Pending => (0u8, NONE_SENTINEL),
-                TravelStatus::Active => (1, NONE_SENTINEL),
-                TravelStatus::Blocked(q) => (2, q.index() as u32),
-                TravelStatus::Delivered => (3, NONE_SENTINEL),
-            };
-            p.push(code);
-            put_u32(p, port);
-            KIND_TRANSITION
-        }
-        WalEvent::FreedPort { port } => {
-            put_u32(p, port.index() as u32);
-            KIND_FREED_PORT
-        }
-        WalEvent::EdgeAdd { msg, wants, on } => {
-            put_u32(p, msg.index() as u32);
-            put_u32(p, wants.index() as u32);
-            put_u32(p, on.map_or(NONE_SENTINEL, |m| m.index() as u32));
-            KIND_EDGE_ADD
-        }
-        WalEvent::EdgeRemove { msg } => {
-            put_u32(p, msg.index() as u32);
-            KIND_EDGE_REMOVE
-        }
         WalEvent::Detection { step, msgs, ports } => {
             put_u64(p, *step);
             put_msgs(p, msgs);
@@ -537,15 +638,13 @@ fn encode_into(ev: &WalEvent, p: &mut Vec<u8>) -> u8 {
             p.extend_from_slice(&images.block);
             KIND_SNAPSHOT
         }
-        WalEvent::RunEnd { outcome, steps } => {
-            p.push(match outcome {
-                Outcome::Evacuated => 0,
-                Outcome::Deadlock => 1,
-                Outcome::StepLimit => 2,
-            });
-            put_u64(p, *steps);
-            KIND_RUN_END
-        }
+        WalEvent::StepBegin { .. }
+        | WalEvent::Move { .. }
+        | WalEvent::Transition { .. }
+        | WalEvent::FreedPort { .. }
+        | WalEvent::EdgeAdd { .. }
+        | WalEvent::EdgeRemove { .. }
+        | WalEvent::RunEnd { .. } => unreachable!("encode_fixed encodes the fixed-size kinds"),
     }
 }
 
@@ -791,33 +890,109 @@ enum Sink {
     File(BufWriter<File>),
 }
 
+/// Bytes a file sink buffers between system calls: a recovering run's log
+/// is tens of megabytes of records of at most 26 bytes.
+const FILE_BUFFER: usize = 64 * 1024;
+
+/// A fixed-size record framed on the stack and written in one call.
+impl FixedPayload for &mut WalWriter {
+    type Out = io::Result<()>;
+
+    #[inline(always)]
+    fn take<const N: usize>(self, kind: u8, payload: [u8; N]) -> io::Result<()> {
+        let mut frame = [0; FIXED_FRAME_MAX];
+        frame[..4].copy_from_slice(&(N as u32).to_le_bytes());
+        frame[4] = kind;
+        frame[FRAME_HEADER..FRAME_HEADER + N].copy_from_slice(&payload);
+        let sum = checksum(kind, &payload).to_le_bytes();
+        frame[FRAME_HEADER + N..FRAME_HEADER + N + FRAME_TRAILER].copy_from_slice(&sum);
+        self.write_record(&frame[..FRAME_HEADER + N + FRAME_TRAILER])
+    }
+}
+
+/// The images of the arrived travels the last snapshot wrote, kept encoded
+/// (module doc, "Writing").
+#[derive(Default)]
+struct ArrivedImages {
+    /// `id | flit count | route length` of each travel in `block`, in order.
+    keys: Vec<[u32; 3]>,
+    /// Their images, back to back, as a snapshot payload holds them.
+    block: Vec<u8>,
+}
+
+impl ArrivedImages {
+    fn key(t: &Travel) -> [u32; 3] {
+        let id = t.id().index() as u32;
+        [id, t.flit_count() as u32, t.route().len() as u32]
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.block.clear();
+    }
+
+    /// The encoded images of `arrived`: the kept prefix when every kept key
+    /// matches the travel in its place, and the images of the travels past
+    /// it encoded and kept; otherwise all of them encoded afresh. The run's
+    /// `travels`, whose images take `bytes`, bound what arrives.
+    fn update(&mut self, arrived: &[Travel], travels: usize, bytes: usize) -> &[u8] {
+        let kept = self.keys.len() <= arrived.len()
+            && (self.keys.iter().zip(arrived)).all(|(k, t)| *k == ArrivedImages::key(t));
+        if !kept {
+            self.clear();
+        }
+        self.keys
+            .reserve_exact(travels.saturating_sub(self.keys.len()));
+        self.block
+            .reserve_exact(bytes.saturating_sub(self.block.len()));
+        for t in &arrived[self.keys.len()..] {
+            self.keys.push(ArrivedImages::key(t));
+            put_travel(&mut self.block, t);
+        }
+        debug_assert!(
+            {
+                let mut fresh = Vec::with_capacity(self.block.len());
+                arrived.iter().for_each(|t| put_travel(&mut fresh, t));
+                fresh == self.block
+            },
+            "the kept arrived images differ from a fresh encoding"
+        );
+        &self.block
+    }
+}
+
 /// Append-only WAL writer over a file or an in-memory buffer, counting the
 /// bytes and records written (the `wal_bytes`/`wal_records` metrics).
 pub struct WalWriter {
     sink: Sink,
     bytes: u64,
     records: u64,
-    /// The one scratch buffer, reused across appends (a recording logs
-    /// hundreds of thousands of small records): a record is encoded into it
-    /// behind [`FRAME_HEADER`] reserved bytes, framed there, and written
-    /// from it.
+    /// The scratch buffer of the kinds that are not fixed-size, reused
+    /// across appends: a record is encoded into it behind [`FRAME_HEADER`]
+    /// reserved bytes, framed there, and written from it.
     frame: Vec<u8>,
+    arrived: ArrivedImages,
 }
 
-/// Bytes of a frame in front of its payload: `len: u32 | kind: u8`.
-const FRAME_HEADER: usize = 5;
-
 impl WalWriter {
-    /// A writer appending to an in-memory buffer (tests, doc examples).
-    pub fn in_memory() -> WalWriter {
+    fn new(sink: Sink) -> io::Result<WalWriter> {
         let mut w = WalWriter {
-            sink: Sink::Mem(Vec::new()),
+            sink,
             bytes: 0,
             records: 0,
             frame: Vec::new(),
+            arrived: ArrivedImages::default(),
         };
-        w.write_header().expect("in-memory writes cannot fail");
-        w
+        let mut header = [0; RECORDS_AT];
+        header[..8].copy_from_slice(&WAL_MAGIC);
+        header[8..].copy_from_slice(&WAL_VERSION.to_le_bytes());
+        w.write_all(&header)?;
+        Ok(w)
+    }
+
+    /// A writer appending to an in-memory buffer (tests, doc examples).
+    pub fn in_memory() -> WalWriter {
+        WalWriter::new(Sink::Mem(Vec::new())).expect("in-memory writes cannot fail")
     }
 
     /// A writer creating `path` (and its parent directories).
@@ -831,29 +1006,25 @@ impl WalWriter {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let mut w = WalWriter {
-            sink: Sink::File(BufWriter::new(File::create(path)?)),
-            bytes: 0,
-            records: 0,
-            frame: Vec::new(),
-        };
-        w.write_header()?;
-        Ok(w)
+        let file = File::create(path)?;
+        WalWriter::new(Sink::File(BufWriter::with_capacity(FILE_BUFFER, file)))
     }
 
-    fn write_header(&mut self) -> io::Result<()> {
-        let mut header = Vec::with_capacity(12);
-        header.extend_from_slice(&WAL_MAGIC);
-        put_u32(&mut header, WAL_VERSION);
-        self.write_all(&header)
-    }
-
+    #[inline]
     fn write_all(&mut self, data: &[u8]) -> io::Result<()> {
         match &mut self.sink {
             Sink::Mem(buf) => buf.extend_from_slice(data),
             Sink::File(f) => f.write_all(data)?,
         }
         self.bytes += data.len() as u64;
+        Ok(())
+    }
+
+    /// Writes one whole frame and counts it.
+    #[inline]
+    fn write_record(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.write_all(frame)?;
+        self.records += 1;
         Ok(())
     }
 
@@ -865,19 +1036,37 @@ impl WalWriter {
         frame
     }
 
-    /// Appends one framed, checksummed record.
+    /// Appends one framed, checksummed record: a fixed-size kind framed on
+    /// the stack, any other in the scratch buffer (module doc, "Writing").
     ///
     /// # Errors
     ///
     /// Propagates write errors.
+    #[inline]
     pub fn append(&mut self, ev: &WalEvent) -> io::Result<()> {
+        match encode_fixed(ev, &mut *self) {
+            Some(written) => written,
+            None => self.append_framed(ev),
+        }
+    }
+
+    /// [`append`](WalWriter::append) for the kinds that are not fixed-size,
+    /// kept out of line so that `append` inlines where a fixed-size record
+    /// is built.
+    #[inline(never)]
+    fn append_framed(&mut self, ev: &WalEvent) -> io::Result<()> {
+        if let WalEvent::RunStart { .. } = ev {
+            // A new run reuses the last one's message ids.
+            self.arrived.clear();
+        }
         let mut frame = self.open_frame();
         let kind = encode_into(ev, &mut frame);
         self.write_frame(kind, frame)
     }
 
     /// Appends the [`WalEvent::Snapshot`] record of the travels in flight
-    /// and arrived, encoded straight from them: byte for byte what
+    /// and arrived, encoded straight from them — the arrived ones only since
+    /// the last snapshot (module doc, "Writing"): byte for byte what
     /// [`append`](WalWriter::append) writes for the event holding their
     /// [`TravelImage`]s, without building those.
     ///
@@ -890,15 +1079,20 @@ impl WalWriter {
         inflight: &[Travel],
         arrived: &[Travel],
     ) -> io::Result<()> {
+        // Both buffers are reserved to size once rather than grown by
+        // doubling, which left a recovering run's process ≈ 2 MB more
+        // resident through the allocator's thresholds.
+        let images: usize = inflight.iter().chain(arrived).map(image_len).sum();
         let mut frame = self.open_frame();
+        frame.reserve_exact(8 + 4 + images + 4 + FRAME_TRAILER);
         put_u64(&mut frame, step);
-        for travels in [inflight, arrived] {
-            put_u32(&mut frame, travels.len() as u32);
-            for t in travels {
-                let positions = t.flit_positions();
-                put_image(&mut frame, t.id(), t.route(), t.flit_count(), positions);
-            }
+        put_u32(&mut frame, inflight.len() as u32);
+        for t in inflight {
+            put_travel(&mut frame, t);
         }
+        put_u32(&mut frame, arrived.len() as u32);
+        let travels = inflight.len() + arrived.len();
+        frame.extend_from_slice(self.arrived.update(arrived, travels, images));
         self.write_frame(KIND_SNAPSHOT, frame)
     }
 
@@ -912,11 +1106,8 @@ impl WalWriter {
         frame[4] = kind;
         let checksum = checksum(kind, &frame[FRAME_HEADER..]);
         put_u64(&mut frame, checksum);
-        let result = self.write_all(&frame);
+        let result = self.write_record(&frame);
         self.frame = frame;
-        if result.is_ok() {
-            self.records += 1;
-        }
         result
     }
 
@@ -1295,6 +1486,179 @@ mod tests {
         assert_eq!(log.version, WAL_VERSION);
         assert!(log.damage.is_none(), "{:?}", log.damage);
         assert_eq!(log.events.iter().collect::<Vec<_>>(), events);
+    }
+
+    /// One frame of each fixed-size kind, as literal bytes written by the
+    /// writer before it framed these kinds on the stack: every `MoveKind`,
+    /// every `TravelStatus`, `on: None`, and ids at and next to
+    /// `NONE_SENTINEL`.
+    #[test]
+    fn fixed_size_frames_are_pinned() {
+        let (m, p) = (MsgId::from_index, PortId::from_index);
+        let max = NONE_SENTINEL as usize;
+        #[rustfmt::skip]
+        let pinned: [(WalEvent, &[u8]); 16] = [
+            (WalEvent::StepBegin { step: 0x0102_0304_0506_0708 }, &[
+                0x08, 0x00, 0x00, 0x00, 0x03, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02,
+                0x01, 0xce, 0xf1, 0xba, 0x33, 0xdc, 0xf6, 0xce, 0x64]),
+            (WalEvent::StepBegin { step: u64::MAX }, &[
+                0x08, 0x00, 0x00, 0x00, 0x03, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                0xff, 0xea, 0xe8, 0x03, 0x91, 0xe7, 0x14, 0x06, 0x1e]),
+            (WalEvent::Move { msg: m(0), flit: 0, kind: MoveKind::Enter, port: p(1) }, &[
+                0x0d, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6c, 0x31, 0xc7, 0x8b, 0x5e, 0xc1,
+                0xd4, 0xc9]),
+            (WalEvent::Move { msg: m(7), flit: 3, kind: MoveKind::Advance, port: p(max - 1) }, &[
+                0x0d, 0x00, 0x00, 0x00, 0x04, 0x07, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+                0x00, 0x01, 0xfe, 0xff, 0xff, 0xff, 0x3e, 0x5e, 0x45, 0xa8, 0xa0, 0xf0,
+                0x49, 0x1e]),
+            (WalEvent::Move {
+                msg: m(max - 1), flit: NONE_SENTINEL, kind: MoveKind::Eject, port: p(0x0102_0304),
+            }, &[
+                0x0d, 0x00, 0x00, 0x00, 0x04, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                0xff, 0x02, 0x04, 0x03, 0x02, 0x01, 0xeb, 0x63, 0xd8, 0x51, 0x0d, 0x3e,
+                0x29, 0x57]),
+            (WalEvent::Transition { msg: m(1), status: TravelStatus::Pending }, &[
+                0x09, 0x00, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff,
+                0xff, 0xff, 0x02, 0xda, 0x9c, 0xfa, 0x55, 0x99, 0x5b, 0x0b]),
+            (WalEvent::Transition { msg: m(2), status: TravelStatus::Active }, &[
+                0x09, 0x00, 0x00, 0x00, 0x05, 0x02, 0x00, 0x00, 0x00, 0x01, 0xff, 0xff,
+                0xff, 0xff, 0x16, 0x97, 0x93, 0xe2, 0x00, 0x5d, 0xf8, 0x1a]),
+            (WalEvent::Transition { msg: m(3), status: TravelStatus::Blocked(p(max - 1)) }, &[
+                0x09, 0x00, 0x00, 0x00, 0x05, 0x03, 0x00, 0x00, 0x00, 0x02, 0xfe, 0xff,
+                0xff, 0xff, 0xaa, 0x17, 0x86, 0xbd, 0xab, 0x99, 0x96, 0x42]),
+            (WalEvent::Transition { msg: m(max - 1), status: TravelStatus::Delivered }, &[
+                0x09, 0x00, 0x00, 0x00, 0x05, 0xfe, 0xff, 0xff, 0xff, 0x03, 0xff, 0xff,
+                0xff, 0xff, 0xdc, 0x9c, 0x7c, 0xd1, 0xde, 0xcd, 0xf2, 0xd6]),
+            (WalEvent::FreedPort { port: p(max) }, &[
+                0x04, 0x00, 0x00, 0x00, 0x06, 0xff, 0xff, 0xff, 0xff, 0x2a, 0xda, 0xed,
+                0xac, 0x68, 0x2b, 0x50, 0x31]),
+            (WalEvent::EdgeAdd { msg: m(5), wants: p(9), on: None }, &[
+                0x0c, 0x00, 0x00, 0x00, 0x07, 0x05, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00,
+                0x00, 0xff, 0xff, 0xff, 0xff, 0xa9, 0xdd, 0x3b, 0x85, 0x53, 0x93, 0xb3,
+                0xf6]),
+            (WalEvent::EdgeAdd { msg: m(max - 1), wants: p(max), on: Some(m(max - 1)) }, &[
+                0x0c, 0x00, 0x00, 0x00, 0x07, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                0xff, 0xfe, 0xff, 0xff, 0xff, 0x55, 0x01, 0xad, 0x51, 0xff, 0x28, 0x5a,
+                0xf5]),
+            (WalEvent::EdgeRemove { msg: m(0x0102_0304) }, &[
+                0x04, 0x00, 0x00, 0x00, 0x08, 0x04, 0x03, 0x02, 0x01, 0x36, 0x91, 0x89,
+                0x68, 0x01, 0x59, 0xf1, 0xed]),
+            (WalEvent::RunEnd { outcome: Outcome::Evacuated, steps: 0 }, &[
+                0x09, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0xbe, 0x3f, 0xb5, 0x3b, 0xa0, 0x2d, 0x10, 0xcd]),
+            (WalEvent::RunEnd { outcome: Outcome::Deadlock, steps: 2395 }, &[
+                0x09, 0x00, 0x00, 0x00, 0x0c, 0x01, 0x5b, 0x09, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x11, 0xcf, 0x15, 0xb3, 0xb8, 0xc7, 0x23, 0xf3]),
+            (WalEvent::RunEnd { outcome: Outcome::StepLimit, steps: u64::MAX }, &[
+                0x09, 0x00, 0x00, 0x00, 0x0c, 0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                0xff, 0xff, 0x6f, 0xf0, 0xa8, 0xab, 0x60, 0x84, 0xca, 0x0c]),
+        ];
+        for (ev, frame) in pinned {
+            let mut w = WalWriter::in_memory();
+            w.append(&ev).unwrap();
+            let bytes = w.finish().unwrap().unwrap();
+            assert_eq!(&bytes[RECORDS_AT..], frame, "{ev:?}");
+            // The buffer path encodes the same payload.
+            let mut payload = Vec::new();
+            assert_eq!(encode_into(&ev, &mut payload), frame[4], "{ev:?}");
+            assert_eq!(payload, frame[FRAME_HEADER..frame.len() - FRAME_TRAILER]);
+            assert_eq!(
+                read_wal_bytes(&bytes).events.iter().collect::<Vec<_>>(),
+                [ev]
+            );
+        }
+    }
+
+    /// A writer that kept the arrived images of its last snapshot writes
+    /// every snapshot byte for byte as a fresh writer does, through arrivals,
+    /// an abort, an `A` that `reseat` put in another order, and a second run
+    /// whose ids, flit counts and route lengths are the first one's.
+    #[test]
+    fn a_kept_snapshot_is_byte_identical_to_a_fresh_one() {
+        use genoc_core::config::Config;
+        use genoc_core::line::{LineNetwork, LineRouting};
+        use genoc_core::spec::MessageSpec;
+        use genoc_core::NodeId;
+
+        let net = LineNetwork::new(4, 1);
+        let routing = LineRouting::new(&net);
+        let config = |pairs: &[(usize, usize, usize)]| {
+            let specs: Vec<MessageSpec> = (pairs.iter())
+                .map(|&(s, d, f)| MessageSpec::new(NodeId::from_index(s), NodeId::from_index(d), f))
+                .collect();
+            Config::from_specs(&net, &routing, &specs).unwrap()
+        };
+        // Carries the one-flit travel with id `id` to its destination.
+        let deliver = |cfg: &mut Config, id: usize| {
+            let i = (cfg.travels().iter())
+                .position(|t| t.id().index() == id)
+                .unwrap();
+            cfg.enter_flit(i, 0).unwrap();
+            while cfg.eject_flit(i, 0).is_err() {
+                cfg.advance_flit(i, 0).unwrap();
+            }
+            assert_eq!(cfg.drain_arrived(), [MsgId::from_index(id)]);
+        };
+        let arrived =
+            |cfg: &Config| -> Vec<usize> { cfg.arrived().iter().map(|t| t.id().index()).collect() };
+        let start = |seed| WalEvent::RunStart {
+            version: WAL_VERSION,
+            seed,
+            meta: None,
+        };
+
+        let mut kept = WalWriter::in_memory();
+        let mut fresh: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut snapshot = |w: &mut WalWriter, cfg: &Config| {
+            let at = w.bytes_written();
+            w.append_snapshot(at, cfg.travels(), cfg.arrived()).unwrap();
+            let mut alone = WalWriter::in_memory();
+            alone
+                .append_snapshot(at, cfg.travels(), cfg.arrived())
+                .unwrap();
+            let bytes = alone.finish().unwrap().unwrap();
+            fresh.push((at, bytes[RECORDS_AT..].to_vec()));
+        };
+
+        kept.append(&start(1)).unwrap();
+        let mut cfg = config(&[(0, 1, 1), (0, 3, 2), (2, 3, 1), (3, 0, 1), (1, 2, 1)]);
+        snapshot(&mut kept, &cfg);
+        deliver(&mut cfg, 2);
+        snapshot(&mut kept, &cfg);
+        deliver(&mut cfg, 0);
+        // Travel 1's head in the network, its tail pending.
+        cfg.enter_flit(0, 0).unwrap();
+        assert_eq!(arrived(&cfg), [2, 0]);
+        snapshot(&mut kept, &cfg);
+        cfg.remove_travel(MsgId::from_index(3)).unwrap();
+        snapshot(&mut kept, &cfg);
+        let key = cfg.position_key();
+        cfg.reseat(&key).unwrap();
+        assert_eq!(arrived(&cfg), [0, 2]);
+        snapshot(&mut kept, &cfg);
+        deliver(&mut cfg, 4);
+        snapshot(&mut kept, &cfg);
+
+        // The arrived travels have the first run's ids, flit counts and
+        // route lengths, in its order, on other routes.
+        kept.append(&start(2)).unwrap();
+        let mut cfg = config(&[(1, 2, 1), (0, 3, 2), (1, 0, 1), (3, 0, 1), (2, 1, 1)]);
+        for id in [0, 2, 4] {
+            deliver(&mut cfg, id);
+        }
+        snapshot(&mut kept, &cfg);
+
+        let log = kept.finish().unwrap().unwrap();
+        for (at, frame) in fresh {
+            let at = at as usize;
+            assert_eq!(
+                log[at..at + frame.len()],
+                frame,
+                "the snapshot at byte {at}"
+            );
+        }
+        assert!(read_wal_bytes(&log).damage.is_none());
     }
 
     #[test]

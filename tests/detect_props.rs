@@ -6,8 +6,11 @@
 //! ends in the interpreter's deadlock predicate `Ω`, every reported
 //! blocked-port cycle is a cycle of the statically built port dependency
 //! graph, detection is never later than `Ω`, and the timeout heuristic has
-//! no false negatives against the exact detector.
+//! no false negatives against the exact detector. The wait-cycle search
+//! itself, which evaluates blocking events as its chase reaches them, is
+//! held to the search that evaluated them all first.
 
+use genoc::core::blocking::{block_event, expand_port_cycle};
 use genoc::depgraph::cycle::is_cycle_of;
 use genoc::prelude::*;
 use proptest::collection::vec;
@@ -117,6 +120,160 @@ proptest! {
     fn dateline_torus_never_alarms(specs in workload_strategy(12, 24, 5)) {
         check_detection_properties(&Instance::torus_dor_dateline(4, 3, 1), &specs)?;
     }
+}
+
+/// The wait-cycle search as it was before it evaluated blocking events
+/// lazily: every travel's event first, then the functional-graph chase from
+/// each travel in order. Kept as the oracle of `find_wait_cycle`.
+fn eager_wait_cycle(cfg: &Config) -> Option<WaitCycle> {
+    let n = cfg.travels().len();
+    let events: Vec<Option<BlockEvent>> = (0..n).map(|i| block_event(cfg, i)).collect();
+    let max_id = cfg.travels().iter().map(|t| t.id().index()).max();
+    let mut pos_of = vec![usize::MAX; max_id.unwrap_or(0) + 1];
+    for (i, t) in cfg.travels().iter().enumerate() {
+        pos_of[t.id().index()] = i;
+    }
+    let (white, gray, black) = (0u8, 1u8, 2u8);
+    let mut color = vec![white; n];
+    let mut path: Vec<usize> = Vec::new();
+    for start in 0..n {
+        if color[start] != white {
+            continue;
+        }
+        path.clear();
+        let mut cur = start;
+        let cycle_at = loop {
+            if color[cur] == gray {
+                break Some(cur);
+            }
+            if color[cur] == black {
+                break None;
+            }
+            color[cur] = gray;
+            path.push(cur);
+            match events[cur].and_then(|e| e.on).map(|m| pos_of[m.index()]) {
+                Some(p) if p != usize::MAX => cur = p,
+                _ => break None,
+            }
+        };
+        for &p in &path {
+            color[p] = black;
+        }
+        if let Some(at) = cycle_at {
+            let from = path
+                .iter()
+                .position(|&p| p == at)
+                .expect("gray is on the path");
+            let msgs: Vec<MsgId> = path[from..].iter().map(|&p| cfg.travel(p).id()).collect();
+            let ports = expand_port_cycle(cfg, &msgs).ok()?;
+            return Some(WaitCycle { msgs, ports });
+        }
+    }
+    None
+}
+
+/// The number of cycles in the wait-for graph of `cfg`: each travel has at
+/// most one blocked-on edge, so every cycle is found by following edges
+/// from each travel once.
+fn wait_cycle_count(cfg: &Config) -> usize {
+    let n = cfg.travels().len();
+    let pos = |m: MsgId| cfg.travels().iter().position(|t| t.id() == m);
+    let next: Vec<Option<usize>> = (0..n)
+        .map(|i| block_event(cfg, i).and_then(|e| e.on).and_then(pos))
+        .collect();
+    let mut walk_of = vec![usize::MAX; n];
+    let mut cycles = 0;
+    for start in 0..n {
+        let mut cur = Some(start);
+        while let Some(i) = cur {
+            if walk_of[i] != usize::MAX {
+                cycles += usize::from(walk_of[i] == start);
+                break;
+            }
+            walk_of[i] = start;
+            cur = next[i];
+        }
+    }
+    cycles
+}
+
+/// Runs `specs` without a detector for at most `stop` steps and compares the
+/// lazy wait-cycle search with the eager one on the configuration it stops
+/// in; returns that configuration's number of wait-for cycles.
+fn check_lazy_search(
+    instance: &Instance,
+    specs: &[MessageSpec],
+    stop: u64,
+) -> Result<usize, TestCaseError> {
+    let (net, routing) = (instance.net.as_ref(), instance.routing.as_ref());
+    let options = SimOptions {
+        max_steps: stop,
+        ..SimOptions::default()
+    };
+    let cfg = Config::from_specs(net, routing, specs).unwrap();
+    let result = simulate_config(
+        net,
+        &mut WormholePolicy::default(),
+        cfg,
+        &options,
+        None,
+        None,
+    )
+    .map_err(|e| TestCaseError::fail(format!("simulate_config: {e}")))?;
+    let cfg = &result.run.config;
+    let (lazy, eager) = (find_wait_cycle(cfg), eager_wait_cycle(cfg));
+    let cycles = wait_cycle_count(cfg);
+    prop_assert_eq!(
+        lazy.as_ref().map(|c| (&c.msgs, &c.ports)),
+        eager.as_ref().map(|c| (&c.msgs, &c.ports)),
+        "{} after {} steps ({} cycles)",
+        instance.name,
+        result.run.steps,
+        cycles
+    );
+    prop_assert_eq!(lazy.is_some(), cycles > 0, "{}", instance.name);
+    Ok(cycles)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn lazy_wait_cycle_search_matches_eager_on_the_mixed_mesh(
+        specs in workload_strategy(9, 32, 6),
+        stop in 0u64..48,
+    ) {
+        check_lazy_search(&Instance::mesh_mixed(3, 3, 1), &specs, stop)?;
+    }
+
+    #[test]
+    fn lazy_wait_cycle_search_matches_eager_on_the_ring(
+        specs in workload_strategy(6, 24, 5),
+        stop in 0u64..48,
+    ) {
+        check_lazy_search(&Instance::ring_shortest(6, 1), &specs, stop)?;
+    }
+}
+
+/// Congested mixed meshes stopped on the way to and at `Ω`: configurations
+/// with no cycle, one, and several, where the two searches must pick the
+/// same one.
+#[test]
+fn lazy_wait_cycle_search_matches_eager_with_several_cycles() {
+    let mut by_cycles = [0usize; 3];
+    for (width, messages, seed) in [(4, 96, 3u64), (8, 512, 101), (8, 768, 23), (12, 2000, 9)] {
+        let instance = Instance::mesh_mixed(width, width, 1);
+        let specs = genoc::sim::workload::uniform_random(width * width, messages, 2..=6, seed);
+        for stop in [8, 16, 32, 10_000] {
+            let cycles = check_lazy_search(&instance, &specs, stop)
+                .unwrap_or_else(|e| panic!("{width}×{width}, seed {seed}: {e}"));
+            by_cycles[cycles.min(2)] += 1;
+        }
+    }
+    assert!(
+        by_cycles.iter().all(|&n| n > 0),
+        "configurations by cycle count (0, 1, 2+): {by_cycles:?}"
+    );
 }
 
 /// What a hooked run reports, in the terms both steppers must agree on:

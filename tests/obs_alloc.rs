@@ -1,8 +1,13 @@
-//! Allocation-count regression anchors for the WAL reader.
+//! Allocation-count regression anchors for the WAL writer and reader.
 //!
-//! Two claims the reader makes are about the allocator, not about
-//! semantics, so they need an allocator to witness them:
+//! Four claims the log makes are about the allocator, not about semantics,
+//! so they need an allocator to witness them:
 //!
+//! * a fixed-size record is framed on the stack: appending any number of
+//!   them to a file-backed writer allocates nothing;
+//! * a snapshot is encoded into buffers the writer keeps, sized once: after
+//!   the first, a snapshot allocates a bounded number of times, however
+//!   many travels it holds;
 //! * reading a log verifies every record and builds none of them: the
 //!   allocations are the buffer and the snapshot index, so their number is
 //!   bounded by the log's snapshots, not by its records;
@@ -16,7 +21,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-use genoc::obs::{read_wal, read_wal_bytes, recorded_outcome, replay_to, WalEvent, WalLog};
+use genoc::core::moves::MoveKind;
+use genoc::obs::{
+    read_wal, read_wal_bytes, recorded_outcome, replay_to, WalEvent, WalLog, WAL_VERSION,
+};
 use genoc::prelude::*;
 
 struct CountingAlloc;
@@ -90,6 +98,129 @@ fn recorded_log(snapshot_every: u64) -> (Mesh, Vec<u8>) {
         mesh,
         writer.finish().expect("flush").expect("in-memory bytes"),
     )
+}
+
+/// Every fixed-size record kind, with ids drawn from `i`.
+fn fixed_size_records(i: usize) -> [WalEvent; 7] {
+    let (msg, port) = (MsgId::from_index(i % 997), PortId::from_index(i % 509));
+    [
+        WalEvent::StepBegin { step: i as u64 },
+        WalEvent::Move {
+            msg,
+            flit: (i % 7) as u32,
+            kind: MoveKind::Advance,
+            port,
+        },
+        WalEvent::Transition {
+            msg,
+            status: TravelStatus::Blocked(port),
+        },
+        WalEvent::FreedPort { port },
+        WalEvent::EdgeAdd {
+            msg,
+            wants: port,
+            on: (!i.is_multiple_of(3)).then_some(msg),
+        },
+        WalEvent::EdgeRemove { msg },
+        WalEvent::RunEnd {
+            outcome: Outcome::StepLimit,
+            steps: i as u64,
+        },
+    ]
+}
+
+#[test]
+fn fixed_size_records_are_appended_without_allocating() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_alloc_fixed.wal");
+    let mut w = WalWriter::create(&file).expect("create the log");
+    // Warm-up: one record of every kind.
+    for ev in &fixed_size_records(0) {
+        w.append(ev).expect("append");
+    }
+    let ((), allocs) = allocations_during(|| {
+        for i in 1..=10_000 {
+            for ev in &fixed_size_records(i) {
+                w.append(ev).expect("append");
+            }
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "70,000 fixed-size records allocated {allocs} times"
+    );
+    assert_eq!(w.records_written(), 7 * 10_001);
+    assert!(w.finish().expect("flush").is_none());
+    let log = read_wal(&file).expect("read back");
+    assert!(log.damage.is_none(), "{:?}", log.damage);
+    assert_eq!(log.events.len(), 7 * 10_001);
+    std::fs::remove_file(&file).expect("remove the log");
+}
+
+/// One configuration every few steps of a run on the 4×4 XY mesh, from the
+/// initial one to the last: travels arrive between any two of them.
+fn configurations_along_a_run() -> Vec<Config> {
+    let mesh = Mesh::new(4, 4, 1);
+    let routing = XyRouting::new(&mesh);
+    let specs = genoc::sim::workload::uniform_random(16, 96, 2..=6, 5);
+    let mut configs = Vec::new();
+    for max_steps in (0..).step_by(6) {
+        let cfg = Config::from_specs(&mesh, &routing, &specs).expect("routable workload");
+        let options = SimOptions {
+            max_steps,
+            ..SimOptions::default()
+        };
+        let result = simulate_config(
+            &mesh,
+            &mut WormholePolicy::default(),
+            cfg,
+            &options,
+            None,
+            None,
+        )
+        .expect("run");
+        configs.push(result.run.config);
+        if result.run.outcome == Outcome::Evacuated {
+            return configs;
+        }
+    }
+    unreachable!("the loop returns when the run evacuates")
+}
+
+#[test]
+fn a_snapshot_allocates_a_bounded_number_of_times() {
+    let configs = configurations_along_a_run();
+    assert!(configs.len() > 8, "{} configurations", configs.len());
+    let last = configs.last().expect("configurations");
+    assert!(last.travels().is_empty() && last.arrived().len() == 96);
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_alloc_snapshot.wal");
+    let mut w = WalWriter::create(&file).expect("create the log");
+    w.append(&WalEvent::RunStart {
+        version: WAL_VERSION,
+        seed: 5,
+        meta: None,
+    })
+    .expect("append");
+    // Warm-up: the first snapshot sizes the writer's buffers.
+    w.append_snapshot(0, configs[0].travels(), configs[0].arrived())
+        .expect("snapshot");
+    for (i, cfg) in configs.iter().enumerate().skip(1) {
+        let (result, allocs) =
+            allocations_during(|| w.append_snapshot(i as u64, cfg.travels(), cfg.arrived()));
+        result.expect("snapshot");
+        // None in release; debug builds check the kept images against a
+        // fresh encoding, in a buffer of its own.
+        assert!(
+            allocs <= u64::from(cfg!(debug_assertions)),
+            "snapshot {i} ({} travels in flight, {} arrived) allocated {allocs} times",
+            cfg.travels().len(),
+            cfg.arrived().len()
+        );
+    }
+    assert!(w.finish().expect("flush").is_none());
+    let log = read_wal(&file).expect("read back");
+    assert!(log.damage.is_none(), "{:?}", log.damage);
+    assert_eq!(census(&log), (configs.len() + 1, configs.len()));
+    std::fs::remove_file(&file).expect("remove the log");
 }
 
 /// `(records, snapshots)` of a log, counted by decoding it.
