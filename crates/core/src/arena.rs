@@ -44,27 +44,42 @@
 //!    Body flits only wait on ports the worm itself owns, which drain
 //!    exclusively through the worm's own moves, and a head at the
 //!    destination port can always eject.
-//! 3. **Only a `leave` or `release` on that port can unblock it**: flits
-//!    entering a port strictly reduce its availability, so the freed-port
-//!    log a step keeps is a *complete* wake condition.
+//! 3. **Only a release opens a foreign head's gate**: the gate is the next
+//!    hop of the travel's head, which its own worm never owns, and a head
+//!    enters no port another worm owns, under every [`AdmissionKind`]
+//!    (`Ports::can_enter`). A worm owns a port from its head's entry to its
+//!    tail's leave, the paper's wormhole discipline, so the tail leaving is
+//!    the only event that can open the gate; flits entering a port only
+//!    reduce its availability. The releases a step makes are therefore a
+//!    *complete* wake condition.
 //!
 //! Each travel therefore carries a [`TravelStatus`]; blocked travels are
 //! parked on the wake-list of the port they wait for (intrusive,
-//! `u32`-linked — zero allocation) and skipped until a flit move frees that
+//! `u32`-linked — zero allocation) and skipped until a tail releases that
 //! port.
+//!
+//! A kernel is *quiet* by default: it wakes a port's waiters only when the
+//! port is released, and it keeps none of the logs below. An *observed*
+//! kernel ([`ArenaKernel::set_observed`]) logs every move, status
+//! [`Transition`] and freed port, and wakes a port's waiters on every flit
+//! that leaves it, release or not. The extra wakes move nothing — each such
+//! travel parks again at its serve — but they are in the transition stream
+//! that detectors, the event WAL and `tests/arena_props.rs` pin, so the
+//! observed kernel keeps them until that stream is pinned anew.
 //!
 //! A corollary of 2: while a travel is parked, none of its flits moves and
 //! none of the ports its body waits on changes, so **a parked travel can
 //! move exactly when its head may pass its gate** — one port test plus the
 //! head's admission. The kernel keeps the gate of each park, and the first
-//! serve after a wake tests it alone. A freed port is often shut again by
-//! the time that serve comes: a body flit leaving a port its worm still
-//! owns frees it, and the worm's next flit fills it in the same sub-step.
-//! Such a travel parks again in O(1), with the same `Blocked(p)` transition
-//! and wake-list push, and its worm is not walked at all. A serve that does
-//! walk the worm walks it once: the pass that moves the flits also judges,
-//! flit by flit, whether the travel can still move afterwards, which is the
-//! question its park depends on.
+//! serve after a wake tests it alone. A woken gate may be shut again by the
+//! time that serve comes: another head took the released port first, or,
+//! in an observed kernel, a body flit left a port its worm still owns and
+//! the worm's next flit filled it in the same sub-step. Such a travel parks
+//! again in O(1), with the same `Blocked(p)` transition and wake-list push,
+//! and its worm is not walked at all. A serve that does walk the worm walks
+//! it once: the pass that moves the flits also judges, flit by flit, whether
+//! the travel can still move afterwards, which is the question its park
+//! depends on.
 //!
 //! Wake-ups are processed *immediately* after the sub-step that freed
 //! the port, which is what makes the schedule move-for-move identical to the
@@ -855,7 +870,8 @@ pub struct MoveRec {
 /// has the argument): move-for-move identical to the reference sweep, with
 /// all per-step state arena-backed — intrusive wake lists, epoch-stamped
 /// bandwidth marks, reusable logs. After warm-up a step performs no heap
-/// allocation.
+/// allocation. Quiet unless [`set_observed`](Self::set_observed): quiet and
+/// observed kernels make the same moves in the same order.
 ///
 /// Three index spaces meet here. A *slot* addresses the [`ArenaConfig`]
 /// columns. A *position* is an index into `arena.flight` right now. A
@@ -892,22 +908,25 @@ pub struct ArenaKernel {
     /// Per-port step stamp of the last ejection.
     ejected_mark: Vec<u64>,
     epoch: u64,
-    /// Ports freed by the current travel's sub-step (wake candidates).
+    /// Ports the current travel's sub-step woke: every port a flit left
+    /// when observed, the ports its tail released when quiet.
     freed: Vec<PortId>,
-    /// All ports freed during the current step, in order.
+    /// All ports freed during the current step, in order (observed only).
     freed_log: Vec<PortId>,
-    /// Status transitions of the current step, in public ids.
+    /// Status transitions of the current step, in public ids (observed
+    /// only).
     transitions: Vec<Transition>,
-    /// Flit moves of the current step (only when `log_moves` is on).
+    /// Flit moves of the current step (observed only).
     moves: Vec<MoveRec>,
-    log_moves: bool,
+    /// Whether the three logs are kept and every leave wakes.
+    observed: bool,
     /// Arrivals drained after the current step, in flight order.
     newly: Vec<MsgId>,
     saw_arrival: bool,
 }
 
 impl ArenaKernel {
-    /// Builds a kernel for `arena` and synchronises with its state.
+    /// Builds a quiet kernel for `arena` and synchronises with its state.
     pub fn new(arena: &ArenaConfig, spec: ArenaSpec) -> Self {
         let mut k = ArenaKernel {
             spec,
@@ -927,7 +946,7 @@ impl ArenaKernel {
             freed_log: Vec::new(),
             transitions: Vec::new(),
             moves: Vec::new(),
-            log_moves: false,
+            observed: false,
             newly: Vec::new(),
             saw_arrival: false,
         };
@@ -937,24 +956,31 @@ impl ArenaKernel {
 
     /// Status transitions of the last step, in occurrence order, keyed by
     /// stable public ids (detector and WAL consumers never see slots).
+    /// Empty unless the kernel is [observed](Self::set_observed).
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions
     }
 
-    /// Ports freed during the last step, in order.
+    /// Ports freed during the last step, in order. Empty unless the kernel
+    /// is [observed](Self::set_observed).
     pub fn freed_ports(&self) -> &[PortId] {
         &self.freed_log
     }
 
-    /// Flit moves of the last step, when move logging is enabled.
+    /// Flit moves of the last step. Empty unless the kernel is
+    /// [observed](Self::set_observed).
     pub fn moves(&self) -> &[MoveRec] {
         &self.moves
     }
 
-    /// Enables or disables per-step move logging (used by hooked runs to
-    /// keep a shadow `Config` in lock step).
-    pub fn set_log_moves(&mut self, on: bool) {
-        self.log_moves = on;
+    /// Makes the kernel observed or quiet (the default). An observed kernel
+    /// logs each step's moves (which hooked runs replay onto a shadow
+    /// `Config`), status transitions and freed ports, and wakes a port's
+    /// waiters whenever a flit leaves it. A quiet kernel keeps no log and
+    /// wakes them only when a tail releases the port, the one leave that can
+    /// open a waiting head's gate: both make the same moves.
+    pub fn set_observed(&mut self, on: bool) {
+        self.observed = on;
     }
 
     /// Replays the last step's logged moves onto `shadow`, a configuration
@@ -1182,7 +1208,7 @@ impl ArenaKernel {
                         flits[f] = FLIT_DELIVERED;
                         delivered[s] += 1;
                         self.ejected_mark[here.index()] = self.epoch;
-                        self.freed.push(here);
+                        self.note_leave(here, f == tail);
                         trace.record(id, f, Zone::Port(here), Zone::Delivered);
                         self.log_move(at, f, MoveKind::Eject);
                         rep.ejections += 1;
@@ -1197,7 +1223,7 @@ impl ArenaKernel {
                         ports.leave(here, sv, f == tail, public)?;
                         flits[f] = pos + 1;
                         self.entered_mark[to.index()] = self.epoch;
-                        self.freed.push(here);
+                        self.note_leave(here, f == tail);
                         trace.record(id, f, Zone::Port(here), Zone::Port(to));
                         self.log_move(at, f, MoveKind::Advance);
                         rep.advances += 1;
@@ -1213,9 +1239,19 @@ impl ArenaKernel {
         Ok((rep, movable))
     }
 
+    /// A flit left `here`, releasing it when it was the tail: a wake for
+    /// the port's waiters if that can open their gate, or if the kernel is
+    /// observed.
+    #[inline]
+    fn note_leave(&mut self, here: PortId, released: bool) {
+        if released || self.observed {
+            self.freed.push(here);
+        }
+    }
+
     #[inline]
     fn log_move(&mut self, at: u32, flit: usize, kind: MoveKind) {
-        if self.log_moves {
+        if self.observed {
             self.moves.push(MoveRec {
                 travel: at,
                 flit: flit as u32,
@@ -1325,10 +1361,34 @@ impl ArenaKernel {
         self.run[rank / 64] &= !(1 << (rank % 64));
         self.wake_next[rank] = self.wake_head[p.index()];
         self.wake_head[p.index()] = rank as u32;
-        self.transitions.push(Transition {
-            msg: arena.public[self.order[rank] as usize],
-            status: TravelStatus::Blocked(p),
-        });
+        self.log_transition(arena, self.order[rank], TravelStatus::Blocked(p));
+    }
+
+    #[inline]
+    fn log_transition(&mut self, arena: &ArenaConfig, slot: u32, status: TravelStatus) {
+        if self.observed {
+            self.transitions.push(Transition {
+                msg: arena.public[slot as usize],
+                status,
+            });
+        }
+    }
+
+    /// Whether no travel off the run queue can move: the invariant that
+    /// makes skipping them sound, held by a quiet kernel's release-only
+    /// wakes as by an observed kernel's eager ones.
+    fn parked_stay_put(&self, arena: &ArenaConfig) -> bool {
+        (self.live.iter().zip(&self.run).enumerate()).all(|(w, (&live, &run))| {
+            let mut off = live & !run;
+            while off != 0 {
+                let rank = w * 64 + off.trailing_zeros() as usize;
+                if self.travel_can_move(arena, self.order[rank] as usize) {
+                    return false;
+                }
+                off &= off - 1;
+            }
+            true
+        })
     }
 
     /// One switching step over the run queue: the moves of one reference
@@ -1357,6 +1417,10 @@ impl ArenaKernel {
         };
         self.sweep(arena, trace, first..self.order.len(), base, &mut total)?;
         self.sweep(arena, trace, 0..first, 0, &mut total)?;
+        debug_assert!(
+            self.observed || self.parked_stay_put(arena),
+            "a quiet step left a travel that can move off the run queue"
+        );
         Ok(total)
     }
 
@@ -1426,10 +1490,11 @@ impl ArenaKernel {
         debug_assert_eq!(arena.flight[at as usize], self.order[rank]);
         if let Some(gate) = self.gate[rank].take() {
             if !self.gate_open(arena, s, gate) {
-                // Woken, but the gate is shut again — still owned by the
-                // worm a flit left it from, or taken before this turn came:
-                // nothing can move, so the travel parks where it was, with
-                // the transition and wake-list push the full serve makes.
+                // Woken, but the gate is shut again — taken before this turn
+                // came, or, observed, still owned by the worm a body flit
+                // left it from: nothing can move, so the travel parks where
+                // it was, with the transition and wake-list push the full
+                // serve makes.
                 self.park(arena, rank, gate);
                 return Ok(());
             }
@@ -1447,16 +1512,15 @@ impl ArenaKernel {
             total.ejections += rep.ejections;
             if before == TravelStatus::Pending {
                 self.status[rank] = TravelStatus::Active;
-                self.transitions.push(Transition {
-                    msg: arena.public[s],
-                    status: TravelStatus::Active,
-                });
+                self.log_transition(arena, s as u32, TravelStatus::Active);
             }
-            // Mid-step wakes: every travel blocked on a port this
-            // sub-step freed becomes runnable before the sweep moves on.
+            // Mid-step wakes: every travel blocked on a port this sub-step
+            // woke becomes runnable before the sweep moves on.
             for fi in 0..self.freed.len() {
                 let p = self.freed[fi];
-                self.freed_log.push(p);
+                if self.observed {
+                    self.freed_log.push(p);
+                }
                 let pi = p.index();
                 loop {
                     let w = self.wake_head[pi];
@@ -1468,10 +1532,7 @@ impl ArenaKernel {
                     self.wake_next[wr] = NONE;
                     self.status[wr] = TravelStatus::Active;
                     self.run[wr / 64] |= 1 << (wr % 64);
-                    self.transitions.push(Transition {
-                        msg: arena.public[self.order[wr] as usize],
-                        status: TravelStatus::Active,
-                    });
+                    self.log_transition(arena, self.order[wr], TravelStatus::Active);
                 }
             }
             self.freed.clear();
@@ -1508,10 +1569,12 @@ impl ArenaKernel {
             arena.arrived.push(sv);
             self.status[rank] = TravelStatus::Delivered;
             self.live[rank / 64] &= !(1 << (rank % 64));
-            self.transitions.push(Transition {
-                msg: arena.public[sv as usize],
-                status: TravelStatus::Delivered,
-            });
+            if self.observed {
+                self.transitions.push(Transition {
+                    msg: arena.public[sv as usize],
+                    status: TravelStatus::Delivered,
+                });
+            }
             // The survivors up to the next arrival close the `i + 1` gaps.
             let next = (self.done.get(i + 1)).map_or(arena.flight.len(), |d| d.0 as usize);
             arena.flight.copy_within(at + 1..next, at - i);
@@ -1759,7 +1822,10 @@ mod tests {
             arbitration,
             ..spec()
         };
-        ArenaKernel::new(arena, ArenaSpec::from_kernel_spec(&spec).unwrap())
+        let mut kernel = ArenaKernel::new(arena, ArenaSpec::from_kernel_spec(&spec).unwrap());
+        // The tests read its logs.
+        kernel.set_observed(true);
+        kernel
     }
 
     /// Steps until a travel completes and leaves it undrained in `T`.
@@ -1770,14 +1836,10 @@ mod tests {
         }
     }
 
-    /// On a capacity-1 line, worm A (4 flits, node 1 → 2) streams through
-    /// node 1's forward out-port ahead of B (1 flit, node 0 → 2), which
-    /// parks on that port. A body flit of A leaving the port wakes B, but
-    /// A's next flit fills it in the same sub-step: B's serve parks it
-    /// again, with no move. A's tail leaving the port releases it, and B's
-    /// serve in that step moves B through it.
-    #[test]
-    fn a_woken_travel_parks_again_until_its_gates_owner_lets_go() {
+    /// A capacity-1 line where worm A (4 flits, node 1 → 2) streams through
+    /// node 1's forward out-port, the gate, ahead of B (1 flit, node 0 → 2),
+    /// and the port on B's route before the gate.
+    fn gate_line() -> (LineNetwork, Config, PortId, PortId) {
         let net = LineNetwork::new(3, 1);
         let routing = LineRouting::new(&net);
         let node = NodeId::from_index;
@@ -1786,9 +1848,31 @@ mod tests {
             MessageSpec::new(node(0), node(2), 1),
         ];
         let cfg = Config::from_specs(&net, &routing, &specs).unwrap();
-        let (a, b) = (cfg.travels()[0].id(), cfg.travels()[1].id());
         let (before_gate, gate) = (cfg.travels()[1].route()[2], cfg.travels()[1].route()[3]);
         assert_eq!(Some(gate), net.fwd_out(1));
+        (net, cfg, gate, before_gate)
+    }
+
+    /// The moves of one step's trace events through `gate`, as
+    /// `(travel, flit, from, to)`.
+    fn moves_through(
+        events: &[crate::trace::Event],
+        gate: PortId,
+    ) -> Vec<(MsgId, u32, Zone, Zone)> {
+        (events.iter())
+            .filter(|e| e.from == Zone::Port(gate) || e.to == Zone::Port(gate))
+            .map(|e| (e.msg, e.flit, e.from, e.to))
+            .collect()
+    }
+
+    /// On [`gate_line`], B parks on the gate. Observed, a body flit of A
+    /// leaving the gate wakes B, but A's next flit fills it in the same
+    /// sub-step: B's serve parks it again, with no move. A's tail leaving
+    /// the port releases it, and B's serve in that step moves B through it.
+    #[test]
+    fn a_woken_travel_parks_again_until_its_gates_owner_lets_go() {
+        let (net, cfg, gate, before_gate) = gate_line();
+        let (a, b) = (cfg.travels()[0].id(), cfg.travels()[1].id());
         let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
         let slot_a = arena.slot_of(a).unwrap();
         let mut kernel = kernel_for(&arena, Arbitration::FixedPriority);
@@ -1804,11 +1888,7 @@ mod tests {
                 .filter(|t| t.msg == b)
                 .map(|t| t.status)
                 .collect();
-            let through: Vec<(MsgId, u32, Zone, Zone)> = (trace.events()[seen..].iter())
-                .filter(|e| e.from == Zone::Port(gate) || e.to == Zone::Port(gate))
-                .map(|e| (e.msg, e.flit, e.from, e.to))
-                .collect();
-            (of_b, through)
+            (of_b, moves_through(&trace.events()[seen..], gate))
         };
         let (at_gate, short_of_it) = (Zone::Port(gate), Zone::Port(before_gate));
         for n in 0..2 {
@@ -1852,6 +1932,58 @@ mod tests {
             [(a, 3, at_gate, through[0].3), (b, 0, short_of_it, at_gate)],
             "the tail leaves the gate, then B's head enters it"
         );
+    }
+
+    /// The same line under a quiet kernel: A's body flits leaving the gate
+    /// in steps 3 and 4 do not release it, so B is never woken and stays
+    /// off the run queue, parked; A's tail releases the gate in step 5, and
+    /// B moves through it in that step, as under the observed kernel. The
+    /// quiet kernel keeps no log.
+    #[test]
+    fn a_quiet_kernel_wakes_a_parked_travel_when_its_gate_is_released() {
+        let (net, cfg, gate, before_gate) = gate_line();
+        let (a, b) = (cfg.travels()[0].id(), cfg.travels()[1].id());
+        let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+        let slot_a = arena.slot_of(a).unwrap();
+        let mut kernel = kernel_for(&arena, Arbitration::FixedPriority);
+        kernel.set_observed(false);
+        let rank_b = 1;
+        assert_eq!(kernel.order[rank_b], arena.slot_of(b).unwrap());
+        let mut trace = Trace::new(true);
+        let (at_gate, short_of_it) = (Zone::Port(gate), Zone::Port(before_gate));
+        for n in 0..6 {
+            trace.begin_step(n);
+            let seen = trace.events().len();
+            kernel.step(&mut arena, &mut trace).unwrap();
+            kernel.drain_arrived(&mut arena);
+            assert!(kernel.transitions().is_empty(), "step {n}");
+            assert!(kernel.freed_ports().is_empty() && kernel.moves().is_empty());
+            let through = moves_through(&trace.events()[seen..], gate);
+            let queued = kernel.run[rank_b / 64] & (1 << (rank_b % 64)) != 0;
+            if (2..=4).contains(&n) {
+                assert_eq!(kernel.status[rank_b], TravelStatus::Blocked(gate));
+                assert!(!queued, "step {n}: B is off the run queue");
+                assert_eq!(kernel.wake_head[gate.index()], rank_b as u32);
+                assert_eq!(arena.ports.owner[gate.index()], slot_a);
+            }
+            if n == 3 || n == 4 {
+                let body = n as u32 - 2;
+                assert_eq!(
+                    through.iter().map(|m| (m.0, m.1)).collect::<Vec<_>>(),
+                    [(a, body), (a, body + 1)],
+                    "step {n}: A's flit {body} leaves the gate, the next one fills it"
+                );
+            }
+            if n == 5 {
+                assert_eq!(
+                    through,
+                    [(a, 3, at_gate, through[0].3), (b, 0, short_of_it, at_gate)],
+                    "the tail leaves the gate, then B's head enters it"
+                );
+                let next = cfg.travels()[1].route()[4];
+                assert_eq!(kernel.status[rank_b], TravelStatus::Blocked(next));
+            }
+        }
     }
 
     #[test]

@@ -285,10 +285,12 @@ pub fn any_move_possible_with(cfg: &Config, admission: &dyn HeadAdmission) -> bo
 /// for a pending head, `route[k + 1]` for a head at route index `k`): body
 /// flits only wait on ports the worm itself owns, which drain exclusively
 /// through the worm's own moves, and a head at the destination port can
-/// always eject. A `leave` or `release` on the returned port is therefore
-/// the *only* event that can make the travel movable again — the invariant
-/// behind the arena kernel's per-port wake-lists, and `tests/arena_props.rs`
-/// checks every park the arena reports against this function.
+/// always eject. The returned port is never the travel's own, and a head
+/// enters no port another worm owns, so the port's *release* — its owner's
+/// tail leaving it — is the only event that can make the travel movable
+/// again: the invariant behind the arena kernel's per-port wake-lists, and
+/// `tests/arena_props.rs` checks every park the arena reports against this
+/// function.
 pub fn blocked_port_with(cfg: &Config, i: usize, admission: &dyn HeadAdmission) -> Option<PortId> {
     if travel_can_move_with(cfg, i, admission) {
         return None;

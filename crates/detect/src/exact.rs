@@ -439,7 +439,8 @@ mod tests {
             let cfg = Config::from_travels(mesh, travels).unwrap();
             let spec = WormholePolicy::default().kernel_spec().unwrap();
             let arena = ArenaConfig::from_config(mesh, &cfg).unwrap();
-            let kernel = ArenaKernel::new(&arena, ArenaSpec::from_kernel_spec(&spec).unwrap());
+            let mut kernel = ArenaKernel::new(&arena, ArenaSpec::from_kernel_spec(&spec).unwrap());
+            kernel.set_observed(true);
             let parks: Vec<Transition> = (0..cfg.travels().len())
                 .filter_map(|i| {
                     let p = blocked_port_with(&cfg, i, spec.admission)?;

@@ -273,11 +273,12 @@ pub fn describe(e: &WalEvent) -> String {
 /// detection/footer lines themselves.
 ///
 /// One forward pass: the last `k` evidence records are kept in a ring, in
-/// place, and only they and the lines after the cut are decoded.
+/// place, and only they and the lines after the cut are decoded. The ring
+/// is sized for at most the log's records, so any `k` is fine.
 pub fn tail_lines(events: &WalRecords, k: usize) -> Vec<String> {
     let line = |f: Frame<'_>| describe(&f.decode());
     let mut frames = events.frames();
-    let mut ring = VecDeque::with_capacity(k);
+    let mut ring = VecDeque::with_capacity(k.min(events.len()));
     let cut = frames.find(|f| {
         let evidence = matches!(
             f.kind,

@@ -360,7 +360,7 @@ fn hooked_arena_loop(
 ) -> Result<RunResult> {
     let mut arena = ArenaConfig::from_config(net, &cfg)?;
     let mut kernel = ArenaKernel::new(&arena, aspec);
-    kernel.set_log_moves(true);
+    kernel.set_observed(true);
     let mut trace = Trace::new(options.record_trace || observer.wants_moves());
     let mut arrival_order = Vec::new();
     let mut steps: u64 = 0;

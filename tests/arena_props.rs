@@ -10,8 +10,9 @@
 //! the shadow alone in batches the arena then catches up with
 //! (`ArenaConfig::follow`, what the hooked loop does after a recovery).
 //! Beside them: the arena's exit (`write_back`) against the `Config` it
-//! materialises from nothing, and every park its transition feed reports
-//! against `blocked_port_with`.
+//! materialises from nothing, every park its transition feed reports
+//! against `blocked_port_with`, and a quiet kernel, which wakes a parked
+//! travel only when its gate is released, stepped beside an observed one.
 
 use genoc::core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc::core::step::{blocked_port_with, HeadAdmission};
@@ -157,7 +158,7 @@ impl Harness {
 
     /// One step of `kernel`, its moves replayed onto the shadow config.
     fn step_with(&mut self, kernel: &mut ArenaKernel) {
-        kernel.set_log_moves(true);
+        kernel.set_observed(true);
         let mut trace = Trace::new(false);
         let mut before = self.cfg.clone();
         kernel.step(&mut self.arena, &mut trace).unwrap();
@@ -662,12 +663,21 @@ const PINNED_STREAMS: [(&str, u64, u64); 5] = [
     ),
 ];
 
-/// The kernel's transition and freed-port logs, order included, pinned per
-/// cell: hotspot traffic parks and wakes most travels over and over, the
-/// whole-packet admissions gate the head on room for the packet, and the
-/// mixed-routing cell deadlocks and recovers, so its feed crosses resyncs.
-#[test]
-fn the_transition_stream_is_pinned_per_cell() {
+/// One cell of [`PINNED_STREAMS`]: its mesh, a fresh policy, its messages
+/// and their configuration, and whether it is the mixed-routing cell.
+struct PinnedCell {
+    name: &'static str,
+    mesh: Mesh,
+    policy: Box<dyn SwitchingPolicy>,
+    specs: Vec<MessageSpec>,
+    cfg: Config,
+    mixed: bool,
+}
+
+/// The cells of [`PINNED_STREAMS`]: hotspot traffic parks and wakes most
+/// travels over and over, the whole-packet admissions gate the head on room
+/// for the packet, and the mixed-routing cell deadlocks.
+fn pinned_cells() -> Vec<PinnedCell> {
     type MakePolicy = fn() -> Box<dyn SwitchingPolicy>;
     let cells: [(usize, u32, bool, MakePolicy); 5] = [
         (8, 2, false, || Box::new(WormholePolicy::default())),
@@ -678,19 +688,47 @@ fn the_transition_stream_is_pinned_per_cell() {
         (6, 3, false, || Box::new(StoreForwardPolicy::new())),
         (6, 1, true, || Box::new(WormholePolicy::default())),
     ];
+    let cells = cells.into_iter().zip(PINNED_STREAMS);
+    cells
+        .map(|((side, capacity, mixed, make), (name, ..))| {
+            let nodes = side * side;
+            let mesh = Mesh::new(side, side, capacity);
+            let (specs, cfg) = if mixed {
+                let specs = genoc::sim::workload::uniform_random(nodes, 240, 2..=6, 23);
+                let cfg = Config::from_specs(&mesh, &MixedXyYxRouting::new(&mesh), &specs);
+                (specs, cfg)
+            } else {
+                let specs =
+                    genoc::sim::workload::hotspot(nodes, 6 * nodes, nodes / 2 + 3, 40, 3, 23);
+                let cfg = Config::from_specs(&mesh, &XyRouting::new(&mesh), &specs);
+                (specs, cfg)
+            };
+            PinnedCell {
+                name,
+                mesh,
+                policy: make(),
+                specs,
+                cfg: cfg.unwrap(),
+                mixed,
+            }
+        })
+        .collect()
+}
+
+/// The kernel's transition and freed-port logs, order included, pinned per
+/// cell; the mixed-routing cell recovers, so its feed crosses resyncs.
+#[test]
+fn the_transition_stream_is_pinned_per_cell() {
     let mut streams = Vec::new();
-    for ((side, capacity, mixed, make), (name, ..)) in cells.into_iter().zip(PINNED_STREAMS) {
-        let nodes = side * side;
-        let mesh = Mesh::new(side, side, capacity);
-        let (specs, cfg) = if mixed {
-            let specs = genoc::sim::workload::uniform_random(nodes, 240, 2..=6, 23);
-            let cfg = Config::from_specs(&mesh, &MixedXyYxRouting::new(&mesh), &specs);
-            (specs, cfg)
-        } else {
-            let specs = genoc::sim::workload::hotspot(nodes, 6 * nodes, nodes / 2 + 3, 40, 3, 23);
-            let cfg = Config::from_specs(&mesh, &XyRouting::new(&mesh), &specs);
-            (specs, cfg)
-        };
+    for cell in pinned_cells() {
+        let PinnedCell {
+            name,
+            mesh,
+            mut policy,
+            specs,
+            cfg,
+            mixed,
+        } = cell;
         let mut engine =
             DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
         let hook: &mut dyn DetectorHook = if mixed { &mut engine } else { &mut NullHook };
@@ -700,8 +738,8 @@ fn the_transition_stream_is_pinned_per_cell() {
         };
         let result = simulate_observed_config(
             &mesh,
-            make().as_mut(),
-            cfg.unwrap(),
+            policy.as_mut(),
+            cfg,
             &SimOptions::default(),
             hook,
             &mut fold,
@@ -719,4 +757,180 @@ fn the_transition_stream_is_pinned_per_cell() {
         streams.push((name, result.run.steps, fold.hash));
     }
     assert_eq!(streams, PINNED_STREAMS);
+}
+
+/// Steps a quiet kernel and an observed one side by side on clones of the
+/// arena of `cfg` until they evacuate, deadlock with no wait cycle, or
+/// take `limit` steps. Each step they must make the same moves in the same
+/// order, drain the same arrivals and leave the same `Config` (`T` and `A`
+/// in the same order), and before each step give the same Ω verdict. At a
+/// deadlock with a wait cycle both abort the cycle's first travel and
+/// resync, as a recovery does, so the comparison crosses resyncs. Returns
+/// how the two ended and the number of recoveries.
+fn quiet_steps_like_observed(
+    net: &dyn Network,
+    spec: ArenaSpec,
+    cfg: &Config,
+    limit: u64,
+) -> (End, usize) {
+    let arena = ArenaConfig::from_config(net, cfg).unwrap();
+    let mut arenas = [arena.clone(), arena];
+    let mut kernels = [0, 1].map(|i| ArenaKernel::new(&arenas[i], spec));
+    kernels[1].set_observed(true);
+    let mut traces = [Trace::new(true), Trace::new(true)];
+    let (mut steps, mut recoveries) = (0u64, 0usize);
+    let end = loop {
+        if arenas[0].is_evacuated() {
+            assert!(arenas[1].is_evacuated());
+            break End::Evacuated;
+        }
+        let omega = [0, 1].map(|i| kernels[i].is_deadlock(&arenas[i]));
+        assert_eq!(omega[0], omega[1], "Ω before step {steps}");
+        if omega[0] {
+            let Some(cycle) = find_wait_cycle(&arenas[0].to_config(net).unwrap()) else {
+                break End::Deadlocked;
+            };
+            for (arena, kernel) in arenas.iter_mut().zip(&mut kernels) {
+                arena.remove_travel(net, cycle.msgs[0]).unwrap();
+                kernel.resync(arena);
+            }
+            recoveries += 1;
+            continue;
+        }
+        if steps == limit {
+            break End::MidFlight;
+        }
+        let seen = traces[0].events().len();
+        for ((arena, kernel), trace) in arenas.iter_mut().zip(&mut kernels).zip(&mut traces) {
+            trace.begin_step(steps);
+            assert!(kernel.step(arena, trace).unwrap().moves() > 0);
+            if kernel.take_saw_arrival() {
+                kernel.drain_arrived(arena);
+            }
+        }
+        assert_eq!(
+            traces[0].events()[seen..],
+            traces[1].events()[seen..],
+            "moves of step {steps}"
+        );
+        assert_eq!(kernels[0].newly_arrived(), kernels[1].newly_arrived());
+        assert!(kernels[0].transitions().is_empty() && kernels[0].freed_ports().is_empty());
+        assert_eq!(
+            arenas[0].to_config(net).unwrap(),
+            arenas[1].to_config(net).unwrap(),
+            "after step {steps}"
+        );
+        steps += 1;
+    };
+    assert_eq!(
+        arenas[0].to_config(net).unwrap(),
+        arenas[1].to_config(net).unwrap(),
+        "the same end"
+    );
+    (end, recoveries)
+}
+
+/// The quiet kernel on the five stream-pinned cells, which run it to
+/// evacuation: the mixed-routing cell through its recoveries.
+#[test]
+fn quiet_kernels_step_like_observed_ones_on_the_pinned_cells() {
+    for cell in pinned_cells() {
+        let spec = ArenaSpec::from_kernel_spec(&cell.policy.kernel_spec().unwrap()).unwrap();
+        let (end, recoveries) = quiet_steps_like_observed(&cell.mesh, spec, &cell.cfg, u64::MAX);
+        assert_eq!(end, End::Evacuated, "{}", cell.name);
+        assert_eq!(recoveries > 0, cell.mixed, "{}", cell.name);
+    }
+}
+
+/// [`quiet_steps_like_observed`] under the three admissions — wormhole
+/// (`Always`), virtual cut-through (`WholePacketRoom`) and store-and-forward
+/// (`StoreAndForward`) — run to the end or cut after `cut` steps.
+fn quiet_steps_like_observed_everywhere(
+    net: &dyn Network,
+    routing: &dyn RoutingFunction,
+    specs: &[MessageSpec],
+    round_robin: bool,
+    cut: u64,
+) {
+    let cfg = Config::from_specs(net, routing, specs).unwrap();
+    let arbitration = if round_robin {
+        Arbitration::RoundRobin
+    } else {
+        Arbitration::FixedPriority
+    };
+    for kind in [
+        SwitchingKind::Wormhole,
+        SwitchingKind::VirtualCutThrough,
+        SwitchingKind::StoreForward,
+    ] {
+        let spec = ArenaSpec {
+            arbitration,
+            ..arena_spec(kind)
+        };
+        for limit in [u64::MAX, cut] {
+            quiet_steps_like_observed(net, spec, &cfg, limit);
+        }
+    }
+}
+
+/// A workload drawn as (source, dest, flits) triples over `nodes` nodes.
+fn workload_strategy(
+    nodes: usize,
+    max_messages: usize,
+    max_flits: usize,
+) -> impl Strategy<Value = Vec<MessageSpec>> {
+    vec((0..nodes, 0..nodes, 1..=max_flits), 0..=max_messages).prop_map(|triples| {
+        triples
+            .into_iter()
+            .map(|(s, d, f)| MessageSpec::new(NodeId::from_index(s), NodeId::from_index(d), f))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The cyclic comparator: wormhole deadlocks and recovers, the
+    /// whole-packet admissions strand packets longer than a buffer.
+    #[test]
+    fn quiet_kernels_step_like_observed_ones_on_the_mixed_mesh(
+        specs in workload_strategy(16, 48, 5),
+        capacity in 1u32..=3,
+        round_robin in 0u32..2,
+        cut in 1u64..12,
+    ) {
+        let mesh = Mesh::new(4, 4, capacity);
+        let routing = MixedXyYxRouting::new(&mesh);
+        quiet_steps_like_observed_everywhere(&mesh, &routing, &specs, round_robin == 1, cut);
+    }
+
+    #[test]
+    fn quiet_kernels_step_like_observed_ones_on_the_six_ring(
+        specs in workload_strategy(6, 24, 4),
+        capacity in 1u32..=3,
+        round_robin in 0u32..2,
+        cut in 1u64..12,
+    ) {
+        let ring = Ring::new(6, capacity);
+        let routing = RingShortestRouting::new(&ring);
+        quiet_steps_like_observed_everywhere(&ring, &routing, &specs, round_robin == 1, cut);
+    }
+
+    /// Most travels queue for one node: the futile wakes the quiet kernel
+    /// skips are most of an observed kernel's.
+    #[test]
+    fn quiet_kernels_step_like_observed_ones_on_an_eight_by_eight_hotspot(
+        seed in 0u64..1_000_000,
+        messages in 64usize..=256,
+        hotspot in 0usize..64,
+        capacity in 1u32..=3,
+        flits in 1usize..=4,
+        round_robin in 0u32..2,
+        cut in 1u64..24,
+    ) {
+        let mesh = Mesh::new(8, 8, capacity);
+        let routing = XyRouting::new(&mesh);
+        let specs = genoc::sim::workload::hotspot(64, messages, hotspot, 40, flits, seed);
+        quiet_steps_like_observed_everywhere(&mesh, &routing, &specs, round_robin == 1, cut);
+    }
 }

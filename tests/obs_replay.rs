@@ -24,8 +24,8 @@ use genoc::campaign::{scenario_seed, ScenarioMatrix, ScenarioSpec};
 use genoc::core::error::Error;
 use genoc::core::moves::MoveKind;
 use genoc::obs::{
-    read_wal_bytes, ObservedEngine, Recorder, SnapshotImages, TravelImage, WalEvent, WalMeta,
-    WalRecords,
+    describe, read_wal_bytes, tail_lines, ObservedEngine, Recorder, SnapshotImages, TravelImage,
+    WalEvent, WalLog, WalMeta, WalRecords,
 };
 use genoc::prelude::*;
 use genoc::verif::Instance;
@@ -154,8 +154,10 @@ fn every_smoke_scenario_replays_identically_to_a_rerun() {
     }
 }
 
-#[test]
-fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
+/// The corner storm on a 2×2 mixed XY/YX mesh, recorded under a detecting
+/// engine: the mesh, the run, the step the detector first fired at, and the
+/// log read back.
+fn recorded_storm() -> (Mesh, SimResult, u64, WalLog) {
     let mesh = Mesh::new(2, 2, 1);
     let routing = MixedXyYxRouting::new(&mesh);
     let specs = genoc::sim::workload::bit_complement(&mesh, 4);
@@ -187,6 +189,12 @@ fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
     let bytes = writer.finish().expect("flush").expect("in-memory bytes");
     let log = read_wal_bytes(&bytes);
     assert!(log.damage.is_none());
+    (mesh, result, detected_at, log)
+}
+
+#[test]
+fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
+    let (mesh, result, detected_at, log) = recorded_storm();
 
     // The log carries the firing, at the step the engine reported.
     let logged = genoc::obs::detections(&log.events)
@@ -211,6 +219,45 @@ fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
         );
     }
     assert_eq!(replayed, result.run.config, "final state replays exactly");
+}
+
+/// A tail longer than the log is the whole evidence: every evidence line
+/// before the first detection, then the verdict lines, and the ring holding
+/// them is sized by the log, not by `k` (`replay --last 4294967295` once
+/// asked the allocator for `k` frames up front and aborted).
+#[test]
+fn a_tail_longer_than_the_log_is_every_evidence_line() {
+    let (_, _, _, log) = recorded_storm();
+    let mut events = log.events.iter();
+    let mut expected: Vec<String> = (events.by_ref())
+        .take_while(|e| !matches!(e, WalEvent::Detection { .. }))
+        .filter(|e| {
+            matches!(
+                e,
+                WalEvent::StepBegin { .. }
+                    | WalEvent::Move { .. }
+                    | WalEvent::Transition { .. }
+                    | WalEvent::FreedPort { .. }
+                    | WalEvent::EdgeAdd { .. }
+                    | WalEvent::EdgeRemove { .. }
+                    | WalEvent::Recovery { .. }
+            )
+        })
+        .map(|e| describe(&e))
+        .collect();
+    let evidence = expected.len();
+    assert!(evidence > 0);
+    let first = log
+        .events
+        .iter()
+        .find(|e| matches!(e, WalEvent::Detection { .. }));
+    expected.push(describe(&first.expect("the storm is detected")));
+    let verdicts =
+        events.filter(|e| matches!(e, WalEvent::Detection { .. } | WalEvent::RunEnd { .. }));
+    expected.extend(verdicts.map(|e| describe(&e)));
+    for k in [evidence, evidence + 1, u32::MAX as usize, usize::MAX] {
+        assert_eq!(tail_lines(&log.events, k), expected, "k = {k}");
+    }
 }
 
 #[test]
