@@ -61,6 +61,18 @@ pub enum Error {
     /// A disk-spill I/O operation of the explorer failed (file create,
     /// read, or write under `--spill-dir`).
     Spill(String),
+    /// The explorer's parallel engine was asked for more worker threads or
+    /// frontier shards than it allows: every block of a level holds one
+    /// bucket per (worker, shard), so a level holds up to
+    /// `jobs × jobs × shards` of them.
+    ParallelismBound {
+        /// Worker threads asked for.
+        jobs: usize,
+        /// Frontier shards asked for.
+        shards: usize,
+        /// The largest job count, and the largest shard count, allowed.
+        max: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -95,6 +107,11 @@ impl fmt::Display for Error {
             ),
             Error::UnknownTravel(id) => write!(f, "travel {id} not present in configuration"),
             Error::Spill(msg) => write!(f, "spill I/O failed: {msg}"),
+            Error::ParallelismBound { jobs, shards, max } => write!(
+                f,
+                "{jobs} jobs and {shards} shards asked for: the parallel explorer's bound is \
+                 {max} of each"
+            ),
         }
     }
 }

@@ -32,6 +32,12 @@ use crate::expand::Expander;
 use crate::state::{StateArena, Workload};
 use crate::symmetry::slot_perms;
 
+/// The most worker threads, and the most frontier shards, the parallel
+/// engine runs with. A level holds one bucket per (block, worker, shard),
+/// up to `jobs × jobs × shards`: at 64 the empty ones take ≈ 15 MB.
+/// Asking for more is an [`Error::ParallelismBound`].
+pub const MAX_PARALLELISM: usize = 64;
+
 /// Exploration parameters.
 #[derive(Clone, Debug)]
 pub struct ExploreOptions {
@@ -53,10 +59,12 @@ pub struct ExploreOptions {
     pub por: bool,
     /// Worker threads. With `jobs > 1` (and `record_graph` off) the search
     /// runs as a level-synchronized sharded frontier; verdicts and minimal
-    /// counterexample depths are independent of the job count.
+    /// counterexample depths are independent of the job count. At most
+    /// [`MAX_PARALLELISM`] on the parallel path.
     pub jobs: usize,
     /// Frontier shards for the parallel path; `0` means one per job. The
-    /// verdict is independent of the shard count.
+    /// verdict is independent of the shard count. At most
+    /// [`MAX_PARALLELISM`].
     pub shards: usize,
     /// Approximate memory budget in bytes for interned states and edges.
     /// Without a [`spill_dir`](ExploreOptions::spill_dir), exceeding it

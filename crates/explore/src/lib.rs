@@ -76,7 +76,7 @@ pub mod symmetry;
 
 pub use crate::explorer::{
     explore, explore_policy, explore_workload, replay, BoundReason, Counterexample, Exploration,
-    ExploreOptions, StateGraph, StateStatus, Verdict,
+    ExploreOptions, StateGraph, StateStatus, Verdict, MAX_PARALLELISM,
 };
 pub use crate::export::{to_aut, to_dot};
 pub use crate::por::AmpleSelector;

@@ -28,15 +28,19 @@
 //!    sequential search.
 //! 3. **Intern sweep** — shards are claimed off an atomic cursor; the one
 //!    worker owning shard `s` merges only the buckets tagged `s` (an
-//!    `O(successors / shards)` read, not a scan of every result), sorts
-//!    them by `(slot, child)` — which reproduces the sequential visit
+//!    `O(successors / shards)` read, not a scan of every result), puts
+//!    them in `(slot, child)` order — which reproduces the sequential visit
 //!    order exactly — and interns, appending fresh states (ids *and*
-//!    keys) to the shard's slice of the next level.
+//!    keys) to the shard's slice of the next level. The order comes from a
+//!    stable counting sort on the slot alone, which is exact: one worker
+//!    pops each slot and pushes that slot's children into its buckets in
+//!    child order, and the merge (or spilled chunk) concatenates whole
+//!    buckets, so the entries of one slot already stand in child order.
 //!
 //! Verdicts, minimal counterexample depths, and stored-state counts are
 //! invariant under the job count, the shard count, and spilling: the
 //! per-level successor multiset does not depend on how it was partitioned,
-//! and the sorted intern order fixes every tie deterministically.
+//! and the `(slot, child)` intern order fixes every tie deterministically.
 //!
 //! When [`ExploreOptions::mem_limit`] is exceeded and a
 //! [`spill_dir`](ExploreOptions::spill_dir) is configured (see
@@ -48,7 +52,7 @@
 //! Global state handles pack `(local, shard)` as `local * shards + shard`,
 //! which keeps parent pointers `u32`-sized across shards.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
@@ -65,6 +69,7 @@ use genoc_core::MsgId;
 use crate::expand::Expander;
 use crate::explorer::{
     concretize_trace, BoundReason, Edge, Exploration, ExploreOptions, StateStatus, Verdict,
+    MAX_PARALLELISM,
 };
 use crate::spill::{SpillDir, SpillFile};
 use crate::state::{StateArena, Workload};
@@ -138,7 +143,15 @@ struct LevelBlock {
 }
 
 /// Harvested expansion output of one block.
-enum BlockOut {
+struct BlockOut {
+    /// Level slots of the block's states (`base..base + states`), the key
+    /// range of the intern sweep's counting sort.
+    slots: Range<u32>,
+    buckets: BlockBuckets,
+}
+
+/// Where a block's buckets live.
+enum BlockBuckets {
     /// `[worker][shard]` buckets; each consumed by exactly one intern
     /// worker (hence the per-bucket mutex).
     Ram(Vec<Vec<Mutex<Bucket>>>),
@@ -207,8 +220,10 @@ struct WorkerScratch<'a> {
     batch: Vec<u32>,
     /// Merge target for the intern sweep's per-(block, shard) gather.
     merge: Bucket,
-    /// Sort permutation over `merge.entries`.
+    /// Intern order over `merge.entries`.
     order: Vec<u32>,
+    /// Per-slot counts of the counting sort that builds `order`.
+    counts: Vec<u32>,
     io: Vec<u8>,
     /// Lazily opened read handle on the bucket spill file.
     bucket_read: Option<SpillFile>,
@@ -227,6 +242,7 @@ impl<'a> WorkerScratch<'a> {
             batch: Vec::with_capacity(STEAL_BATCH),
             merge: Bucket::default(),
             order: Vec::new(),
+            counts: Vec::new(),
             io: Vec::new(),
             bucket_read: None,
         }
@@ -258,7 +274,9 @@ impl SpillState {
 
 /// The parallel counterpart of the sequential search in `explorer.rs`:
 /// same verdicts, same minimal counterexample depths, state counts
-/// invariant under `jobs`, `shards`, and spilling.
+/// invariant under `jobs`, `shards`, and spilling. More than
+/// [`MAX_PARALLELISM`] jobs or shards is an [`Error::ParallelismBound`],
+/// refused before the pool is built.
 pub(crate) fn explore_parallel(
     net: &dyn Network,
     routing: &dyn RoutingFunction,
@@ -274,6 +292,13 @@ pub(crate) fn explore_parallel(
     } else {
         options.shards
     };
+    if jobs.max(shard_count) > MAX_PARALLELISM {
+        return Err(Error::ParallelismBound {
+            jobs,
+            shards: shard_count,
+            max: MAX_PARALLELISM,
+        });
+    }
     let root_key = workload.initial_key();
     let stride = root_key.len();
 
@@ -400,8 +425,12 @@ fn coordinate(
                 enabled_moves += std::mem::take(&mut worker.enabled);
                 transitions += std::mem::take(&mut worker.transitions);
             }
-            outs.push(BlockOut::Ram(per_worker));
-            base += states as u32;
+            let end = base + states as u32;
+            outs.push(BlockOut {
+                slots: base..end,
+                buckets: BlockBuckets::Ram(per_worker),
+            });
+            base = end;
             let resident = resident_bytes(pool) + outs_bytes(&outs);
             peak_bytes = peak_bytes.max(resident);
             if let (Some(limit), Some(sp)) = (options.mem_limit, spill.as_mut()) {
@@ -653,10 +682,16 @@ fn intern_work(pool: &Pool<'_>, blocks: &[BlockOut], scratch: &mut WorkerScratch
 }
 
 /// Interns every successor of the level owned by shard `s`. Blocks are
-/// processed in level order and each block's entries sorted by
-/// `(slot, child)`, so interning follows the sequential visit order exactly
-/// — parent-edge winners, fresh ids, and the next level's order are all
+/// processed in level order and each block's entries in `(slot, child)`
+/// order, so interning follows the sequential visit order exactly —
+/// parent-edge winners, fresh ids, and the next level's order are all
 /// schedule-independent.
+///
+/// The order is a stable counting sort on the slot alone
+/// ([`counting_order`]). That is exact because one worker pops each slot
+/// and pushes its children into its buckets in child order, and the merge
+/// here (like the spilled chunk) concatenates whole buckets: the entries
+/// of one slot reach the sort already in child order.
 fn intern_shard(
     pool: &Pool<'_>,
     shard: &mut Shard,
@@ -668,6 +703,7 @@ fn intern_shard(
     let WorkerScratch {
         merge,
         order,
+        counts,
         io,
         bucket_read,
         ..
@@ -675,15 +711,15 @@ fn intern_shard(
     for block in blocks {
         merge.entries.clear();
         merge.keys.clear();
-        match block {
-            BlockOut::Ram(workers) => {
+        match &block.buckets {
+            BlockBuckets::Ram(workers) => {
                 for buckets in workers {
                     let mut bucket = buckets[s].lock().expect("bucket poisoned");
                     merge.entries.append(&mut bucket.entries);
                     merge.keys.append(&mut bucket.keys);
                 }
             }
-            BlockOut::Spilled { shards } => {
+            BlockBuckets::Spilled { shards } => {
                 let (offset, bytes, count) = shards[s];
                 if count == 0 {
                     continue;
@@ -700,13 +736,10 @@ fn intern_shard(
                 decode_chunk(io, count as usize, stride, merge)?;
             }
         }
-        let n = merge.entries.len();
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by_key(|&i| {
-            let e = &merge.entries[i as usize];
-            (e.slot, e.child)
-        });
+        if merge.entries.is_empty() {
+            continue;
+        }
+        counting_order(&merge.entries, block.slots.clone(), counts, order);
         let Shard {
             arena,
             edges,
@@ -732,6 +765,42 @@ fn intern_shard(
         }
     }
     Ok(())
+}
+
+/// Fills `order` with the indices of `entries`, whose slots all lie in
+/// `slots`, by a stable counting sort on the slot (`counts` is a reused buffer).
+/// Stability keeps each slot's entries in the order they were pushed, which
+/// is child order (see [`intern_shard`]), so `order` is the `(slot, child)`
+/// order; debug builds check it against that comparison sort.
+fn counting_order(
+    entries: &[SuccEntry],
+    slots: Range<u32>,
+    counts: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+) {
+    counts.clear();
+    counts.resize((slots.end - slots.start) as usize + 1, 0);
+    for e in entries {
+        counts[(e.slot - slots.start) as usize + 1] += 1;
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    order.clear();
+    order.resize(entries.len(), 0);
+    for (i, e) in entries.iter().enumerate() {
+        let at = &mut counts[(e.slot - slots.start) as usize];
+        order[*at as usize] = i as u32;
+        *at += 1;
+    }
+    debug_assert!(
+        {
+            let mut sorted: Vec<u32> = (0..entries.len() as u32).collect();
+            sorted.sort_by_key(|&i| (entries[i as usize].slot, entries[i as usize].child));
+            *order == sorted
+        },
+        "counting order differs from the (slot, child) sort"
+    );
 }
 
 fn global_id(local: u32, shard: usize, shard_count: usize) -> u32 {
@@ -785,8 +854,8 @@ fn resident_bytes(pool: &Pool<'_>) -> usize {
 
 fn outs_bytes(outs: &[BlockOut]) -> usize {
     outs.iter()
-        .map(|o| match o {
-            BlockOut::Ram(workers) => workers
+        .map(|o| match &o.buckets {
+            BlockBuckets::Ram(workers) => workers
                 .iter()
                 .flat_map(|buckets| buckets.iter())
                 .map(|b| {
@@ -795,7 +864,7 @@ fn outs_bytes(outs: &[BlockOut]) -> usize {
                         + b.keys.len() * std::mem::size_of::<u16>()
                 })
                 .sum(),
-            BlockOut::Spilled { .. } => 0,
+            BlockBuckets::Spilled { .. } => 0,
         })
         .sum()
 }
@@ -844,35 +913,34 @@ fn load_keys(store: KeyStore, len: usize, spill: &mut Option<SpillState>) -> Res
 }
 
 /// Spills every still-resident harvested block: per shard, the workers'
-/// buckets are merged and serialized as one chunk.
+/// buckets are encoded one after the other, in worker order, into one
+/// chunk. A chunk has no header, so that is byte for byte the chunk of
+/// their merge, and no merged bucket is built.
 fn spill_outs(pool: &Pool<'_>, outs: &mut [BlockOut], sp: &mut SpillState) -> Result<()> {
     let stride = pool.stride;
     let file = sp.buckets_file()?;
     let mut buf = Vec::new();
-    let mut merged = Bucket::default();
     for out in outs.iter_mut() {
-        let BlockOut::Ram(workers) = out else {
+        let BlockBuckets::Ram(workers) = &mut out.buckets else {
             continue;
         };
         let mut shards = Vec::with_capacity(pool.shard_count);
         for s in 0..pool.shard_count {
-            merged.entries.clear();
-            merged.keys.clear();
-            for buckets in workers.iter() {
-                let mut bucket = buckets[s].lock().expect("bucket poisoned");
-                merged.entries.append(&mut bucket.entries);
-                merged.keys.append(&mut bucket.keys);
-            }
             buf.clear();
-            encode_bucket(&merged, stride, &mut buf);
+            let mut count = 0u32;
+            for buckets in workers.iter_mut() {
+                let bucket = std::mem::take(buckets[s].get_mut().expect("bucket poisoned"));
+                encode_bucket(&bucket, stride, &mut buf);
+                count += bucket.entries.len() as u32;
+            }
             let offset = file.append_bytes(&buf)?;
             shards.push((
                 offset,
                 u32::try_from(buf.len()).expect("bucket chunk exceeds u32 bytes"),
-                merged.entries.len() as u32,
+                count,
             ));
         }
-        *out = BlockOut::Spilled { shards };
+        out.buckets = BlockBuckets::Spilled { shards };
     }
     Ok(())
 }
@@ -894,102 +962,116 @@ fn spill_frontier(blocks: &mut [LevelBlock], sp: &mut SpillState) -> Result<()> 
 
 // ---- Bucket chunk codec (little-endian, no framing) ----
 //
-// Per entry: slot u32 · child u32 · parent u32 · msg u32 · flit u32 ·
-// kind u8 · hash u64 · perm_len u16 (u16::MAX = identity) · perm u16s ·
-// key (stride u16s).
+// Per entry: a fixed 31-byte head — slot u32 · child u32 · parent u32 ·
+// msg u32 · flit u32 · kind u8 · hash u64 · perm_len u16 (u16::MAX =
+// identity) — then perm_len perm u16s and the key (stride u16s). A chunk
+// has no header, so encoding buckets one after the other gives exactly the
+// encoding of their merge: `spill_outs` relies on that.
+
+/// Bytes of an entry's fixed head.
+const HEAD: usize = 31;
 
 fn encode_bucket(bucket: &Bucket, stride: usize, buf: &mut Vec<u8>) {
+    buf.reserve(bucket.entries.len() * (HEAD + 2 * stride));
     for (i, e) in bucket.entries.iter().enumerate() {
-        buf.extend_from_slice(&e.slot.to_le_bytes());
-        buf.extend_from_slice(&e.child.to_le_bytes());
-        buf.extend_from_slice(&e.parent.to_le_bytes());
-        buf.extend_from_slice(&(e.mv.msg.index() as u32).to_le_bytes());
-        buf.extend_from_slice(&(e.mv.flit as u32).to_le_bytes());
-        buf.push(match e.mv.kind {
+        let perm_len = match &e.perm {
+            None => u16::MAX,
+            Some(perm) => {
+                debug_assert!(perm.len() < usize::from(u16::MAX), "permutation too long");
+                perm.len() as u16
+            }
+        };
+        let mut head = [0u8; HEAD];
+        head[0..4].copy_from_slice(&e.slot.to_le_bytes());
+        head[4..8].copy_from_slice(&e.child.to_le_bytes());
+        head[8..12].copy_from_slice(&e.parent.to_le_bytes());
+        head[12..16].copy_from_slice(&(e.mv.msg.index() as u32).to_le_bytes());
+        head[16..20].copy_from_slice(&(e.mv.flit as u32).to_le_bytes());
+        head[20] = match e.mv.kind {
             MoveKind::Enter => 0,
             MoveKind::Advance => 1,
             MoveKind::Eject => 2,
-        });
-        buf.extend_from_slice(&e.hash.to_le_bytes());
-        match &e.perm {
-            None => buf.extend_from_slice(&u16::MAX.to_le_bytes()),
-            Some(perm) => {
-                debug_assert!(perm.len() < usize::from(u16::MAX), "permutation too long");
-                buf.extend_from_slice(&(perm.len() as u16).to_le_bytes());
-                for &s in perm.iter() {
-                    buf.extend_from_slice(&(s as u16).to_le_bytes());
-                }
+        };
+        head[21..29].copy_from_slice(&e.hash.to_le_bytes());
+        head[29..31].copy_from_slice(&perm_len.to_le_bytes());
+        buf.extend_from_slice(&head);
+        if let Some(perm) = &e.perm {
+            for &p in perm.iter() {
+                buf.extend_from_slice(&(p as u16).to_le_bytes());
             }
         }
-        for &k in &bucket.keys[i * stride..(i + 1) * stride] {
-            buf.extend_from_slice(&k.to_le_bytes());
+        let at = buf.len();
+        buf.resize(at + 2 * stride, 0);
+        let key = &bucket.keys[i * stride..(i + 1) * stride];
+        for (out, &k) in buf[at..].chunks_exact_mut(2).zip(key) {
+            out.copy_from_slice(&k.to_le_bytes());
         }
     }
 }
 
-/// Cursor over a bucket chunk's bytes.
-struct Decoder<'a> {
-    bytes: &'a [u8],
-    at: usize,
+fn le_u32(head: &[u8; HEAD], at: usize) -> u32 {
+    u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]])
 }
 
-impl<'a> Decoder<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let chunk = self
-            .bytes
-            .get(self.at..self.at + n)
-            .ok_or_else(|| Error::Spill("bucket chunk truncated".into()))?;
-        self.at += n;
-        Ok(chunk)
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
-    }
+fn le_u16s(raw: &[u8]) -> impl Iterator<Item = u16> + '_ {
+    raw.chunks_exact(2)
+        .map(|c| u16::from_le_bytes([c[0], c[1]]))
 }
 
+/// Appends a chunk's `count` entries to `out`. Each entry's head is taken
+/// after one bounds check; a truncated chunk or a bad move kind is an
+/// [`Error::Spill`].
 fn decode_chunk(bytes: &[u8], count: usize, stride: usize, out: &mut Bucket) -> Result<()> {
-    let mut d = Decoder { bytes, at: 0 };
+    let truncated = || Error::Spill("bucket chunk truncated".into());
+    let mut rest = bytes;
     for _ in 0..count {
-        let slot = d.u32()?;
-        let child = d.u32()?;
-        let parent = d.u32()?;
-        let msg = d.u32()?;
-        let flit = d.u32()?;
-        let kind = match d.take(1)?[0] {
+        let (head, tail) = rest.split_first_chunk::<HEAD>().ok_or_else(truncated)?;
+        let kind = match head[20] {
             0 => MoveKind::Enter,
             1 => MoveKind::Advance,
             2 => MoveKind::Eject,
             k => return Err(Error::Spill(format!("bad move kind {k} in bucket chunk"))),
         };
-        let hash = d.u64()?;
-        let perm_len = d.u16()?;
-        let perm = if perm_len == u16::MAX {
-            None
+        let hash = u64::from_le_bytes(head[21..29].try_into().expect("sized"));
+        let perm_len = u16::from_le_bytes([head[29], head[30]]);
+        let (perm, tail) = if perm_len == u16::MAX {
+            (None, tail)
         } else {
-            let raw = d.take(usize::from(perm_len) * 2)?;
-            Some(
-                raw.chunks_exact(2)
-                    .map(|c| usize::from(u16::from_le_bytes([c[0], c[1]])))
-                    .collect::<Box<[usize]>>(),
-            )
+            let (raw, tail) = tail
+                .split_at_checked(usize::from(perm_len) * 2)
+                .ok_or_else(truncated)?;
+            (Some(le_u16s(raw).map(usize::from).collect()), tail)
         };
-        let key_raw = d.take(stride * 2)?;
-        out.keys.extend(
-            key_raw
-                .chunks_exact(2)
-                .map(|c| u16::from_le_bytes([c[0], c[1]])),
-        );
+        let (key_raw, tail) = tail.split_at_checked(stride * 2).ok_or_else(truncated)?;
+        rest = tail;
+        out.keys.extend(le_u16s(key_raw));
         out.entries.push(SuccEntry {
+            slot: le_u32(head, 0),
+            child: le_u32(head, 4),
+            parent: le_u32(head, 8),
+            mv: Move {
+                msg: MsgId::from_index(le_u32(head, 12) as usize),
+                flit: le_u32(head, 16) as usize,
+                kind,
+            },
+            hash,
+            perm,
+        });
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(
+        (slot, child, parent): (u32, u32, u32),
+        (msg, flit, kind): (u32, u32, MoveKind),
+        hash: u64,
+        perm: Option<&[usize]>,
+    ) -> SuccEntry {
+        SuccEntry {
             slot,
             child,
             parent,
@@ -999,8 +1081,250 @@ fn decode_chunk(bytes: &[u8], count: usize, stride: usize, out: &mut Bucket) -> 
                 kind,
             },
             hash,
-            perm,
-        });
+            perm: perm.map(Box::from),
+        }
     }
-    Ok(())
+
+    fn stride1() -> Bucket {
+        Bucket {
+            entries: vec![
+                entry((0, 0, 0), (0, 0, MoveKind::Enter), 0, None),
+                entry(
+                    (u32::MAX, u32::MAX, u32::MAX),
+                    (u32::MAX, u32::MAX, MoveKind::Advance),
+                    u64::MAX,
+                    Some(&[2, 0, 1]),
+                ),
+                entry(
+                    (7, 1, 0x0102_0304),
+                    (5, 3, MoveKind::Eject),
+                    0x0123_4567_89ab_cdef,
+                    Some(&[1, 0]),
+                ),
+            ],
+            keys: vec![0, u16::MAX, 0x1234],
+        }
+    }
+
+    fn stride12() -> Bucket {
+        Bucket {
+            entries: vec![
+                entry((3, 2, 9), (1, 0, MoveKind::Eject), 0xfeed_beef, None),
+                entry((4, 0, 10), (2, 1, MoveKind::Enter), 1, Some(&[3, 2, 1, 0])),
+            ],
+            keys: (0..24u16).map(|k| k.wrapping_mul(0x0b0b)).collect(),
+        }
+    }
+
+    /// `stride1()`'s chunk, the spill format's bytes: one row per field, a
+    /// blank line between entries.
+    #[rustfmt::skip]
+    const STRIDE1_BYTES: [u8; 109] = [
+        0x00, 0x00, 0x00, 0x00, // slot
+        0x00, 0x00, 0x00, 0x00, // child
+        0x00, 0x00, 0x00, 0x00, // parent
+        0x00, 0x00, 0x00, 0x00, // msg
+        0x00, 0x00, 0x00, 0x00, // flit
+        0x00,                   // kind: Enter
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // hash
+        0xff, 0xff,             // perm_len: identity
+        0x00, 0x00,             // key
+
+        0xff, 0xff, 0xff, 0xff,
+        0xff, 0xff, 0xff, 0xff,
+        0xff, 0xff, 0xff, 0xff,
+        0xff, 0xff, 0xff, 0xff,
+        0xff, 0xff, 0xff, 0xff,
+        0x01,                   // kind: Advance
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        0x03, 0x00,             // perm_len
+        0x02, 0x00, 0x00, 0x00, 0x01, 0x00, // perm
+        0xff, 0xff,
+
+        0x07, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00,
+        0x04, 0x03, 0x02, 0x01,
+        0x05, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00,
+        0x02,                   // kind: Eject
+        0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,
+        0x02, 0x00,
+        0x01, 0x00, 0x00, 0x00,
+        0x34, 0x12,
+    ];
+
+    /// `stride12()`'s chunk.
+    #[rustfmt::skip]
+    const STRIDE12_BYTES: [u8; 118] = [
+        0x03, 0x00, 0x00, 0x00,
+        0x02, 0x00, 0x00, 0x00,
+        0x09, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00,
+        0x02,
+        0xef, 0xbe, 0xed, 0xfe, 0x00, 0x00, 0x00, 0x00,
+        0xff, 0xff,
+        0x00, 0x00, 0x0b, 0x0b, 0x16, 0x16, 0x21, 0x21, 0x2c, 0x2c, 0x37, 0x37,
+        0x42, 0x42, 0x4d, 0x4d, 0x58, 0x58, 0x63, 0x63, 0x6e, 0x6e, 0x79, 0x79,
+
+        0x04, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00,
+        0x0a, 0x00, 0x00, 0x00,
+        0x02, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00,
+        0x00,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x04, 0x00,
+        0x03, 0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x84, 0x84, 0x8f, 0x8f, 0x9a, 0x9a, 0xa5, 0xa5, 0xb0, 0xb0, 0xbb, 0xbb,
+        0xc6, 0xc6, 0xd1, 0xd1, 0xdc, 0xdc, 0xe7, 0xe7, 0xf2, 0xf2, 0xfd, 0xfd,
+    ];
+
+    /// A bucket's entries as comparable tuples, plus its keys.
+    type View = (
+        Vec<(u32, u32, u32, Move, u64, Option<Vec<usize>>)>,
+        Vec<u16>,
+    );
+
+    fn view(bucket: &Bucket) -> View {
+        let entries = bucket
+            .entries
+            .iter()
+            .map(|e| {
+                let perm = e.perm.as_ref().map(|p| p.to_vec());
+                (e.slot, e.child, e.parent, e.mv, e.hash, perm)
+            })
+            .collect();
+        (entries, bucket.keys.clone())
+    }
+
+    fn encoded(bucket: &Bucket, stride: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_bucket(bucket, stride, &mut buf);
+        buf
+    }
+
+    /// Splits `bucket` after its first `at` entries.
+    fn split(mut bucket: Bucket, at: usize, stride: usize) -> (Bucket, Bucket) {
+        let tail = Bucket {
+            entries: bucket.entries.split_off(at),
+            keys: bucket.keys.split_off(at * stride),
+        };
+        (bucket, tail)
+    }
+
+    #[test]
+    fn the_bucket_codec_is_pinned_byte_for_byte() {
+        let cases: [(Bucket, usize, &[u8]); 2] = [
+            (stride1(), 1, &STRIDE1_BYTES),
+            (stride12(), 12, &STRIDE12_BYTES),
+        ];
+        for (bucket, stride, bytes) in cases {
+            assert_eq!(encoded(&bucket, stride), bytes, "stride {stride}");
+            let mut back = Bucket::default();
+            decode_chunk(bytes, bucket.entries.len(), stride, &mut back).expect("decodes");
+            assert_eq!(view(&back), view(&bucket), "stride {stride}");
+        }
+    }
+
+    #[test]
+    fn encoding_buckets_in_turn_equals_encoding_them_merged() {
+        let fixtures: [(fn() -> Bucket, usize); 2] = [(stride1, 1), (stride12, 12)];
+        for (fixture, stride) in fixtures {
+            let whole = encoded(&fixture(), stride);
+            for at in 0..=fixture().entries.len() {
+                let (head, tail) = split(fixture(), at, stride);
+                let mut buf = Vec::new();
+                encode_bucket(&head, stride, &mut buf);
+                encode_bucket(&tail, stride, &mut buf);
+                assert_eq!(buf, whole, "stride {stride}, split at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_chunks_are_spill_errors_not_panics() {
+        for (bucket, stride) in [(stride1(), 1), (stride12(), 12)] {
+            let bytes = encoded(&bucket, stride);
+            let count = bucket.entries.len();
+            for cut in 0..bytes.len() {
+                let mut out = Bucket::default();
+                let result = decode_chunk(&bytes[..cut], count, stride, &mut out);
+                assert!(
+                    matches!(result, Err(Error::Spill(_))),
+                    "stride {stride}, cut at {cut}: {result:?}"
+                );
+            }
+            let mut bad_kind = bytes.clone();
+            bad_kind[20] = 3;
+            let result = decode_chunk(&bad_kind, count, stride, &mut Bucket::default());
+            assert!(matches!(result, Err(Error::Spill(_))), "{result:?}");
+        }
+    }
+
+    /// Deals `0..23` onto two workers as [`StealQueues`] does — round-robin,
+    /// then worker 0 steals a run off worker 1's back, reversed — pushes
+    /// each slot's children into the workers' per-shard buckets in child
+    /// order, and checks that counting on the slot alone puts every
+    /// shard's worker-order merge in `(slot, child)` order.
+    #[test]
+    fn counting_on_the_slot_gives_the_slot_child_order() {
+        const SHARDS: usize = 3;
+        let base = 100;
+        let queues = StealQueues::new(2);
+        queues.fill(23);
+        let mut buckets: Vec<Vec<Bucket>> = (0..2).map(|_| new_buckets(SHARDS)).collect();
+        let mut batch = Vec::new();
+        let mut stolen = Vec::new();
+        for (w, max) in [(1, 3), (0, 64), (0, 64), (1, 64)] {
+            assert!(queues.pop_batch(w, max, &mut batch));
+            if w == 0 && batch[0] % 2 == 1 {
+                stolen.clone_from(&batch);
+            }
+            for &i in &batch {
+                let slot = base + i;
+                for child in 0..=i % 4 {
+                    let s = (slot as usize * 31 + child as usize) % SHARDS;
+                    let bucket = &mut buckets[w][s];
+                    bucket.entries.push(entry(
+                        (slot, child, i),
+                        (0, 0, MoveKind::Advance),
+                        0,
+                        None,
+                    ));
+                }
+            }
+        }
+        assert!(!queues.pop_batch(0, 64, &mut batch));
+        assert_eq!(stolen, [21, 19, 17, 15], "no reversed stolen run");
+        let (mut counts, mut order) = (Vec::new(), Vec::new());
+        let mut interned = 0;
+        for s in 0..SHARDS {
+            let mut merge = Bucket::default();
+            for worker in &mut buckets {
+                merge.entries.append(&mut worker[s].entries);
+            }
+            counting_order(&merge.entries, base..base + 23, &mut counts, &mut order);
+            let mut sorted: Vec<u32> = (0..merge.entries.len() as u32).collect();
+            sorted.sort_by_key(|&i| {
+                (
+                    merge.entries[i as usize].slot,
+                    merge.entries[i as usize].child,
+                )
+            });
+            assert_eq!(order, sorted, "shard {s}");
+            interned += order.len();
+        }
+        assert_eq!(interned, (0..23).map(|i| i % 4 + 1).sum::<u32>() as usize);
+    }
+
+    /// Both sizes are counted in the resident bytes that decide when the
+    /// parallel engine spills, so `explore-spill`'s pinned `peak_bytes` and
+    /// `spilled_bytes` move with them (an 8-byte pad on `SuccEntry` moved
+    /// them to 6,541,568 and 30,229,338). A layout change fails here first.
+    #[test]
+    fn the_pinned_layouts_keep_their_sizes() {
+        assert_eq!(std::mem::size_of::<SuccEntry>(), 56);
+        assert_eq!(std::mem::size_of::<Option<Edge>>(), 40);
+    }
 }

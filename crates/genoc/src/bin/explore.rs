@@ -16,7 +16,7 @@
 //!   --bound <N>              state bound                      [default: 100000]
 //!   --symmetry <on|off>      node-automorphism reduction          [default: on]
 //!   --por <on|off>           partial-order reduction             [default: off]
-//!   --jobs <N>               worker threads for the frontier       [default: 1]
+//!   --jobs <N>               frontier worker threads, at most 64   [default: 1]
 //!   --mem-limit <BYTES>      stop past this state-storage size (k/m/g suffix)
 //!   --spill-dir <path>       with --mem-limit: spill cold state to disk here
 //!                            instead of stopping
@@ -30,11 +30,12 @@
 //! explicitly *not* a proof, and the INCONCLUSIVE line on stderr says
 //! which of the two limits stopped the search and how far it had got
 //! (`the search stopped at N states, depth D, after T transitions`) — and
-//! `3` a usage or harness error. The summary line reports throughput
-//! (states/second) and the peak resident frontier bytes; a spilling run
-//! also reports how many bytes went to disk. The `--aut`/`--dot` exports
-//! work on partial spaces too: a graph cut short by the bound is still a
-//! valid (under-approximate) LTS.
+//! `3` a usage or harness error (`--jobs` past 64 is one, refused at
+//! once). The summary line reports throughput (states/second) and the
+//! peak resident frontier bytes; a spilling run also reports how many
+//! bytes went to disk. The `--aut`/`--dot` exports work on partial spaces
+//! too: a graph cut short by the bound is still a valid
+//! (under-approximate) LTS.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -8,10 +8,15 @@
 //! `explore_por.rs` plus the cyclic comparators at full pressure, and
 //! additionally checks the `BoundReason` split: without a spill directory a
 //! breached memory budget is a *memory*-bound stop, with one the search
-//! keeps going.
+//! keeps going. Last, the parallel engine refuses more jobs or shards than
+//! it allows, at once, from the library and from `bin/explore`.
+
+use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 use genoc::prelude::*;
-use genoc_explore::BoundReason;
+use genoc_core::error::Error;
+use genoc_explore::{BoundReason, MAX_PARALLELISM};
 
 fn policy_for(switching: SwitchingKind) -> Box<dyn SwitchingPolicy> {
     match switching {
@@ -164,4 +169,67 @@ fn memory_bound_stops_are_labelled_and_spill_lifts_them() {
     });
     assert!(matches!(state_bound.verdict, Verdict::BoundExceeded));
     assert_eq!(state_bound.bound, Some(BoundReason::States));
+}
+
+/// `bin/explore` on the 2×2 XY mesh, two one-flit messages, with
+/// `--jobs jobs`, and how long it took.
+fn explore_mesh_2x2(jobs: &str) -> (Output, Duration) {
+    let start = Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_explore"))
+        .args(["--routing", "xy", "--width", "2", "--height", "2"])
+        .args(["--capacity", "1", "--flits", "1", "--messages", "2"])
+        .args(["--jobs", jobs])
+        .output()
+        .expect("bin/explore runs");
+    (out, start.elapsed())
+}
+
+#[test]
+fn jobs_and_shards_past_the_bound_are_refused_at_once() {
+    // Every block of a level holds jobs × shards buckets: unbounded, a
+    // few thousand jobs allocated gigabytes of empty ones.
+    let (out, took) = explore_mesh_2x2("2000");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains(
+            "2000 jobs and 2000 shards asked for: the parallel explorer's bound is 64 of each"
+        ),
+        "{stderr}"
+    );
+    assert!(took < Duration::from_secs(1), "refusal took {took:?}");
+    let (out, _) = explore_mesh_2x2("64");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let instance = Instance::mesh_xy(2, 2, 1);
+    let mut specs = pressure_specs(&instance.meta, 1);
+    specs.truncate(2);
+    let run = |jobs, shards| {
+        explore(
+            instance.net.as_ref(),
+            instance.routing.as_ref(),
+            &instance.meta,
+            &specs,
+            &genoc_core::step::AlwaysAdmit,
+            &ExploreOptions {
+                jobs,
+                shards,
+                ..ExploreOptions::default()
+            },
+        )
+    };
+    assert_eq!(
+        run(2, MAX_PARALLELISM + 1).err(),
+        Some(Error::ParallelismBound {
+            jobs: 2,
+            shards: MAX_PARALLELISM + 1,
+            max: MAX_PARALLELISM,
+        })
+    );
+    assert!(run(2, MAX_PARALLELISM).is_ok());
 }
