@@ -15,8 +15,10 @@
 //! * encoded flit positions are a single `u32` (`0` = pending, `k + 1` =
 //!   in-network at route index `k`, `u32::MAX` = delivered), so a worm's
 //!   occupancy is one cache-line-friendly integer scan;
-//! * port capacity, occupancy, and ownership are flat columns indexed by
-//!   [`PortId`], replacing the `PortState` array of structs;
+//! * each port is one 16-byte record indexed by [`PortId`] — capacity,
+//!   occupancy, owner, and the step stamp of its last entry — so that a
+//!   flit's advance reads one cache line per port it tests, and the stamps
+//!   and their epoch travel with the arena, not the kernel;
 //! * `flight` and `arrived` are membership lists mirroring the order of
 //!   `Config::travels()` and `Config::arrived()`, so a materialised
 //!   round-trip reproduces the exact `Config` (including iteration order);
@@ -216,38 +218,60 @@ pub struct ArenaConfig {
     slot_of: Vec<u32>,
 }
 
-/// Port capacity, occupancy and ownership: flat columns indexed by
-/// [`PortId`], replacing the `PortState` array of structs. A field of its
-/// own, so that a sub-step can hold its worm's route and flits as slices of
-/// the pools while it moves them through ports.
+/// One port's entry in `ST`: its capacity, occupancy and owner, beside the
+/// stamp of the last step a flit entered it. A candidate advance tests the
+/// stamp and then the buffer and owner of the same port, so they share a
+/// record, four to a cache line.
+#[repr(C, align(16))]
+#[derive(Clone, Copy, Debug, Default)]
+struct PortRec {
+    cap: u32,
+    occ: u32,
+    /// Owning slot, or `NONE`. Always released before a slot is freed, so
+    /// recycled slot ids never alias stale ownership.
+    owner: u32,
+    /// [`Ports::epoch`] of the last step a flit entered the port: one entry
+    /// per port per step.
+    entered: u32,
+}
+
+/// The port state `ST`, one [`PortRec`] per [`PortId`], and the step
+/// bandwidth stamps. A field of its own, so that a sub-step can hold its
+/// worm's route and flits as slices of the pools while it moves them
+/// through ports.
+///
+/// The stamps and the epoch they are compared with live here, not in the
+/// kernel: a kernel built over an arena another kernel stepped, or over a
+/// clone of one, advances the epoch past every stamp the arena holds.
 #[derive(Clone, Debug, Default)]
 struct Ports {
-    cap: Vec<u32>,
-    occ: Vec<u32>,
-    /// Owning slot of each port, or `NONE`. Always released before a slot
-    /// is freed, so recycled slot ids never alias stale ownership.
-    owner: Vec<u32>,
+    rec: Vec<PortRec>,
+    /// Per port, the epoch of the last step a flit ejected from it. Cold:
+    /// ejections are a small share of the moves.
+    ejected: Vec<u32>,
+    /// The step stamp: advanced by every kernel step, never `0` during one.
+    epoch: u32,
 }
 
 impl Ports {
     #[inline]
     fn free(&self, p: PortId) -> u32 {
-        self.cap[p.index()] - self.occ[p.index()]
+        let r = &self.rec[p.index()];
+        r.cap - r.occ
     }
 
     /// Whether a flit of `slot` may enter `p`: a free buffer, and `p` owned
     /// by `slot` — or by no one, when the flit is a head.
     #[inline]
     fn can_enter(&self, p: PortId, slot: u32, is_head: bool) -> bool {
-        let pi = p.index();
-        if self.occ[pi] >= self.cap[pi] {
+        let r = &self.rec[p.index()];
+        if r.occ >= r.cap {
             return false;
         }
-        let o = self.owner[pi];
-        if o == NONE {
+        if r.owner == NONE {
             is_head
         } else {
-            o == slot
+            r.owner == slot
         }
     }
 
@@ -258,9 +282,9 @@ impl Ports {
         if !self.can_enter(p, slot, is_head) {
             return false;
         }
-        let pi = p.index();
-        self.owner[pi] = slot;
-        self.occ[pi] += 1;
+        let r = &mut self.rec[p.index()];
+        r.owner = slot;
+        r.occ += 1;
         true
     }
 
@@ -268,21 +292,46 @@ impl Ports {
     /// the travel in the error.
     #[inline]
     fn leave(&mut self, p: PortId, slot: u32, is_tail: bool, public: &[MsgId]) -> Result<()> {
-        let pi = p.index();
-        if self.occ[pi] == 0 {
+        let r = &mut self.rec[p.index()];
+        if r.occ == 0 {
             return Err(Error::Invariant(format!("flit leaves empty port {p}")));
         }
-        if self.owner[pi] != slot {
+        if r.owner != slot {
             return Err(Error::Invariant(format!(
                 "travel {} leaves port {p} it does not own",
                 public[slot as usize]
             )));
         }
-        self.occ[pi] -= 1;
+        r.occ -= 1;
         if is_tail {
-            self.owner[pi] = NONE;
+            r.owner = NONE;
         }
         Ok(())
+    }
+
+    /// Whether no flit has entered `p` this step.
+    #[inline]
+    fn may_enter(&self, p: PortId) -> bool {
+        self.rec[p.index()].entered != self.epoch
+    }
+
+    /// Whether no flit has ejected from `p` this step.
+    #[inline]
+    fn may_eject(&self, p: PortId) -> bool {
+        self.ejected[p.index()] != self.epoch
+    }
+
+    /// Starts a step's bandwidth: every port may take one entry and one
+    /// ejection again. When the epoch wraps, every stamp is cleared and the
+    /// count restarts at 1, so no stamp from an earlier lap equals it.
+    #[inline]
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.rec.iter_mut().for_each(|r| r.entered = 0);
+            self.ejected.fill(0);
+            self.epoch = 1;
+        }
     }
 }
 
@@ -324,9 +373,7 @@ impl ArenaConfig {
             a.arrived.push(s);
         }
         for (i, ps) in cfg.state().ports().enumerate() {
-            a.ports.cap.push(ps.capacity());
-            a.ports.occ.push(ps.occupied());
-            a.ports.owner.push(match ps.owner() {
+            let owner = match ps.owner() {
                 None => NONE,
                 Some(m) => a.slot_of(m).ok_or_else(|| {
                     Error::Invariant(format!(
@@ -334,8 +381,15 @@ impl ArenaConfig {
                         PortId::from_index(i)
                     ))
                 })?,
+            };
+            a.ports.rec.push(PortRec {
+                cap: ps.capacity(),
+                occ: ps.occupied(),
+                owner,
+                entered: 0,
             });
         }
+        a.ports.ejected = vec![0; a.ports.rec.len()];
         Ok(a)
     }
 
@@ -650,7 +704,7 @@ impl ArenaConfig {
     }
 
     // ------------------------------------------------------------------
-    // Port-state columns (mirrors `NetworkState` exactly)
+    // Port records (mirror `NetworkState` exactly)
     // ------------------------------------------------------------------
 
     /// The injection path's entry: [`Ports::try_enter`] with the refusal
@@ -659,16 +713,16 @@ impl ArenaConfig {
         if self.ports.try_enter(p, slot, true) {
             return Ok(());
         }
-        let pi = p.index();
-        if self.ports.free(p) == 0 {
+        let r = self.ports.rec[p.index()];
+        if r.occ >= r.cap {
             return Err(Error::CapacityExceeded {
                 port: p,
-                capacity: self.ports.cap[pi],
+                capacity: r.cap,
             });
         }
         Err(Error::Invariant(format!(
             "port {p} owned by travel {} cannot admit travel {}",
-            self.public[self.ports.owner[pi] as usize], self.public[slot as usize]
+            self.public[r.owner as usize], self.public[slot as usize]
         )))
     }
 
@@ -677,10 +731,10 @@ impl ArenaConfig {
     }
 
     fn port_claim(&mut self, p: PortId, slot: u32) -> Result<()> {
-        let pi = p.index();
-        let o = self.ports.owner[pi];
+        let r = &mut self.ports.rec[p.index()];
+        let o = r.owner;
         if o == NONE {
-            self.ports.owner[pi] = slot;
+            r.owner = slot;
         } else if o != slot {
             return Err(Error::Invariant(format!(
                 "port {p} owned by travel {} cannot be claimed by travel {}",
@@ -691,9 +745,9 @@ impl ArenaConfig {
     }
 
     fn port_release(&mut self, p: PortId, slot: u32) -> Result<()> {
-        let pi = p.index();
-        if self.ports.owner[pi] == slot && self.ports.occ[pi] == 0 {
-            self.ports.owner[pi] = NONE;
+        let r = &mut self.ports.rec[p.index()];
+        if r.owner == slot && r.occ == 0 {
+            r.owner = NONE;
             Ok(())
         } else {
             Err(Error::Invariant(format!(
@@ -827,7 +881,7 @@ impl ArenaConfig {
 
     /// Number of ports.
     pub fn port_count(&self) -> usize {
-        self.ports.cap.len()
+        self.ports.rec.len()
     }
 
     /// Length of the shared route pool (orphaned ranges included).
@@ -868,10 +922,11 @@ pub struct MoveRec {
 
 /// The incremental stepper over [`ArenaConfig`] (the module documentation
 /// has the argument): move-for-move identical to the reference sweep, with
-/// all per-step state arena-backed — intrusive wake lists, epoch-stamped
-/// bandwidth marks, reusable logs. After warm-up a step performs no heap
-/// allocation. Quiet unless [`set_observed`](Self::set_observed): quiet and
-/// observed kernels make the same moves in the same order.
+/// all per-step state arena-backed — intrusive wake lists and reusable logs
+/// here, the epoch-stamped bandwidth marks in the arena's port records.
+/// After warm-up a step performs no heap allocation. Quiet unless
+/// [`set_observed`](Self::set_observed): quiet and observed kernels make the
+/// same moves in the same order.
 ///
 /// Three index spaces meet here. A *slot* addresses the [`ArenaConfig`]
 /// columns. A *position* is an index into `arena.flight` right now. A
@@ -902,12 +957,6 @@ pub struct ArenaKernel {
     wake_head: Vec<u32>,
     /// `(position, rank)` of every complete travel still in `arena.flight`.
     done: Vec<(u32, u32)>,
-    /// Per-port step stamp of the last flit entry (one entry per port per
-    /// step); `mark != epoch` means the port still has entry bandwidth.
-    entered_mark: Vec<u64>,
-    /// Per-port step stamp of the last ejection.
-    ejected_mark: Vec<u64>,
-    epoch: u64,
     /// Ports the current travel's sub-step woke: every port a flit left
     /// when observed, the ports its tail released when quiet.
     freed: Vec<PortId>,
@@ -939,9 +988,6 @@ impl ArenaKernel {
             wake_next: Vec::new(),
             wake_head: Vec::new(),
             done: Vec::new(),
-            entered_mark: Vec::new(),
-            ejected_mark: Vec::new(),
-            epoch: 0,
             freed: Vec::new(),
             freed_log: Vec::new(),
             transitions: Vec::new(),
@@ -1033,8 +1079,6 @@ impl ArenaKernel {
         self.wake_next.resize(n, NONE);
         self.wake_head.clear();
         self.wake_head.resize(ports, NONE);
-        self.entered_mark.resize(ports, 0);
-        self.ejected_mark.resize(ports, 0);
         self.transitions.clear();
         self.freed.clear();
         self.freed_log.clear();
@@ -1107,20 +1151,6 @@ impl ArenaKernel {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Step bandwidth marks
-    // ------------------------------------------------------------------
-
-    #[inline]
-    fn may_enter(&self, p: PortId) -> bool {
-        self.entered_mark[p.index()] != self.epoch
-    }
-
-    #[inline]
-    fn may_eject(&self, p: PortId) -> bool {
-        self.ejected_mark[p.index()] != self.epoch
-    }
 }
 
 impl ArenaKernel {
@@ -1135,7 +1165,9 @@ impl ArenaKernel {
     /// with a pending predecessor cannot enter).
     ///
     /// The route and flit ranges are taken as slices once, beside the port
-    /// columns, and a flit passes a port's check and enters it in one call.
+    /// records, and a flit passes a port's check and enters it in one call.
+    /// The step-bandwidth test (`Ports::may_enter`) and the entry stamp read
+    /// and write the same record, on the line that call loads.
     /// In-network codes compare like route indices, and a delivered flit's
     /// code exceeds every one of them, so "the flit ahead has moved past
     /// this one" is a single comparison of codes.
@@ -1176,12 +1208,12 @@ impl ArenaKernel {
             if pos == FLIT_PENDING {
                 let entry = route[0];
                 let entered = (f == 0 || flits[f - 1] != FLIT_PENDING)
-                    && self.may_enter(entry)
+                    && ports.may_enter(entry)
                     && (f != 0 || self.admit_head(ports, entry, flits))
                     && ports.try_enter(entry, sv, f == 0);
                 if entered {
                     flits[f] = 1;
-                    self.entered_mark[entry.index()] = self.epoch;
+                    ports.rec[entry.index()].entered = ports.epoch;
                     trace.record(id, f, Zone::Source, Zone::Port(entry));
                     self.log_move(at, f, MoveKind::Enter);
                     rep.entries += 1;
@@ -1203,11 +1235,11 @@ impl ArenaKernel {
                 // admissible once every flit ahead has been delivered
                 // (i.e. this flit heads the undelivered suffix).
                 None => {
-                    if f == delivered[s] as usize && self.may_eject(here) {
+                    if f == delivered[s] as usize && ports.may_eject(here) {
                         ports.leave(here, sv, f == tail, public)?;
                         flits[f] = FLIT_DELIVERED;
                         delivered[s] += 1;
-                        self.ejected_mark[here.index()] = self.epoch;
+                        ports.ejected[here.index()] = ports.epoch;
                         self.note_leave(here, f == tail);
                         trace.record(id, f, Zone::Port(here), Zone::Delivered);
                         self.log_move(at, f, MoveKind::Eject);
@@ -1216,13 +1248,13 @@ impl ArenaKernel {
                 }
                 Some(&to) => {
                     if (f == 0 || flits[f - 1] > pos)
-                        && self.may_enter(to)
+                        && ports.may_enter(to)
                         && (f != 0 || self.admit_head(ports, to, flits))
                         && ports.try_enter(to, sv, f == 0)
                     {
                         ports.leave(here, sv, f == tail, public)?;
                         flits[f] = pos + 1;
-                        self.entered_mark[to.index()] = self.epoch;
+                        ports.rec[to.index()].entered = ports.epoch;
                         self.note_leave(here, f == tail);
                         trace.record(id, f, Zone::Port(here), Zone::Port(to));
                         self.log_move(at, f, MoveKind::Advance);
@@ -1393,7 +1425,8 @@ impl ArenaKernel {
 
     /// One switching step over the run queue: the moves of one reference
     /// sweep in the spec's arbitration order, plus the step's freed-port and
-    /// status-transition logs.
+    /// status-transition logs. It opens with a new epoch in the arena's
+    /// port records, so every port may take one entry and one ejection.
     ///
     /// # Errors
     ///
@@ -1403,7 +1436,7 @@ impl ArenaKernel {
         self.freed_log.clear();
         self.moves.clear();
         self.newly.clear();
-        self.epoch += 1;
+        arena.ports.next_epoch();
         let n = arena.flight.len();
         let start = self.spec.arbitration.start(n, self.step_count);
         self.step_count += 1;
@@ -1694,6 +1727,7 @@ mod tests {
     use crate::spec::MessageSpec;
     use crate::step::AlwaysAdmit;
     use crate::switching::Arbitration;
+    use crate::trace::Event;
 
     static ALWAYS: AlwaysAdmit = AlwaysAdmit;
 
@@ -1913,7 +1947,7 @@ mod tests {
                 "step {n}: A's flit {body} leaves the gate, the next one fills it, B stays"
             );
             assert_eq!((through[0].2, through[1].3), (at_gate, at_gate));
-            assert_eq!(arena.ports.owner[gate.index()], slot_a);
+            assert_eq!(arena.ports.rec[gate.index()].owner, slot_a);
             assert_eq!(
                 of_b,
                 [TravelStatus::Active, TravelStatus::Blocked(gate)],
@@ -1964,7 +1998,7 @@ mod tests {
                 assert_eq!(kernel.status[rank_b], TravelStatus::Blocked(gate));
                 assert!(!queued, "step {n}: B is off the run queue");
                 assert_eq!(kernel.wake_head[gate.index()], rank_b as u32);
-                assert_eq!(arena.ports.owner[gate.index()], slot_a);
+                assert_eq!(arena.ports.rec[gate.index()].owner, slot_a);
             }
             if n == 3 || n == 4 {
                 let body = n as u32 - 2;
@@ -2195,6 +2229,102 @@ mod tests {
 
         // None of them was the fixture's fault.
         fresh().write_back(&mut cfg.clone()).unwrap();
+    }
+
+    /// Four records fill a 64-byte cache line and none straddles two, and a
+    /// port's entry stamp sits on the line `Ports::try_enter` loads next, so
+    /// the step-bandwidth check costs no line of its own.
+    #[test]
+    fn a_port_record_is_sixteen_bytes_on_a_sixteen_byte_boundary() {
+        assert_eq!(std::mem::size_of::<PortRec>(), 16);
+        assert_eq!(std::mem::align_of::<PortRec>(), 16);
+    }
+
+    /// Steps `arena` under `kernel` until it is evacuated or deadlocked:
+    /// every move as a trace event, the step count and whether it evacuated.
+    fn run_out(arena: &mut ArenaConfig, kernel: &mut ArenaKernel) -> (Vec<Event>, u64, bool) {
+        let mut trace = Trace::new(true);
+        let mut steps = 0;
+        while !arena.is_evacuated() && !kernel.is_deadlock(arena) {
+            trace.begin_step(steps);
+            assert!(kernel.step(arena, &mut trace).unwrap().moves() > 0);
+            kernel.drain_arrived(arena);
+            steps += 1;
+        }
+        (trace.events().to_vec(), steps, arena.is_evacuated())
+    }
+
+    /// A run whose epoch wraps mid-way makes the moves of one started at
+    /// epoch 0. The line has 2-flit buffers and 4-flit worms, so a worm's
+    /// pending flits queue behind one entry per port per step: a stamp left
+    /// equal to the epoch across the wrap would refuse an entry.
+    #[test]
+    fn a_wrapping_epoch_clears_the_stamps_and_keeps_the_moves() {
+        let (net, cfg) = contended_line(6, 2, 4);
+        let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+        let mut kernel = kernel_for(&arena, Arbitration::RoundRobin);
+        let reference = run_out(&mut arena, &mut kernel);
+        assert!(reference.1 > 3, "the run crosses the wrap");
+        assert_eq!(arena.ports.epoch as u64, reference.1);
+
+        let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+        arena.ports.epoch = u32::MAX - 1;
+        // Stamps a lap old, as if written 2³² steps ago: the run's third
+        // step has epoch 2 after the wrap, and would find every port taken.
+        arena.ports.rec.iter_mut().for_each(|r| r.entered = 2);
+        arena.ports.ejected.fill(2);
+        let mut kernel = kernel_for(&arena, Arbitration::RoundRobin);
+        assert_eq!(run_out(&mut arena, &mut kernel), reference);
+        // Steps 1 and 2 used `u32::MAX` and, after the wrap, 1.
+        assert_eq!(arena.ports.epoch as u64, reference.1 - 1);
+    }
+
+    /// A kernel built over a mid-run clone of a stepped arena, and a kernel
+    /// that follows a hook's change, each make exactly the moves of the
+    /// kernel they replace: the stamps the arena carries are all older than
+    /// the next step's epoch, so none refuses an entry.
+    #[test]
+    fn a_kernel_over_a_stepped_arena_meets_no_stale_stamp() {
+        let (net, cfg) = contended_line(6, 2, 4);
+        // Four steps in: the arena carries stamps of epochs 1 to 4.
+        let stepped = || {
+            let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+            let mut kernel = kernel_for(&arena, Arbitration::RoundRobin);
+            let mut trace = Trace::new(false);
+            for _ in 0..4 {
+                kernel.step(&mut arena, &mut trace).unwrap();
+                kernel.drain_arrived(&mut arena);
+            }
+            (arena, kernel)
+        };
+        let spec = KernelSpec {
+            arbitration: Arbitration::RoundRobin,
+            first_step: 4,
+            ..spec()
+        };
+        let spec = ArenaSpec::from_kernel_spec(&spec).unwrap();
+
+        // A fresh kernel over a clone, against the kernel that stepped it.
+        let (mut arena, mut kernel) = stepped();
+        let mut clone = arena.clone();
+        let mut fresh = ArenaKernel::new(&clone, spec);
+        let replaced = run_out(&mut arena, &mut kernel);
+        assert!(!replaced.0.is_empty());
+        assert_eq!(run_out(&mut clone, &mut fresh), replaced);
+
+        // A kernel following a hook's removal, against a kernel over the
+        // arena rebuilt from the hook's `Config`, whose stamps are all 0.
+        let (mut arena, mut kernel) = stepped();
+        let mut shadow = arena.to_config(&net).unwrap();
+        shadow
+            .remove_travel(arena.public_id(arena.flight[0]))
+            .unwrap();
+        kernel.follow(&net, &mut arena, &shadow).unwrap();
+        let mut rebuilt = ArenaConfig::from_config(&net, &shadow).unwrap();
+        let mut rebuilt_kernel = ArenaKernel::new(&rebuilt, spec);
+        let followed = run_out(&mut arena, &mut kernel);
+        assert!(!followed.0.is_empty());
+        assert_eq!(followed, run_out(&mut rebuilt, &mut rebuilt_kernel));
     }
 
     #[test]

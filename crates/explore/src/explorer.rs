@@ -41,8 +41,16 @@ pub const MAX_PARALLELISM: usize = 64;
 /// Exploration parameters.
 #[derive(Clone, Debug)]
 pub struct ExploreOptions {
-    /// Maximum number of (canonical) states to discover before giving up
-    /// with [`Verdict::BoundExceeded`].
+    /// The state bound: the search gives up with
+    /// [`Verdict::BoundExceeded`] once it has stored at least this many
+    /// (canonical) states, as far as it checks. The sequential engine checks
+    /// after each state it stores, so it stops at exactly this many — but
+    /// not before the root's first successor, so at 2 states under a bound
+    /// of 0 or 1. The parallel engine ([`runs_parallel`]) checks when a BFS
+    /// level ends, so it stops after the level that reaches the bound, with
+    /// up to that level's fresh states more.
+    ///
+    /// [`runs_parallel`]: ExploreOptions::runs_parallel
     pub max_states: usize,
     /// Quotient the state space by verified node automorphisms.
     pub symmetry: bool,
@@ -93,6 +101,14 @@ impl Default for ExploreOptions {
             mem_limit: None,
             spill_dir: None,
         }
+    }
+}
+
+impl ExploreOptions {
+    /// Whether these options run the parallel engine: more than one job or
+    /// a spill directory, and no graph recording.
+    pub fn runs_parallel(&self) -> bool {
+        (self.jobs > 1 || self.spill_dir.is_some()) && !self.record_graph
     }
 }
 
@@ -281,7 +297,7 @@ fn explore_with_perms(
 ) -> Result<Exploration> {
     // The spill tier lives in the parallel engine's level/block machinery,
     // so a spill directory routes through it even single-threaded.
-    if (options.jobs > 1 || options.spill_dir.is_some()) && !options.record_graph {
+    if options.runs_parallel() {
         return crate::parallel::explore_parallel(
             net, routing, specs, admission, options, &workload, &perms,
         );

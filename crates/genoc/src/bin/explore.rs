@@ -33,8 +33,14 @@
 //! `3` a usage or harness error (`--jobs` past 64 is one, refused at
 //! once). The summary line reports throughput (states/second) and the
 //! peak resident frontier bytes; a spilling run also reports how many
-//! bytes went to disk. The `--aut`/`--dot` exports work on partial spaces
-//! too: a graph cut short by the bound is still a valid
+//! bytes went to disk.
+//!
+//! The sequential search (one job, or an export) checks `--bound` after
+//! each state it stores, so it stops at the bound, or at 2 states (the root
+//! and its first successor) under `--bound` 0 or 1. The parallel search
+//! (`--jobs` above 1, or `--spill-dir`, without an export) checks it when a
+//! BFS level ends, so it stops past the bound by up to a level. The `--aut`/`--dot` exports work
+//! on partial spaces too: a graph cut short by the bound is still a valid
 //! (under-approximate) LTS.
 
 use std::path::PathBuf;
@@ -321,9 +327,14 @@ fn main() -> ExitCode {
                     "raise --mem-limit or add --spill-dir to keep searching on disk",
                 )
             } else {
+                let checked = if options.runs_parallel() {
+                    "the parallel search checks it when a BFS level ends"
+                } else {
+                    "the sequential search checks it after each state it stores"
+                };
                 (
                     format!(
-                        "state-bound: stopped at the --bound {} state cap",
+                        "state-bound: the --bound {} state cap was reached; {checked}",
                         args.bound
                     ),
                     "raise --bound to finish",

@@ -186,3 +186,41 @@ fn reachable_state_counts_are_pinned() {
         }
     }
 }
+
+/// Where the state bound stops each engine on `explore`'s default cell, the
+/// 2×2 XY mesh's pressure workload with 2-flit messages: the sequential
+/// search checks the bound after each state it stores, the parallel one when
+/// a BFS level ends.
+#[test]
+fn the_state_bound_stops_each_engine_where_it_checks() {
+    let instance = Instance::mesh_xy(2, 2, 1);
+    let specs = pressure_specs(&instance.meta, 2);
+    let stored = |max_states, jobs| {
+        let options = ExploreOptions {
+            max_states,
+            jobs,
+            ..ExploreOptions::default()
+        };
+        let result = explore(
+            instance.net.as_ref(),
+            instance.routing.as_ref(),
+            &instance.meta,
+            &specs,
+            &AlwaysAdmit,
+            &options,
+        )
+        .unwrap();
+        assert!(matches!(result.verdict, Verdict::BoundExceeded));
+        assert_eq!(result.bound, Some(genoc::explore::BoundReason::States));
+        (result.states, result.depth)
+    };
+    // One job: at the bound, mid-level, but never before the root's first
+    // successor.
+    assert_eq!(stored(3, 1), (3, 1));
+    assert_eq!(stored(1, 1), (2, 0));
+    assert_eq!(stored(0, 1), (2, 0));
+    // Two jobs: at the end of the first level that reaches the bound, the
+    // same level for any bound up to its last state.
+    assert_eq!(stored(3, 2), (6, 2));
+    assert_eq!(stored(6, 2), (6, 2));
+}
