@@ -20,12 +20,11 @@ use genoc_core::error::{Error, Result};
 use genoc_core::interpreter::Outcome;
 use genoc_core::meta::SwitchingKind;
 use genoc_core::spec::MessageSpec;
-use genoc_core::switching::SwitchingPolicy;
 use genoc_detect::engine::{DetectionEngine, EngineOptions};
 use genoc_obs::{shared, ObservedEngine, Recorder, RecorderOptions, WalMeta, WalWriter};
 use genoc_sim::deadlock_hunt::{hunt_random, HuntOptions};
 use genoc_sim::{DetectorHook, SimOptions, SimResult};
-use genoc_switching::{StoreForwardPolicy, VirtualCutThroughPolicy, WormholePolicy};
+use genoc_switching::Switching;
 use genoc_verif::{check_c1, check_c2, check_c3, check_c4, check_c5_with};
 use genoc_verif::{check_detection, check_theorem1, DetectionCheckOptions};
 use genoc_verif::{explore_check, ExploreCheckOptions};
@@ -55,10 +54,10 @@ pub struct EffortProfile {
     /// workload and belongs in its own dedicated campaign.
     pub explore_states: usize,
     /// State bound for the oracle's *pressure* tier (full adversarial
-    /// workload under partial-order reduction); 0 falls back to the
-    /// [`ExploreCheckOptions`] default. The oracle preset raises it so the
-    /// capacity-2 deadlock cells — previously cut off at the bound — reach
-    /// their minimal counterexamples exhaustively.
+    /// workload under partial-order reduction); read only when
+    /// `explore_states` is on. The oracle preset sets it high enough that the
+    /// capacity-2 deadlock cells reach their minimal counterexamples
+    /// exhaustively.
     pub explore_pressure_states: usize,
 }
 
@@ -264,14 +263,6 @@ pub fn scenario_seed(campaign_seed: u64, name: &str) -> u64 {
     (h ^ campaign_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 8
 }
 
-fn policy_for(kind: SwitchingKind) -> Box<dyn SwitchingPolicy> {
-    match kind {
-        SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
-        SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
-        SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
-    }
-}
-
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let value = f();
@@ -356,7 +347,7 @@ pub fn run_scenario_with(
         ("obligation-c4", check_c4(&instance), true),
         (
             "obligation-c5",
-            check_c5_with(&instance, policy_for(spec.switching).as_mut(), flits),
+            check_c5_with(&instance, &mut Switching::new(spec.switching), flits),
             true,
         ),
     ] {
@@ -447,12 +438,12 @@ pub fn run_scenario_with(
             flits,
             max_steps: effort.max_steps,
         };
-        let mut policy = policy_for(spec.switching);
+        let mut policy = Switching::new(spec.switching);
         let (found, millis) = timed(|| {
             hunt_random(
                 instance.net.as_ref(),
                 instance.routing.as_ref(),
-                policy.as_mut(),
+                &mut policy,
                 &hunt,
             )
         });
@@ -519,13 +510,10 @@ pub fn run_scenario_with(
     // lattice). Deterministic instances only — the explorer executes the
     // workload's pre-computed routes.
     if effort.explore_states > 0 && deterministic {
-        let mut options = ExploreCheckOptions {
+        let options = ExploreCheckOptions {
             max_states: effort.explore_states,
-            ..ExploreCheckOptions::default()
+            pressure_states: effort.explore_pressure_states,
         };
-        if effort.explore_pressure_states > 0 {
-            options.pressure_states = effort.explore_pressure_states;
-        }
         let (result, millis) = timed(|| explore_check(&instance, spec.switching, &options));
         let judged = result.map(|report| {
             deadlocks_seen += u64::from(report.counterexample_found);
@@ -661,7 +649,7 @@ fn observed_run(
     );
     let mut hook = (spec.switching == SwitchingKind::Wormhole)
         .then(|| ObservedEngine::new(DetectionEngine::detector(EngineOptions::default()), wal));
-    let mut policy = policy_for(spec.switching);
+    let mut policy = Switching::new(spec.switching);
     let options = SimOptions {
         max_steps: effort.max_steps,
         record_trace: true,
@@ -670,7 +658,7 @@ fn observed_run(
     let (sim, sim_ms) = timed(|| {
         genoc_sim::simulate_config(
             net,
-            policy.as_mut(),
+            &mut policy,
             cfg,
             &options,
             hook.as_mut().map(|h| h as &mut dyn DetectorHook),

@@ -48,7 +48,7 @@
 //!    destination port can always eject.
 //! 3. **Only a release opens a foreign head's gate**: the gate is the next
 //!    hop of the travel's head, which its own worm never owns, and a head
-//!    enters no port another worm owns, under every [`AdmissionKind`]
+//!    enters no port another worm owns, under every [`SwitchingKind`]
 //!    (`Ports::can_enter`). A worm owns a port from its head's entry to its
 //!    tail's leave, the paper's wormhole discipline, so the tail leaving is
 //!    the only event that can open the gate; flits entering a port only
@@ -102,7 +102,7 @@
 //! The only piece of a switching policy the reference sweep consults
 //! dynamically is the head-admission predicate, which closes over `Config`.
 //! The arena stepper instead interprets the closed-world
-//! [`AdmissionKind`] description; policies whose predicate has no such
+//! [`SwitchingKind`] the predicate names; policies whose predicate has no such
 //! description (`HeadAdmission::kind()` returns `None`) simply cannot run
 //! on the arena, and callers fall back to the reference interpreter.
 
@@ -111,8 +111,8 @@ use crate::error::{Error, Result};
 use crate::ids::{MsgId, PortId};
 use crate::interpreter::{Outcome, RunOptions, RunResult};
 use crate::kernel::{Transition, TravelStatus};
+use crate::meta::SwitchingKind;
 use crate::network::Network;
-use crate::step::AdmissionKind;
 use crate::switching::{KernelSpec, StepReport};
 use crate::trace::{Trace, Zone};
 use crate::travel::{FlitPos, Travel};
@@ -143,14 +143,14 @@ fn decode(v: u32) -> FlitPos {
 }
 
 /// The arena-native description of a kernel-capable switching policy:
-/// [`KernelSpec`] with the admission predicate replaced by its closed-world
-/// [`AdmissionKind`] value.
+/// [`KernelSpec`] with the admission predicate replaced by the closed-world
+/// [`SwitchingKind`] it names.
 #[derive(Clone, Copy, Debug)]
 pub struct ArenaSpec {
     /// The service order of the policy's step sweep.
     pub arbitration: crate::switching::Arbitration,
-    /// The closed-world head-admission description.
-    pub admission: AdmissionKind,
+    /// The switching policy whose head-admission rule the kernel applies.
+    pub admission: SwitchingKind,
     /// The step count the policy has already performed.
     pub first_step: u64,
 }
@@ -1143,10 +1143,10 @@ impl ArenaKernel {
     #[inline]
     fn admit_head(&self, ports: &Ports, to: PortId, flits: &[u32]) -> bool {
         match self.spec.admission {
-            AdmissionKind::Always => true,
-            AdmissionKind::WholePacketRoom => ports.free(to) as usize >= flits.len(),
+            SwitchingKind::Wormhole => true,
+            SwitchingKind::VirtualCutThrough => ports.free(to) as usize >= flits.len(),
             // Every flit with the head — at entry they all are, pending.
-            AdmissionKind::StoreAndForward => {
+            SwitchingKind::StoreForward => {
                 ports.free(to) as usize >= flits.len() && flits.iter().all(|&p| p == flits[0])
             }
         }
@@ -1649,7 +1649,7 @@ fn audit_arena_ledger(arena: &ArenaConfig, ledger: u64, step: u64) -> Result<()>
 /// # Errors
 ///
 /// Returns [`Error::Invariant`] when the policy's admission predicate has
-/// no closed-world [`AdmissionKind`] description, and contract violations as
+/// no closed-world [`SwitchingKind`] description, and contract violations as
 /// the interpreter does.
 pub fn run_arena(
     net: &dyn Network,
@@ -1659,7 +1659,7 @@ pub fn run_arena(
 ) -> Result<RunResult> {
     let Some(aspec) = ArenaSpec::from_kernel_spec(&spec) else {
         return Err(Error::Invariant(
-            "arena stepper requires an admission predicate with a closed-world AdmissionKind"
+            "arena stepper requires an admission predicate with a closed-world SwitchingKind"
                 .to_string(),
         ));
     };

@@ -153,13 +153,24 @@ impl RoutingKind {
 }
 
 /// The switching policies shipped by `genoc-switching`.
+///
+/// The three move flits alike and differ only in when a header may claim
+/// the next port, so a kind is also the closed-world name of that
+/// head-admission predicate ([`crate::step::HeadAdmission::kind`]). Each
+/// depends only on the target port's free-buffer count and the travel's own
+/// flit positions, so the arena ([`crate::arena`]) re-evaluates it over its
+/// columns without a `Config`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SwitchingKind {
-    /// The paper's `Swh`: flit-pipelined wormhole switching.
+    /// The paper's `Swh`: flit-pipelined wormhole switching; every header
+    /// move is admitted.
     Wormhole,
-    /// Virtual cut-through: pipelined, blocked packets collapse into a port.
+    /// Virtual cut-through: pipelined, but the target port must have room
+    /// for the whole packet (`free ≥ flit_count`), so blocked packets
+    /// collapse into a port.
     VirtualCutThrough,
-    /// Store-and-forward: whole-packet hop-by-hop transfer.
+    /// Store-and-forward: whole-packet room ahead *and*, for an advance,
+    /// the packet fully received in the header's current port.
     StoreForward,
 }
 

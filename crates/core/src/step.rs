@@ -25,6 +25,7 @@
 use crate::config::Config;
 use crate::error::Result;
 use crate::ids::PortId;
+use crate::meta::SwitchingKind;
 use crate::moves::MoveKind;
 use crate::switching::StepReport;
 use crate::trace::{Trace, Zone};
@@ -42,27 +43,6 @@ pub enum HeadMove {
     },
 }
 
-/// A first-class description of the three admission predicates shipped by
-/// the workspace, used by data-layout-specialised steppers (the SoA arena of
-/// [`crate::arena`]) to evaluate admission without a `Config`.
-///
-/// All shipped predicates depend only on the target port's free-buffer count
-/// and the travel's own flit positions, so they can be re-evaluated over any
-/// equivalent representation of the configuration. Policies with admission
-/// logic outside this enum simply return `None` from
-/// [`HeadAdmission::kind`] and run on the `Config`-backed steppers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AdmissionKind {
-    /// Wormhole: every header move is admitted.
-    Always,
-    /// Virtual cut-through: the target port must have room for the whole
-    /// packet (`free ≥ flit_count`).
-    WholePacketRoom,
-    /// Store-and-forward: whole-packet room ahead *and*, for an advance,
-    /// the packet fully received in the header's current port.
-    StoreAndForward,
-}
-
 /// Extra admission condition a policy imposes on header moves, on top of the
 /// core wormhole rules (free buffer, ownership).
 ///
@@ -74,10 +54,12 @@ pub trait HeadAdmission: Send + Sync {
     /// `cfg`.
     fn admit(&self, cfg: &Config, i: usize, mv: HeadMove) -> bool;
 
-    /// The closed-world description of this predicate, when it is one of the
-    /// shipped [`AdmissionKind`]s. `None` (the default) means the predicate
-    /// is opaque and only `Config`-backed steppers can evaluate it.
-    fn kind(&self) -> Option<AdmissionKind> {
+    /// The shipped switching policy whose predicate this is, if any: the
+    /// closed-world description data-layout-specialised steppers (the SoA
+    /// arena of [`crate::arena`]) evaluate without a `Config`. `None` (the
+    /// default) means the predicate is opaque and only `Config`-backed
+    /// steppers can evaluate it.
+    fn kind(&self) -> Option<SwitchingKind> {
         None
     }
 }
@@ -91,8 +73,8 @@ impl HeadAdmission for AlwaysAdmit {
         true
     }
 
-    fn kind(&self) -> Option<AdmissionKind> {
-        Some(AdmissionKind::Always)
+    fn kind(&self) -> Option<SwitchingKind> {
+        Some(SwitchingKind::Wormhole)
     }
 }
 

@@ -86,7 +86,7 @@ impl Arbitration {
 /// its head-admission predicate, and the step counter the order starts from.
 /// It feeds [`ArenaSpec::from_kernel_spec`](crate::arena::ArenaSpec::from_kernel_spec),
 /// which accepts it when `admission` names a closed-world
-/// [`AdmissionKind`](crate::step::AdmissionKind).
+/// [`SwitchingKind`](crate::meta::SwitchingKind).
 ///
 /// A policy exposing a `KernelSpec` promises that its
 /// [`step`](SwitchingPolicy::step) is exactly one greedy sweep in

@@ -8,7 +8,7 @@
 //! use genoc_routing::mixed::MixedXyYxRouting;
 //! use genoc_core::config::Config;
 //! use genoc_sim::{simulate_config, workload, SimOptions};
-//! use genoc_switching::wormhole::WormholePolicy;
+//! use genoc_switching::Switching;
 //! use genoc_topology::mesh::Mesh;
 //!
 //! # fn main() -> Result<(), genoc_core::Error> {
@@ -19,7 +19,7 @@
 //!     DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
 //! let result = simulate_config(
 //!     &mesh,
-//!     &mut WormholePolicy::default(),
+//!     &mut Switching::default(),
 //!     Config::from_specs(&mesh, &routing, &specs)?,
 //!     &SimOptions::default(),
 //!     Some(&mut engine),
@@ -332,7 +332,7 @@ mod tests {
     use genoc_routing::xy::XyRouting;
     use genoc_sim::workload::{bit_complement, uniform_random};
     use genoc_sim::{simulate, simulate_config, SimOptions, Stepper};
-    use genoc_switching::wormhole::WormholePolicy;
+    use genoc_switching::Switching;
     use genoc_topology::mesh::Mesh;
 
     fn storm() -> (Mesh, MixedXyYxRouting, Vec<genoc_core::spec::MessageSpec>) {
@@ -348,7 +348,7 @@ mod tests {
         let undetected = simulate(
             &mesh,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             &SimOptions::default(),
         )
@@ -359,7 +359,7 @@ mod tests {
             DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
         let recovered = simulate_config(
             &mesh,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &SimOptions::default(),
             Some(&mut engine),
@@ -384,7 +384,7 @@ mod tests {
         let mut engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(DrainAll));
         let result = simulate_config(
             &mesh,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &SimOptions::default(),
             Some(&mut engine),
@@ -404,7 +404,7 @@ mod tests {
         let mut engine = DetectionEngine::detector(EngineOptions::default());
         let result = simulate_config(
             &mesh,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &SimOptions::default(),
             Some(&mut engine),
@@ -454,7 +454,7 @@ mod tests {
             stepper,
             ..SimOptions::default()
         };
-        let mut policy = WormholePolicy::default();
+        let mut policy = Switching::default();
         let cfg = Config::from_specs(mesh, routing, specs).unwrap();
         let result =
             simulate_config(mesh, &mut policy, cfg, &sim, Some(&mut engine), None).unwrap();

@@ -289,7 +289,7 @@ mod tests {
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::xy::XyRouting;
     use genoc_sim::workload::bit_complement;
-    use genoc_switching::wormhole::WormholePolicy;
+    use genoc_switching::Switching;
     use genoc_topology::mesh::Mesh;
 
     /// Step the policy manually, observing after every step; returns the
@@ -300,7 +300,7 @@ mod tests {
         specs: &[MessageSpec],
     ) -> (Option<u64>, Option<u64>, Outcome) {
         let mut cfg = Config::from_specs(mesh, routing, specs).unwrap();
-        let mut policy = WormholePolicy::default();
+        let mut policy = Switching::default();
         let mut detector = ExactDetector::new();
         let mut trace = Trace::new(false);
         let mut detected = None;
@@ -437,7 +437,7 @@ mod tests {
         /// of each): no cycle may stand yet.
         fn new(mesh: &Mesh, travels: Vec<Travel>) -> Rig {
             let cfg = Config::from_travels(mesh, travels).unwrap();
-            let spec = WormholePolicy::default().kernel_spec().unwrap();
+            let spec = Switching::default().kernel_spec().unwrap();
             let arena = ArenaConfig::from_config(mesh, &cfg).unwrap();
             let mut kernel = ArenaKernel::new(&arena, ArenaSpec::from_kernel_spec(&spec).unwrap());
             kernel.set_observed(true);
@@ -642,7 +642,7 @@ mod tests {
         let routing = MixedXyYxRouting::new(&mesh);
         let specs = bit_complement(&mesh, 4);
         let mut cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
-        let mut policy = WormholePolicy::default();
+        let mut policy = Switching::default();
         let mut detector = ExactDetector::new();
         let mut trace = Trace::new(false);
         let mut cycle = None;

@@ -39,7 +39,7 @@
 //! use genoc_detect::{DetectionEngine, EngineOptions};
 //! use genoc_routing::mixed::MixedXyYxRouting;
 //! use genoc_sim::{simulate_config, workload, SimOptions};
-//! use genoc_switching::wormhole::WormholePolicy;
+//! use genoc_switching::Switching;
 //! use genoc_topology::mesh::Mesh;
 //!
 //! # fn main() -> Result<(), genoc_core::Error> {
@@ -48,7 +48,7 @@
 //! let mut engine = DetectionEngine::detector(EngineOptions::default());
 //! let result = simulate_config(
 //!     &mesh,
-//!     &mut WormholePolicy::default(),
+//!     &mut Switching::default(),
 //!     Config::from_specs(&mesh, &routing, &workload::bit_complement(&mesh, 4))?,
 //!     &SimOptions::default(),
 //!     Some(&mut engine),

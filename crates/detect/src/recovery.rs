@@ -57,7 +57,7 @@ impl RecoveryOutcome {
 /// use genoc_detect::{AbortAndEvacuate, DetectionEngine, DrainAll, EngineOptions, RecoveryPolicy};
 /// use genoc_routing::mixed::MixedXyYxRouting;
 /// use genoc_sim::{simulate_config, workload, SimOptions};
-/// use genoc_switching::wormhole::WormholePolicy;
+/// use genoc_switching::Switching;
 /// use genoc_topology::mesh::Mesh;
 ///
 /// # fn main() -> Result<(), genoc_core::Error> {
@@ -73,7 +73,7 @@ impl RecoveryOutcome {
 ///     let mut engine = DetectionEngine::with_policy(EngineOptions::default(), policy);
 ///     let result = simulate_config(
 ///         &mesh,
-///         &mut WormholePolicy::default(),
+///         &mut Switching::default(),
 ///         Config::from_specs(&mesh, &routing, &storm)?,
 ///         &SimOptions::default(),
 ///         Some(&mut engine),
@@ -235,7 +235,7 @@ mod tests {
     use genoc_core::blocking::find_wait_cycle;
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_sim::workload::bit_complement;
-    use genoc_switching::wormhole::WormholePolicy;
+    use genoc_switching::Switching;
     use genoc_topology::mesh::Mesh;
 
     /// Drive the corner storm into its deadlock and return net + config.
@@ -246,7 +246,7 @@ mod tests {
         let hunt = genoc_sim::hunt_workload(
             &mesh,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             0,
             10_000,

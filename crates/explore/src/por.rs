@@ -14,7 +14,7 @@
 //! (free-buffer count, worm ownership) of its *target* port, and writes the
 //! flit position plus the source and target ports — all ports on `i`'s
 //! static route. This closed-world description holds for every shipped
-//! admission predicate ([`AdmissionKind`](genoc_core::step::AdmissionKind):
+//! admission predicate ([`SwitchingKind`](genoc_core::meta::SwitchingKind):
 //! wormhole, whole-packet room, store-and-forward all inspect only the
 //! target port and the travel's own flits), which is why the selector is
 //! only used when `HeadAdmission::kind()` is `Some(_)`; an opaque admission

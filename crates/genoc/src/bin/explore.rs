@@ -208,15 +208,19 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(EXIT_ERROR);
     };
-    let policy: Box<dyn SwitchingPolicy> = match args.switching.as_str() {
-        "wormhole" => Box::new(WormholePolicy::default()),
-        "vct" => Box::new(VirtualCutThroughPolicy::new()),
-        "store-forward" => Box::new(StoreForwardPolicy::new()),
-        other => {
-            eprintln!("unknown switching {other:?}: expected wormhole, vct, or store-forward");
-            return ExitCode::from(EXIT_ERROR);
-        }
+    let Some(&switching) = SwitchingKind::ALL
+        .iter()
+        .find(|k| k.label() == args.switching)
+    else {
+        let labels: Vec<&str> = SwitchingKind::ALL.iter().map(|k| k.label()).collect();
+        eprintln!(
+            "unknown switching {:?}: expected one of {}",
+            args.switching,
+            labels.join(", ")
+        );
+        return ExitCode::from(EXIT_ERROR);
     };
+    let policy = Switching::new(switching);
     let height = args.height.unwrap_or(match kind.topology() {
         TopologyKind::Ring | TopologyKind::Spidergon => 1,
         TopologyKind::Mesh | TopologyKind::Torus => 2,
@@ -259,7 +263,7 @@ fn main() -> ExitCode {
         instance.routing.as_ref(),
         &meta,
         &specs,
-        policy.as_ref(),
+        &policy,
         &options,
     ) {
         Ok(result) => result,

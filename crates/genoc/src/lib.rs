@@ -53,7 +53,7 @@
 //! let specs = [MessageSpec::new(mesh.node(0, 0), mesh.node(2, 2), 4)];
 //! let cfg = Config::from_specs(&mesh, &routing, &specs)?;
 //! let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
-//! let result = run(&mesh, &IdentityInjection, &mut WormholePolicy::default(), cfg,
+//! let result = run(&mesh, &IdentityInjection, &mut Switching::default(), cfg,
 //!                  &RunOptions::default())?;
 //! assert!(check_evacuation(&injected, &result).holds);
 //! # Ok(())
@@ -127,9 +127,7 @@ pub mod prelude {
         DetectorHook, Hunt, HuntOptions, LatencySummary, NullHook, NullObserver, RecoverySummary,
         RunObserver, SimOptions, SimResult, Stepper,
     };
-    pub use genoc_switching::{
-        Arbitration, StoreForwardPolicy, VirtualCutThroughPolicy, WormholePolicy,
-    };
+    pub use genoc_switching::{Arbitration, Switching};
     pub use genoc_topology::{Cardinal, Fabric, Mesh, Ring, RingDir, Spidergon, Torus};
     pub use genoc_verif::{
         check_all, check_c5_with, check_detection, check_theorem1, check_theorem2,

@@ -64,7 +64,7 @@ fn mesh_quickstart_path_end_to_end() {
     let result = run(
         &mesh,
         &IdentityInjection,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &options,
     )

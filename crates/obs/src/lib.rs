@@ -35,7 +35,7 @@
 //! use genoc_routing::xy::XyRouting;
 //! use genoc_core::config::Config;
 //! use genoc_sim::{simulate_observed_config, NullHook, SimOptions};
-//! use genoc_switching::wormhole::WormholePolicy;
+//! use genoc_switching::Switching;
 //! use genoc_topology::mesh::Mesh;
 //!
 //! let mesh = Mesh::new(3, 3, 2);
@@ -45,7 +45,7 @@
 //! let mut recorder = Recorder::with_wal(wal.clone(), 7, None);
 //! let result = simulate_observed_config(
 //!     &mesh,
-//!     &mut WormholePolicy::default(),
+//!     &mut Switching::default(),
 //!     Config::from_specs(&mesh, &routing, &specs).unwrap(),
 //!     &SimOptions::default(),
 //!     &mut NullHook,

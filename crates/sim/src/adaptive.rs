@@ -103,7 +103,7 @@ mod tests {
     use genoc_core::interpreter::{run, Outcome, RunOptions};
     use genoc_routing::adaptive::MinimalAdaptiveRouting;
     use genoc_routing::turn_model::{TurnModel, TurnModelRouting};
-    use genoc_switching::wormhole::WormholePolicy;
+    use genoc_switching::Switching;
     use genoc_topology::mesh::Mesh;
 
     #[test]
@@ -152,7 +152,7 @@ mod tests {
                 let r = run(
                     &mesh,
                     &IdentityInjection,
-                    &mut WormholePolicy::default(),
+                    &mut Switching::default(),
                     cfg,
                     &RunOptions::default(),
                 )
@@ -176,7 +176,7 @@ mod tests {
             let r = run(
                 &mesh,
                 &IdentityInjection,
-                &mut WormholePolicy::default(),
+                &mut Switching::default(),
                 cfg,
                 &RunOptions {
                     max_steps: 10_000,

@@ -41,14 +41,6 @@ pub struct Hunt {
     /// stricter admission rule (virtual cut-through, store-and-forward)
     /// that blocks heads the wormhole rules would admit.
     pub witness: Option<WaitCycle>,
-    /// BFS-minimal move trace from the all-pending configuration to a
-    /// deadlock of the same workload, found by exhaustively exploring the
-    /// move interleavings when the instance is small enough
-    /// ([`genoc_explore::explore_workload`]). Replayable via
-    /// [`genoc_explore::replay`]; `None` when the workload was too large to
-    /// explore within the shrink budget — the full random prefix (the
-    /// `steps`-long greedy run) then remains the only path to the deadlock.
-    pub minimal_trace: Option<Vec<Move>>,
     /// Path of a structured event log recording a run of this workload to
     /// the deadlock, when one was written (see `genoc-obs::record_hunt`).
     /// Plain data — the hunter itself never performs I/O.
@@ -129,14 +121,12 @@ pub fn hunt_workload(
     let result = simulate(net, routing, policy, specs, &options)?;
     if result.run.outcome == Outcome::Deadlock {
         let witness = find_wait_cycle(&result.run.config);
-        let minimal_trace = shrink_witness(net, routing, policy, specs, false);
         Ok(Some(Hunt {
             seed,
             specs: specs.to_vec(),
             steps: result.run.steps,
             config: result.run.config,
             witness,
-            minimal_trace,
             wal: None,
         }))
     } else {
@@ -155,13 +145,15 @@ const SHRINK_MAX_FLITS: usize = 24;
 const SHRINK_MAX_STATES: usize = 100_000;
 
 /// Shrinks a greedy deadlock to a BFS-minimal move trace by exhaustively
-/// exploring the workload's interleavings, when the instance is small
-/// enough. The random prefix that *found* the deadlock is typically
-/// thousands of kernel steps; the minimal trace to a deadlock of the same
-/// workload is usually a few dozen single-flit moves. Any failure (too
-/// large, bound hit, or the greedy deadlock's interleaving class not
-/// reached within the bound) degrades to `None` — shrinking is best-effort
-/// and never blocks the hunt.
+/// exploring the workload's interleavings
+/// ([`genoc_explore::explore_workload`]), when the instance is small
+/// enough; call it on a [`Hunt`]'s `specs`. The random prefix that *found*
+/// the deadlock is typically thousands of kernel steps; the minimal trace
+/// to a deadlock of the same workload, replayable via
+/// [`genoc_explore::replay`], is usually a few dozen single-flit moves. Any
+/// failure (too large, bound hit, or the greedy deadlock's interleaving
+/// class not reached within the bound) degrades to `None` — the `steps`-long
+/// greedy run then remains the only path to the deadlock.
 ///
 /// Shrinking explores with partial-order reduction by default — ample sets
 /// preserve both the verdict and the minimal trace length (see
@@ -199,7 +191,7 @@ mod tests {
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::ring::RingShortestRouting;
     use genoc_routing::xy::XyRouting;
-    use genoc_switching::wormhole::WormholePolicy;
+    use genoc_switching::Switching;
     use genoc_topology::mesh::Mesh;
     use genoc_topology::ring::Ring;
 
@@ -211,7 +203,7 @@ mod tests {
         let hunt = hunt_workload(
             &mesh,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             0,
             10_000,
@@ -232,25 +224,17 @@ mod tests {
         let mesh = Mesh::new(2, 2, 1);
         let routing = MixedXyYxRouting::new(&mesh);
         let specs = bit_complement(&mesh, 4);
-        let hunt = hunt_workload(
-            &mesh,
-            &routing,
-            &mut WormholePolicy::default(),
-            &specs,
-            0,
-            10_000,
-        )
-        .unwrap()
-        .expect("the four-corner storm must deadlock mixed routing");
-        let trace = hunt
-            .minimal_trace
-            .as_ref()
+        let mut policy = Switching::default();
+        let hunt = hunt_workload(&mesh, &routing, &mut policy, &specs, 0, 10_000)
+            .unwrap()
+            .expect("the four-corner storm must deadlock mixed routing");
+        let trace = shrink_witness(&mesh, &routing, &policy, &hunt.specs, false)
             .expect("a 4-message workload is well inside the shrink budget");
         // The minimal trace is single-flit moves; the greedy run took
         // `steps` kernel rounds, each moving many flits. Minimality means
         // the trace can't exceed the flit-moves the greedy run spent.
         assert!(!trace.is_empty());
-        let replayed = genoc_explore::replay(&mesh, &routing, &specs, trace)
+        let replayed = genoc_explore::replay(&mesh, &routing, &specs, &trace)
             .expect("the minimal trace replays");
         assert!(
             !replayed.any_move_possible(),
@@ -264,7 +248,7 @@ mod tests {
         let mesh = Mesh::new(2, 2, 1);
         let routing = MixedXyYxRouting::new(&mesh);
         let specs = bit_complement(&mesh, 4);
-        let policy = WormholePolicy::default();
+        let policy = Switching::default();
         let por = shrink_witness(&mesh, &routing, &policy, &specs, false)
             .expect("POR shrink finds the corner-storm deadlock");
         let full = shrink_witness(&mesh, &routing, &policy, &specs, true)
@@ -286,11 +270,12 @@ mod tests {
             flits: 8,
             ..HuntOptions::default()
         };
-        let hunt = hunt_random(&mesh, &routing, &mut WormholePolicy::default(), &options)
+        let mut policy = Switching::default();
+        let hunt = hunt_random(&mesh, &routing, &mut policy, &options)
             .unwrap()
             .expect("heavy random traffic trips the cyclic router");
         assert!(
-            hunt.minimal_trace.is_none(),
+            shrink_witness(&mesh, &routing, &policy, &hunt.specs, false).is_none(),
             "40 messages x 8 flits is far beyond the shrink budget"
         );
     }
@@ -303,7 +288,7 @@ mod tests {
         let hunt = hunt_workload(
             &ring,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             0,
             10_000,
@@ -323,7 +308,7 @@ mod tests {
         let hunt = hunt_workload(
             &mesh,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             0,
             10_000,
@@ -345,7 +330,7 @@ mod tests {
             flits: 8,
             ..HuntOptions::default()
         };
-        let hunt = hunt_random(&mesh, &routing, &mut WormholePolicy::default(), &options).unwrap();
+        let hunt = hunt_random(&mesh, &routing, &mut Switching::default(), &options).unwrap();
         assert!(
             hunt.is_some(),
             "random traffic should trip the cyclic router"

@@ -53,7 +53,7 @@ pub enum Stepper {
     /// default: flat `u32`-indexed storage, a run queue, zero per-step
     /// allocation. Requires the policy to expose a `KernelSpec` whose
     /// admission predicate has a closed-world
-    /// [`AdmissionKind`](genoc_core::step::AdmissionKind); a plain or hooked
+    /// [`SwitchingKind`](genoc_core::meta::SwitchingKind); a plain or hooked
     /// run falls back to the legacy loop otherwise, an observed run is
     /// refused.
     #[default]
@@ -509,7 +509,7 @@ pub(crate) fn per_message_latencies(run: &RunResult, injected: &[MsgId]) -> Vec<
 mod tests {
     use super::*;
     use genoc_routing::xy::XyRouting;
-    use genoc_switching::wormhole::WormholePolicy;
+    use genoc_switching::Switching;
     use genoc_topology::mesh::Mesh;
 
     #[test]
@@ -521,14 +521,8 @@ mod tests {
             record_trace: true,
             ..SimOptions::default()
         };
-        let result = simulate(
-            &mesh,
-            &routing,
-            &mut WormholePolicy::default(),
-            &specs,
-            &options,
-        )
-        .unwrap();
+        let result =
+            simulate(&mesh, &routing, &mut Switching::default(), &specs, &options).unwrap();
         assert!(result.evacuated());
         assert_eq!(result.latencies.len(), specs.len());
         let summary = result.latency_summary().unwrap();
@@ -544,7 +538,7 @@ mod tests {
         let result = simulate(
             &mesh,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             &SimOptions::default(),
         )
@@ -568,14 +562,7 @@ mod tests {
                 ..SimOptions::default()
             };
             results.push(
-                simulate(
-                    &mesh,
-                    &routing,
-                    &mut WormholePolicy::default(),
-                    &specs,
-                    &options,
-                )
-                .unwrap(),
+                simulate(&mesh, &routing, &mut Switching::default(), &specs, &options).unwrap(),
             );
         }
         let (arena, legacy) = (&results[0], &results[1]);
@@ -614,7 +601,7 @@ mod tests {
     /// belong to the reference loop.
     #[derive(Default)]
     struct Reluctant {
-        inner: WormholePolicy,
+        inner: Switching,
         shown: Shown,
         stepped: u64,
     }
@@ -704,7 +691,7 @@ mod tests {
         let legacy = simulate(
             &mesh,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             &traced(Stepper::Legacy),
         )
@@ -804,7 +791,7 @@ mod tests {
                 };
                 let result = simulate_config(
                     net,
-                    &mut WormholePolicy::default(),
+                    &mut Switching::default(),
                     cfg.clone(),
                     &options,
                     Some(&mut Stubborn),
@@ -837,7 +824,7 @@ mod tests {
             };
             simulate_observed_config(
                 &mesh,
-                &mut WormholePolicy::default(),
+                &mut Switching::default(),
                 Config::from_specs(&mesh, &routing, &specs).unwrap(),
                 &options,
                 &mut NullHook,
@@ -861,14 +848,8 @@ mod tests {
             record_trace: true,
             ..SimOptions::default()
         };
-        let result = simulate(
-            &mesh,
-            &routing,
-            &mut WormholePolicy::default(),
-            &specs,
-            &options,
-        )
-        .unwrap();
+        let result =
+            simulate(&mesh, &routing, &mut Switching::default(), &specs, &options).unwrap();
         let mut doubled = result.injected.clone();
         doubled.extend_from_slice(&result.injected);
         let deduped = per_message_latencies(&result.run, &doubled);
@@ -887,7 +868,7 @@ mod tests {
         let result = simulate(
             &mesh,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             &SimOptions::default(),
         )
@@ -904,7 +885,7 @@ mod tests {
         let result = simulate(
             &mesh,
             &routing,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             &specs,
             &SimOptions::default(),
         )

@@ -1,43 +1,304 @@
 //! # genoc-switching
 //!
-//! Switching policies for GeNoC-rs:
+//! The switching policy `S` of GeNoC-rs, as one type: [`Switching`] over a
+//! [`SwitchingKind`] —
 //!
-//! * [`wormhole::WormholePolicy`] — the paper's `Swh`: flit-level wormhole
-//!   switching with single-packet port ownership;
-//! * [`virtual_cut_through::VirtualCutThroughPolicy`] — pipelined like
-//!   wormhole but blocked packets collapse into one port;
-//! * [`store_forward::StoreForwardPolicy`] — whole-packet hop-by-hop
-//!   transfer, the unpipelined baseline;
-//! * [`arbitration::Arbitration`] — fixed-priority or round-robin service
-//!   order.
+//! * [`SwitchingKind::Wormhole`] — the paper's `Swh`: flit-level wormhole
+//!   switching with single-packet port ownership, under fixed-priority or
+//!   round-robin [`Arbitration`];
+//! * [`SwitchingKind::VirtualCutThrough`] — pipelined like wormhole but
+//!   blocked packets collapse into one port;
+//! * [`SwitchingKind::StoreForward`] — whole-packet hop-by-hop transfer,
+//!   the unpipelined baseline.
 //!
-//! All policies share the flit-motion machinery in [`motion`], which layers
-//! a per-policy *head admission* predicate over the movement primitives of
-//! `genoc-core`. Every policy satisfies the (C-5) contract: a step on a
-//! non-deadlocked configuration moves at least one flit and strictly
-//! decreases the progress measure.
+//! The three move flits alike and differ only in when a header flit may
+//! claim the next port: the *head admission* predicate of [`motion`],
+//! layered over the movement primitives of `genoc-core`. Every policy
+//! satisfies the (C-5) contract: a step on a non-deadlocked configuration
+//! moves at least one flit and strictly decreases the progress measure.
 //!
-//! Every policy's `step` is one [`step_all`](genoc_core::step::step_all)
-//! sweep, and every policy exposes that as a
-//! [`KernelSpec`](genoc_core::switching::KernelSpec) — its arbitration order
-//! plus admission predicate — turning it into an ordering strategy over the
-//! run queue of the arena kernel
-//! ([`ArenaKernel`](genoc_core::arena::ArenaKernel)), since each admission
-//! predicate also names its closed-world
-//! [`AdmissionKind`](genoc_core::step::AdmissionKind). Runners (`genoc-sim`)
-//! execute policies on the arena by default, with move-for-move identical
-//! semantics to stepping them directly.
+//! A step is one [`step_all`] sweep, exposed as
+//! a [`KernelSpec`] — the arbitration order plus the admission predicate —
+//! which turns the policy into an ordering strategy over the run queue of
+//! the arena kernel ([`ArenaKernel`](genoc_core::arena::ArenaKernel)),
+//! since each shipped predicate names its [`SwitchingKind`]. Runners
+//! (`genoc-sim`) execute policies on the arena by default, with
+//! move-for-move identical semantics to stepping them directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arbitration;
 pub mod motion;
-pub mod store_forward;
-pub mod virtual_cut_through;
 pub mod wormhole;
 
-pub use crate::arbitration::Arbitration;
-pub use crate::store_forward::StoreForwardPolicy;
-pub use crate::virtual_cut_through::VirtualCutThroughPolicy;
-pub use crate::wormhole::WormholePolicy;
+pub use genoc_core::meta::SwitchingKind;
+pub use genoc_core::switching::Arbitration;
+
+use genoc_core::config::Config;
+use genoc_core::error::Result;
+use genoc_core::network::Network;
+use genoc_core::step::StepScratch;
+use genoc_core::switching::{KernelSpec, StepReport, SwitchingPolicy};
+use genoc_core::trace::Trace;
+
+use crate::motion::{
+    any_move_possible_with, step_all, AlwaysAdmit, HeadAdmission, StoreAndForwardAdmission,
+    WholePacketRoom,
+};
+
+/// A switching policy: one greedy sweep per step, in arbitration order,
+/// under the head-admission rule of its [`SwitchingKind`].
+///
+/// Every policy a workload needs comes from [`Switching::new`] (fixed
+/// priority) or, for round-robin wormhole, [`Switching::wormhole`]; the
+/// default is wormhole with fixed priority.
+///
+/// Virtual cut-through and store-and-forward need every port on a packet's
+/// route to buffer the whole packet
+/// ([`SwitchingKind::requires_whole_packet_buffering`]); a workload that
+/// violates this wedges at once and is reported as a deadlock.
+///
+/// # Examples
+///
+/// ```
+/// use genoc_core::config::Config;
+/// use genoc_core::injection::IdentityInjection;
+/// use genoc_core::interpreter::{run, Outcome, RunOptions};
+/// use genoc_core::spec::MessageSpec;
+/// use genoc_switching::{Switching, SwitchingKind};
+/// use genoc_topology::mesh::Mesh;
+/// use genoc_routing::xy::XyRouting;
+///
+/// # fn main() -> Result<(), genoc_core::Error> {
+/// let mesh = Mesh::new(3, 3, 4);
+/// let routing = XyRouting::new(&mesh);
+/// let specs = [MessageSpec::new(mesh.node(0, 0), mesh.node(2, 2), 4)];
+/// for kind in SwitchingKind::ALL {
+///     let cfg = Config::from_specs(&mesh, &routing, &specs)?;
+///     let mut policy = Switching::new(kind);
+///     let result = run(&mesh, &IdentityInjection, &mut policy, cfg, &RunOptions::default())?;
+///     assert_eq!(result.outcome, Outcome::Evacuated);
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone, Debug)]
+pub struct Switching {
+    kind: SwitchingKind,
+    arbitration: Arbitration,
+    scratch: StepScratch,
+    step_count: u64,
+}
+
+impl Default for Switching {
+    fn default() -> Self {
+        Switching::new(SwitchingKind::Wormhole)
+    }
+}
+
+impl Switching {
+    /// The `kind` policy under fixed-priority arbitration.
+    pub fn new(kind: SwitchingKind) -> Self {
+        Switching {
+            kind,
+            arbitration: Arbitration::FixedPriority,
+            scratch: StepScratch::default(),
+            step_count: 0,
+        }
+    }
+
+    /// Wormhole switching under the given arbitration scheme.
+    pub fn wormhole(arbitration: Arbitration) -> Self {
+        Switching {
+            arbitration,
+            ..Switching::new(SwitchingKind::Wormhole)
+        }
+    }
+
+    /// Which policy this is.
+    pub fn kind(&self) -> SwitchingKind {
+        self.kind
+    }
+
+    /// The arbitration scheme in force.
+    pub fn arbitration(&self) -> Arbitration {
+        self.arbitration
+    }
+
+    fn admission(&self) -> &'static dyn HeadAdmission {
+        match self.kind {
+            SwitchingKind::Wormhole => &AlwaysAdmit,
+            SwitchingKind::VirtualCutThrough => &WholePacketRoom,
+            SwitchingKind::StoreForward => &StoreAndForwardAdmission,
+        }
+    }
+}
+
+impl SwitchingPolicy for Switching {
+    fn name(&self) -> String {
+        match self.kind {
+            SwitchingKind::Wormhole => format!("wormhole/{}", self.arbitration.label()),
+            SwitchingKind::VirtualCutThrough => "virtual-cut-through".into(),
+            SwitchingKind::StoreForward => "store-and-forward".into(),
+        }
+    }
+
+    fn step(
+        &mut self,
+        net: &dyn Network,
+        cfg: &mut Config,
+        trace: &mut Trace,
+    ) -> Result<StepReport> {
+        let admission = self.admission();
+        self.scratch.reset(net.port_count());
+        let order = self.arbitration.order(cfg.travels().len(), self.step_count);
+        self.step_count += 1;
+        step_all(cfg, order, &mut self.scratch, trace, admission)
+    }
+
+    fn is_deadlock(&self, _net: &dyn Network, cfg: &Config) -> bool {
+        !cfg.is_evacuated() && !any_move_possible_with(cfg, self.admission())
+    }
+
+    fn kernel_spec(&self) -> Option<KernelSpec> {
+        Some(KernelSpec {
+            arbitration: self.arbitration,
+            admission: self.admission(),
+            first_step: self.step_count,
+        })
+    }
+
+    fn note_kernel_steps(&mut self, steps: u64) {
+        self.step_count += steps;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use genoc_core::arena::ArenaSpec;
+    use genoc_core::injection::IdentityInjection;
+    use genoc_core::interpreter::{run, Outcome, RunOptions, RunResult};
+    use genoc_core::line::{LineNetwork, LineRouting};
+    use genoc_core::routing::RoutingFunction;
+    use genoc_core::spec::MessageSpec;
+    use genoc_core::NodeId;
+    use genoc_routing::xy::XyRouting;
+    use genoc_topology::mesh::Mesh;
+
+    fn run_on(
+        policy: &Switching,
+        net: &dyn Network,
+        routing: &dyn RoutingFunction,
+        specs: &[MessageSpec],
+    ) -> RunResult {
+        let cfg = Config::from_specs(net, routing, specs).unwrap();
+        let options = RunOptions {
+            check_invariants: true,
+            ..RunOptions::default()
+        };
+        run(net, &IdentityInjection, &mut policy.clone(), cfg, &options).unwrap()
+    }
+
+    /// One `flits`-flit packet end to end down a `nodes`-node line.
+    fn line_run(policy: &Switching, nodes: usize, capacity: u32, flits: usize) -> RunResult {
+        let net = LineNetwork::new(nodes, capacity);
+        let specs = [MessageSpec::new(
+            NodeId::from_index(0),
+            NodeId::from_index(nodes - 1),
+            flits,
+        )];
+        run_on(policy, &net, &LineRouting::new(&net), &specs)
+    }
+
+    #[test]
+    fn every_policy_keeps_its_name_kernel_spec_and_admission_rule() {
+        let rows = [
+            (Switching::new(SwitchingKind::Wormhole), "wormhole/fixed"),
+            (
+                Switching::wormhole(Arbitration::RoundRobin),
+                "wormhole/round-robin",
+            ),
+            (
+                Switching::new(SwitchingKind::VirtualCutThrough),
+                "virtual-cut-through",
+            ),
+            (
+                Switching::new(SwitchingKind::StoreForward),
+                "store-and-forward",
+            ),
+        ];
+        let crossing_mesh = Mesh::new(3, 3, 2);
+        let crossing: Vec<MessageSpec> = crossing_mesh
+            .nodes()
+            .map(|n| {
+                let (x, y) = crossing_mesh.node_coords(n);
+                MessageSpec::new(n, crossing_mesh.node(2 - x, 2 - y), 3)
+            })
+            .collect();
+        let worm_mesh = Mesh::new(3, 3, 1);
+        let worm = [MessageSpec::new(
+            worm_mesh.node(0, 0),
+            worm_mesh.node(2, 2),
+            8,
+        )];
+        let mut ample_steps = Vec::new();
+        for (policy, name) in rows {
+            let kind = policy.kind();
+            assert_eq!(policy.name(), name);
+            let spec = policy.kernel_spec().unwrap();
+            assert_eq!(spec.admission.kind(), Some(kind), "{name}");
+            let arena = ArenaSpec::from_kernel_spec(&spec).unwrap();
+            assert_eq!(arena.admission, kind, "{name}");
+            assert_eq!(arena.arbitration, policy.arbitration(), "{name}");
+
+            // Packets longer than the port buffers: wormhole pipelines them
+            // (every arbitration evacuates the crossing workload, and one
+            // long worm takes about hops + flits steps, far below
+            // hops × flits); the whole-packet rule wedges at once.
+            let crossed = run_on(
+                &policy,
+                &crossing_mesh,
+                &XyRouting::new(&crossing_mesh),
+                &crossing,
+            );
+            let long = run_on(&policy, &worm_mesh, &XyRouting::new(&worm_mesh), &worm);
+            if kind.requires_whole_packet_buffering() {
+                assert_eq!(crossed.outcome, Outcome::Deadlock, "{name}");
+                assert_eq!(long.outcome, Outcome::Deadlock, "{name}");
+            } else {
+                assert_eq!(crossed.outcome, Outcome::Evacuated, "{name}");
+                assert_eq!(crossed.config.arrived().len(), crossing.len(), "{name}");
+                assert_eq!(long.outcome, Outcome::Evacuated, "{name}");
+                let hops = 2 * 4 + 1;
+                assert!(long.steps <= hops + 8 + 2, "{name}: {} steps", long.steps);
+            }
+
+            // Buffers that hold the whole packet: every policy evacuates.
+            let ample = line_run(&policy, 5, 4, 4);
+            assert_eq!(ample.outcome, Outcome::Evacuated, "{name}");
+            ample_steps.push(ample.steps);
+
+            if kind == SwitchingKind::StoreForward {
+                // Whole packet received before it moves on: at least
+                // hops × flits / 2 steps over the 7 hops of a 4-node line.
+                let r = line_run(&policy, 4, 3, 3);
+                assert_eq!(r.outcome, Outcome::Evacuated);
+                assert!(
+                    r.steps >= 7 * 3 / 2,
+                    "serialised transfer: {} steps",
+                    r.steps
+                );
+            }
+        }
+        let [wormhole, round_robin, vct, saf] = ample_steps[..] else {
+            unreachable!()
+        };
+        assert_eq!(round_robin, wormhole);
+        assert_eq!(
+            vct, wormhole,
+            "with ample buffers VCT pipelines identically"
+        );
+        assert!(saf > vct, "store-and-forward serialises: {saf} <= {vct}");
+    }
+}

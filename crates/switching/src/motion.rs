@@ -1,7 +1,7 @@
 //! Policy-specific head-admission predicates, layered over the generalised
 //! flit motion of `genoc-core`.
 //!
-//! All three switching policies move flits the same way — body flits follow
+//! All three switching kinds move flits the same way — body flits follow
 //! their predecessor under the ownership rules of `genoc-core` — and differ
 //! only in when a *header* flit may claim the next port:
 //!
@@ -18,10 +18,11 @@
 //! predicates.
 
 pub use genoc_core::step::{
-    any_move_possible_with, step_all, AdmissionKind, AlwaysAdmit, HeadAdmission, HeadMove,
+    any_move_possible_with, step_all, AlwaysAdmit, HeadAdmission, HeadMove,
 };
 
 use genoc_core::config::Config;
+use genoc_core::meta::SwitchingKind;
 use genoc_core::travel::FlitPos;
 
 fn head_target_free(cfg: &Config, i: usize, mv: HeadMove) -> u32 {
@@ -43,8 +44,8 @@ impl HeadAdmission for WholePacketRoom {
         head_target_free(cfg, i, mv) as usize >= cfg.travel(i).flit_count()
     }
 
-    fn kind(&self) -> Option<AdmissionKind> {
-        Some(AdmissionKind::WholePacketRoom)
+    fn kind(&self) -> Option<SwitchingKind> {
+        Some(SwitchingKind::VirtualCutThrough)
     }
 }
 
@@ -68,8 +69,8 @@ impl HeadAdmission for StoreAndForwardAdmission {
         }
     }
 
-    fn kind(&self) -> Option<AdmissionKind> {
-        Some(AdmissionKind::StoreAndForward)
+    fn kind(&self) -> Option<SwitchingKind> {
+        Some(SwitchingKind::StoreForward)
     }
 }
 

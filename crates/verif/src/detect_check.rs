@@ -23,7 +23,7 @@ use genoc_depgraph::cycle::is_cycle_of;
 use genoc_detect::{DetectionEngine, EngineOptions, TimeoutDetector};
 use genoc_sim::runner::{simulate_config, SimOptions};
 use genoc_sim::workload::uniform_random;
-use genoc_switching::wormhole::WormholePolicy;
+use genoc_switching::Switching;
 
 use crate::instance::Instance;
 
@@ -113,7 +113,7 @@ pub fn check_detection(
         });
         let result = simulate_config(
             net,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             Config::from_specs(net, routing, &specs)?,
             &sim_options,
             Some(&mut engine),

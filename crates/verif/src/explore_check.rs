@@ -31,54 +31,36 @@ use std::time::{Duration, Instant};
 use genoc_core::config::Config;
 use genoc_core::error::Result;
 use genoc_core::meta::SwitchingKind;
-use genoc_core::switching::SwitchingPolicy;
 use genoc_explore::{explore_policy, pressure_specs, Exploration, ExploreOptions, Verdict};
 use genoc_sim::deadlock_hunt::hunt_workload;
-use genoc_switching::{StoreForwardPolicy, VirtualCutThroughPolicy, WormholePolicy};
+use genoc_switching::Switching;
 
 use crate::instance::Instance;
 
-/// Tuning for [`explore_check`]. The defaults are sized for smoke-scale
-/// instances (up to nine nodes / eight-node rings): the exhaustive tier is
-/// required to finish within its bound there.
+/// Messages the exhaustive tier keeps from the pressure workload.
+const EXHAUSTIVE_MESSAGES: usize = 3;
+/// Preferred flits per message in the exhaustive tier (capped at the
+/// capacity for whole-packet switching policies).
+const EXHAUSTIVE_FLITS: usize = 2;
+/// Step limit for the greedy cross-hunt.
+const HUNT_MAX_STEPS: u64 = 100_000;
+
+/// The state bounds of [`explore_check`]. The defaults are sized for
+/// smoke-scale instances (up to nine nodes / eight-node rings): the
+/// exhaustive tier is required to finish within its bound there.
 #[derive(Clone, Copy, Debug)]
 pub struct ExploreCheckOptions {
-    /// Messages the exhaustive tier keeps from the pressure workload.
-    pub exhaustive_messages: usize,
-    /// Preferred flits per message in the exhaustive tier (capped at the
-    /// capacity for whole-packet switching policies).
-    pub flits: usize,
     /// State bound of the exhaustive tier — exceeding it is a violation.
     pub max_states: usize,
     /// State bound of the pressure tier — exceeding it is merely recorded.
     pub pressure_states: usize,
-    /// Step limit for the greedy cross-hunt.
-    pub max_steps: u64,
-    /// Run the pressure tier with partial-order reduction, extending its
-    /// reach into the ~10⁶-state capacity-2 cells a full search cannot
-    /// finish within the bound.
-    pub por: bool,
-    /// Worker threads for the pressure tier (the exhaustive tiers stay
-    /// sequential — they are the reference the reductions are judged
-    /// against).
-    pub jobs: usize,
-    /// Re-run the exhaustive tier with POR (sequential) and with the
-    /// parallel sharded frontier, and flag any verdict, depth, or trace
-    /// length disagreement with the full sequential search as a violation.
-    pub cross_check_por: bool,
 }
 
 impl Default for ExploreCheckOptions {
     fn default() -> Self {
         ExploreCheckOptions {
-            exhaustive_messages: 3,
-            flits: 2,
             max_states: 200_000,
             pressure_states: 150_000,
-            max_steps: 100_000,
-            por: true,
-            jobs: 1,
-            cross_check_por: true,
         }
     }
 }
@@ -187,14 +169,6 @@ impl ExploreReport {
     }
 }
 
-fn policy_for(kind: SwitchingKind) -> Box<dyn SwitchingPolicy> {
-    match kind {
-        SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
-        SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
-        SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
-    }
-}
-
 /// Runs the explorer tiers on one instance under one switching policy and
 /// cross-validates the verdicts against the static expectation and the
 /// greedy schedule.
@@ -224,17 +198,17 @@ pub fn explore_check(
     };
 
     // Exhaustive tier: few messages, complete enumeration required.
-    let flits = cap_flits(options.flits);
+    let flits = cap_flits(EXHAUSTIVE_FLITS);
     let mut specs = pressure_specs(&instance.meta, flits);
-    specs.truncate(options.exhaustive_messages);
-    let mut policy = policy_for(switching);
+    specs.truncate(EXHAUSTIVE_MESSAGES);
+    let mut policy = Switching::new(switching);
     let tick = Instant::now();
     let exhaustive = explore_policy(
         net,
         routing,
         &instance.meta,
         &specs,
-        policy.as_ref(),
+        &policy,
         &ExploreOptions {
             max_states: options.max_states,
             ..ExploreOptions::default()
@@ -272,11 +246,12 @@ pub fn explore_check(
         Verdict::NoReachableDeadlock => {}
     }
 
-    // POR / parallel cross-check: the reduced and sharded searches must
-    // reproduce the full sequential verdict exactly — same verdict label,
-    // same minimal depth, same counterexample length. The reduction proof
-    // (see genoc_explore::por) says they must; this checks that they do.
-    if options.cross_check_por && !matches!(exhaustive.verdict, Verdict::BoundExceeded) {
+    // POR / parallel cross-check: the reduced (sequential) and sharded
+    // (parallel) searches must reproduce the full sequential verdict exactly
+    // — same verdict label, same minimal depth, same counterexample length.
+    // The reduction proof (see genoc_explore::por) says they must; this
+    // checks that they do.
+    if !matches!(exhaustive.verdict, Verdict::BoundExceeded) {
         let variants: [(&'static str, ExploreOptions); 2] = [
             (
                 "exhaustive-por",
@@ -304,7 +279,7 @@ pub fn explore_check(
                 routing,
                 &instance.meta,
                 &specs,
-                policy.as_ref(),
+                &policy,
                 &explore_options,
             )?;
             let outcome = TierOutcome::of(tier, specs.len(), flits, &reduced, tick.elapsed());
@@ -344,7 +319,7 @@ pub fn explore_check(
 
     // Greedy cross-hunt on the same workload: the kernel's schedule is one
     // interleaving of the explored transition system.
-    let greedy = hunt_workload(net, routing, policy.as_mut(), &specs, 0, options.max_steps)?;
+    let greedy = hunt_workload(net, routing, &mut policy, &specs, 0, HUNT_MAX_STEPS)?;
     match (&exhaustive.verdict, &greedy) {
         (Verdict::NoReachableDeadlock, Some(hunt)) => violations.push(format!(
             "greedy schedule deadlocked after {} steps a workload the explorer proved \
@@ -367,7 +342,9 @@ pub fn explore_check(
 
     // Pressure tier: full adversarial workload with worms longer than the
     // buffers, on cyclic comparators only. BFS finds shallow deadlocks long
-    // before exhaustion; hitting the bound is recorded, not judged.
+    // before exhaustion; hitting the bound is recorded, not judged. It runs
+    // sequentially under partial-order reduction, which puts the ~10⁶-state
+    // capacity-2 cells a full search cannot finish within reach.
     if !instance.expect_acyclic {
         let flits = cap_flits(2 * instance.meta.capacity as usize);
         let specs = pressure_specs(&instance.meta, flits);
@@ -377,11 +354,10 @@ pub fn explore_check(
             routing,
             &instance.meta,
             &specs,
-            policy.as_ref(),
+            &policy,
             &ExploreOptions {
                 max_states: options.pressure_states,
-                por: options.por,
-                jobs: options.jobs.max(1),
+                por: true,
                 ..ExploreOptions::default()
             },
         )?;

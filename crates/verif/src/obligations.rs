@@ -18,7 +18,7 @@ use genoc_core::trace::Trace;
 use genoc_depgraph::cycle::find_cycle;
 use genoc_depgraph::ranking::verify_ranking;
 use genoc_depgraph::scc::is_cyclic_by_scc;
-use genoc_switching::wormhole::WormholePolicy;
+use genoc_switching::Switching;
 
 use crate::instance::Instance;
 
@@ -188,7 +188,7 @@ pub fn check_c4(instance: &Instance) -> ObligationReport {
 /// `μxy`. Reaching a deadlock ends the run without violating (C-5) — the
 /// obligation is conditional on `¬Ω(σ)`.
 pub fn check_c5(instance: &Instance) -> ObligationReport {
-    check_c5_with(instance, &mut WormholePolicy::default(), 4)
+    check_c5_with(instance, &mut Switching::default(), 4)
 }
 
 /// Like [`check_c5`], but under an arbitrary switching policy and with the

@@ -13,7 +13,7 @@ use genoc_core::PortId;
 use genoc_depgraph::cycle::find_cycle;
 use genoc_depgraph::witness::{cycle_from_deadlock, deadlock_from_cycle_with};
 use genoc_sim::deadlock_hunt::{hunt_random, HuntOptions};
-use genoc_switching::wormhole::WormholePolicy;
+use genoc_switching::Switching;
 
 use crate::instance::Instance;
 
@@ -92,7 +92,7 @@ pub fn check_theorem1(instance: &Instance, hunt: &HuntOptions) -> Result<Theorem
     // Live hunt: deterministic instances only (the simulator executes
     // pre-computed routes).
     if instance.deterministic {
-        let mut policy = WormholePolicy::default();
+        let mut policy = Switching::default();
         let found = hunt_random(net, routing, &mut policy, hunt)?;
         live_deadlock_found = Some(found.is_some());
         if let Some(found) = found {

@@ -10,7 +10,7 @@ use genoc_core::spec::MessageSpec;
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::theorems::{check_correctness, check_evacuation};
 use genoc_sim::runner::{simulate, SimOptions, SimResult};
-use genoc_switching::wormhole::WormholePolicy;
+use genoc_switching::Switching;
 
 use crate::instance::Instance;
 
@@ -98,7 +98,7 @@ impl Theorem2Report {
 ///
 /// Propagates configuration and interpreter errors.
 pub fn check_theorem2(instance: &Instance, specs: &[MessageSpec]) -> Result<Theorem2Report> {
-    check_theorem2_with(instance, specs, &mut WormholePolicy::default())
+    check_theorem2_with(instance, specs, &mut Switching::default())
 }
 
 /// Like [`check_theorem2`], but under an arbitrary switching policy: one
@@ -131,6 +131,7 @@ pub fn check_theorem2_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genoc_core::meta::SwitchingKind;
     use genoc_sim::workload::{all_to_all, uniform_random};
 
     #[test]
@@ -159,14 +160,14 @@ mod tests {
         let vct = check_theorem2_with(
             &Instance::mesh_xy(3, 3, 4),
             &specs,
-            &mut genoc_switching::VirtualCutThroughPolicy::new(),
+            &mut Switching::new(SwitchingKind::VirtualCutThrough),
         )
         .unwrap();
         assert!(vct.holds(), "{:?}", vct.notes);
         let saf = check_theorem2_with(
             &Instance::mesh_xy(3, 3, 4),
             &specs,
-            &mut genoc_switching::StoreForwardPolicy::new(),
+            &mut Switching::new(SwitchingKind::StoreForward),
         )
         .unwrap();
         assert!(saf.holds(), "{:?}", saf.notes);

@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut hunt = hunt_workload(
         &mesh,
         &routing,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         0,
         10_000,
@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flits: 8,
         ..HuntOptions::default()
     };
-    match hunt_random(&big, &big_routing, &mut WormholePolicy::default(), &options)? {
+    match hunt_random(&big, &big_routing, &mut Switching::default(), &options)? {
         Some(found) => {
             println!(
                 "deadlock on workload seed {} after {} steps; blocked-port witness:",
@@ -143,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let summary = record_hunt(
         &mesh,
         &routing,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &mut hunt,
         Some(genoc::obs::WalMeta {
             meta: InstanceMeta::new(RoutingKind::MixedXyYx, 2, 2, 1),

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let undetected = simulate(
         &mesh,
         &routing,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         &SimOptions::default(),
     )?;
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut watcher = DetectionEngine::detector(EngineOptions::default());
     let watched = simulate_config(
         &mesh,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         Config::from_specs(&mesh, &routing, &specs)?,
         &SimOptions::default(),
         Some(&mut watcher),
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
     let recovered = simulate_config(
         &mesh,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         Config::from_specs(&mesh, &routing, &specs)?,
         &SimOptions::default(),
         Some(&mut engine),

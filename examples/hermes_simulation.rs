@@ -56,13 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         record_trace: true,
         ..SimOptions::default()
     };
-    let result = simulate(
-        &mesh,
-        &routing,
-        &mut WormholePolicy::default(),
-        &specs,
-        &options,
-    )?;
+    let result = simulate(&mesh, &routing, &mut Switching::default(), &specs, &options)?;
 
     println!(
         "\noutcome: {:?} after {} steps",

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = run(
         &mesh,
         &IdentityInjection,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &options,
     )?;

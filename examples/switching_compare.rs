@@ -46,9 +46,8 @@ fn main() {
             ),
         ];
         for (name, specs) in workloads {
-            let wh = steps(&mesh, &routing, &mut WormholePolicy::default(), &specs);
-            let vct = steps(&mesh, &routing, &mut VirtualCutThroughPolicy::new(), &specs);
-            let saf = steps(&mesh, &routing, &mut StoreForwardPolicy::new(), &specs);
+            let [wh, vct, saf] = SwitchingKind::ALL
+                .map(|kind| steps(&mesh, &routing, &mut Switching::new(kind), &specs));
             table.row([
                 name.to_string(),
                 flits.to_string(),

@@ -227,7 +227,7 @@ fn warmed_steps_allocate_nothing(observed: bool) {
     for (i, (mesh, cfg, arena0)) in workloads.into_iter().enumerate() {
         let ids: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
         let spec =
-            ArenaSpec::from_kernel_spec(&WormholePolicy::default().kernel_spec().unwrap()).unwrap();
+            ArenaSpec::from_kernel_spec(&Switching::default().kernel_spec().unwrap()).unwrap();
 
         // Warm-up run: grows every reusable buffer to its high-water mark.
         let mut arena = arena0.clone();
@@ -276,8 +276,7 @@ fn pools_grow_by_what_was_pushed_and_no_more() {
     let specs = genoc::sim::workload::uniform_random(mesh.node_count(), 96, 2..=6, 7);
     let mut cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
     let mut arena = ArenaConfig::from_config(&mesh, &cfg).unwrap();
-    let spec =
-        ArenaSpec::from_kernel_spec(&WormholePolicy::default().kernel_spec().unwrap()).unwrap();
+    let spec = ArenaSpec::from_kernel_spec(&Switching::default().kernel_spec().unwrap()).unwrap();
     let mut kernel = ArenaKernel::new(&arena, spec);
     kernel.set_observed(true);
     let mut engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(DrainAll));

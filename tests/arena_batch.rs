@@ -72,7 +72,7 @@ fn mid_run_batches_agree_under_wormhole_switching() {
     let first = genoc::sim::workload::uniform_random(16, 24, 1..=4, 29);
     let second = genoc::sim::workload::uniform_random(16, 12, 1..=4, 31);
     let cfg = Config::from_specs(&mesh, &routing, &first).unwrap();
-    let spec = WormholePolicy::default().kernel_spec().unwrap();
+    let spec = Switching::default().kernel_spec().unwrap();
     let aspec = ArenaSpec::from_kernel_spec(&spec).unwrap();
 
     let mut arena = ArenaConfig::from_config(&mesh, &cfg).unwrap();
@@ -103,7 +103,7 @@ fn mid_run_batches_agree_under_wormhole_switching() {
         let result = run(
             &mesh,
             &IdentityInjection,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             resumed,
             &RunOptions::default(),
         )

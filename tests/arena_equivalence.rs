@@ -32,14 +32,6 @@ use genoc::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-fn policy_for(kind: SwitchingKind) -> Box<dyn SwitchingPolicy> {
-    match kind {
-        SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
-        SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
-        SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
-    }
-}
-
 const STEPPERS: [Stepper; 2] = [Stepper::Arena, Stepper::Legacy];
 
 /// Runs the same workload on both steppers and asserts the runs are
@@ -59,8 +51,8 @@ fn assert_equivalent(
             max_steps: 50_000,
             stepper,
         };
-        let mut policy = policy_for(kind);
-        results.push(simulate(net, routing, policy.as_mut(), specs, &options).unwrap());
+        let mut policy = Switching::new(kind);
+        results.push(simulate(net, routing, &mut policy, specs, &options).unwrap());
     }
     let (arena, legacy) = (&results[0], &results[1]);
     assert_eq!(arena.run.outcome, legacy.run.outcome, "outcome");
@@ -96,12 +88,10 @@ fn every_smoke_scenario_is_arena_invariant() {
                     stepper,
                     ..SimOptions::default()
                 };
-                let mut policy = policy_for(spec.switching);
+                let mut policy = Switching::new(spec.switching);
                 let cfg = config_with_selected_routes(net, instance.routing.as_ref(), &specs, seed)
                     .unwrap();
-                results.push(
-                    simulate_config(net, policy.as_mut(), cfg, &options, None, None).unwrap(),
-                );
+                results.push(simulate_config(net, &mut policy, cfg, &options, None, None).unwrap());
             }
             let (arena, legacy) = (&results[0], &results[1]);
             assert_eq!(arena.run.outcome, legacy.run.outcome, "{}", spec.name());
@@ -146,14 +136,8 @@ fn deadlock_verdicts_and_witnesses_agree_on_the_corner_storm() {
             stepper,
             ..SimOptions::default()
         };
-        let result = simulate(
-            &mesh,
-            &routing,
-            &mut WormholePolicy::default(),
-            &specs,
-            &options,
-        )
-        .unwrap();
+        let result =
+            simulate(&mesh, &routing, &mut Switching::default(), &specs, &options).unwrap();
         assert_eq!(result.run.outcome, Outcome::Deadlock);
         let cycle = find_wait_cycle(&result.run.config).expect("wormhole deadlocks carry a cycle");
         outcomes.push((result.run.steps, cycle));
@@ -176,7 +160,7 @@ fn hooked_detection_sees_the_same_cycles_on_the_arena() {
         };
         let result = simulate_config(
             &mesh,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &options,
             Some(&mut engine),
@@ -217,7 +201,7 @@ fn assert_recovery_equivalent(
             stepper,
             ..SimOptions::default()
         };
-        let mut switching = WormholePolicy::default();
+        let mut switching = Switching::default();
         let cfg = Config::from_specs(net, routing, specs).unwrap();
         let result = simulate_config(net, &mut switching, cfg, &options, Some(&mut engine), None)
             .unwrap_or_else(|e| panic!("{cell}, {stepper:?}: {e}"));
@@ -295,14 +279,7 @@ fn pinned_anchors_on_the_reference_cell() {
         stepper: Stepper::Arena,
         ..SimOptions::default()
     };
-    let result = simulate(
-        &mesh,
-        &routing,
-        &mut WormholePolicy::default(),
-        &specs,
-        &options,
-    )
-    .unwrap();
+    let result = simulate(&mesh, &routing, &mut Switching::default(), &specs, &options).unwrap();
     assert_eq!(result.run.outcome, Outcome::Evacuated);
     assert_eq!(result.run.steps, PINNED_STEPS, "exact step count drifted");
     assert_eq!(
@@ -386,7 +363,7 @@ proptest! {
                 stepper,
                 ..SimOptions::default()
             };
-            let mut policy = WormholePolicy::new(Arbitration::RoundRobin);
+            let mut policy = Switching::wormhole(Arbitration::RoundRobin);
             results.push(simulate(&mesh, &routing, &mut policy, &specs, &options).unwrap());
         }
         let (arena, legacy) = (&results[0], &results[1]);
@@ -465,7 +442,7 @@ fn multi_word_workloads_are_arena_invariant() {
                         for arbitration in [Arbitration::FixedPriority, Arbitration::RoundRobin] {
                             let spec = KernelSpec {
                                 arbitration,
-                                ..policy_for(kind).kernel_spec().unwrap()
+                                ..Switching::new(kind).kernel_spec().unwrap()
                             };
                             let mut sweep = Sweep {
                                 spec,

@@ -69,7 +69,7 @@ impl Harness {
         let cfg = Config::from_travels(&mesh, Vec::new()).unwrap();
         let arena = ArenaConfig::from_config(&mesh, &cfg).unwrap();
         let spec =
-            ArenaSpec::from_kernel_spec(&WormholePolicy::default().kernel_spec().unwrap()).unwrap();
+            ArenaSpec::from_kernel_spec(&Switching::default().kernel_spec().unwrap()).unwrap();
         Harness {
             mesh,
             xy,
@@ -355,12 +355,7 @@ fn lockstep_holds_when_rank_slot_and_position_all_differ() {
 }
 
 fn arena_spec(kind: SwitchingKind) -> ArenaSpec {
-    let spec = match kind {
-        SwitchingKind::Wormhole => WormholePolicy::default().kernel_spec(),
-        SwitchingKind::VirtualCutThrough => VirtualCutThroughPolicy::new().kernel_spec(),
-        SwitchingKind::StoreForward => StoreForwardPolicy::new().kernel_spec(),
-    };
-    ArenaSpec::from_kernel_spec(&spec.unwrap()).unwrap()
+    ArenaSpec::from_kernel_spec(&Switching::new(kind).kernel_spec().unwrap()).unwrap()
 }
 
 /// How a stepped arena was left.
@@ -521,22 +516,21 @@ impl RunObserver for ParkAudit {
 fn every_park_the_arena_reports_is_a_blocked_port_of_the_reference() {
     // Buffer depth beside each policy: the whole-packet admissions need room
     // for a 3-flit packet, wormhole needs to be short of it to deadlock.
-    type MakePolicy = fn() -> Box<dyn SwitchingPolicy>;
-    let policies: [(u32, MakePolicy); 4] = [
-        (1, || Box::new(WormholePolicy::default())),
-        (1, || Box::new(WormholePolicy::new(Arbitration::RoundRobin))),
-        (3, || Box::new(VirtualCutThroughPolicy::new())),
-        (3, || Box::new(StoreForwardPolicy::new())),
+    let policies = [
+        (1, Switching::default()),
+        (1, Switching::wormhole(Arbitration::RoundRobin)),
+        (3, Switching::new(SwitchingKind::VirtualCutThrough)),
+        (3, Switching::new(SwitchingKind::StoreForward)),
     ];
     let (mut checks, mut recoveries) = (0, 0);
     for seed in 0..6u64 {
         let specs = genoc::sim::workload::hotspot(36, 200, seed as usize % 36, 40, 3, seed);
-        for (capacity, make) in policies {
-            let mesh = Mesh::new(6, 6, capacity);
+        for (capacity, policy) in &policies {
+            let mesh = Mesh::new(6, 6, *capacity);
             let xy = XyRouting::new(&mesh);
             let mixed = MixedXyYxRouting::new(&mesh);
             for routing in [&xy as &dyn RoutingFunction, &mixed] {
-                let mut policy = make();
+                let mut policy = policy.clone();
                 let mut audit = ParkAudit {
                     admission: policy.kernel_spec().unwrap().admission,
                     parked: Vec::new(),
@@ -555,15 +549,9 @@ fn every_park_the_arena_reports_is_a_blocked_port_of_the_reference() {
                 };
                 let cfg = Config::from_specs(&mesh, routing, &specs).unwrap();
                 let options = SimOptions::default();
-                let result = simulate_observed_config(
-                    &mesh,
-                    policy.as_mut(),
-                    cfg,
-                    &options,
-                    hook,
-                    &mut audit,
-                )
-                .unwrap();
+                let result =
+                    simulate_observed_config(&mesh, &mut policy, cfg, &options, hook, &mut audit)
+                        .unwrap();
                 assert_ne!(result.run.outcome, Outcome::StepLimit);
                 assert!(audit.checks > 0, "{}: nothing ever parked", policy.name());
                 checks += audit.checks;
@@ -668,7 +656,7 @@ const PINNED_STREAMS: [(&str, u64, u64); 5] = [
 struct PinnedCell {
     name: &'static str,
     mesh: Mesh,
-    policy: Box<dyn SwitchingPolicy>,
+    policy: Switching,
     specs: Vec<MessageSpec>,
     cfg: Config,
     mixed: bool,
@@ -678,19 +666,21 @@ struct PinnedCell {
 /// travels over and over, the whole-packet admissions gate the head on room
 /// for the packet, and the mixed-routing cell deadlocks.
 fn pinned_cells() -> Vec<PinnedCell> {
-    type MakePolicy = fn() -> Box<dyn SwitchingPolicy>;
-    let cells: [(usize, u32, bool, MakePolicy); 5] = [
-        (8, 2, false, || Box::new(WormholePolicy::default())),
-        (8, 2, false, || {
-            Box::new(WormholePolicy::new(Arbitration::RoundRobin))
-        }),
-        (6, 3, false, || Box::new(VirtualCutThroughPolicy::new())),
-        (6, 3, false, || Box::new(StoreForwardPolicy::new())),
-        (6, 1, true, || Box::new(WormholePolicy::default())),
+    let cells = [
+        (8, 2, false, Switching::default()),
+        (8, 2, false, Switching::wormhole(Arbitration::RoundRobin)),
+        (
+            6,
+            3,
+            false,
+            Switching::new(SwitchingKind::VirtualCutThrough),
+        ),
+        (6, 3, false, Switching::new(SwitchingKind::StoreForward)),
+        (6, 1, true, Switching::default()),
     ];
     let cells = cells.into_iter().zip(PINNED_STREAMS);
     cells
-        .map(|((side, capacity, mixed, make), (name, ..))| {
+        .map(|((side, capacity, mixed, policy), (name, ..))| {
             let nodes = side * side;
             let mesh = Mesh::new(side, side, capacity);
             let (specs, cfg) = if mixed {
@@ -706,7 +696,7 @@ fn pinned_cells() -> Vec<PinnedCell> {
             PinnedCell {
                 name,
                 mesh,
-                policy: make(),
+                policy,
                 specs,
                 cfg: cfg.unwrap(),
                 mixed,
@@ -738,7 +728,7 @@ fn the_transition_stream_is_pinned_per_cell() {
         };
         let result = simulate_observed_config(
             &mesh,
-            policy.as_mut(),
+            &mut policy,
             cfg,
             &SimOptions::default(),
             hook,

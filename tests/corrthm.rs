@@ -13,14 +13,7 @@ fn traced_sim(
         record_trace: true,
         ..SimOptions::default()
     };
-    simulate(
-        net,
-        routing,
-        &mut WormholePolicy::default(),
-        specs,
-        &options,
-    )
-    .unwrap()
+    simulate(net, routing, &mut Switching::default(), specs, &options).unwrap()
 }
 
 #[test]
@@ -138,16 +131,12 @@ fn the_flit_index_answers_what_the_trace_scans_answer() {
             1..=spec.workload_flits(6),
             seed,
         );
-        let mut policy: Box<dyn SwitchingPolicy> = match spec.switching {
-            SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
-            SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
-            SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
-        };
+        let mut policy = Switching::new(spec.switching);
         let sim = if instance.deterministic {
-            simulate(net, routing, policy.as_mut(), &specs, &options)
+            simulate(net, routing, &mut policy, &specs, &options)
         } else {
             let cfg = config_with_selected_routes(net, routing, &specs, seed).unwrap();
-            simulate_config(net, policy.as_mut(), cfg, &options, None, None)
+            simulate_config(net, &mut policy, cfg, &options, None, None)
         }
         .unwrap();
         assert!(!sim.run.trace.events().is_empty(), "{name}");
@@ -161,14 +150,7 @@ fn the_flit_index_answers_what_the_trace_scans_answer() {
     let routing = MixedXyYxRouting::new(&mesh);
     let deadlocked = (0..64u64).find_map(|seed| {
         let specs = genoc::sim::workload::uniform_random(9, 40, 8..=8, seed);
-        let sim = simulate(
-            &mesh,
-            &routing,
-            &mut WormholePolicy::default(),
-            &specs,
-            &options,
-        )
-        .unwrap();
+        let sim = simulate(&mesh, &routing, &mut Switching::default(), &specs, &options).unwrap();
         (sim.run.outcome == Outcome::Deadlock).then_some((specs, sim))
     });
     let (specs, sim) = deadlocked.expect("heavy mixed traffic deadlocks");

@@ -46,7 +46,7 @@ fn check_detection_properties(
     });
     let result = simulate_config(
         net,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         Config::from_specs(net, routing, specs).unwrap(),
         &SimOptions::default(),
         Some(&mut engine),
@@ -211,15 +211,8 @@ fn check_lazy_search(
         ..SimOptions::default()
     };
     let cfg = Config::from_specs(net, routing, specs).unwrap();
-    let result = simulate_config(
-        net,
-        &mut WormholePolicy::default(),
-        cfg,
-        &options,
-        None,
-        None,
-    )
-    .map_err(|e| TestCaseError::fail(format!("simulate_config: {e}")))?;
+    let result = simulate_config(net, &mut Switching::default(), cfg, &options, None, None)
+        .map_err(|e| TestCaseError::fail(format!("simulate_config: {e}")))?;
     let cfg = &result.run.config;
     let (lazy, eager) = (find_wait_cycle(cfg), eager_wait_cycle(cfg));
     let cycles = wait_cycle_count(cfg);
@@ -306,7 +299,7 @@ fn hooked_report(
         stepper,
         ..SimOptions::default()
     };
-    let mut switching = WormholePolicy::default();
+    let mut switching = Switching::default();
     let cfg = Config::from_specs(net, routing, specs).unwrap();
     let result = simulate_config(net, &mut switching, cfg, &sim, Some(&mut engine), None)
         .unwrap_or_else(|e| panic!("{stepper:?}: {e}"));

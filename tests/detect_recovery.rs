@@ -24,7 +24,7 @@ fn undetected_deadlock_becomes_survivable_with_abort() {
     let undetected = simulate(
         &mesh,
         &routing,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         &SimOptions::default(),
     )
@@ -37,7 +37,7 @@ fn undetected_deadlock_becomes_survivable_with_abort() {
         DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
     let recovered = simulate_config(
         &mesh,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         Config::from_specs(&mesh, &routing, &specs).unwrap(),
         &SimOptions::default(),
         Some(&mut engine),
@@ -73,7 +73,7 @@ fn escape_channel_recovers_the_ring_without_losses() {
     let undetected = simulate(
         &ring,
         &routing,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         &SimOptions::default(),
     )
@@ -84,7 +84,7 @@ fn escape_channel_recovers_the_ring_without_losses() {
     let mut engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(policy));
     let recovered = simulate_config(
         &ring,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         Config::from_specs(&ring, &routing, &specs).unwrap(),
         &SimOptions::default(),
         Some(&mut engine),
@@ -106,7 +106,7 @@ fn drain_all_restart_delivers_everything() {
     let mut engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(DrainAll));
     let result = simulate_config(
         &mesh,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         Config::from_specs(&mesh, &routing, &specs).unwrap(),
         &SimOptions::default(),
         Some(&mut engine),
@@ -175,7 +175,7 @@ fn hunt_witness_is_a_dependency_graph_cycle() {
     let hunt = hunt_workload(
         &mesh,
         &routing,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         0,
         10_000,

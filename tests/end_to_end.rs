@@ -30,9 +30,8 @@ fn hermes_4x4_transpose_under_all_policies() {
     let mesh = Mesh::builder(4, 4).capacity(4).local_capacity(4).build();
     let routing = XyRouting::new(&mesh);
     let specs = genoc::sim::workload::transpose(&mesh, 3);
-    let wh = evacuate(&mesh, &routing, &mut WormholePolicy::default(), &specs);
-    let vct = evacuate(&mesh, &routing, &mut VirtualCutThroughPolicy::new(), &specs);
-    let saf = evacuate(&mesh, &routing, &mut StoreForwardPolicy::new(), &specs);
+    let [wh, vct, saf] =
+        SwitchingKind::ALL.map(|kind| evacuate(&mesh, &routing, &mut Switching::new(kind), &specs));
     assert!(
         saf.run.steps >= vct.run.steps && saf.run.steps >= wh.run.steps,
         "store-and-forward must be slowest: saf {} vct {} wh {}",
@@ -47,7 +46,7 @@ fn hotspot_traffic_on_mesh_evacuates() {
     let mesh = Mesh::new(4, 4, 2);
     let routing = XyRouting::new(&mesh);
     let specs = genoc::sim::workload::hotspot(16, 64, 5, 70, 2, 13);
-    let result = evacuate(&mesh, &routing, &mut WormholePolicy::default(), &specs);
+    let result = evacuate(&mesh, &routing, &mut Switching::default(), &specs);
     assert_eq!(result.run.config.arrived().len(), 64);
 }
 
@@ -56,7 +55,7 @@ fn spidergon_dateline_all_to_all() {
     let s = Spidergon::with_vcs(8, 2, 2);
     let routing = AcrossFirstDatelineRouting::new(&s);
     let specs = genoc::sim::workload::all_to_all(8, 2);
-    let result = evacuate(&s, &routing, &mut WormholePolicy::default(), &specs);
+    let result = evacuate(&s, &routing, &mut Switching::default(), &specs);
     let corr = check_correctness(&s, &routing, &specs, &result.run);
     assert!(corr.holds(), "{:?}", corr.violations);
 }
@@ -66,7 +65,7 @@ fn torus_dateline_uniform_traffic() {
     let torus = Torus::with_vcs(4, 4, 2, 2);
     let routing = TorusDorDatelineRouting::new(&torus);
     let specs = genoc::sim::workload::uniform_random(16, 48, 1..=4, 21);
-    evacuate(&torus, &routing, &mut WormholePolicy::default(), &specs);
+    evacuate(&torus, &routing, &mut Switching::default(), &specs);
 }
 
 #[test]
@@ -77,13 +76,13 @@ fn round_robin_arbitration_matches_fixed_on_arrivals() {
     let fixed = evacuate(
         &mesh,
         &routing,
-        &mut WormholePolicy::new(Arbitration::FixedPriority),
+        &mut Switching::wormhole(Arbitration::FixedPriority),
         &specs,
     );
     let rr = evacuate(
         &mesh,
         &routing,
-        &mut WormholePolicy::new(Arbitration::RoundRobin),
+        &mut Switching::wormhole(Arbitration::RoundRobin),
         &specs,
     );
     assert_eq!(
@@ -114,8 +113,8 @@ fn latencies_scale_with_distance() {
     let routing = XyRouting::new(&mesh);
     let near = [MessageSpec::new(mesh.node(0, 0), mesh.node(1, 0), 2)];
     let far = [MessageSpec::new(mesh.node(0, 0), mesh.node(5, 0), 2)];
-    let near_r = evacuate(&mesh, &routing, &mut WormholePolicy::default(), &near);
-    let far_r = evacuate(&mesh, &routing, &mut WormholePolicy::default(), &far);
+    let near_r = evacuate(&mesh, &routing, &mut Switching::default(), &near);
+    let far_r = evacuate(&mesh, &routing, &mut Switching::default(), &far);
     assert!(far_r.latencies[0] > near_r.latencies[0]);
 }
 
@@ -124,8 +123,8 @@ fn deterministic_runs_are_reproducible() {
     let mesh = Mesh::new(3, 3, 1);
     let routing = XyRouting::new(&mesh);
     let specs = genoc::sim::workload::uniform_random(9, 20, 1..=4, 99);
-    let a = evacuate(&mesh, &routing, &mut WormholePolicy::default(), &specs);
-    let b = evacuate(&mesh, &routing, &mut WormholePolicy::default(), &specs);
+    let a = evacuate(&mesh, &routing, &mut Switching::default(), &specs);
+    let b = evacuate(&mesh, &routing, &mut Switching::default(), &specs);
     assert_eq!(a.run.steps, b.run.steps);
     assert_eq!(a.run.arrival_order, b.run.arrival_order);
 }
@@ -135,7 +134,7 @@ fn single_node_network_self_delivery() {
     let mesh = Mesh::new(1, 1, 1);
     let routing = XyRouting::new(&mesh);
     let specs = [MessageSpec::new(mesh.node(0, 0), mesh.node(0, 0), 3)];
-    let result = evacuate(&mesh, &routing, &mut WormholePolicy::default(), &specs);
+    let result = evacuate(&mesh, &routing, &mut Switching::default(), &specs);
     assert_eq!(result.run.config.arrived().len(), 1);
 }
 
@@ -152,7 +151,7 @@ fn line_reference_network_agrees_with_mesh_1xn() {
         MessageSpec::new(NodeId::from_index(0), NodeId::from_index(4), 3),
         MessageSpec::new(NodeId::from_index(4), NodeId::from_index(1), 2),
     ];
-    let a = evacuate(&line, &line_routing, &mut WormholePolicy::default(), &specs);
-    let b = evacuate(&mesh, &mesh_routing, &mut WormholePolicy::default(), &specs);
+    let a = evacuate(&line, &line_routing, &mut Switching::default(), &specs);
+    let b = evacuate(&mesh, &mesh_routing, &mut Switching::default(), &specs);
     assert_eq!(a.run.steps, b.run.steps);
 }

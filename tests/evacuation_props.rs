@@ -40,7 +40,7 @@ fn assert_evacuates(
     let result = run(
         net,
         &IdentityInjection,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &options,
     )

@@ -106,11 +106,11 @@ fn walk(
 
 /// The three admission rules, with the largest packet each can ever admit
 /// into a `capacity`-buffer port.
-fn policies(capacity: usize) -> [(Box<dyn SwitchingPolicy>, usize); 3] {
+fn policies(capacity: usize) -> [(Switching, usize); 3] {
     [
-        (Box::new(WormholePolicy::default()), 3),
-        (Box::new(VirtualCutThroughPolicy::new()), capacity),
-        (Box::new(StoreForwardPolicy::new()), capacity),
+        (Switching::default(), 3),
+        (Switching::new(SwitchingKind::VirtualCutThrough), capacity),
+        (Switching::new(SwitchingKind::StoreForward), capacity),
     ]
 }
 

@@ -23,11 +23,7 @@ use genoc::prelude::*;
 /// reachable at these settings (the disagreement is then in the other
 /// direction and the tier summaries tell the story).
 fn rendered_trace(instance: &Instance, switching: SwitchingKind, flits: usize) -> String {
-    let policy: Box<dyn SwitchingPolicy> = match switching {
-        SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
-        SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
-        SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
-    };
+    let policy = Switching::new(switching);
     let specs = pressure_specs(&instance.meta, flits);
     let options = ExploreOptions {
         max_states: 200_000,
@@ -38,7 +34,7 @@ fn rendered_trace(instance: &Instance, switching: SwitchingKind, flits: usize) -
         instance.routing.as_ref(),
         &instance.meta,
         &specs,
-        policy.as_ref(),
+        &policy,
         &options,
     ) {
         Ok(result) => match result.counterexample() {
@@ -156,16 +152,10 @@ fn minimal_counterexamples_replay_and_beat_the_greedy_witness() {
         // flit moves than the minimal trace (each move lowers the progress
         // measure by exactly one).
         let initial = replay(net, routing, &specs, &[]).unwrap();
-        let hunt = hunt_workload(
-            net,
-            routing,
-            &mut WormholePolicy::default(),
-            &specs,
-            0,
-            50_000,
-        )
-        .unwrap()
-        .unwrap_or_else(|| panic!("{}: greedy run must deadlock too", instance.name));
+        let mut policy = Switching::default();
+        let hunt = hunt_workload(net, routing, &mut policy, &specs, 0, 50_000)
+            .unwrap()
+            .unwrap_or_else(|| panic!("{}: greedy run must deadlock too", instance.name));
         let greedy_moves = (initial.progress_measure() - hunt.config.progress_measure()) as usize;
         assert!(
             cex.trace.len() <= greedy_moves,
@@ -175,10 +165,8 @@ fn minimal_counterexamples_replay_and_beat_the_greedy_witness() {
             greedy_moves
         );
 
-        // The hunt's own shrunk witness is the same minimal depth.
-        let shrunk = hunt
-            .minimal_trace
-            .as_ref()
+        // Shrinking the hunt's workload finds the same minimal depth.
+        let shrunk = genoc::sim::shrink_witness(net, routing, &policy, &hunt.specs, false)
             .unwrap_or_else(|| panic!("{}: small workload must shrink", instance.name));
         assert_eq!(
             shrunk.len(),

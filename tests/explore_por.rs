@@ -20,14 +20,6 @@ use genoc_core::step::AlwaysAdmit;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-fn policy_for(switching: SwitchingKind) -> Box<dyn SwitchingPolicy> {
-    match switching {
-        SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
-        SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
-        SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
-    }
-}
-
 #[test]
 fn por_and_parallel_match_full_bfs_on_every_oracle_cell() {
     let cells = ScenarioMatrix::oracle().expand();
@@ -70,14 +62,14 @@ fn por_and_parallel_match_full_bfs_on_every_oracle_cell() {
         if truncate > 0 {
             specs.truncate(truncate);
         }
-        let policy = policy_for(switching);
+        let policy = Switching::new(switching);
         let run = |options: &ExploreOptions| {
             explore_policy(
                 instance.net.as_ref(),
                 instance.routing.as_ref(),
                 &instance.meta,
                 &specs,
-                policy.as_ref(),
+                &policy,
                 options,
             )
             .unwrap_or_else(|e| panic!("{}: exploration failed: {e}", instance.name))

@@ -18,14 +18,6 @@ use genoc::prelude::*;
 use genoc_core::error::Error;
 use genoc_explore::{BoundReason, MAX_PARALLELISM};
 
-fn policy_for(switching: SwitchingKind) -> Box<dyn SwitchingPolicy> {
-    match switching {
-        SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
-        SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
-        SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
-    }
-}
-
 #[test]
 fn spilling_runs_match_all_in_ram_runs_on_every_deadlocking_cell() {
     let cells = ScenarioMatrix::oracle().expand();
@@ -60,14 +52,14 @@ fn spilling_runs_match_all_in_ram_runs_on_every_deadlocking_cell() {
         if truncate > 0 {
             specs.truncate(truncate);
         }
-        let policy = policy_for(switching);
+        let policy = Switching::new(switching);
         let run = |options: &ExploreOptions| {
             explore_policy(
                 instance.net.as_ref(),
                 instance.routing.as_ref(),
                 &instance.meta,
                 &specs,
-                policy.as_ref(),
+                &policy,
                 options,
             )
             .unwrap_or_else(|e| panic!("{}: exploration failed: {e}", instance.name))

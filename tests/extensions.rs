@@ -34,7 +34,7 @@ fn staggered_injection_evacuates_on_xy_mesh() {
     let result = run(
         &mesh,
         &injection,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &RunOptions {
             check_invariants: true,
@@ -66,7 +66,7 @@ fn bursty_injection_with_long_gaps_fast_forwards() {
     let result = run(
         &mesh,
         &injection,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &RunOptions::default(),
     )
@@ -100,7 +100,7 @@ fn injection_time_is_bounded_on_a_deadlock_free_network() {
     let result = run(
         &mesh,
         &injection,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &RunOptions::default(),
     )
@@ -129,7 +129,7 @@ fn scheduled_injection_on_cyclic_router_still_deadlocks() {
     let result = run(
         &mesh,
         &injection,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &RunOptions {
             max_steps: 10_000,

@@ -51,7 +51,7 @@ fn lazy_policy_is_reported_as_progress_violation() {
 
 /// A policy that moves flits but lies about deadlock — the interpreter
 /// reports a deadlock outcome early; the evacuation checker then fails.
-struct DefeatistPolicy(WormholePolicy);
+struct DefeatistPolicy(Switching);
 
 impl SwitchingPolicy for DefeatistPolicy {
     fn name(&self) -> String {
@@ -80,7 +80,7 @@ fn defeatist_policy_fails_the_evacuation_theorem() {
     let result = run(
         &mesh,
         &IdentityInjection,
-        &mut DefeatistPolicy(WormholePolicy::default()),
+        &mut DefeatistPolicy(Switching::default()),
         cfg,
         &RunOptions::default(),
     )

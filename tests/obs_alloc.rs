@@ -83,7 +83,7 @@ fn recorded_log(snapshot_every: u64) -> (Mesh, Vec<u8>) {
     let mut hook = ObservedEngine::new(engine, Some(Rc::clone(&wal)));
     let result = simulate_observed_config(
         &mesh,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &SimOptions::default(),
         &mut hook,
@@ -169,15 +169,8 @@ fn configurations_along_a_run() -> Vec<Config> {
             max_steps,
             ..SimOptions::default()
         };
-        let result = simulate_config(
-            &mesh,
-            &mut WormholePolicy::default(),
-            cfg,
-            &options,
-            None,
-            None,
-        )
-        .expect("run");
+        let result = simulate_config(&mesh, &mut Switching::default(), cfg, &options, None, None)
+            .expect("run");
         configs.push(result.run.config);
         if result.run.outcome == Outcome::Evacuated {
             return configs;

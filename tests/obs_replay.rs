@@ -30,14 +30,6 @@ use genoc::obs::{
 use genoc::prelude::*;
 use genoc::verif::Instance;
 
-fn policy_for(kind: SwitchingKind) -> Box<dyn SwitchingPolicy> {
-    match kind {
-        SwitchingKind::Wormhole => Box::new(WormholePolicy::default()),
-        SwitchingKind::VirtualCutThrough => Box::new(VirtualCutThroughPolicy::new()),
-        SwitchingKind::StoreForward => Box::new(StoreForwardPolicy::new()),
-    }
-}
-
 /// Records one run of `cfg` into an in-memory WAL, returning the records
 /// read back and the recorded step count.
 fn record(
@@ -56,10 +48,10 @@ fn record(
             switching: spec.switching,
         }),
     );
-    let mut policy = policy_for(spec.switching);
+    let mut policy = Switching::new(spec.switching);
     let result = simulate_observed_config(
         instance.net.as_ref(),
-        policy.as_mut(),
+        &mut policy,
         cfg,
         &SimOptions {
             max_steps,
@@ -82,11 +74,11 @@ fn record(
 /// interpreter. The recorder observed the arena, so replay ≡ rerun crosses
 /// the two steppers as well.
 fn rerun_to(instance: &Instance, spec: &ScenarioSpec, cfg: Config, n: u64) -> Config {
-    let mut policy = policy_for(spec.switching);
+    let mut policy = Switching::new(spec.switching);
     let result = run(
         instance.net.as_ref(),
         &IdentityInjection,
-        policy.as_mut(),
+        &mut policy,
         cfg,
         &RunOptions {
             max_steps: n,
@@ -173,7 +165,7 @@ fn recorded_storm() -> (Mesh, SimResult, u64, WalLog) {
     );
     let result = simulate_observed_config(
         &mesh,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &SimOptions::default(),
         &mut hook,
@@ -284,7 +276,7 @@ fn a_recovering_run_replays_identically_at_every_step() {
     let mut hook = ObservedEngine::new(recovering(), Some(Rc::clone(&wal)));
     let result = simulate_observed_config(
         &mesh,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         cfg,
         &SimOptions::default(),
         &mut hook,
@@ -327,7 +319,7 @@ fn a_recovering_run_replays_identically_at_every_step() {
         let mut engine = recovering();
         let rerun = simulate_config(
             &mesh,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             Config::from_specs(&mesh, &routing, &specs).unwrap(),
             &SimOptions {
                 max_steps: n,

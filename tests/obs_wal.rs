@@ -371,7 +371,7 @@ fn recovering_run() -> (u64, usize, u64, Vec<u8>) {
     let mut recorder = Recorder::with_wal(wal.clone(), 7, None);
     let result = simulate_observed_config(
         &mesh,
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         Config::from_specs(&mesh, &routing, &specs).unwrap(),
         &SimOptions::default(),
         &mut hook,

@@ -107,16 +107,9 @@ fn necessity_live_deadlocks_decompile_into_cycles() {
         let net = instance.net.as_ref();
         let routing = instance.routing.as_ref();
         let g = port_dependency_graph(net, routing);
-        let hunt = hunt_workload(
-            net,
-            routing,
-            &mut WormholePolicy::default(),
-            &specs,
-            0,
-            50_000,
-        )
-        .unwrap()
-        .unwrap_or_else(|| panic!("{}: adversarial workload did not deadlock", instance.name));
+        let hunt = hunt_workload(net, routing, &mut Switching::default(), &specs, 0, 50_000)
+            .unwrap()
+            .unwrap_or_else(|| panic!("{}: adversarial workload did not deadlock", instance.name));
         let cycle = cycle_from_deadlock(net, &hunt.config)
             .unwrap_or_else(|e| panic!("{}: extraction failed: {e}", instance.name));
         assert!(
@@ -167,7 +160,7 @@ fn adaptive_deadlocks_decompile_into_adaptive_cycles() {
         let r = genoc_core::interpreter::run(
             &mesh,
             &IdentityInjection,
-            &mut WormholePolicy::default(),
+            &mut Switching::default(),
             cfg,
             &genoc_core::interpreter::RunOptions {
                 max_steps: 10_000,

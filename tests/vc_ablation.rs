@@ -21,7 +21,7 @@ fn ring_ablation() {
     let plain_hunt = hunt_workload(
         &plain,
         &RingShortestRouting::new(&plain),
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         0,
         50_000,
@@ -33,7 +33,7 @@ fn ring_ablation() {
     let vc_result = simulate(
         &vc,
         &RingDatelineRouting::new(&vc),
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         &options,
     )
@@ -67,7 +67,7 @@ fn torus_ablation() {
     let plain_hunt = hunt_workload(
         &plain,
         &TorusDorRouting::new(&plain),
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         0,
         50_000,
@@ -81,7 +81,7 @@ fn torus_ablation() {
     let vc_result = simulate(
         &vc,
         &TorusDorDatelineRouting::new(&vc),
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         &SimOptions::default(),
     )
@@ -104,7 +104,7 @@ fn spidergon_ablation() {
     let vc_result = simulate(
         &vc,
         &AcrossFirstDatelineRouting::new(&vc),
-        &mut WormholePolicy::default(),
+        &mut Switching::default(),
         &specs,
         &SimOptions::default(),
     )
