@@ -57,6 +57,41 @@
 //! have equal length and BFS over the reduced graph reports the same
 //! minimal counterexample depth as BFS over the full graph.
 //!
+//! # Computing the closure: wait rows
+//!
+//! A travel joins `D` when its footprint meets the guard set of a travel
+//! already in `D`, so the fixpoint is reachability in a directed graph over
+//! the in-flight slots: slot `s` points at slot `j` when `j`'s static
+//! footprint meets `G_s`. The selector keeps that graph as one *wait row*
+//! per slot, a bitset over slots of `⌈slots / 64⌉` words — one path for
+//! every slot count. A row is the union, over the ports of `G_s`, of the
+//! slots whose route crosses that port, so it is a function of slot `s`'s
+//! own flit positions and nothing else: footprints are static, and `G_s`
+//! reads only `s`'s flits and route.
+//!
+//! That is why a row can be kept across states. The selector stores each
+//! row with the flit positions it was derived at and re-derives it only for
+//! a travel whose positions differ from the stored copy, whatever state the
+//! caller hands it next and in whatever order. Between consecutive
+//! expansions most travels have not moved, so most rows are reused.
+//!
+//! Each seed's closure is then reachability over `rows & live`, a level of
+//! the breadth-first walk at a time (delivered travels have left `cfg` and
+//! can never move again). Seeds are visited in `cfg.travels()` order and
+//! the first closure with the fewest enabled moves wins, as the fixpoint
+//! this replaced chose: the closures are the same sets, so the ample set
+//! and its move order are too. Two cuts skip closures that cannot win, and
+//! neither changes the choice:
+//!
+//! * a closure is dropped once it holds as many enabled moves as the best
+//!   so far (at the start, all of them: that would reduce nothing), since a
+//!   closure only grows;
+//! * a closure that takes in an earlier seed contains that seed's whole
+//!   closure, so it scores at least as much — and the earlier seed scored
+//!   at least the bound it met, which only falls. It cannot be strictly
+//!   smaller: a seed once tried weighs `u32::MAX` moves, so such a closure
+//!   is dropped as soon as it takes the seed in.
+//!
 //! # The cycle proviso
 //!
 //! Classical ample-set reduction needs a *cycle proviso* to stop an
@@ -75,55 +110,170 @@ use genoc_core::PortId;
 
 use crate::state::Workload;
 
-/// Per-workload ample-set selector: static route footprints plus reusable
+/// Per-workload ample-set selector: every slot's wait row, kept across
+/// states with the flit positions it was derived at, plus reusable
 /// per-state scratch, so selection allocates nothing on the hot path.
 pub struct AmpleSelector {
-    /// `⌈port_count / 64⌉` words per bitset.
-    blocks: usize,
-    /// Static per-slot route footprint bitsets, `slots × blocks`.
-    footprints: Vec<u64>,
-    /// Dynamic per-slot guard bitsets for the current state.
-    guards: Vec<u64>,
-    /// Enabled-move count per slot in the current state.
+    /// `⌈slots / 64⌉` words per slot set.
+    words: usize,
+    /// Per port, the slots whose static route crosses it: `ports × words`.
+    users: Vec<u64>,
+    /// Per slot, its wait row (see the module doc): `slots × words`.
+    rows: Vec<u64>,
+    /// The flit positions each row was derived at, as codes: slot `s`'s at
+    /// `at[first[s]..first[s + 1]]`.
+    at: Vec<u32>,
+    first: Vec<usize>,
+    /// Enabled-move count per slot in the current state (in-flight slots
+    /// only; the rest are stale and never read), raised to `u32::MAX` once
+    /// the slot has been tried as a seed.
     enabled: Vec<u32>,
-    /// Current-state closure membership scratch.
-    in_d: Vec<bool>,
-    best_d: Vec<bool>,
-    union: Vec<u64>,
-    /// Slots of travels still in flight in the current state.
-    live: Vec<usize>,
+    /// The in-flight slots of the current state.
+    live: Vec<u64>,
+    /// Four slot sets of scratch for the closures: the closure being built,
+    /// the best one, and a walk's two levels.
+    scratch: Vec<u64>,
 }
 
-fn set_bit(bits: &mut [u64], port: PortId) {
-    let i = port.index();
-    bits[i / 64] |= 1u64 << (i % 64);
+/// A delivered flit's code: it waits on nothing.
+const DELIVERED: u32 = u32::MAX;
+
+/// A flit position as the selector stores it: 0 for pending, `k + 1` in the
+/// port of route index `k`.
+fn code(pos: FlitPos) -> u32 {
+    match pos {
+        FlitPos::Pending => 0,
+        FlitPos::InNetwork(k) => k as u32 + 1,
+        FlitPos::Delivered => DELIVERED,
+    }
 }
 
-fn intersects(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(x, y)| x & y != 0)
+/// A slot's wait row with its flits at `codes` on `route`: the slots whose
+/// footprint holds a port a flit occupies or targets next.
+fn derive_row(users: &[u64], route: &[PortId], codes: &[u32], row: &mut [u64]) {
+    let words = row.len();
+    let users = |p: &PortId, w: usize| users[p.index() * words + w];
+    for (w, r) in row.iter_mut().enumerate() {
+        *r = codes.iter().fold(0, |acc, &c| match c {
+            0 => acc | users(&route[0], w),
+            DELIVERED => acc,
+            k => route[k as usize - 1..]
+                .iter()
+                .take(2)
+                .fold(acc, |acc, p| acc | users(p, w)),
+        });
+    }
+}
+
+/// A state's wait graph over its in-flight slots, as the closures read it:
+/// each slot weighs its enabled moves, and a seed already tried weighs
+/// `u32::MAX` (see the module doc).
+struct WaitGraph<'a> {
+    rows: &'a [u64],
+    live: &'a [u64],
+    weight: &'a [u32],
+}
+
+impl WaitGraph<'_> {
+    /// `score` plus the weights of the slots in word `w` of a slot set.
+    fn weigh(&self, w: usize, mut bits: u64, mut score: u32) -> u32 {
+        while bits != 0 {
+            let s = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            score = score.saturating_add(self.weight[s]);
+        }
+        score
+    }
+
+    /// Writes `seed`'s closure into `reach` and returns its weight, or
+    /// gives up, with a weight of at least `bound`, once the weight reaches
+    /// `bound`. `frontier` and `next` are scratch of the same length.
+    fn close<'s>(
+        &self,
+        seed: usize,
+        bound: u32,
+        reach: &mut [u64],
+        mut frontier: &'s mut [u64],
+        mut next: &'s mut [u64],
+    ) -> u32 {
+        let words = self.live.len();
+        // The first level is the seed's own row.
+        let row = &self.rows[seed * words..(seed + 1) * words];
+        let mut score = self.weight[seed];
+        for (w, ((r, f), (&named, &live))) in reach
+            .iter_mut()
+            .zip(frontier.iter_mut())
+            .zip(row.iter().zip(self.live))
+            .enumerate()
+        {
+            let own = if w == seed / 64 { 1 << (seed % 64) } else { 0 };
+            let fresh = named & live & !own;
+            *r = fresh | own;
+            *f = fresh;
+            score = self.weigh(w, fresh, score);
+        }
+        while score < bound {
+            // One level: the slots the frontier's rows name, a word at a
+            // time, less those already reached or no longer in flight.
+            let mut grew = false;
+            for w in 0..words {
+                let mut named = 0;
+                for (fw, &word) in frontier.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let s = fw * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        named |= self.rows[s * words + w];
+                    }
+                }
+                let fresh = named & self.live[w] & !reach[w];
+                reach[w] |= fresh;
+                next[w] = fresh;
+                grew |= fresh != 0;
+                score = self.weigh(w, fresh, score);
+            }
+            if !grew {
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        score
+    }
 }
 
 impl AmpleSelector {
     /// Builds the selector for a workload on a network with `port_count`
     /// ports.
     pub fn new(workload: &Workload, port_count: usize) -> AmpleSelector {
-        let blocks = port_count.div_ceil(64).max(1);
         let slots = workload.slots();
-        let mut footprints = vec![0u64; slots * blocks];
-        for (s, (route, _)) in workload.routes().iter().enumerate() {
-            for &p in route {
-                set_bit(&mut footprints[s * blocks..(s + 1) * blocks], p);
+        let words = slots.div_ceil(64).max(1);
+        let routes = workload.routes();
+        // Per port, the slots whose static route crosses it.
+        let mut users = vec![0u64; port_count * words];
+        for (s, (route, _)) in routes.iter().enumerate() {
+            for p in route {
+                users[p.index() * words + s / 64] |= 1 << (s % 64);
             }
         }
+        let mut first = vec![0];
+        for (_, flits) in &routes {
+            first.push(first[first.len() - 1] + flits);
+        }
+        // Every row starts out derived at the all-pending state.
+        let at = vec![code(FlitPos::Pending); first[slots]];
+        let mut rows = vec![0u64; slots * words];
+        for (s, row) in rows.chunks_exact_mut(words).enumerate() {
+            derive_row(&users, &routes[s].0, &at[first[s]..first[s + 1]], row);
+        }
         AmpleSelector {
-            blocks,
-            footprints,
-            guards: vec![0; slots * blocks],
+            words,
+            users,
+            rows,
+            at,
+            first,
             enabled: vec![0; slots],
-            in_d: vec![false; slots],
-            best_d: vec![false; slots],
-            union: vec![0; blocks],
-            live: Vec::with_capacity(slots),
+            live: vec![0; words],
+            scratch: vec![0; 4 * words],
         }
     }
 
@@ -131,86 +281,75 @@ impl AmpleSelector {
     /// into `out`. Returns `true` if `out` is a strict subset; on `false`
     /// the caller should expand the full set (`out` is left empty).
     ///
-    /// The choice is deterministic: among all seed travels it keeps the
-    /// closure with the fewest enabled moves, breaking ties by lowest slot
-    /// index, so explorations are reproducible run to run.
+    /// The choice is deterministic: among all seed travels, in
+    /// `cfg.travels()` order, it keeps the first closure with the fewest
+    /// enabled moves, so explorations are reproducible run to run — and do
+    /// not depend on which states the selector saw before.
     pub fn select(&mut self, cfg: &Config, moves: &[Move], out: &mut Vec<Move>) -> bool {
         out.clear();
         if moves.len() <= 1 {
             return false;
         }
-        let blocks = self.blocks;
-        // Phase 1: dynamic guard sets and enabled counts, over in-flight
-        // travels only (delivered travels are partitioned out of `cfg` and
-        // can never move again, so they are invisible to the closure).
-        self.enabled.fill(0);
-        self.live.clear();
+        let words = self.words;
+        // Phase 1: the in-flight slots, the rows of travels that moved
+        // since their row was derived, and the enabled counts.
+        self.live.fill(0);
         for t in cfg.travels() {
             let s = t.id().index();
-            self.live.push(s);
-            let guard = &mut self.guards[s * blocks..(s + 1) * blocks];
-            guard.fill(0);
-            let route = t.route();
-            for f in 0..t.flit_count() {
-                match t.flit_pos(f) {
-                    FlitPos::Pending => set_bit(guard, route[0]),
-                    FlitPos::InNetwork(k) => {
-                        set_bit(guard, route[k]);
-                        if k + 1 < route.len() {
-                            set_bit(guard, route[k + 1]);
-                        }
-                    }
-                    FlitPos::Delivered => {}
-                }
+            self.live[s / 64] |= 1 << (s % 64);
+            self.enabled[s] = 0;
+            let at = &mut self.at[self.first[s]..self.first[s + 1]];
+            let mut moved = false;
+            for (a, pos) in at.iter_mut().zip(t.flit_positions()) {
+                let c = code(pos);
+                moved |= *a != c;
+                *a = c;
+            }
+            if moved {
+                let row = &mut self.rows[s * words..(s + 1) * words];
+                derive_row(&self.users, t.route(), at, row);
             }
         }
         for mv in moves {
             self.enabled[mv.msg.index()] += 1;
         }
-        // Phase 2: closure per seed; keep the smallest ample set.
-        let mut best: Option<u32> = None;
-        for &seed in &self.live {
+        // Phase 2: each seed's closure; keep the first smallest, which must
+        // leave some enabled move out to be worth anything.
+        let (mut reach, rest) = self.scratch.split_at_mut(words);
+        let (mut best, rest) = rest.split_at_mut(words);
+        let (frontier, next) = rest.split_at_mut(words);
+        let mut bound = moves.len() as u32;
+        let mut found = false;
+        for t in cfg.travels() {
+            let seed = t.id().index();
             if self.enabled[seed] == 0 {
                 continue;
             }
-            self.in_d.fill(false);
-            self.in_d[seed] = true;
-            self.union
-                .copy_from_slice(&self.guards[seed * blocks..(seed + 1) * blocks]);
-            let mut score = self.enabled[seed];
-            loop {
-                let mut grew = false;
-                for &j in &self.live {
-                    if self.in_d[j]
-                        || !intersects(&self.footprints[j * blocks..(j + 1) * blocks], &self.union)
-                    {
-                        continue;
-                    }
-                    self.in_d[j] = true;
-                    let guard = &self.guards[j * blocks..(j + 1) * blocks];
-                    for (u, g) in self.union.iter_mut().zip(guard) {
-                        *u |= g;
-                    }
-                    score += self.enabled[j];
-                    grew = true;
-                }
-                if !grew {
-                    break;
-                }
+            let graph = WaitGraph {
+                rows: &self.rows,
+                live: &self.live,
+                weight: &self.enabled,
+            };
+            let score = graph.close(seed, bound, reach, frontier, next);
+            if score < bound {
+                bound = score;
+                found = true;
+                std::mem::swap(&mut reach, &mut best);
             }
-            if best.is_none_or(|b| score < b) {
-                best = Some(score);
-                self.best_d.copy_from_slice(&self.in_d);
-            }
+            self.enabled[seed] = u32::MAX;
         }
-        match best {
-            Some(score) if (score as usize) < moves.len() => {
-                out.extend(moves.iter().copied().filter(|m| self.best_d[m.msg.index()]));
-                debug_assert_eq!(out.len(), score as usize);
-                true
-            }
-            _ => false,
+        if !found {
+            return false;
         }
+        let best = &*best;
+        out.extend(
+            moves
+                .iter()
+                .copied()
+                .filter(|m| best[m.msg.index() / 64] & (1 << (m.msg.index() % 64)) != 0),
+        );
+        debug_assert_eq!(out.len(), bound as usize);
+        true
     }
 }
 

@@ -254,7 +254,9 @@ fn main() -> ExitCode {
         por: args.por,
         jobs: args.jobs,
         mem_limit: args.mem_limit,
-        spill_dir: args.spill_dir.clone(),
+        // A directory without a budget never spills, so it must not pick
+        // the engine either: the note above would otherwise be false.
+        spill_dir: args.spill_dir.clone().filter(|_| args.mem_limit.is_some()),
         ..ExploreOptions::default()
     };
     let start = std::time::Instant::now();

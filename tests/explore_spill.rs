@@ -225,3 +225,46 @@ fn jobs_and_shards_past_the_bound_are_refused_at_once() {
     );
     assert!(run(2, MAX_PARALLELISM).is_ok());
 }
+
+/// `bin/explore` on the 3-message 2×2 XY cell at capacity 2, stopped by a
+/// three-state bound, with `extra` arguments: its `states` line and its
+/// `verdict` line.
+fn explore_bounded_lines(extra: &[&str]) -> Vec<String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_explore"))
+        .args(["--routing", "xy", "--width", "2", "--height", "2"])
+        .args(["--capacity", "2", "--flits", "2", "--messages", "3"])
+        .args(["--bound", "3"])
+        .args(extra)
+        .output()
+        .expect("bin/explore runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // An inconclusive verdict goes to stderr, after the summary on stdout.
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    stdout
+        .lines()
+        .chain(stderr.lines())
+        .filter(|l| l.starts_with("states ") || l.starts_with("verdict"))
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn a_spill_dir_without_a_memory_limit_changes_nothing() {
+    // The sequential search stops at the state that reaches the bound, the
+    // level-synchronised one at the end of that level: a spill directory
+    // alone must not switch from the first to the second.
+    let dir = std::env::temp_dir();
+    let dir = dir.to_str().expect("a UTF-8 temp dir");
+    let plain = explore_bounded_lines(&[]);
+    assert_eq!(plain.len(), 2, "{plain:?}");
+    assert!(plain[0].starts_with("states 3 "), "{plain:?}");
+    assert_eq!(explore_bounded_lines(&["--spill-dir", dir]), plain);
+}
