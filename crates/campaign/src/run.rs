@@ -396,12 +396,12 @@ pub fn run_scenario_with(
             if report.live_deadlock_found == Some(true) {
                 deadlocks_seen += 1;
             }
-            let consistent = report.cyclic != expect_acyclic;
+            let consistent = report.cyclic() != expect_acyclic;
             let mut notes = report.notes.clone();
             if !consistent {
                 notes.push(format!(
                     "graph cyclicity {} contradicts expectation",
-                    report.cyclic
+                    report.cyclic()
                 ));
             }
             (report.holds() && consistent, hunt.attempts, notes)

@@ -13,7 +13,8 @@
 //!
 //! [`RoutingAnalysis`] therefore computes, per destination, the set of ports
 //! traffic to that destination can traverse (a graph traversal from all
-//! injection ports), collecting the dependency edges along the way. For XY
+//! injection ports), collecting the dependency edges along the way, and then
+//! decides the graph's [`acyclicity`] once for every checker. For XY
 //! routing on any mesh the result coincides with the paper's closed-form
 //! `E^xy_dep` ([`xy_mesh_dependency_graph`], Section V.6) — a coincidence the
 //! (C-1)/(C-2) checkers in `genoc-verif` re-verify per instance.
@@ -23,14 +24,17 @@ use genoc_core::routing::RoutingFunction;
 use genoc_core::PortId;
 use genoc_topology::mesh::{Cardinal, Mesh};
 
+use crate::cycle::{acyclicity, Acyclicity};
 use crate::graph::DiGraph;
 
 /// The dependency graph of a routing function together with the reachability
-/// relation `s R d` it induces.
+/// relation `s R d` it induces and the graph's acyclicity verdict.
 #[derive(Clone, Debug)]
 pub struct RoutingAnalysis {
     /// The port dependency graph.
     pub graph: DiGraph,
+    /// [`acyclicity`] of `graph`: the (C-3) verdict with its certificate.
+    pub acyclicity: Acyclicity,
     /// All destination ports, in node order.
     dests: Vec<PortId>,
     /// Dense destination index by port index (`usize::MAX` if not a
@@ -44,7 +48,8 @@ pub struct RoutingAnalysis {
 impl RoutingAnalysis {
     /// Computes the dependency graph and reachability relation of `routing`
     /// on `net` by traversing, per destination, every port its traffic can
-    /// occupy (starting from all injection ports).
+    /// occupy (starting from all injection ports), and decides the graph's
+    /// acyclicity.
     pub fn new(net: &dyn Network, routing: &dyn RoutingFunction) -> Self {
         let port_count = net.port_count();
         let dests = net.destinations();
@@ -86,6 +91,7 @@ impl RoutingAnalysis {
             }
         }
         RoutingAnalysis {
+            acyclicity: acyclicity(&graph),
             graph,
             dests,
             dest_index,

@@ -6,11 +6,13 @@
 //! * [`graph::DiGraph`] — compact digraph over ports;
 //! * [`build`] — exhaustive port dependency graphs for any routing function,
 //!   plus the paper's closed-form `E^xy_dep` for meshes;
-//! * [`cycle`] — DFS cycle search with witness extraction (the fixed-size
-//!   discharge of (C-3));
-//! * [`scc`] — Tarjan SCCs, the Taktak-style alternative discharge;
-//! * [`ranking`] — closed-form acyclicity certificates (the executable
-//!   counterpart of the paper's parametric flows proof);
+//! * [`cycle`] — [`acyclicity`], the fixed-size discharge of (C-3): one
+//!   depth-first search that returns a cycle or a ranking certificate
+//!   (Tarjan's SCCs, the Taktak-style alternative, are its oracle in the
+//!   tests, `tests/oracle/scc.rs`);
+//! * [`ranking`] — the ranking checker, and the closed-form certificate of
+//!   XY meshes (the executable counterpart of the paper's parametric flows
+//!   proof);
 //! * [`flows`] — the flow decomposition of Fig. 4 with its escape lemmas;
 //! * [`channel_graph`] — the classical Dally–Seitz channel dependency graph
 //!   as a comparator;
@@ -30,15 +32,16 @@ pub mod graph;
 #[cfg(test)]
 mod proptests;
 pub mod ranking;
-pub mod scc;
+#[cfg(test)]
+#[path = "../../../tests/oracle/scc.rs"]
+mod scc;
 pub mod witness;
 
 pub use crate::build::{port_dependency_graph, xy_mesh_dependency_graph};
 pub use crate::channel_graph::{channel_dependency_graph, ChannelGraph};
-pub use crate::cycle::{find_cycle, is_cycle_of};
+pub use crate::cycle::{acyclicity, is_cycle_of, Acyclicity};
 pub use crate::dot::to_dot;
 pub use crate::flows::{check_flow_escapes, classify, Flow};
 pub use crate::graph::DiGraph;
 pub use crate::ranking::{verify_ranking, xy_mesh_ranking};
-pub use crate::scc::{is_cyclic_by_scc, strongly_connected_components};
 pub use crate::witness::{cycle_from_deadlock, deadlock_from_cycle, DeadlockWitness};

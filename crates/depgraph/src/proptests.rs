@@ -1,12 +1,12 @@
 //! Property-based tests of the graph algorithms on randomly generated
-//! graphs: the three cyclicity procedures agree, witnesses validate, and
-//! rankings certify exactly the acyclic cases.
+//! graphs: the DFS verdict agrees with the Tarjan oracle, its witnesses and
+//! rankings validate, and rankings certify exactly the acyclic cases.
 
 #![cfg(test)]
 
 use proptest::prelude::*;
 
-use crate::cycle::{find_cycle, is_cycle_of};
+use crate::cycle::{acyclicity, is_cycle_of, Acyclicity};
 use crate::graph::DiGraph;
 use crate::ranking::verify_ranking;
 use crate::scc::{is_cyclic_by_scc, strongly_connected_components};
@@ -43,11 +43,13 @@ fn graph_strategy(max_n: usize) -> impl Strategy<Value = DiGraph> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-    /// DAG-by-construction graphs are reported acyclic by every procedure,
-    /// and the identity ranking (reversed indices) certifies them.
+    /// DAG-by-construction graphs are reported acyclic by every procedure
+    /// with a ranking that verifies, and the identity ranking (reversed
+    /// indices) certifies them too.
     #[test]
     fn dags_are_acyclic_by_all_procedures(g in dag_strategy(24)) {
-        prop_assert!(find_cycle(&g).is_none());
+        let verdict = acyclicity(&g);
+        prop_assert!(verify_ranking(&g, verdict.ranking().expect("acyclic")).is_ok());
         prop_assert!(!is_cyclic_by_scc(&g));
         // Edges go low -> high, so rank = n - index strictly decreases.
         let rank: Vec<u64> = (0..g.vertex_count()).map(|i| (g.vertex_count() - i) as u64).collect();
@@ -64,20 +66,20 @@ proptest! {
         let mut g = g.clone();
         g.add_edge(PortId::from_index(a), PortId::from_index(b));
         g.add_edge(PortId::from_index(b), PortId::from_index(a));
-        let cycle = find_cycle(&g);
-        prop_assert!(cycle.is_some());
-        prop_assert!(is_cycle_of(&g, &cycle.unwrap()));
+        let verdict = acyclicity(&g);
+        prop_assert!(is_cycle_of(&g, verdict.cycle().expect("cyclic")));
         prop_assert!(is_cyclic_by_scc(&g));
     }
 
-    /// DFS and SCC agree on arbitrary random graphs, and any cycle witness
-    /// found is genuine.
+    /// DFS and SCC agree on arbitrary random graphs, and either certificate
+    /// the DFS returns is genuine.
     #[test]
     fn dfs_and_scc_agree_on_random_graphs(g in graph_strategy(20)) {
-        let cycle = find_cycle(&g);
-        prop_assert_eq!(cycle.is_some(), is_cyclic_by_scc(&g));
-        if let Some(c) = cycle {
-            prop_assert!(is_cycle_of(&g, &c));
+        let verdict = acyclicity(&g);
+        prop_assert_eq!(!verdict.is_acyclic(), is_cyclic_by_scc(&g));
+        match verdict {
+            Acyclicity::Cyclic(c) => prop_assert!(is_cycle_of(&g, &c)),
+            Acyclicity::Acyclic(rank) => prop_assert!(verify_ranking(&g, &rank).is_ok()),
         }
     }
 
@@ -99,7 +101,7 @@ proptest! {
         rank in proptest::collection::vec(0u64..32, 16),
     ) {
         if verify_ranking(&g, &rank).is_ok() {
-            prop_assert!(find_cycle(&g).is_none());
+            prop_assert!(acyclicity(&g).is_acyclic());
         }
     }
 }

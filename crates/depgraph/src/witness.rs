@@ -21,8 +21,6 @@ use genoc_core::routing::{compute_route, RoutingFunction};
 use genoc_core::travel::{FlitPos, Travel};
 use genoc_core::{MsgId, PortId};
 
-use crate::graph::DiGraph;
-
 /// A deadlock configuration compiled from a dependency-graph cycle, together
 /// with the (C-2) witness destinations that realise each edge.
 #[derive(Clone, Debug)]
@@ -189,18 +187,11 @@ pub fn cycle_from_deadlock(net: &dyn Network, cfg: &Config) -> Result<Vec<PortId
     }
 }
 
-/// Verifies that every consecutive pair of `cycle` is an edge of `graph`
-/// (with the closing pair), i.e. the extracted witness is a cycle of the
-/// *dependency graph* and not merely of the blocked-on relation.
-pub fn cycle_lies_in_graph(graph: &DiGraph, cycle: &[PortId]) -> bool {
-    crate::cycle::is_cycle_of(graph, cycle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::port_dependency_graph;
-    use crate::cycle::find_cycle;
+    use crate::cycle::{acyclicity, is_cycle_of};
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::ring::RingShortestRouting;
     use genoc_topology::mesh::Mesh;
@@ -211,8 +202,9 @@ mod tests {
         let mesh = Mesh::new(2, 2, 1);
         let routing = MixedXyYxRouting::new(&mesh);
         let g = port_dependency_graph(&mesh, &routing);
-        let cycle = find_cycle(&g).expect("mixed XY/YX is cyclic on 2x2");
-        let witness = deadlock_from_cycle(&mesh, &routing, &cycle).unwrap();
+        let verdict = acyclicity(&g);
+        let cycle = verdict.cycle().expect("mixed XY/YX is cyclic on 2x2");
+        let witness = deadlock_from_cycle(&mesh, &routing, cycle).unwrap();
         witness.config.validate(&mesh).unwrap();
         assert!(
             !witness.config.any_move_possible(),
@@ -226,8 +218,11 @@ mod tests {
         let ring = Ring::new(6, 2);
         let routing = RingShortestRouting::new(&ring);
         let g = port_dependency_graph(&ring, &routing);
-        let cycle = find_cycle(&g).expect("shortest-path ring routing is cyclic");
-        let witness = deadlock_from_cycle(&ring, &routing, &cycle).unwrap();
+        let verdict = acyclicity(&g);
+        let cycle = verdict
+            .cycle()
+            .expect("shortest-path ring routing is cyclic");
+        let witness = deadlock_from_cycle(&ring, &routing, cycle).unwrap();
         witness.config.validate(&ring).unwrap();
         assert!(!witness.config.any_move_possible());
     }
@@ -237,11 +232,11 @@ mod tests {
         let mesh = Mesh::new(2, 2, 1);
         let routing = MixedXyYxRouting::new(&mesh);
         let g = port_dependency_graph(&mesh, &routing);
-        let cycle = find_cycle(&g).unwrap();
-        let witness = deadlock_from_cycle(&mesh, &routing, &cycle).unwrap();
+        let verdict = acyclicity(&g);
+        let witness = deadlock_from_cycle(&mesh, &routing, verdict.cycle().unwrap()).unwrap();
         // Round trip: deadlock -> cycle -> must be a dependency cycle.
         let extracted = cycle_from_deadlock(&mesh, &witness.config).unwrap();
-        assert!(cycle_lies_in_graph(&g, &extracted), "{extracted:?}");
+        assert!(is_cycle_of(&g, &extracted), "{extracted:?}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Disk-spill tier for the parallel frontier (ROADMAP item 5).
+//! Disk-spill tier for the parallel frontier (its open work is the ROADMAP
+//! item "Every stop typed: frame the spill files and inject the faults").
 //!
 //! When [`ExploreOptions::mem_limit`](crate::ExploreOptions::mem_limit) is
 //! combined with [`ExploreOptions::spill_dir`](crate::ExploreOptions::spill_dir),

@@ -47,7 +47,7 @@
 //!
 //! // Discharge (C-3): the port dependency graph is acyclic.
 //! let graph = port_dependency_graph(&mesh, &routing);
-//! assert!(find_cycle(&graph).is_none());
+//! assert!(acyclicity(&graph).is_acyclic());
 //!
 //! // Run a workload and check the evacuation theorem.
 //! let specs = [MessageSpec::new(mesh.node(0, 0), mesh.node(2, 2), 4)];
@@ -99,9 +99,9 @@ pub mod prelude {
     pub use genoc_core::theorems::{check_correctness, check_evacuation};
     pub use genoc_core::travel::{FlitPos, Travel};
     pub use genoc_depgraph::{
-        channel_dependency_graph, check_flow_escapes, cycle_from_deadlock, deadlock_from_cycle,
-        find_cycle, is_cyclic_by_scc, port_dependency_graph, to_dot, verify_ranking,
-        xy_mesh_dependency_graph, xy_mesh_ranking, DiGraph,
+        acyclicity, channel_dependency_graph, check_flow_escapes, cycle_from_deadlock,
+        deadlock_from_cycle, port_dependency_graph, to_dot, verify_ranking,
+        xy_mesh_dependency_graph, xy_mesh_ranking, Acyclicity, DiGraph,
     };
     pub use genoc_detect::{
         AbortAndEvacuate, DetectionEngine, DrainAll, EngineOptions, EscapeChannel, EscapeRoute,

@@ -45,7 +45,7 @@ fn mesh_quickstart_path_end_to_end() {
 
     let graph = port_dependency_graph(&mesh, &routing);
     assert!(
-        find_cycle(&graph).is_none(),
+        acyclicity(&graph).is_acyclic(),
         "XY mesh graph must be acyclic"
     );
 

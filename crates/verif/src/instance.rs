@@ -363,7 +363,7 @@ impl Instance {
                     self.net.port_count()
                 ));
             }
-            if self.expect_acyclic != genoc_depgraph::cycle::find_cycle(g).is_none() {
+            if self.expect_acyclic != genoc_depgraph::cycle::acyclicity(g).is_acyclic() {
                 return Err(format!(
                     "{}: closed-form cyclicity contradicts expect_acyclic",
                     self.name

@@ -2,11 +2,11 @@
 //!
 //! Each checker is the decision procedure the paper's parametric proof
 //! reduces to on a fixed instance: exhaustive case analysis for (C-1) and
-//! (C-2), a cycle search (corroborated by SCCs and, when available, by the
-//! closed-form ranking certificate) for (C-3), configuration equality for
-//! (C-4), and a monitored run for (C-5). Each returns an
-//! [`ObligationReport`] whose `cases` count is the executable analogue of
-//! the per-row effort of the paper's Table I.
+//! (C-2), one depth-first search that returns a cycle or a ranking
+//! certificate (the ranking then verified edge by edge) for (C-3),
+//! configuration equality for (C-4), and a monitored run for (C-5). Each
+//! returns an [`ObligationReport`] whose `cases` count is the executable
+//! analogue of the per-row effort of the paper's Table I.
 
 use std::time::Instant;
 
@@ -15,9 +15,8 @@ use genoc_core::injection::{IdentityInjection, InjectionMethod};
 use genoc_core::obligations::{ObligationId, ObligationReport};
 use genoc_core::switching::SwitchingPolicy;
 use genoc_core::trace::Trace;
-use genoc_depgraph::cycle::find_cycle;
+use genoc_depgraph::cycle::Acyclicity;
 use genoc_depgraph::ranking::verify_ranking;
-use genoc_depgraph::scc::is_cyclic_by_scc;
 use genoc_switching::Switching;
 
 use crate::instance::Instance;
@@ -102,9 +101,10 @@ pub fn check_c2(instance: &Instance) -> ObligationReport {
 }
 
 /// Discharges (C-3) on an instance: the port dependency graph must be
-/// acyclic. Three procedures are run and must agree — DFS cycle search, SCC
-/// analysis, and (when the instance carries one) the closed-form ranking
-/// certificate.
+/// acyclic. It reads the instance's one [`Acyclicity`] verdict: a cycle is
+/// the violation; a ranking is a certificate, verified along every edge,
+/// and so is the closed-form ranking when the instance carries one (which
+/// must in turn fail on a cyclic graph).
 pub fn check_c3(instance: &Instance) -> ObligationReport {
     let start = Instant::now();
     let net = instance.net.as_ref();
@@ -113,30 +113,32 @@ pub fn check_c3(instance: &Instance) -> ObligationReport {
     let cases = graph.edge_count() as u64;
     let mut violations = Vec::new();
 
-    let dfs_cycle = find_cycle(graph);
-    let scc_cyclic = is_cyclic_by_scc(graph);
-    if dfs_cycle.is_some() != scc_cyclic {
-        violations.push("INTERNAL: DFS and SCC cyclicity disagree".into());
-    }
-    if let Some(cycle) = &dfs_cycle {
-        let labels: Vec<String> = cycle.iter().map(|&p| net.port_label(p)).collect();
-        violations.push(format!(
-            "cycle of {} ports: {}",
-            cycle.len(),
-            labels.join(" -> ")
-        ));
-    }
-    if let Some(rank) = &instance.ranking {
-        match verify_ranking(graph, rank) {
-            Ok(()) if dfs_cycle.is_some() => {
-                violations.push("INTERNAL: ranking certificate verified on a cyclic graph".into())
+    match &analysis.acyclicity {
+        Acyclicity::Cyclic(cycle) => {
+            let labels: Vec<String> = cycle.iter().map(|&p| net.port_label(p)).collect();
+            violations.push(format!(
+                "cycle of {} ports: {}",
+                cycle.len(),
+                labels.join(" -> ")
+            ));
+            if let Some(rank) = &instance.ranking {
+                if verify_ranking(graph, rank).is_ok() {
+                    violations
+                        .push("INTERNAL: ranking certificate verified on a cyclic graph".into());
+                }
             }
-            Err((u, v)) if dfs_cycle.is_none() => violations.push(format!(
-                "INTERNAL: ranking certificate fails on acyclic graph at {} -> {}",
-                net.port_label(u),
-                net.port_label(v)
-            )),
-            _ => {}
+        }
+        Acyclicity::Acyclic(dfs_rank) => {
+            let closed_form = instance.ranking.iter().map(|rank| ("closed-form", rank));
+            for (source, rank) in std::iter::once(("DFS", dfs_rank)).chain(closed_form) {
+                if let Err((u, v)) = verify_ranking(graph, rank) {
+                    violations.push(format!(
+                        "INTERNAL: {source} ranking certificate fails on acyclic graph at {} -> {}",
+                        net.port_label(u),
+                        net.port_label(v)
+                    ));
+                }
+            }
         }
     }
     ObligationReport {

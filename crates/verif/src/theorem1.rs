@@ -10,7 +10,6 @@
 
 use genoc_core::error::Result;
 use genoc_core::PortId;
-use genoc_depgraph::cycle::find_cycle;
 use genoc_depgraph::witness::{cycle_from_deadlock, deadlock_from_cycle_with};
 use genoc_sim::deadlock_hunt::{hunt_random, HuntOptions};
 use genoc_switching::Switching;
@@ -22,9 +21,7 @@ use crate::instance::Instance;
 pub struct Theorem1Report {
     /// Instance name.
     pub instance: String,
-    /// Whether the port dependency graph contains a cycle.
-    pub cyclic: bool,
-    /// The cycle found, if any.
+    /// The cycle of the port dependency graph, if it has one.
     pub cycle: Option<Vec<PortId>>,
     /// Sufficiency: the cycle was compiled into a configuration and `Ω`
     /// verified on it.
@@ -39,12 +36,17 @@ pub struct Theorem1Report {
 }
 
 impl Theorem1Report {
+    /// Whether the port dependency graph contains a cycle.
+    pub fn cyclic(&self) -> bool {
+        self.cycle.is_some()
+    }
+
     /// Whether every executed direction of the theorem held.
     pub fn holds(&self) -> bool {
         self.witness_deadlock_verified != Some(false)
             && self.extracted_cycle_valid != Some(false)
             // An acyclic graph must not produce a live deadlock.
-            && (self.cyclic || self.live_deadlock_found != Some(true))
+            && (self.cyclic() || self.live_deadlock_found != Some(true))
     }
 }
 
@@ -58,14 +60,13 @@ pub fn check_theorem1(instance: &Instance, hunt: &HuntOptions) -> Result<Theorem
     let net = instance.net.as_ref();
     let routing = instance.routing.as_ref();
     let analysis = instance.analysis();
-    let cycle = find_cycle(&analysis.graph);
-    let cyclic = cycle.is_some();
+    let cycle = analysis.acyclicity.cycle();
     let mut notes = Vec::new();
     let mut witness_deadlock_verified = None;
     let mut live_deadlock_found = None;
     let mut extracted_cycle_valid = None;
 
-    if let Some(cycle) = &cycle {
+    if let Some(cycle) = cycle {
         if instance.deterministic {
             // Sufficiency: compile the cycle into a deadlock configuration.
             match deadlock_from_cycle_with(net, routing, analysis, cycle) {
@@ -103,7 +104,7 @@ pub fn check_theorem1(instance: &Instance, hunt: &HuntOptions) -> Result<Theorem
                     if !valid {
                         notes.push("extracted cycle is not a dependency-graph cycle".into());
                     }
-                    if !cyclic {
+                    if cycle.is_none() {
                         notes.push(
                             "live deadlock on an acyclic instance: Theorem 1 violated!".into(),
                         );
@@ -119,8 +120,7 @@ pub fn check_theorem1(instance: &Instance, hunt: &HuntOptions) -> Result<Theorem
 
     Ok(Theorem1Report {
         instance: instance.name.clone(),
-        cyclic,
-        cycle,
+        cycle: cycle.map(<[PortId]>::to_vec),
         witness_deadlock_verified,
         live_deadlock_found,
         extracted_cycle_valid,
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn xy_mesh_is_acyclic_and_survives_hunting() {
         let report = check_theorem1(&Instance::mesh_xy(3, 3, 1), &small_hunt()).unwrap();
-        assert!(!report.cyclic);
+        assert!(!report.cyclic());
         assert_eq!(report.live_deadlock_found, Some(false));
         assert!(report.holds(), "{report:?}");
     }
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn mixed_mesh_executes_both_directions() {
         let report = check_theorem1(&Instance::mesh_mixed(2, 2, 1), &small_hunt()).unwrap();
-        assert!(report.cyclic);
+        assert!(report.cyclic());
         assert_eq!(
             report.witness_deadlock_verified,
             Some(true),
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn ring_shortest_deadlocks_live() {
         let report = check_theorem1(&Instance::ring_shortest(6, 1), &small_hunt()).unwrap();
-        assert!(report.cyclic);
+        assert!(report.cyclic());
         assert_eq!(
             report.witness_deadlock_verified,
             Some(true),

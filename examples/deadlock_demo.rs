@@ -42,14 +42,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (1) The dependency graph has a cycle.
     let graph = port_dependency_graph(&mesh, &routing);
-    let cycle = find_cycle(&graph).expect("mixed routing is cyclic");
+    let verdict = acyclicity(&graph);
+    let cycle = verdict.cycle().expect("mixed routing is cyclic");
     println!("cycle of {} ports found:", cycle.len());
-    for &p in &cycle {
+    for &p in cycle {
         println!("  {}", mesh.port_label(p));
     }
 
     // (2) Sufficiency: compile the cycle into a deadlock configuration.
-    let witness = deadlock_from_cycle(&mesh, &routing, &cycle)?;
+    let witness = deadlock_from_cycle(&mesh, &routing, cycle)?;
     println!("\nwitness destinations per cycle port:");
     for (p, d) in witness.cycle.iter().zip(&witness.destinations) {
         println!(
@@ -127,13 +128,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plain_graph = port_dependency_graph(&plain, &RingShortestRouting::new(&plain));
     println!(
         "plain ring, shortest-path routing: cycle found = {}",
-        find_cycle(&plain_graph).is_some()
+        !acyclicity(&plain_graph).is_acyclic()
     );
     let vc = Ring::with_vcs(6, 2, 1);
     let vc_graph = port_dependency_graph(&vc, &RingDatelineRouting::new(&vc));
     println!(
         "two-VC ring, dateline routing:     cycle found = {}",
-        find_cycle(&vc_graph).is_some()
+        !acyclicity(&vc_graph).is_acyclic()
     );
 
     // (6) Post-mortem: re-record the corner storm with the event WAL and

@@ -25,7 +25,7 @@ fn main() {
         "// {} ports, {} dependency edges, acyclic = {}",
         mesh.port_count(),
         closed_form.edge_count(),
-        find_cycle(&closed_form).is_none()
+        acyclicity(&closed_form).is_acyclic()
     );
     eprintln!("// per-port successors:");
     for p in mesh.ports() {

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The theorems, executably -----------------------------------------
     // DeadThm: the port dependency graph is acyclic.
     let graph = port_dependency_graph(&mesh, &routing);
-    assert!(find_cycle(&graph).is_none());
+    assert!(acyclicity(&graph).is_acyclic());
     println!(
         "\nDeadThm: dependency graph with {} edges over {} ports is acyclic",
         graph.edge_count(),

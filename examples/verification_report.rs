@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         t1.row([
             spec.name(),
-            if r.cyclic {
+            if r.cyclic() {
                 "yes".into()
             } else {
                 "no".to_string()

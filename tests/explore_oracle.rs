@@ -88,7 +88,7 @@ fn every_oracle_cell_agrees_with_static_and_greedy_analyses() {
         // the dependency graph is cyclic, and an acyclic graph forces an
         // exhaustive no-deadlock verdict on every tier.
         let graph = port_dependency_graph(instance.net.as_ref(), instance.routing.as_ref());
-        let cyclic = find_cycle(&graph).is_some();
+        let cyclic = !acyclicity(&graph).is_acyclic();
         if report.counterexample_found {
             assert!(
                 cyclic,

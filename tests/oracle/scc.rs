@@ -1,15 +1,18 @@
-//! Strongly connected components (iterative Tarjan).
+//! Strongly connected components (iterative Tarjan): the test oracle for
+//! `genoc_depgraph::acyclicity`.
 //!
 //! Taktak, Desbarbieux & Encrenaz (TODAES 2008, cited in the paper's related
 //! work) discharge the acyclicity condition by extracting strongly connected
 //! components first; a graph is cyclic iff it has a non-trivial SCC or a
-//! self-loop. This module implements that alternative discharge strategy,
-//! which `genoc-verif` cross-checks against plain DFS and against the
-//! ranking certificate when it discharges (C-3).
+//! self-loop. The library decides (C-3) with one depth-first search; this
+//! independent procedure is what the tests hold it to. It is compiled only
+//! into test targets: `genoc-depgraph`'s unit tests,
+//! `tests/theorem1_equivalence.rs` and `tests/fig3_exact.rs` include this
+//! file as a module `scc`, whose parent module must have `DiGraph` in scope.
 
 use genoc_core::PortId;
 
-use crate::graph::DiGraph;
+use super::DiGraph;
 
 /// Strongly connected components of `g`, each a list of vertices, in reverse
 /// topological order of the condensation.

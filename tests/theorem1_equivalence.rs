@@ -2,16 +2,24 @@
 //! dependency graph is acyclic (deterministic routing).
 //!
 //! For every standard instance:
-//! * the three (C-3) procedures (DFS, SCC, ranking when available) agree and
-//!   match the instance's expectation;
+//! * the (C-3) verdict of `acyclicity` (one DFS) agrees with the Tarjan SCC
+//!   oracle of `tests/oracle/scc.rs` and matches the instance's expectation,
+//!   and its certificate checks out: a ranking `verify_ranking` accepts, or
+//!   a cycle of the graph — on every distinct instance of the campaign
+//!   matrices too;
 //! * cyclic + deterministic ⟹ the cycle compiles into a verified `Ω`
 //!   configuration (sufficiency) and — where the hunter finds one — a live
 //!   deadlock decompiles into a valid dependency cycle (necessity);
 //! * acyclic + deterministic ⟹ a bounded randomized hunt finds no deadlock;
 //! * the Dally–Seitz channel graph agrees with the port graph on cyclicity.
 
-use genoc::depgraph::build::RoutingAnalysis;
+use std::collections::BTreeSet;
+
+use genoc::depgraph::cycle::is_cycle_of;
 use genoc::prelude::*;
+
+#[path = "oracle/scc.rs"]
+mod scc;
 
 fn hunt_options() -> HuntOptions {
     HuntOptions {
@@ -23,18 +31,100 @@ fn hunt_options() -> HuntOptions {
     }
 }
 
+/// Holds the instance's one (C-3) verdict to the Tarjan oracle and to its
+/// expectation, and checks the certificate the verdict carries. Returns
+/// whether the instance is acyclic.
+fn check_verdict(instance: &Instance) -> bool {
+    let analysis = instance.analysis();
+    let graph = &analysis.graph;
+    let verdict = &analysis.acyclicity;
+    assert_eq!(
+        *verdict,
+        acyclicity(graph),
+        "{}: the instance's verdict is the DFS of its graph",
+        instance.name
+    );
+    assert_eq!(
+        verdict.is_acyclic(),
+        !scc::is_cyclic_by_scc(graph),
+        "{}: DFS and SCC disagree",
+        instance.name
+    );
+    assert_eq!(
+        verdict.is_acyclic(),
+        instance.expect_acyclic,
+        "{}: expected acyclic = {}",
+        instance.name,
+        instance.expect_acyclic
+    );
+    match verdict {
+        Acyclicity::Acyclic(rank) => {
+            if let Err((u, v)) = verify_ranking(graph, rank) {
+                panic!("{}: DFS ranking fails at {u:?} -> {v:?}", instance.name);
+            }
+        }
+        Acyclicity::Cyclic(cycle) => assert!(
+            is_cycle_of(graph, cycle),
+            "{}: the DFS cycle is not a cycle of the graph",
+            instance.name
+        ),
+    }
+    verdict.is_acyclic()
+}
+
 #[test]
 fn acyclicity_matches_expectations_across_the_suite() {
     for instance in Instance::standard_suite() {
-        let analysis = RoutingAnalysis::new(instance.net.as_ref(), instance.routing.as_ref());
-        let dfs = find_cycle(&analysis.graph).is_some();
-        let scc = is_cyclic_by_scc(&analysis.graph);
-        assert_eq!(dfs, scc, "{}: DFS and SCC disagree", instance.name);
-        assert_eq!(
-            !dfs, instance.expect_acyclic,
-            "{}: expected acyclic = {}",
-            instance.name, instance.expect_acyclic
-        );
+        check_verdict(&instance);
+    }
+}
+
+/// Every distinct instance of the `full` matrix, which contains those of
+/// `smoke`, `default` and `oracle`: the verdict agrees with the oracle, and
+/// every acyclic one carries a ranking that verifies.
+#[test]
+fn every_campaign_instance_gets_a_certified_verdict() {
+    let metas = |m: ScenarioMatrix| -> BTreeSet<InstanceMeta> {
+        m.expand().into_iter().map(|spec| spec.meta).collect()
+    };
+    let full = metas(ScenarioMatrix::full());
+    for name in ["smoke", "default", "oracle"] {
+        let preset = metas(ScenarioMatrix::named(name).unwrap());
+        assert!(preset.is_subset(&full), "{name} has an instance full lacks");
+    }
+    let mut acyclic = 0;
+    for meta in &full {
+        acyclic += usize::from(check_verdict(&Instance::from_meta(meta).unwrap()));
+    }
+    eprintln!("{} instances, {acyclic} acyclic", full.len());
+    assert!(acyclic > 0 && acyclic < full.len());
+}
+
+/// A DFS ranking with one edge's target raised to its source's rank is
+/// refused, at an edge into that target; at the graph's first edge, at
+/// exactly that edge.
+#[test]
+fn a_raised_rank_is_refused_at_its_edge() {
+    for instance in Instance::standard_suite() {
+        let analysis = instance.analysis();
+        let graph = &analysis.graph;
+        let Some(rank) = analysis.acyclicity.ranking() else {
+            continue;
+        };
+        for (i, (u, v)) in graph.edges().enumerate() {
+            let mut raised = rank.to_vec();
+            raised[v.index()] = rank[u.index()];
+            let (x, y) = verify_ranking(graph, &raised).expect_err("a raised rank is refused");
+            assert!(
+                graph.has_edge(x, y) && y == v,
+                "{}: {x:?} -> {y:?}",
+                instance.name
+            );
+            assert!(raised[x.index()] <= raised[y.index()], "{}", instance.name);
+            if i == 0 {
+                assert_eq!((x, y), (u, v), "{}", instance.name);
+            }
+        }
     }
 }
 
@@ -46,8 +136,8 @@ fn channel_graph_cyclicity_agrees_with_port_graph() {
         let pg = port_dependency_graph(net, routing);
         let cg = channel_dependency_graph(net, routing);
         assert_eq!(
-            find_cycle(&pg).is_some(),
-            find_cycle(&cg.graph).is_some(),
+            !acyclicity(&pg).is_acyclic(),
+            !acyclicity(&cg.graph).is_acyclic(),
             "{}: port vs channel cyclicity",
             instance.name
         );
@@ -63,8 +153,9 @@ fn sufficiency_cycles_compile_into_verified_deadlocks() {
         let net = instance.net.as_ref();
         let routing = instance.routing.as_ref();
         let g = port_dependency_graph(net, routing);
-        let cycle = find_cycle(&g).expect("cyclic instance");
-        let witness = deadlock_from_cycle(net, routing, &cycle)
+        let verdict = acyclicity(&g);
+        let cycle = verdict.cycle().expect("cyclic instance");
+        let witness = deadlock_from_cycle(net, routing, cycle)
             .unwrap_or_else(|e| panic!("{}: witness compilation failed: {e}", instance.name));
         witness.config.validate(net).unwrap();
         assert!(
@@ -113,7 +204,7 @@ fn necessity_live_deadlocks_decompile_into_cycles() {
         let cycle = cycle_from_deadlock(net, &hunt.config)
             .unwrap_or_else(|e| panic!("{}: extraction failed: {e}", instance.name));
         assert!(
-            genoc::depgraph::cycle::is_cycle_of(&g, &cycle),
+            is_cycle_of(&g, &cycle),
             "{}: extracted walk is not a dependency cycle",
             instance.name
         );
@@ -127,7 +218,7 @@ fn acyclic_deterministic_instances_survive_hunting() {
             continue;
         }
         let report = check_theorem1(&instance, &hunt_options()).unwrap();
-        assert!(!report.cyclic, "{}", instance.name);
+        assert!(!report.cyclic(), "{}", instance.name);
         assert_eq!(
             report.live_deadlock_found,
             Some(false),
@@ -171,7 +262,7 @@ fn adaptive_deadlocks_decompile_into_adaptive_cycles() {
         if r.outcome == genoc_core::interpreter::Outcome::Deadlock {
             let cycle = cycle_from_deadlock(&mesh, &r.config).unwrap();
             assert!(
-                genoc::depgraph::cycle::is_cycle_of(&g, &cycle),
+                is_cycle_of(&g, &cycle),
                 "adaptive cycle must lie in the adaptive dependency graph"
             );
             return;
