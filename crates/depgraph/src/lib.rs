@@ -16,8 +16,8 @@
 //! * [`flows`] — the flow decomposition of Fig. 4 with its escape lemmas;
 //! * [`channel_graph`] — the classical Dally–Seitz channel dependency graph
 //!   as a comparator;
-//! * [`witness`] — both constructive directions of Theorem 1
-//!   (cycle → deadlock configuration, deadlock → cycle);
+//! * [`witness`] — the sufficiency construction of Theorem 1
+//!   (cycle → deadlock configuration);
 //! * [`dot`] — Graphviz export (Fig. 3).
 
 #![forbid(unsafe_code)]
@@ -44,4 +44,4 @@ pub use crate::dot::to_dot;
 pub use crate::flows::{check_flow_escapes, classify, Flow};
 pub use crate::graph::DiGraph;
 pub use crate::ranking::{verify_ranking, xy_mesh_ranking};
-pub use crate::witness::{cycle_from_deadlock, deadlock_from_cycle, DeadlockWitness};
+pub use crate::witness::{deadlock_from_cycle, DeadlockWitness};

@@ -1,24 +1,24 @@
-//! Executable witnesses for both directions of the deadlock theorem.
+//! The executable witness for the sufficiency direction of the deadlock
+//! theorem.
 //!
 //! **Theorem 1** (paper): a deterministic routing function is deadlock-free
 //! iff its port dependency graph is acyclic. The paper's proof is
-//! constructive in both directions, and this module executes both
-//! constructions:
+//! constructive in both directions:
 //!
 //! * [`deadlock_from_cycle`] — *sufficiency*: given a cycle, fill every port
 //!   of the cycle with messages whose (C-2) witness destinations route them
 //!   into the next port of the cycle; the resulting configuration satisfies
 //!   `Ω`.
-//! * [`cycle_from_deadlock`] — *necessity*: given a deadlocked
-//!   configuration, walk the blocked-on relation through the unavailable
-//!   ports until it closes; every step is a routing step, so the walk is a
-//!   cycle of the dependency graph.
+//! * *necessity* — given a deadlocked configuration, follow the blocked-on
+//!   relation until it closes; every step is a routing step, so the closed
+//!   walk is a cycle of the dependency graph. That is the wait-for cycle
+//!   `genoc_core::blocking::find_wait_cycle` returns, expanded to ports.
 
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
 use genoc_core::network::Network;
 use genoc_core::routing::{compute_route, RoutingFunction};
-use genoc_core::travel::{FlitPos, Travel};
+use genoc_core::travel::Travel;
 use genoc_core::{MsgId, PortId};
 
 /// A deadlock configuration compiled from a dependency-graph cycle, together
@@ -117,81 +117,11 @@ pub fn deadlock_from_cycle_with(
     })
 }
 
-/// Extracts a dependency-graph cycle from a deadlocked configuration (the
-/// necessity construction of Theorem 1).
-///
-/// Starting from any blocked in-network flit, the walk repeatedly moves to
-/// the port the current flit is blocked on. In a genuine wormhole deadlock
-/// every blocked flit waits on a *full* port (an unavailable port in the
-/// paper's terms), whose resident message is itself blocked, so the walk
-/// stays well-defined and must eventually revisit a port — closing a cycle
-/// in which every step is a routing step.
-///
-/// # Errors
-///
-/// Returns [`Error::Invariant`] if the configuration is not actually
-/// deadlocked (some flit can move, or the walk escapes).
-pub fn cycle_from_deadlock(net: &dyn Network, cfg: &Config) -> Result<Vec<PortId>> {
-    if cfg.any_move_possible() {
-        return Err(Error::Invariant("configuration is not a deadlock".into()));
-    }
-    // Start from the frontmost in-network flit of any travel.
-    let mut start: Option<PortId> = None;
-    'outer: for t in cfg.travels() {
-        for f in 0..t.flit_count() {
-            if let FlitPos::InNetwork(k) = t.flit_pos(f) {
-                start = Some(t.route()[k]);
-                break 'outer;
-            }
-        }
-    }
-    let start =
-        start.ok_or_else(|| Error::Invariant("deadlock without any in-network flit".into()))?;
-
-    let mut visited: Vec<PortId> = Vec::new();
-    let mut current = start;
-    loop {
-        if let Some(pos) = visited.iter().position(|&q| q == current) {
-            return Ok(visited[pos..].to_vec());
-        }
-        visited.push(current);
-        // The message resident in (or owning) `current`.
-        let owner = cfg.state().port(current).owner().ok_or_else(|| {
-            Error::Invariant(format!(
-                "walk reached unowned port {}",
-                net.port_label(current)
-            ))
-        })?;
-        let t = cfg.travel_by_id(owner).ok_or(Error::UnknownTravel(owner))?;
-        let k = t
-            .route()
-            .iter()
-            .position(|&q| q == current)
-            .ok_or_else(|| {
-                Error::Invariant(format!(
-                    "owner {} does not route through {}",
-                    owner,
-                    net.port_label(current)
-                ))
-            })?;
-        if k + 1 >= t.route().len() {
-            return Err(Error::Invariant(format!(
-                "walk reached destination port {} — ejection cannot block",
-                net.port_label(current)
-            )));
-        }
-        current = t.route()[k + 1];
-        if visited.len() > net.port_count() + 1 {
-            return Err(Error::Invariant("blocked-on walk failed to close".into()));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::port_dependency_graph;
-    use crate::cycle::{acyclicity, is_cycle_of};
+    use crate::cycle::acyclicity;
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::ring::RingShortestRouting;
     use genoc_topology::mesh::Mesh;
@@ -225,26 +155,6 @@ mod tests {
         let witness = deadlock_from_cycle(&ring, &routing, cycle).unwrap();
         witness.config.validate(&ring).unwrap();
         assert!(!witness.config.any_move_possible());
-    }
-
-    #[test]
-    fn extracted_cycle_lies_in_the_dependency_graph() {
-        let mesh = Mesh::new(2, 2, 1);
-        let routing = MixedXyYxRouting::new(&mesh);
-        let g = port_dependency_graph(&mesh, &routing);
-        let verdict = acyclicity(&g);
-        let witness = deadlock_from_cycle(&mesh, &routing, verdict.cycle().unwrap()).unwrap();
-        // Round trip: deadlock -> cycle -> must be a dependency cycle.
-        let extracted = cycle_from_deadlock(&mesh, &witness.config).unwrap();
-        assert!(is_cycle_of(&g, &extracted), "{extracted:?}");
-    }
-
-    #[test]
-    fn non_deadlock_is_rejected() {
-        let mesh = Mesh::new(2, 2, 1);
-        let routing = MixedXyYxRouting::new(&mesh);
-        let cfg = Config::from_specs(&mesh, &routing, &[]).unwrap();
-        assert!(cycle_from_deadlock(&mesh, &cfg).is_err());
     }
 
     #[test]

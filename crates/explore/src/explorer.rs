@@ -264,37 +264,6 @@ pub fn explore(
     } else {
         vec![(0..workload.slots()).collect()]
     };
-    explore_with_perms(net, routing, specs, admission, options, workload, perms)
-}
-
-/// Explores without symmetry reduction and therefore without instance
-/// metadata — the entry point for callers that only hold the constituents
-/// (e.g. the deadlock hunter shrinking a witness on a workload it drew).
-///
-/// # Errors
-///
-/// As [`explore`].
-pub fn explore_workload(
-    net: &dyn Network,
-    routing: &dyn RoutingFunction,
-    specs: &[MessageSpec],
-    admission: &dyn HeadAdmission,
-    options: &ExploreOptions,
-) -> Result<Exploration> {
-    let workload = Workload::new(net, routing, specs)?;
-    let identity = vec![(0..workload.slots()).collect()];
-    explore_with_perms(net, routing, specs, admission, options, workload, identity)
-}
-
-fn explore_with_perms(
-    net: &dyn Network,
-    routing: &dyn RoutingFunction,
-    specs: &[MessageSpec],
-    admission: &dyn HeadAdmission,
-    options: &ExploreOptions,
-    workload: Workload,
-    perms: Vec<Vec<usize>>,
-) -> Result<Exploration> {
     // The spill tier lives in the parallel engine's level/block machinery,
     // so a spill directory routes through it even single-threaded.
     if options.runs_parallel() {

@@ -75,8 +75,8 @@ pub mod state;
 pub mod symmetry;
 
 pub use crate::explorer::{
-    explore, explore_policy, explore_workload, replay, BoundReason, Counterexample, Exploration,
-    ExploreOptions, StateGraph, StateStatus, Verdict, MAX_PARALLELISM,
+    explore, explore_policy, replay, BoundReason, Counterexample, Exploration, ExploreOptions,
+    StateGraph, StateStatus, Verdict, MAX_PARALLELISM,
 };
 pub use crate::export::{to_aut, to_dot};
 pub use crate::por::AmpleSelector;

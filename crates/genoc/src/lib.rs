@@ -17,8 +17,9 @@
 //!   deliberately deadlock-prone comparators;
 //! * [`switching`] — wormhole `Swh`, virtual cut-through,
 //!   store-and-forward;
-//! * [`depgraph`] — port/channel dependency graphs, cycle
-//!   search, SCCs, ranking certificates, flows, Theorem 1 witnesses;
+//! * [`depgraph`] — port/channel dependency graphs, one cycle
+//!   search returning a cycle or a ranking certificate, flows, the
+//!   Theorem 1 sufficiency witness;
 //! * [`explore`] — the exhaustive bounded state-space oracle: BFS over
 //!   all move interleavings with symmetry reduction, minimal
 //!   counterexample traces, `.aut`/DOT state-graph export
@@ -99,22 +100,21 @@ pub mod prelude {
     pub use genoc_core::theorems::{check_correctness, check_evacuation};
     pub use genoc_core::travel::{FlitPos, Travel};
     pub use genoc_depgraph::{
-        acyclicity, channel_dependency_graph, check_flow_escapes, cycle_from_deadlock,
-        deadlock_from_cycle, port_dependency_graph, to_dot, verify_ranking,
-        xy_mesh_dependency_graph, xy_mesh_ranking, Acyclicity, DiGraph,
+        acyclicity, channel_dependency_graph, check_flow_escapes, deadlock_from_cycle,
+        port_dependency_graph, to_dot, verify_ranking, xy_mesh_dependency_graph, xy_mesh_ranking,
+        Acyclicity, DiGraph,
     };
     pub use genoc_detect::{
         AbortAndEvacuate, DetectionEngine, DrainAll, EngineOptions, EscapeChannel, EscapeRoute,
         ExactDetector, RecoveryPolicy, RingEscape, TimeoutDetector,
     };
     pub use genoc_explore::{
-        explore, explore_policy, explore_workload, pressure_specs, replay, Counterexample,
-        Exploration, ExploreOptions, Verdict,
+        explore, explore_policy, pressure_specs, replay, Counterexample, Exploration,
+        ExploreOptions, Verdict,
     };
     pub use genoc_obs::{
-        read_wal, read_wal_bytes, record_hunt, replay_to, shared, tail_lines, MetricsRegistry,
-        ObsSummary, ObservedEngine, Recorder, RecorderOptions, WalEvent, WalLog, WalMeta,
-        WalWriter,
+        read_wal, read_wal_bytes, replay_to, shared, tail_lines, MetricsRegistry, ObsSummary,
+        ObservedEngine, Recorder, RecorderOptions, WalEvent, WalLog, WalMeta, WalWriter,
     };
     pub use genoc_routing::{
         AcrossFirstDatelineRouting, AcrossFirstRouting, MinimalAdaptiveRouting, MixedXyYxRouting,

@@ -81,7 +81,7 @@ pub mod wal;
 
 pub use crate::metrics::{MetricKind, MetricsRegistry};
 pub use crate::observer::{
-    record_hunt, shared, ObsSummary, ObservedEngine, Recorder, RecorderOptions, SharedWal,
+    shared, ObsSummary, ObservedEngine, Recorder, RecorderOptions, SharedWal,
 };
 pub use crate::replay::{
     describe, detections, final_steps, initial_config, recorded_outcome, replay_to, run_start,

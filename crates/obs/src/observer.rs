@@ -4,7 +4,6 @@
 //! recovery actions land in the same log.
 
 use std::cell::RefCell;
-use std::path::Path;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -14,13 +13,10 @@ use genoc_core::error::{Error, Result};
 use genoc_core::interpreter::Outcome;
 use genoc_core::kernel::{Transition, TravelStatus};
 use genoc_core::network::Network;
-use genoc_core::routing::RoutingFunction;
-use genoc_core::switching::SwitchingPolicy;
 use genoc_core::trace::{Event, Zone};
 use genoc_core::{MsgId, PortId};
-use genoc_detect::engine::{DetectionEngine, EngineOptions};
-use genoc_sim::deadlock_hunt::Hunt;
-use genoc_sim::runner::{simulate_observed_config, DetectorHook, RunObserver, SimOptions};
+use genoc_detect::engine::DetectionEngine;
+use genoc_sim::runner::{DetectorHook, RunObserver};
 
 use crate::wal::{RecoveryAction, WalEvent, WalMeta, WalWriter, WAL_VERSION};
 
@@ -479,52 +475,4 @@ impl DetectorHook for ObservedEngine {
         self.sync()?;
         Ok(continued)
     }
-}
-
-/// Re-runs a [`Hunt`]'s workload with a detect-only engine and a recording
-/// [`Recorder`], writing the WAL to `path` and stamping
-/// [`Hunt::wal`] on success — the hunt's witness becomes replayable by file
-/// instead of by rerun.
-///
-/// # Errors
-///
-/// Propagates WAL I/O and simulation errors, and reports
-/// [`Error::Invariant`] if the re-run does not end in a deadlock (a hunt
-/// workload is deterministic, so it always should).
-pub fn record_hunt(
-    net: &dyn Network,
-    routing: &dyn RoutingFunction,
-    policy: &mut dyn SwitchingPolicy,
-    hunt: &mut Hunt,
-    meta: Option<WalMeta>,
-    path: &Path,
-) -> Result<ObsSummary> {
-    let wal = shared(WalWriter::create(path).map_err(|e| io_err("create", e))?);
-    let mut recorder = Recorder::with_wal(Rc::clone(&wal), hunt.seed, meta);
-    let mut hook = ObservedEngine::new(
-        DetectionEngine::detector(EngineOptions {
-            heuristic_threshold: None,
-        }),
-        Some(Rc::clone(&wal)),
-    );
-    let options = SimOptions {
-        max_steps: hunt.steps + 16,
-        ..SimOptions::default()
-    };
-    let result = simulate_observed_config(
-        net,
-        policy,
-        Config::from_specs(net, routing, &hunt.specs)?,
-        &options,
-        &mut hook,
-        &mut recorder,
-    )?;
-    if result.run.outcome != Outcome::Deadlock {
-        return Err(Error::Invariant(format!(
-            "hunt workload (seed {}) did not replay to a deadlock: {:?}",
-            hunt.seed, result.run.outcome
-        )));
-    }
-    hunt.wal = Some(path.to_path_buf());
-    Ok(recorder.summary())
 }

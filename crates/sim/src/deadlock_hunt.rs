@@ -3,23 +3,20 @@
 //! The necessity direction of Theorem 1 needs *live* deadlocks: deadlocked
 //! configurations actually reached by the switching policy. The hunter runs
 //! randomized or adversarial workloads until the interpreter reports `Ω`,
-//! then hands the deadlocked configuration to
-//! `genoc_depgraph::witness::cycle_from_deadlock` for cycle extraction. A
-//! hunt that comes up empty on an acyclic router (and it always does — see
-//! `tests/theorem1_equivalence.rs`) is the bounded empirical reading of the
-//! sufficiency direction.
+//! and keeps the deadlocked configuration's wait-for cycle
+//! ([`find_wait_cycle`], expanded to ports) as its witness: the dependency
+//! cycle the necessity direction asks for. A hunt that comes up empty on an
+//! acyclic router (and it always does — see `tests/theorem1_equivalence.rs`)
+//! is the bounded empirical reading of the sufficiency direction.
 
 use genoc_core::blocking::{find_wait_cycle, WaitCycle};
 use genoc_core::config::Config;
 use genoc_core::error::Result;
 use genoc_core::interpreter::Outcome;
-use genoc_core::moves::Move;
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
 use genoc_core::spec::MessageSpec;
-use genoc_core::step::{AlwaysAdmit, HeadAdmission};
 use genoc_core::switching::SwitchingPolicy;
-use genoc_explore::{explore_workload, ExploreOptions};
 
 use crate::runner::{simulate, SimOptions};
 use crate::workload::uniform_random;
@@ -41,10 +38,6 @@ pub struct Hunt {
     /// stricter admission rule (virtual cut-through, store-and-forward)
     /// that blocks heads the wormhole rules would admit.
     pub witness: Option<WaitCycle>,
-    /// Path of a structured event log recording a run of this workload to
-    /// the deadlock, when one was written (see `genoc-obs::record_hunt`).
-    /// Plain data — the hunter itself never performs I/O.
-    pub wal: Option<std::path::PathBuf>,
 }
 
 /// Hunting parameters.
@@ -127,61 +120,10 @@ pub fn hunt_workload(
             steps: result.run.steps,
             config: result.run.config,
             witness,
-            wal: None,
         }))
     } else {
         Ok(None)
     }
-}
-
-/// Workloads at most this many messages wide are candidates for shrinking.
-const SHRINK_MAX_MESSAGES: usize = 8;
-/// …carrying at most this many flits in total…
-const SHRINK_MAX_FLITS: usize = 24;
-/// …explored up to this many states. Shrinking runs without symmetry
-/// reduction (no [`genoc_core::meta::InstanceMeta`] is available here to
-/// derive automorphism candidates from), so the budget is sized for the raw
-/// space: the 2×2 corner storm with 4-flit worms needs ~78k states.
-const SHRINK_MAX_STATES: usize = 100_000;
-
-/// Shrinks a greedy deadlock to a BFS-minimal move trace by exhaustively
-/// exploring the workload's interleavings
-/// ([`genoc_explore::explore_workload`]), when the instance is small
-/// enough; call it on a [`Hunt`]'s `specs`. The random prefix that *found*
-/// the deadlock is typically thousands of kernel steps; the minimal trace
-/// to a deadlock of the same workload, replayable via
-/// [`genoc_explore::replay`], is usually a few dozen single-flit moves. Any
-/// failure (too large, bound hit, or the greedy deadlock's interleaving
-/// class not reached within the bound) degrades to `None` — the `steps`-long
-/// greedy run then remains the only path to the deadlock.
-///
-/// Shrinking explores with partial-order reduction by default — ample sets
-/// preserve both the verdict and the minimal trace length (see
-/// `genoc_explore::por`) and make the search several times cheaper. Pass
-/// `full_bfs = true` to force the unreduced search, e.g. to cross-check the
-/// reduction; the returned trace length must be identical either way.
-pub fn shrink_witness(
-    net: &dyn Network,
-    routing: &dyn RoutingFunction,
-    policy: &dyn SwitchingPolicy,
-    specs: &[MessageSpec],
-    full_bfs: bool,
-) -> Option<Vec<Move>> {
-    let total_flits: usize = specs.iter().map(|s| s.flits).sum();
-    if specs.len() > SHRINK_MAX_MESSAGES || total_flits > SHRINK_MAX_FLITS {
-        return None;
-    }
-    let admission = policy
-        .kernel_spec()
-        .map_or(&AlwaysAdmit as &dyn HeadAdmission, |s| s.admission);
-    let options = ExploreOptions {
-        max_states: SHRINK_MAX_STATES,
-        symmetry: false,
-        por: !full_bfs,
-        ..ExploreOptions::default()
-    };
-    let result = explore_workload(net, routing, specs, admission, &options).ok()?;
-    result.counterexample().map(|cex| cex.trace.clone())
 }
 
 #[cfg(test)]
@@ -217,67 +159,6 @@ mod tests {
         for &m in &witness.msgs {
             assert!(hunt.config.travel_by_id(m).is_some());
         }
-    }
-
-    #[test]
-    fn corner_storm_witness_shrinks_to_a_minimal_replayable_trace() {
-        let mesh = Mesh::new(2, 2, 1);
-        let routing = MixedXyYxRouting::new(&mesh);
-        let specs = bit_complement(&mesh, 4);
-        let mut policy = Switching::default();
-        let hunt = hunt_workload(&mesh, &routing, &mut policy, &specs, 0, 10_000)
-            .unwrap()
-            .expect("the four-corner storm must deadlock mixed routing");
-        let trace = shrink_witness(&mesh, &routing, &policy, &hunt.specs, false)
-            .expect("a 4-message workload is well inside the shrink budget");
-        // The minimal trace is single-flit moves; the greedy run took
-        // `steps` kernel rounds, each moving many flits. Minimality means
-        // the trace can't exceed the flit-moves the greedy run spent.
-        assert!(!trace.is_empty());
-        let replayed = genoc_explore::replay(&mesh, &routing, &specs, &trace)
-            .expect("the minimal trace replays");
-        assert!(
-            !replayed.any_move_possible(),
-            "replaying the minimal trace must land in a deadlock"
-        );
-        assert!(!replayed.travels().is_empty());
-    }
-
-    #[test]
-    fn por_shrink_matches_the_full_bfs_shrink_length() {
-        let mesh = Mesh::new(2, 2, 1);
-        let routing = MixedXyYxRouting::new(&mesh);
-        let specs = bit_complement(&mesh, 4);
-        let policy = Switching::default();
-        let por = shrink_witness(&mesh, &routing, &policy, &specs, false)
-            .expect("POR shrink finds the corner-storm deadlock");
-        let full = shrink_witness(&mesh, &routing, &policy, &specs, true)
-            .expect("full-BFS shrink finds the corner-storm deadlock");
-        // Ample sets preserve minimal deadlock depth, so both searches
-        // must report traces of identical length.
-        assert_eq!(por.len(), full.len());
-        let replayed = genoc_explore::replay(&mesh, &routing, &specs, &por).unwrap();
-        assert!(!replayed.any_move_possible());
-    }
-
-    #[test]
-    fn oversized_workloads_skip_the_shrink() {
-        let mesh = Mesh::new(3, 3, 1);
-        let routing = MixedXyYxRouting::new(&mesh);
-        let options = HuntOptions {
-            attempts: 32,
-            messages: 40,
-            flits: 8,
-            ..HuntOptions::default()
-        };
-        let mut policy = Switching::default();
-        let hunt = hunt_random(&mesh, &routing, &mut policy, &options)
-            .unwrap()
-            .expect("heavy random traffic trips the cyclic router");
-        assert!(
-            shrink_witness(&mesh, &routing, &policy, &hunt.specs, false).is_none(),
-            "40 messages x 8 flits is far beyond the shrink budget"
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod stats;
 pub mod workload;
 
 pub use crate::adaptive::{config_with_selected_routes, select_routes};
-pub use crate::deadlock_hunt::{hunt_random, hunt_workload, shrink_witness, Hunt, HuntOptions};
+pub use crate::deadlock_hunt::{hunt_random, hunt_workload, Hunt, HuntOptions};
 pub use crate::runner::{
     simulate, simulate_config, simulate_observed_config, DetectorHook, NullHook, NullObserver,
     RunObserver, SimOptions, SimResult, Stepper,

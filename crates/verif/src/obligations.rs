@@ -11,10 +11,11 @@
 use std::time::Instant;
 
 use genoc_core::config::Config;
+use genoc_core::error::Error;
 use genoc_core::injection::{IdentityInjection, InjectionMethod};
+use genoc_core::interpreter::{run, Outcome, RunOptions};
 use genoc_core::obligations::{ObligationId, ObligationReport};
 use genoc_core::switching::SwitchingPolicy;
-use genoc_core::trace::Trace;
 use genoc_depgraph::cycle::Acyclicity;
 use genoc_depgraph::ranking::verify_ranking;
 use genoc_switching::Switching;
@@ -197,6 +198,11 @@ pub fn check_c5(instance: &Instance) -> ObligationReport {
 /// workload's packet length capped at `max_flits` — cut-through and
 /// store-and-forward only admit packets that fit whole into a port buffer,
 /// so campaign scenarios cap `max_flits` at the port capacity.
+///
+/// The monitored run is the reference loop ([`run`]) with the measures
+/// recorded: it refuses a step that moves nothing or does not lower the
+/// progress measure, and `μxy` is checked over the recorded values. `cases`
+/// counts the steps taken.
 pub fn check_c5_with(
     instance: &Instance,
     policy: &mut dyn SwitchingPolicy,
@@ -210,44 +216,42 @@ pub fn check_c5_with(
         genoc_sim::workload::uniform_random(net.node_count().max(2), 12, 1..=max_flits.max(1), 7);
     match Config::from_specs(net, instance.routing.as_ref(), &specs) {
         Err(e) => violations.push(format!("workload construction failed: {e}")),
-        Ok(mut cfg) => {
-            let mut trace = Trace::new(false);
-            let limit = 1_000_000u64;
-            let mut steps = 0u64;
-            while !cfg.is_evacuated() {
-                if policy.is_deadlock(net, &cfg) {
-                    break; // (C-5) is conditional on ¬Ω(σ)
+        Ok(cfg) => {
+            let mu_initial = cfg.route_length_measure();
+            let options = RunOptions {
+                record_measures: true,
+                ..RunOptions::default()
+            };
+            // The reference loop checks progress and the strict decrease of
+            // the progress measure on every step, and stops at Ω: (C-5) is
+            // conditional on ¬Ω(σ).
+            match run(net, &IdentityInjection, policy, cfg, &options) {
+                Err(Error::ProgressViolation { step }) => {
+                    cases = step + 1;
+                    violations.push(format!("step {step}: no flit moved although ¬Ω"));
                 }
-                if steps >= limit {
-                    violations.push("step limit exhausted: suspected livelock".into());
-                    break;
+                Err(Error::MeasureViolation {
+                    step,
+                    before,
+                    after,
+                }) => {
+                    cases = step + 1;
+                    violations.push(format!("step {step}: progress measure {before} -> {after}"));
                 }
-                let mu_before = cfg.route_length_measure();
-                let progress_before = cfg.progress_measure();
-                match policy.step(net, &mut cfg, &mut trace) {
-                    Err(e) => {
-                        violations.push(format!("switching step failed: {e}"));
-                        break;
+                Err(e) => violations.push(format!("switching step failed: {e}")),
+                Ok(result) => {
+                    cases = result.steps;
+                    if result.outcome == Outcome::StepLimit {
+                        violations.push("step limit exhausted: suspected livelock".into());
                     }
-                    Ok(report) => {
-                        cases += 1;
-                        cfg.drain_arrived();
-                        if report.moves() == 0 {
-                            violations.push(format!("step {steps}: no flit moved although ¬Ω"));
-                            break;
+                    let mut mu_before = mu_initial;
+                    for (step, &(mu, _)) in result.measures.iter().enumerate() {
+                        if mu > mu_before {
+                            violations.push(format!("step {step}: mu_xy increased"));
                         }
-                        let progress_after = cfg.progress_measure();
-                        if progress_after >= progress_before {
-                            violations.push(format!(
-                                "step {steps}: progress measure {progress_before} -> {progress_after}"
-                            ));
-                        }
-                        if cfg.route_length_measure() > mu_before {
-                            violations.push(format!("step {steps}: mu_xy increased"));
-                        }
+                        mu_before = mu;
                     }
                 }
-                steps += 1;
             }
         }
     }

@@ -4,13 +4,14 @@
 //! For a *cyclic* graph both constructive directions are executed: the cycle
 //! is compiled into a configuration satisfying `Ω` (sufficiency), and a
 //! deadlock reached live by the simulator is decompiled into a dependency
-//! cycle (necessity). For an *acyclic* graph, deadlock-freedom is the
-//! guaranteed side of the theorem; a bounded randomized hunt corroborates
-//! it empirically.
+//! cycle (necessity): the hunt's wait-for cycle
+//! ([`genoc_core::blocking::find_wait_cycle`]), expanded to ports. For an
+//! *acyclic* graph, deadlock-freedom is the guaranteed side of the theorem;
+//! a bounded randomized hunt corroborates it empirically.
 
 use genoc_core::error::Result;
 use genoc_core::PortId;
-use genoc_depgraph::witness::{cycle_from_deadlock, deadlock_from_cycle_with};
+use genoc_depgraph::witness::deadlock_from_cycle_with;
 use genoc_sim::deadlock_hunt::{hunt_random, HuntOptions};
 use genoc_switching::Switching;
 
@@ -28,8 +29,8 @@ pub struct Theorem1Report {
     pub witness_deadlock_verified: Option<bool>,
     /// Necessity: a live deadlock was reached by simulation (bounded hunt).
     pub live_deadlock_found: Option<bool>,
-    /// Necessity: the cycle extracted from the live deadlock is a cycle of
-    /// the dependency graph.
+    /// Necessity: the live deadlock's wait-for cycle, expanded to ports, is
+    /// a cycle of the dependency graph.
     pub extracted_cycle_valid: Option<bool>,
     /// Human-readable findings.
     pub notes: Vec<String>,
@@ -97,9 +98,9 @@ pub fn check_theorem1(instance: &Instance, hunt: &HuntOptions) -> Result<Theorem
         let found = hunt_random(net, routing, &mut policy, hunt)?;
         live_deadlock_found = Some(found.is_some());
         if let Some(found) = found {
-            match cycle_from_deadlock(net, &found.config) {
-                Ok(extracted) => {
-                    let valid = genoc_depgraph::cycle::is_cycle_of(&analysis.graph, &extracted);
+            match found.witness {
+                Some(witness) => {
+                    let valid = genoc_depgraph::cycle::is_cycle_of(&analysis.graph, &witness.ports);
                     extracted_cycle_valid = Some(valid);
                     if !valid {
                         notes.push("extracted cycle is not a dependency-graph cycle".into());
@@ -110,9 +111,9 @@ pub fn check_theorem1(instance: &Instance, hunt: &HuntOptions) -> Result<Theorem
                         );
                     }
                 }
-                Err(e) => {
+                None => {
                     extracted_cycle_valid = Some(false);
-                    notes.push(format!("cycle extraction failed: {e}"));
+                    notes.push("cycle extraction failed: no wait-for cycle".into());
                 }
             }
         }

@@ -8,20 +8,23 @@
 //!    `Ω` on it (Theorem 1, sufficiency — the paper's proof construction,
 //!    executed);
 //! 3. drives the simulator into a *live* deadlock with the four-corner
-//!    storm and decompiles it back into a dependency cycle (Theorem 1,
-//!    necessity);
+//!    storm and decompiles it back into a dependency cycle — its wait-for
+//!    cycle, expanded to ports (Theorem 1, necessity);
 //! 4. hunts random traffic on a 3×3 mixed mesh for another deadlock and
 //!    prints its structured blocked-port witness;
 //! 5. shows the dateline-repaired ring for contrast;
-//! 6. re-records the corner storm into an event WAL
-//!    (`target/wal/deadlock_demo.wal`) and prints the post-mortem tail —
-//!    the last events before the cycle closed — straight from the log.
+//! 6. re-runs the corner storm under a detect-only engine, recording it into
+//!    an event WAL (`target/wal/deadlock_demo.wal`), and prints the
+//!    post-mortem tail — the last events before the cycle closed — straight
+//!    from the log.
 //!
 //! Run with: `cargo run -p genoc --example deadlock_demo`
 //!
 //! The random hunt is seeded from the `GENOC_SEED` environment variable
 //! (default 0), so hunts are reproducible *and* explorable:
 //! `GENOC_SEED=42 cargo run -p genoc --example deadlock_demo`.
+
+use std::rc::Rc;
 
 use genoc::prelude::*;
 
@@ -68,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\ndriving the simulator with the four-corner storm ({} messages)...",
         specs.len()
     );
-    let mut hunt = hunt_workload(
+    let hunt = hunt_workload(
         &mesh,
         &routing,
         &mut Switching::default(),
@@ -78,12 +81,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?
     .expect("the corner storm deadlocks the mixed router");
     println!("live deadlock after {} steps.", hunt.steps);
-    let extracted = cycle_from_deadlock(&mesh, &hunt.config)?;
+    let extracted = &hunt
+        .witness
+        .as_ref()
+        .expect("wormhole deadlocks carry a wait-for cycle")
+        .ports;
     println!("extracted blocked-on cycle:");
-    for &p in &extracted {
+    for &p in extracted {
         println!("  {}", mesh.port_label(p));
     }
-    assert!(genoc::depgraph::cycle::is_cycle_of(&graph, &extracted));
+    assert!(genoc::depgraph::cycle::is_cycle_of(&graph, extracted));
     println!("the extracted cycle is a cycle of the dependency graph. qed (necessity)");
 
     // (4) Random hunt on a larger mesh, seeded from GENOC_SEED.
@@ -141,22 +148,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // print the tail — what happened just before the cycle closed.
     println!("\n== post-mortem: the corner storm, replayed from its WAL ==");
     let wal_path = std::path::Path::new("target/wal/deadlock_demo.wal");
-    let summary = record_hunt(
-        &mesh,
-        &routing,
-        &mut Switching::default(),
-        &mut hunt,
-        Some(genoc::obs::WalMeta {
-            meta: InstanceMeta::new(RoutingKind::MixedXyYx, 2, 2, 1),
-            switching: SwitchingKind::Wormhole,
+    let wal = shared(WalWriter::create(wal_path)?);
+    let meta = WalMeta {
+        meta: InstanceMeta::new(RoutingKind::MixedXyYx, 2, 2, 1),
+        switching: SwitchingKind::Wormhole,
+    };
+    let mut recorder = Recorder::with_wal(Rc::clone(&wal), hunt.seed, Some(meta));
+    let mut detector = ObservedEngine::new(
+        DetectionEngine::detector(EngineOptions {
+            heuristic_threshold: None,
         }),
-        wal_path,
+        Some(wal),
+    );
+    let result = simulate_observed_config(
+        &mesh,
+        &mut Switching::default(),
+        Config::from_specs(&mesh, &routing, &hunt.specs)?,
+        &SimOptions {
+            max_steps: hunt.steps + 16,
+            ..SimOptions::default()
+        },
+        &mut detector,
+        &mut recorder,
     )?;
+    assert_eq!(
+        result.run.outcome,
+        Outcome::Deadlock,
+        "the corner storm replays to its deadlock"
+    );
+    let summary = recorder.summary();
     println!(
         "recorded {} events ({} bytes) to {}",
         summary.wal_records,
         summary.wal_bytes,
-        hunt.wal.as_deref().expect("stamped on success").display()
+        wal_path.display()
     );
     let log = read_wal(wal_path)?;
     assert!(log.damage.is_none(), "freshly written log is intact");

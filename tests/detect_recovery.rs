@@ -185,7 +185,7 @@ fn hunt_witness_is_a_dependency_graph_cycle() {
     let witness = hunt.witness.expect("wormhole deadlocks carry a witness");
     let graph = port_dependency_graph(&mesh, &routing);
     assert!(genoc::depgraph::cycle::is_cycle_of(&graph, &witness.ports));
-    // And it agrees with the classical necessity-direction walk.
-    let walked = cycle_from_deadlock(&mesh, &hunt.config).unwrap();
-    assert!(genoc::depgraph::cycle::is_cycle_of(&graph, &walked));
+    // And it is the wait-for cycle of the deadlocked configuration itself.
+    let rescanned = find_wait_cycle(&hunt.config).expect("the deadlock has a wait-for cycle");
+    assert_eq!(rescanned, witness);
 }

@@ -165,11 +165,26 @@ fn minimal_counterexamples_replay_and_beat_the_greedy_witness() {
             greedy_moves
         );
 
-        // Shrinking the hunt's workload finds the same minimal depth.
-        let shrunk = genoc::sim::shrink_witness(net, routing, &policy, &hunt.specs, false)
-            .unwrap_or_else(|| panic!("{}: small workload must shrink", instance.name));
+        // The hunt's workload, explored without symmetry and with ample
+        // sets, reaches its deadlock at the same minimal depth.
+        let asymmetric = explore_policy(
+            net,
+            routing,
+            &instance.meta,
+            &hunt.specs,
+            &policy,
+            &ExploreOptions {
+                symmetry: false,
+                por: true,
+                ..ExploreOptions::default()
+            },
+        )
+        .unwrap();
+        let direct = asymmetric
+            .counterexample()
+            .unwrap_or_else(|| panic!("{}: the hunt's workload must deadlock", instance.name));
         assert_eq!(
-            shrunk.len(),
+            direct.trace.len(),
             cex.trace.len(),
             "{}: two BFS explorations disagree on the minimal depth",
             instance.name

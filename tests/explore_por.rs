@@ -197,6 +197,44 @@ fn por_and_parallel_match_full_bfs_on_every_oracle_cell() {
     );
 }
 
+/// The 2×2 corner storm (four 4-flit worms across the mixed XY/YX mesh),
+/// explored without symmetry: the ample sets keep the full search's minimal
+/// deadlock depth, and the reduced search's trace replays into `Ω`.
+#[test]
+fn por_keeps_the_corner_storm_minimal_depth_without_symmetry() {
+    let instance = Instance::mesh_mixed(2, 2, 1);
+    let (net, routing) = (instance.net.as_ref(), instance.routing.as_ref());
+    let specs = genoc::sim::workload::bit_complement(&Mesh::new(2, 2, 1), 4);
+    let run = |por: bool| {
+        let options = ExploreOptions {
+            symmetry: false,
+            por,
+            ..ExploreOptions::default()
+        };
+        explore(net, routing, &instance.meta, &specs, &AlwaysAdmit, &options).unwrap()
+    };
+    let (reduced, full) = (run(true), run(false));
+    let trace = &reduced
+        .counterexample()
+        .expect("the corner storm deadlocks under POR")
+        .trace;
+    let full_trace = &full
+        .counterexample()
+        .expect("the corner storm deadlocks under the full search")
+        .trace;
+    assert_eq!(trace.len(), full_trace.len());
+    assert!(
+        reduced.states < full.states,
+        "the ample sets pruned nothing"
+    );
+    let replayed = replay(net, routing, &specs, trace).unwrap();
+    assert!(!replayed.travels().is_empty());
+    assert!(
+        !replayed.any_move_possible(),
+        "the minimal trace must replay into a deadlock"
+    );
+}
+
 /// A workload drawn as (source, dest, flits) triples, self-sends filtered.
 fn workload_strategy(
     nodes: usize,

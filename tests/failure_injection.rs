@@ -136,12 +136,23 @@ fn duplicate_travel_ids_are_rejected_by_push_travel() {
 }
 
 #[test]
+fn lazy_policy_fails_c5_at_its_first_step() {
+    let report = check_c5_with(&Instance::mesh_xy(2, 2, 1), &mut LazyPolicy, 2);
+    assert!(!report.holds());
+    assert_eq!(report.cases, 1);
+    assert_eq!(
+        report.violations,
+        vec!["step 0: no flit moved although ¬Ω".to_string()]
+    );
+}
+
+#[test]
 fn cycle_extraction_refuses_live_configurations() {
     let mesh = Mesh::new(3, 3, 1);
     let routing = XyRouting::new(&mesh);
     let specs = [MessageSpec::new(mesh.node(0, 0), mesh.node(2, 2), 3)];
     let cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
-    assert!(cycle_from_deadlock(&mesh, &cfg).is_err());
+    assert!(find_wait_cycle(&cfg).is_none());
 }
 
 #[test]

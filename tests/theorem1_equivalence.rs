@@ -8,8 +8,9 @@
 //!   a cycle of the graph — on every distinct instance of the campaign
 //!   matrices too;
 //! * cyclic + deterministic ⟹ the cycle compiles into a verified `Ω`
-//!   configuration (sufficiency) and — where the hunter finds one — a live
-//!   deadlock decompiles into a valid dependency cycle (necessity);
+//!   configuration (sufficiency), and that configuration — like a live
+//!   deadlock, where the hunter finds one — decompiles through its wait-for
+//!   cycle (`find_wait_cycle`) into a valid dependency cycle (necessity);
 //! * acyclic + deterministic ⟹ a bounded randomized hunt finds no deadlock;
 //! * the Dally–Seitz channel graph agrees with the port graph on cyclicity.
 
@@ -166,6 +167,40 @@ fn sufficiency_cycles_compile_into_verified_deadlocks() {
     }
 }
 
+/// Both constructions of the proof, composed: the deadlock compiled from a
+/// cyclic deterministic instance's cycle decompiles, through its wait-for
+/// cycle, into a cycle of the dependency graph.
+#[test]
+fn compiled_deadlocks_decompile_into_dependency_cycles() {
+    let mut checked = 0;
+    for instance in Instance::standard_suite() {
+        if !instance.deterministic || instance.expect_acyclic {
+            continue;
+        }
+        let analysis = instance.analysis();
+        let cycle = analysis.acyclicity.cycle().expect("cyclic instance");
+        let witness = deadlock_from_cycle(instance.net.as_ref(), instance.routing.as_ref(), cycle)
+            .unwrap_or_else(|e| panic!("{}: witness compilation failed: {e}", instance.name));
+        let extracted = find_wait_cycle(&witness.config).unwrap_or_else(|| {
+            panic!(
+                "{}: the compiled deadlock has no wait-for cycle",
+                instance.name
+            )
+        });
+        assert!(
+            is_cycle_of(&analysis.graph, &extracted.ports),
+            "{}: {:?} is not a dependency cycle",
+            instance.name,
+            extracted.ports
+        );
+        checked += 1;
+    }
+    assert!(
+        checked > 0,
+        "the suite has no cyclic deterministic instance"
+    );
+}
+
 #[test]
 fn necessity_live_deadlocks_decompile_into_cycles() {
     // Adversarial workloads that reliably deadlock their cyclic router.
@@ -201,10 +236,10 @@ fn necessity_live_deadlocks_decompile_into_cycles() {
         let hunt = hunt_workload(net, routing, &mut Switching::default(), &specs, 0, 50_000)
             .unwrap()
             .unwrap_or_else(|| panic!("{}: adversarial workload did not deadlock", instance.name));
-        let cycle = cycle_from_deadlock(net, &hunt.config)
-            .unwrap_or_else(|e| panic!("{}: extraction failed: {e}", instance.name));
+        let cycle = find_wait_cycle(&hunt.config)
+            .unwrap_or_else(|| panic!("{}: the deadlock has no wait-for cycle", instance.name));
         assert!(
-            is_cycle_of(&g, &cycle),
+            is_cycle_of(&g, &cycle.ports),
             "{}: extracted walk is not a dependency cycle",
             instance.name
         );
@@ -260,9 +295,9 @@ fn adaptive_deadlocks_decompile_into_adaptive_cycles() {
         )
         .unwrap();
         if r.outcome == genoc_core::interpreter::Outcome::Deadlock {
-            let cycle = cycle_from_deadlock(&mesh, &r.config).unwrap();
+            let cycle = find_wait_cycle(&r.config).expect("a deadlock has a wait-for cycle");
             assert!(
-                is_cycle_of(&g, &cycle),
+                is_cycle_of(&g, &cycle.ports),
                 "adaptive cycle must lie in the adaptive dependency graph"
             );
             return;
