@@ -122,6 +122,7 @@ mod tests {
     use super::*;
     use crate::build::port_dependency_graph;
     use crate::cycle::acyclicity;
+    use genoc_core::blocking::find_wait_cycle;
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::ring::RingShortestRouting;
     use genoc_topology::mesh::Mesh;
@@ -155,6 +156,16 @@ mod tests {
         let witness = deadlock_from_cycle(&ring, &routing, cycle).unwrap();
         witness.config.validate(&ring).unwrap();
         assert!(!witness.config.any_move_possible());
+    }
+
+    #[test]
+    fn non_deadlock_is_rejected() {
+        // The necessity walk (`find_wait_cycle`) finds no cycle to extract
+        // from a configuration that is not a deadlock.
+        let mesh = Mesh::new(2, 2, 1);
+        let routing = MixedXyYxRouting::new(&mesh);
+        let cfg = Config::from_specs(&mesh, &routing, &[]).unwrap();
+        assert!(find_wait_cycle(&cfg).is_none());
     }
 
     #[test]

@@ -130,6 +130,10 @@ pub fn hunt_workload(
 mod tests {
     use super::*;
     use crate::workload::{bit_complement, ring_offset};
+    use genoc_core::meta::{InstanceMeta, RoutingKind};
+    use genoc_core::moves::Move;
+    use genoc_core::step::{AlwaysAdmit, HeadAdmission};
+    use genoc_explore::{explore, replay, ExploreOptions};
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::ring::RingShortestRouting;
     use genoc_routing::xy::XyRouting;
@@ -159,6 +163,68 @@ mod tests {
         for &m in &witness.msgs {
             assert!(hunt.config.travel_by_id(m).is_some());
         }
+    }
+
+    /// A BFS-minimal move trace to a deadlock of `specs`, from an exhaustive
+    /// search of the workload's interleavings without symmetry reduction;
+    /// `por` switches the ample sets on.
+    fn minimal_trace(
+        mesh: &Mesh,
+        routing: &MixedXyYxRouting,
+        policy: &Switching,
+        specs: &[MessageSpec],
+        por: bool,
+    ) -> Option<Vec<Move>> {
+        let admission = policy
+            .kernel_spec()
+            .map_or(&AlwaysAdmit as &dyn HeadAdmission, |s| s.admission);
+        let meta = InstanceMeta::new(RoutingKind::MixedXyYx, mesh.width(), mesh.height(), 1);
+        let options = ExploreOptions {
+            symmetry: false,
+            por,
+            ..ExploreOptions::default()
+        };
+        let result = explore(mesh, routing, &meta, specs, admission, &options).ok()?;
+        result.counterexample().map(|cex| cex.trace.clone())
+    }
+
+    #[test]
+    fn corner_storm_witness_shrinks_to_a_minimal_replayable_trace() {
+        let mesh = Mesh::new(2, 2, 1);
+        let routing = MixedXyYxRouting::new(&mesh);
+        let specs = bit_complement(&mesh, 4);
+        let mut policy = Switching::default();
+        let hunt = hunt_workload(&mesh, &routing, &mut policy, &specs, 0, 10_000)
+            .unwrap()
+            .expect("the four-corner storm must deadlock mixed routing");
+        let trace = minimal_trace(&mesh, &routing, &policy, &hunt.specs, true)
+            .expect("the hunted workload deadlocks under exhaustive search");
+        // The minimal trace is single-flit moves; the greedy run took
+        // `steps` kernel rounds, each moving many flits.
+        assert!(!trace.is_empty());
+        let replayed = replay(&mesh, &routing, &specs, &trace).expect("the minimal trace replays");
+        assert!(
+            !replayed.any_move_possible(),
+            "replaying the minimal trace must land in a deadlock"
+        );
+        assert!(!replayed.travels().is_empty());
+    }
+
+    #[test]
+    fn por_shrink_matches_the_full_bfs_shrink_length() {
+        let mesh = Mesh::new(2, 2, 1);
+        let routing = MixedXyYxRouting::new(&mesh);
+        let specs = bit_complement(&mesh, 4);
+        let policy = Switching::default();
+        let por = minimal_trace(&mesh, &routing, &policy, &specs, true)
+            .expect("POR search finds the corner-storm deadlock");
+        let full = minimal_trace(&mesh, &routing, &policy, &specs, false)
+            .expect("full-BFS search finds the corner-storm deadlock");
+        // Ample sets preserve minimal deadlock depth, so both searches
+        // must report traces of identical length.
+        assert_eq!(por.len(), full.len());
+        let replayed = replay(&mesh, &routing, &specs, &por).unwrap();
+        assert!(!replayed.any_move_possible());
     }
 
     #[test]
