@@ -36,15 +36,10 @@ impl ScenarioSpec {
         )
     }
 
-    /// The packet length the scenario's workloads may use: `preferred`,
-    /// capped at the port capacity for policies that only admit packets
-    /// fitting whole into one buffer (cut-through, store-and-forward).
+    /// The packet length the scenario's workloads may use:
+    /// [`SwitchingKind::workload_flits`] at the scenario's port capacity.
     pub fn workload_flits(&self, preferred: usize) -> usize {
-        if self.switching.requires_whole_packet_buffering() {
-            preferred.min(self.meta.capacity as usize).max(1)
-        } else {
-            preferred.max(1)
-        }
+        self.switching.workload_flits(preferred, self.meta.capacity)
     }
 }
 

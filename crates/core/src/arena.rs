@@ -109,9 +109,9 @@
 use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::ids::{MsgId, PortId};
-use crate::interpreter::{Outcome, RunOptions, RunResult};
 use crate::kernel::{Transition, TravelStatus};
 use crate::meta::SwitchingKind;
+use crate::moves::MoveKind;
 use crate::network::Network;
 use crate::switching::{KernelSpec, StepReport};
 use crate::trace::{Trace, Zone};
@@ -540,24 +540,6 @@ impl ArenaConfig {
         Ok(slot)
     }
 
-    /// Batch injection: pushes a cohort of travels after one reservation
-    /// pass over the pools, so campaign shards inject whole workloads
-    /// without per-travel reallocation. Equivalent to pushing each travel
-    /// in order (and tested to be — see `tests/arena_equivalence.rs`).
-    ///
-    /// # Errors
-    ///
-    /// As [`push_travel`](Self::push_travel); travels before the failing
-    /// one remain injected.
-    pub fn push_batch(&mut self, net: &dyn Network, travels: &[Travel]) -> Result<Vec<u32>> {
-        self.route_pool
-            .reserve(travels.iter().map(|t| t.route().len()).sum());
-        self.flit_pool
-            .reserve(travels.iter().map(Travel::flit_count).sum());
-        self.flight.reserve(travels.len());
-        travels.iter().map(|t| self.push_travel(net, t)).collect()
-    }
-
     /// Removes an in-flight travel, returning its buffers and owned ports
     /// to the network and its slot to the free list. The arena analogue of
     /// `Config::remove_travel` (abort-based recovery).
@@ -895,18 +877,6 @@ impl ArenaConfig {
     }
 }
 
-/// A single flit move, recorded (when enabled) for lock-step replay onto a
-/// shadow [`Config`] by hooked/observed runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MoveKind {
-    /// Source IP core → `route[0]`.
-    Enter,
-    /// One hop along the route.
-    Advance,
-    /// Destination port → destination IP core.
-    Eject,
-}
-
 /// One recorded move: which in-flight travel (by its index in the flight
 /// list, which mirrors `Config::travels()` order), which flit, what kind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -1020,7 +990,7 @@ impl ArenaKernel {
     }
 
     /// Makes the kernel observed or quiet (the default). An observed kernel
-    /// logs each step's moves (which hooked runs replay onto a shadow
+    /// logs each step's moves (which listened runs replay onto a shadow
     /// `Config`), status transitions and freed ports, and wakes a port's
     /// waiters whenever a flit leaves it. A quiet kernel keeps no log and
     /// wakes them only when a tail releases the port, the one leave that can
@@ -1040,12 +1010,7 @@ impl ArenaKernel {
     /// [`Error::Invariant`] for the first move `shadow` does not admit.
     pub fn replay_moves(&self, shadow: &mut Config) -> Result<usize> {
         for mv in &self.moves {
-            let (i, f) = (mv.travel as usize, mv.flit as usize);
-            match mv.kind {
-                MoveKind::Enter => shadow.enter_flit(i, f)?,
-                MoveKind::Advance => shadow.advance_flit(i, f)?,
-                MoveKind::Eject => shadow.eject_flit(i, f)?,
-            }
+            shadow.move_flit(mv.travel as usize, mv.flit as usize, mv.kind)?;
         }
         Ok(self.moves.len())
     }
@@ -1618,111 +1583,10 @@ impl ArenaKernel {
     }
 }
 
-fn audit_arena_ledger(arena: &ArenaConfig, ledger: u64, step: u64) -> Result<()> {
-    let actual = arena.progress_measure();
-    if actual != ledger {
-        return Err(Error::Invariant(format!(
-            "arena measure ledger diverged at step {step}: tracked {ledger}, actual {actual} \
-             — some move did not decrease the progress measure by exactly one"
-        )));
-    }
-    Ok(())
-}
-
-/// Runs a closed workload to completion on the arena stepper: the loop of
-/// [`interpreter::run`](crate::interpreter::run) (same termination order)
-/// over [`ArenaConfig`] columns. The (C-5) contracts are enforced
-/// incrementally: a step that moves nothing on a non-deadlocked
-/// configuration is a [`Error::ProgressViolation`], and since every flit
-/// move decreases the progress measure by exactly one, the measure ledger is
-/// maintained by subtraction and audited against a full recomputation at
-/// termination (and per step when [`RunOptions::check_invariants`] is set)
-/// instead of being recomputed every step.
-///
-/// Injection is identity-only (the paper's time-0 release); campaign and
-/// sim callers inject by building the starting configuration.
-///
-/// The result's configuration is `cfg` itself, re-seated by
-/// [`ArenaConfig::write_back`]; debug builds also build
-/// [`ArenaConfig::to_config`] and assert the two equal.
-///
-/// # Errors
-///
-/// Returns [`Error::Invariant`] when the policy's admission predicate has
-/// no closed-world [`SwitchingKind`] description, and contract violations as
-/// the interpreter does.
-pub fn run_arena(
-    net: &dyn Network,
-    spec: KernelSpec,
-    mut cfg: Config,
-    options: &RunOptions,
-) -> Result<RunResult> {
-    let Some(aspec) = ArenaSpec::from_kernel_spec(&spec) else {
-        return Err(Error::Invariant(
-            "arena stepper requires an admission predicate with a closed-world SwitchingKind"
-                .to_string(),
-        ));
-    };
-    // `cfg` sits untouched beside the arena until the write-back at the end.
-    let mut arena = ArenaConfig::from_config(net, &cfg)?;
-    let mut kernel = ArenaKernel::new(&arena, aspec);
-    let mut trace = Trace::new(options.record_trace);
-    let mut measures = Vec::new();
-    let mut arrival_order = Vec::new();
-    let mut steps: u64 = 0;
-    let mut ledger = arena.progress_measure();
-
-    let outcome = loop {
-        if arena.is_evacuated() {
-            break Outcome::Evacuated;
-        }
-        if kernel.is_deadlock(&arena) {
-            break Outcome::Deadlock;
-        }
-        if steps >= options.max_steps {
-            break Outcome::StepLimit;
-        }
-
-        trace.begin_step(steps);
-        let report = kernel.step(&mut arena, &mut trace)?;
-        if kernel.take_saw_arrival() {
-            kernel.drain_arrived(&mut arena);
-        }
-        arrival_order.extend_from_slice(kernel.newly_arrived());
-
-        if report.moves() == 0 {
-            return Err(Error::ProgressViolation { step: steps });
-        }
-        ledger = ledger.saturating_sub(report.moves() as u64);
-        if options.record_measures {
-            measures.push((arena.route_length_measure(), arena.progress_measure()));
-        }
-        if options.check_invariants {
-            arena.to_config(net)?.validate(net)?;
-            audit_arena_ledger(&arena, ledger, steps)?;
-        }
-        steps += 1;
-    };
-
-    audit_arena_ledger(&arena, ledger, steps)?;
-    arena.write_back(&mut cfg)?;
-    debug_assert_eq!(cfg, arena.to_config(net)?, "write-back ≡ to_config");
-    Ok(RunResult {
-        outcome,
-        steps,
-        config: cfg,
-        trace,
-        measures,
-        arrival_order,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::NodeId;
-    use crate::injection::IdentityInjection;
-    use crate::interpreter::run;
     use crate::line::{LineNetwork, LineRouting};
     use crate::spec::MessageSpec;
     use crate::step::AlwaysAdmit;
@@ -1767,27 +1631,6 @@ mod tests {
         assert_eq!(back.position_key(), cfg.position_key());
         assert_eq!(back.state_hash(), cfg.state_hash());
         back.validate(&net).unwrap();
-    }
-
-    #[test]
-    fn arena_run_matches_legacy_runs() {
-        for (nodes, cap, flits) in [(4, 1, 1), (5, 1, 3), (6, 2, 4), (7, 3, 2)] {
-            let (net, cfg) = contended_line(nodes, cap, flits);
-            let options = RunOptions {
-                record_trace: true,
-                check_invariants: true,
-                ..RunOptions::default()
-            };
-            let aren = run_arena(&net, spec(), cfg.clone(), &options).unwrap();
-            let mut policy = crate::line::LineSwitching::default();
-            let lega = run(&net, &IdentityInjection, &mut policy, cfg, &options).unwrap();
-            assert_eq!(aren.outcome, lega.outcome);
-            assert_eq!(aren.steps, lega.steps);
-            assert_eq!(aren.arrival_order, lega.arrival_order);
-            assert_eq!(aren.trace.events(), lega.trace.events());
-            assert_eq!(aren.config.position_key(), lega.config.position_key());
-            assert_eq!(aren.config.state_hash(), lega.config.state_hash());
-        }
     }
 
     #[test]
@@ -2325,23 +2168,5 @@ mod tests {
         let followed = run_out(&mut arena, &mut kernel);
         assert!(!followed.0.is_empty());
         assert_eq!(followed, run_out(&mut rebuilt, &mut rebuilt_kernel));
-    }
-
-    #[test]
-    fn non_closed_world_admission_is_rejected() {
-        struct Opaque;
-        impl crate::step::HeadAdmission for Opaque {
-            fn admit(&self, _: &Config, _: usize, _: crate::step::HeadMove) -> bool {
-                true
-            }
-        }
-        static OPAQUE: Opaque = Opaque;
-        let (net, cfg) = contended_line(4, 1, 1);
-        let spec = KernelSpec {
-            arbitration: Arbitration::FixedPriority,
-            admission: &OPAQUE,
-            first_step: 0,
-        };
-        assert!(run_arena(&net, spec, cfg, &RunOptions::default()).is_err());
     }
 }

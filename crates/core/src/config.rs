@@ -8,6 +8,7 @@
 
 use crate::error::{Error, Result};
 use crate::ids::{MsgId, PortId};
+use crate::moves::MoveKind;
 use crate::network::Network;
 use crate::routing::RoutingFunction;
 use crate::spec::MessageSpec;
@@ -457,6 +458,22 @@ impl Config {
         self.state.leave(port, id, is_tail)?;
         self.travels[i].set_flit_pos(flit, FlitPos::Delivered);
         Ok(())
+    }
+
+    /// Makes the single-flit move `kind` names with flit `flit` of travel
+    /// `i`: [`enter_flit`](Self::enter_flit),
+    /// [`advance_flit`](Self::advance_flit) or
+    /// [`eject_flit`](Self::eject_flit).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invariant`] if the move is not admissible.
+    pub fn move_flit(&mut self, i: usize, flit: usize, kind: MoveKind) -> Result<()> {
+        match kind {
+            MoveKind::Enter => self.enter_flit(i, flit),
+            MoveKind::Advance => self.advance_flit(i, flit),
+            MoveKind::Eject => self.eject_flit(i, flit),
+        }
     }
 
     /// Moves every fully-delivered travel from `T` to `A`, preserving order.

@@ -97,8 +97,8 @@ impl RunResult {
 /// Observer/actor interface for detector-instrumented runs.
 ///
 /// All methods have no-op defaults, so pure observers implement only
-/// [`after_step`](DetectorHook::after_step). Every hooked loop guarantees
-/// the following call discipline: `after_step` (or, on arena runs,
+/// [`after_step`](DetectorHook::after_step). Every loop that takes a hook
+/// guarantees the following call discipline: `after_step` (or, on arena runs,
 /// `after_kernel_step`) after every switching step (with newly arrived
 /// travels already drained), `on_deadlock` whenever the policy's `Ω` holds
 /// (return `true` after mutating the configuration to continue the run,
@@ -186,9 +186,9 @@ impl DetectorHook for NullHook {
     }
 }
 
-/// The guard every hooked loop runs once per iteration against a hook that
-/// answers "continue" forever without enabling a step (a recovery that never
-/// recovers). `idle_continues` counts its `true` answers since the last step.
+/// The guard every loop that takes a hook runs once per iteration against
+/// a hook that answers "continue" forever without enabling a step (a
+/// recovery that never recovers). `idle_continues` counts its `true` answers since the last step.
 ///
 /// # Errors
 ///

@@ -90,7 +90,7 @@ pub use crate::ids::{MsgId, NodeId, PortId};
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
-    pub use crate::arena::{run_arena, ArenaConfig, ArenaKernel, ArenaSpec, MoveRec};
+    pub use crate::arena::{ArenaConfig, ArenaKernel, ArenaSpec, MoveRec};
     pub use crate::blocking::{block_events, find_wait_cycle, BlockEvent, WaitCycle};
     pub use crate::config::Config;
     pub use crate::error::{Error, Result};

@@ -196,6 +196,18 @@ impl SwitchingKind {
     pub fn requires_whole_packet_buffering(self) -> bool {
         !matches!(self, SwitchingKind::Wormhole)
     }
+
+    /// The packet length a workload under this policy may use: `preferred`
+    /// (at least one flit), capped at the port `capacity` when
+    /// [`requires_whole_packet_buffering`](Self::requires_whole_packet_buffering)
+    /// holds, since a longer packet could never be admitted.
+    pub fn workload_flits(self, preferred: usize, capacity: u32) -> usize {
+        if self.requires_whole_packet_buffering() {
+            preferred.min(capacity as usize).max(1)
+        } else {
+            preferred.max(1)
+        }
+    }
 }
 
 /// Data-level identity of a concrete (topology, routing) instantiation.

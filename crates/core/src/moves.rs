@@ -126,11 +126,7 @@ impl<'a> MoveEnumerator<'a> {
         if self.flit_move(cfg, i, mv.flit) != Some(mv.kind) {
             return Err(Error::Invariant(format!("move {mv} is not admissible")));
         }
-        match mv.kind {
-            MoveKind::Enter => cfg.enter_flit(i, mv.flit),
-            MoveKind::Advance => cfg.advance_flit(i, mv.flit),
-            MoveKind::Eject => cfg.eject_flit(i, mv.flit),
-        }
+        cfg.move_flit(i, mv.flit, mv.kind)
     }
 }
 

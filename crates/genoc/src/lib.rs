@@ -83,7 +83,7 @@ pub mod prelude {
         CampaignReport, CheckStatus, EffortProfile, ScenarioMatrix, ScenarioMetrics,
         ScenarioOutcome, ScenarioSpec,
     };
-    pub use genoc_core::arena::{run_arena, ArenaConfig, ArenaKernel, ArenaSpec, MoveRec};
+    pub use genoc_core::arena::{ArenaConfig, ArenaKernel, ArenaSpec, MoveRec};
     pub use genoc_core::blocking::{block_events, find_wait_cycle, BlockEvent, WaitCycle};
     pub use genoc_core::config::Config;
     pub use genoc_core::ids::{MsgId, NodeId, PortId};

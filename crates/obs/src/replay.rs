@@ -17,7 +17,6 @@ use std::collections::VecDeque;
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
 use genoc_core::interpreter::Outcome;
-use genoc_core::moves::MoveKind;
 use genoc_core::network::Network;
 use genoc_core::travel::{FlitPos, Travel};
 use genoc_core::{MsgId, PortId};
@@ -198,11 +197,7 @@ pub fn replay_to(net: &dyn Network, events: &WalRecords, steps: u64) -> Result<C
                         format!("{msg} has {} flits", cfg.travels()[i].flit_count()),
                     ));
                 }
-                match kind {
-                    MoveKind::Enter => cfg.enter_flit(i, flit)?,
-                    MoveKind::Advance => cfg.advance_flit(i, flit)?,
-                    MoveKind::Eject => cfg.eject_flit(i, flit)?,
-                }
+                cfg.move_flit(i, flit, kind)?;
             }
             _ => {}
         }

@@ -6,8 +6,8 @@
 //!
 //! | arena | hook | observer | loop |
 //! |-------|------|----------|------|
-//! | yes   | —    | —        | [`run_arena`] |
-//! | yes   | any  | any      | the hooked arena loop ([`NullHook`] / [`NullObserver`] for the one missing) |
+//! | yes   | —    | —        | the arena loop, quiet: no shadow `Config`, no logs |
+//! | yes   | any  | any      | the arena loop, listened ([`NullHook`] / [`NullObserver`] for the one missing) |
 //! | no    | any  | yes      | none: [`Error::Invariant`] |
 //! | no    | any  | —        | [`run_hooked`], the reference loop ([`NullHook`] when none is given) |
 //!
@@ -24,11 +24,12 @@
 //! configuration when `Ω` holds (recovery), and may re-inject staged
 //! travels when the travel list drains.
 //!
-//! The arena has two loops because hooks and observers read and mutate `σ`
-//! as a [`Config`]: the hooked arena loop keeps a shadow `Config` in lock
-//! step for them, and [`run_arena`], with no one to show `σ` to, keeps none.
+//! The arena loop is one loop with two paths because hooks and observers
+//! read and mutate `σ` as a [`Config`]: a listened run keeps a shadow
+//! `Config` in lock step for them, and a quiet run, with no one to show `σ`
+//! to, keeps none and re-seats its `Config` once at the end.
 
-use genoc_core::arena::{run_arena, ArenaConfig, ArenaKernel, ArenaSpec};
+use genoc_core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc_core::config::Config;
 use genoc_core::error::{Error, Result};
 use genoc_core::injection::IdentityInjection;
@@ -138,10 +139,10 @@ pub fn simulate_config(
     hook: Option<&mut dyn DetectorHook>,
     observer: Option<&mut dyn RunObserver>,
 ) -> Result<SimResult> {
-    let arena = match options.stepper {
+    let aspec = match options.stepper {
         Stepper::Arena => policy
             .kernel_spec()
-            .and_then(|spec| Some((spec, ArenaSpec::from_kernel_spec(&spec)?))),
+            .and_then(|spec| ArenaSpec::from_kernel_spec(&spec)),
         Stepper::Legacy => None,
     };
     let run_options = RunOptions {
@@ -151,15 +152,17 @@ pub fn simulate_config(
         check_invariants: options.check_invariants,
     };
     let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
-    let run = match (arena, hook, observer) {
-        (Some((spec, _)), None, None) => run_arena(net, spec, cfg, &run_options)?,
-        (Some((_, aspec)), hook, observer) => hooked_arena_loop(
+    let run = match (aspec, hook, observer) {
+        (Some(aspec), None, None) => arena_loop(net, aspec, cfg, options, None)?,
+        (Some(aspec), hook, observer) => arena_loop(
             net,
             aspec,
             cfg,
             options,
-            hook.unwrap_or(&mut NullHook),
-            observer.unwrap_or(&mut NullObserver),
+            Some(Listeners {
+                hook: hook.unwrap_or(&mut NullHook),
+                observer: observer.unwrap_or(&mut NullObserver),
+            }),
         )?,
         (None, _, Some(_)) => {
             return Err(Error::Invariant(
@@ -179,7 +182,7 @@ pub fn simulate_config(
             hook.unwrap_or(&mut NullHook),
         )?,
     };
-    if arena.is_some() {
+    if aspec.is_some() {
         policy.note_kernel_steps(run.steps);
     }
     let latencies = if options.record_trace {
@@ -322,64 +325,97 @@ pub fn simulate_observed_config(
     simulate_config(net, policy, cfg, options, Some(hook), Some(observer))
 }
 
-/// The full (C-5) audit of the hooked arena loop: the ledger it carries
-/// against the shadow's measure, recomputed.
-fn audit_ledger(cfg: &Config, ledger: u64, step: u64) -> Result<()> {
-    let after = cfg.progress_measure();
-    if after == ledger {
+/// The full (C-5) audit: the ledger the arena loop carries against the
+/// `actual` measure, recomputed.
+fn audit_ledger(actual: u64, ledger: u64, step: u64) -> Result<()> {
+    if actual == ledger {
         return Ok(());
     }
-    let before = ledger;
     Err(Error::MeasureViolation {
         step,
-        before,
-        after,
+        before: ledger,
+        after: actual,
     })
 }
 
-/// The hooked/observed loop on the arena stepper. The arena drives every
-/// move; a *shadow* [`Config`] is kept in lock step by replaying the
-/// kernel's move log, so hooks and observers keep their `Config`-based
-/// interface (and stable public ids) unchanged. Replay is self-validating:
-/// every replayed move goes through the `Config` movement methods, which
-/// reject anything the legacy semantics would not do and lower the shadow's
-/// measure by one each. The (C-5) ledger is therefore carried, not
-/// recomputed: a step checks that it replayed as many moves as the arena
-/// counted, a hook mutation — applied to the arena in place, whichever
-/// callback made it ([`ArenaKernel::follow`]) — adjusts the ledger by the
-/// arena's own figures, and the full audit runs at every mutation and at
-/// termination, per step only under [`SimOptions::check_invariants`] and in
-/// debug builds. A step costs its moves, a recovery what it touched.
-fn hooked_arena_loop(
+/// What a listened arena run reports into: the caller's hook and observer,
+/// [`NullHook`] / [`NullObserver`] standing in for the one not given.
+struct Listeners<'a> {
+    hook: &'a mut dyn DetectorHook,
+    observer: &'a mut dyn RunObserver,
+}
+
+/// The loop on the arena stepper: the termination order of
+/// [`interpreter::run`](genoc_core::interpreter::run) (evacuated, then `Ω`,
+/// then the step limit) over [`ArenaConfig`] columns. A step that moves
+/// nothing on a non-deadlocked configuration is an
+/// [`Error::ProgressViolation`]; since every flit move lowers the progress
+/// measure by exactly one, the (C-5) ledger is carried by subtraction and
+/// audited against a full recomputation at termination and per step under
+/// [`SimOptions::check_invariants`], instead of being recomputed every
+/// step.
+///
+/// *Quiet* (`listeners` is `None`): the kernel keeps no logs, `cfg` sits
+/// untouched beside the arena until [`ArenaConfig::write_back`] re-seats it
+/// at the end (debug builds also build [`ArenaConfig::to_config`] and
+/// assert the two equal), and the ledger is audited against the arena's
+/// own measure.
+///
+/// *Listened*: hooks and observers read and mutate `σ` as a [`Config`], so
+/// `cfg` becomes a *shadow* kept in lock step by replaying the observed
+/// kernel's move log; they keep their `Config`-based interface (and stable
+/// public ids) unchanged. Replay is self-validating: every replayed move
+/// goes through the `Config` movement methods, which reject anything the
+/// legacy semantics would not do and lower the shadow's measure by one
+/// each. A step checks that it replayed as many moves as the arena counted,
+/// a hook mutation — applied to the arena in place, whichever callback made
+/// it ([`ArenaKernel::follow`]) — adjusts the ledger by the arena's own
+/// figures, and the full audit against the shadow runs at every mutation
+/// and at termination, per step also in debug builds. A step costs its
+/// moves, a recovery what it touched.
+fn arena_loop(
     net: &dyn Network,
     aspec: ArenaSpec,
     mut cfg: Config,
     options: &SimOptions,
-    hook: &mut dyn DetectorHook,
-    observer: &mut dyn RunObserver,
+    mut listeners: Option<Listeners<'_>>,
 ) -> Result<RunResult> {
     let mut arena = ArenaConfig::from_config(net, &cfg)?;
     let mut kernel = ArenaKernel::new(&arena, aspec);
-    kernel.set_observed(true);
-    let mut trace = Trace::new(options.record_trace || observer.wants_moves());
+    kernel.set_observed(listeners.is_some());
+    let wants_moves = listeners.as_ref().is_some_and(|l| l.observer.wants_moves());
+    let mut trace = Trace::new(options.record_trace || wants_moves);
     let mut arrival_order = Vec::new();
     let mut steps: u64 = 0;
     let mut idle_continues: u32 = 0;
-    let mut ledger = cfg.progress_measure();
+    let mut ledger = arena.progress_measure();
     // Index into the trace marking the start of the current step's moves,
     // so the observer sees exactly this step's slice.
     let mut moves_seen: usize = 0;
-    observer.on_run_start(net, &cfg)?;
+    if let Some(l) = &mut listeners {
+        l.observer.on_run_start(net, &cfg)?;
+    }
 
     let outcome = loop {
-        let mutated = if cfg.is_evacuated() {
-            if !hook.on_drained(net, &mut cfg, steps)? {
+        // The flight list mirrors the shadow's `T` at the top of every
+        // iteration (a step drains both, a mutation is followed), so the
+        // arena answers "evacuated" for either path.
+        let mutated = if arena.is_evacuated() {
+            let go_on = match &mut listeners {
+                Some(l) => l.hook.on_drained(net, &mut cfg, steps)?,
+                None => false,
+            };
+            if !go_on {
                 break Outcome::Evacuated;
             }
             idle_continues += 1;
             true
         } else if kernel.is_deadlock(&arena) {
-            if !hook.on_deadlock(net, &mut cfg, steps)? {
+            let go_on = match &mut listeners {
+                Some(l) => l.hook.on_deadlock(net, &mut cfg, steps)?,
+                None => false,
+            };
+            if !go_on {
                 break Outcome::Deadlock;
             }
             idle_continues += 1;
@@ -392,20 +428,36 @@ fn hooked_arena_loop(
             let report = kernel.step(&mut arena, &mut trace)?;
             // The flight list mirrors `cfg.travels()` order, across mutations
             // too, so the log's positions address the shadow's travels.
-            let replayed = kernel.replay_moves(&mut cfg)? as u64;
+            let replayed = if listeners.is_some() {
+                kernel.replay_moves(&mut cfg)? as u64
+            } else {
+                0
+            };
             if kernel.take_saw_arrival() {
                 kernel.drain_arrived(&mut arena);
-                let shadow_newly = cfg.drain_arrived();
-                debug_assert_eq!(shadow_newly, kernel.newly_arrived());
+                if listeners.is_some() {
+                    let shadow_newly = cfg.drain_arrived();
+                    debug_assert_eq!(shadow_newly, kernel.newly_arrived());
+                }
             }
             if report.moves() == 0 {
                 return Err(Error::ProgressViolation { step: steps });
             }
+            let before = ledger;
+            ledger = ledger.saturating_sub(report.moves() as u64);
+            let Some(l) = &mut listeners else {
+                if options.check_invariants {
+                    arena.to_config(net)?.validate(net)?;
+                    audit_ledger(arena.progress_measure(), ledger, steps)?;
+                }
+                arrival_order.extend_from_slice(kernel.newly_arrived());
+                steps += 1;
+                continue;
+            };
             // (C-5) before the hook may mutate, as the reference loop
             // checks it every step: the shadow agrees with the ledger exactly
             // when it was handed every move the arena counted.
-            let shadow = ledger.saturating_sub(replayed);
-            ledger = ledger.saturating_sub(report.moves() as u64);
+            let shadow = before.saturating_sub(replayed);
             if shadow != ledger {
                 return Err(Error::MeasureViolation {
                     step: steps,
@@ -417,11 +469,11 @@ fn hooked_arena_loop(
                 cfg.validate(net)?;
             }
             if options.check_invariants || cfg!(debug_assertions) {
-                audit_ledger(&cfg, ledger, steps)?;
+                audit_ledger(cfg.progress_measure(), ledger, steps)?;
             }
             // The observer sees the step before the hook may mutate, so a
             // log records the state the detector acted on, not its repair.
-            observer.on_step(
+            l.observer.on_step(
                 &cfg,
                 steps,
                 kernel.transitions(),
@@ -431,7 +483,9 @@ fn hooked_arena_loop(
             )?;
             moves_seen = trace.events().len();
             arrival_order.extend_from_slice(kernel.newly_arrived());
-            let mutated = hook.after_kernel_step(net, &mut cfg, kernel.transitions(), steps)?;
+            let mutated = l
+                .hook
+                .after_kernel_step(net, &mut cfg, kernel.transitions(), steps)?;
             steps += 1;
             idle_continues = 0;
             mutated
@@ -440,14 +494,25 @@ fn hooked_arena_loop(
             // Audited in full before the observer hears of it, so that no
             // recovery absorbs a violation that came before it.
             ledger = ledger.wrapping_add_signed(kernel.follow(net, &mut arena, &cfg)?);
-            audit_ledger(&cfg, ledger, steps)?;
-            observer.on_mutation(&cfg, steps)?;
+            audit_ledger(cfg.progress_measure(), ledger, steps)?;
+            if let Some(l) = &mut listeners {
+                l.observer.on_mutation(&cfg, steps)?;
+            }
         }
         check_idle_continues(idle_continues)?;
     };
 
-    audit_ledger(&cfg, ledger, steps)?;
-    observer.on_run_end(outcome, steps, &cfg)?;
+    match listeners {
+        None => {
+            audit_ledger(arena.progress_measure(), ledger, steps)?;
+            arena.write_back(&mut cfg)?;
+            debug_assert_eq!(cfg, arena.to_config(net)?, "write-back ≡ to_config");
+        }
+        Some(l) => {
+            audit_ledger(cfg.progress_measure(), ledger, steps)?;
+            l.observer.on_run_end(outcome, steps, &cfg)?;
+        }
+    }
     Ok(RunResult {
         outcome,
         steps,
@@ -508,6 +573,8 @@ pub(crate) fn per_message_latencies(run: &RunResult, injected: &[MsgId]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genoc_core::line::{LineNetwork, LineRouting, LineSwitching};
+    use genoc_core::NodeId;
     use genoc_routing::xy::XyRouting;
     use genoc_switching::Switching;
     use genoc_topology::mesh::Mesh;
@@ -575,6 +642,80 @@ mod tests {
             arena.run.config.position_key(),
             legacy.run.config.position_key()
         );
+    }
+
+    /// Messages from every node of a `nodes`-node line to either end, so
+    /// worms meet head-on and queue behind each other.
+    fn contended_line(nodes: usize, capacity: u32, flits: usize) -> (LineNetwork, Config) {
+        let net = LineNetwork::new(nodes, capacity);
+        let routing = LineRouting::new(&net);
+        let mut specs = Vec::new();
+        for i in 0..nodes - 1 {
+            specs.push(MessageSpec::new(
+                NodeId::from_index(i),
+                NodeId::from_index(nodes - 1),
+                flits,
+            ));
+            specs.push(MessageSpec::new(
+                NodeId::from_index(nodes - 1 - i),
+                NodeId::from_index(0),
+                flits,
+            ));
+        }
+        let cfg = Config::from_specs(&net, &routing, &specs).unwrap();
+        (net, cfg)
+    }
+
+    #[test]
+    fn arena_run_matches_legacy_runs() {
+        // Both paths of the arena loop, with the per-step validation and
+        // ledger audit on, against the reference interpreter.
+        for (nodes, cap, flits) in [(4, 1, 1), (5, 1, 3), (6, 2, 4), (7, 3, 2)] {
+            let (net, cfg) = contended_line(nodes, cap, flits);
+            let options = SimOptions {
+                record_trace: true,
+                check_invariants: true,
+                ..SimOptions::default()
+            };
+            let run_options = RunOptions {
+                record_trace: true,
+                check_invariants: true,
+                ..RunOptions::default()
+            };
+            let lega = genoc_core::interpreter::run(
+                &net,
+                &IdentityInjection,
+                &mut LineSwitching::default(),
+                cfg.clone(),
+                &run_options,
+            )
+            .unwrap();
+            for listened in [false, true] {
+                let mut policy = LineSwitching::default();
+                let aren = simulate_config(
+                    &net,
+                    &mut policy,
+                    cfg.clone(),
+                    &options,
+                    listened.then_some(&mut NullHook as &mut dyn DetectorHook),
+                    None,
+                )
+                .unwrap()
+                .run;
+                let cell =
+                    format!("line {nodes}, capacity {cap}, {flits} flits, listened {listened}");
+                assert_eq!(aren.outcome, lega.outcome, "{cell}");
+                assert_eq!(aren.steps, lega.steps, "{cell}");
+                assert_eq!(aren.arrival_order, lega.arrival_order, "{cell}");
+                assert_eq!(aren.trace.events(), lega.trace.events(), "{cell}");
+                assert_eq!(
+                    aren.config.position_key(),
+                    lega.config.position_key(),
+                    "{cell}"
+                );
+                assert_eq!(aren.config.state_hash(), lega.config.state_hash(), "{cell}");
+            }
+        }
     }
 
     #[test]
@@ -648,8 +789,8 @@ mod tests {
     }
 
     /// A hook and an observer that only count their per-step calls. As a
-    /// hook it keeps the trait's conservative `after_kernel_step`, so the
-    /// hooked arena loop resyncs the arena after every step.
+    /// hook it keeps the trait's conservative `after_kernel_step`, so a
+    /// listened arena run resyncs the arena after every step.
     #[derive(Default)]
     struct Tally {
         calls: u64,
@@ -734,7 +875,7 @@ mod tests {
                     let steps = run.run.steps;
                     // The reference loop steps the policy; the arena never does.
                     assert_eq!(policy.stepped, if on_arena { 0 } else { steps }, "{cell}");
-                    // A hook or observer puts an arena run on the hooked loop.
+                    // A hook or observer puts an arena run on the listened path.
                     assert_eq!(hook.calls, if hooked { steps } else { 0 }, "{cell}");
                     assert_eq!(observer.calls, if observed { steps } else { 0 }, "{cell}");
                     assert_eq!(run.run.outcome, legacy.run.outcome, "{cell}");

@@ -39,18 +39,12 @@ impl RecoverySummary {
         }
     }
 
-    /// Messages sacrificed or disturbed by recovery: aborts plus reroutes.
-    pub fn recovery_cost(&self) -> usize {
-        self.aborted.len() + self.rerouted.len()
-    }
-
     /// Records `ids` as aborted, skipping ids already on the abort list.
     ///
     /// A batch-injected cohort shares an injection step, so a
     /// drain-and-restart round can re-inject a message that a later cycle
     /// evicts again; counting it twice would break the
-    /// `delivered + aborted` accounting and inflate
-    /// [`recovery_cost`](RecoverySummary::recovery_cost).
+    /// `delivered + aborted` accounting.
     pub fn note_aborted(&mut self, ids: impl IntoIterator<Item = MsgId>) {
         for id in ids {
             if !self.aborted.contains(&id) {
@@ -121,19 +115,9 @@ pub fn mean(samples: &[u64]) -> f64 {
     }
 }
 
-/// The `p`-th percentile (0–100) of the samples, by the nearest-rank method.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or `p > 100`; [`try_percentile`] is the
-/// non-panicking variant for data that may legitimately be empty
-/// (e.g. a run that delivered nothing).
-pub fn percentile(samples: &[u64], p: u32) -> u64 {
-    try_percentile(samples, p).expect("percentile of empty sample set or p > 100")
-}
-
-/// [`percentile`] without the panics: `None` for an empty sample set or
-/// `p > 100`.
+/// The `p`-th percentile (0–100) of the samples, by the nearest-rank
+/// method: `None` for an empty sample set (a run that delivered nothing)
+/// or `p > 100`.
 pub fn try_percentile(samples: &[u64], p: u32) -> Option<u64> {
     if samples.is_empty() || p > 100 {
         return None;
@@ -165,9 +149,9 @@ mod tests {
     #[test]
     fn percentile_nearest_rank() {
         let samples = [10, 20, 30, 40, 50];
-        assert_eq!(percentile(&samples, 50), 30);
-        assert_eq!(percentile(&samples, 100), 50);
-        assert_eq!(percentile(&samples, 1), 10);
+        assert_eq!(try_percentile(&samples, 50), Some(30));
+        assert_eq!(try_percentile(&samples, 100), Some(50));
+        assert_eq!(try_percentile(&samples, 1), Some(10));
     }
 
     #[test]
@@ -181,8 +165,8 @@ mod tests {
         assert_eq!(try_percentile(&[7], 101), None);
         assert_eq!(try_percentile(&[7], 0), Some(7));
         let samples = [10, 20, 30, 40, 50];
-        for p in [0, 1, 50, 99, 100] {
-            assert_eq!(try_percentile(&samples, p), Some(percentile(&samples, p)));
+        for (p, rank) in [(0, 1), (1, 1), (50, 3), (99, 5), (100, 5)] {
+            assert_eq!(try_percentile(&samples, p), Some(samples[rank - 1]));
         }
     }
 
@@ -192,7 +176,6 @@ mod tests {
         // figure degrades to zero/None instead of dividing by zero.
         let s = RecoverySummary::default();
         assert_eq!(s.detection_latency(), None);
-        assert_eq!(s.recovery_cost(), 0);
         assert_eq!(s.throughput(), 0.0);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(try_percentile(&[], 99), None);
@@ -224,7 +207,7 @@ mod tests {
             ..RecoverySummary::default()
         };
         assert_eq!(s.detection_latency(), Some(32));
-        assert_eq!(s.recovery_cost(), 3);
+        assert_eq!(s.aborted.len() + s.rerouted.len(), 3);
         assert!((s.throughput() - 0.25).abs() < 1e-9);
         assert_eq!(RecoverySummary::default().detection_latency(), None);
         assert_eq!(RecoverySummary::default().throughput(), 0.0);
@@ -260,7 +243,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            s.recovery_cost(),
+            s.aborted.len() + s.rerouted.len(),
             6,
             "3 distinct aborts + 3 distinct reroutes"
         );

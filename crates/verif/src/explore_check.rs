@@ -189,13 +189,7 @@ pub fn explore_check(
     let mut violations = Vec::new();
     let mut counterexample_found = false;
 
-    let cap_flits = |preferred: usize| {
-        if switching.requires_whole_packet_buffering() {
-            preferred.min(instance.meta.capacity as usize).max(1)
-        } else {
-            preferred.max(1)
-        }
-    };
+    let cap_flits = |preferred| switching.workload_flits(preferred, instance.meta.capacity);
 
     // Exhaustive tier: few messages, complete enumeration required.
     let flits = cap_flits(EXHAUSTIVE_FLITS);

@@ -64,50 +64,17 @@ impl Instance {
     /// The paper's instance: XY routing on a HERMES mesh, with its
     /// closed-form graph and ranking certificate attached.
     pub fn mesh_xy(width: usize, height: usize, capacity: u32) -> Instance {
-        let mesh = Mesh::new(width, height, capacity);
-        Instance {
-            name: format!("mesh-{width}x{height}/xy"),
-            meta: InstanceMeta::new(RoutingKind::Xy, width, height, capacity),
-            routing: Box::new(XyRouting::new(&mesh)),
-            deterministic: true,
-            expect_acyclic: true,
-            closed_form: Some(xy_mesh_dependency_graph(&mesh)),
-            ranking: Some(xy_mesh_ranking(&mesh)),
-            net: Box::new(mesh),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::Xy, width, height, capacity)
     }
 
     /// YX routing on a mesh (deadlock-free twin of XY).
     pub fn mesh_yx(width: usize, height: usize, capacity: u32) -> Instance {
-        let mesh = Mesh::new(width, height, capacity);
-        Instance {
-            name: format!("mesh-{width}x{height}/yx"),
-            meta: InstanceMeta::new(RoutingKind::Yx, width, height, capacity),
-            routing: Box::new(YxRouting::new(&mesh)),
-            deterministic: true,
-            expect_acyclic: true,
-            closed_form: None,
-            ranking: None,
-            net: Box::new(mesh),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::Yx, width, height, capacity)
     }
 
     /// The deliberately deadlock-prone deterministic XY/YX mixture.
     pub fn mesh_mixed(width: usize, height: usize, capacity: u32) -> Instance {
-        let mesh = Mesh::new(width, height, capacity);
-        Instance {
-            name: format!("mesh-{width}x{height}/xy-yx-mixed"),
-            meta: InstanceMeta::new(RoutingKind::MixedXyYx, width, height, capacity),
-            routing: Box::new(MixedXyYxRouting::new(&mesh)),
-            deterministic: true,
-            expect_acyclic: !(width >= 2 && height >= 2),
-            closed_form: None,
-            ranking: None,
-            net: Box::new(mesh),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::MixedXyYx, width, height, capacity)
     }
 
     /// An adaptive turn-model router on a mesh (acyclic dependency graph).
@@ -117,39 +84,17 @@ impl Instance {
         capacity: u32,
         model: TurnModel,
     ) -> Instance {
-        let mesh = Mesh::new(width, height, capacity);
-        let routing_kind = match model {
+        let routing = match model {
             TurnModel::WestFirst => RoutingKind::WestFirst,
             TurnModel::NorthLast => RoutingKind::NorthLast,
             TurnModel::NegativeFirst => RoutingKind::NegativeFirst,
         };
-        Instance {
-            name: format!("mesh-{width}x{height}/{}", model.label()),
-            meta: InstanceMeta::new(routing_kind, width, height, capacity),
-            routing: Box::new(TurnModelRouting::new(&mesh, model)),
-            deterministic: false,
-            expect_acyclic: true,
-            closed_form: None,
-            ranking: None,
-            net: Box::new(mesh),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(routing, width, height, capacity)
     }
 
     /// Fully adaptive minimal routing on a mesh (cyclic dependency graph).
     pub fn mesh_adaptive(width: usize, height: usize, capacity: u32) -> Instance {
-        let mesh = Mesh::new(width, height, capacity);
-        Instance {
-            name: format!("mesh-{width}x{height}/minimal-adaptive"),
-            meta: InstanceMeta::new(RoutingKind::MinimalAdaptive, width, height, capacity),
-            routing: Box::new(MinimalAdaptiveRouting::new(&mesh)),
-            deterministic: false,
-            expect_acyclic: !(width >= 2 && height >= 2),
-            closed_form: None,
-            ranking: None,
-            net: Box::new(mesh),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::MinimalAdaptive, width, height, capacity)
     }
 
     /// Shortest-path routing on a plain ring. Cyclic for four or more
@@ -157,34 +102,12 @@ impl Instance {
     /// clockwise), chaining the clockwise channels all the way around. On
     /// two or three nodes every journey is a single hop, so no chain forms.
     pub fn ring_shortest(nodes: usize, capacity: u32) -> Instance {
-        let ring = Ring::new(nodes, capacity);
-        Instance {
-            name: format!("ring-{nodes}/shortest"),
-            meta: InstanceMeta::new(RoutingKind::RingShortest, nodes, 1, capacity),
-            routing: Box::new(RingShortestRouting::new(&ring)),
-            deterministic: true,
-            expect_acyclic: nodes < 4,
-            closed_form: None,
-            ranking: None,
-            net: Box::new(ring),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::RingShortest, nodes, 1, capacity)
     }
 
     /// Dateline routing on a two-VC ring (acyclic).
     pub fn ring_dateline(nodes: usize, capacity: u32) -> Instance {
-        let ring = Ring::with_vcs(nodes, 2, capacity);
-        Instance {
-            name: format!("ring-{nodes}-vc2/dateline"),
-            meta: InstanceMeta::new(RoutingKind::RingDateline, nodes, 1, capacity),
-            routing: Box::new(RingDatelineRouting::new(&ring)),
-            deterministic: true,
-            expect_acyclic: true,
-            closed_form: None,
-            ranking: None,
-            net: Box::new(ring),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::RingDateline, nodes, 1, capacity)
     }
 
     /// Dimension-order routing on a plain torus. A dimension of side 4+
@@ -192,69 +115,25 @@ impl Instance {
     /// east/south), chaining that dimension's channels into a cycle; sides
     /// of 2 or 3 only ever take single hops per direction.
     pub fn torus_dor(width: usize, height: usize, capacity: u32) -> Instance {
-        let torus = Torus::new(width, height, capacity);
-        Instance {
-            name: format!("torus-{width}x{height}/dor"),
-            meta: InstanceMeta::new(RoutingKind::TorusDor, width, height, capacity),
-            routing: Box::new(TorusDorRouting::new(&torus)),
-            deterministic: true,
-            expect_acyclic: width < 4 && height < 4,
-            closed_form: None,
-            ranking: None,
-            net: Box::new(torus),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::TorusDor, width, height, capacity)
     }
 
     /// Dimension-order routing with per-dimension datelines on a two-VC
     /// torus (acyclic).
     pub fn torus_dor_dateline(width: usize, height: usize, capacity: u32) -> Instance {
-        let torus = Torus::with_vcs(width, height, 2, capacity);
-        Instance {
-            name: format!("torus-{width}x{height}-vc2/dor-dateline"),
-            meta: InstanceMeta::new(RoutingKind::TorusDorDateline, width, height, capacity),
-            routing: Box::new(TorusDorDatelineRouting::new(&torus)),
-            deterministic: true,
-            expect_acyclic: true,
-            closed_form: None,
-            ranking: None,
-            net: Box::new(torus),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::TorusDorDateline, width, height, capacity)
     }
 
     /// Across-first routing on a plain Spidergon. Cyclic from 8 nodes up:
     /// quarter arcs of two or more hops chain the ring channels around; with
     /// 4 or 6 nodes every ring leg is a single hop.
     pub fn spidergon_across_first(size: usize, capacity: u32) -> Instance {
-        let s = Spidergon::new(size, capacity);
-        Instance {
-            name: format!("spidergon-{size}/across-first"),
-            meta: InstanceMeta::new(RoutingKind::AcrossFirst, size, 1, capacity),
-            routing: Box::new(AcrossFirstRouting::new(&s)),
-            deterministic: true,
-            expect_acyclic: size < 8,
-            closed_form: None,
-            ranking: None,
-            net: Box::new(s),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::AcrossFirst, size, 1, capacity)
     }
 
     /// Across-first with dateline ring VCs on a Spidergon (acyclic).
     pub fn spidergon_across_first_dateline(size: usize, capacity: u32) -> Instance {
-        let s = Spidergon::with_vcs(size, 2, capacity);
-        Instance {
-            name: format!("spidergon-{size}-vc2/across-first-dateline"),
-            meta: InstanceMeta::new(RoutingKind::AcrossFirstDateline, size, 1, capacity),
-            routing: Box::new(AcrossFirstDatelineRouting::new(&s)),
-            deterministic: true,
-            expect_acyclic: true,
-            closed_form: None,
-            ranking: None,
-            net: Box::new(s),
-            analysis: OnceLock::new(),
-        }
+        Instance::build(RoutingKind::AcrossFirstDateline, size, 1, capacity)
     }
 
     /// The exhaustive dependency graph and reachability relation `s R d` of
@@ -269,10 +148,10 @@ impl Instance {
 
     /// Builds the instance a metadata record describes.
     ///
-    /// This is the inverse of reading [`Instance::meta`]: every constructor
-    /// above produces a `meta` that `from_meta` maps back to an equivalent
-    /// instance, and every well-formed combination a scenario matrix can
-    /// emit is constructible here.
+    /// This is the inverse of reading [`Instance::meta`]: every named
+    /// constructor above is this builder on the record it names, and every
+    /// well-formed combination a scenario matrix can emit is constructible
+    /// here.
     ///
     /// # Errors
     ///
@@ -281,30 +160,82 @@ impl Instance {
     /// missing VCs, zero capacity, …).
     pub fn from_meta(meta: &InstanceMeta) -> Result<Instance, String> {
         meta.is_well_formed()?;
-        let (w, h, c) = (meta.width, meta.height, meta.capacity);
-        Ok(match meta.routing {
-            RoutingKind::Xy => Instance::mesh_xy(w, h, c),
-            RoutingKind::Yx => Instance::mesh_yx(w, h, c),
-            RoutingKind::MixedXyYx => Instance::mesh_mixed(w, h, c),
-            RoutingKind::WestFirst => Instance::mesh_turn_model(w, h, c, TurnModel::WestFirst),
-            RoutingKind::NorthLast => Instance::mesh_turn_model(w, h, c, TurnModel::NorthLast),
-            RoutingKind::NegativeFirst => {
-                Instance::mesh_turn_model(w, h, c, TurnModel::NegativeFirst)
+        Ok(Instance::build(
+            meta.routing,
+            meta.width,
+            meta.height,
+            meta.capacity,
+        ))
+    }
+
+    /// [`from_meta`](Self::from_meta) without the well-formedness check, on
+    /// the record [`InstanceMeta::new`] makes of its arguments: the name and
+    /// the determinism flag are read off that record, the network and the
+    /// routing function come from one match on the routing kind.
+    fn build(kind: RoutingKind, width: usize, height: usize, capacity: u32) -> Instance {
+        let meta = InstanceMeta::new(kind, width, height, capacity);
+        let (w, h, c, vcs) = (width, height, capacity, meta.vcs);
+        let mesh = || Mesh::new(w, h, c);
+        let turn_model = |model| boxed(mesh(), |m| TurnModelRouting::new(m, model));
+        let mut certificate = None;
+        let (net, routing) = match kind {
+            RoutingKind::Xy => {
+                let mesh = mesh();
+                certificate = Some((xy_mesh_dependency_graph(&mesh), xy_mesh_ranking(&mesh)));
+                boxed(mesh, XyRouting::new)
             }
-            RoutingKind::MinimalAdaptive => Instance::mesh_adaptive(w, h, c),
-            RoutingKind::RingShortest => Instance::ring_shortest(w, c),
-            RoutingKind::RingDateline => Instance::ring_dateline(w, c),
-            RoutingKind::TorusDor => Instance::torus_dor(w, h, c),
-            RoutingKind::TorusDorDateline => Instance::torus_dor_dateline(w, h, c),
-            RoutingKind::AcrossFirst => Instance::spidergon_across_first(w, c),
-            RoutingKind::AcrossFirstDateline => Instance::spidergon_across_first_dateline(w, c),
-        })
+            RoutingKind::Yx => boxed(mesh(), YxRouting::new),
+            RoutingKind::MixedXyYx => boxed(mesh(), MixedXyYxRouting::new),
+            RoutingKind::WestFirst => turn_model(TurnModel::WestFirst),
+            RoutingKind::NorthLast => turn_model(TurnModel::NorthLast),
+            RoutingKind::NegativeFirst => turn_model(TurnModel::NegativeFirst),
+            RoutingKind::MinimalAdaptive => boxed(mesh(), MinimalAdaptiveRouting::new),
+            RoutingKind::RingShortest => boxed(Ring::new(w, c), RingShortestRouting::new),
+            RoutingKind::RingDateline => boxed(Ring::with_vcs(w, vcs, c), RingDatelineRouting::new),
+            RoutingKind::TorusDor => boxed(Torus::new(w, h, c), TorusDorRouting::new),
+            RoutingKind::TorusDorDateline => {
+                boxed(Torus::with_vcs(w, h, vcs, c), TorusDorDatelineRouting::new)
+            }
+            RoutingKind::AcrossFirst => boxed(Spidergon::new(w, c), AcrossFirstRouting::new),
+            RoutingKind::AcrossFirstDateline => boxed(
+                Spidergon::with_vcs(w, vcs, c),
+                AcrossFirstDatelineRouting::new,
+            ),
+        };
+        // Cyclic where the named constructors' documentation says why.
+        let expect_acyclic = match kind {
+            RoutingKind::MixedXyYx | RoutingKind::MinimalAdaptive => !(w >= 2 && h >= 2),
+            RoutingKind::RingShortest => w < 4,
+            RoutingKind::TorusDor => w < 4 && h < 4,
+            RoutingKind::AcrossFirst => w < 8,
+            RoutingKind::Xy
+            | RoutingKind::Yx
+            | RoutingKind::WestFirst
+            | RoutingKind::NorthLast
+            | RoutingKind::NegativeFirst
+            | RoutingKind::RingDateline
+            | RoutingKind::TorusDorDateline
+            | RoutingKind::AcrossFirstDateline => true,
+        };
+        let (closed_form, ranking) = certificate.unzip();
+        Instance {
+            name: meta.instance_name(),
+            meta,
+            net,
+            routing,
+            deterministic: kind.is_deterministic(),
+            expect_acyclic,
+            closed_form,
+            ranking,
+            analysis: OnceLock::new(),
+        }
     }
 
     /// Checks the invariants every registry instance maintains: the metadata
-    /// is well formed and its derived fields (name, determinism, node count)
-    /// agree with the live objects, certificates are only attached alongside
-    /// a closed-form graph, and the network is non-degenerate.
+    /// is well formed, the routing function is as deterministic as its kind
+    /// says, the network has the node count the metadata gives and is
+    /// non-degenerate, and certificates are only attached alongside a
+    /// closed-form graph that agrees with `expect_acyclic`.
     ///
     /// Scenario-matrix tests run this over every expanded instance, so a
     /// new constructor that fills the fields inconsistently is caught at the
@@ -318,22 +249,9 @@ impl Instance {
         if self.name.is_empty() {
             return Err("instance name is empty".into());
         }
-        if self.name != self.meta.instance_name() {
-            return Err(format!(
-                "name {:?} does not match meta name {:?}",
-                self.name,
-                self.meta.instance_name()
-            ));
-        }
         if self.deterministic != self.routing.is_deterministic() {
             return Err(format!(
                 "{}: deterministic flag {} disagrees with the routing function",
-                self.name, self.deterministic
-            ));
-        }
-        if self.deterministic != self.meta.routing.is_deterministic() {
-            return Err(format!(
-                "{}: deterministic flag {} disagrees with the routing kind",
                 self.name, self.deterministic
             ));
         }
@@ -409,6 +327,15 @@ impl Instance {
             Instance::spidergon_across_first_dateline(12, 1),
         ]
     }
+}
+
+/// A network and the routing function built on it, boxed.
+fn boxed<N: Network + 'static, R: RoutingFunction + 'static>(
+    net: N,
+    routing: impl FnOnce(&N) -> R,
+) -> (Box<dyn Network>, Box<dyn RoutingFunction>) {
+    let routing = routing(&net);
+    (Box::new(net), Box::new(routing))
 }
 
 #[cfg(test)]

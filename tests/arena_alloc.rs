@@ -136,7 +136,7 @@ struct EvictingRun {
 
 /// One run to evacuation in which the youngest travel still in flight after
 /// step `EVICT_AFTER` is removed from the arena in place and the kernel
-/// reclassifies (`resync`), as the hooked loop answers an abort.
+/// reclassifies (`resync`), as a listened arena run answers an abort.
 fn evicting_run(
     mesh: &Mesh,
     ids: &[MsgId],
@@ -209,7 +209,7 @@ fn stepping_allocates_nothing_after_warmup() {
     warmed_steps_allocate_nothing(true);
 }
 
-/// The same guard for a quiet kernel, the one `run_arena` steps: it keeps
+/// The same guard for a quiet kernel, the one a plain arena run steps: it keeps
 /// no log, so it has no transition feed to count re-parks from.
 #[test]
 fn quiet_stepping_allocates_nothing_after_warmup() {
@@ -267,8 +267,8 @@ fn warmed_steps_allocate_nothing(observed: bool) {
 /// in: on a drain-and-restart run — `DrainAll` evicts every travel at the
 /// first deadlock and `on_drained` pushes them back one at a time — the
 /// route and flit pools never exceed the arena the run started from plus the
-/// routes and flits of the travels actually pushed. The loop is the hooked
-/// arena loop's, cut down to what moves the arena.
+/// routes and flits of the travels actually pushed. The loop is the arena
+/// loop's listened path, cut down to what moves the arena.
 #[test]
 fn pools_grow_by_what_was_pushed_and_no_more() {
     let mesh = Mesh::new(4, 4, 1);

@@ -404,6 +404,10 @@ impl SwitchingPolicy for Sweep {
     fn is_deadlock(&self, _net: &dyn Network, cfg: &Config) -> bool {
         !cfg.is_evacuated() && !any_move_possible_with(cfg, self.spec.admission)
     }
+
+    fn kernel_spec(&self) -> Option<KernelSpec> {
+        Some(self.spec)
+    }
 }
 
 /// The run queue is a bitset over ranks, 64 to a word; the proptests above
@@ -428,6 +432,10 @@ fn multi_word_workloads_are_arena_invariant() {
         record_trace: true,
         ..RunOptions::default()
     };
+    let sim = SimOptions {
+        record_trace: true,
+        ..SimOptions::default()
+    };
     let mut deadlocks = 0;
     for seed in 0..20u64 {
         for travels in [64, 65, 129, 200, 333] {
@@ -444,15 +452,24 @@ fn multi_word_workloads_are_arena_invariant() {
                                 arbitration,
                                 ..Switching::new(kind).kernel_spec().unwrap()
                             };
-                            let mut sweep = Sweep {
+                            let sweep = || Sweep {
                                 spec,
                                 scratch: StepScratch::default(),
                                 steps: spec.first_step,
                             };
-                            let refr =
-                                run(&mesh, &IdentityInjection, &mut sweep, cfg.clone(), &options)
-                                    .unwrap();
-                            let aren = run_arena(&mesh, spec, cfg.clone(), &options).unwrap();
+                            let refr = run(
+                                &mesh,
+                                &IdentityInjection,
+                                &mut sweep(),
+                                cfg.clone(),
+                                &options,
+                            )
+                            .unwrap();
+                            // The sweep shows its spec, so this runs on the arena.
+                            let aren =
+                                simulate_config(&mesh, &mut sweep(), cfg.clone(), &sim, None, None)
+                                    .unwrap()
+                                    .run;
                             let cell = format!("{seed}/{travels}/{kind:?}/{arbitration:?}");
                             assert_eq!(aren.outcome, refr.outcome, "outcome {cell}");
                             assert_eq!(aren.steps, refr.steps, "steps {cell}");

@@ -8,7 +8,8 @@
 //! and the arena stays observationally equal to a shadow `Config` driven
 //! through the same operations — applied to both sides one by one, or to
 //! the shadow alone in batches the arena then catches up with
-//! (`ArenaConfig::follow`, what the hooked loop does after a recovery).
+//! (`ArenaConfig::follow`, what a listened arena run does after a
+//! recovery), and travels injected mid-run run to the reference's end.
 //! Beside them: the arena's exit (`write_back`) against the `Config` it
 //! materialises from nothing, every park its transition feed reports
 //! against `blocked_port_with`, and a quiet kernel, which wakes a parked
@@ -255,6 +256,61 @@ proptest! {
     }
 }
 
+/// Travels injected mid-run with `push_travel` land where
+/// `Config::push_travel` puts them: an arena stepped a dozen times and
+/// topped up with a second wave materialises to its own image topped up
+/// the same way, and a fresh kernel runs it on to the end the reference
+/// interpreter reaches from that image.
+#[test]
+fn mid_run_injection_agrees_under_wormhole_switching() {
+    let mesh = Mesh::new(4, 4, 1);
+    let routing = XyRouting::new(&mesh);
+    let first = genoc::sim::workload::uniform_random(16, 24, 1..=4, 29);
+    let second = genoc::sim::workload::uniform_random(16, 12, 1..=4, 31);
+    let cfg = Config::from_specs(&mesh, &routing, &first).unwrap();
+    let spec = ArenaSpec::from_kernel_spec(&Switching::default().kernel_spec().unwrap()).unwrap();
+    let mut arena = ArenaConfig::from_config(&mesh, &cfg).unwrap();
+    let mut kernel = ArenaKernel::new(&arena, spec);
+    let mut trace = Trace::new(false);
+    for _ in 0..12 {
+        kernel.step(&mut arena, &mut trace).unwrap();
+        if kernel.take_saw_arrival() {
+            kernel.drain_arrived(&mut arena);
+        }
+    }
+    let mut shadow = arena.to_config(&mesh).unwrap();
+    assert!(!shadow.is_evacuated(), "the second wave lands mid-flight");
+    for (i, s) in second.iter().enumerate() {
+        let id = MsgId::from_index(first.len() + i);
+        let t = Travel::from_spec(&mesh, &routing, id, s).unwrap();
+        arena.push_travel(&mesh, &t).unwrap();
+        shadow.push_travel(t).unwrap();
+    }
+    assert_eq!(arena.to_config(&mesh).unwrap(), shadow);
+
+    let reference = run(
+        &mesh,
+        &IdentityInjection,
+        &mut Switching::default(),
+        shadow,
+        &RunOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(reference.outcome, Outcome::Evacuated);
+    let mut kernel = ArenaKernel::new(&arena, spec);
+    let mut steps = 0;
+    while !arena.is_evacuated() {
+        assert!(!kernel.is_deadlock(&arena), "step {steps}");
+        kernel.step(&mut arena, &mut trace).unwrap();
+        if kernel.take_saw_arrival() {
+            kernel.drain_arrived(&mut arena);
+        }
+        steps += 1;
+    }
+    assert_eq!(steps, reference.steps);
+    assert_eq!(arena.to_config(&mesh).unwrap(), reference.config);
+}
+
 /// A hook that takes a travel out of `T` and puts it back has moved it to
 /// the end: `follow` sees the removal, and the travel returns as a push, so
 /// that flight positions keep addressing the shadow's travels.
@@ -413,7 +469,7 @@ fn write_back_matches_to_config(
     end
 }
 
-/// The exit of `run_arena` against the one it replaced, on every kind of
+/// The exit of a quiet arena run against the one it replaced, on every kind of
 /// end a run can have: seeded uniform traffic × the three switching
 /// policies × XY (evacuates) and mixed XY/YX (deadlocks) × run to the end
 /// or cut after a few steps.

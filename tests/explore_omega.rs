@@ -45,11 +45,7 @@ fn for_each_state(
 ) {
     let net = instance.net.as_ref();
     // Whole-packet policies can only admit a packet that fits a buffer.
-    let flits = if kind.requires_whole_packet_buffering() {
-        2.min(instance.meta.capacity as usize)
-    } else {
-        2
-    };
+    let flits = kind.workload_flits(2, instance.meta.capacity);
     let mut specs = pressure_specs(&instance.meta, flits);
     specs.truncate(messages);
     let kernel_spec = Switching::new(kind)

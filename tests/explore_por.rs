@@ -53,11 +53,7 @@ fn por_and_parallel_match_full_bfs_on_every_oracle_cell() {
         checked += 1;
         // Exhaustive-tier sizing: few messages, worms capped at the capacity
         // for whole-packet switching so every variant enumerates completely.
-        let flits = if switching.requires_whole_packet_buffering() {
-            2usize.min(instance.meta.capacity as usize).max(1)
-        } else {
-            2
-        };
+        let flits = switching.workload_flits(2, instance.meta.capacity);
         let mut specs = pressure_specs(&instance.meta, flits);
         if truncate > 0 {
             specs.truncate(truncate);

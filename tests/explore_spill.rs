@@ -43,11 +43,7 @@ fn spilling_runs_match_all_in_ram_runs_on_every_deadlocking_cell() {
         if !instance.deterministic {
             continue;
         }
-        let flits = if switching.requires_whole_packet_buffering() {
-            2usize.min(instance.meta.capacity as usize).max(1)
-        } else {
-            2
-        };
+        let flits = switching.workload_flits(2, instance.meta.capacity);
         let mut specs = pressure_specs(&instance.meta, flits);
         if truncate > 0 {
             specs.truncate(truncate);
