@@ -61,6 +61,15 @@ pub enum Error {
     /// A disk-spill I/O operation of the explorer failed (file create,
     /// read, or write under `--spill-dir`).
     Spill(String),
+    /// A record of an event log that was verified when the log was read no
+    /// longer reads back as it was verified: the file was cut short,
+    /// rewritten or became unreadable since.
+    WalChanged {
+        /// Byte offset of the record's frame in the log.
+        offset: u64,
+        /// What failed, naming the byte it failed at.
+        what: String,
+    },
     /// The explorer's parallel engine was asked for more worker threads or
     /// frontier shards than it allows: every block of a level holds one
     /// bucket per (worker, shard), so a level holds up to
@@ -107,6 +116,9 @@ impl fmt::Display for Error {
             ),
             Error::UnknownTravel(id) => write!(f, "travel {id} not present in configuration"),
             Error::Spill(msg) => write!(f, "spill I/O failed: {msg}"),
+            Error::WalChanged { what, .. } => {
+                write!(f, "event log changed since it was read: {what}")
+            }
             Error::ParallelismBound { jobs, shards, max } => write!(
                 f,
                 "{jobs} jobs and {shards} shards asked for: the parallel explorer's bound is \

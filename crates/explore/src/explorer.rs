@@ -79,6 +79,11 @@ pub struct ExploreOptions {
     /// ends the search with [`Verdict::BoundExceeded`], like `max_states`;
     /// with one, cold arena segments and frontier blocks spill to disk and
     /// the search continues.
+    ///
+    /// The budget is held against [`Exploration::peak_bytes`]' accounting:
+    /// each edge counts as its 40-byte record, not with the canonicalising
+    /// permutation it owns on the heap, and allocator slack is not counted.
+    /// It bounds that accounted store, not the process.
     pub mem_limit: Option<usize>,
     /// Directory for the disk-spill tier (see [`crate::spill`]). Setting it
     /// routes the search through the parallel engine even at `jobs = 1`
@@ -208,7 +213,9 @@ pub struct Exploration {
     pub group_size: usize,
     /// Peak resident bytes of the state store (arena + edges + frontier),
     /// sampled at level/expansion granularity — the figure `--mem-limit`
-    /// bounds.
+    /// bounds. An edge counts as its 40-byte record: the canonicalising
+    /// permutation it owns on the heap is not counted, and neither is
+    /// allocator slack, so the process holds more than this.
     pub peak_bytes: usize,
     /// Total bytes written to the disk-spill tier (0 without
     /// [`ExploreOptions::spill_dir`]).

@@ -74,7 +74,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn log_metrics(log: &WalLog, replayed: &Config, steps: u64) -> String {
+fn log_metrics(
+    log: &WalLog,
+    replayed: &Config,
+    steps: u64,
+) -> Result<String, genoc::core::error::Error> {
     let mut reg = MetricsRegistry::new();
     reg.declare(
         "genoc_replay_records_total",
@@ -106,7 +110,7 @@ fn log_metrics(log: &WalLog, replayed: &Config, steps: u64) -> String {
         MetricKind::Gauge,
         "Flits delivered at the reconstructed step",
     );
-    let detections = genoc::obs::detections(&log.events).count();
+    let detections = genoc::obs::detections(&log.events).try_fold(0, |n, d| d.map(|_| n + 1))?;
     reg.set("genoc_replay_records_total", &[], log.events.len() as f64);
     reg.set("genoc_replay_steps", &[], steps as f64);
     reg.set("genoc_replay_detections_total", &[], detections as f64);
@@ -121,7 +125,7 @@ fn log_metrics(log: &WalLog, replayed: &Config, steps: u64) -> String {
         &[],
         replayed.delivered_flits() as f64,
     );
-    reg.render()
+    Ok(reg.render())
 }
 
 fn main() -> ExitCode {
@@ -205,13 +209,26 @@ fn main() -> ExitCode {
     }
 
     if args.last > 0 {
+        let lines = match genoc::obs::tail_lines(&log.events, args.last) {
+            Ok(lines) => lines,
+            Err(e) => {
+                eprintln!("cannot read the last {} events: {e}", args.last);
+                return ExitCode::FAILURE;
+            }
+        };
         println!("\nlast {} events before the verdict:", args.last);
-        for line in genoc::obs::tail_lines(&log.events, args.last) {
+        for line in lines {
             println!("  {line}");
         }
     }
     if args.metrics {
-        println!("\n{}", log_metrics(&log, &replayed, target));
+        match log_metrics(&log, &replayed, target) {
+            Ok(metrics) => println!("\n{metrics}"),
+            Err(e) => {
+                eprintln!("cannot count the log's detections: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     }
 
     if let Some(expect) = &args.expect {

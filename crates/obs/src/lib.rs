@@ -11,9 +11,10 @@
 //!   checksummed records for injections, flit moves, status transitions,
 //!   freed ports, wait-for edge add/remove, detector firings, recovery
 //!   actions, and periodic full-state snapshots. Damaged or truncated tails
-//!   are detected, never fatal. A log is verified whole when it is read and
-//!   kept as its bytes ([`WalRecords`]); records are decoded where a reader
-//!   looks at them.
+//!   are detected, never fatal. A log is verified whole when it is read,
+//!   streamed through one fixed buffer, and kept as its open file and an
+//!   index ([`WalRecords`]); records are read back from the file and
+//!   decoded where a reader looks at them.
 //! * **Replay** ([`replay`]) — [`replay_to`] reconstructs the full
 //!   [`Config`](genoc_core::config::Config) after any number of steps from
 //!   the nearest snapshot plus the move tail, provably identical to a fresh
@@ -67,8 +68,9 @@
 //! // nearest snapshot and the records after it:
 //! let mid = replay_to(&mesh, &log.events, steps / 2).unwrap();
 //! assert!(!mid.travels().is_empty() || !mid.arrived().is_empty());
-//! // Records decode one by one, on demand:
-//! assert_eq!(log.events.iter().count(), log.events.len());
+//! // Records are read back and decoded one by one, on demand:
+//! let read = log.events.iter().collect::<Result<Vec<_>, _>>().unwrap();
+//! assert_eq!(read.len(), log.events.len());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -89,5 +91,5 @@ pub use crate::replay::{
 };
 pub use crate::wal::{
     read_wal, read_wal_bytes, RecoveryAction, SnapshotImages, TravelImage, WalEvent, WalLog,
-    WalMeta, WalRecords, WalWriter, WAL_MAGIC, WAL_VERSION,
+    WalMeta, WalRecords, WalWriter, WAL_MAGIC, WAL_READ_BUFFER, WAL_VERSION,
 };

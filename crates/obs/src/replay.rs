@@ -9,8 +9,10 @@
 //! positions and routes, hence the same kernel status classification and
 //! the same wait-for graph (both are pure functions of the configuration).
 //!
-//! Everything here reads a [`WalRecords`] where it lies and decodes only the
-//! records it looks at (`wal`'s module doc, "Reading").
+//! Everything here reads a [`WalRecords`] back from where it lies, through
+//! the reader's one window, and decodes only the records it looks at
+//! (`wal`'s module doc, "Reading"). A record that no longer reads back as
+//! it was verified is an [`Error::WalChanged`] naming its byte offset.
 
 use std::collections::VecDeque;
 
@@ -22,7 +24,7 @@ use genoc_core::travel::{FlitPos, Travel};
 use genoc_core::{MsgId, PortId};
 
 use crate::wal::{
-    Frame, TravelImage, WalEvent, WalMeta, WalRecords, KIND_DETECTION, KIND_EDGE_ADD,
+    TravelImage, WalEvent, WalMeta, WalRecords, Walker, Window, KIND_DETECTION, KIND_EDGE_ADD,
     KIND_EDGE_REMOVE, KIND_FREED_PORT, KIND_MOVE, KIND_RECOVERY, KIND_RUN_END, KIND_STEP_BEGIN,
     KIND_TRANSITION,
 };
@@ -47,12 +49,11 @@ pub fn final_steps(events: &WalRecords) -> u64 {
     }
 }
 
-/// The detector firings the log records, decoded as they are yielded.
-pub fn detections(events: &WalRecords) -> impl Iterator<Item = WalEvent> + '_ {
-    events
-        .frames()
-        .filter(|f| f.kind == KIND_DETECTION)
-        .map(|f| f.decode())
+/// The detector firings the log records, read back and decoded as they are
+/// yielded; an item is [`Error::WalChanged`] when a record no longer reads
+/// back as it was verified, and nothing follows it.
+pub fn detections(events: &WalRecords) -> impl Iterator<Item = Result<WalEvent>> + '_ {
+    events.records_of(Some(KIND_DETECTION))
 }
 
 /// The error for a record that passed its checksum and still cannot be
@@ -101,11 +102,14 @@ fn travel_of(net: &dyn Network, img: TravelImage, bad: impl Fn(String) -> Error)
 /// # Errors
 ///
 /// Reports [`Error::Invariant`] when the log has no injections or a route
-/// names a port `net` does not have, and [`Error::InvalidSpec`] when a
-/// route does not run from a local in-port to a local out-port.
+/// names a port `net` does not have, [`Error::InvalidSpec`] when a route
+/// does not run from a local in-port to a local out-port, and
+/// [`Error::WalChanged`] when a record no longer reads back as it was
+/// verified.
 pub fn initial_config(net: &dyn Network, events: &WalRecords) -> Result<Config> {
     let mut travels = Vec::new();
     for (i, e) in events.iter().enumerate() {
+        let e = e?;
         if let WalEvent::Inject { msg, route, .. } = &e {
             check_route(net, *msg, route).map_err(|what| ill_formed(i, &e, what))?;
         }
@@ -136,76 +140,93 @@ pub fn initial_config(net: &dyn Network, events: &WalRecords) -> Result<Config> 
 /// covering the range, whose moves are inconsistent with the configuration
 /// (a damaged or cross-wired log), or with a record naming a port, route
 /// index or flit that does not exist — checked before anything is built or
-/// moved, so no log panics the replayer.
+/// moved, so no log panics the replayer — and [`Error::WalChanged`], naming
+/// the byte offset, when a record it reads no longer reads back as it was
+/// verified.
 pub fn replay_to(net: &dyn Network, events: &WalRecords, steps: u64) -> Result<Config> {
     // Seek: the latest snapshot not past the target. A snapshot written
     // after a recovery mutation supersedes earlier records entirely — the
     // intervening moves were already applied to the snapshotted state.
     // Only the snapshot picked here is decoded.
     let base = events.snapshots.iter().rev().find(|m| m.step <= steps);
-    let (tail, mut cfg) = match base {
-        Some(mark) => {
-            let mut frames = events.frames_at(mark);
-            let e = frames
-                .next()
-                .expect("a snapshot mark frames a record")
-                .decode();
-            let WalEvent::Snapshot { images, .. } = &e else {
-                unreachable!("a snapshot mark frames a snapshot");
-            };
-            let mut travels = Vec::with_capacity(images.inflight_len() + images.arrived_len());
-            for img in images.inflight().chain(images.arrived()) {
-                travels.push(travel_of(net, img, |what| {
-                    ill_formed(mark.record, &e, what)
-                })?);
-            }
-            (frames, Config::from_travels(net, travels)?)
-        }
-        None => (events.frames(), initial_config(net, events)?),
+    let (from, initial) = match base {
+        Some(mark) => ((mark.offset, mark.record), None),
+        None => (WalRecords::FIRST, Some(initial_config(net, events)?)),
     };
-
-    let mut in_step = false;
-    // Step markers and moves are all a replay reads; the rest stay encoded.
-    for frame in tail.filter(|f| matches!(f.kind, KIND_STEP_BEGIN | KIND_MOVE)) {
-        let e = frame.decode();
-        match e {
-            WalEvent::StepBegin { step } => {
-                if in_step {
-                    cfg.drain_arrived();
-                }
-                if step >= steps {
-                    in_step = false;
-                    break;
-                }
-                in_step = true;
+    events.walk(from, |frames| {
+        let mut cfg = match initial {
+            Some(cfg) => cfg,
+            None => snapshot_config(net, frames, from)?,
+        };
+        let mut in_step = false;
+        // Step markers and moves are all a replay reads; the rest stay
+        // encoded.
+        while let Some(frame) = frames.read()? {
+            if !matches!(frame.kind, KIND_STEP_BEGIN | KIND_MOVE) {
+                continue;
             }
-            WalEvent::Move {
-                msg, flit, kind, ..
-            } if in_step => {
-                let i = cfg
-                    .travels()
-                    .iter()
-                    .position(|t| t.id() == msg)
-                    .ok_or_else(|| {
-                        Error::Invariant(format!("WAL moves unknown travel {msg} during replay"))
-                    })?;
-                let flit = flit as usize;
-                if flit >= cfg.travels()[i].flit_count() {
-                    return Err(ill_formed(
-                        frame.record,
-                        &e,
-                        format!("{msg} has {} flits", cfg.travels()[i].flit_count()),
-                    ));
+            let e = frame.decode()?;
+            match e {
+                WalEvent::StepBegin { step } => {
+                    if in_step {
+                        cfg.drain_arrived();
+                    }
+                    if step >= steps {
+                        in_step = false;
+                        break;
+                    }
+                    in_step = true;
                 }
-                cfg.move_flit(i, flit, kind)?;
+                WalEvent::Move {
+                    msg, flit, kind, ..
+                } if in_step => {
+                    let i = cfg
+                        .travels()
+                        .iter()
+                        .position(|t| t.id() == msg)
+                        .ok_or_else(|| {
+                            Error::Invariant(format!(
+                                "WAL moves unknown travel {msg} during replay"
+                            ))
+                        })?;
+                    let flit = flit as usize;
+                    if flit >= cfg.travels()[i].flit_count() {
+                        return Err(ill_formed(
+                            frame.record,
+                            &e,
+                            format!("{msg} has {} flits", cfg.travels()[i].flit_count()),
+                        ));
+                    }
+                    cfg.move_flit(i, flit, kind)?;
+                }
+                _ => {}
             }
-            _ => {}
         }
+        if in_step {
+            cfg.drain_arrived();
+        }
+        Ok(cfg)
+    })
+}
+
+/// The configuration the snapshot framed at `(byte offset, record number)`
+/// pictures, read with `frames`, which then stand past it.
+fn snapshot_config(
+    net: &dyn Network,
+    frames: &mut Walker<'_, dyn Window + '_>,
+    (at, record): (u64, usize),
+) -> Result<Config> {
+    let frame = frames.read_at(at, record)?;
+    let e = frame.decode()?;
+    let WalEvent::Snapshot { images, .. } = &e else {
+        let what = format!("record {record} at byte {at} is no longer a snapshot");
+        return Err(Error::WalChanged { offset: at, what });
+    };
+    let mut travels = Vec::with_capacity(images.inflight_len() + images.arrived_len());
+    for img in images.inflight().chain(images.arrived()) {
+        travels.push(travel_of(net, img, |what| ill_formed(record, &e, what))?);
     }
-    if in_step {
-        cfg.drain_arrived();
-    }
-    Ok(cfg)
+    Config::from_travels(net, travels)
 }
 
 fn describe_msgs(msgs: &[MsgId]) -> String {
@@ -267,37 +288,49 @@ pub fn describe(e: &WalEvent) -> String {
 /// firing — or to the end of the log when nothing fired — followed by the
 /// detection/footer lines themselves.
 ///
-/// One forward pass: the last `k` evidence records are kept in a ring, in
-/// place, and only they and the lines after the cut are decoded. The ring
-/// is sized for at most the log's records, so any `k` is fine.
-pub fn tail_lines(events: &WalRecords, k: usize) -> Vec<String> {
-    let line = |f: Frame<'_>| describe(&f.decode());
-    let mut frames = events.frames();
-    let mut ring = VecDeque::with_capacity(k.min(events.len()));
-    let cut = frames.find(|f| {
-        let evidence = matches!(
-            f.kind,
-            KIND_STEP_BEGIN
-                | KIND_MOVE
-                | KIND_TRANSITION
-                | KIND_FREED_PORT
-                | KIND_EDGE_ADD
-                | KIND_EDGE_REMOVE
-                | KIND_RECOVERY
-        );
-        if evidence && k > 0 {
-            if ring.len() == k {
-                ring.pop_front();
+/// One forward pass: the positions of the last `k` evidence records are
+/// kept in a ring, and only they and the lines after the cut are read back
+/// again and decoded. The ring is sized for at most the log's records, so
+/// any `k` is fine.
+///
+/// # Errors
+///
+/// [`Error::WalChanged`], naming the byte offset, when a record no longer
+/// reads back as it was verified.
+pub fn tail_lines(events: &WalRecords, k: usize) -> Result<Vec<String>> {
+    events.walk(WalRecords::FIRST, |frames| {
+        let mut ring = VecDeque::with_capacity(k.min(events.len()));
+        let mut verdicts = Vec::new();
+        while let Some(f) = frames.read()? {
+            let at = (f.offset, f.record);
+            if !verdicts.is_empty() {
+                if matches!(f.kind, KIND_DETECTION | KIND_RUN_END) {
+                    verdicts.push(at);
+                }
+                continue;
             }
-            ring.push_back(*f);
+            let evidence = matches!(
+                f.kind,
+                KIND_STEP_BEGIN
+                    | KIND_MOVE
+                    | KIND_TRANSITION
+                    | KIND_FREED_PORT
+                    | KIND_EDGE_ADD
+                    | KIND_EDGE_REMOVE
+                    | KIND_RECOVERY
+            );
+            if evidence && k > 0 {
+                if ring.len() == k {
+                    ring.pop_front();
+                }
+                ring.push_back(at);
+            }
+            if f.kind == KIND_DETECTION {
+                verdicts.push(at);
+            }
         }
-        f.kind == KIND_DETECTION
-    });
-    let mut lines: Vec<String> = ring.into_iter().map(line).collect();
-    if let Some(detection) = cut {
-        lines.push(line(detection));
-        let verdicts = frames.filter(|f| matches!(f.kind, KIND_DETECTION | KIND_RUN_END));
-        lines.extend(verdicts.map(line));
-    }
-    lines
+        (ring.into_iter().chain(verdicts))
+            .map(|(at, record)| Ok(describe(&frames.read_at(at, record)?.decode()?)))
+            .collect()
+    })
 }

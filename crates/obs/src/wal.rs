@@ -77,16 +77,22 @@
 //!
 //! A recorded log is hundreds of thousands of records and a replay reads a
 //! few thousand of them, so the reader verifies every record and decodes
-//! none. [`read_wal`] walks the bytes once: every frame, every checksum, and
-//! every payload's structure — field widths, enum tags, list lengths, a
+//! none. [`read_wal`] streams the file once through one buffer of
+//! [`WAL_READ_BUFFER`] bytes, the writer's buffer size, refilled from the
+//! first frame that does not fit in what it holds (a frame longer than the
+//! buffer grows it to that frame): every frame, every checksum, and every
+//! payload's structure — field widths, enum tags, list lengths, a
 //! snapshot's image block walked image by image, and consumption of each
 //! payload to its last byte. The first record that fails any of these ends
 //! the intact prefix and is named in [`WalLog::damage`]. The log then keeps
-//! those bytes, moved in from the file read, and an index: the snapshots'
-//! record numbers, byte offsets and steps, the first `RunStart`'s seed and
-//! instance, the last `RunEnd`, the last step marker, and the record count
-//! ([`WalRecords`]). The check and the decoder are one parser, so a record
-//! that passed the read always decodes.
+//! the open file, that buffer and an index: the snapshots' record numbers,
+//! byte offsets and steps, the first `RunStart`'s seed and instance, the
+//! last `RunEnd`, the last step marker, the record count and the intact
+//! length ([`WalRecords`]) — never the log's bytes, so reading a log back
+//! costs a buffer whatever its length. [`read_wal_bytes`] runs the same
+//! frame walker and the same parser over the bytes it is given, and keeps a
+//! copy of their intact prefix. The check and the decoder are one parser,
+//! so a record that passed the read decodes.
 //!
 //! Decoding happens where a reader looks:
 //! [`recorded_outcome`](crate::recorded_outcome),
@@ -98,11 +104,21 @@
 //! detections; [`WalRecords::iter`] decodes each record as it yields it. A
 //! [`WalEvent::Snapshot`] keeps its image block encoded
 //! ([`SnapshotImages`]) until its images are asked for.
+//!
+//! Each of those passes reads the records it looks at back from the file,
+//! from their offsets and through the same buffer, and checks each frame's
+//! length, kind and checksum again on the way in. A file cut short,
+//! rewritten or unreadable since it was verified is therefore an
+//! [`Error::WalChanged`] naming the byte offset of the first record that no
+//! longer reads back — never a panic, and never a stream that ends early as
+//! if the log did.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
+use genoc_core::error::{Error, Result};
 use genoc_core::interpreter::Outcome;
 use genoc_core::kernel::TravelStatus;
 use genoc_core::meta::{InstanceMeta, RoutingKind, SwitchingKind};
@@ -1150,7 +1166,7 @@ impl WalWriter {
 
 /// A read log: its intact records, plus a description of trailing damage
 /// when the input did not end cleanly at a record boundary.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WalLog {
     /// Format version from the header.
     pub version: u32,
@@ -1164,6 +1180,10 @@ pub struct WalLog {
 /// Byte offset of the first record: past the magic and the version.
 const RECORDS_AT: usize = 12;
 
+/// Bytes of a file-backed log the reader holds at a time: the writer's
+/// buffer size. A frame longer than that grows the buffer to the frame.
+pub const WAL_READ_BUFFER: usize = FILE_BUFFER;
+
 /// Where a snapshot sits in a [`WalRecords`], and the step it was taken
 /// after.
 #[derive(Clone, Copy, Debug)]
@@ -1171,19 +1191,241 @@ pub(crate) struct SnapshotMark {
     /// Its record number.
     pub(crate) record: usize,
     /// Byte offset of its frame.
-    pub(crate) offset: usize,
+    pub(crate) offset: u64,
     /// Completed switching steps at snapshot time.
     pub(crate) step: u64,
 }
 
-/// The intact records of a log, verified when they were read and kept as
-/// their bytes (module doc, "Reading"), with the index a replay seeks by.
-/// [`iter`](WalRecords::iter) decodes them in append order.
-#[derive(Clone)]
+/// The bytes of a log, handed out a window at a time.
+pub(crate) trait Window {
+    /// The `n` bytes at byte `at`, which the caller has checked lie before
+    /// the end the log had when it was verified; an error when they are no
+    /// longer there.
+    fn window(&mut self, at: u64, n: usize) -> io::Result<&[u8]>;
+
+    /// Drops what the window holds, so that the next read goes to the
+    /// source.
+    fn forget(&mut self) {}
+}
+
+/// A log in memory.
+struct InMemory<'a>(&'a [u8]);
+
+impl Window for InMemory<'_> {
+    #[inline]
+    fn window(&mut self, at: u64, n: usize) -> io::Result<&[u8]> {
+        let at = usize::try_from(at).ok();
+        at.and_then(|at| self.0.get(at..at.checked_add(n)?))
+            .ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+    }
+}
+
+/// A log in a file, read through one buffer (module doc, "Reading").
+struct FileWindow {
+    file: File,
+    buf: Vec<u8>,
+    /// File offset of `buf[0]`.
+    start: u64,
+    /// Bytes of `buf` read from the file at `start`.
+    filled: usize,
+}
+
+impl FileWindow {
+    fn new(file: File) -> FileWindow {
+        FileWindow {
+            file,
+            buf: vec![0; WAL_READ_BUFFER],
+            start: 0,
+            filled: 0,
+        }
+    }
+
+    /// Reads the file from byte `at` into the buffer, `n` bytes at least
+    /// and as many as the buffer holds.
+    #[inline(never)]
+    fn fill(&mut self, at: u64, n: usize) -> io::Result<()> {
+        if self.buf.len() < n {
+            self.buf.resize(n, 0);
+        }
+        self.filled = 0;
+        self.file.seek(SeekFrom::Start(at))?;
+        self.start = at;
+        let mut got = 0;
+        while got < n {
+            match self.file.read(&mut self.buf[got..]) {
+                Ok(0) => {
+                    let end = at + got as u64;
+                    let what = format!("the file ends at byte {end}");
+                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what));
+                }
+                Ok(more) => got += more,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.filled = got;
+        Ok(())
+    }
+}
+
+impl Window for FileWindow {
+    #[inline]
+    fn window(&mut self, at: u64, n: usize) -> io::Result<&[u8]> {
+        let held = (at.checked_sub(self.start))
+            .and_then(|off| usize::try_from(off).ok())
+            .filter(|off| off.checked_add(n).is_some_and(|end| end <= self.filled));
+        let off = match held {
+            Some(off) => off,
+            None => {
+                self.fill(at, n)?;
+                0
+            }
+        };
+        Ok(&self.buf[off..off + n])
+    }
+
+    fn forget(&mut self) {
+        self.filled = 0;
+    }
+}
+
+/// Why a frame could not be read: the source failed, or its bytes are not
+/// an intact frame (the damage description).
+enum Fault {
+    Io(io::Error),
+    Damage(String),
+}
+
+/// The one frame walker: the frames of `src` from byte `pos` up to byte
+/// `end`, each one's length, kind and checksum checked as it is read. The
+/// reader verifies a log with it, and every pass over a verified log reads
+/// its records back with it.
+pub(crate) struct Walker<'s, S: Window + ?Sized> {
+    src: &'s mut S,
+    pos: u64,
+    end: u64,
+    /// The record number of the frame at `pos`.
+    record: usize,
+}
+
+/// One checked record, in the walker's window.
+pub(crate) struct Frame<'a> {
+    /// Its record number.
+    pub(crate) record: usize,
+    /// Byte offset of its frame.
+    pub(crate) offset: u64,
+    /// Its kind (`KIND_*`).
+    pub(crate) kind: u8,
+    payload: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// The record as a [`WalEvent`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::WalChanged`] when the payload, which passed its checksum,
+    /// does not decode: the log was rewritten since it was verified.
+    pub(crate) fn decode(&self) -> Result<WalEvent> {
+        parse(self.kind, self.payload, true).ok_or_else(|| {
+            let (kind, at) = (self.kind, self.offset);
+            changed(at, format!("malformed record (kind {kind}) at byte {at}"))
+        })
+    }
+}
+
+/// The error for a record of a verified log that no longer reads back as it
+/// was verified.
+fn changed(offset: u64, what: String) -> Error {
+    Error::WalChanged { offset, what }
+}
+
+impl<S: Window + ?Sized> Walker<'_, S> {
+    /// The next frame, checked; `None` at the end.
+    #[inline]
+    fn next_frame(&mut self) -> std::result::Result<Option<Frame<'_>>, Fault> {
+        let at = self.pos;
+        let Some(left) = self.end.checked_sub(at).filter(|&left| left > 0) else {
+            return Ok(None);
+        };
+        let damage = |what: String| Err(Fault::Damage(what));
+        if left < 4 {
+            return damage(format!("truncated frame length at byte {at}"));
+        }
+        if left < FRAME_HEADER as u64 {
+            return damage(format!("truncated record kind at byte {at}"));
+        }
+        let header = self.src.window(at, FRAME_HEADER).map_err(Fault::Io)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("a 4-byte length"));
+        let kind = header[4];
+        let len = len as usize;
+        if left < (FRAME_HEADER + len) as u64 {
+            return damage(format!("truncated payload at byte {at} (want {len} bytes)"));
+        }
+        let size = FRAME_HEADER + len + FRAME_TRAILER;
+        if left < size as u64 {
+            return damage(format!("truncated checksum at byte {at}"));
+        }
+        let frame = self.src.window(at, size).map_err(Fault::Io)?;
+        let (payload, sum) = frame[FRAME_HEADER..].split_at(len);
+        if u64::from_le_bytes(sum.try_into().expect("an 8-byte checksum"))
+            != checksum(kind, payload)
+        {
+            return damage(format!("checksum mismatch at byte {at}"));
+        }
+        let record = self.record;
+        self.pos = at + size as u64;
+        self.record += 1;
+        Ok(Some(Frame {
+            record,
+            offset: at,
+            kind,
+            payload,
+        }))
+    }
+
+    /// The next record of a verified log; `None` at its end.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::WalChanged`] naming the record's byte offset when it no
+    /// longer reads back as it was verified: cut short, its checksum no
+    /// longer matching, or the source failing.
+    pub(crate) fn read(&mut self) -> Result<Option<Frame<'_>>> {
+        let at = self.pos;
+        self.next_frame().map_err(|fault| match fault {
+            Fault::Damage(what) => changed(at, what),
+            Fault::Io(e) => changed(at, format!("{e}, reading the record at byte {at}")),
+        })
+    }
+
+    /// The record framed at byte `pos`, record number `record`, of a
+    /// verified log.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Walker::read).
+    pub(crate) fn read_at(&mut self, pos: u64, record: usize) -> Result<Frame<'_>> {
+        (self.pos, self.record) = (pos, record);
+        let end = self.end;
+        self.read()?.ok_or_else(|| {
+            changed(
+                pos,
+                format!("no record at byte {pos}: the log ends at {end}"),
+            )
+        })
+    }
+}
+
+/// The intact records of a log with the index a replay seeks by, verified
+/// when they were read (module doc, "Reading"); an in-memory log keeps its
+/// bytes, a file-backed one its open file and a buffer.
+/// [`iter`](WalRecords::iter) reads and decodes them in append order.
 pub struct WalRecords {
-    /// The header and the intact records, and nothing after them.
-    bytes: Vec<u8>,
-    /// Records in `bytes`.
+    source: Source,
+    /// Byte offset just past the last intact record: every pass ends there.
+    intact: u64,
+    /// Records in the intact prefix.
     len: usize,
     /// Every snapshot, in append order.
     pub(crate) snapshots: Vec<SnapshotMark>,
@@ -1195,10 +1437,22 @@ pub struct WalRecords {
     pub(crate) last_step: Option<u64>,
 }
 
+/// Where a [`WalRecords`] reads its records back from.
+enum Source {
+    /// The intact prefix of an in-memory log.
+    InMemory(Vec<u8>),
+    /// A file-backed log: its file and the buffer it was verified through.
+    File(Mutex<FileWindow>),
+}
+
 impl WalRecords {
+    /// Where the first record sits: `(byte offset, record number)`.
+    pub(crate) const FIRST: (u64, usize) = (RECORDS_AT as u64, 0);
+
     fn empty() -> WalRecords {
         WalRecords {
-            bytes: Vec::new(),
+            source: Source::InMemory(Vec::new()),
+            intact: 0,
             len: 0,
             snapshots: Vec::new(),
             run_start: None,
@@ -1217,31 +1471,80 @@ impl WalRecords {
         self.len == 0
     }
 
-    /// Decodes the records, in append order, as it yields them.
-    pub fn iter(&self) -> impl Iterator<Item = WalEvent> + '_ {
-        self.frames().map(|f| f.decode())
+    /// Reads the records back, in append order, and decodes each as it
+    /// yields it. A file-backed log is read from the file as it is now.
+    ///
+    /// Each item is [`Error::WalChanged`], naming its byte offset, when the
+    /// record no longer reads back as it was verified; nothing follows it.
+    pub fn iter(&self) -> impl Iterator<Item = Result<WalEvent>> + '_ {
+        self.records_of(None)
     }
 
-    /// The records in place, from the first.
-    pub(crate) fn frames(&self) -> Frames<'_> {
-        Frames {
-            bytes: &self.bytes,
-            pos: RECORDS_AT,
-            record: 0,
-        }
+    /// The records of `kind` (every record for `None`), read back and
+    /// decoded one by one.
+    pub(crate) fn records_of(
+        &self,
+        kind: Option<u8>,
+    ) -> impl Iterator<Item = Result<WalEvent>> + '_ {
+        self.with_window(|src| src.forget());
+        let (mut pos, mut record) = WalRecords::FIRST;
+        let mut failed = false;
+        std::iter::from_fn(move || {
+            if failed {
+                return None;
+            }
+            let next = self.with_window(|src| {
+                let mut frames = Walker {
+                    src,
+                    pos,
+                    end: self.intact,
+                    record,
+                };
+                let next = loop {
+                    match frames.read() {
+                        Ok(Some(f)) if kind.is_some_and(|k| k != f.kind) => {}
+                        Ok(Some(f)) => break Some(f.decode()),
+                        Ok(None) => break None,
+                        Err(e) => break Some(Err(e)),
+                    }
+                };
+                (pos, record) = (frames.pos, frames.record);
+                next
+            });
+            failed = matches!(next, Some(Err(_)));
+            next
+        })
     }
 
-    /// The records in place, from the snapshot `mark` on.
-    pub(crate) fn frames_at(&self, mark: &SnapshotMark) -> Frames<'_> {
-        Frames {
-            bytes: &self.bytes,
-            pos: mark.offset,
-            record: mark.record,
+    /// Runs `f` on the walker over the records from `(byte offset, record
+    /// number)` `from` on, holding the source for the pass. A file-backed
+    /// log is read from the file as it is now.
+    pub(crate) fn walk<T>(
+        &self,
+        from: (u64, usize),
+        f: impl FnOnce(&mut Walker<'_, dyn Window + '_>) -> T,
+    ) -> T {
+        self.with_window(|src| {
+            src.forget();
+            let (pos, record) = from;
+            f(&mut Walker {
+                src,
+                pos,
+                end: self.intact,
+                record,
+            })
+        })
+    }
+
+    fn with_window<T>(&self, f: impl FnOnce(&mut (dyn Window + '_)) -> T) -> T {
+        match &self.source {
+            Source::InMemory(bytes) => f(&mut InMemory(bytes)),
+            Source::File(window) => f(&mut *window.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
 
     /// Counts the checked record `ev`, framed at `offset`, and indexes it.
-    fn note(&mut self, offset: usize, ev: &WalEvent) {
+    fn note(&mut self, offset: u64, ev: &WalEvent) {
         match *ev {
             WalEvent::RunStart { seed, meta, .. } if self.run_start.is_none() => {
                 self.run_start = Some((seed, meta));
@@ -1259,151 +1562,115 @@ impl WalRecords {
     }
 }
 
+/// The index and the intact length, which do not depend on where the log
+/// was read from.
 impl std::fmt::Debug for WalRecords {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WalRecords")
             .field("len", &self.len)
-            .field("bytes", &self.bytes.len())
-            .field("snapshots", &self.snapshots.len())
+            .field("intact", &self.intact)
+            .field("snapshots", &self.snapshots)
             .field("run_start", &self.run_start)
             .field("run_end", &self.run_end)
+            .field("last_step", &self.last_step)
             .finish()
     }
 }
 
-/// One record of a verified log, in place.
-#[derive(Clone, Copy)]
-pub(crate) struct Frame<'a> {
-    /// Its record number.
-    pub(crate) record: usize,
-    /// Its kind (`KIND_*`).
-    pub(crate) kind: u8,
-    payload: &'a [u8],
-}
-
-impl Frame<'_> {
-    /// The record as a [`WalEvent`].
-    pub(crate) fn decode(&self) -> WalEvent {
-        parse(self.kind, self.payload, true)
-            .expect("every record was verified when the log was read")
-    }
-}
-
-/// The frames of a verified log from some record on.
-pub(crate) struct Frames<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    record: usize,
-}
-
-impl<'a> Iterator for Frames<'a> {
-    type Item = Frame<'a>;
-
-    fn next(&mut self) -> Option<Frame<'a>> {
-        let header = self.bytes.get(self.pos..self.pos + FRAME_HEADER)?;
-        let len = u32::from_le_bytes(header[..4].try_into().expect("a 4-byte length")) as usize;
-        let start = self.pos + FRAME_HEADER;
-        let frame = Frame {
-            record: self.record,
-            kind: header[4],
-            payload: &self.bytes[start..start + len],
-        };
-        self.pos = start + len + 8;
-        self.record += 1;
-        Some(frame)
-    }
-}
-
-/// The kind and payload of the record framed at byte `at`, after checking
-/// the frame and the checksum; the damage description when either fails.
-fn frame_at(data: &[u8], at: usize) -> Result<(u8, &[u8]), String> {
-    let Some(len_bytes) = data.get(at..at + 4) else {
-        return Err(format!("truncated frame length at byte {at}"));
-    };
-    let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-    let Some(&kind) = data.get(at + 4) else {
-        return Err(format!("truncated record kind at byte {at}"));
-    };
-    let start = at + FRAME_HEADER;
-    let Some(payload) = data.get(start..start + len) else {
-        return Err(format!("truncated payload at byte {at} (want {len} bytes)"));
-    };
-    let Some(sum_bytes) = data.get(start + len..start + len + 8) else {
-        return Err(format!("truncated checksum at byte {at}"));
-    };
-    if u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes")) != checksum(kind, payload) {
-        return Err(format!("checksum mismatch at byte {at}"));
-    }
-    Ok((kind, payload))
-}
-
-/// Verifies `data` record by record (module doc, "Reading"): the log, its
-/// index filled in and its bytes not yet moved in, and the length of the
-/// intact prefix they are.
-fn verify(data: &[u8]) -> (WalLog, usize) {
+/// Verifies the log `src` holds up to byte `end`, record by record (module
+/// doc, "Reading"): the log with its index filled in and its source not yet
+/// set. Only a failing source is an error.
+fn verify<S: Window + ?Sized>(src: &mut S, end: u64) -> io::Result<WalLog> {
     let mut log = WalLog {
         version: 0,
         events: WalRecords::empty(),
         damage: None,
     };
-    if data.len() < RECORDS_AT || data[..8] != WAL_MAGIC {
+    let header = match end >= RECORDS_AT as u64 {
+        true => Some(src.window(0, RECORDS_AT)?),
+        false => None,
+    };
+    let Some(header) = header.filter(|h| h[..8] == WAL_MAGIC) else {
         log.damage = Some("missing GENOCWAL header".into());
-        return (log, 0);
-    }
-    log.version = u32::from_le_bytes(data[8..RECORDS_AT].try_into().expect("4 bytes"));
+        return Ok(log);
+    };
+    log.version = u32::from_le_bytes(header[8..].try_into().expect("4 bytes"));
     if log.version != WAL_VERSION {
         log.damage = Some(format!(
             "unsupported WAL version {} (reader speaks {})",
             log.version, WAL_VERSION
         ));
-        return (log, 0);
+        return Ok(log);
     }
-    let mut pos = RECORDS_AT;
-    while pos < data.len() {
-        let (kind, payload) = match frame_at(data, pos) {
-            Ok(frame) => frame,
-            Err(damage) => {
+    let (pos, record) = WalRecords::FIRST;
+    let mut frames = Walker {
+        src,
+        pos,
+        end,
+        record,
+    };
+    let mut intact = pos;
+    loop {
+        let frame = match frames.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            Err(Fault::Damage(damage)) => {
                 log.damage = Some(damage);
                 break;
             }
+            Err(Fault::Io(e)) => return Err(e),
         };
-        let Some(ev) = parse(kind, payload, false) else {
-            log.damage = Some(format!("malformed record (kind {kind}) at byte {pos}"));
+        let (kind, at) = (frame.kind, frame.offset);
+        let Some(ev) = parse(kind, frame.payload, false) else {
+            log.damage = Some(format!("malformed record (kind {kind}) at byte {at}"));
             break;
         };
-        log.events.note(pos, &ev);
-
-        pos += FRAME_HEADER + payload.len() + 8;
+        log.events.note(at, &ev);
+        intact = frames.pos;
     }
-    (log, pos)
+    src.forget();
+    log.events.intact = intact;
+    Ok(log)
 }
 
 /// Reads a WAL from bytes, copying its intact prefix. Never panics: damaged
 /// input yields the intact prefix plus a [`WalLog::damage`] description.
 pub fn read_wal_bytes(data: &[u8]) -> WalLog {
-    let (mut log, intact) = verify(data);
-    log.events.bytes = data[..intact].to_vec();
+    let mut log = verify(&mut InMemory(data), data.len() as u64)
+        .expect("every window of an in-memory log lies within it");
+    let intact = log.events.intact as usize;
+    log.events.source = Source::InMemory(data[..intact].to_vec());
     log
 }
 
-/// Reads a WAL file (see [`read_wal_bytes`]) into a buffer the log then
-/// keeps.
+/// Reads a WAL file (see [`read_wal_bytes`]) through one buffer of
+/// [`WAL_READ_BUFFER`] bytes, and keeps the open file and that buffer to
+/// read the records back from.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; damage is reported in [`WalLog::damage`], not as
 /// an error.
 pub fn read_wal(path: &Path) -> io::Result<WalLog> {
-    let mut data = std::fs::read(path)?;
-    let (mut log, intact) = verify(&data);
-    data.truncate(intact);
-    log.events.bytes = data;
+    let file = File::open(path)?;
+    let end = file.metadata()?.len();
+    let mut window = FileWindow::new(file);
+    let mut log = verify(&mut window, end)?;
+    log.events.source = Source::File(Mutex::new(window));
     Ok(log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every record of `records`, read back and decoded.
+    fn decoded(records: &WalRecords) -> Vec<WalEvent> {
+        records
+            .iter()
+            .collect::<Result<_>>()
+            .expect("an unchanged log reads back")
+    }
 
     fn sample_events() -> Vec<WalEvent> {
         vec![
@@ -1485,7 +1752,7 @@ mod tests {
         let log = read_wal_bytes(&bytes);
         assert_eq!(log.version, WAL_VERSION);
         assert!(log.damage.is_none(), "{:?}", log.damage);
-        assert_eq!(log.events.iter().collect::<Vec<_>>(), events);
+        assert_eq!(decoded(&log.events), events);
     }
 
     /// One frame of each fixed-size kind, as literal bytes written by the
@@ -1563,10 +1830,7 @@ mod tests {
             let mut payload = Vec::new();
             assert_eq!(encode_into(&ev, &mut payload), frame[4], "{ev:?}");
             assert_eq!(payload, frame[FRAME_HEADER..frame.len() - FRAME_TRAILER]);
-            assert_eq!(
-                read_wal_bytes(&bytes).events.iter().collect::<Vec<_>>(),
-                [ev]
-            );
+            assert_eq!(decoded(&read_wal_bytes(&bytes).events), [ev]);
         }
     }
 
@@ -1722,7 +1986,7 @@ mod tests {
         let log = read_wal_bytes(&bytes);
         assert!(log.damage.is_none(), "{:?}", log.damage);
         // The block read back decodes to the travels it was written from.
-        let read: Vec<WalEvent> = log.events.iter().collect();
+        let read = decoded(&log.events);
         let WalEvent::Snapshot { images, .. } = &read[1] else {
             panic!("second record is the snapshot");
         };
@@ -1767,7 +2031,7 @@ mod tests {
             w.append(&fence).unwrap();
             let log = read_wal_bytes(&w.finish().unwrap().unwrap());
             assert_eq!(
-                log.events.iter().collect::<Vec<_>>(),
+                decoded(&log.events),
                 std::slice::from_ref(&fence),
                 "{what}: intact prefix"
             );
@@ -1814,7 +2078,7 @@ mod tests {
         let bytes = w.finish().unwrap().unwrap();
         for cut in 0..bytes.len() {
             let log = read_wal_bytes(&bytes[..cut]);
-            let read: Vec<WalEvent> = log.events.iter().collect();
+            let read = decoded(&log.events);
             assert_eq!(read.len(), log.events.len());
             assert_eq!(read, events[..read.len()]);
             if log.damage.is_none() {
@@ -1849,7 +2113,7 @@ mod tests {
         let bytes = w.finish().unwrap().unwrap();
         for cut in 0..=bytes.len() {
             let records = read_wal_bytes(&bytes[..cut]).events;
-            let read: Vec<WalEvent> = records.iter().collect();
+            let read = decoded(&records);
             let run_start = read.iter().find_map(|e| match e {
                 WalEvent::RunStart { seed, meta, .. } => Some((*seed, *meta)),
                 _ => None,
@@ -1876,9 +2140,11 @@ mod tests {
                 .collect();
             assert_eq!(marks, snapshots, "cut {cut}");
             for m in &records.snapshots {
-                let frame = records.frames_at(m).next().expect("a mark frames a record");
-                assert_eq!(frame.record, m.record);
-                assert_eq!(frame.decode(), read[m.record]);
+                records.walk((m.offset, m.record), |frames| {
+                    let frame = frames.read().unwrap().expect("a mark frames a record");
+                    assert_eq!(frame.record, m.record);
+                    assert_eq!(frame.decode().unwrap(), read[m.record]);
+                });
             }
         }
     }

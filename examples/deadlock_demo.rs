@@ -186,7 +186,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let log = read_wal(wal_path)?;
     assert!(log.damage.is_none(), "freshly written log is intact");
     println!("last 12 events before the verdict:");
-    for line in tail_lines(&log.events, 12) {
+    for line in tail_lines(&log.events, 12)? {
         println!("  {line}");
     }
     Ok(())

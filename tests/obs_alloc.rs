@@ -1,6 +1,6 @@
-//! Allocation-count regression anchors for the WAL writer and reader.
+//! Allocation regression anchors for the WAL writer and reader.
 //!
-//! Four claims the log makes are about the allocator, not about semantics,
+//! Five claims the log makes are about the allocator, not about semantics,
 //! so they need an allocator to witness them:
 //!
 //! * a fixed-size record is framed on the stack: appending any number of
@@ -9,13 +9,19 @@
 //!   the first, a snapshot allocates a bounded number of times, however
 //!   many travels it holds;
 //! * reading a log verifies every record and builds none of them: the
-//!   allocations are the buffer and the snapshot index, so their number is
+//!   allocations are the read buffer (a copy of the intact prefix, for a
+//!   log read from bytes) and the snapshot index, so their number is
 //!   bounded by the log's snapshots, not by its records;
 //! * `replay_to` builds the travels of the one snapshot it seeks to, and
-//!   allocates nothing per record it reads after it.
+//!   allocates nothing per record it reads after it;
+//! * a file-backed log is read through one buffer and never held whole:
+//!   the heap that reading it and replaying it to its end peaks at is the
+//!   buffer, the largest record, the index and the replayed configuration,
+//!   for a log eight times longer too.
 //!
-//! The counting allocator is the one of `tests/arena_alloc.rs`: it only
-//! counts, per thread, and each measurement brackets its own region.
+//! The counting allocator is the one of `tests/arena_alloc.rs`, extended by
+//! the live bytes and their peak: it only counts, per thread, and each
+//! measurement brackets its own region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,34 +29,48 @@ use std::rc::Rc;
 
 use genoc::core::moves::MoveKind;
 use genoc::obs::{
-    read_wal, read_wal_bytes, recorded_outcome, replay_to, WalEvent, WalLog, WAL_VERSION,
+    read_wal, read_wal_bytes, recorded_outcome, replay_to, WalEvent, WalLog, WAL_READ_BUFFER,
+    WAL_VERSION,
 };
 use genoc::prelude::*;
 
 struct CountingAlloc;
 
 thread_local! {
-    // Const-initialised and without a destructor, so touching it from
+    // Const-initialised and without a destructor, so touching them from
     // inside the allocator neither allocates nor runs into a torn-down slot.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (negative when it
+    /// frees what another thread allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last [`heap_peak_during`] began.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation or reallocation that changes the live bytes by
+/// `grown`.
+fn count_one(grown: i64) {
     ALLOCS.with(|c| c.set(c.get() + 1));
+    let live = LIVE.with(|l| {
+        l.set(l.get() + grown);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.with(|l| l.set(l.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,35 +84,47 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, ALLOCS.with(Cell::get) - before)
 }
 
+/// `f`'s value, the most heap it held at once beyond what was live when it
+/// began, and the heap its value holds.
+fn heap_peak_during<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let value = f();
+    let held = LIVE.with(Cell::get) - before;
+    let peak = PEAK.with(Cell::get) - before;
+    (value, peak as u64, held as u64)
+}
+
 /// A recovering run on the 4×4 mixed mesh — long worms, several cycles
-/// closed and aborted — recorded in memory with a snapshot every
-/// `snapshot_every` steps and at every recovery.
-fn recorded_log(snapshot_every: u64) -> (Mesh, Vec<u8>) {
+/// closed and aborted — recorded in memory `runs` times over, with a
+/// snapshot every `snapshot_every` steps and at every recovery.
+fn recorded_log(snapshot_every: u64, runs: usize) -> (Mesh, Vec<u8>) {
     let mesh = Mesh::new(4, 4, 1);
     let routing = MixedXyYxRouting::new(&mesh);
     let specs = genoc::sim::workload::bit_complement(&mesh, 8);
-    let cfg = Config::from_specs(&mesh, &routing, &specs).expect("routable workload");
     let wal = genoc::obs::shared(WalWriter::in_memory());
-    let mut recorder = Recorder::build(
-        Some(Rc::clone(&wal)),
-        0,
-        None,
-        RecorderOptions { snapshot_every },
-    );
-    let engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
-    let mut hook = ObservedEngine::new(engine, Some(Rc::clone(&wal)));
-    let result = simulate_observed_config(
-        &mesh,
-        &mut Switching::default(),
-        cfg,
-        &SimOptions::default(),
-        &mut hook,
-        &mut recorder,
-    )
-    .expect("recorded run");
-    assert_eq!(result.run.outcome, Outcome::Evacuated, "recovery evacuates");
-    drop(recorder);
-    drop(hook);
+    for _ in 0..runs {
+        let cfg = Config::from_specs(&mesh, &routing, &specs).expect("routable workload");
+        let mut recorder = Recorder::build(
+            Some(Rc::clone(&wal)),
+            0,
+            None,
+            RecorderOptions { snapshot_every },
+        );
+        let engine =
+            DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
+        let mut hook = ObservedEngine::new(engine, Some(Rc::clone(&wal)));
+        let result = simulate_observed_config(
+            &mesh,
+            &mut Switching::default(),
+            cfg,
+            &SimOptions::default(),
+            &mut hook,
+            &mut recorder,
+        )
+        .expect("recorded run");
+        assert_eq!(result.run.outcome, Outcome::Evacuated, "recovery evacuates");
+    }
     let writer = Rc::try_unwrap(wal).ok().expect("sole owner").into_inner();
     (
         mesh,
@@ -216,9 +248,14 @@ fn a_snapshot_allocates_a_bounded_number_of_times() {
     std::fs::remove_file(&file).expect("remove the log");
 }
 
+/// Every record of `log`, read back and decoded.
+fn decoded(log: &WalLog) -> impl Iterator<Item = WalEvent> + '_ {
+    (log.events.iter()).map(|e| e.expect("an unchanged log reads back"))
+}
+
 /// `(records, snapshots)` of a log, counted by decoding it.
 fn census(log: &WalLog) -> (usize, usize) {
-    let snapshots = (log.events.iter())
+    let snapshots = decoded(log)
         .filter(|e| matches!(e, WalEvent::Snapshot { .. }))
         .count();
     (log.events.len(), snapshots)
@@ -232,7 +269,7 @@ fn census(log: &WalLog) -> (usize, usize) {
 fn reading_allocates_by_snapshots_not_by_records() {
     let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_alloc.wal");
     for snapshot_every in [4, 64] {
-        let (_, bytes) = recorded_log(snapshot_every);
+        let (_, bytes) = recorded_log(snapshot_every, 1);
         std::fs::write(&file, &bytes).expect("write the log out");
         let (log, from_bytes) = allocations_during(|| read_wal_bytes(&bytes));
         let (from_file, from_path) = allocations_during(|| read_wal(&file).expect("read back"));
@@ -261,10 +298,10 @@ fn reading_allocates_by_snapshots_not_by_records() {
 /// to the arrived list's growth.
 #[test]
 fn a_replay_builds_one_snapshot() {
-    let (mesh, bytes) = recorded_log(4);
+    let (mesh, bytes) = recorded_log(4, 1);
     let log = read_wal_bytes(&bytes);
     let (_, steps) = recorded_outcome(&log.events).expect("clean footer");
-    let (at, travels) = (log.events.iter())
+    let (at, travels) = decoded(&log)
         .filter_map(|e| match e {
             WalEvent::Snapshot { step, images } => {
                 Some((step, images.inflight_len() + images.arrived_len()))
@@ -288,4 +325,67 @@ fn a_replay_builds_one_snapshot() {
         "the records after the snapshot allocated {} times",
         to_end - to_snapshot
     );
+}
+
+/// Byte length of the longest frame of the log `bytes`.
+fn largest_frame(bytes: &[u8]) -> usize {
+    let (mut at, mut largest) = (12, 0);
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+        let frame = 4 + 1 + len + 8;
+        largest = largest.max(frame);
+        at += frame;
+    }
+    largest
+}
+
+/// Reading a file-backed recovering run's log and replaying it to its end
+/// holds, at its peak, the read buffer (grown to the largest frame if that
+/// is longer), that frame twice more — the decoded snapshot's block, and the
+/// travel images decoded from it one at a time — the snapshot index (a
+/// doubling vector of 24-byte marks) and the replayed configuration: never
+/// the log, and for a log eight times longer no more than the longer index.
+#[test]
+fn a_file_backed_replay_holds_a_buffer_not_the_log() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_alloc_bounded.wal");
+    let mut peaks = Vec::new();
+    for runs in [4, 32] {
+        let (mesh, bytes) = recorded_log(4, runs);
+        std::fs::write(&file, &bytes).expect("write the log out");
+        let ((log, replayed), peak, held) = heap_peak_during(|| {
+            let log = read_wal(&file).expect("read back");
+            let (_, steps) = recorded_outcome(&log.events).expect("clean footer");
+            let replayed = replay_to(&mesh, &log.events, steps).expect("replay to the end");
+            (log, replayed)
+        });
+        assert!(log.damage.is_none(), "{:?}", log.damage);
+        assert!(replayed.is_evacuated());
+        let (_, snapshots) = census(&log);
+        let (_, _, configuration) = heap_peak_during(|| drop(log));
+        // What is left of `held` once the log is dropped.
+        let configuration = held.wrapping_add(configuration);
+        let largest = largest_frame(&bytes);
+        let index = 2 * 24 * snapshots as u64;
+        let bound = (WAL_READ_BUFFER.max(largest) + 2 * largest) as u64 + index + configuration;
+        assert!(
+            bound < bytes.len() as u64 / 2,
+            "a log of {} bytes is too short to tell a buffer from the log",
+            bytes.len()
+        );
+        assert!(
+            peak <= bound,
+            "{runs} runs ({} bytes, largest frame {largest}, {snapshots} snapshots, \
+             configuration {configuration}): peak heap {peak} > {bound}",
+            bytes.len()
+        );
+        peaks.push((peak, index));
+    }
+    let [(short, short_index), (long, long_index)] = peaks[..] else {
+        unreachable!("two logs")
+    };
+    assert!(
+        long <= short + (long_index - short_index),
+        "eight times the log peaked at {long} bytes, one time at {short}"
+    );
+    std::fs::remove_file(&file).expect("remove the log");
 }

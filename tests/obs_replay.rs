@@ -16,7 +16,9 @@
 //!
 //! Plus the refusals: a log whose records pass their checksums and name a
 //! port, a route index or a flit that does not exist is an
-//! `Error::Invariant` naming the record, never a panic.
+//! `Error::Invariant` naming the record, never a panic; and a file-backed
+//! log cut short or rewritten after it was read is an `Error::WalChanged`
+//! naming the byte it changed at, from every reader.
 
 use std::rc::Rc;
 
@@ -29,6 +31,11 @@ use genoc::obs::{
 };
 use genoc::prelude::*;
 use genoc::verif::Instance;
+
+/// Every record of `records`, read back and decoded.
+fn decoded(records: &WalRecords) -> Vec<WalEvent> {
+    (records.iter().collect::<Result<_, _>>()).expect("an unchanged log reads back")
+}
 
 /// Records one run of `cfg` into an in-memory WAL, returning the records
 /// read back and the recorded step count.
@@ -190,7 +197,7 @@ fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
 
     // The log carries the firing, at the step the engine reported.
     let logged = genoc::obs::detections(&log.events)
-        .find_map(|e| match e {
+        .find_map(|e| match e.expect("the log reads back") {
             WalEvent::Detection { step, msgs, .. } => Some((step, msgs)),
             _ => None,
         })
@@ -220,7 +227,8 @@ fn recorded_deadlock_replays_to_a_detector_confirmed_cycle() {
 #[test]
 fn a_tail_longer_than_the_log_is_every_evidence_line() {
     let (_, _, _, log) = recorded_storm();
-    let mut events = log.events.iter();
+    let all = decoded(&log.events);
+    let mut events = all.iter().cloned();
     let mut expected: Vec<String> = (events.by_ref())
         .take_while(|e| !matches!(e, WalEvent::Detection { .. }))
         .filter(|e| {
@@ -239,16 +247,13 @@ fn a_tail_longer_than_the_log_is_every_evidence_line() {
         .collect();
     let evidence = expected.len();
     assert!(evidence > 0);
-    let first = log
-        .events
-        .iter()
-        .find(|e| matches!(e, WalEvent::Detection { .. }));
-    expected.push(describe(&first.expect("the storm is detected")));
+    let first = all.iter().find(|e| matches!(e, WalEvent::Detection { .. }));
+    expected.push(describe(first.expect("the storm is detected")));
     let verdicts =
         events.filter(|e| matches!(e, WalEvent::Detection { .. } | WalEvent::RunEnd { .. }));
     expected.extend(verdicts.map(|e| describe(&e)));
     for k in [evidence, evidence + 1, u32::MAX as usize, usize::MAX] {
-        assert_eq!(tail_lines(&log.events, k), expected, "k = {k}");
+        assert_eq!(tail_lines(&log.events, k).unwrap(), expected, "k = {k}");
     }
 }
 
@@ -294,9 +299,7 @@ fn a_recovering_run_replays_identically_at_every_step() {
 
     // Periodic snapshots land on multiples of the period; the barriers a
     // recovery writes land wherever a cycle closed.
-    let snapshot_steps: Vec<u64> = log
-        .events
-        .iter()
+    let snapshot_steps: Vec<u64> = (decoded(&log.events).into_iter())
         .filter_map(|e| match e {
             WalEvent::Snapshot { step, .. } => Some(step),
             _ => None,
@@ -386,7 +389,7 @@ fn hand_built_log(edit: impl Fn(&mut WalEvent)) -> (Mesh, WalRecords) {
     }
     let log = read_wal_bytes(&w.finish().expect("flush").expect("in-memory bytes"));
     assert!(log.damage.is_none(), "{:?}", log.damage);
-    assert!(log.events.iter().eq(events));
+    assert_eq!(decoded(&log.events), events);
     (mesh, log.events)
 }
 
@@ -468,4 +471,123 @@ fn ill_formed_logs_are_refused_not_panicked_on() {
         "WAL record 5 (",
         "move of a flit the travel does not have",
     );
+}
+
+/// `(offset, length, kind)` of every frame of the intact log `bytes`.
+fn frames(bytes: &[u8]) -> Vec<(u64, usize, u8)> {
+    let mut frames = Vec::new();
+    let mut at = 12;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+        frames.push((at as u64, 5 + len + 8, bytes[at + 4]));
+        at += 5 + len + 8;
+    }
+    frames
+}
+
+/// A file-backed log is read back from the file at every pass, and each
+/// record is checked again on the way in: once the file is cut short, or
+/// one byte of a record after the last snapshot is flipped, every reader
+/// reports `Error::WalChanged` naming that record's byte offset — none
+/// panics, and none yields a shorter stream as if the log ended there.
+#[test]
+fn a_log_changed_on_disk_is_an_error_at_its_byte() {
+    const SNAPSHOT_EVERY: u64 = 16;
+    const SNAPSHOT: u8 = 11;
+    let mesh = Mesh::new(4, 4, 1);
+    let routing = MixedXyYxRouting::new(&mesh);
+    let specs = genoc::sim::workload::bit_complement(&mesh, 8);
+    let cfg = Config::from_specs(&mesh, &routing, &specs).expect("routable workload");
+    let wal = genoc::obs::shared(WalWriter::in_memory());
+    let mut recorder = Recorder::build(
+        Some(Rc::clone(&wal)),
+        0,
+        None,
+        RecorderOptions {
+            snapshot_every: SNAPSHOT_EVERY,
+        },
+    );
+    let engine = DetectionEngine::with_policy(EngineOptions::default(), Box::new(AbortAndEvacuate));
+    let mut hook = ObservedEngine::new(engine, Some(Rc::clone(&wal)));
+    let result = simulate_observed_config(
+        &mesh,
+        &mut Switching::default(),
+        cfg,
+        &SimOptions::default(),
+        &mut hook,
+        &mut recorder,
+    )
+    .expect("recorded run");
+    drop(recorder);
+    drop(hook);
+    let writer = Rc::try_unwrap(wal).ok().expect("sole owner").into_inner();
+    let bytes = writer.finish().expect("flush").expect("in-memory bytes");
+    let frames = frames(&bytes);
+    let last_snapshot = (frames.iter())
+        .rposition(|&(_, _, kind)| kind == SNAPSHOT)
+        .expect("snapshots");
+    let after = &frames[last_snapshot + 1..];
+    assert!(
+        after.len() > 8,
+        "{} records after the last snapshot",
+        after.len()
+    );
+
+    // A cut on a frame boundary, and a flipped payload byte, past the last
+    // snapshot: the record at `at` is the first that no longer reads back.
+    let (cut, _, _) = after[after.len() / 2];
+    let (flipped, _, _) = after[after.len() / 3];
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_replay_changed.wal");
+    for (what, at) in [("truncated", cut), ("flipped", flipped)] {
+        std::fs::write(&file, &bytes).expect("write the log out");
+        let log = genoc::obs::read_wal(&file).expect("read back");
+        assert!(log.damage.is_none(), "{what}: {:?}", log.damage);
+        assert_eq!(log.events.len(), frames.len());
+        if what == "truncated" {
+            let f = std::fs::OpenOptions::new().write(true).open(&file).unwrap();
+            f.set_len(cut).unwrap();
+        } else {
+            let mut changed = bytes.clone();
+            changed[flipped as usize + 6] ^= 0x20;
+            std::fs::write(&file, changed).unwrap();
+        }
+
+        let changed_at = |result: Result<(), Error>, reader: &str| match result {
+            Err(Error::WalChanged { offset, what: text }) => {
+                assert_eq!(offset, at, "{what}: {reader}: {text}");
+                assert!(
+                    text.contains(&format!("at byte {at}")),
+                    "{what}: {reader}: {text}"
+                );
+            }
+            other => panic!("{what}: {reader} gave {other:?}"),
+        };
+        let (_, steps) = genoc::obs::recorded_outcome(&log.events).expect("the index holds");
+        assert_eq!(steps, result.run.steps);
+        changed_at(
+            genoc::obs::replay_to(&mesh, &log.events, steps).map(drop),
+            "replay_to",
+        );
+        changed_at(tail_lines(&log.events, 12).map(drop), "tail_lines");
+        changed_at(
+            genoc::obs::detections(&log.events).try_for_each(|d| d.map(drop)),
+            "detections",
+        );
+        // Every record before the changed one, then the error, then nothing.
+        let mut records = log.events.iter();
+        let intact = frames.partition_point(|&(offset, _, _)| offset < at);
+        assert_eq!(
+            records.by_ref().take(intact).filter(Result::is_ok).count(),
+            intact
+        );
+        changed_at(
+            records.next().expect("an error, not an end").map(drop),
+            "iter",
+        );
+        assert!(
+            records.next().is_none(),
+            "{what}: iter goes on past the error"
+        );
+    }
+    std::fs::remove_file(&file).expect("remove the log");
 }

@@ -7,8 +7,8 @@
 
 use genoc::core::moves::MoveKind;
 use genoc::obs::{
-    read_wal_bytes, RecoveryAction, SnapshotImages, TravelImage, WalEvent, WalMeta, WalWriter,
-    WAL_VERSION,
+    read_wal, read_wal_bytes, RecoveryAction, SnapshotImages, TravelImage, WalEvent, WalMeta,
+    WalRecords, WalWriter, WAL_READ_BUFFER, WAL_VERSION,
 };
 use genoc::prelude::*;
 use proptest::collection::vec;
@@ -105,6 +105,11 @@ fn event_from_seed(seed: u64) -> WalEvent {
     }
 }
 
+/// Every record of `records`, read back and decoded.
+fn decoded(records: &WalRecords) -> Vec<WalEvent> {
+    (records.iter().collect::<Result<_, _>>()).expect("an unchanged log reads back")
+}
+
 fn encode(events: &[WalEvent]) -> Vec<u8> {
     let mut w = WalWriter::in_memory();
     for e in events {
@@ -123,7 +128,7 @@ proptest! {
         let log = read_wal_bytes(&bytes);
         prop_assert!(log.damage.is_none(), "fresh log damaged: {:?}", log.damage);
         prop_assert_eq!(log.events.len(), events.len());
-        prop_assert_eq!(log.events.iter().collect::<Vec<_>>(), events);
+        prop_assert_eq!(decoded(&log.events), events);
     }
 
     #[test]
@@ -135,7 +140,7 @@ proptest! {
         let bytes = encode(&events);
         let cut = cut_raw % (bytes.len() + 1);
         let log = read_wal_bytes(&bytes[..cut]);
-        let read: Vec<WalEvent> = log.events.iter().collect();
+        let read = decoded(&log.events);
         prop_assert_eq!(read.len(), log.events.len());
         // A mid-record cut must be reported; a record-boundary cut is a
         // legitimately shorter log, verified by re-encoding the prefix to
@@ -284,10 +289,7 @@ fn every_kind_of_damage_is_named_at_its_byte() {
         let log = read_wal_bytes(damaged);
         assert_eq!(log.damage.as_deref(), Some(damage), "{what}");
         assert_eq!(log.events.len(), intact, "{what}: intact prefix");
-        assert!(
-            log.events.iter().eq(events[..intact].iter().cloned()),
-            "{what}"
-        );
+        assert_eq!(decoded(&log.events), events[..intact], "{what}");
     }
 }
 
@@ -311,10 +313,7 @@ fn damaged_logs_still_yield_their_intact_prefix() {
     bytes[len - 3] ^= 0x40;
     let log = read_wal_bytes(&bytes);
     assert!(log.damage.is_some());
-    assert!(log
-        .events
-        .iter()
-        .eq(events[..events.len() - 1].iter().cloned()));
+    assert_eq!(decoded(&log.events), events[..events.len() - 1]);
 }
 
 /// The log of one seeded recovering run, byte for byte: 8×8 mixed XY/YX at
@@ -352,7 +351,8 @@ fn a_recovering_run_reads_back_and_reencodes_byte_for_byte() {
     assert_eq!(log.events.len() as u64, records);
     let mut w = WalWriter::in_memory();
     for e in log.events.iter() {
-        w.append(&e).expect("in-memory append cannot fail");
+        w.append(&e.expect("the log reads back"))
+            .expect("in-memory append cannot fail");
     }
     assert_eq!(w.records_written(), records);
     let again = w.finish().expect("flush").expect("in-memory bytes");
@@ -390,4 +390,97 @@ fn recovering_run() -> (u64, usize, u64, Vec<u8>) {
     let records = writer.records_written();
     let bytes = writer.finish().unwrap().unwrap();
     (result.run.steps, detections, records, bytes)
+}
+
+/// `(offset, length)` of every frame of the intact log `bytes`.
+fn frames(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut frames = Vec::new();
+    let mut at = RECORD_AT;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+        frames.push((at, 5 + len + 8));
+        at += 5 + len + 8;
+    }
+    frames
+}
+
+/// A file-backed log is verified through one buffer, and reads exactly as
+/// the same bytes in memory do wherever the file ends: at every frame
+/// boundary near the end of each buffer's worth the reader fills, and one
+/// byte into every frame that straddles one — a frame longer than the
+/// buffer among them. The reader fills its buffer from the file's first
+/// byte, and again from the first frame that does not fit in what it
+/// holds, growing it to a frame longer than it.
+#[test]
+fn a_file_reads_as_its_bytes_across_buffer_boundaries() {
+    let mut events: Vec<WalEvent> = Vec::new();
+    let mut seed = 0;
+    while encode(&events).len() < 6 * WAL_READ_BUFFER {
+        events.extend((seed..seed + 512).map(event_from_seed));
+        seed += 512;
+        if events.len() == 2048 {
+            // One snapshot longer than the buffer.
+            let image = TravelImage {
+                id: MsgId::from_index(0),
+                route: (0..WAL_READ_BUFFER / 3).map(PortId::from_index).collect(),
+                flits: vec![FlitPos::Pending],
+            };
+            events.push(WalEvent::Snapshot {
+                step: 9,
+                images: SnapshotImages::from_images(&[image], &[]),
+            });
+        }
+    }
+    let bytes = encode(&events);
+    let frames = frames(&bytes);
+    assert!(frames.iter().any(|&(_, len)| len > WAL_READ_BUFFER));
+
+    // The ends of the buffers the reader fills, and the cuts near them.
+    let (mut start, mut held) = (0, WAL_READ_BUFFER);
+    let mut ends = vec![held];
+    for &(at, len) in &frames {
+        if at + len > start + held {
+            (start, held) = (at, held.max(len));
+            ends.push(start + held);
+        }
+    }
+    assert!(ends.len() > 4, "{} buffers", ends.len());
+    let mut cuts = Vec::new();
+    for &end in &ends {
+        let next = frames.partition_point(|&(at, _)| at < end);
+        for &(at, len) in &frames[next.saturating_sub(4)..(next + 4).min(frames.len())] {
+            cuts.push(at);
+            cuts.push(at + len);
+            if at < end && end < at + len {
+                cuts.push(end);
+            }
+        }
+    }
+    cuts.sort_unstable();
+    cuts.dedup();
+
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_wal_boundaries.wal");
+    for cut in cuts {
+        std::fs::write(&file, &bytes[..cut]).expect("write the prefix out");
+        let from_file = read_wal(&file).expect("read the prefix back");
+        let from_bytes = read_wal_bytes(&bytes[..cut]);
+        assert_eq!(from_file.damage, from_bytes.damage, "cut at {cut}");
+        assert_eq!(
+            from_file.events.len(),
+            from_bytes.events.len(),
+            "cut at {cut}"
+        );
+        // The index and the intact length.
+        assert_eq!(
+            format!("{:?}", from_file.events),
+            format!("{:?}", from_bytes.events),
+            "cut at {cut}"
+        );
+    }
+    std::fs::write(&file, &bytes).expect("write the log out");
+    assert_eq!(
+        decoded(&read_wal(&file).expect("read the log back").events),
+        events
+    );
+    std::fs::remove_file(&file).expect("remove the log");
 }
