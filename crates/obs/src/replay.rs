@@ -154,59 +154,66 @@ pub fn replay_to(net: &dyn Network, events: &WalRecords, steps: u64) -> Result<C
         None => (WalRecords::FIRST, Some(initial_config(net, events)?)),
     };
     events.walk(from, |frames| {
-        let mut cfg = match initial {
+        let cfg = match initial {
             Some(cfg) => cfg,
             None => snapshot_config(net, frames, from)?,
         };
-        let mut in_step = false;
-        // Step markers and moves are all a replay reads; the rest stay
-        // encoded.
-        while let Some(frame) = frames.read()? {
-            if !matches!(frame.kind, KIND_STEP_BEGIN | KIND_MOVE) {
-                continue;
-            }
-            let e = frame.decode()?;
-            match e {
-                WalEvent::StepBegin { step } => {
-                    if in_step {
-                        cfg.drain_arrived();
-                    }
-                    if step >= steps {
-                        in_step = false;
-                        break;
-                    }
-                    in_step = true;
-                }
-                WalEvent::Move {
-                    msg, flit, kind, ..
-                } if in_step => {
-                    let i = cfg
-                        .travels()
-                        .iter()
-                        .position(|t| t.id() == msg)
-                        .ok_or_else(|| {
-                            Error::Invariant(format!(
-                                "WAL moves unknown travel {msg} during replay"
-                            ))
-                        })?;
-                    let flit = flit as usize;
-                    if flit >= cfg.travels()[i].flit_count() {
-                        return Err(ill_formed(
-                            frame.record,
-                            &e,
-                            format!("{msg} has {} flits", cfg.travels()[i].flit_count()),
-                        ));
-                    }
-                    cfg.move_flit(i, flit, kind)?;
-                }
-                _ => {}
-            }
-        }
-        if in_step {
-            cfg.drain_arrived();
-        }
-        Ok(cfg)
+        apply_moves(cfg, frames, steps)
     })
+}
+
+/// `cfg` with the recorded moves that `frames` read applied, up to the
+/// marker of step `steps`, arrivals drained at every step boundary.
+fn apply_moves(
+    mut cfg: Config,
+    frames: &mut Walker<'_, dyn Window + '_>,
+    steps: u64,
+) -> Result<Config> {
+    let mut in_step = false;
+    // Step markers and moves are all a replay reads; the rest stay encoded.
+    while let Some(frame) = frames.read()? {
+        if !matches!(frame.kind, KIND_STEP_BEGIN | KIND_MOVE) {
+            continue;
+        }
+        let e = frame.decode()?;
+        match e {
+            WalEvent::StepBegin { step } => {
+                if in_step {
+                    cfg.drain_arrived();
+                }
+                if step >= steps {
+                    in_step = false;
+                    break;
+                }
+                in_step = true;
+            }
+            WalEvent::Move {
+                msg, flit, kind, ..
+            } if in_step => {
+                let i = cfg
+                    .travels()
+                    .iter()
+                    .position(|t| t.id() == msg)
+                    .ok_or_else(|| {
+                        Error::Invariant(format!("WAL moves unknown travel {msg} during replay"))
+                    })?;
+                let flit = flit as usize;
+                if flit >= cfg.travels()[i].flit_count() {
+                    return Err(ill_formed(
+                        frame.record,
+                        &e,
+                        format!("{msg} has {} flits", cfg.travels()[i].flit_count()),
+                    ));
+                }
+                cfg.move_flit(i, flit, kind)?;
+            }
+            _ => {}
+        }
+    }
+    if in_step {
+        cfg.drain_arrived();
+    }
+    Ok(cfg)
 }
 
 /// The configuration the snapshot framed at `(byte offset, record number)`

@@ -1536,6 +1536,8 @@ impl WalRecords {
         })
     }
 
+    /// Runs `f` on the log's source, holding a file-backed log's buffer
+    /// while it runs.
     fn with_window<T>(&self, f: impl FnOnce(&mut (dyn Window + '_)) -> T) -> T {
         match &self.source {
             Source::InMemory(bytes) => f(&mut InMemory(bytes)),
