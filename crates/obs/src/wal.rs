@@ -1356,9 +1356,8 @@ impl<S: Window + ?Sized> Walker<'_, S> {
             return damage(format!("truncated record kind at byte {at}"));
         }
         let header = self.src.window(at, FRAME_HEADER).map_err(Fault::Io)?;
-        let len = u32::from_le_bytes(header[..4].try_into().expect("a 4-byte length"));
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
         let kind = header[4];
-        let len = len as usize;
         if left < (FRAME_HEADER + len) as u64 {
             return damage(format!("truncated payload at byte {at} (want {len} bytes)"));
         }
@@ -1368,9 +1367,9 @@ impl<S: Window + ?Sized> Walker<'_, S> {
         }
         let frame = self.src.window(at, size).map_err(Fault::Io)?;
         let (payload, sum) = frame[FRAME_HEADER..].split_at(len);
-        if u64::from_le_bytes(sum.try_into().expect("an 8-byte checksum"))
-            != checksum(kind, payload)
-        {
+        let mut stored = [0; FRAME_TRAILER];
+        stored.copy_from_slice(sum);
+        if u64::from_le_bytes(stored) != checksum(kind, payload) {
             return damage(format!("checksum mismatch at byte {at}"));
         }
         let record = self.record;
