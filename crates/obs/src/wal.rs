@@ -89,7 +89,8 @@
 //! byte offsets and steps, the first `RunStart`'s seed and instance, the
 //! last `RunEnd`, the last step marker, the record count and the intact
 //! length ([`WalRecords`]) — never the log's bytes, so reading a log back
-//! costs a buffer whatever its length. [`read_wal_bytes`] runs the same
+//! costs a buffer whatever its length. (A pipe cannot be read back from
+//! offsets; its bytes are read whole and kept.) [`read_wal_bytes`] runs the same
 //! frame walker and the same parser over the bytes it is given, and keeps a
 //! copy of their intact prefix. The check and the decoder are one parser,
 //! so a record that passed the read decodes.
@@ -1648,13 +1649,23 @@ pub fn read_wal_bytes(data: &[u8]) -> WalLog {
 /// [`WAL_READ_BUFFER`] bytes, and keeps the open file and that buffer to
 /// read the records back from.
 ///
+/// A source that is not a regular file, such as a pipe, cannot be read
+/// back from offsets: its bytes are read whole and kept, as
+/// [`read_wal_bytes`] keeps them.
+///
 /// # Errors
 ///
 /// Propagates I/O errors; damage is reported in [`WalLog::damage`], not as
 /// an error.
 pub fn read_wal(path: &Path) -> io::Result<WalLog> {
-    let file = File::open(path)?;
-    let end = file.metadata()?.len();
+    let mut file = File::open(path)?;
+    let meta = file.metadata()?;
+    if !meta.is_file() {
+        let mut data = Vec::new();
+        file.read_to_end(&mut data)?;
+        return Ok(read_wal_bytes(&data));
+    }
+    let end = meta.len();
     let mut window = FileWindow::new(file);
     let mut log = verify(&mut window, end)?;
     log.events.source = Source::File(Mutex::new(window));

@@ -484,3 +484,31 @@ fn a_file_reads_as_its_bytes_across_buffer_boundaries() {
     );
     std::fs::remove_file(&file).expect("remove the log");
 }
+
+/// A log read from a pipe, which cannot be read back from offsets, reads as
+/// its bytes do.
+#[test]
+fn a_log_from_a_pipe_reads_as_its_bytes() {
+    let fifo = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_wal_pipe.wal");
+    let _ = std::fs::remove_file(&fifo);
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+    if !made.is_ok_and(|status| status.success()) {
+        return; // no `mkfifo` on this platform
+    }
+    let events: Vec<WalEvent> = (0..64).map(event_from_seed).collect();
+    let bytes = encode(&events);
+    let writer = {
+        let (fifo, bytes) = (fifo.clone(), bytes.clone());
+        std::thread::spawn(move || std::fs::write(fifo, bytes).expect("write into the pipe"))
+    };
+    let from_pipe = read_wal(&fifo).expect("read the pipe");
+    writer.join().expect("the writer");
+    let from_bytes = read_wal_bytes(&bytes);
+    assert_eq!(from_pipe.damage, None);
+    assert_eq!(
+        format!("{:?}", from_pipe.events),
+        format!("{:?}", from_bytes.events)
+    );
+    assert_eq!(decoded(&from_pipe.events), events);
+    std::fs::remove_file(&fifo).expect("remove the pipe");
+}
