@@ -26,6 +26,7 @@
 use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::ids::{MsgId, PortId};
+use crate::kernel::{Transition, TravelStatus};
 use crate::travel::FlitPos;
 
 /// One blocking event: a travel that cannot make progression, the port it
@@ -81,6 +82,81 @@ pub fn block_events(cfg: &Config) -> Vec<BlockEvent> {
     (0..cfg.travels().len())
         .filter_map(|i| block_event(cfg, i))
         .collect()
+}
+
+/// One wait-for edge: the port a blocked travel's head wants, and its owner.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct WaitEdge {
+    /// The port the head cannot claim.
+    pub wants: PortId,
+    /// The message owning it.
+    pub on: MsgId,
+}
+
+impl WaitEdge {
+    /// The wait-for edge of the travel at index `i`, if it waits on an owner.
+    pub fn of(cfg: &Config, i: usize) -> Option<WaitEdge> {
+        let BlockEvent { wants, on, .. } = block_event(cfg, i)?;
+        Some(WaitEdge { wants, on: on? })
+    }
+}
+
+/// The reference loop's transition log: every travel's [`WaitEdge`] diffed
+/// step to step into the [`Transition`]s the arena kernel logs. A step logs
+/// `Blocked(wants)` for a travel whose edge is new *or has a new owner* (the
+/// port changed hands while the travel stayed blocked on it, so its status
+/// did not change), `Active` for one whose edge went away, and `Delivered`
+/// for each arrival. A fresh diff's first step logs every blocked travel.
+#[derive(Clone, Debug, Default)]
+pub struct BlockDiff {
+    /// Edge per message id index, as of the last step or rebaseline.
+    edges: Vec<Option<WaitEdge>>,
+    log: Vec<Transition>,
+}
+
+impl BlockDiff {
+    /// Diffs `cfg`, the configuration after a step with its `arrived`
+    /// travels drained, against the baseline, which it then replaces.
+    /// Returns the step's log.
+    pub fn step(&mut self, cfg: &Config, arrived: &[MsgId]) -> &[Transition] {
+        self.log.clear();
+        for i in 0..cfg.travels().len() {
+            let (msg, edge) = (cfg.travel(i).id(), WaitEdge::of(cfg, i));
+            let slot = self.slot(msg);
+            if *slot != edge {
+                *slot = edge;
+                let status = edge.map_or(TravelStatus::Active, |e| TravelStatus::Blocked(e.wants));
+                self.log.push(Transition { msg, status });
+            }
+        }
+        for &msg in arrived {
+            *self.slot(msg) = None;
+            let status = TravelStatus::Delivered;
+            self.log.push(Transition { msg, status });
+        }
+        &self.log
+    }
+
+    /// Takes `cfg`'s edges as the baseline, logging nothing: after a
+    /// mutation between steps, which has no transitions.
+    pub fn rebaseline(&mut self, cfg: &Config) {
+        self.edges.fill(None);
+        for i in 0..cfg.travels().len() {
+            *self.slot(cfg.travel(i).id()) = WaitEdge::of(cfg, i);
+        }
+    }
+
+    /// The edge of `msg` as of the last step or rebaseline.
+    pub fn edge(&self, msg: MsgId) -> Option<WaitEdge> {
+        self.edges.get(msg.index()).copied().flatten()
+    }
+
+    fn slot(&mut self, msg: MsgId) -> &mut Option<WaitEdge> {
+        if msg.index() >= self.edges.len() {
+            self.edges.resize(msg.index() + 1, None);
+        }
+        &mut self.edges[msg.index()]
+    }
 }
 
 /// A cycle in the wait-for structure: travels each blocked on the next, and

@@ -13,15 +13,15 @@
 //! out of the recursion).
 //!
 //! Online deadlock detection and recovery, in the style of arXiv:1110.4677,
-//! add a callback at each of the two exits and one after every step:
-//! [`run_hooked`] asks a [`DetectorHook`] at `σ.T = ∅`
+//! hook into the loop: [`run_hooked`] asks a [`DetectorHook`] at `σ.T = ∅`
 //! ([`on_drained`](DetectorHook::on_drained), which may inject more work)
 //! and at `Ω` ([`on_deadlock`](DetectorHook::on_deadlock), which may
-//! recover) whether to leave or to recurse on the mutated `σ`, and shows it
-//! every `S(σ)` ([`after_step`](DetectorHook::after_step)). [`run`] is
-//! `run_hooked` with [`NullHook`], which always leaves: the definition
-//! above.
+//! recover) whether to leave or to recurse on the mutated `σ`, and hands it
+//! every `S(σ)` with the step's [`BlockDiff`] transitions
+//! ([`after_kernel_step`](DetectorHook::after_kernel_step)). [`run`] is the
+//! definition above: no hook, no log.
 
+use crate::blocking::BlockDiff;
 use crate::config::Config;
 use crate::error::{Error, Result};
 use crate::ids::MsgId;
@@ -96,37 +96,29 @@ impl RunResult {
 
 /// Observer/actor interface for detector-instrumented runs.
 ///
-/// All methods have no-op defaults, so pure observers implement only
-/// [`after_step`](DetectorHook::after_step). Every loop that takes a hook
-/// guarantees the following call discipline: `after_step` (or, on arena runs,
-/// `after_kernel_step`) after every switching step (with newly arrived
-/// travels already drained), `on_deadlock` whenever the policy's `Ω` holds
-/// (return `true` after mutating the configuration to continue the run,
-/// `false` to end it with [`Outcome::Deadlock`]), and `on_drained` whenever
-/// `T` is empty (return `true` after injecting more work, `false` to end
-/// with [`Outcome::Evacuated`]).
+/// All methods have no-op defaults. Every loop that takes a hook guarantees
+/// the following call discipline: `after_kernel_step` after every switching
+/// step (with newly arrived travels already drained), `on_deadlock`
+/// whenever the policy's `Ω` holds (return `true` after mutating the
+/// configuration to continue the run, `false` to end it with
+/// [`Outcome::Deadlock`]), and `on_drained` whenever `T` is empty (return
+/// `true` after injecting more work, `false` to end with
+/// [`Outcome::Evacuated`]).
 pub trait DetectorHook {
-    /// Called after each switching step; `step` is the index of the step
-    /// just executed. May mutate the configuration (e.g. break a wait-for
-    /// cycle the moment it is detected).
-    ///
-    /// # Errors
-    ///
-    /// Errors abort the run.
+    /// Never called by either loop, whose per-step callback is
+    /// [`after_kernel_step`](DetectorHook::after_kernel_step): it stays only
+    /// while the benchmark crate (`ledger/`) wraps it.
     fn after_step(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<()> {
         let _ = (net, cfg, step);
         Ok(())
     }
 
-    /// The arena runs' variant of [`after_step`](DetectorHook::after_step):
-    /// additionally receives the step's status [`Transition`]s — a
-    /// `Blocked(p)` transition *is* a wait-for edge, so incremental
-    /// detectors need not rescan the configuration. Returns whether the
-    /// hook mutated the configuration (the runner then applies the mutation
-    /// to the arena in place and has the kernel reclassify every travel).
-    ///
-    /// The default delegates to `after_step` and conservatively reports a
-    /// mutation, so hooks unaware of the kernel stay correct.
+    /// Called after each switching step (`step` is its index) with its
+    /// status [`Transition`]s: the arena kernel's log, or on the reference
+    /// loop a [`BlockDiff`]'s. A `Blocked(p)` transition *is* a wait-for
+    /// edge, so incremental detectors need not rescan the configuration. May
+    /// mutate the configuration (e.g. break a wait-for cycle the moment it
+    /// is detected), and returns whether it did.
     ///
     /// # Errors
     ///
@@ -138,9 +130,8 @@ pub trait DetectorHook {
         transitions: &[Transition],
         step: u64,
     ) -> Result<bool> {
-        let _ = transitions;
-        self.after_step(net, cfg, step)?;
-        Ok(true)
+        let _ = (net, cfg, transitions, step);
+        Ok(false)
     }
 
     /// Called when the deadlock predicate holds. Return `true` iff the hook
@@ -167,24 +158,11 @@ pub trait DetectorHook {
     }
 }
 
-/// A hook that never acts: unlike the [`DetectorHook`] defaults (which
-/// conservatively report a mutation from `after_kernel_step`), this one
-/// reports "no mutation", so observed-but-undetected arena runs skip the
-/// per-step kernel resync entirely.
+/// A hook that never acts: every callback is the trait default.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullHook;
 
-impl DetectorHook for NullHook {
-    fn after_kernel_step(
-        &mut self,
-        _net: &dyn Network,
-        _cfg: &mut Config,
-        _transitions: &[Transition],
-        _step: u64,
-    ) -> Result<bool> {
-        Ok(false)
-    }
-}
+impl DetectorHook for NullHook {}
 
 /// The guard every loop that takes a hook runs once per iteration against
 /// a hook that answers "continue" forever without enabling a step (a
@@ -202,8 +180,8 @@ pub fn check_idle_continues(idle_continues: u32) -> Result<()> {
     Ok(())
 }
 
-/// Runs the GeNoC interpreter to termination: [`run_hooked`] with a
-/// [`NullHook`].
+/// Runs the GeNoC interpreter to termination, with no hook: the recursion
+/// of the module documentation, checked against (C-5) every step.
 ///
 /// # Errors
 ///
@@ -243,13 +221,15 @@ pub fn run(
     cfg: Config,
     options: &RunOptions,
 ) -> Result<RunResult> {
-    run_hooked(net, injection, switching, cfg, options, &mut NullHook)
+    run_hooked(net, injection, switching, cfg, options, None)
 }
 
 /// Runs the GeNoC interpreter to termination, reporting into `hook` (see
-/// [`DetectorHook`] for the call discipline). Hook mutations happen between
-/// steps and are exempt from (C-5): recovery may raise the measure, e.g.
-/// when a drain-and-restart resets flits to their sources.
+/// [`DetectorHook`] for the call discipline) the transitions a [`BlockDiff`]
+/// reads off each step. Without a hook it keeps no log and leaves at both
+/// exits: that is [`run`]. Hook mutations happen between steps and are
+/// exempt from (C-5): recovery may raise the measure, e.g. when a
+/// drain-and-restart resets flits to their sources.
 ///
 /// # Errors
 ///
@@ -260,13 +240,14 @@ pub fn run_hooked(
     switching: &mut dyn SwitchingPolicy,
     mut cfg: Config,
     options: &RunOptions,
-    hook: &mut dyn DetectorHook,
+    mut hook: Option<&mut dyn DetectorHook>,
 ) -> Result<RunResult> {
     let mut trace = Trace::new(options.record_trace);
     let mut measures = Vec::new();
     let mut arrival_order = Vec::new();
     let mut steps: u64 = 0;
     let mut idle_continues: u32 = 0;
+    let mut diff = BlockDiff::default();
 
     let outcome = loop {
         // Injection runs before the termination test so that non-identity
@@ -274,16 +255,24 @@ pub fn run_hooked(
         // messages into a drained travel list; under the identity injection
         // of the paper the order is immaterial.
         injection.inject(net, &mut cfg)?;
-        if cfg.is_evacuated() {
-            if !hook.on_drained(net, &mut cfg, steps)? {
+        let mutated = if cfg.is_evacuated() {
+            let go_on = hook
+                .as_mut()
+                .map_or(Ok(false), |h| h.on_drained(net, &mut cfg, steps));
+            if !go_on? {
                 break Outcome::Evacuated;
             }
             idle_continues += 1;
+            true
         } else if switching.is_deadlock(net, &cfg) {
-            if !hook.on_deadlock(net, &mut cfg, steps)? {
+            let go_on = hook
+                .as_mut()
+                .map_or(Ok(false), |h| h.on_deadlock(net, &mut cfg, steps));
+            if !go_on? {
                 break Outcome::Deadlock;
             }
             idle_continues += 1;
+            true
         } else {
             if steps >= options.max_steps {
                 break Outcome::StepLimit;
@@ -292,7 +281,7 @@ pub fn run_hooked(
             let before = cfg.progress_measure();
             trace.begin_step(steps);
             let report = switching.step(net, &mut cfg, &mut trace)?;
-            arrival_order.extend(cfg.drain_arrived());
+            let arrived = cfg.drain_arrived();
             let after = cfg.progress_measure();
 
             if report.moves() == 0 {
@@ -311,9 +300,20 @@ pub fn run_hooked(
             if options.check_invariants {
                 cfg.validate(net)?;
             }
-            hook.after_step(net, &mut cfg, steps)?;
+            let mutated = match &mut hook {
+                Some(hook) => {
+                    let transitions = diff.step(&cfg, &arrived);
+                    hook.after_kernel_step(net, &mut cfg, transitions, steps)?
+                }
+                None => false,
+            };
+            arrival_order.extend(arrived);
             steps += 1;
             idle_continues = 0;
+            mutated
+        };
+        if mutated {
+            diff.rebaseline(&cfg);
         }
         check_idle_continues(idle_continues)?;
     };

@@ -221,42 +221,6 @@ impl DetectionEngine {
         }
     }
 
-    /// Runs the detectors on the configuration as it stands after `step`,
-    /// applying recovery to any exact detection. The heuristic observes (and
-    /// a first alarm is classified as true/false) *before* recovery mutates
-    /// the configuration, so an alarm on a cycle the exact detector is about
-    /// to repair still counts as genuine.
-    fn handle(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<()> {
-        self.observe_heuristic(cfg, step);
-        if let Some(cycle) = self.exact.observe(cfg) {
-            self.record_detection(step, cycle.clone());
-            self.recover(net, cfg, step, cycle)?;
-        }
-        Ok(())
-    }
-
-    /// Kernel-driven variant of [`handle`](DetectionEngine::handle): the
-    /// exact detector folds the kernel's status transitions into its
-    /// wait-for graph directly (a `Blocked(p)` transition *is* a wait-for
-    /// edge) instead of re-deriving every travel's blocking event. Returns
-    /// whether recovery mutated the configuration.
-    fn handle_kernel(
-        &mut self,
-        net: &dyn Network,
-        cfg: &mut Config,
-        transitions: &[Transition],
-        step: u64,
-    ) -> Result<bool> {
-        self.observe_heuristic(cfg, step);
-        match self.exact.apply_kernel_transitions(cfg, transitions) {
-            Some(cycle) => {
-                self.record_detection(step, cycle.clone());
-                self.recover(net, cfg, step, cycle)
-            }
-            None => Ok(false),
-        }
-    }
-
     /// The timeout comparator contributes its first alarm only: after that it is not run.
     fn observe_heuristic(&mut self, cfg: &Config, step: u64) {
         if self.stats.first_heuristic_step.is_some() {
@@ -275,10 +239,11 @@ impl DetectionEngine {
 }
 
 impl DetectorHook for DetectionEngine {
-    fn after_step(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<()> {
-        self.handle(net, cfg, step)
-    }
-
+    /// Folds the step's transitions into the exact detector and recovers
+    /// from any cycle it reports; returns whether recovery mutated `cfg`.
+    /// The heuristic observes (and a first alarm is classified as
+    /// true/false) *before* recovery, so an alarm on a cycle about to be
+    /// repaired still counts as genuine.
     fn after_kernel_step(
         &mut self,
         net: &dyn Network,
@@ -286,7 +251,14 @@ impl DetectorHook for DetectionEngine {
         transitions: &[Transition],
         step: u64,
     ) -> Result<bool> {
-        self.handle_kernel(net, cfg, transitions, step)
+        self.observe_heuristic(cfg, step);
+        match self.exact.apply_kernel_transitions(cfg, transitions) {
+            Some(cycle) => {
+                self.record_detection(step, cycle.clone());
+                self.recover(net, cfg, step, cycle)
+            }
+            None => Ok(false),
+        }
     }
 
     fn on_deadlock(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<bool> {

@@ -2,41 +2,41 @@
 //!
 //! Each blocked travel has at most one out-edge, toward the owner of the
 //! port its head wants: a functional graph, in which a deadlock is a cycle.
-//! Two feeds, one per way of being driven:
-//!
-//! * [`observe`](ExactDetector::observe), for the full-rescan stepper,
-//!   re-derives every in-flight travel's blocking event after each step
-//!   (`O(Σ flits)` with early exit), diffs it against the stored edges and,
-//!   when an edge was *added* (removals cannot create cycles), searches the
-//!   configuration with [`find_wait_cycle`].
-//! * [`apply_kernel_transitions`](ExactDetector::apply_kernel_transitions),
-//!   for the two kernels, folds the step's status transitions into the
-//!   stored edges and decides "did a cycle close this step?" by walking them
-//!   from this step's parks, in `O(transitions + travels visited)` and
-//!   allocating nothing. [`find_wait_cycle`] only extracts the witness of a
-//!   cycle known to exist, so both feeds report the same cycle, in the same
-//!   rotation, at the same step.
+//! It has one feed, which both loops drive:
+//! [`apply_kernel_transitions`](ExactDetector::apply_kernel_transitions)
+//! folds a step's status transitions (the arena kernel's log, or the
+//! reference loop's [`BlockDiff`](genoc_core::blocking::BlockDiff) of the
+//! configuration) into the stored edges, and decides "did a cycle close
+//! this step?" by walking them from this step's parks, in
+//! `O(transitions + travels visited)` and allocating nothing.
+//! [`find_wait_cycle`] only extracts the witness of a cycle known to exist,
+//! so both loops report the same cycle, in the same rotation, at the same
+//! step.
 //!
 //! **Stored or derived.** A stored `Some(edge)` is true at the end of the
-//! step: it is written from [`block_event`] when the travel parks, cleared
-//! by its `Active`/`Delivered` transition, and while the travel stays parked
-//! the port it wants cannot change owner without being freed, which wakes
-//! it. A `None` slot means *unknown*, not *unblocked*: a travel the kernel
-//! still holds runnable (it moved and was free then, or was woken behind the
-//! cursor) can be blocked by the end of the step, a travel served later
-//! having claimed the port it wants. The walk derives that edge on arrival;
-//! reading `None` as "no edge" would report such a cycle one step late.
+//! step: it is written from [`WaitEdge::of`] when the travel parks, and
+//! cleared by its `Active`/`Delivered` transition. While the travel stays
+//! parked, the port it wants cannot change owner unnoticed: the kernel
+//! frees the port first, which wakes the travel, and the diff logs the new
+//! owner as a fresh `Blocked`. A `None` slot means *unknown*, not
+//! *unblocked*: a travel the kernel still holds runnable (it moved and was
+//! free then, or was woken behind the cursor) can be blocked by the end of
+//! the step, a travel served later having claimed the port it wants. The
+//! walk derives that edge on arrival; reading `None` as "no edge" would
+//! report such a cycle one step late.
 //!
-//! **This step's parks are starts enough.** Both kernels re-test a served
-//! travel after its moves and park it in the same step. Take a cycle present
-//! at the end of step `k` and absent at the end of `k − 1`. Some member's
-//! edge is new: that member moved during `k`, or the port it wants changed
-//! owner and its successor did. Of the members that moved, let `m` be the
-//! one served last. Were `m` free after that service, it could be blocked
-//! now only because its successor claimed the wanted port later still — a
-//! member that moved, served after `m`. So `m` parked: its `Blocked`
-//! transition is in the step's log and the walk from `m` goes round the
-//! cycle. Debug builds check every verdict against the full search.
+//! **This step's parks are starts enough.** Take a cycle present at the
+//! end of step `k` and absent at the end of `k − 1`. Some member's edge is
+//! new. On the diff that member is logged `Blocked`, and the walk from it
+//! goes round the cycle. The kernel re-tests a served travel after its
+//! moves and parks it in the same step. A member with a new edge moved
+//! during `k`, or the port it wants changed owner and its successor did. Of
+//! the members that moved, let `m` be the one served last. Were `m` free
+//! after that service, it could be blocked now only because its successor
+//! claimed the wanted port later still — a member that moved, served after
+//! `m`. So `m` parked: its `Blocked` transition is in the step's log and
+//! the walk from `m` goes round the cycle. Debug builds check every verdict
+//! against the full search.
 //!
 //! **When the graph is void.** A recovery changes the configuration without
 //! transitions, so the engine calls [`reset`](ExactDetector::reset) once it
@@ -50,22 +50,14 @@
 //! `genoc_core::blocking`) — a genuine, permanent deadlock, reported the
 //! step it forms rather than when the whole network seizes.
 
-use genoc_core::blocking::{block_event, find_wait_cycle, BlockEvent, WaitCycle};
+use genoc_core::blocking::{find_wait_cycle, WaitCycle, WaitEdge};
 use genoc_core::config::Config;
 use genoc_core::kernel::{Transition, TravelStatus};
-use genoc_core::{MsgId, PortId};
-
-/// One wait-for edge: the blocked travel's wanted port and its owner.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Edge {
-    wants: PortId,
-    on: MsgId,
-}
+use genoc_core::MsgId;
 
 /// The exact online deadlock detector.
 ///
-/// Feed it the configuration after every switching step via
-/// [`observe`](ExactDetector::observe), or the kernel's transitions via
+/// Feed it every switching step's status transitions via
 /// [`apply_kernel_transitions`](ExactDetector::apply_kernel_transitions); it
 /// returns a [`WaitCycle`] whenever the step completed a cycle in the
 /// wait-for graph. It must start on a configuration without one (every
@@ -73,25 +65,22 @@ struct Edge {
 #[derive(Clone, Debug, Default)]
 pub struct ExactDetector {
     /// Out-edge per message id index (`None` = not known to be blocked).
-    edges: Vec<Option<Edge>>,
+    edges: Vec<Option<WaitEdge>>,
     /// Walk stamp per message id index, parallel to `edges`.
     stamps: Vec<u64>,
     /// The last stamp handed out: every walk takes a fresh one.
     stamp: u64,
     /// A reported cycle has not been repaired: every added edge re-reports it.
     standing: bool,
-    /// Persistent id → travel-index map for the kernel-transition feed.
-    /// Entries are validated against the configuration on every use (an
-    /// id hit is proof of correctness, ids being unique among live
-    /// travels), so the map survives across calls and is rebuilt only
-    /// when a structural change — a travel removal shifting indices, or a
-    /// recovery going through [`reset`](ExactDetector::reset) — actually
-    /// falsified a lookup.
+    /// Persistent id → travel-index map for deriving edges. Every lookup is
+    /// validated against the configuration (ids are unique among live
+    /// travels), so the map survives across calls and is rebuilt only when
+    /// a removal or a [`reset`](ExactDetector::reset) falsified one.
     index_map: Vec<usize>,
     /// How many times the index map was rebuilt (a removal/reset tax, not
     /// a per-call one; exposed for the overhead benchmarks).
     rebuilds: u64,
-    /// How many times the kernel feed ran [`find_wait_cycle`].
+    /// How many times the feed ran [`find_wait_cycle`].
     full_scans: u64,
 }
 
@@ -108,36 +97,9 @@ impl ExactDetector {
         }
     }
 
-    /// Folds the current blocking events of `cfg` into the wait-for graph
-    /// and returns a cycle if one newly closed. Edges of travels that moved,
-    /// arrived, or were removed are dropped; the cycle chase runs only when
-    /// an edge was added.
-    pub fn observe(&mut self, cfg: &Config) -> Option<WaitCycle> {
-        let mut added = false;
-        for i in 0..cfg.travels().len() {
-            let id = cfg.travel(i).id();
-            self.ensure(id);
-            let new = edge_at(cfg, i);
-            let slot = &mut self.edges[id.index()];
-            if *slot != new {
-                added |= new.is_some();
-                *slot = new;
-            }
-        }
-        if added {
-            // The edges just refreshed mirror the configuration exactly, so
-            // the chase over the live wait-for structure is authoritative —
-            // stale entries of departed travels are unreachable from it.
-            find_wait_cycle(cfg)
-        } else {
-            None
-        }
-    }
-
-    /// Folds a kernel step's status [`Transition`]s — all of them, in order —
-    /// into the wait-for graph and returns a cycle if one newly closed: the
-    /// same cycles at the same steps as [`observe`](ExactDetector::observe),
-    /// for `O(transitions + travels visited)` instead of a rescan of every
+    /// Folds a step's status [`Transition`]s — all of them, in order — into
+    /// the wait-for graph and returns a cycle if one newly closed, for
+    /// `O(transitions + travels visited)` instead of a rescan of every
     /// travel. The module docs say why the walk from this step's parks is
     /// exact.
     pub fn apply_kernel_transitions(
@@ -204,7 +166,7 @@ impl ExactDetector {
     }
 
     /// The wait-for edge of travel `id` as `cfg` has it now.
-    fn derive(&mut self, cfg: &Config, id: MsgId, rebuilt: &mut bool) -> Option<Edge> {
+    fn derive(&mut self, cfg: &Config, id: MsgId, rebuilt: &mut bool) -> Option<WaitEdge> {
         let mut index = self.lookup_valid(cfg, id);
         if index.is_none() && !*rebuilt {
             // A parked travel or a port's owner is live, so a miss means
@@ -213,7 +175,7 @@ impl ExactDetector {
             *rebuilt = true;
             index = self.lookup_valid(cfg, id);
         }
-        edge_at(cfg, index?)
+        WaitEdge::of(cfg, index?)
     }
 
     /// A validated map lookup: a hit is authoritative (ids are unique
@@ -249,8 +211,8 @@ impl ExactDetector {
         self.rebuilds
     }
 
-    /// How many times the kernel feed ran [`find_wait_cycle`]: once per cycle
-    /// it reported, never to learn that there is none.
+    /// How many times the feed ran [`find_wait_cycle`]: once per cycle it
+    /// reported, never to learn that there is none.
     pub fn full_scans(&self) -> u64 {
         self.full_scans
     }
@@ -269,16 +231,11 @@ impl ExactDetector {
     }
 }
 
-/// The wait-for edge of the travel at index `i`, if it is blocked on an owner.
-fn edge_at(cfg: &Config, i: usize) -> Option<Edge> {
-    let BlockEvent { wants, on, .. } = block_event(cfg, i)?;
-    Some(Edge { wants, on: on? })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use genoc_core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
+    use genoc_core::blocking::BlockDiff;
     use genoc_core::interpreter::Outcome;
     use genoc_core::network::{Direction, Network};
     use genoc_core::spec::MessageSpec;
@@ -286,14 +243,16 @@ mod tests {
     use genoc_core::switching::SwitchingPolicy;
     use genoc_core::trace::Trace;
     use genoc_core::travel::{FlitPos, Travel};
+    use genoc_core::{NodeId, PortId};
     use genoc_routing::mixed::MixedXyYxRouting;
     use genoc_routing::xy::XyRouting;
     use genoc_sim::workload::bit_complement;
     use genoc_switching::Switching;
     use genoc_topology::mesh::Mesh;
 
-    /// Step the policy manually, observing after every step; returns the
-    /// step of the first detection (if any) and the step Ω first held.
+    /// Step the policy manually, feeding the detector the reference diff
+    /// after every step; returns the step of the first detection (if any)
+    /// and the step Ω first held.
     fn drive(
         mesh: &Mesh,
         routing: &dyn genoc_core::routing::RoutingFunction,
@@ -302,6 +261,7 @@ mod tests {
         let mut cfg = Config::from_specs(mesh, routing, specs).unwrap();
         let mut policy = Switching::default();
         let mut detector = ExactDetector::new();
+        let mut diff = BlockDiff::default();
         let mut trace = Trace::new(false);
         let mut detected = None;
         for step in 0..10_000u64 {
@@ -312,14 +272,11 @@ mod tests {
                 return (detected, Some(step), Outcome::Deadlock);
             }
             policy.step(mesh, &mut cfg, &mut trace).unwrap();
-            cfg.drain_arrived();
-            if detected.is_none() {
-                if let Some(cycle) = detector.observe(&cfg) {
-                    assert!(!cycle.msgs.is_empty());
-                    detected = Some(step);
-                }
-            } else {
-                detector.observe(&cfg);
+            let arrived = cfg.drain_arrived();
+            if let Some(cycle) = detector.apply_kernel_transitions(&cfg, diff.step(&cfg, &arrived))
+            {
+                assert!(!cycle.msgs.is_empty());
+                detected.get_or_insert(step);
             }
         }
         (detected, None, Outcome::StepLimit)
@@ -644,6 +601,7 @@ mod tests {
         let mut cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
         let mut policy = Switching::default();
         let mut detector = ExactDetector::new();
+        let mut diff = BlockDiff::default();
         let mut trace = Trace::new(false);
         let mut cycle = None;
         for _ in 0..10_000 {
@@ -651,14 +609,66 @@ mod tests {
                 break;
             }
             policy.step(&mesh, &mut cfg, &mut trace).unwrap();
-            cfg.drain_arrived();
-            if let Some(c) = detector.observe(&cfg) {
-                cycle = Some(c);
+            let arrived = cfg.drain_arrived();
+            cycle = detector.apply_kernel_transitions(&cfg, diff.step(&cfg, &arrived));
+            if cycle.is_some() {
                 break;
             }
         }
         assert!(cycle.is_some());
         detector.reset();
         assert!(detector.edges.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn a_port_changing_owner_under_a_blocked_travel_is_a_new_edge() {
+        // Three two-flit worms from one node queue for its local in-port.
+        // When the first one's tail leaves it, the second one's head takes
+        // it in the same sweep, and the third stays blocked on that port:
+        // the same status (`Blocked(p)` before and after), a new owner.
+        let mesh = Mesh::new(2, 2, 1);
+        let routing = XyRouting::new(&mesh);
+        let (from, to) = (NodeId::from_index(0), NodeId::from_index(3));
+        let specs = vec![MessageSpec::new(from, to, 2); 3];
+        let mut cfg = Config::from_specs(&mesh, &routing, &specs).unwrap();
+        let admission = Switching::default().kernel_spec().unwrap().admission;
+        let mut policy = Switching::default();
+        let mut detector = ExactDetector::new();
+        let mut diff = BlockDiff::default();
+        let mut trace = Trace::new(false);
+        let mut handovers = 0;
+        while !cfg.is_evacuated() {
+            let before = cfg.clone();
+            policy.step(&mesh, &mut cfg, &mut trace).unwrap();
+            let arrived = cfg.drain_arrived();
+            let log = diff.step(&cfg, &arrived).to_vec();
+            assert_eq!(detector.apply_kernel_transitions(&cfg, &log), None);
+            for i in 0..cfg.travels().len() {
+                let msg = cfg.travel(i).id();
+                let Some(j) = before.travels().iter().position(|t| t.id() == msg) else {
+                    continue;
+                };
+                let (Some(was), Some(now)) = (WaitEdge::of(&before, j), WaitEdge::of(&cfg, i))
+                else {
+                    continue;
+                };
+                if now.wants != was.wants || now.on == was.on {
+                    continue;
+                }
+                // What a diff of statuses alone compares: nothing changed.
+                let blocked = |c: &Config, k| blocked_port_with(c, k, admission);
+                assert_eq!(blocked(&before, j), Some(was.wants));
+                assert_eq!(blocked(&cfg, i), Some(was.wants));
+                handovers += 1;
+                let last = log.iter().rfind(|t| t.msg == msg).map(|t| t.status);
+                assert_eq!(last, Some(TravelStatus::Blocked(was.wants)));
+                let stored = detector.edges[msg.index()];
+                assert_eq!(stored, Some(now), "the edge follows the port");
+            }
+        }
+        assert!(
+            handovers >= 1,
+            "no port changed owner under a blocked travel"
+        );
     }
 }

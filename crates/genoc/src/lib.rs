@@ -84,7 +84,9 @@ pub mod prelude {
         ScenarioOutcome, ScenarioSpec,
     };
     pub use genoc_core::arena::{ArenaConfig, ArenaKernel, ArenaSpec, MoveRec};
-    pub use genoc_core::blocking::{block_events, find_wait_cycle, BlockEvent, WaitCycle};
+    pub use genoc_core::blocking::{
+        block_events, find_wait_cycle, BlockDiff, BlockEvent, WaitCycle,
+    };
     pub use genoc_core::config::Config;
     pub use genoc_core::ids::{MsgId, NodeId, PortId};
     pub use genoc_core::injection::{IdentityInjection, InjectionMethod, ScheduledInjection};

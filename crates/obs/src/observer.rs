@@ -447,11 +447,6 @@ impl ObservedEngine {
 }
 
 impl DetectorHook for ObservedEngine {
-    fn after_step(&mut self, net: &dyn Network, cfg: &mut Config, step: u64) -> Result<()> {
-        self.engine.after_step(net, cfg, step)?;
-        self.sync()
-    }
-
     fn after_kernel_step(
         &mut self,
         net: &dyn Network,

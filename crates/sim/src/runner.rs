@@ -9,20 +9,21 @@
 //! | yes   | —    | —        | the arena loop, quiet: no shadow `Config`, no logs |
 //! | yes   | any  | any      | the arena loop, listened ([`NullHook`] / [`NullObserver`] for the one missing) |
 //! | no    | any  | yes      | none: [`Error::Invariant`] |
-//! | no    | any  | —        | [`run_hooked`], the reference loop ([`NullHook`] when none is given) |
+//! | no    | any  | —        | [`run_hooked`], the reference loop: a [`BlockDiff`](genoc_core::blocking::BlockDiff) log for a hook, none without |
 //!
 //! "Arena" means [`Stepper::Arena`] (the default) and a policy whose
 //! [`KernelSpec`](genoc_core::switching::KernelSpec) has a closed-world
 //! admission predicate (every shipped policy has one); the differential
 //! suites ask for [`Stepper::Legacy`] to prove both produce identical runs.
 //! Observed runs exist only on the arena: the observer contract is its
-//! transition log. [`simulate`] (from message specs, neither hook nor
+//! kernel's logs. [`simulate`] (from message specs, neither hook nor
 //! observer) and [`simulate_observed_config`] (both) wrap the entry.
 //!
 //! The hook is the integration point for online deadlock detection and
-//! recovery (`genoc-detect`): it observes every step, may mutate the
-//! configuration when `Ω` holds (recovery), and may re-inject staged
-//! travels when the travel list drains.
+//! recovery (`genoc-detect`): it sees every step's status transitions
+//! ([`after_kernel_step`](DetectorHook::after_kernel_step)), may mutate the
+//! configuration then and when `Ω` holds (recovery), and may re-inject
+//! staged travels when the travel list drains.
 //!
 //! The arena loop is one loop with two paths because hooks and observers
 //! read and mutate `σ` as a [`Config`]: a listened run keeps a shadow
@@ -173,14 +174,7 @@ pub fn simulate_config(
         }
         // A policy that exposes a `KernelSpec` promises its own `step` is
         // that sweep, so the reference loop is sound for an opaque admission.
-        (None, hook, None) => run_hooked(
-            net,
-            &IdentityInjection,
-            policy,
-            cfg,
-            &run_options,
-            hook.unwrap_or(&mut NullHook),
-        )?,
+        (None, hook, None) => run_hooked(net, &IdentityInjection, policy, cfg, &run_options, hook)?,
     };
     if aspec.is_some() {
         policy.note_kernel_steps(run.steps);
@@ -789,17 +783,24 @@ mod tests {
     }
 
     /// A hook and an observer that only count their per-step calls. As a
-    /// hook it keeps the trait's conservative `after_kernel_step`, so a
-    /// listened arena run resyncs the arena after every step.
+    /// hook it reports a mutation every step, so a listened arena run
+    /// follows the shadow after every step, and a reference run rebaselines
+    /// its diff.
     #[derive(Default)]
     struct Tally {
         calls: u64,
     }
 
     impl DetectorHook for Tally {
-        fn after_step(&mut self, _: &dyn Network, _: &mut Config, _: u64) -> Result<()> {
+        fn after_kernel_step(
+            &mut self,
+            _: &dyn Network,
+            _: &mut Config,
+            _: &[Transition],
+            _: u64,
+        ) -> Result<bool> {
             self.calls += 1;
-            Ok(())
+            Ok(true)
         }
     }
 
@@ -953,8 +954,9 @@ mod tests {
 
     #[test]
     fn observed_runs_refuse_the_legacy_stepper() {
-        // The legacy loop keeps no transition log, and an option that cannot
-        // be honoured is an error, not a silent change of stepper.
+        // The reference loop keeps no freed-port or move log for an
+        // observer, and an option that cannot be honoured is an error, not a
+        // silent change of stepper.
         let mesh = Mesh::new(3, 3, 1);
         let routing = XyRouting::new(&mesh);
         let specs = crate::workload::transpose(&mesh, 2);

@@ -320,15 +320,16 @@ fn hooked_report(
 }
 
 /// Runs the workload on both steppers and returns the arena's report. Legacy
-/// feeds `ExactDetector::observe`, a rescan of every travel after every
-/// step: the reference the arena's transition feed is held to.
+/// feeds the detector a `BlockDiff` of the configuration, taken from every
+/// travel after every step: the reference the arena kernel's transition log
+/// is held to.
 ///
 /// Without a policy the first cycle stands for the rest of the run and is
-/// reported again by every step that adds an edge. The feeds have always
-/// counted those steps differently — a travel woken and parked again on the
-/// same owner is a `Blocked` transition to the arena kernel and no change to
-/// the rescan's diff — so there the two are compared on the first report of
-/// each cycle, and under a recovery policy on everything.
+/// reported again by every step that adds an edge. The two logs count
+/// those steps differently — a travel woken and parked again on the same
+/// owner is a `Blocked` transition to the arena kernel and no change to the
+/// diff — so there the two are compared on the first report of each cycle,
+/// and under a recovery policy on everything.
 fn stepper_invariant_report(
     net: &dyn Network,
     routing: &dyn RoutingFunction,

@@ -22,7 +22,13 @@
 //!   trace events of one `Switching::step` from σ, ends in the same
 //!   configuration, and its moves, applied one by one through
 //!   `MoveEnumerator::apply`, are each an enabled move of the state they
-//!   leave: the kernel's step is a path of the explored graph.
+//!   leave: the kernel's step is a path of the explored graph;
+//! * under the same four policies, an observed kernel (one that wakes on
+//!   every leave and logs status transitions) makes the same step, every
+//!   travel whose last transition is `Blocked(p)` is blocked on `p` in the
+//!   configuration σ' after the step (`step::blocked_port_with`), and under
+//!   wormhole the reference loop's `BlockDiff` from σ to σ' has its
+//!   wait-for edge on `p`.
 //!
 //! Debug builds check the 2×2 meshes and the ring; release builds add the
 //! 3×3 meshes. Whole-packet policies run packets that fit a buffer.
@@ -30,6 +36,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use genoc::core::moves::{Move, MoveEnumerator, MoveKind};
+use genoc::core::step::blocked_port_with;
 use genoc::core::trace::{Event, Trace, Zone};
 use genoc::explore::Workload;
 use genoc::prelude::*;
@@ -134,11 +141,13 @@ fn move_of(event: &Event) -> Move {
 /// the kernel's moves admitted, one at a time, by the interleaving
 /// semantics the explorer branches on. The
 /// policy's step counter starts at σ's breadth-first index, so round robin
-/// starts its sweep at every travel in turn. Returns the states checked
-/// per policy.
-fn step_refines(instance: &Instance, kind: SwitchingKind, messages: usize) -> usize {
+/// starts its sweep at every travel in turn. An observed kernel steps from
+/// σ too, and every park it logs is checked against σ' (and, under
+/// wormhole, against the reference loop's [`BlockDiff`]). Returns the states
+/// checked per policy, and the parks checked in all.
+fn step_refines(instance: &Instance, kind: SwitchingKind, messages: usize) -> (usize, usize) {
     let net = instance.net.as_ref();
-    let mut checked = 0;
+    let (mut checked, mut parks) = (0, 0);
     for_each_state(instance, kind, messages, |index, key, sigma, moves| {
         let imported = ArenaConfig::from_config(net, sigma).unwrap();
         for mut policy in policies(kind) {
@@ -182,10 +191,40 @@ fn step_refines(instance: &Instance, kind: SwitchingKind, messages: usize) -> us
             }
             replayed.drain_arrived();
             assert_eq!(replayed, reference, "{}: replayed moves", at());
+
+            // An observed kernel wakes on every leave and logs its parks: the
+            // same moves, and each travel it leaves parked on `p` is blocked
+            // on `p` in σ'. Under wormhole the reference loop's diff from σ
+            // to σ' holds that wait-for edge too.
+            let mut arena = imported.clone();
+            let mut kernel = ArenaKernel::new(&arena, spec);
+            kernel.set_observed(true);
+            let mut observed_trace = Trace::new(true);
+            kernel.step(&mut arena, &mut observed_trace).unwrap();
+            kernel.drain_arrived(&mut arena);
+            let events = observed_trace.events();
+            assert_eq!(events, trace.events(), "{}: observed events", at());
+            let mut diff = BlockDiff::default();
+            diff.rebaseline(sigma);
+            diff.step(&reference, &arrivals);
+            for (i, travel) in reference.travels().iter().enumerate() {
+                let msg = travel.id();
+                let last = kernel.transitions().iter().rfind(|t| t.msg == msg);
+                let Some(TravelStatus::Blocked(p)) = last.map(|t| t.status) else {
+                    continue;
+                };
+                let blocked = blocked_port_with(&reference, i, kernel_spec.admission);
+                assert_eq!(blocked, Some(p), "{}: {msg} parked", at());
+                if kind == SwitchingKind::Wormhole {
+                    let wants = diff.edge(msg).map(|e| e.wants);
+                    assert_eq!(wants, Some(p), "{}: {msg} in the diff", at());
+                }
+                parks += 1;
+            }
         }
         checked += 1;
     });
-    checked
+    (checked, parks)
 }
 
 fn cells(side: usize) -> Vec<Instance> {
@@ -252,8 +291,11 @@ fn the_kernel_judges_omega_as_the_explorer_does_on_3x3_meshes() {
 fn the_kernel_step_refines_the_reference_sweep_on_small_cells() {
     for instance in cells(2) {
         for kind in SwitchingKind::ALL {
-            let checked = step_refines(&instance, kind, 3);
-            eprintln!("{} {kind:?}: {checked} states", instance.name);
+            let (checked, parks) = step_refines(&instance, kind, 3);
+            eprintln!(
+                "{} {kind:?}: {checked} states, {parks} parks",
+                instance.name
+            );
             assert!(checked > 100, "{}: {checked} states", instance.name);
         }
     }
@@ -264,8 +306,11 @@ fn the_kernel_step_refines_the_reference_sweep_on_small_cells() {
 fn the_kernel_step_refines_the_reference_sweep_on_3x3_meshes() {
     for instance in cells(3) {
         for kind in SwitchingKind::ALL {
-            let checked = step_refines(&instance, kind, 3);
-            eprintln!("{} {kind:?}: {checked} states", instance.name);
+            let (checked, parks) = step_refines(&instance, kind, 3);
+            eprintln!(
+                "{} {kind:?}: {checked} states, {parks} parks",
+                instance.name
+            );
             assert!(checked > 100, "{}: {checked} states", instance.name);
         }
     }

@@ -123,7 +123,9 @@ fn assert_counterexamples_replay(
         "{}: an evacuated configuration is no deadlock",
         instance.name
     );
-    let cycle = ExactDetector::new().observe(&replayed);
+    // A fresh diff logs every blocked travel: the detector's one feed.
+    let parks = BlockDiff::default().step(&replayed, &[]).to_vec();
+    let cycle = ExactDetector::new().apply_kernel_transitions(&replayed, &parks);
     let cycle = cycle.ok_or_else(|| {
         TestCaseError::fail(format!(
             "{}: exact detector saw no wait-for cycle in the replayed deadlock",
