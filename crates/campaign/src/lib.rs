@@ -65,3 +65,16 @@ pub use crate::run::{
     run_scenario, run_scenario_with, scenario_seed, CheckOutcome, CheckStatus, EffortProfile,
     ScenarioMetrics, ScenarioOutcome, ScenarioThroughput,
 };
+
+/// Looks a preset up by name (`"smoke"`, `"default"`/`"standard"`,
+/// `"full"`, `"large"`, `"oracle"`): its matrix and the effort it runs at.
+pub fn preset(name: &str) -> Option<(ScenarioMatrix, EffortProfile)> {
+    Some(match name {
+        "smoke" => (ScenarioMatrix::smoke(), EffortProfile::quick()),
+        "default" | "standard" => (ScenarioMatrix::standard(), EffortProfile::standard()),
+        "full" => (ScenarioMatrix::full(), EffortProfile::standard()),
+        "large" => (ScenarioMatrix::large(), EffortProfile::large()),
+        "oracle" => (ScenarioMatrix::oracle(), EffortProfile::oracle()),
+        _ => return None,
+    })
+}

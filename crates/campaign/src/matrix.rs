@@ -315,24 +315,12 @@ impl ScenarioMatrix {
     pub fn oracle() -> ScenarioMatrix {
         ScenarioMatrix::smoke().capacities([1, 2])
     }
-
-    /// Looks a preset up by name (`"smoke"`, `"default"`/`"standard"`,
-    /// `"full"`, `"large"`, `"oracle"`).
-    pub fn named(name: &str) -> Option<ScenarioMatrix> {
-        match name {
-            "smoke" => Some(ScenarioMatrix::smoke()),
-            "default" | "standard" => Some(ScenarioMatrix::standard()),
-            "full" => Some(ScenarioMatrix::full()),
-            "large" => Some(ScenarioMatrix::large()),
-            "oracle" => Some(ScenarioMatrix::oracle()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EffortProfile;
 
     #[test]
     fn expansion_is_the_product_of_valid_dimensions() {
@@ -448,9 +436,9 @@ mod tests {
             1,
             "exactly one 64x64 smoke cell (XY at capacity 4)"
         );
-        assert_eq!(ScenarioMatrix::named("large").map(|m| m.expand().len()), {
-            Some(e.scenarios.len())
-        });
+        let (preset, effort) = crate::preset("large").unwrap();
+        assert_eq!(preset.expand().len(), e.scenarios.len());
+        assert_eq!(effort, EffortProfile::large());
     }
 
     #[test]
@@ -465,10 +453,9 @@ mod tests {
             oracle.iter().any(|s| s.meta.capacity == 1),
             "capacity-1 twins supply the cheap counterexamples"
         );
-        assert_eq!(
-            ScenarioMatrix::named("oracle").map(|m| m.expand().len()),
-            Some(oracle.len())
-        );
+        let (preset, effort) = crate::preset("oracle").unwrap();
+        assert_eq!(preset.expand().len(), oracle.len());
+        assert_eq!(effort, EffortProfile::oracle());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use genoc_verif::{Instance, Theorem2Report};
 use crate::matrix::ScenarioSpec;
 
 /// How hard each scenario works; the knob campaign presets turn.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EffortProfile {
     /// Messages per node in the Theorem 2 workload.
     pub messages_per_node: usize,

@@ -14,12 +14,17 @@
 //!   --list                          print scenario names and exit
 //! ```
 //!
-//! Exit status is non-zero when any scenario fails, so CI can gate on it.
+//! Exit status is non-zero when any scenario fails, so CI can gate on it,
+//! and on an error, which is one line on stderr; `--help` or `-h` prints
+//! the usage line on stdout and exits 0. Each `--matrix` preset also sets
+//! the effort its cells run at (`genoc_campaign::preset`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use genoc::prelude::*;
+
+mod cli;
 
 struct Args {
     matrix: String,
@@ -32,6 +37,9 @@ struct Args {
     list: bool,
 }
 
+const USAGE: &str = "usage: campaign [--matrix smoke|default|full|large|oracle] [--jobs N] \
+    [--seed N] [--filter SUBSTRING] [--out PATH] [--wal-dir DIR] [--metrics-out PATH] [--list]";
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         matrix: "default".into(),
@@ -43,35 +51,18 @@ fn parse_args() -> Result<Args, String> {
         metrics_out: None,
         list: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+    let mut argv = cli::Argv::new(USAGE);
+    while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
-            "--matrix" => args.matrix = value("--matrix")?,
-            "--jobs" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--filter" => args.filter = Some(value("--filter")?),
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--wal-dir" => args.wal_dir = Some(PathBuf::from(value("--wal-dir")?)),
-            "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
+            "--matrix" => args.matrix = argv.value()?,
+            "--jobs" => args.jobs = argv.parse()?,
+            "--seed" => args.seed = argv.parse()?,
+            "--filter" => args.filter = Some(argv.value()?),
+            "--out" => args.out = argv.value()?.into(),
+            "--wal-dir" => args.wal_dir = Some(argv.value()?.into()),
+            "--metrics-out" => args.metrics_out = Some(argv.value()?.into()),
             "--list" => args.list = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: campaign [--matrix smoke|default|full|large|oracle] [--jobs N] \
-                            [--seed N] [--filter SUBSTRING] [--out PATH] [--wal-dir DIR] \
-                            [--metrics-out PATH] [--list]"
-                        .into(),
-                );
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
+            _ => return Err(argv.unknown()),
         }
     }
     Ok(args)
@@ -176,20 +167,17 @@ fn metrics_snapshot(report: &CampaignReport) -> MetricsRegistry {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(matrix) = ScenarioMatrix::named(&args.matrix) else {
-        eprintln!(
+    cli::main(run, ExitCode::FAILURE)
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = parse_args()?;
+    let (matrix, effort) = genoc::campaign::preset(&args.matrix).ok_or_else(|| {
+        format!(
             "unknown matrix {:?}: expected smoke, default, full, large, or oracle",
             args.matrix
-        );
-        return ExitCode::FAILURE;
-    };
+        )
+    })?;
     let expansion = matrix.expand_with_stats();
     let mut scenarios = expansion.scenarios;
     if let Some(filter) = &args.filter {
@@ -210,38 +198,29 @@ fn main() -> ExitCode {
         for s in &scenarios {
             println!("{}", s.name());
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     if scenarios.is_empty() {
-        eprintln!("nothing to run");
-        return ExitCode::FAILURE;
+        return Err("nothing to run".into());
     }
 
     let options = CampaignOptions {
         jobs: args.jobs,
         seed: args.seed,
-        effort: match args.matrix.as_str() {
-            "smoke" => EffortProfile::quick(),
-            "large" => EffortProfile::large(),
-            "oracle" => EffortProfile::oracle(),
-            _ => EffortProfile::standard(),
-        },
+        effort,
         matrix: args.matrix.clone(),
         wal_dir: args.wal_dir.clone(),
     };
     eprintln!("running on {} worker thread(s)…", options.effective_jobs());
     let report = run_campaign(&scenarios, &options);
 
-    if let Err(e) = report.write_json(&args.out) {
-        eprintln!("cannot write {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
+    report
+        .write_json(&args.out)
+        .map_err(|e| format!("cannot write {}: {e}", args.out.display()))?;
     if let Some(path) = &args.metrics_out {
-        let reg = metrics_snapshot(&report);
-        if let Err(e) = reg.write(path) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        metrics_snapshot(&report)
+            .write(path)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         println!("metrics snapshot: {}", path.display());
     }
     if let Some(dir) = &args.wal_dir {
@@ -249,10 +228,8 @@ fn main() -> ExitCode {
     }
     println!("{}", report.render_markdown());
     println!("JSON report: {}", args.out.display());
-    if report.all_passed() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("{} scenario(s) failed", report.failed());
-        ExitCode::FAILURE
+    if !report.all_passed() {
+        return Err(format!("{} scenario(s) failed", report.failed()));
     }
+    Ok(ExitCode::SUCCESS)
 }

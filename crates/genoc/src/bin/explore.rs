@@ -30,23 +30,26 @@
 //! explicitly *not* a proof, and the INCONCLUSIVE line on stderr says
 //! which of the two limits stopped the search and how far it had got
 //! (`the search stopped at N states, depth D, after T transitions`) — and
-//! `3` a usage or harness error (`--jobs` past 64 is one, refused at
-//! once). The summary line reports throughput (states/second) and the
-//! peak resident frontier bytes; a spilling run also reports how many
+//! `3` a usage or harness error, one line on stderr (`--jobs` past 64 is
+//! one, refused at once). `--help` or `-h` prints the usage line on stdout
+//! and exits 0. The summary line reports throughput (states/second) and
+//! the peak resident frontier bytes; a spilling run also reports how many
 //! bytes went to disk.
 //!
 //! The sequential search (one job, or an export) checks `--bound` after
 //! each state it stores, so it stops at the bound, or at 2 states (the root
 //! and its first successor) under `--bound` 0 or 1. The parallel search
 //! (`--jobs` above 1, or `--spill-dir`, without an export) checks it when a
-//! BFS level ends, so it stops past the bound by up to a level. The `--aut`/`--dot` exports work
-//! on partial spaces too: a graph cut short by the bound is still a valid
-//! (under-approximate) LTS.
+//! BFS level ends, so it stops past the bound by up to a level. The
+//! `--aut`/`--dot` exports work on partial spaces too: a graph cut short by
+//! the bound is still a valid (under-approximate) LTS.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use genoc::prelude::*;
+
+mod cli;
 
 struct Args {
     routing: String,
@@ -83,6 +86,11 @@ fn parse_bytes(text: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("{text:?} overflows"))
 }
 
+const USAGE: &str = "usage: explore [--routing LABEL] [--width N] [--height N] [--capacity N] \
+    [--switching wormhole|vct|store-forward] [--flits N] [--messages N] [--bound N] \
+    [--symmetry on|off] [--por on|off] [--jobs N] [--mem-limit BYTES] [--spill-dir PATH] \
+    [--aut PATH] [--dot PATH]";
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         routing: "xy".into(),
@@ -101,82 +109,25 @@ fn parse_args() -> Result<Args, String> {
         aut: None,
         dot: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+    let mut argv = cli::Argv::new(USAGE);
+    while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
-            "--routing" => args.routing = value("--routing")?,
-            "--width" => {
-                args.width = value("--width")?
-                    .parse()
-                    .map_err(|e| format!("--width: {e}"))?;
-            }
-            "--height" => {
-                args.height = Some(
-                    value("--height")?
-                        .parse()
-                        .map_err(|e| format!("--height: {e}"))?,
-                );
-            }
-            "--capacity" => {
-                args.capacity = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-            }
-            "--switching" => args.switching = value("--switching")?,
-            "--flits" => {
-                args.flits = value("--flits")?
-                    .parse()
-                    .map_err(|e| format!("--flits: {e}"))?;
-            }
-            "--messages" => {
-                args.messages = value("--messages")?
-                    .parse()
-                    .map_err(|e| format!("--messages: {e}"))?;
-            }
-            "--bound" => {
-                args.bound = value("--bound")?
-                    .parse()
-                    .map_err(|e| format!("--bound: {e}"))?;
-            }
-            "--symmetry" => {
-                args.symmetry = match value("--symmetry")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--symmetry: expected on|off, got {other:?}")),
-                };
-            }
-            "--por" => {
-                args.por = match value("--por")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--por: expected on|off, got {other:?}")),
-                };
-            }
-            "--jobs" => {
-                args.jobs = value("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--jobs: {e}"))?
-                    .max(1);
-            }
-            "--mem-limit" => {
-                args.mem_limit = Some(
-                    parse_bytes(&value("--mem-limit")?).map_err(|e| format!("--mem-limit: {e}"))?,
-                );
-            }
-            "--spill-dir" => args.spill_dir = Some(PathBuf::from(value("--spill-dir")?)),
-            "--aut" => args.aut = Some(PathBuf::from(value("--aut")?)),
-            "--dot" => args.dot = Some(PathBuf::from(value("--dot")?)),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: explore [--routing LABEL] [--width N] [--height N] [--capacity N] \
-                            [--switching wormhole|vct|store-forward] [--flits N] [--messages N] \
-                            [--bound N] [--symmetry on|off] [--por on|off] [--jobs N] \
-                            [--mem-limit BYTES] [--spill-dir PATH] [--aut PATH] [--dot PATH]"
-                        .into(),
-                );
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
+            "--routing" => args.routing = argv.value()?,
+            "--width" => args.width = argv.parse()?,
+            "--height" => args.height = Some(argv.parse()?),
+            "--capacity" => args.capacity = argv.parse()?,
+            "--switching" => args.switching = argv.value()?,
+            "--flits" => args.flits = argv.parse()?,
+            "--messages" => args.messages = argv.parse()?,
+            "--bound" => args.bound = argv.parse()?,
+            "--symmetry" => args.symmetry = argv.on_off()?,
+            "--por" => args.por = argv.on_off()?,
+            "--jobs" => args.jobs = argv.parse::<usize>()?.max(1),
+            "--mem-limit" => args.mem_limit = Some(argv.read(parse_bytes)?),
+            "--spill-dir" => args.spill_dir = Some(argv.value()?.into()),
+            "--aut" => args.aut = Some(argv.value()?.into()),
+            "--dot" => args.dot = Some(argv.value()?.into()),
+            _ => return Err(argv.unknown()),
         }
     }
     Ok(args)
@@ -192,33 +143,29 @@ const EXIT_BOUND: u8 = 2;
 const EXIT_ERROR: u8 = 3;
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
+    cli::main(run, ExitCode::from(EXIT_ERROR))
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = parse_args()?;
     let Some(kind) = RoutingKind::ALL.iter().find(|k| k.label() == args.routing) else {
         let labels: Vec<&str> = RoutingKind::ALL.iter().map(|k| k.label()).collect();
-        eprintln!(
+        return Err(format!(
             "unknown routing {:?}: expected one of {}",
             args.routing,
             labels.join(", ")
-        );
-        return ExitCode::from(EXIT_ERROR);
+        ));
     };
     let Some(&switching) = SwitchingKind::ALL
         .iter()
         .find(|k| k.label() == args.switching)
     else {
         let labels: Vec<&str> = SwitchingKind::ALL.iter().map(|k| k.label()).collect();
-        eprintln!(
+        return Err(format!(
             "unknown switching {:?}: expected one of {}",
             args.switching,
             labels.join(", ")
-        );
-        return ExitCode::from(EXIT_ERROR);
+        ));
     };
     let policy = Switching::new(switching);
     let height = args.height.unwrap_or(match kind.topology() {
@@ -226,13 +173,8 @@ fn main() -> ExitCode {
         TopologyKind::Mesh | TopologyKind::Torus => 2,
     });
     let meta = InstanceMeta::new(*kind, args.width, height, args.capacity);
-    let instance = match Instance::from_meta(&meta) {
-        Ok(instance) => instance,
-        Err(msg) => {
-            eprintln!("{}: {msg}", meta.instance_name());
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
+    let instance =
+        Instance::from_meta(&meta).map_err(|e| format!("{}: {e}", meta.instance_name()))?;
     let mut specs = pressure_specs(&meta, args.flits);
     if args.messages > 0 {
         specs.truncate(args.messages);
@@ -260,20 +202,15 @@ fn main() -> ExitCode {
         ..ExploreOptions::default()
     };
     let start = std::time::Instant::now();
-    let result = match explore_policy(
+    let result = explore_policy(
         instance.net.as_ref(),
         instance.routing.as_ref(),
         &meta,
         &specs,
         &policy,
         &options,
-    ) {
-        Ok(result) => result,
-        Err(e) => {
-            eprintln!("{}: exploration failed: {e}", instance.name);
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
+    )
+    .map_err(|e| format!("{}: exploration failed: {e}", instance.name))?;
     let wall = start.elapsed();
 
     println!(
@@ -364,16 +301,14 @@ fn main() -> ExitCode {
     ] {
         let Some(path) = path else { continue };
         let text = rendered.expect("record_graph is on whenever an export path is given");
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write {} export {}: {e}", what, path.display());
-            return ExitCode::from(EXIT_ERROR);
-        }
+        std::fs::write(path, text)
+            .map_err(|e| format!("cannot write {what} export {}: {e}", path.display()))?;
         eprintln!("{what} export: {}", path.display());
     }
 
-    ExitCode::from(match result.verdict {
+    Ok(ExitCode::from(match result.verdict {
         Verdict::NoReachableDeadlock => EXIT_PROOF,
         Verdict::Deadlock(_) => EXIT_DEADLOCK,
         Verdict::BoundExceeded => EXIT_BOUND,
-    })
+    }))
 }

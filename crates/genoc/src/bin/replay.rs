@@ -15,7 +15,9 @@
 //! `--expect deadlock` additionally requires the replayed final state to
 //! contain a wait-for cycle (the detector's evidence, re-derived from the
 //! reconstructed configuration alone). Exit status is non-zero on damage,
-//! replay failure, or an `--expect` mismatch, so CI can gate on it.
+//! replay failure, an `--expect` mismatch or a usage error, so CI can gate
+//! on it; every error is one line on stderr. `--help` or `-h` prints the
+//! usage line on stdout and exits 0.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,6 +26,8 @@ use genoc::obs::MetricKind;
 use genoc::prelude::*;
 use genoc::verif::Instance;
 
+mod cli;
+
 struct Args {
     wal: PathBuf,
     to_step: Option<u64>,
@@ -31,6 +35,9 @@ struct Args {
     metrics: bool,
     expect: Option<String>,
 }
+
+const USAGE: &str = "usage: replay --wal FILE [--to-step N] [--last K] [--metrics] \
+    [--expect evacuated|deadlock|steplimit|recorded]";
 
 fn parse_args() -> Result<Args, String> {
     let mut wal = None;
@@ -41,33 +48,15 @@ fn parse_args() -> Result<Args, String> {
         metrics: false,
         expect: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+    let mut argv = cli::Argv::new(USAGE);
+    while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
-            "--wal" => wal = Some(PathBuf::from(value("--wal")?)),
-            "--to-step" => {
-                args.to_step = Some(
-                    value("--to-step")?
-                        .parse()
-                        .map_err(|e| format!("--to-step: {e}"))?,
-                );
-            }
-            "--last" => {
-                args.last = value("--last")?
-                    .parse()
-                    .map_err(|e| format!("--last: {e}"))?;
-            }
+            "--wal" => wal = Some(argv.value()?.into()),
+            "--to-step" => args.to_step = Some(argv.parse()?),
+            "--last" => args.last = argv.parse()?,
             "--metrics" => args.metrics = true,
-            "--expect" => args.expect = Some(value("--expect")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: replay --wal FILE [--to-step N] [--last K] [--metrics] \
-                            [--expect evacuated|deadlock|steplimit|recorded]"
-                        .into(),
-                );
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
+            "--expect" => args.expect = Some(argv.value()?),
+            _ => return Err(argv.unknown()),
         }
     }
     args.wal = wal.ok_or("--wal is required (try --help)")?;
@@ -129,47 +118,30 @@ fn log_metrics(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let log = match genoc::obs::read_wal(&args.wal) {
-        Ok(log) => log,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", args.wal.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut ok = true;
+    cli::main(run, ExitCode::FAILURE)
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = parse_args()?;
+    let log = genoc::obs::read_wal(&args.wal)
+        .map_err(|e| format!("cannot read {}: {e}", args.wal.display()))?;
     if let Some(damage) = &log.damage {
         eprintln!("warning: WAL damaged — {damage}");
         eprintln!(
             "         replaying the intact prefix ({} records)",
             log.events.len()
         );
-        ok = false;
     }
-    let Some((seed, meta)) = genoc::obs::run_start(&log.events) else {
-        eprintln!("{}: no RunStart record", args.wal.display());
-        return ExitCode::FAILURE;
-    };
-    let Some(meta) = meta else {
-        eprintln!(
+    let (seed, meta) = genoc::obs::run_start(&log.events)
+        .ok_or_else(|| format!("{}: no RunStart record", args.wal.display()))?;
+    let meta = meta.ok_or_else(|| {
+        format!(
             "{}: RunStart carries no instance metadata; cannot rebuild the network",
             args.wal.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let instance = match Instance::from_meta(&meta.meta) {
-        Ok(instance) => instance,
-        Err(e) => {
-            eprintln!("cannot rebuild instance {}: {e}", meta.meta.instance_name());
-            return ExitCode::FAILURE;
-        }
-    };
+        )
+    })?;
+    let instance = Instance::from_meta(&meta.meta)
+        .map_err(|e| format!("cannot rebuild instance {}: {e}", meta.meta.instance_name()))?;
     println!(
         "run: {} + {:?}, seed {seed}",
         meta.meta.instance_name(),
@@ -179,13 +151,8 @@ fn main() -> ExitCode {
     let recorded = genoc::obs::recorded_outcome(&log.events);
     let total = genoc::obs::final_steps(&log.events);
     let target = args.to_step.unwrap_or(total).min(total);
-    let replayed = match genoc::obs::replay_to(instance.net.as_ref(), &log.events, target) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("replay to step {target} failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let replayed = genoc::obs::replay_to(instance.net.as_ref(), &log.events, target)
+        .map_err(|e| format!("replay to step {target} failed: {e}"))?;
     match recorded {
         Some((outcome, steps)) => println!("recorded: {outcome:?} after {steps} steps"),
         None => println!("recorded: no footer (run did not end cleanly)"),
@@ -209,26 +176,17 @@ fn main() -> ExitCode {
     }
 
     if args.last > 0 {
-        let lines = match genoc::obs::tail_lines(&log.events, args.last) {
-            Ok(lines) => lines,
-            Err(e) => {
-                eprintln!("cannot read the last {} events: {e}", args.last);
-                return ExitCode::FAILURE;
-            }
-        };
+        let lines = genoc::obs::tail_lines(&log.events, args.last)
+            .map_err(|e| format!("cannot read the last {} events: {e}", args.last))?;
         println!("\nlast {} events before the verdict:", args.last);
         for line in lines {
             println!("  {line}");
         }
     }
     if args.metrics {
-        match log_metrics(&log, &replayed, target) {
-            Ok(metrics) => println!("\n{metrics}"),
-            Err(e) => {
-                eprintln!("cannot count the log's detections: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let metrics = log_metrics(&log, &replayed, target)
+            .map_err(|e| format!("cannot count the log's detections: {e}"))?;
+        println!("\n{metrics}");
     }
 
     if let Some(expect) = &args.expect {
@@ -240,22 +198,20 @@ fn main() -> ExitCode {
             // state itself, not just the footer.
             "deadlock" => matches!(recorded, Some((Outcome::Deadlock, _))) && cycle.is_some(),
             other => {
-                eprintln!(
+                return Err(format!(
                     "--expect {other:?}: expected evacuated, deadlock, steplimit, or recorded"
-                );
-                return ExitCode::FAILURE;
+                ))
             }
         };
-        if verdict {
-            println!("expectation {expect:?} holds");
-        } else {
-            eprintln!("expectation {expect:?} VIOLATED");
-            ok = false;
+        if !verdict {
+            return Err(format!("expectation {expect:?} VIOLATED"));
         }
+        println!("expectation {expect:?} holds");
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
+    // A damaged log replays its intact prefix, but never passes.
+    Ok(if log.damage.is_some() {
         ExitCode::FAILURE
-    }
+    } else {
+        ExitCode::SUCCESS
+    })
 }

@@ -18,7 +18,10 @@
 //!   when σ has no enabled move and is not evacuated, and
 //!   `arena.is_evacuated() == σ.is_evacuated()`;
 //! * under each of the four policies — the three kinds, and wormhole with
-//!   round-robin arbitration — one kernel step from `arena` records the
+//!   round-robin arbitration — on the same cells, but with three messages
+//!   converging on one node on the XY meshes and the 3×3 meshes (where the
+//!   first three pressure messages never block one another, so wormhole
+//!   would park nothing), one kernel step from `arena` records the
 //!   trace events of one `Switching::step` from σ, ends in the same
 //!   configuration, and its moves, applied one by one through
 //!   `MoveEnumerator::apply`, are each an enabled move of the state they
@@ -28,7 +31,7 @@
 //!   travel whose last transition is `Blocked(p)` is blocked on `p` in the
 //!   configuration σ' after the step (`step::blocked_port_with`), and under
 //!   wormhole the reference loop's `BlockDiff` from σ to σ' has its
-//!   wait-for edge on `p`.
+//!   wait-for edge on `p`. Wormhole parks travels on every cell.
 //!
 //! Debug builds check the 2×2 meshes and the ring; release builds add the
 //! 3×3 meshes. Whole-packet policies run packets that fit a buffer.
@@ -41,20 +44,44 @@ use genoc::core::trace::{Event, Trace, Zone};
 use genoc::explore::Workload;
 use genoc::prelude::*;
 
+/// The messages a state space is built from.
+#[derive(Clone, Copy)]
+enum Load {
+    /// The first `n` pressure messages.
+    Pressure(usize),
+    /// Three messages into one node: from the top corners and the
+    /// bottom-right corner of a mesh to that corner's west neighbour. Two of
+    /// them share a link on the way under XY and under YX, and all three
+    /// share the last node's ports, so wormhole parks travels.
+    Converging,
+}
+
 /// Calls `visit(index, key, σ, moves)` on every state σ reachable on
-/// `instance` under `kind`'s admission with the first `messages` pressure
-/// messages, in breadth-first order, with σ's enabled moves.
+/// `instance` under `kind`'s admission with `load`, in breadth-first
+/// order, with σ's enabled moves.
 fn for_each_state(
     instance: &Instance,
     kind: SwitchingKind,
-    messages: usize,
+    load: Load,
     mut visit: impl FnMut(usize, &[u16], &Config, &[Move]),
 ) {
     let net = instance.net.as_ref();
     // Whole-packet policies can only admit a packet that fits a buffer.
     let flits = kind.workload_flits(2, instance.meta.capacity);
-    let mut specs = pressure_specs(&instance.meta, flits);
-    specs.truncate(messages);
+    let specs = match load {
+        Load::Pressure(messages) => {
+            let mut specs = pressure_specs(&instance.meta, flits);
+            specs.truncate(messages);
+            specs
+        }
+        Load::Converging => {
+            let (w, h) = (instance.meta.width, instance.meta.height);
+            let node = NodeId::from_index;
+            [0, w - 1, w * h - 1]
+                .map(|source| MessageSpec::new(node(source), node(w * h - 2), flits))
+                .to_vec()
+        }
+    };
     let kernel_spec = Switching::new(kind)
         .kernel_spec()
         .expect("closed-world policy");
@@ -89,7 +116,8 @@ fn omega_agrees(instance: &Instance, kind: SwitchingKind, messages: usize) -> (u
         .expect("closed-world policy");
     let spec = ArenaSpec::from_kernel_spec(&kernel_spec).expect("closed-world admission");
     let (mut checked, mut deadlocks) = (0, 0);
-    for_each_state(instance, kind, messages, |_, key, sigma, moves| {
+    let load = Load::Pressure(messages);
+    for_each_state(instance, kind, load, |_, key, sigma, moves| {
         let arena = ArenaConfig::from_config(net, sigma).unwrap();
         let omega = moves.is_empty() && !sigma.is_evacuated();
         assert_eq!(
@@ -145,10 +173,10 @@ fn move_of(event: &Event) -> Move {
 /// σ too, and every park it logs is checked against σ' (and, under
 /// wormhole, against the reference loop's [`BlockDiff`]). Returns the states
 /// checked per policy, and the parks checked in all.
-fn step_refines(instance: &Instance, kind: SwitchingKind, messages: usize) -> (usize, usize) {
+fn step_refines(instance: &Instance, kind: SwitchingKind, load: Load) -> (usize, usize) {
     let net = instance.net.as_ref();
     let (mut checked, mut parks) = (0, 0);
-    for_each_state(instance, kind, messages, |index, key, sigma, moves| {
+    for_each_state(instance, kind, load, |index, key, sigma, moves| {
         let imported = ArenaConfig::from_config(net, sigma).unwrap();
         for mut policy in policies(kind) {
             policy.note_kernel_steps(index as u64);
@@ -243,6 +271,18 @@ fn cells(side: usize) -> Vec<Instance> {
         .collect()
 }
 
+/// The load a cell's step is checked on. The first three pressure
+/// messages park one another on the 2×2 mixed mesh and on the ring, but
+/// never meet on an XY mesh or a 3×3 mesh: there the kernel would log no
+/// park to check, so those cells take converging messages.
+fn step_load(instance: &Instance) -> Load {
+    if instance.meta.routing == RoutingKind::Xy || instance.meta.width == 3 {
+        Load::Converging
+    } else {
+        Load::Pressure(3)
+    }
+}
+
 const KINDS: [SwitchingKind; 2] = [SwitchingKind::Wormhole, SwitchingKind::VirtualCutThrough];
 
 #[test]
@@ -291,12 +331,15 @@ fn the_kernel_judges_omega_as_the_explorer_does_on_3x3_meshes() {
 fn the_kernel_step_refines_the_reference_sweep_on_small_cells() {
     for instance in cells(2) {
         for kind in SwitchingKind::ALL {
-            let (checked, parks) = step_refines(&instance, kind, 3);
+            let (checked, parks) = step_refines(&instance, kind, step_load(&instance));
             eprintln!(
                 "{} {kind:?}: {checked} states, {parks} parks",
                 instance.name
             );
             assert!(checked > 100, "{}: {checked} states", instance.name);
+            if kind == SwitchingKind::Wormhole {
+                assert!(parks > 0, "{}: no park to check", instance.name);
+            }
         }
     }
 }
@@ -306,12 +349,15 @@ fn the_kernel_step_refines_the_reference_sweep_on_small_cells() {
 fn the_kernel_step_refines_the_reference_sweep_on_3x3_meshes() {
     for instance in cells(3) {
         for kind in SwitchingKind::ALL {
-            let (checked, parks) = step_refines(&instance, kind, 3);
+            let (checked, parks) = step_refines(&instance, kind, step_load(&instance));
             eprintln!(
                 "{} {kind:?}: {checked} states, {parks} parks",
                 instance.name
             );
             assert!(checked > 100, "{}: {checked} states", instance.name);
+            if kind == SwitchingKind::Wormhole {
+                assert!(parks > 0, "{}: no park to check", instance.name);
+            }
         }
     }
 }

@@ -90,7 +90,7 @@ fn every_campaign_instance_gets_a_certified_verdict() {
     };
     let full = metas(ScenarioMatrix::full());
     for name in ["smoke", "default", "oracle"] {
-        let preset = metas(ScenarioMatrix::named(name).unwrap());
+        let preset = metas(genoc::campaign::preset(name).unwrap().0);
         assert!(preset.is_subset(&full), "{name} has an instance full lacks");
     }
     let mut acyclic = 0;
