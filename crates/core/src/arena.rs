@@ -903,7 +903,8 @@ pub struct MoveRec {
 /// *rank* is a travel's position as of the last [`resync`](Self::resync):
 /// between resyncs `T` only shrinks, so ranks never shift, and rank order
 /// is flight order. The schedule is rank-indexed — a step visits the set
-/// bits of `run`, not every member of `T`.
+/// bits of `run` in the words `busy` marks, not every member of `T` nor
+/// every word of `run`.
 #[derive(Debug)]
 pub struct ArenaKernel {
     spec: ArenaSpec,
@@ -916,10 +917,19 @@ pub struct ArenaKernel {
     /// place; the rank's next serve consumes it.
     gate: Vec<Option<PortId>>,
     /// Bitset over ranks: neither parked nor complete — the run queue.
+    /// Only [`set_run`](Self::set_run) and [`clear_run`](Self::clear_run)
+    /// write it, so that `busy` follows.
     run: Vec<u64>,
+    /// Bitset over the words of `run`: bit `w` is set iff `run[w] != 0`.
+    /// A step and [`is_deadlock`](Self::is_deadlock) visit these words only.
+    busy: Vec<u64>,
     /// Bitset over ranks: still a member of `arena.flight`. The position of
-    /// a rank is the number of `live` bits below it.
+    /// a rank in word `w` is `below[w]` plus the `live` bits below it in
+    /// that word.
     live: Vec<u64>,
+    /// Per word of `live`: the `live` ranks in the words before it. Built by
+    /// `resync`, lowered by `drain_arrived`; a step leaves it alone.
+    below: Vec<u32>,
     /// Intrusive wake list: next rank in the same port's list, or `NONE`.
     wake_next: Vec<u32>,
     /// Head (a rank) of each port's wake list, or `NONE`. Push-front/
@@ -954,7 +964,9 @@ impl ArenaKernel {
             status: Vec::new(),
             gate: Vec::new(),
             run: Vec::new(),
+            busy: Vec::new(),
             live: Vec::new(),
+            below: Vec::new(),
             wake_next: Vec::new(),
             wake_head: Vec::new(),
             done: Vec::new(),
@@ -1036,10 +1048,15 @@ impl ArenaKernel {
         self.status.resize(n, TravelStatus::Pending);
         self.gate.clear();
         self.gate.resize(n, None);
+        let words = n.div_ceil(64);
         self.run.clear();
-        self.run.resize(n.div_ceil(64), 0);
+        self.run.resize(words, 0);
+        self.busy.clear();
+        self.busy.resize(words.div_ceil(64), 0);
         self.live.clear();
-        self.live.resize(n.div_ceil(64), 0);
+        self.live.resize(words, 0);
+        self.below.clear();
+        self.below.extend((0..words).map(|w| (w * 64) as u32));
         self.wake_next.clear();
         self.wake_next.resize(n, NONE);
         self.wake_head.clear();
@@ -1072,9 +1089,42 @@ impl ArenaKernel {
                 self.saw_arrival = true;
                 self.done.push((rank as u32, rank as u32));
             } else if !matches!(status, TravelStatus::Blocked(_)) {
-                self.run[rank / 64] |= 1 << (rank % 64);
+                self.set_run(rank);
             }
         }
+        debug_assert!(self.summaries_hold(), "resync left busy or below stale");
+    }
+
+    /// Puts `rank` on the run queue.
+    #[inline]
+    fn set_run(&mut self, rank: usize) {
+        let w = rank / 64;
+        self.run[w] |= 1 << (rank % 64);
+        self.busy[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Takes `rank` off the run queue.
+    #[inline]
+    fn clear_run(&mut self, rank: usize) {
+        let w = rank / 64;
+        self.run[w] &= !(1 << (rank % 64));
+        if self.run[w] == 0 {
+            self.busy[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    /// Whether `busy` marks exactly the non-zero words of `run`, and each
+    /// `below[w]` counts the `live` bits of the words before `w`.
+    fn summaries_hold(&self) -> bool {
+        let mut below = 0;
+        (self.run.iter().zip(&self.live).zip(&self.below).enumerate()).all(
+            |(w, ((&run, &live), &b))| {
+                let marked = self.busy[w / 64] & (1 << (w % 64)) != 0;
+                let held = marked == (run != 0) && b == below;
+                below += live.count_ones();
+                held
+            },
+        ) && self.busy.len() == self.run.len().div_ceil(64)
     }
 
     /// [`ArenaConfig::follow`] for an arena under this kernel: `arena`
@@ -1334,8 +1384,9 @@ impl ArenaKernel {
         if arena.is_evacuated() {
             return false;
         }
-        for (w, &word) in self.run.iter().enumerate() {
-            let mut bits = word;
+        let mut next = self.next_busy(0, self.run.len());
+        while let Some(w) = next {
+            let mut bits = self.run[w];
             while bits != 0 {
                 let rank = w * 64 + bits.trailing_zeros() as usize;
                 let s = self.order[rank] as usize;
@@ -1348,14 +1399,32 @@ impl ArenaKernel {
                 }
                 bits &= bits - 1;
             }
+            next = self.next_busy(w + 1, self.run.len());
         }
         true
+    }
+
+    /// The first word of `run` at or after `from` and before `end` that
+    /// `busy` marks.
+    #[inline]
+    fn next_busy(&self, from: usize, end: usize) -> Option<usize> {
+        let mut i = from / 64;
+        let mut bits = *self.busy.get(i)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            i += 1;
+            if i * 64 >= end {
+                return None;
+            }
+            bits = self.busy[i];
+        }
+        let w = i * 64 + bits.trailing_zeros() as usize;
+        (w < end).then_some(w)
     }
 
     fn park(&mut self, arena: &ArenaConfig, rank: usize, p: PortId) {
         self.status[rank] = TravelStatus::Blocked(p);
         self.gate[rank] = Some(p);
-        self.run[rank / 64] &= !(1 << (rank % 64));
+        self.clear_run(rank);
         self.wake_next[rank] = self.wake_head[p.index()];
         self.wake_head[p.index()] = rank as u32;
         self.log_transition(arena, self.order[rank], TravelStatus::Blocked(p));
@@ -1408,52 +1477,52 @@ impl ArenaKernel {
         let mut total = StepReport::default();
         // Service starts at the rank holding flight position `start` and
         // wraps: the dense `(start..n).chain(0..start)` order.
-        let (first, base) = if start == 0 {
-            (0, 0)
-        } else {
-            self.select(start)
-        };
-        self.sweep(arena, trace, first..self.order.len(), base, &mut total)?;
-        self.sweep(arena, trace, 0..first, 0, &mut total)?;
+        let first = self.select(start);
+        self.sweep(arena, trace, first..self.order.len(), &mut total)?;
+        self.sweep(arena, trace, 0..first, &mut total)?;
         debug_assert!(
             self.observed || self.parked_stay_put(arena),
             "a quiet step left a travel that can move off the run queue"
         );
+        debug_assert!(self.summaries_hold(), "a step left busy or below stale");
         Ok(total)
     }
 
-    /// The rank at flight position `at` (the `at`-th set bit of `live`), and
-    /// how many `live` ranks lie below that rank's word.
-    fn select(&self, at: usize) -> (usize, u32) {
-        let mut base = 0u32;
-        for (w, &word) in self.live.iter().enumerate() {
-            let here = word.count_ones();
-            if at < (base + here) as usize {
-                let mut bits = word;
-                for _ in base as usize..at {
-                    bits &= bits - 1;
-                }
-                return (w * 64 + bits.trailing_zeros() as usize, base);
-            }
-            base += here;
+    /// The rank at flight position `at` (the `at`-th set bit of `live`), or
+    /// the end of the ranks when `T` has no such position: the last word
+    /// with fewer than `at + 1` live ranks before it holds it.
+    fn select(&self, at: usize) -> usize {
+        let w = self.below.partition_point(|&b| b as usize <= at);
+        let Some(w) = w.checked_sub(1) else {
+            return self.order.len();
+        };
+        let mut bits = self.live[w];
+        for _ in self.below[w] as usize..at {
+            bits &= bits.wrapping_sub(1);
         }
-        (self.order.len(), base)
+        match bits {
+            0 => self.order.len(),
+            _ => w * 64 + bits.trailing_zeros() as usize,
+        }
     }
 
-    /// Serves the set bits of `run` with a rank in `ranks`, ascending;
-    /// `base` counts the `live` ranks below the first word touched. The word
-    /// is read again after every serve, so a travel woken ahead of the
-    /// cursor is served in this sweep and one woken behind it waits for the
-    /// next step, as in a sweep that tests every member of `T`.
+    /// Serves the set bits of `run` with a rank in `ranks`, ascending, in
+    /// the words `busy` marks. The word is read again after every serve,
+    /// and `busy` after every word, so a travel woken ahead of the cursor
+    /// is served in this sweep and one woken behind it waits for the next
+    /// step, as in a sweep that tests every member of `T`. A step leaves
+    /// `live` and `below` alone, so a served rank's flight position is
+    /// `below` of its word plus one popcount.
     fn sweep(
         &mut self,
         arena: &mut ArenaConfig,
         trace: &mut Trace,
         ranks: std::ops::Range<usize>,
-        mut base: u32,
         total: &mut StepReport,
     ) -> Result<()> {
-        for w in ranks.start / 64..ranks.end.div_ceil(64) {
+        let end = ranks.end.div_ceil(64);
+        let mut next = self.next_busy(ranks.start / 64, end);
+        while let Some(w) = next {
             // The bits of word `w` that are inside `ranks` and not yet passed.
             let mut ahead = !0u64;
             if w == ranks.start / 64 {
@@ -1465,10 +1534,10 @@ impl ArenaKernel {
             while self.run[w] & ahead != 0 {
                 let bit = (self.run[w] & ahead).trailing_zeros();
                 ahead &= !1u64 << bit; // bit 63 leaves nothing: no shift by 64
-                let at = base + (self.live[w] & !(!0u64 << bit)).count_ones();
+                let at = self.below[w] + (self.live[w] & !(!0u64 << bit)).count_ones();
                 self.serve(arena, trace, w * 64 + bit as usize, at, total)?;
             }
-            base += self.live[w].count_ones();
+            next = self.next_busy(w + 1, end);
         }
         Ok(())
     }
@@ -1529,14 +1598,14 @@ impl ArenaKernel {
                     self.wake_head[pi] = self.wake_next[wr];
                     self.wake_next[wr] = NONE;
                     self.status[wr] = TravelStatus::Active;
-                    self.run[wr / 64] |= 1 << (wr % 64);
+                    self.set_run(wr);
                     self.log_transition(arena, self.order[wr], TravelStatus::Active);
                 }
             }
             self.freed.clear();
             if rep.ejections > 0 && arena.slot_is_arrived(s) {
                 self.saw_arrival = true;
-                self.run[rank / 64] &= !(1 << (rank % 64));
+                self.clear_run(rank);
                 self.done.push((at, rank as u32));
                 return Ok(());
             }
@@ -1573,12 +1642,20 @@ impl ArenaKernel {
                     status: TravelStatus::Delivered,
                 });
             }
+            let next = self.done.get(i + 1).copied();
             // The survivors up to the next arrival close the `i + 1` gaps.
-            let next = (self.done.get(i + 1)).map_or(arena.flight.len(), |d| d.0 as usize);
-            arena.flight.copy_within(at + 1..next, at - i);
+            let to = next.map_or(arena.flight.len(), |d| d.0 as usize);
+            arena.flight.copy_within(at + 1..to, at - i);
+            // The words after this arrival's, up to the next arrival's, have
+            // `i + 1` fewer live ranks before them.
+            let words = rank / 64 + 1..next.map_or(self.below.len(), |d| d.1 as usize / 64 + 1);
+            for below in &mut self.below[words] {
+                *below -= i as u32 + 1;
+            }
         }
         arena.flight.truncate(arena.flight.len() - self.done.len());
         self.done.clear();
+        debug_assert!(self.summaries_hold(), "a drain left busy or below stale");
         self.newly.len()
     }
 }
@@ -2081,6 +2158,35 @@ mod tests {
     fn a_port_record_is_sixteen_bytes_on_a_sixteen_byte_boundary() {
         assert_eq!(std::mem::size_of::<PortRec>(), 16);
         assert_eq!(std::mem::align_of::<PortRec>(), 16);
+    }
+
+    /// `busy` and `below` follow `run` and `live` through runs that park,
+    /// wake and drain across two words of `run`, quiet and observed, under
+    /// both arbitrations. In each run a wake refills a word of `run` that
+    /// had emptied, so its `busy` bit must come back.
+    #[test]
+    fn busy_and_below_follow_run_and_live_across_words() {
+        let (net, cfg) = contended_line(40, 1, 2);
+        for arbitration in [Arbitration::FixedPriority, Arbitration::RoundRobin] {
+            for observed in [false, true] {
+                let mut arena = ArenaConfig::from_config(&net, &cfg).unwrap();
+                let mut kernel = kernel_for(&arena, arbitration);
+                kernel.set_observed(observed);
+                assert_eq!(kernel.run.len(), 2);
+                assert!(kernel.summaries_hold());
+                let (mut trace, mut refilled) = (Trace::new(false), false);
+                while !arena.is_evacuated() {
+                    assert!(!kernel.is_deadlock(&arena));
+                    let idle = kernel.run.iter().map(|&w| w == 0).collect::<Vec<_>>();
+                    kernel.step(&mut arena, &mut trace).unwrap();
+                    assert!(kernel.summaries_hold(), "after a step");
+                    kernel.drain_arrived(&mut arena);
+                    assert!(kernel.summaries_hold(), "after a drain");
+                    refilled |= (0..2).any(|w| idle[w] && kernel.run[w] != 0);
+                }
+                assert!(refilled, "{arbitration:?} observed {observed}");
+            }
+        }
     }
 
     /// Steps `arena` under `kernel` until it is evacuated or deadlocked:

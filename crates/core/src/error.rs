@@ -77,7 +77,8 @@ pub enum Error {
     ParallelismBound {
         /// Worker threads asked for.
         jobs: usize,
-        /// Frontier shards asked for.
+        /// Frontier shards asked for; `0` when none were, and the count
+        /// follows the jobs.
         shards: usize,
         /// The largest job count, and the largest shard count, allowed.
         max: usize,
@@ -119,6 +120,14 @@ impl fmt::Display for Error {
             Error::WalChanged { what, .. } => {
                 write!(f, "event log changed since it was read: {what}")
             }
+            Error::ParallelismBound {
+                jobs,
+                shards: 0,
+                max,
+            } => write!(
+                f,
+                "{jobs} jobs asked for: the parallel explorer's bound is {max} jobs"
+            ),
             Error::ParallelismBound { jobs, shards, max } => write!(
                 f,
                 "{jobs} jobs and {shards} shards asked for: the parallel explorer's bound is \
@@ -161,5 +170,27 @@ mod tests {
             after: 10,
         };
         assert!(e.to_string().contains("10 -> 10"));
+    }
+
+    #[test]
+    fn parallelism_bound_names_only_what_was_asked_for() {
+        let derived = Error::ParallelismBound {
+            jobs: 65,
+            shards: 0,
+            max: 64,
+        };
+        assert_eq!(
+            derived.to_string(),
+            "65 jobs asked for: the parallel explorer's bound is 64 jobs"
+        );
+        let both = Error::ParallelismBound {
+            jobs: 2,
+            shards: 65,
+            max: 64,
+        };
+        assert_eq!(
+            both.to_string(),
+            "2 jobs and 65 shards asked for: the parallel explorer's bound is 64 of each"
+        );
     }
 }

@@ -295,7 +295,7 @@ pub(crate) fn explore_parallel(
     if jobs.max(shard_count) > MAX_PARALLELISM {
         return Err(Error::ParallelismBound {
             jobs,
-            shards: shard_count,
+            shards: options.shards,
             max: MAX_PARALLELISM,
         });
     }

@@ -489,3 +489,72 @@ fn multi_word_workloads_are_arena_invariant() {
         "the mixed routing must drive some run into Ω"
     );
 }
+
+/// The run queue's words are summarised 64 to a `busy` word, 4,096 ranks;
+/// the workloads above stay inside one. These hold 4,500 travels, so a step
+/// crosses from the first summary word into the second, and a round-robin
+/// run starts at step 4,100: its first service rotation begins inside the
+/// second summary word. Both arbitrations, uniform and hotspot traffic, on
+/// XY and on a routing that deadlocks with more than 4,096 travels left, so
+/// that `Ω` is judged over both summary words.
+#[test]
+fn summary_words_are_arena_invariant() {
+    let mesh = Mesh::new(8, 8, 2);
+    let nodes = mesh.node_count();
+    let xy = XyRouting::new(&mesh);
+    let mixed = MixedXyYxRouting::new(&mesh);
+    let options = RunOptions {
+        record_trace: true,
+        ..RunOptions::default()
+    };
+    let sim = SimOptions {
+        record_trace: true,
+        ..SimOptions::default()
+    };
+    let workloads = [
+        genoc::sim::workload::uniform_random(nodes, 4_500, 1..=2, 7),
+        genoc::sim::workload::hotspot(nodes, 4_500, 27, 20, 1, 7),
+    ];
+    for specs in &workloads {
+        for (routing, cyclic) in [(&xy as &dyn RoutingFunction, false), (&mixed, true)] {
+            let cfg = Config::from_specs(&mesh, routing, specs).unwrap();
+            for (arbitration, first_step) in [
+                (Arbitration::FixedPriority, 0),
+                (Arbitration::RoundRobin, 4_100),
+            ] {
+                let spec = KernelSpec {
+                    arbitration,
+                    first_step,
+                    ..Switching::new(SwitchingKind::Wormhole)
+                        .kernel_spec()
+                        .unwrap()
+                };
+                let sweep = || Sweep {
+                    spec,
+                    scratch: StepScratch::default(),
+                    steps: spec.first_step,
+                };
+                let refr = run(
+                    &mesh,
+                    &IdentityInjection,
+                    &mut sweep(),
+                    cfg.clone(),
+                    &options,
+                )
+                .unwrap();
+                let aren = simulate_config(&mesh, &mut sweep(), cfg.clone(), &sim, None, None)
+                    .unwrap()
+                    .run;
+                let cell = format!("{}/{arbitration:?}/{}", routing.name(), specs.len());
+                assert_eq!(aren.outcome, refr.outcome, "outcome {cell}");
+                assert_eq!(aren.steps, refr.steps, "steps {cell}");
+                assert_eq!(aren.trace.events(), refr.trace.events(), "trace {cell}");
+                assert_eq!(aren.arrival_order, refr.arrival_order, "arrivals {cell}");
+                assert_eq!(aren.config, refr.config, "final config {cell}");
+                let deadlock = aren.outcome == Outcome::Deadlock;
+                assert_eq!(deadlock, cyclic, "only the mixed routing reaches Ω: {cell}");
+                assert!(!deadlock || aren.config.travels().len() > 4_096, "{cell}");
+            }
+        }
+    }
+}

@@ -1,10 +1,15 @@
 //! The command-line grammar of `explore`, `campaign` and `replay`. Every
 //! argv in the table fails before a search, a campaign or a replay starts,
 //! and each row pins the whole stderr and the exit status: 3 for
-//! `explore`, 1 for the other two, never 101 (a panic). `--help` and `-h`
-//! print the usage line on stdout and exit 0.
+//! `explore`, 1 for the other two, never 101 (a panic). 600 more argv,
+//! generated from each binary's grammar at a fixed seed with one malformed
+//! token each, are held to the same. `--help` and `-h` print the usage
+//! line on stdout and exit 0.
 
 use std::process::Command;
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 const EXPLORE: &str = env!("CARGO_BIN_EXE_explore");
 const CAMPAIGN: &str = env!("CARGO_BIN_EXE_campaign");
@@ -40,8 +45,8 @@ const USAGE_ERRORS: &[(&str, &str, i32, &str)] = &[
     (EXPLORE, "--switching bogus", 3, "unknown switching \"bogus\": expected one of wormhole, \
         vct, store-forward"),
     (EXPLORE, "--width 0", 3, "mesh-0x2/xy: mesh needs width and height of at least 2, got 0x2"),
-    (EXPLORE, "--jobs 65", 3, "mesh-2x2/xy: exploration failed: 65 jobs and 65 shards asked \
-        for: the parallel explorer's bound is 64 of each"),
+    (EXPLORE, "--jobs 65", 3, "mesh-2x2/xy: exploration failed: 65 jobs asked for: the \
+        parallel explorer's bound is 64 jobs"),
     (CAMPAIGN, "--jobs", 1, "--jobs expects a value"),
     (CAMPAIGN, "--seed -1", 1, "--seed: invalid digit found in string"),
     (CAMPAIGN, "--bogus", 1, "unknown flag \"--bogus\" (try --help)"),
@@ -71,31 +76,172 @@ fn usage_errors_name_their_flag_and_exit_with_the_binary_s_error_code() {
     }
 }
 
-/// `(binary, error exit code, numeric flags, the other flags with a value)`:
-/// every flag of the three binaries that takes a value.
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Value {
+    /// It takes none.
+    Switch,
+    /// An unsigned count.
+    Count,
+    /// A byte count with an optional `k`/`m`/`g` suffix.
+    Bytes,
+    /// `on` or `off`.
+    OnOff,
+    /// Any text; these values are well formed for it.
+    Text(&'static [&'static str]),
+}
+
+/// Every flag of a binary, `--help` aside, with how it takes its value.
+type Grammar = &'static [(&'static str, Value)];
+
+/// `(binary, error exit code, grammar)` for the three binaries.
 #[rustfmt::skip]
-const VALUE_FLAGS: &[(&str, i32, &[&str], &[&str])] = &[
-    (
-        EXPLORE, 3,
-        &["--width", "--height", "--capacity", "--flits", "--messages", "--bound", "--jobs",
-          "--mem-limit"],
-        &["--routing", "--switching", "--symmetry", "--por", "--spill-dir", "--aut", "--dot"],
-    ),
-    (CAMPAIGN, 1, &["--jobs", "--seed"],
-        &["--matrix", "--filter", "--out", "--wal-dir", "--metrics-out"]),
-    (REPLAY, 1, &["--to-step", "--last"], &["--wal", "--expect"]),
+const GRAMMARS: &[(&str, i32, Grammar)] = &[
+    (EXPLORE, 3, &[
+        ("--routing", Value::Text(&["xy", "yx", "xy-yx-mixed"])),
+        ("--width", Value::Count),
+        ("--height", Value::Count),
+        ("--capacity", Value::Count),
+        ("--switching", Value::Text(&["wormhole", "vct", "store-forward"])),
+        ("--flits", Value::Count),
+        ("--messages", Value::Count),
+        ("--bound", Value::Count),
+        ("--symmetry", Value::OnOff),
+        ("--por", Value::OnOff),
+        ("--jobs", Value::Count),
+        ("--mem-limit", Value::Bytes),
+        ("--spill-dir", Value::Text(&["spill"])),
+        ("--aut", Value::Text(&["space.aut"])),
+        ("--dot", Value::Text(&["space.dot"])),
+    ]),
+    (CAMPAIGN, 1, &[
+        ("--matrix", Value::Text(&["smoke", "oracle", "full"])),
+        ("--jobs", Value::Count),
+        ("--seed", Value::Count),
+        ("--filter", Value::Text(&["mesh", "ring"])),
+        ("--out", Value::Text(&["campaign.json"])),
+        ("--wal-dir", Value::Text(&["wal"])),
+        ("--metrics-out", Value::Text(&["metrics.prom"])),
+        ("--list", Value::Switch),
+    ]),
+    (REPLAY, 1, &[
+        ("--wal", Value::Text(&["run.wal"])),
+        ("--to-step", Value::Count),
+        ("--last", Value::Count),
+        ("--metrics", Value::Switch),
+        ("--expect", Value::Text(&["evacuated", "deadlock", "steplimit", "recorded"])),
+    ]),
 ];
 
 #[test]
 fn every_value_flag_names_itself_when_its_value_is_missing_or_not_a_number() {
-    for &(bin, code, numeric, other) in VALUE_FLAGS {
-        for &flag in numeric.iter().chain(other) {
+    for &(bin, code, flags) in GRAMMARS {
+        for &(flag, value) in flags {
+            if matches!(value, Value::Switch) {
+                continue;
+            }
             let expected = format!("{flag} expects a value\n");
             assert_eq!(run(bin, &[flag]), (code, String::new(), expected));
+            if matches!(value, Value::Count | Value::Bytes) {
+                let expected = format!("{flag}: invalid digit found in string\n");
+                assert_eq!(run(bin, &[flag, "x"]), (code, String::new(), expected));
+            }
         }
-        for &flag in numeric {
-            let expected = format!("{flag}: invalid digit found in string\n");
-            assert_eq!(run(bin, &[flag, "x"]), (code, String::new(), expected));
+    }
+}
+
+/// Numbers no count takes, each refused as `str::parse::<u64>` refuses it.
+const BAD_COUNTS: &[&str] = &[
+    "x",
+    "-1",
+    "",
+    "3.5",
+    "1e3",
+    "0x10",
+    "99999999999999999999999",
+];
+/// `on|off` values that are neither.
+const BAD_SWITCHES: &[&str] = &["yes", "ON", "1", "", "of"];
+/// Tokens no binary takes as a flag.
+const UNKNOWN_FLAGS: &[&str] = &["--bogus", "-x", "--Width", "--jobs=2", "3", "--", "-"];
+
+/// One argv for `flags`: up to four well-formed flags, and exactly one
+/// malformed token among them — a value flag last without its value, a
+/// count that is no count, an `on|off` that is neither, or a token that is
+/// no flag. Returns the argv and the one line the binary must print.
+fn malformed_argv(rng: &mut StdRng, flags: Grammar) -> (Vec<String>, String) {
+    let pick = |rng: &mut StdRng, items: &[&'static str]| items[rng.random_range(0..items.len())];
+    let mut argv: Vec<String> = Vec::new();
+    for _ in 0..rng.random_range(0..=4usize) {
+        let (flag, value) = flags[rng.random_range(0..flags.len())];
+        argv.push(flag.into());
+        match value {
+            Value::Switch => {}
+            Value::Count => argv.push(rng.random_range(0..100u64).to_string()),
+            Value::Bytes => argv.push(pick(rng, &["4096", "2k", "1m", "1g"]).into()),
+            Value::OnOff => argv.push(pick(rng, &["on", "off"]).into()),
+            Value::Text(values) => argv.push(pick(rng, values).into()),
+        }
+    }
+    // Flags are whole pairs, so the bad token goes in between two of them.
+    let pairs: Vec<usize> = (0..=argv.len())
+        .filter(|&i| i == argv.len() || argv[i].starts_with("--"))
+        .collect();
+    let at = pairs[rng.random_range(0..pairs.len())];
+    let taking = |wanted: fn(Value) -> bool| -> Vec<&'static str> {
+        (flags.iter())
+            .filter(|&&(_, value)| wanted(value))
+            .map(|&(flag, _)| flag)
+            .collect()
+    };
+    let counts = taking(|v| matches!(v, Value::Count | Value::Bytes));
+    let switches = taking(|v| matches!(v, Value::OnOff));
+    let (bad, expected) = match rng.random_range(0..4u32) {
+        0 => {
+            let flag = pick(rng, &taking(|v| !matches!(v, Value::Switch)));
+            argv.push(flag.into());
+            return (argv, format!("{flag} expects a value"));
+        }
+        1 => {
+            let (flag, number) = (pick(rng, &counts), pick(rng, BAD_COUNTS));
+            let error = number.parse::<u64>().expect_err("not a count");
+            (vec![flag, number], format!("{flag}: {error}"))
+        }
+        2 if !switches.is_empty() => {
+            let (flag, word) = (pick(rng, &switches), pick(rng, BAD_SWITCHES));
+            (
+                vec![flag, word],
+                format!("{flag}: expected on|off, got {word:?}"),
+            )
+        }
+        _ => {
+            let token = pick(rng, UNKNOWN_FLAGS);
+            (vec![token], format!("unknown flag {token:?} (try --help)"))
+        }
+    };
+    argv.splice(at..at, bad.into_iter().map(String::from));
+    (argv, expected)
+}
+
+/// 200 argv per binary, generated from its own grammar at a fixed seed,
+/// each holding exactly one malformed token: every one is refused while
+/// the flags are read, before any work starts, with the binary's error
+/// code and the line that names the bad token, never a panic.
+#[test]
+fn generated_argv_with_one_malformed_token_fail_before_any_work() {
+    const PER_BINARY: usize = 200;
+    let mut rng = StdRng::seed_from_u64(42);
+    for &(bin, code, flags) in GRAMMARS {
+        for _ in 0..PER_BINARY {
+            let (argv, expected) = malformed_argv(&mut rng, flags);
+            let args: Vec<&str> = argv.iter().map(String::as_str).collect();
+            let (got, out, err) = run(bin, &args);
+            assert_ne!(got, 101, "{bin} {argv:?} panicked: {err}");
+            assert_eq!(
+                (got, err.as_str(), out.as_str()),
+                (code, format!("{expected}\n").as_str(), ""),
+                "{bin} {argv:?}"
+            );
         }
     }
 }

@@ -180,9 +180,7 @@ fn jobs_and_shards_past_the_bound_are_refused_at_once() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(3), "{stderr}");
     assert!(
-        stderr.contains(
-            "2000 jobs and 2000 shards asked for: the parallel explorer's bound is 64 of each"
-        ),
+        stderr.contains("2000 jobs asked for: the parallel explorer's bound is 64 jobs"),
         "{stderr}"
     );
     assert!(took < Duration::from_secs(1), "refusal took {took:?}");
