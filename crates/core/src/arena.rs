@@ -108,14 +108,16 @@
 
 use crate::config::Config;
 use crate::error::{Error, Result};
-use crate::ids::{MsgId, PortId};
+use crate::ids::{MsgId, NodeId, PortId};
 use crate::kernel::{Transition, TravelStatus};
 use crate::meta::SwitchingKind;
 use crate::moves::MoveKind;
 use crate::network::Network;
+use crate::routing::{extend_route, RoutingFunction};
+use crate::spec::MessageSpec;
 use crate::switching::{KernelSpec, StepReport};
 use crate::trace::{Trace, Zone};
-use crate::travel::{FlitPos, Travel};
+use crate::travel::{check_spec, FlitPos, Travel};
 
 /// Sentinel for "no slot" / "empty list" in dense `u32` columns.
 const NONE: u32 = u32::MAX;
@@ -335,6 +337,11 @@ impl Ports {
     }
 }
 
+/// The error for a column that would leave `u32` index space.
+fn pool_overflow() -> Error {
+    Error::Invariant("arena pools exceed u32 index space".to_string())
+}
+
 impl ArenaConfig {
     // ------------------------------------------------------------------
     // Construction and materialisation
@@ -447,33 +454,41 @@ impl ArenaConfig {
     /// registers its public id. Does **not** touch port state or
     /// membership lists.
     fn alloc_slot(&mut self, net: &dyn Network, t: &Travel) -> Result<u32> {
-        let id = t.id();
-        if self.slot_of(id).is_some() {
-            return Err(Error::Invariant(format!(
-                "travel {id} already present in configuration"
-            )));
-        }
-        let route = t.route();
-        let last = route[route.len() - 1];
-        if net.attrs(route[0]).node != t.source_node() || net.attrs(last).node != t.dest_node() {
-            return Err(Error::Invariant(format!(
-                "travel {id}: route endpoints do not determine its source/destination nodes"
-            )));
-        }
-        let overflow = || Error::Invariant("arena pools exceed u32 index space".to_string());
-        let rl = u32::try_from(route.len())
-            .ok()
-            .filter(|&n| n < FLIT_DELIVERED)
-            .ok_or_else(overflow)?;
-        let fl = u32::try_from(t.flit_count()).map_err(|_| overflow())?;
-        let ro = u32::try_from(self.route_pool.len()).map_err(|_| overflow())?;
-        ro.checked_add(rl).ok_or_else(overflow)?;
-        let fo = u32::try_from(self.flit_pool.len()).map_err(|_| overflow())?;
-        fo.checked_add(fl).ok_or_else(overflow)?;
-        self.route_pool.extend_from_slice(route);
+        let at = self.route_pool.len();
+        self.route_pool.extend_from_slice(t.route());
+        let nodes = (t.source_node(), t.dest_node());
+        self.write_slot(net, t.id(), nodes, at, t.flit_positions())
+    }
+
+    /// The one slot writer: the travel `id` from `nodes.0` to `nodes.1`,
+    /// whose route is the route pool from `route_at` on (the caller has
+    /// just appended it) and whose flits are at `flits`, goes into a
+    /// (recycled or fresh) slot under its public id. Does **not** touch port
+    /// state or membership lists.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] if `id` is resident already, if the route's
+    /// endpoints are not at `nodes`, or if a column would leave `u32` index
+    /// space; the route is taken off the pool again then.
+    fn write_slot(
+        &mut self,
+        net: &dyn Network,
+        id: MsgId,
+        nodes: (NodeId, NodeId),
+        route_at: usize,
+        flits: impl ExactSizeIterator<Item = FlitPos>,
+    ) -> Result<u32> {
+        let (ro, rl, fo, fl) = match self.check_slot(net, id, nodes, route_at, flits.len()) {
+            Ok(placed) => placed,
+            Err(e) => {
+                self.route_pool.truncate(route_at);
+                return Err(e);
+            }
+        };
         let mut dp = 0u32;
         let mut in_prefix = true;
-        for pos in t.flit_positions() {
+        for pos in flits {
             let v = encode(pos);
             if in_prefix && v == FLIT_DELIVERED {
                 dp += 1;
@@ -494,13 +509,17 @@ impl ArenaConfig {
                 sv
             }
             None => {
+                let sv = u32::try_from(self.public.len())
+                    .ok()
+                    .filter(|&sv| sv != NONE)
+                    .ok_or_else(pool_overflow)?;
                 self.public.push(id);
                 self.route_off.push(ro);
                 self.route_len.push(rl);
                 self.flit_off.push(fo);
                 self.flit_len.push(fl);
                 self.delivered.push(dp);
-                u32::try_from(self.public.len() - 1).map_err(|_| overflow())?
+                sv
             }
         };
         let idx = id.index();
@@ -509,6 +528,120 @@ impl ArenaConfig {
         }
         self.slot_of[idx] = slot;
         Ok(slot)
+    }
+
+    /// [`write_slot`](Self::write_slot)'s checks: returns the route's and
+    /// the flits' `(offset, length)` in their pools.
+    fn check_slot(
+        &self,
+        net: &dyn Network,
+        id: MsgId,
+        (source, dest): (NodeId, NodeId),
+        route_at: usize,
+        flits: usize,
+    ) -> Result<(u32, u32, u32, u32)> {
+        if self.slot_of(id).is_some() {
+            return Err(Error::Invariant(format!(
+                "travel {id} already present in configuration"
+            )));
+        }
+        let route = &self.route_pool[route_at..];
+        let (Some(&first), Some(&last)) = (route.first(), route.last()) else {
+            return Err(Error::Invariant(format!("travel {id} has an empty route")));
+        };
+        if net.attrs(first).node != source || net.attrs(last).node != dest {
+            return Err(Error::Invariant(format!(
+                "travel {id}: route endpoints do not determine its source/destination nodes"
+            )));
+        }
+        let rl = u32::try_from(route.len())
+            .ok()
+            .filter(|&n| n < FLIT_DELIVERED)
+            .ok_or_else(pool_overflow)?;
+        let fl = u32::try_from(flits).map_err(|_| pool_overflow())?;
+        let ro = u32::try_from(route_at).map_err(|_| pool_overflow())?;
+        ro.checked_add(rl).ok_or_else(pool_overflow)?;
+        let fo = u32::try_from(self.flit_pool.len()).map_err(|_| pool_overflow())?;
+        fo.checked_add(fl).ok_or_else(pool_overflow)?;
+        Ok((ro, rl, fo, fl))
+    }
+
+    /// Refills the arena with the initial configuration of `specs` — what
+    /// `from_config(net, &Config::from_specs(net, routing, specs)?)` builds,
+    /// in the same slots — in place: each route is computed straight into
+    /// the route pool and every column keeps its capacity, so a warm arena
+    /// loads a workload no larger than the ones before it with one
+    /// allocation, the route computation's hop buffer. Each message is
+    /// checked as [`Travel::from_spec`] checks it and its slot written by the
+    /// writer [`from_config`](Self::from_config) uses.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidSpec`] for a message [`Travel::from_spec`] rejects,
+    /// route-computation errors, and [`Error::Invariant`] for a workload
+    /// whose columns would leave `u32` index space. The arena holds part of
+    /// the workload then.
+    pub fn load_specs(
+        &mut self,
+        net: &dyn Network,
+        routing: &dyn RoutingFunction,
+        specs: &[MessageSpec],
+    ) -> Result<()> {
+        self.clear();
+        self.ports.rec.extend(net.ports().map(|p| PortRec {
+            cap: net.attrs(p).capacity,
+            occ: 0,
+            owner: NONE,
+            entered: 0,
+        }));
+        self.ports.ejected.resize(self.ports.rec.len(), 0);
+        let mut hops = Vec::with_capacity(4);
+        for (i, spec) in specs.iter().enumerate() {
+            let id = MsgId::from_index(i);
+            check_spec(net, id, spec)?;
+            let (source, dest) = (net.local_in(spec.source), net.local_out(spec.dest));
+            let at = self.route_pool.len();
+            extend_route(net, routing, source, dest, &mut self.route_pool, &mut hops)?;
+            let flits = std::iter::repeat_n(FlitPos::Pending, spec.flits);
+            let slot = self.write_slot(net, id, (spec.source, spec.dest), at, flits)?;
+            self.flight.push(slot);
+        }
+        Ok(())
+    }
+
+    /// Empties every column, keeping its capacity: the arena
+    /// `ArenaConfig::default()` builds, with warm buffers.
+    fn clear(&mut self) {
+        let ArenaConfig {
+            public,
+            route_off,
+            route_len,
+            flit_off,
+            flit_len,
+            delivered,
+            route_pool,
+            flit_pool,
+            ports:
+                Ports {
+                    rec,
+                    ejected,
+                    epoch,
+                },
+            flight,
+            arrived,
+            free,
+            slot_of,
+        } = self;
+        for column in [
+            route_off, route_len, flit_off, flit_len, delivered, flit_pool, ejected, flight,
+            arrived, free, slot_of,
+        ] {
+            column.clear();
+        }
+        public.clear();
+        route_pool.clear();
+        rec.clear();
+        *epoch = 0;
     }
 
     // ------------------------------------------------------------------
@@ -609,18 +742,17 @@ impl ArenaConfig {
         let mut t = self.materialize(net, slot)?;
         t.reroute(net, new_route)?;
         let s = slot as usize;
-        let overflow = || Error::Invariant("arena pools exceed u32 index space".to_string());
         let rl = u32::try_from(t.route().len())
             .ok()
             .filter(|&n| n < FLIT_DELIVERED)
-            .ok_or_else(overflow)?;
+            .ok_or_else(pool_overflow)?;
         if rl <= self.route_len[s] {
             // The new route fits in place; the stale tail is orphaned.
             let ro = self.route_off[s] as usize;
             self.route_pool[ro..ro + rl as usize].copy_from_slice(t.route());
         } else {
-            let ro = u32::try_from(self.route_pool.len()).map_err(|_| overflow())?;
-            ro.checked_add(rl).ok_or_else(overflow)?;
+            let ro = u32::try_from(self.route_pool.len()).map_err(|_| pool_overflow())?;
+            ro.checked_add(rl).ok_or_else(pool_overflow)?;
             self.route_pool.extend_from_slice(t.route());
             self.route_off[s] = ro;
         }
@@ -959,7 +1091,7 @@ impl ArenaKernel {
     pub fn new(arena: &ArenaConfig, spec: ArenaSpec) -> Self {
         let mut k = ArenaKernel {
             spec,
-            step_count: spec.first_step,
+            step_count: 0,
             order: Vec::new(),
             status: Vec::new(),
             gate: Vec::new(),
@@ -978,8 +1110,20 @@ impl ArenaKernel {
             newly: Vec::new(),
             saw_arrival: false,
         };
-        k.resync(arena);
+        k.restart(arena, spec);
         k
+    }
+
+    /// Starts the kernel over on `arena` under `spec`: the quiet kernel
+    /// [`new`](Self::new) builds, in this one's buffers, so a kernel that
+    /// runs one workload after another allocates only for a workload larger
+    /// than every one before it. `spec.first_step` is where the arbitration
+    /// order resumes.
+    pub fn restart(&mut self, arena: &ArenaConfig, spec: ArenaSpec) {
+        self.spec = spec;
+        self.step_count = spec.first_step;
+        self.observed = false;
+        self.resync(arena);
     }
 
     /// Status transitions of the last step, in occurrence order, keyed by
@@ -1683,6 +1827,13 @@ mod tests {
     fn contended_line(nodes: usize, capacity: u32, flits: usize) -> (LineNetwork, Config) {
         let net = LineNetwork::new(nodes, capacity);
         let routing = LineRouting::new(&net);
+        let specs = contended_specs(nodes, flits);
+        let cfg = Config::from_specs(&net, &routing, &specs).unwrap();
+        (net, cfg)
+    }
+
+    /// Messages from every node of a `nodes`-node line to either end.
+    fn contended_specs(nodes: usize, flits: usize) -> Vec<MessageSpec> {
         let mut specs = Vec::new();
         for i in 0..nodes - 1 {
             specs.push(MessageSpec::new(
@@ -1696,8 +1847,7 @@ mod tests {
                 flits,
             ));
         }
-        let cfg = Config::from_specs(&net, &routing, &specs).unwrap();
-        (net, cfg)
+        specs
     }
 
     #[test]
@@ -2274,5 +2424,67 @@ mod tests {
         let followed = run_out(&mut arena, &mut kernel);
         assert!(!followed.0.is_empty());
         assert_eq!(followed, run_out(&mut rebuilt, &mut rebuilt_kernel));
+    }
+
+    /// A loaded arena is the arena imported from `Config::from_specs`, and a
+    /// restarted kernel runs it as a new one does: from a fresh arena, and
+    /// from one a longer run on a larger line left with stamps, arrivals and
+    /// a freed slot, whose buffers it keeps.
+    #[test]
+    fn load_specs_refills_the_arena_from_specs_in_place() {
+        let arena_spec = |first_step| {
+            let spec = KernelSpec {
+                arbitration: Arbitration::RoundRobin,
+                first_step,
+                ..spec()
+            };
+            ArenaSpec::from_kernel_spec(&spec).unwrap()
+        };
+        let (big, big_cfg) = contended_line(7, 2, 4);
+        let mut arena = ArenaConfig::from_config(&big, &big_cfg).unwrap();
+        let mut kernel = ArenaKernel::new(&arena, arena_spec(0));
+        step_to_an_arrival(&mut arena, &mut kernel);
+        kernel.drain_arrived(&mut arena);
+        arena
+            .remove_travel(&big, arena.public_id(arena.flight[0]))
+            .unwrap();
+        let mut loaded = [ArenaConfig::default(), arena];
+        let net = LineNetwork::new(5, 1);
+        let routing = LineRouting::new(&net);
+        let specs = contended_specs(5, 3);
+        let cfg = Config::from_specs(&net, &routing, &specs).unwrap();
+        for arena in &mut loaded {
+            arena.load_specs(&net, &routing, &specs).unwrap();
+            assert_eq!(arena.to_config(&net).unwrap(), cfg);
+            assert_eq!(arena.slot_count(), specs.len());
+            assert_eq!(arena.free_count(), 0);
+            let routes: usize = cfg.travels().iter().map(|t| t.route().len()).sum();
+            assert_eq!(arena.route_pool_len(), routes);
+            kernel.restart(arena, arena_spec(3));
+            let mut imported = ArenaConfig::from_config(&net, &cfg).unwrap();
+            let mut fresh = ArenaKernel::new(&imported, arena_spec(3));
+            let run = run_out(arena, &mut kernel);
+            assert!(run.2, "the line evacuates");
+            assert_eq!(run, run_out(&mut imported, &mut fresh));
+        }
+    }
+
+    #[test]
+    fn load_specs_rejects_what_from_specs_rejects() {
+        let net = LineNetwork::new(3, 1);
+        let routing = LineRouting::new(&net);
+        let (a, b) = (NodeId::from_index(0), NodeId::from_index(2));
+        for bad in [
+            MessageSpec::new(a, b, 0),
+            MessageSpec::new(a, NodeId::from_index(3), 1),
+        ] {
+            let specs = [MessageSpec::new(b, a, 2), bad];
+            let want = Config::from_specs(&net, &routing, &specs).unwrap_err();
+            let got = ArenaConfig::default()
+                .load_specs(&net, &routing, &specs)
+                .unwrap_err();
+            assert!(matches!(got, Error::InvalidSpec(_)), "{got:?}");
+            assert_eq!(got.to_string(), want.to_string());
+        }
     }
 }

@@ -98,14 +98,41 @@ pub fn compute_route(
     source: PortId,
     dest: PortId,
 ) -> Result<Vec<PortId>> {
-    let limit = 4 * net.port_count().max(4);
     let mut path = Vec::with_capacity(8);
-    // One hop buffer for the whole route, not one per hop.
-    let mut hops = Vec::with_capacity(4);
+    extend_route(
+        net,
+        routing,
+        source,
+        dest,
+        &mut path,
+        &mut Vec::with_capacity(4),
+    )?;
+    Ok(path)
+}
+
+/// [`compute_route`] appended to `path`, with `hops` as the buffer each
+/// hop's candidates are collected in (one buffer for the whole route, not
+/// one per hop): a caller that keeps both computes routes without
+/// allocating once they have grown, as an arena loading a workload into
+/// its route pool does.
+///
+/// # Errors
+///
+/// As [`compute_route`]; `path` then ends in part of the route.
+pub fn extend_route(
+    net: &dyn Network,
+    routing: &dyn RoutingFunction,
+    source: PortId,
+    dest: PortId,
+    path: &mut Vec<PortId>,
+    hops: &mut Vec<PortId>,
+) -> Result<()> {
+    let limit = 4 * net.port_count().max(4);
+    let start = path.len();
     path.push(source);
     let mut current = source;
     while current != dest {
-        if path.len() > limit {
+        if path.len() - start > limit {
             return Err(Error::RouteDiverged {
                 from: source,
                 dest,
@@ -113,7 +140,7 @@ pub fn compute_route(
             });
         }
         hops.clear();
-        routing.next_hops(current, dest, &mut hops);
+        routing.next_hops(current, dest, hops);
         let next = *hops.first().ok_or(Error::NoRoute {
             from: current,
             dest,
@@ -121,7 +148,7 @@ pub fn compute_route(
         path.push(next);
         current = next;
     }
-    Ok(path)
+    Ok(())
 }
 
 /// Validates that `path` is a plausible route on `net` under `routing`:

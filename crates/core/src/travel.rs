@@ -52,6 +52,25 @@ pub struct Travel {
     flits: Vec<FlitPos>,
 }
 
+/// The checks [`Travel::from_spec`] makes of `spec` before it computes a
+/// route: at least one flit, and both nodes inside `net`.
+///
+/// # Errors
+///
+/// [`Error::InvalidSpec`] naming message `id`.
+pub(crate) fn check_spec(net: &dyn Network, id: MsgId, spec: &MessageSpec) -> Result<()> {
+    if spec.flits == 0 {
+        return Err(Error::InvalidSpec(format!("message {id} has zero flits")));
+    }
+    if spec.source.index() >= net.node_count() || spec.dest.index() >= net.node_count() {
+        return Err(Error::InvalidSpec(format!(
+            "message {id} references a node outside the {}-node network",
+            net.node_count()
+        )));
+    }
+    Ok(())
+}
+
 impl Travel {
     /// Builds a travel for `spec`, pre-computing its route from the node's
     /// local in-port to the destination's local out-port (all flits start
@@ -67,15 +86,7 @@ impl Travel {
         id: MsgId,
         spec: &MessageSpec,
     ) -> Result<Self> {
-        if spec.flits == 0 {
-            return Err(Error::InvalidSpec(format!("message {id} has zero flits")));
-        }
-        if spec.source.index() >= net.node_count() || spec.dest.index() >= net.node_count() {
-            return Err(Error::InvalidSpec(format!(
-                "message {id} references a node outside the {}-node network",
-                net.node_count()
-            )));
-        }
+        check_spec(net, id, spec)?;
         let source = net.local_in(spec.source);
         let dest = net.local_out(spec.dest);
         let route = compute_route(net, routing, source, dest)?;
@@ -218,7 +229,7 @@ impl Travel {
     }
 
     /// Iterates over the flit positions, head first.
-    pub fn flit_positions(&self) -> impl Iterator<Item = FlitPos> + '_ {
+    pub fn flit_positions(&self) -> impl ExactSizeIterator<Item = FlitPos> + '_ {
         self.flits.iter().copied()
     }
 

@@ -5,20 +5,30 @@
 //! randomized or adversarial workloads until the interpreter reports `Ω`,
 //! and keeps the deadlocked configuration's wait-for cycle
 //! ([`find_wait_cycle`], expanded to ports) as its witness: the dependency
-//! cycle the necessity direction asks for. A hunt that comes up empty on an
-//! acyclic router (and it always does — see `tests/theorem1_equivalence.rs`)
-//! is the bounded empirical reading of the sufficiency direction.
+//! cycle the necessity direction asks for. An attempt that evacuates or
+//! reaches its step limit counts as "no deadlock". A hunt that comes up
+//! empty on an acyclic router (and it always does — see
+//! `tests/theorem1_equivalence.rs`) is the bounded empirical reading of the
+//! sufficiency direction.
+//!
+//! Attempts run on the arena loop's quiet path (`runner.rs`), in one
+//! [`ArenaConfig`] and one [`ArenaKernel`] for the whole hunt: each attempt
+//! loads its workload's routes straight into the arena's pools and restarts
+//! the kernel in place, and a [`Config`] is materialised only for an attempt
+//! that ends in `Ω`. A policy the arena cannot run is hunted on the
+//! reference loop through [`simulate`], as any plain run of it is.
 
+use genoc_core::arena::{ArenaConfig, ArenaKernel};
 use genoc_core::blocking::{find_wait_cycle, WaitCycle};
 use genoc_core::config::Config;
-use genoc_core::error::Result;
+use genoc_core::error::{Error, Result};
 use genoc_core::interpreter::Outcome;
 use genoc_core::network::Network;
 use genoc_core::routing::RoutingFunction;
 use genoc_core::spec::MessageSpec;
 use genoc_core::switching::SwitchingPolicy;
 
-use crate::runner::{simulate, SimOptions};
+use crate::runner::{arena_loop, arena_spec, simulate, Audience, SimOptions};
 use crate::workload::uniform_random;
 
 /// A deadlock found by the hunter.
@@ -38,6 +48,20 @@ pub struct Hunt {
     /// stricter admission rule (virtual cut-through, store-and-forward)
     /// that blocks heads the wormhole rules would admit.
     pub witness: Option<WaitCycle>,
+}
+
+impl Hunt {
+    /// The hunt of `specs` (seed `seed`) that reached `Ω` in `config` after
+    /// `steps` steps, with its witness extracted.
+    fn new(seed: u64, specs: &[MessageSpec], steps: u64, config: Config) -> Self {
+        Hunt {
+            seed,
+            specs: specs.to_vec(),
+            steps,
+            witness: find_wait_cycle(&config),
+            config,
+        }
+    }
 }
 
 /// Hunting parameters.
@@ -68,17 +92,30 @@ impl Default for HuntOptions {
 }
 
 /// Runs random workloads until one deadlocks; returns the first deadlock
-/// found, or `None` if every attempt evacuated.
+/// found, or `None` if no attempt reached `Ω`: an attempt that stops at
+/// [`HuntOptions::max_steps`] counts as no deadlock, as one that evacuates
+/// does. All attempts share one arena and one kernel, and `policy` carries
+/// its step count from one attempt to the next, as it would across as many
+/// [`simulate`] calls.
 ///
 /// # Errors
 ///
-/// Propagates interpreter errors (which indicate bugs, not deadlocks).
+/// [`Error::InvalidSpec`] for a network of fewer than two nodes, which has
+/// no uniform traffic; otherwise propagates interpreter errors (which
+/// indicate bugs, not deadlocks).
 pub fn hunt_random(
     net: &dyn Network,
     routing: &dyn RoutingFunction,
     policy: &mut dyn SwitchingPolicy,
     options: &HuntOptions,
 ) -> Result<Option<Hunt>> {
+    if net.node_count() < 2 {
+        return Err(Error::InvalidSpec(format!(
+            "a random hunt needs at least two nodes for uniform traffic; the network has {}",
+            net.node_count()
+        )));
+    }
+    let mut rig = Rig::default();
     for attempt in 0..options.attempts {
         let seed = options.first_seed + attempt;
         let specs = uniform_random(
@@ -87,18 +124,19 @@ pub fn hunt_random(
             options.flits..=options.flits,
             seed,
         );
-        if let Some(hunt) = hunt_workload(net, routing, policy, &specs, seed, options.max_steps)? {
+        if let Some(hunt) = rig.attempt(net, routing, policy, &specs, seed, options.max_steps)? {
             return Ok(Some(hunt));
         }
     }
     Ok(None)
 }
 
-/// Runs one specific workload; returns the deadlock if `Ω` was reached.
+/// Runs one specific workload; returns the deadlock if `Ω` was reached
+/// (one attempt of [`hunt_random`]).
 ///
 /// # Errors
 ///
-/// Propagates interpreter errors.
+/// Propagates configuration-construction and interpreter errors.
 pub fn hunt_workload(
     net: &dyn Network,
     routing: &dyn RoutingFunction,
@@ -107,22 +145,59 @@ pub fn hunt_workload(
     seed: u64,
     max_steps: u64,
 ) -> Result<Option<Hunt>> {
-    let options = SimOptions {
-        max_steps,
-        ..SimOptions::default()
-    };
-    let result = simulate(net, routing, policy, specs, &options)?;
-    if result.run.outcome == Outcome::Deadlock {
-        let witness = find_wait_cycle(&result.run.config);
-        Ok(Some(Hunt {
-            seed,
-            specs: specs.to_vec(),
-            steps: result.run.steps,
-            config: result.run.config,
-            witness,
-        }))
-    } else {
-        Ok(None)
+    Rig::default().attempt(net, routing, policy, specs, seed, max_steps)
+}
+
+/// The arena and kernel a hunt's attempts run in, kept from one attempt to
+/// the next so that their buffers are.
+#[derive(Default)]
+struct Rig {
+    arena: ArenaConfig,
+    kernel: Option<ArenaKernel>,
+}
+
+impl Rig {
+    /// One attempt: `specs` run to termination under `policy` within
+    /// `max_steps` steps, and the hunt if they end in `Ω`.
+    fn attempt(
+        &mut self,
+        net: &dyn Network,
+        routing: &dyn RoutingFunction,
+        policy: &mut dyn SwitchingPolicy,
+        specs: &[MessageSpec],
+        seed: u64,
+        max_steps: u64,
+    ) -> Result<Option<Hunt>> {
+        let options = SimOptions {
+            max_steps,
+            ..SimOptions::default()
+        };
+        let Some(aspec) = arena_spec(policy, &options) else {
+            let run = simulate(net, routing, policy, specs, &options)?.run;
+            return Ok((run.outcome == Outcome::Deadlock)
+                .then(|| Hunt::new(seed, specs, run.steps, run.config)));
+        };
+        self.arena.load_specs(net, routing, specs)?;
+        let kernel = match &mut self.kernel {
+            Some(kernel) => {
+                kernel.restart(&self.arena, aspec);
+                kernel
+            }
+            None => self.kernel.insert(ArenaKernel::new(&self.arena, aspec)),
+        };
+        let run = arena_loop(
+            net,
+            &mut self.arena,
+            kernel,
+            &options,
+            Audience::Quiet(None),
+        )?;
+        policy.note_kernel_steps(run.steps);
+        if run.outcome != Outcome::Deadlock {
+            return Ok(None);
+        }
+        let config = self.arena.to_config(net)?;
+        Ok(Some(Hunt::new(seed, specs, run.steps, config)))
     }
 }
 
@@ -262,6 +337,24 @@ mod tests {
         )
         .unwrap();
         assert!(hunt.is_none(), "XY is deadlock-free");
+    }
+
+    #[test]
+    fn a_network_of_one_node_is_refused_with_a_typed_error() {
+        // Uniform traffic needs two distinct nodes: the hunt says so instead
+        // of panicking in the workload generator.
+        let mesh = Mesh::new(1, 1, 1);
+        let routing = XyRouting::new(&mesh);
+        let hunt = hunt_random(
+            &mesh,
+            &routing,
+            &mut Switching::default(),
+            &HuntOptions::default(),
+        );
+        match hunt {
+            Err(Error::InvalidSpec(text)) => assert!(text.contains("two nodes"), "{text}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

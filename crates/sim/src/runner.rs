@@ -2,22 +2,28 @@
 //!
 //! One entry, [`simulate_config`], runs a configuration already built under
 //! a switching policy, with an optional [`DetectorHook`] and an optional
-//! [`RunObserver`], and is the only place that picks the loop:
+//! [`RunObserver`]. It and the deadlock hunter
+//! ([`hunt_random`](crate::deadlock_hunt::hunt_random),
+//! [`hunt_workload`](crate::deadlock_hunt::hunt_workload)) are the only
+//! callers of the arena loop, and both pick the loop by the same test:
 //!
-//! | arena | hook | observer | loop |
-//! |-------|------|----------|------|
-//! | yes   | —    | —        | the arena loop, quiet: no shadow `Config`, no logs |
-//! | yes   | any  | any      | the arena loop, listened ([`NullHook`] / [`NullObserver`] for the one missing) |
-//! | no    | any  | yes      | none: [`Error::Invariant`] |
-//! | no    | any  | —        | [`run_hooked`], the reference loop: a [`BlockDiff`](genoc_core::blocking::BlockDiff) log for a hook, none without |
+//! | caller | arena | hook | observer | loop |
+//! |--------|-------|------|----------|------|
+//! | `simulate_config` | yes | — | — | the arena loop, quiet: no shadow `Config`, no logs, the given `Config` re-seated at the end |
+//! | `simulate_config` | yes | any | any | the arena loop, listened ([`NullHook`] / [`NullObserver`] for the one missing) |
+//! | `simulate_config` | no | any | yes | none: [`Error::Invariant`] |
+//! | `simulate_config` | no | any | — | [`run_hooked`], the reference loop: a [`BlockDiff`](genoc_core::blocking::BlockDiff) log for a hook, none without |
+//! | a hunt attempt | yes | — | — | the arena loop, quiet, in the hunt's one arena and kernel: no `Config` at all unless the attempt ends in `Ω` |
+//! | a hunt attempt | no | — | — | [`simulate`], so the reference loop |
 //!
-//! "Arena" means [`Stepper::Arena`] (the default) and a policy whose
-//! [`KernelSpec`](genoc_core::switching::KernelSpec) has a closed-world
-//! admission predicate (every shipped policy has one); the differential
-//! suites ask for [`Stepper::Legacy`] to prove both produce identical runs.
-//! Observed runs exist only on the arena: the observer contract is its
-//! kernel's logs. [`simulate`] (from message specs, neither hook nor
-//! observer) and [`simulate_observed_config`] (both) wrap the entry.
+//! "Arena" means [`Stepper::Arena`] (the default, and what a hunt runs on)
+//! and a policy whose [`KernelSpec`](genoc_core::switching::KernelSpec) has
+//! a closed-world admission predicate (every shipped policy has one); the
+//! differential suites ask for [`Stepper::Legacy`] to prove both produce
+//! identical runs. Observed runs exist only on the arena: the observer
+//! contract is its kernel's logs. [`simulate`] (from message specs, neither
+//! hook nor observer) and [`simulate_observed_config`] (both) wrap the
+//! entry.
 //!
 //! The hook is the integration point for online deadlock detection and
 //! recovery (`genoc-detect`): it sees every step's status transitions
@@ -28,7 +34,9 @@
 //! The arena loop is one loop with two paths because hooks and observers
 //! read and mutate `σ` as a [`Config`]: a listened run keeps a shadow
 //! `Config` in lock step for them, and a quiet run, with no one to show `σ`
-//! to, keeps none and re-seats its `Config` once at the end.
+//! to, keeps none and re-seats its `Config`, if it was given one, once at
+//! the end. The loop steps an arena and a kernel its caller owns, so a hunt
+//! refills and restarts the same two for every attempt.
 
 use genoc_core::arena::{ArenaConfig, ArenaKernel, ArenaSpec};
 use genoc_core::config::Config;
@@ -135,17 +143,12 @@ impl SimResult {
 pub fn simulate_config(
     net: &dyn Network,
     policy: &mut dyn SwitchingPolicy,
-    cfg: Config,
+    mut cfg: Config,
     options: &SimOptions,
     hook: Option<&mut dyn DetectorHook>,
     observer: Option<&mut dyn RunObserver>,
 ) -> Result<SimResult> {
-    let aspec = match options.stepper {
-        Stepper::Arena => policy
-            .kernel_spec()
-            .and_then(|spec| ArenaSpec::from_kernel_spec(&spec)),
-        Stepper::Legacy => None,
-    };
+    let aspec = arena_spec(policy, options);
     let run_options = RunOptions {
         max_steps: options.max_steps,
         record_trace: options.record_trace,
@@ -154,17 +157,28 @@ pub fn simulate_config(
     };
     let injected: Vec<MsgId> = cfg.travels().iter().map(|t| t.id()).collect();
     let run = match (aspec, hook, observer) {
-        (Some(aspec), None, None) => arena_loop(net, aspec, cfg, options, None)?,
-        (Some(aspec), hook, observer) => arena_loop(
-            net,
-            aspec,
-            cfg,
-            options,
-            Some(Listeners {
-                hook: hook.unwrap_or(&mut NullHook),
-                observer: observer.unwrap_or(&mut NullObserver),
-            }),
-        )?,
+        (Some(aspec), hook, observer) => {
+            let mut arena = ArenaConfig::from_config(net, &cfg)?;
+            let mut kernel = ArenaKernel::new(&arena, aspec);
+            let (mut no_hook, mut no_observer) = (NullHook, NullObserver);
+            let audience = match (hook, observer) {
+                (None, None) => Audience::Quiet(Some(&mut cfg)),
+                (hook, observer) => Audience::Listened(Listeners {
+                    shadow: &mut cfg,
+                    hook: hook.unwrap_or(&mut no_hook),
+                    observer: observer.unwrap_or(&mut no_observer),
+                }),
+            };
+            let run = arena_loop(net, &mut arena, &mut kernel, options, audience)?;
+            RunResult {
+                outcome: run.outcome,
+                steps: run.steps,
+                config: cfg,
+                trace: run.trace,
+                measures: Vec::new(),
+                arrival_order: run.arrival_order,
+            }
+        }
         (None, _, Some(_)) => {
             return Err(Error::Invariant(
                 "observed runs need the arena's transition log: Stepper::Arena and a \
@@ -332,50 +346,92 @@ fn audit_ledger(actual: u64, ledger: u64, step: u64) -> Result<()> {
     })
 }
 
+/// The arena spec `policy` runs under on `options`' stepper, or `None` when
+/// the run belongs to the reference loop: [`Stepper::Legacy`], or a policy
+/// without a closed-world [`KernelSpec`](genoc_core::switching::KernelSpec).
+pub(crate) fn arena_spec(policy: &dyn SwitchingPolicy, options: &SimOptions) -> Option<ArenaSpec> {
+    match options.stepper {
+        Stepper::Arena => policy
+            .kernel_spec()
+            .and_then(|spec| ArenaSpec::from_kernel_spec(&spec)),
+        Stepper::Legacy => None,
+    }
+}
+
+/// Who sees an arena run's `σ` as a [`Config`].
+pub(crate) enum Audience<'a> {
+    /// No one while it runs. A given `Config`, the one the arena was
+    /// imported from, is re-seated at the end; without one the arena is the
+    /// run's only `σ`, and the caller materialises it if it wants it.
+    Quiet(Option<&'a mut Config>),
+    /// A hook and an observer, through a shadow `Config`.
+    Listened(Listeners<'a>),
+}
+
 /// What a listened arena run reports into: the caller's hook and observer,
-/// [`NullHook`] / [`NullObserver`] standing in for the one not given.
-struct Listeners<'a> {
+/// [`NullHook`] / [`NullObserver`] standing in for the one not given, and
+/// the shadow `Config` they read and mutate, equal to the arena at the
+/// start.
+pub(crate) struct Listeners<'a> {
+    shadow: &'a mut Config,
     hook: &'a mut dyn DetectorHook,
     observer: &'a mut dyn RunObserver,
 }
 
+/// How an arena run ended: [`RunResult`] without the configuration, which
+/// is the arena's (and the audience's, if it has one).
+pub(crate) struct ArenaRun {
+    /// Why the run stopped.
+    pub outcome: Outcome,
+    /// Switching steps performed.
+    pub steps: u64,
+    /// The movement trace, when one was recorded.
+    pub trace: Trace,
+    /// Public ids in the order they arrived.
+    pub arrival_order: Vec<MsgId>,
+}
+
 /// The loop on the arena stepper: the termination order of
 /// [`interpreter::run`](genoc_core::interpreter::run) (evacuated, then `Ω`,
-/// then the step limit) over [`ArenaConfig`] columns. A step that moves
-/// nothing on a non-deadlocked configuration is an
-/// [`Error::ProgressViolation`]; since every flit move lowers the progress
-/// measure by exactly one, the (C-5) ledger is carried by subtraction and
-/// audited against a full recomputation at termination and per step under
+/// then the step limit) over [`ArenaConfig`] columns, from the state
+/// `arena` holds with `kernel` synchronised to it (both the caller's, so
+/// that a run after a run reuses their buffers). A step that moves nothing
+/// on a non-deadlocked configuration is an [`Error::ProgressViolation`];
+/// since every flit move lowers the progress measure by exactly one, the
+/// (C-5) ledger is carried by subtraction and audited against a full
+/// recomputation at termination and per step under
 /// [`SimOptions::check_invariants`], instead of being recomputed every
 /// step.
 ///
-/// *Quiet* (`listeners` is `None`): the kernel keeps no logs, `cfg` sits
-/// untouched beside the arena until [`ArenaConfig::write_back`] re-seats it
-/// at the end (debug builds also build [`ArenaConfig::to_config`] and
-/// assert the two equal), and the ledger is audited against the arena's
-/// own measure.
+/// *Quiet* ([`Audience::Quiet`]): the kernel keeps no logs and the ledger is
+/// audited against the arena's own measure. A given `Config` sits untouched
+/// until [`ArenaConfig::write_back`] re-seats it at the end (debug builds
+/// also build [`ArenaConfig::to_config`] and assert the two equal); without
+/// one no `Config` is read or built at all.
 ///
 /// *Listened*: hooks and observers read and mutate `σ` as a [`Config`], so
-/// `cfg` becomes a *shadow* kept in lock step by replaying the observed
-/// kernel's move log; they keep their `Config`-based interface (and stable
-/// public ids) unchanged. Replay is self-validating: every replayed move
-/// goes through the `Config` movement methods, which reject anything the
-/// legacy semantics would not do and lower the shadow's measure by one
-/// each. A step checks that it replayed as many moves as the arena counted,
-/// a hook mutation — applied to the arena in place, whichever callback made
-/// it ([`ArenaKernel::follow`]) — adjusts the ledger by the arena's own
+/// the shadow is kept in lock step by replaying the observed kernel's move
+/// log; they keep their `Config`-based interface (and stable public ids)
+/// unchanged. Replay is self-validating: every replayed move goes through
+/// the `Config` movement methods, which reject anything the legacy
+/// semantics would not do and lower the shadow's measure by one each. A
+/// step checks that it replayed as many moves as the arena counted, a hook
+/// mutation — applied to the arena in place, whichever callback made it
+/// ([`ArenaKernel::follow`]) — adjusts the ledger by the arena's own
 /// figures, and the full audit against the shadow runs at every mutation
 /// and at termination, per step also in debug builds. A step costs its
 /// moves, a recovery what it touched.
-fn arena_loop(
+pub(crate) fn arena_loop(
     net: &dyn Network,
-    aspec: ArenaSpec,
-    mut cfg: Config,
+    arena: &mut ArenaConfig,
+    kernel: &mut ArenaKernel,
     options: &SimOptions,
-    mut listeners: Option<Listeners<'_>>,
-) -> Result<RunResult> {
-    let mut arena = ArenaConfig::from_config(net, &cfg)?;
-    let mut kernel = ArenaKernel::new(&arena, aspec);
+    mut audience: Audience<'_>,
+) -> Result<ArenaRun> {
+    let mut listeners = match &mut audience {
+        Audience::Listened(l) => Some(l),
+        Audience::Quiet(_) => None,
+    };
     kernel.set_observed(listeners.is_some());
     let wants_moves = listeners.as_ref().is_some_and(|l| l.observer.wants_moves());
     let mut trace = Trace::new(options.record_trace || wants_moves);
@@ -387,7 +443,7 @@ fn arena_loop(
     // so the observer sees exactly this step's slice.
     let mut moves_seen: usize = 0;
     if let Some(l) = &mut listeners {
-        l.observer.on_run_start(net, &cfg)?;
+        l.observer.on_run_start(net, l.shadow)?;
     }
 
     let outcome = loop {
@@ -396,7 +452,7 @@ fn arena_loop(
         // arena answers "evacuated" for either path.
         let mutated = if arena.is_evacuated() {
             let go_on = match &mut listeners {
-                Some(l) => l.hook.on_drained(net, &mut cfg, steps)?,
+                Some(l) => l.hook.on_drained(net, l.shadow, steps)?,
                 None => false,
             };
             if !go_on {
@@ -404,9 +460,9 @@ fn arena_loop(
             }
             idle_continues += 1;
             true
-        } else if kernel.is_deadlock(&arena) {
+        } else if kernel.is_deadlock(arena) {
             let go_on = match &mut listeners {
-                Some(l) => l.hook.on_deadlock(net, &mut cfg, steps)?,
+                Some(l) => l.hook.on_deadlock(net, l.shadow, steps)?,
                 None => false,
             };
             if !go_on {
@@ -419,18 +475,17 @@ fn arena_loop(
                 break Outcome::StepLimit;
             }
             trace.begin_step(steps);
-            let report = kernel.step(&mut arena, &mut trace)?;
-            // The flight list mirrors `cfg.travels()` order, across mutations
-            // too, so the log's positions address the shadow's travels.
-            let replayed = if listeners.is_some() {
-                kernel.replay_moves(&mut cfg)? as u64
-            } else {
-                0
+            let report = kernel.step(arena, &mut trace)?;
+            // The flight list mirrors the shadow's `T` order, across
+            // mutations too, so the log's positions address its travels.
+            let replayed = match &mut listeners {
+                Some(l) => kernel.replay_moves(l.shadow)? as u64,
+                None => 0,
             };
             if kernel.take_saw_arrival() {
-                kernel.drain_arrived(&mut arena);
-                if listeners.is_some() {
-                    let shadow_newly = cfg.drain_arrived();
+                kernel.drain_arrived(arena);
+                if let Some(l) = &mut listeners {
+                    let shadow_newly = l.shadow.drain_arrived();
                     debug_assert_eq!(shadow_newly, kernel.newly_arrived());
                 }
             }
@@ -460,15 +515,15 @@ fn arena_loop(
                 });
             }
             if options.check_invariants {
-                cfg.validate(net)?;
+                l.shadow.validate(net)?;
             }
             if options.check_invariants || cfg!(debug_assertions) {
-                audit_ledger(cfg.progress_measure(), ledger, steps)?;
+                audit_ledger(l.shadow.progress_measure(), ledger, steps)?;
             }
             // The observer sees the step before the hook may mutate, so a
             // log records the state the detector acted on, not its repair.
             l.observer.on_step(
-                &cfg,
+                l.shadow,
                 steps,
                 kernel.transitions(),
                 kernel.freed_ports(),
@@ -479,40 +534,41 @@ fn arena_loop(
             arrival_order.extend_from_slice(kernel.newly_arrived());
             let mutated = l
                 .hook
-                .after_kernel_step(net, &mut cfg, kernel.transitions(), steps)?;
+                .after_kernel_step(net, l.shadow, kernel.transitions(), steps)?;
             steps += 1;
             idle_continues = 0;
             mutated
         };
         if mutated {
-            // Audited in full before the observer hears of it, so that no
-            // recovery absorbs a violation that came before it.
-            ledger = ledger.wrapping_add_signed(kernel.follow(net, &mut arena, &cfg)?);
-            audit_ledger(cfg.progress_measure(), ledger, steps)?;
+            // Only a hook mutates, so the run is listened. Audited in full
+            // before the observer hears of it, so that no recovery absorbs a
+            // violation that came before it.
             if let Some(l) = &mut listeners {
-                l.observer.on_mutation(&cfg, steps)?;
+                ledger = ledger.wrapping_add_signed(kernel.follow(net, arena, l.shadow)?);
+                audit_ledger(l.shadow.progress_measure(), ledger, steps)?;
+                l.observer.on_mutation(l.shadow, steps)?;
             }
         }
         check_idle_continues(idle_continues)?;
     };
 
-    match listeners {
-        None => {
+    match audience {
+        Audience::Quiet(write_back) => {
             audit_ledger(arena.progress_measure(), ledger, steps)?;
-            arena.write_back(&mut cfg)?;
-            debug_assert_eq!(cfg, arena.to_config(net)?, "write-back ≡ to_config");
+            if let Some(cfg) = write_back {
+                arena.write_back(cfg)?;
+                debug_assert_eq!(*cfg, arena.to_config(net)?, "write-back ≡ to_config");
+            }
         }
-        Some(l) => {
-            audit_ledger(cfg.progress_measure(), ledger, steps)?;
-            l.observer.on_run_end(outcome, steps, &cfg)?;
+        Audience::Listened(l) => {
+            audit_ledger(l.shadow.progress_measure(), ledger, steps)?;
+            l.observer.on_run_end(outcome, steps, l.shadow)?;
         }
     }
-    Ok(RunResult {
+    Ok(ArenaRun {
         outcome,
         steps,
-        config: cfg,
         trace,
-        measures: Vec::new(),
         arrival_order,
     })
 }

@@ -11,7 +11,9 @@
 //!   across a recovery applied to the arena in place.
 //!
 //! A third anchor is about growth: with no rebuild to compact them, the
-//! route and flit pools are bounded by what was pushed into the arena.
+//! route and flit pools are bounded by what was pushed into the arena. A
+//! fourth is about reuse: a deadlock hunt's attempts after the first
+//! allocate a constant few, not per travel.
 //!
 //! The counting allocator only counts; it delegates all placement to the
 //! system allocator. The counter is per thread: cargo runs the tests on
@@ -315,4 +317,41 @@ fn pools_grow_by_what_was_pushed_and_no_more() {
     assert!(pushes > 0, "the run deadlocked and was restarted");
     assert_eq!(cfg.arrived().len(), specs.len(), "nothing is lost");
     assert_eq!(arena.to_config(&mesh).unwrap(), cfg);
+}
+
+/// A hunt keeps one arena and one kernel for all of its attempts and builds
+/// no `Config` for one that evacuates: an attempt after the first allocates
+/// its workload's spec list, the route computation's hop buffer and the four
+/// steps by which its arrival order grows to 32, and nothing per travel
+/// (≈ 170 allocations an attempt when each built a `Config` and an arena of
+/// its own, 70 for a fresh arena and kernel without the `Config`). On the
+/// acyclic XY mesh every attempt of 32 messages evacuates; hunting with one
+/// attempt more than the last counts the allocations of that attempt alone,
+/// which stay at the pin however many attempts came before it.
+#[test]
+fn a_hunt_attempt_after_the_first_allocates_a_constant_few() {
+    const PIN: u64 = 6;
+    let mesh = Mesh::new(4, 4, 2);
+    let routing = XyRouting::new(&mesh);
+    let hunt = |attempts| {
+        let options = HuntOptions {
+            attempts,
+            first_seed: 3,
+            messages: 32,
+            flits: 4,
+            ..HuntOptions::default()
+        };
+        let (found, allocs) = allocations_during(|| {
+            hunt_random(&mesh, &routing, &mut Switching::default(), &options).unwrap()
+        });
+        assert!(found.is_none(), "XY meshes do not deadlock");
+        allocs
+    };
+    let totals: Vec<u64> = (1..=10).map(hunt).collect();
+    let per_attempt: Vec<u64> = totals.windows(2).map(|w| w[1] - w[0]).collect();
+    assert_eq!(
+        per_attempt, [PIN; 9],
+        "allocations of attempts 2..=10, after a first of {}",
+        totals[0]
+    );
 }

@@ -161,3 +161,32 @@ fn standard_matrix_meets_the_scale_floor_and_runs() {
     let json = report.to_json();
     assert!(json.contains("\"matrix\":\"standard-slice\""));
 }
+
+/// The `campaign-full` benchmark's slice — every 4th cell of the full
+/// matrix at seed 23, standard effort, two jobs — with the outputs the
+/// benchmark holds it to: every cell passes, and the check and deadlock
+/// counts are exact, so a change to any check's verdict, to which checks a
+/// cell runs or to what a hunt finds shows here before it shows there.
+#[test]
+fn the_full_matrix_benchmark_slice_is_pinned() {
+    let slice: Vec<ScenarioSpec> = ScenarioMatrix::full()
+        .expand()
+        .into_iter()
+        .step_by(4)
+        .collect();
+    let report = run_campaign(
+        &slice,
+        &CampaignOptions {
+            jobs: 2,
+            seed: 23,
+            effort: EffortProfile::standard(),
+            matrix: "full".into(),
+            wal_dir: None,
+        },
+    );
+    let checks: usize = report.outcomes.iter().map(|o| o.checks.len()).sum();
+    assert_eq!(report.total(), 252);
+    assert_eq!(report.passed(), 252, "{}", report.render_markdown());
+    assert_eq!(checks, 2_772);
+    assert_eq!(report.deadlocks_seen(), 48);
+}
