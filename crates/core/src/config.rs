@@ -560,8 +560,11 @@ impl Config {
         key
     }
 
-    /// FNV-1a hash of [`Config::position_key`]: a cheap 64-bit state
-    /// fingerprint for visited sets and duplicate detection.
+    /// FNV-1a hash of [`Config::position_key`]: a cheap 64-bit fingerprint
+    /// for telling two configurations apart, as the tests that hold two
+    /// steppers' end states equal do. No search engine keys a visited set
+    /// by it: the explorer's seen-set hashes packed keys with its own
+    /// `StateArena::hash_key`.
     pub fn state_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for v in self.position_key() {

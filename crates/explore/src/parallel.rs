@@ -2,12 +2,14 @@
 //!
 //! With [`ExploreOptions::jobs`] > 1 (or a spill directory configured) the
 //! explorer hash-partitions canonical states across shards
-//! (`shard = hash(key) % shards`, each shard owning its own [`StateArena`]
-//! seen-set and edge store) and walks the state space one BFS level at a
-//! time on a **persistent worker pool**: one `std::thread::scope` per run,
-//! not per level. The coordinator participates as worker 0 and hands each
-//! phase to the helpers through an epoch counter + condvar pair, so a level
-//! costs two lock-handoffs instead of two thread-spawn storms.
+//! (`shard = fnv1a(key) % shards` by [`shard_of`], each shard owning its
+//! own [`StateArena`] seen-set and edge store, which probes with its own
+//! [`StateArena::hash_key`], computed once at expansion) and walks the
+//! state space one BFS level at a time on a **persistent worker pool**:
+//! one `std::thread::scope` per run, not per level. The coordinator
+//! participates as worker 0 and hands each phase to the helpers through an
+//! epoch counter + condvar pair, so a level costs two lock-handoffs instead
+//! of two thread-spawn storms.
 //!
 //! A level is a sequence of *blocks* (one per shard of the previous level),
 //! each carrying its states' global ids **and packed keys**, so expansion
@@ -88,16 +90,18 @@ struct Shard {
     spill: Option<SpillFile>,
 }
 
-/// One successor recorded during expansion, destined for the shard its
-/// hash selects. `(slot, child)` are its coordinates in the sequential
-/// visit order of the level: slot = position of the parent in the level,
-/// child = index within the parent's (ample-reduced) move list.
+/// One successor recorded during expansion, destined for the shard its key
+/// selects ([`shard_of`]). `(slot, child)` are its coordinates in the
+/// sequential visit order of the level: slot = position of the parent in
+/// the level, child = index within the parent's (ample-reduced) move list.
 struct SuccEntry {
     slot: u32,
     child: u32,
     /// Global id of the parent state.
     parent: u32,
     mv: Move,
+    /// The key's [`StateArena::hash_key`], so the intern sweep hashes
+    /// nothing.
     hash: u64,
     perm: Option<Box<[usize]>>,
 }
@@ -322,11 +326,10 @@ pub(crate) fn explore_parallel(
             })
         })
         .collect();
-    let root_hash = StateArena::hash_key(&root_key);
-    let root_shard = (root_hash % shard_count as u64) as usize;
+    let root_shard = shard_of(&root_key, shard_count);
     {
         let root = shards[root_shard].get_mut().expect("shard poisoned");
-        root.arena.intern_hashed(root_hash, &root_key);
+        root.arena.intern(&root_key);
         root.edges.push(None);
     }
     let level = vec![LevelBlock {
@@ -628,8 +631,25 @@ fn expand_work(
     scratch.batch = batch;
 }
 
+/// The shard that owns `key` among `shards`: the FNV-1a hash of the key's
+/// little-endian bytes, modulo the shard count. It is not
+/// [`StateArena::hash_key`], which the seen-set probes with: the partition
+/// decides every shard's arena growth and spilled segments, and so
+/// `explore-spill`'s pinned byte counts. Folding it onto `hash_key` moves
+/// those counts, so it belongs to a change that re-pins them.
+fn shard_of(key: &[u16], shards: usize) -> usize {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &v in key {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    (h % shards as u64) as usize
+}
+
 /// Expands one canonical state and buckets every successor — canonical key,
-/// hash, `(slot, child)` coordinates — by its owning shard.
+/// seen-set hash, `(slot, child)` coordinates — by its owning shard.
 fn expand_one(
     pool: &Pool<'_>,
     gid: u32,
@@ -640,14 +660,13 @@ fn expand_one(
 ) -> Result<()> {
     let mut child = 0u32;
     let status = expander.expand(key, |mv, child_key, perm| {
-        let hash = StateArena::hash_key(child_key);
-        let bucket = &mut local.buckets[(hash % pool.shard_count as u64) as usize];
+        let bucket = &mut local.buckets[shard_of(child_key, pool.shard_count)];
         bucket.entries.push(SuccEntry {
             slot,
             child,
             parent: gid,
             mv,
-            hash,
+            hash: StateArena::hash_key(child_key),
             perm: perm.map(Box::from),
         });
         bucket.keys.extend_from_slice(child_key);

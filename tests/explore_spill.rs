@@ -8,8 +8,11 @@
 //! `explore_por.rs` plus the cyclic comparators at full pressure, and
 //! additionally checks the `BoundReason` split: without a spill directory a
 //! breached memory budget is a *memory*-bound stop, with one the search
-//! keeps going. Last, the parallel engine refuses more jobs or shards than
-//! it allows, at once, from the library and from `bin/explore`.
+//! keeps going. The benchmark's two explorer cells keep their counts and
+//! their peak and spilled bytes, which the shard function, the arena's
+//! index and the spilled record layout decide. Last, the parallel engine
+//! refuses more jobs or shards than it allows, at once, from the library
+//! and from `bin/explore`.
 
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
@@ -157,6 +160,66 @@ fn memory_bound_stops_are_labelled_and_spill_lifts_them() {
     });
     assert!(matches!(state_bound.verdict, Verdict::BoundExceeded));
     assert_eq!(state_bound.bound, Some(BoundReason::States));
+}
+
+#[test]
+fn the_benchmark_cells_keep_their_counts_and_bytes() {
+    // The ledger's `explore-ram` and `explore-spill` cells: ring-4,
+    // shortest-path routing, capacity 2, three-flit pressure messages, POR.
+    // Their byte counts move with the shard function, the arena's index
+    // and the layout of the records that spill, so they are pinned here
+    // beside the ledger's own pins.
+    let instance = Instance::ring_shortest(4, 2);
+    let specs = pressure_specs(&instance.meta, 3);
+    let policy = genoc::switching::wormhole::WormholePolicy::default();
+    let run = |options: &ExploreOptions| {
+        explore_policy(
+            instance.net.as_ref(),
+            instance.routing.as_ref(),
+            &instance.meta,
+            &specs,
+            &policy,
+            options,
+        )
+        .expect("exploration failed")
+    };
+    let ram_options = ExploreOptions {
+        por: true,
+        max_states: 600_000,
+        ..ExploreOptions::default()
+    };
+    let cells = [
+        (ram_options.clone(), (467_639, 598_986, 8_064_920, 0)),
+        (
+            ExploreOptions {
+                jobs: 2,
+                mem_limit: Some(1 << 20),
+                spill_dir: Some(std::env::temp_dir()),
+                ..ram_options
+            },
+            (480_251, 628_813, 6_489_416, 29_729_203),
+        ),
+    ];
+    for (options, (transitions, enabled, peak, spilled)) in cells {
+        let got = run(&options);
+        let jobs = options.jobs;
+        assert_eq!(got.verdict.label(), "deadlock", "jobs {jobs}");
+        assert_eq!(
+            (got.states, got.depth, got.group_size),
+            (104_731, 32, 4),
+            "jobs {jobs}"
+        );
+        assert_eq!(
+            (got.transitions, got.enabled_moves),
+            (transitions, enabled),
+            "jobs {jobs}"
+        );
+        assert_eq!(
+            (got.peak_bytes, got.spilled_bytes),
+            (peak, spilled),
+            "jobs {jobs}"
+        );
+    }
 }
 
 /// `bin/explore` on the 2×2 XY mesh, two one-flit messages, with
